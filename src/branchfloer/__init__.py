@@ -11,6 +11,7 @@ connected and reduced-connected versions, and the torsion exponent omega.
 __version__ = "0.1.0"
 
 from .complexes import (  # noqa: E402
+    ConsistencyError,
     GradedUModule,
     RankBoundExceeded,
     UComplex,
@@ -35,6 +36,7 @@ from .plumbing import DefinitenessError, PlumbingTree, linear_chain, star  # noq
 from .roots import GradedRoot, InstabilityError, build_root  # noqa: E402
 
 __all__ = [
+    "ConsistencyError",
     "DefinitenessError",
     "GradedRoot",
     "GradedUModule",

@@ -10,12 +10,14 @@ Subcommands:
 A knot spec uses the grammar
 ``torus(p,q) | pretzel(a1,...,ak) | montesinos(e; a1/b1, ...) | mirror(S) |
 sum(S, S, ...)``.  The root subcommand also accepts a plumbing tree as JSON
-(``{"weights": [...], "edges": [[i,j], ...]}``) either inline or on stdin
-via ``-``.
+(``{"weights": [...], "edges": [[i,j], ...]}``, optionally with
+"automorphism", "char" and "involution"; the fields are described under
+"Plumbing JSON input" in README.md) either inline or on stdin via ``-``.
 
 Exit codes: 0 success, 2 malformed input or usage, 3 no definite cover
-presentation, 4 unstable truncation, 1 anything else.  Set
-BRANCHFLOER_CACHE_DIR to reuse graded-root computations across runs.
+presentation, 4 unstable truncation, 1 an internal fault (a failed
+consistency check or a search bound).  Set BRANCHFLOER_CACHE_DIR to let the
+root subcommand reuse graded roots across runs.
 """
 
 from __future__ import annotations
@@ -25,21 +27,21 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import knots, plumbing, roots
+from . import __version__, knots, plumbing, roots
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Knobs shared by all subcommands; defaults match the library."""
+    """Settings of one run; a subcommand without a flag keeps its default."""
 
     n_max: int | None = None
     box_radius: int | None = None
     rank_bound: int = 16
-    truncation_margin: int = 2
     workers: int = 1
     fmt: str = "json"
     verify: bool = False
@@ -51,8 +53,6 @@ class RunConfig:
             raise ValueError("box radius must be positive")
         if self.rank_bound <= 0:
             raise ValueError("rank bound must be positive")
-        if self.truncation_margin <= 0:
-            raise ValueError("truncation margin must be positive")
         if self.workers <= 0:
             raise ValueError("worker count must be positive")
         if self.fmt not in ("json", "text", "dot"):
@@ -95,6 +95,8 @@ def cmd_invariants(text: str, config: RunConfig, out=None) -> None:
 
 
 def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, str]:
+    """Parse the plumbing JSON input ("Plumbing JSON input" in README.md);
+    every malformed field, `char` included, is a KnotSpecError."""
     try:
         weights = tuple(int(w) for w in doc["weights"])
         edges = tuple((int(a), int(b)) for a, b in doc.get("edges", []))
@@ -102,49 +104,58 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
         tree = plumbing.PlumbingTree(
             weights, edges, automorphism=tuple(aut) if aut else None
         )
-        char = tuple(int(c) for c in doc["char"]) if doc.get("char") else None
+        char = doc.get("char")
+        char = None if char is None else tuple(int(c) for c in char)
         involution = str(doc.get("involution", "auto"))
-    except plumbing.DefinitenessError:
-        raise
     except (KeyError, TypeError, ValueError) as err:
         raise knots.KnotSpecError(f"bad plumbing JSON: {err}")
+    if char is not None and len(char) != len(tree):
+        raise knots.KnotSpecError(
+            f"bad plumbing JSON: char has {len(char)} entries for {len(tree)} vertices"
+        )
+    if char is not None and not plumbing.is_characteristic(tree, char):
+        raise knots.KnotSpecError(
+            f"bad plumbing JSON: char {list(char)} is not characteristic "
+            "(each entry must have the parity of its vertex weight)"
+        )
     return tree, char, involution
 
 
 def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
+    """Build a root, or read it from BRANCHFLOER_CACHE_DIR when set.  An
+    entry that cannot be read back counts as a miss and is rewritten."""
     cache_dir = os.environ.get("BRANCHFLOER_CACHE_DIR")
     key_path = None
     if cache_dir:
         key_doc = {
+            "version": __version__,
             "weights": list(tree.weights),
             "edges": [list(e) for e in tree.edges],
             "automorphism": list(tree.automorphism) if tree.automorphism else None,
             "char": list(char) if char else None,
             "involution": involution,
             "n_max": config.n_max,
-            "margin": config.truncation_margin,
             "radius": config.box_radius,
         }
         digest = hashlib.sha256(
             json.dumps(key_doc, sort_keys=True).encode()
         ).hexdigest()
         key_path = os.path.join(cache_dir, f"root-{digest}.json")
-        if os.path.exists(key_path):
+        try:
             with open(key_path) as fh:
                 return roots.GradedRoot.from_json(fh.read())
+        except (OSError, ValueError, KeyError, TypeError, IndexError):
+            pass
     root = roots.build_root(
-        tree,
-        char,
-        involution=involution,
-        n_max=config.n_max,
-        margin=config.truncation_margin,
-        radius=config.box_radius,
-        workers=config.workers,
+        tree, char, involution=involution, n_max=config.n_max, radius=config.box_radius
     )
     if key_path:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(key_path, "w") as fh:
+        with tempfile.NamedTemporaryFile(
+            "w", dir=cache_dir, prefix=".root-", suffix=".tmp", delete=False
+        ) as fh:
             fh.write(root.to_json())
+        os.replace(fh.name, key_path)
     return root
 
 
@@ -177,8 +188,6 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
                 engine=alt_engine,
                 involution=involution,
                 n_max=config.n_max,
-                margin=config.truncation_margin,
-                workers=config.workers,
             )
         except ValueError:
             alt = None  # non-star tree cannot feed the star engine
@@ -253,22 +262,22 @@ def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
     out.write(f"certificate {'yes' if certificate else 'no'}\n")
 
 
-def _add_common(sub, formats):
+# flags only some subcommands read: name -> add_argument keywords
+_FLAGS = {
+    "--box": dict(type=int, dest="box_radius", help="box engine radius override"),
+    "--rank-bound": dict(
+        type=int, help="rank cap for the brute-force equivalence search"
+    ),
+    "--workers": dict(type=int, help="parallel pipelines"),
+}
+
+
+def _add_flags(sub, formats, *extra):
+    """--n-max, the `extra` flags named, --format and --verify.  Unset flags
+    stay off the parsed namespace, so RunConfig keeps its default."""
     sub.add_argument("--n-max", type=int, default=None, help="truncation level cap")
-    sub.add_argument(
-        "--box",
-        type=int,
-        default=None,
-        dest="box_radius",
-        help="box engine radius override",
-    )
-    sub.add_argument(
-        "--rank-bound",
-        type=int,
-        default=16,
-        help="rank cap for the brute-force equivalence search",
-    )
-    sub.add_argument("--workers", type=int, default=1, help="parallel pipelines")
+    for flag in extra:
+        sub.add_argument(flag, default=argparse.SUPPRESS, **_FLAGS[flag])
     sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument(
         "--verify", action="store_true", help="run cross-oracle checks inline"
@@ -284,26 +293,25 @@ def main(argv=None) -> int:
 
     p_inv = sub.add_parser("invariants", help="invariant package for one knot spec")
     p_inv.add_argument("spec", help="knot spec, e.g. 'pretzel(2,-3,-7)'")
-    _add_common(p_inv, ("json", "text"))
+    _add_flags(p_inv, ("json", "text"), "--rank-bound")
 
     p_root = sub.add_parser("root", help="graded root of a cover presentation")
     p_root.add_argument("source", help="knot spec, plumbing JSON, or - for stdin")
     p_root.add_argument("--dot", action="store_true", help="same as --format dot")
-    _add_common(p_root, ("json", "text", "dot"))
+    _add_flags(p_root, ("json", "text", "dot"), "--box")
 
     p_ind = sub.add_parser("independence", help="omega-based independence report")
     p_ind.add_argument("specs", nargs="+", help="knot specs to compare")
-    _add_common(p_ind, ("json", "text"))
+    _add_flags(p_ind, ("json", "text"), "--rank-bound", "--workers")
 
     args = parser.parse_args(argv)
     try:
+        optional = ("box_radius", "rank_bound", "workers")
         config = RunConfig(
             n_max=args.n_max,
-            box_radius=args.box_radius,
-            rank_bound=args.rank_bound,
-            workers=args.workers,
             fmt="dot" if getattr(args, "dot", False) else args.format,
             verify=args.verify,
+            **{name: getattr(args, name) for name in optional if hasattr(args, name)},
         )
         if args.command == "invariants":
             cmd_invariants(args.spec, config)

@@ -19,7 +19,6 @@ Q-action on deep classes tells the upper tower apart from the lower one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -28,6 +27,11 @@ from .exact import solve_mod2
 
 class RankBoundExceeded(RuntimeError):
     """A brute-force search was asked to handle too large a complex."""
+
+
+class ConsistencyError(RuntimeError):
+    """A computed result failed one of the pipeline's own cross-checks: a
+    fault in the package or the truncation, not in its input."""
 
 
 def _exp_of(gr_src, gr_tgt, degree):
@@ -68,9 +72,6 @@ class _F2Space:
             return False, tag
         self.pivots[v.bit_length() - 1] = (v, tag)
         return True, tag
-
-    def contains(self, v):
-        return self.reduce(v)[0] == 0
 
     @property
     def rank(self):
@@ -190,10 +191,6 @@ def identity_map(cx: UComplex) -> UMap:
     return UMap(cx, cx, Fraction(0), tuple(1 << j for j in range(len(cx))))
 
 
-def zero_map(src: UComplex, tgt: UComplex, degree=Fraction(0)) -> UMap:
-    return UMap(src, tgt, Fraction(degree), (0,) * len(src))
-
-
 def compose(g: UMap, f: UMap) -> UMap:
     """g after f."""
     assert f.tgt is g.src
@@ -290,9 +287,6 @@ class GradedUModule:
     towers: tuple[Fraction, ...]
     torsion: tuple[tuple[Fraction, int], ...]
     deep: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def total_rank(self):
-        return len(self.towers)
 
 
 def _parity(g) -> Fraction:
@@ -428,21 +422,8 @@ def delta_invariant(cx: UComplex, computed: GradedUModule | None = None):
     """Top grading of the unique tower of H(cx)."""
     module = computed if computed is not None else homology(cx)
     if len(module.towers) != 1:
-        raise ValueError(f"expected a single tower, found {module.towers}")
+        raise ConsistencyError(f"expected a single tower, found {module.towers}")
     return module.towers[0]
-
-
-def module_dim_at(module: GradedUModule, g) -> int:
-    """F_2-dimension of the module in a single grading."""
-    g = Fraction(g)
-    dim = 0
-    for d in module.towers:
-        if g <= d and (d - g) % 2 == 0:
-            dim += 1
-    for b, length in module.torsion:
-        if (b - g) % 2 == 0 and 0 <= (b - g) / 2 < length:
-            dim += 1
-    return dim
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +532,7 @@ def lift_involution(model: ModelComplex) -> UMap:
     iota = UMap(model.cx, model.cx, Fraction(0), tuple(rows))
     assert iota.is_chain_map(), "involution lift failed to commute with d"
     if nullhomotopy(compose(iota, iota) + identity_map(model.cx)) is None:
-        raise ValueError("lifted involution does not square to the identity")
+        raise ConsistencyError("lifted involution does not square to the identity")
     return iota
 
 
@@ -595,15 +576,15 @@ def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:
     cone, q = involutive_cone(cx, iota)
     module = homology(cone)
     if len(module.towers) != 2:
-        raise ValueError(f"branched homology has towers {module.towers}, expected 2")
+        raise ConsistencyError(f"branched homology has towers {module.towers}, expected 2")
     if (module.towers[0] - module.towers[1]) % 2 != 1:
-        raise ValueError("branched towers do not alternate parity")
+        raise ConsistencyError("branched towers do not alternate parity")
     hits = {}
     for par, (g0, alive, basis) in module.deep.items():
         if not alive:
             continue
         if len(alive) != 1:
-            raise ValueError("two towers share a parity in the branched cone")
+            raise ConsistencyError("two towers share a parity in the branched cone")
         top, vec = alive[0]
         other = _parity(g0 - 1)
         g1, alive1, basis1 = module.deep[other]
@@ -620,16 +601,16 @@ def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:
         space.add(t_vec, 1)
         residual, tag = space.reduce(img)
         if residual:
-            raise ValueError("deep Q-image escapes the surviving tower")
+            raise ConsistencyError("deep Q-image escapes the surviving tower")
         if tag:
             hits[top] = t_top
     if len(hits) != 1:
-        raise ValueError(f"deep Q-action is not rank one: {hits}")
+        raise ConsistencyError(f"deep Q-action is not rank one: {hits}")
     (source, target), = hits.items()
     upper = target + 1
     lower = source
     if lower > upper:
-        raise ValueError("branched tower ordering violated")
+        raise ConsistencyError("branched tower ordering violated")
     return BranchedModule(upper, lower, module)
 
 
@@ -674,10 +655,6 @@ def nullhomotopy(f: UMap) -> UMap | None:
     return UMap(src, tgt, f.degree + 1, tuple(hrows))
 
 
-def maps_homotopic(f: UMap, g: UMap) -> bool:
-    return nullhomotopy(f + g) is not None
-
-
 class _DeepContext:
     """Cached slice data for testing maps src -> tgt on deep tower classes."""
 
@@ -718,23 +695,6 @@ class _DeepContext:
             if rows.rank != n:
                 return False
         return True
-
-
-def induces_localized_iso(f: UMap, ha=None, hb=None) -> bool:
-    """Does f invert the deep (U-localized) homology on every parity?"""
-    ha = ha if ha is not None else homology(f.src)
-    hb = hb if hb is not None else homology(f.tgt)
-    return _DeepContext(f.src, f.tgt, ha, hb).iso(f)
-
-
-def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap, ha=None, hb=None) -> bool:
-    """Chain map commuting with the involutions up to homotopy and inverting
-    the localized homology."""
-    if not f.is_chain_map():
-        return False
-    if nullhomotopy(compose(iota_tgt, f) + compose(f, iota_src)) is None:
-        return False
-    return induces_localized_iso(f, ha, hb)
 
 
 # ---------------------------------------------------------------------------
@@ -904,19 +864,5 @@ def connected_homology_brute(
         m = image_homology(f)
         modules.append((m.towers, m.torsion))
     if len(set(modules)) != 1:
-        raise ValueError("maximal self equivalences disagree; no canonical image")
+        raise ConsistencyError("maximal self equivalences disagree; no canonical image")
     return GradedUModule(*modules[0])
-
-
-def standard_swap_complex(top) -> tuple[UComplex, UMap]:
-    """Two generators at grading `top` exchanged by the involution, bound by
-    a single relator one degree below (the smallest nontrivial model)."""
-    top = Fraction(top)
-    cx = UComplex(
-        (top, top, top - 1),
-        (0, 0, (1 << 0) | (1 << 1)),
-        ("a", "b", "c"),
-    )
-    iota = UMap(cx, cx, Fraction(0), (1 << 1, 1 << 0, 1 << 2))
-    return cx, iota
-

@@ -1,41 +1,27 @@
-"""Root-level reductions behind the connected invariants.
+"""The connected homology of a symmetric graded root, with no search.
 
-Two ways to shrink a symmetric graded root without changing its local
-equivalence class:
-
-* `monotone_subroot` keeps only a distinguished set of leaves, found by
-  walking the stem upward from the highest-weight invariant vertex and
-  collecting swapped leaf pairs of strictly increasing weight.  Its model
-  complex computes the connected homology with no searching at all.
-* `symmetric_reduction` deletes swapped leaf pairs outright, redirecting them
-  onto an invariant vertex of the same weight.  Each deletion is certified by
-  an explicit chain map, so when the procedure runs to completion the result
-  is a root with trivial involution in the same class; when no valid target
-  exists the report says so (and the reduced connected homology is then
-  forced to be nonzero).
-
-`omega` and `branched_dimensions` are small readers used by the knot-level
-pipeline and the cross-checking tests.
+`monotone_subroot` keeps only a distinguished set of leaves, found by walking
+the stem upward from the highest-weight invariant vertex and collecting
+swapped leaf pairs of strictly increasing weight.  The homology of its model
+complex is the connected homology of the whole root (the image of a maximal
+self local equivalence, after Hendricks-Hom-Lidman), so a knot presented
+directly needs no enumeration of self-equivalences; `connected_homology(...,
+verify=True)` cross-checks against that enumeration when the rank allows.
+Mirrors and sums still enumerate, but on the small models of monotone
+subroots.  `omega` reads the torsion exponent off the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
-
 from .complexes import (
+    ConsistencyError,
     GradedUModule,
     RankBoundExceeded,
-    UMap,
-    _bits,
-    _exp_of,
     connected_homology_brute,
     homology,
-    is_local_equivalence,
     lift_involution,
     model_complex,
 )
-from .exact import solve_mod2
 from .roots import GradedRoot
 
 
@@ -83,7 +69,7 @@ def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
     above = _leaves_above(root)
     invariant = [v for v in range(len(root)) if j[v] == v]
     if not invariant:
-        raise ValueError("symmetric root has no invariant vertex")
+        raise ConsistencyError("symmetric root has no invariant vertex")
     v0 = min(invariant, key=lambda v: (-root.weights[v], v))
     selected: set[int] = set()
     if len(above[v0]) == 1:
@@ -157,135 +143,10 @@ def connected_homology(root: GradedRoot, verify: bool = False) -> GradedUModule:
         except RankBoundExceeded:
             return module
         if brute != module:
-            raise ValueError("monotone subroot disagrees with the brute-force image")
+            raise ConsistencyError("monotone subroot disagrees with the brute-force image")
     return module
 
 
 def omega(module: GradedUModule) -> int:
     """Smallest n with U^n killing the torsion part (0 when there is none)."""
     return max((length for _, length in module.torsion), default=0)
-
-
-# ---------------------------------------------------------------------------
-# deleting swapped leaf pairs
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Outcome of symmetric_reduction.
-
-    root: the reduced root; its involution is trivial unless obstructed.
-    deletions: number of swapped leaf pairs removed.
-    obstructed: True when some pair admitted no certified deletion; the root
-    then still carries the partially reduced involution.
-    """
-
-    root: GradedRoot
-    deletions: int
-    obstructed: bool
-
-
-def _extend_to_angles(msrc, mtgt, rows):
-    """Complete a leaf prescription to a chain map by solving for the angle
-    entries, or return None when the linear system has no solution."""
-    src, tgt = msrc.cx, mtgt.cx
-    angle_src = sorted(msrc.angle_gen.values())
-    angle_tgt = sorted(mtgt.angle_gen.values())
-    unknowns = [
-        (a, b)
-        for a in angle_src
-        for b in angle_tgt
-        if _exp_of(src.gradings[a], tgt.gradings[b], Fraction(0)) is not None
-    ]
-    matrix, rhs = [], []
-    for a in angle_src:
-        want = 0
-        for i in _bits(src.diff[a]):
-            want ^= rows[i]
-        for t in range(len(tgt)):
-            coeffs = [1 if ua == a and (tgt.diff[b] >> t) & 1 else 0 for ua, b in unknowns]
-            bit = (want >> t) & 1
-            if any(coeffs) or bit:
-                matrix.append(coeffs)
-                rhs.append(bit)
-    sol = solve_mod2(matrix, rhs) if matrix else [0] * len(unknowns)
-    if sol is None:
-        return None
-    for (a, b), x in zip(unknowns, sol):
-        if x:
-            rows[a] |= 1 << b
-    return rows
-
-
-def _delete_pair(root: GradedRoot, pair) -> GradedRoot | None:
-    """Remove one swapped leaf pair, certified by a local equivalence onto
-    the spanned subroot; None when every same-weight invariant target fails."""
-    survivors = [l for l in root.leaves if l not in pair]
-    sub, index = _subroot_spanned(root, survivors)
-    msrc = model_complex(root)
-    mtgt = model_complex(sub)
-    iota_src = lift_involution(msrc)
-    iota_tgt = lift_involution(mtgt)
-    w = root.weights[pair[0]]
-    j = root.involution
-    targets = [
-        v
-        for v in range(len(root))
-        if j[v] == v and root.weights[v] == w and v in index
-    ]
-    for x in targets:
-        rows = [0] * len(msrc.cx)
-        hit = mtgt.leaf_gen[mtgt.rep_leaf[index[x]]]
-        for leaf, gen in msrc.leaf_gen.items():
-            rows[gen] = 1 << (hit if leaf in pair else mtgt.leaf_gen[index[leaf]])
-        rows = _extend_to_angles(msrc, mtgt, rows)
-        if rows is None:
-            continue
-        f = UMap(msrc.cx, mtgt.cx, Fraction(0), tuple(rows))
-        if is_local_equivalence(f, iota_src, iota_tgt):
-            return sub
-    return None
-
-
-def symmetric_reduction(root: GradedRoot) -> ReductionReport:
-    """Repeatedly delete swapped leaf pairs (smallest ids first) until the
-    involution fixes every leaf, certifying each step."""
-    current = root
-    deletions = 0
-    while True:
-        j = current.involution
-        moved = [l for l in current.leaves if j[l] != l]
-        if not moved:
-            trivial = tuple(range(len(current)))
-            assert all(j[v] == v for v in range(len(current)))
-            return ReductionReport(replace(current, involution=trivial), deletions, False)
-        a = min(moved)
-        nxt = _delete_pair(current, (a, j[a]))
-        if nxt is None:
-            return ReductionReport(current, deletions, True)
-        current = nxt
-        deletions += 1
-
-
-# ---------------------------------------------------------------------------
-# involution orbit counts
-
-
-def branched_dimensions(root: GradedRoot) -> dict[Fraction, int]:
-    """Graded dimensions of the branched homology read off the root alone.
-
-    On a root-backed complex the involution acts on each level by permuting
-    the vertices, so the fixed and the swapped parts both contribute one
-    dimension per orbit: once at the level's weight and once a grading below.
-    """
-    j = root.involution
-    dims: dict[Fraction, int] = {}
-    for n in range(root.n_min, root.n_max + 1):
-        verts = root.vertices_at(n)
-        if not verts:
-            continue
-        orbits = sum(1 for v in verts if j[v] >= v)
-        w = root.weights[verts[0]]
-        dims[w] = dims.get(w, 0) + orbits
-        dims[w - 1] = dims.get(w - 1, 0) + orbits
-    return dims

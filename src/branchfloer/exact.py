@@ -11,13 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of two integer matrices."""
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
 def determinant(m: list[list[int]]) -> int:
     """Integer determinant by fraction-free Bareiss elimination.
 
@@ -94,111 +87,6 @@ def invert_exact(m: list[list[int]]) -> list[list[Fraction]]:
     n = len(m)
     cols = [solve_exact(m, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(
-    m: list[list[int]],
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form with transforms: returns (l, d, r) with l m r = d.
-
-    l and r are unimodular, d is diagonal with d[i][i] dividing d[i+1][i+1],
-    diagonal entries nonnegative.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    d = [row[:] for row in m]
-    l = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    r = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def row_op(i, j, q):  # row i -= q * row j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        l[i] = [x - q * y for x, y in zip(l[i], l[j])]
-
-    def col_op(i, j, q):  # col i -= q * col j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in r:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        l[i], l[j] = l[j], l[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in r:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        l[i] = [-x for x in l[i]]
-
-    t = 0
-    while t < rows and t < cols:
-        # move a nonzero pivot (smallest magnitude, for fewer steps) to (t, t)
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = True
-        while dirty:
-            dirty = False
-            for i in range(t + 1, rows):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    row_op(i, t, q)
-                    if d[i][t] != 0:  # remainder became the smaller pivot
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    col_op(j, t, q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-        if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d[i] | d[i+1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if b % a != 0:
-                # fold b into position i: add col i+1 to col i, then reduce
-                col_op(i, i + 1, -1)
-                dirty = True
-                while dirty:
-                    dirty = False
-                    if d[i + 1][i] != 0:
-                        q = d[i][i] // d[i + 1][i] if d[i + 1][i] else 0
-                        # standard 2x2 gcd dance
-                        while d[i + 1][i] != 0:
-                            q = d[i][i] // d[i + 1][i]
-                            row_op(i, i + 1, q)
-                            d[i], d[i + 1] = d[i + 1], d[i]
-                            l[i], l[i + 1] = l[i + 1], l[i]
-                        if d[i][i] < 0:
-                            negate_row(i)
-                    if d[i][i + 1] != 0:
-                        q = d[i][i + 1] // d[i][i]
-                        col_op(i + 1, i, q)
-                        if d[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                            dirty = True
-                if d[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-    return l, d, r
 
 
 def solve_mod2(m: list[list[int]], rhs: list[int]) -> list[int] | None:

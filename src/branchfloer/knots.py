@@ -18,9 +18,8 @@ from fractions import Fraction
 from math import floor, gcd, prod
 import re
 
-import numpy as np
-
 from .complexes import (
+    ConsistencyError,
     GradedUModule,
     UComplex,
     UMap,
@@ -37,7 +36,6 @@ from .complexes import (
     tensor_map,
 )
 from .connected import monotone_subroot, omega
-from .exact import determinant
 from .plumbing import (
     DefinitenessError,
     PlumbingTree,
@@ -244,11 +242,14 @@ def goeritz_oracle(strands) -> tuple[int, int]:
     """Determinant and signature of a pretzel knot from its checkerboard
     form, independent of any plumbing.
 
-    The Goeritz matrix of the standard diagram is tridiagonal; its signature
-    needs a correction term counting crossings whose smoothing disagrees
-    with the coloring.  With all strands odd no correction is needed; with
-    exactly one even strand the odd strands contribute theirs.  Supports 3
-    to 5 strands.
+    The Goeritz matrix of the standard diagram is tridiagonal with nonzero
+    off-diagonal entries, so its leading minors obey the continuant
+    recurrence and form a Sturm sequence: the determinant is the last one,
+    and the negative eigenvalues are counted by the sign changes along the
+    sequence, zeros skipped.  The signature needs a correction term counting
+    crossings whose smoothing disagrees with the coloring.  With all strands
+    odd no correction is needed; with exactly one even strand the odd strands
+    contribute theirs.  Supports 3 to 5 strands.
     """
     strands = tuple(int(a) for a in strands)
     k = len(strands)
@@ -259,16 +260,17 @@ def goeritz_oracle(strands) -> tuple[int, int]:
     evens = [a for a in strands if a % 2 == 0]
     if len(evens) > 1:
         raise KnotSpecError("two even strands form a pretzel link, not a knot")
-    g = [[0] * (k - 1) for _ in range(k - 1)]
-    for i in range(k - 1):
-        g[i][i] = strands[i] + strands[i + 1]
-        if i + 1 < k - 1:
-            g[i][i + 1] = g[i + 1][i] = -strands[i + 1]
-    det = abs(determinant(g))
+    # diagonal a_i + a_{i+1}, off-diagonal -a_{i+1}
+    minors = [1, strands[0] + strands[1]]
+    for i in range(1, k - 1):
+        d = strands[i] + strands[i + 1]
+        minors.append(d * minors[-1] - strands[i] ** 2 * minors[-2])
+    det = abs(minors[-1])
     if det % 2 == 0:
         raise KnotSpecError(f"pretzel determinant {det} is even: this is a link")
-    eigs = np.linalg.eigvalsh(np.array(g, dtype=float))
-    sig = int((eigs > 0).sum()) - int((eigs < 0).sum())
+    signs = [m > 0 for m in minors if m != 0]
+    negative = sum(a != b for a, b in zip(signs, signs[1:]))
+    sig = (k - 1) - 2 * negative
     mu = 0 if not evens else sum(a for a in strands if a % 2)
     return det, sig - mu
 
@@ -640,18 +642,18 @@ def invariants(
                 ev.small_cx, ev.small_iota, rank_bound, search_bound
             )
             if (check.towers, check.torsion) != (conn.towers, conn.torsion):
-                raise ValueError("connected homology cross-check failed")
+                raise ConsistencyError("connected homology cross-check failed")
     else:
         conn = connected_homology_brute(
             ev.small_cx, ev.small_iota, rank_bound, search_bound
         )
     if conn.towers != (delta,):
-        raise ValueError(
+        raise ConsistencyError(
             f"connected module towers {conn.towers} disagree with delta {delta}"
         )
     if not br.lower <= delta <= br.upper:
-        raise ValueError("branched correction terms bracket delta; got "
-                         f"{br.lower}, {delta}, {br.upper}")
+        raise ConsistencyError("branched correction terms bracket delta; got "
+                               f"{br.lower}, {delta}, {br.upper}")
     return InvariantPackage(
         spec=spec,
         delta=delta,

@@ -12,7 +12,6 @@ characteristic (k(v) == Q(v,v) mod 2 for every vertex).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,7 +103,10 @@ def canonical_char(tree: PlumbingTree) -> tuple[int, ...]:
 
 
 def is_characteristic(tree: PlumbingTree, k: tuple[int, ...]) -> bool:
-    return all((k[v] - tree.weights[v]) % 2 == 0 for v in range(len(tree)))
+    """k has one entry per vertex and k(v) == weight(v) mod 2 everywhere."""
+    return len(k) == len(tree) and all(
+        (k[v] - tree.weights[v]) % 2 == 0 for v in range(len(tree))
+    )
 
 
 def chi(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> int:
@@ -168,16 +170,6 @@ def reflect(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> tup
     return out
 
 
-def mu_bar(tree: PlumbingTree) -> Fraction:
-    """(w^2 - sign Q)/8 for the Wu class w; sign Q = -|tree| here."""
-    check_negative_definite(tree)
-    q = intersection_form(tree)
-    w = wu_class(tree)
-    n = len(tree)
-    wqw = sum(w[i] * q[i][j] * w[j] for i in range(n) for j in range(n))
-    return Fraction(wqw + n, 8)
-
-
 def determinant_magnitude(tree: PlumbingTree) -> int:
     from .exact import determinant
 
@@ -209,44 +201,3 @@ def linear_chain(weights: list[int]) -> PlumbingTree:
     return PlumbingTree(
         tuple(weights), tuple((i, i + 1) for i in range(len(weights) - 1))
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON round trip: {"vertices": [{"id":..,"weight":..}], "edges": [[a,b],..],
-# "automorphism": {"0": 1, ...}?}  Arbitrary ids are accepted and normalized in
-# increasing order; output always uses 0..n-1.
-
-
-def to_json(tree: PlumbingTree) -> str:
-    doc: dict = {
-        "vertices": [
-            {"id": i, "weight": w} for i, w in enumerate(tree.weights)
-        ],
-        "edges": [list(e) for e in tree.edges],
-    }
-    if tree.automorphism is not None:
-        doc["automorphism"] = {str(i): p for i, p in enumerate(tree.automorphism)}
-    return json.dumps(doc, sort_keys=True)
-
-
-def from_json(text: str) -> PlumbingTree:
-    try:
-        doc = json.loads(text)
-        ids = [v["id"] for v in doc["vertices"]]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate vertex ids")
-        order = {vid: i for i, vid in enumerate(sorted(ids))}
-        weights = [0] * len(ids)
-        for v in doc["vertices"]:
-            weights[order[v["id"]]] = int(v["weight"])
-        edges = tuple((order[a], order[b]) for a, b in doc.get("edges", []))
-        autom = None
-        if "automorphism" in doc:
-            raw = doc["automorphism"]
-            autom = [0] * len(ids)
-            for src, dst in raw.items():
-                autom[order[int(src)]] = order[dst]
-            autom = tuple(autom)
-        return PlumbingTree(tuple(weights), edges, autom)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plumbing JSON: {exc}") from exc

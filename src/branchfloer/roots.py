@@ -49,6 +49,11 @@ class MemoryGuardError(RuntimeError):
     """The box engine would exceed its point budget."""
 
 
+# Both engines stop this many levels above the first level from which the
+# sublevel sets stay connected.
+_MARGIN = 2
+
+
 @dataclass(frozen=True)
 class GradedRoot:
     """Finite part of a graded root, levels n_min..n_max.
@@ -100,13 +105,6 @@ class GradedRoot:
 
     def children(self, v: int) -> list[int]:
         return [u for u in range(len(self)) if self.succ[u] == v]
-
-    @property
-    def bottom(self) -> int:
-        bs = [v for v in range(len(self)) if self.succ[v] is None]
-        if len(bs) != 1:
-            raise ValueError("root is not stable: several top-level components")
-        return bs[0]
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -163,23 +161,6 @@ class GradedRoot:
             sorted(self._shape_key(c, keep) for c in self.children(v) if c in keep)
         )
         return ((w.numerator, w.denominator), childkeys)
-
-    def canonical_key(self) -> tuple:
-        """Isomorphism-invariant key; equal keys are a pre-filter, the real
-        test is is_isomorphic.  Levels are bookkeeping (they depend on the
-        characteristic representative), so only weights enter."""
-        keep = self._trimmed()
-        kset = set(keep)
-        bases = [v for v in keep if self.succ[v] is None or self.succ[v] not in kset]
-        shape = tuple(sorted(self._shape_key(b, kset) for b in bases))
-        orbit = tuple(
-            sorted(
-                ((self.weights[v].numerator, self.weights[v].denominator),
-                 v == self.involution[v])
-                for v in keep
-            )
-        )
-        return (shape, orbit)
 
     def isomorphisms(self, other: "GradedRoot"):
         """Yield stem-trimmed tree isomorphisms (dicts self->other) that
@@ -310,6 +291,16 @@ class GradedRoot:
 # shared assembly
 
 
+def _checked_char(tree, k):
+    """The characteristic vector a build uses: k itself, or the spin vector."""
+    check_negative_definite(tree)
+    if k is None:
+        return spin_char(tree)
+    if not is_characteristic(tree, k):
+        raise ValueError(f"{tuple(k)} is not a characteristic vector of the tree")
+    return k
+
+
 def _assemble(tree, k, level_comps, parent_of, reps, stable, engine):
     """level_comps: [(n, [component ids at level n])] ascending.  parent_of
     maps a component id to the id one level down (or None at the top); reps
@@ -366,7 +357,7 @@ class _BoxPass:
     Point-to-component localization maps are recorded only up to
     record_limit to keep probing passes cheap."""
 
-    def __init__(self, tree, k, radius, cap, max_points, workers, record_limit=None):
+    def __init__(self, tree, k, radius, cap, max_points, record_limit=None):
         n = len(tree)
         q = np.array(intersection_form(tree), dtype=np.int64)
         kv = np.array(k, dtype=np.int64)
@@ -383,19 +374,7 @@ class _BoxPass:
         )
         pts = np.stack([g.ravel() for g in grids], axis=1)
 
-        def twice_chi(block):
-            lin = block @ kv
-            quad = np.einsum("ij,jk,ik->i", block, q, block)
-            return -(lin + quad)
-
-        if workers > 1 and len(pts) > 1 << 14:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = np.array_split(pts, workers * 4)
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                twice = np.concatenate(list(ex.map(twice_chi, chunks)))
-        else:
-            twice = twice_chi(pts)
+        twice = -(pts @ kv + np.einsum("ij,jk,ik->i", pts, q, pts))
         assert not np.any(twice & 1), "k is not characteristic"
         chiv = twice >> 1
 
@@ -535,24 +514,19 @@ def build_root_box(
     radius: int | None = None,
     max_points: int = 8_000_000,
     involution: str = "auto",
-    workers: int = 1,
-    margin: int = 2,
 ) -> GradedRoot:
     """Box-engine graded root with stability by doubling.
 
     With an explicit n_max the result may be unstable (stable=False) when the
     top level still holds several components; consumers treat that as an
-    error.  In adaptive mode the stop level is `margin` above the first level
+    error.  In adaptive mode the stop level is `_MARGIN` above the first level
     from which the sublevel sets stay connected.
     """
-    check_negative_definite(tree)
-    if k is None:
-        k = spin_char(tree)
-    assert is_characteristic(tree, k)
+    k = _checked_char(tree, k)
     radius = radius if radius is not None else 4
     while True:
-        a = _box_build_at(tree, k, radius, n_max, max_points, workers, involution, margin)
-        b = _box_build_at(tree, k, radius + 1, n_max, max_points, workers, involution, margin)
+        a = _box_build_at(tree, k, radius, n_max, max_points, involution)
+        b = _box_build_at(tree, k, radius + 1, n_max, max_points, involution)
         if a.is_isomorphic(b, with_involution=True):
             return a
         radius *= 2
@@ -567,22 +541,19 @@ def _connectivity_level(level_comps):
     )
 
 
-def _box_build_at(tree, k, radius, n_max, max_points, workers, involution, margin=2):
+def _box_build_at(tree, k, radius, n_max, max_points, involution):
     if n_max is None:
-        probe = _BoxPass(
-            tree, k, radius, None, max_points, workers, record_limit=-(10**9)
-        )
+        probe = _BoxPass(tree, k, radius, None, max_points, record_limit=-(10**9))
         conn = _connectivity_level(probe.level_comps)
         # insist on a band of single-component levels above the stop level
-        while conn is None or probe.cap - conn < margin + 4:
+        while conn is None or probe.cap - conn < _MARGIN + 4:
             probe = _BoxPass(
-                tree, k, radius, probe.cap + 20, max_points, workers,
-                record_limit=-(10**9),
+                tree, k, radius, probe.cap + 20, max_points, record_limit=-(10**9)
             )
             conn = _connectivity_level(probe.level_comps)
-        bp = _BoxPass(tree, k, radius, conn + margin, max_points, workers)
+        bp = _BoxPass(tree, k, radius, conn + _MARGIN, max_points)
     else:
-        bp = _BoxPass(tree, k, radius, n_max, max_points, workers)
+        bp = _BoxPass(tree, k, radius, n_max, max_points)
     level_comps, parent_of = bp.level_comps, bp.parent_of
     root, comp_index = _assemble(tree, k, level_comps, parent_of, bp.reps, True, "box")
     stable = len(root.vertices_at(root.n_max)) == 1
@@ -714,17 +685,13 @@ def build_root_star(
     *,
     n_max: int | None = None,
     involution: str = "auto",
-    margin: int = 2,
 ) -> GradedRoot:
     """Star-engine graded root via the central-coordinate profile.
 
     Components of S_n are the maximal intervals of {i : m(i) <= n} where m is
     the slice-wise minimum of chi; slice sublevel sets are connected and meet
     their neighbors along a minimizing path."""
-    check_negative_definite(tree)
-    if k is None:
-        k = spin_char(tree)
-    assert is_characteristic(tree, k)
+    k = _checked_char(tree, k)
     center, legs = _star_decompose(tree)
 
     window = 8 + max((len(l) for l in legs), default=0)
@@ -755,7 +722,7 @@ def build_root_star(
         conn = n_min
         while len(runs(conn)) != 1:
             conn += 1
-        cap = n_max if n_max is not None else conn + margin
+        cap = n_max if n_max is not None else conn + _MARGIN
         if cap < n_min:
             raise InstabilityError("stop level lies below the minimum of chi")
         edge = 5
@@ -845,20 +812,6 @@ def _run_span(i, m, i_lo, n):
     return i_lo + a, i_lo + b
 
 
-# ---------------------------------------------------------------------------
-# involution selection helpers
-
-
-def lattice_involution(root: GradedRoot) -> GradedRoot:
-    """Root with the chi-preserving lattice reflection selected."""
-    return root.with_involution("reflection")
-
-
-def graph_involution(root: GradedRoot) -> GradedRoot:
-    """Root with the declared tree automorphism's action selected."""
-    return root.with_involution("automorphism")
-
-
 def build_root(
     tree: PlumbingTree,
     k: tuple[int, ...] | None = None,
@@ -866,14 +819,12 @@ def build_root(
     engine: str = "auto",
     n_max: int | None = None,
     involution: str = "auto",
-    margin: int = 2,
     radius: int | None = None,
     max_points: int = 8_000_000,
-    workers: int = 1,
 ) -> GradedRoot:
     """Dispatch: star engine for star-shaped trees, box engine otherwise.
 
-    `radius`, `max_points` and `workers` only apply to the box engine."""
+    `radius` and `max_points` only apply to the box engine."""
     if engine == "auto":
         try:
             _star_decompose(tree)
@@ -888,9 +839,7 @@ def build_root(
             radius=radius,
             max_points=max_points,
             involution=involution,
-            workers=workers,
-            margin=margin,
         )
     if engine != "star":
         raise ValueError(f"unknown engine {engine!r}")
-    return build_root_star(tree, k, n_max=n_max, involution=involution, margin=margin)
+    return build_root_star(tree, k, n_max=n_max, involution=involution)

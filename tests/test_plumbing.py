@@ -76,34 +76,6 @@ def test_spin_char_prefers_canonical_when_integral():
     assert pl.wu_class(path) == (1, 0, 0)
 
 
-def test_mu_bar_oracles():
-    assert pl.mu_bar(pl.PlumbingTree((-1,), ())) == 0
-    assert pl.mu_bar(pl.PlumbingTree((-2,), ())) == Fraction(1, 8)
-    assert pl.mu_bar(pl.PlumbingTree((-3,), ())) == Fraction(-1, 4)
-    assert pl.mu_bar(GAMMA7) == -1
-
-
-def test_json_round_trip():
-    text = pl.to_json(GAMMA7)
-    assert pl.from_json(text) == GAMMA7
-    # arbitrary ids get normalized by increasing id
-    doc = (
-        '{"vertices": [{"id": 10, "weight": -2}, {"id": 3, "weight": -1}],'
-        ' "edges": [[3, 10]]}'
-    )
-    t = pl.from_json(doc)
-    assert t.weights == (-1, -2)
-    assert t.edges == ((0, 1),)
-    with pytest.raises(ValueError):
-        pl.from_json('{"vertices": "nope"}')
-
-
-def test_json_automorphism_round_trip():
-    t = pl.star(-2, [[-3], [-3]], automorphism=(0, 2, 1))
-    again = pl.from_json(pl.to_json(t))
-    assert again.automorphism == (0, 2, 1)
-
-
 @st.composite
 def random_tree_and_vectors(draw):
     n = draw(st.integers(1, 5))

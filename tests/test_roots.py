@@ -108,8 +108,8 @@ def test_involution_selection():
     tree = pl.star(-2, [[-3], [-3]], automorphism=aut)
     r = rt.build_root_star(tree)
     assert r.graph_perm is not None
-    assert rt.graph_involution(r).involution == r.graph_perm
-    assert rt.lattice_involution(r).involution == r.reflection
+    assert r.with_involution("automorphism").involution == r.graph_perm
+    assert r.with_involution("reflection").involution == r.reflection
     trivial = r.with_involution("trivial")
     assert trivial.involution == tuple(range(len(r)))
     with pytest.raises(ValueError):
