@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import __version__, knots, plumbing, roots
+from . import ConsistencyError, __version__, knots, plumbing, roots
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,6 @@ class RunConfig:
     """Settings of one run; a subcommand without a flag keeps its default."""
 
     n_max: int | None = None
-    box_radius: int | None = None
     rank_bound: int = 16
     workers: int = 1
     fmt: str = "json"
@@ -49,8 +48,6 @@ class RunConfig:
     def __post_init__(self):
         if self.n_max is not None and self.n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if self.box_radius is not None and self.box_radius <= 0:
-            raise ValueError("box radius must be positive")
         if self.rank_bound <= 0:
             raise ValueError("rank bound must be positive")
         if self.workers <= 0:
@@ -123,7 +120,8 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
 
 def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
     """Build a root, or read it from BRANCHFLOER_CACHE_DIR when set.  An
-    entry that cannot be read back counts as a miss and is rewritten."""
+    entry that cannot be read back, or reads back as an inconsistent root,
+    counts as a miss and is rewritten."""
     cache_dir = os.environ.get("BRANCHFLOER_CACHE_DIR")
     key_path = None
     if cache_dir:
@@ -135,7 +133,6 @@ def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
             "char": list(char) if char else None,
             "involution": involution,
             "n_max": config.n_max,
-            "radius": config.box_radius,
         }
         digest = hashlib.sha256(
             json.dumps(key_doc, sort_keys=True).encode()
@@ -144,11 +141,9 @@ def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
         try:
             with open(key_path) as fh:
                 return roots.GradedRoot.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError, IndexError):
+        except (OSError, ValueError, KeyError, TypeError, IndexError, ConsistencyError):
             pass
-    root = roots.build_root(
-        tree, char, involution=involution, n_max=config.n_max, radius=config.box_radius
-    )
+    root = roots.build_root(tree, char, involution=involution, n_max=config.n_max)
     if key_path:
         os.makedirs(cache_dir, exist_ok=True)
         with tempfile.NamedTemporaryFile(
@@ -192,7 +187,9 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
         except ValueError:
             alt = None  # non-star tree cannot feed the star engine
         if alt is not None and not root.is_isomorphic(alt, with_involution=True):
-            raise RuntimeError("engine cross-check failed: star and box roots differ")
+            raise ConsistencyError(
+                "engine cross-check failed: star and box roots differ"
+            )
     if config.fmt == "dot":
         out.write(root.render_dot())
     elif config.fmt == "json":
@@ -264,7 +261,6 @@ def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
 
 # flags only some subcommands read: name -> add_argument keywords
 _FLAGS = {
-    "--box": dict(type=int, dest="box_radius", help="box engine radius override"),
     "--rank-bound": dict(
         type=int, help="rank cap for the brute-force equivalence search"
     ),
@@ -298,7 +294,7 @@ def main(argv=None) -> int:
     p_root = sub.add_parser("root", help="graded root of a cover presentation")
     p_root.add_argument("source", help="knot spec, plumbing JSON, or - for stdin")
     p_root.add_argument("--dot", action="store_true", help="same as --format dot")
-    _add_flags(p_root, ("json", "text", "dot"), "--box")
+    _add_flags(p_root, ("json", "text", "dot"))
 
     p_ind = sub.add_parser("independence", help="omega-based independence report")
     p_ind.add_argument("specs", nargs="+", help="knot specs to compare")
@@ -306,7 +302,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        optional = ("box_radius", "rank_bound", "workers")
+        optional = ("rank_bound", "workers")
         config = RunConfig(
             n_max=args.n_max,
             fmt="dot" if getattr(args, "dot", False) else args.format,

@@ -9,9 +9,10 @@ inclusion maps S_n -> S_{n+1}.  Vertices carry the weight
 so the maximum weight is the correction-term invariant of the plumbed
 boundary.  Two engines build roots:
 
-* a box engine (`build_root_box`): enumerate lattice points in a reflection-
-  closed box, union-find the sublevel graphs, and double the box until the
-  abstract output stops changing;
+* a box engine (`build_root_box`), for any tree: eliminate the tree from the
+  leaves inward to write 2 chi_k as a sum of positive squares, list each
+  finite sublevel set exactly by a short-vector (Fincke-Pohst) walk, and
+  union-find the sublevel graphs level by level;
 * a star engine (`build_root_star`): for star-shaped trees, minimize chi over
   each slice of the central coordinate by dynamic programming along the legs;
   components are then maximal intervals of the central profile.
@@ -24,15 +25,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
+from .complexes import ConsistencyError
 from .plumbing import (
     PlumbingTree,
     check_negative_definite,
-    intersection_form,
     is_characteristic,
     k_square,
     pd_vector,
@@ -52,6 +52,9 @@ class MemoryGuardError(RuntimeError):
 # Both engines stop this many levels above the first level from which the
 # sublevel sets stay connected.
 _MARGIN = 2
+
+# Most lattice points the box engine holds in one sublevel set.
+_POINT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -75,22 +78,37 @@ class GradedRoot:
 
     def __post_init__(self):
         n = len(self.levels)
-        assert len(self.weights) == len(self.succ) == len(self.involution) == n
+
+        def check(ok, prop):
+            # raised, not asserted: cache entries are read back through here
+            if not ok:
+                raise ConsistencyError(f"graded root: {prop}")
+
+        check(
+            len(self.weights) == len(self.succ) == len(self.involution) == n,
+            "levels, weights, successors and involution differ in length",
+        )
         offsets = {self.weights[v] + 2 * self.levels[v] for v in range(n)}
-        assert len(offsets) <= 1, "weights must be an affine function of level"
+        check(len(offsets) <= 1, "weights are not an affine function of level")
         for v in range(n):
             s = self.succ[v]
-            if s is not None:
-                assert self.levels[s] == self.levels[v] + 1
+            check(
+                s is None or self.levels[s] == self.levels[v] + 1,
+                f"successor of vertex {v} is not one level up",
+            )
         j = self.involution
-        assert sorted(j) == list(range(n))
+        check(sorted(j) == list(range(n)), "involution is not a permutation")
         for v in range(n):
-            assert j[j[v]] == v, "involution must square to the identity"
-            assert self.levels[j[v]] == self.levels[v]
+            check(j[j[v]] == v, "involution does not square to the identity")
+            check(
+                self.levels[j[v]] == self.levels[v],
+                "involution does not preserve levels",
+            )
             sv, sj = self.succ[v], self.succ[j[v]]
-            assert (sv is None) == (sj is None)
-            if sv is not None:
-                assert j[sv] == sj, "involution must commute with successor"
+            check(
+                (sv is None) == (sj is None) and (sv is None or j[sv] == sj),
+                "involution does not commute with the successor map",
+            )
 
     def __len__(self):
         return len(self.levels)
@@ -338,150 +356,143 @@ def _attach_involutions(root, reflection, graph_perm, select):
 # box engine
 
 
-def _box_ranges(tree, k, radius):
-    """Per-coordinate integer ranges; reflection-closed when Q^{-1}k is
-    integral (the interval [a, b] satisfies a + b = -PD_i)."""
-    pd = pd_vector(tree, k)
-    ranges = []
-    for x in pd:
-        if x.denominator == 1:
-            ranges.append(range(-int(x) - radius, radius + 1))
-        else:
-            ranges.append(range(-radius, radius + 1))
-    return ranges
+def _eliminate(tree, k):
+    """Leaves-inward elimination of 2*chi_k, scaled to integers.
+
+    Eliminating a vertex completes its square against its parent; on a tree
+    that touches only the parent, so there is no fill-in, and the pivots are
+    positive because -Q is positive definite.  Returns (order, parent, rows,
+    scale, offset) with
+
+        scale * 2 chi_k(l)
+            = offset + sum_v W_v * (A_v l_v - B_v l_{parent[v]} - C_v)^2
+
+    for rows[v] = (A_v, B_v, C_v, W_v), all integers with A_v, W_v > 0, where
+    l_None = 0 and `order` lists every vertex after its parent.
+    """
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for u in sorted(tree.neighbors(v)):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    # 2 chi = const + sum_v pivots[v] * (l_v - (l_parent + shifts[v]) / pivots[v])^2
+    pivots = [Fraction(-w) for w in tree.weights]
+    shifts = [Fraction(x, 2) for x in k]
+    const = Fraction(0)
+    for v in reversed(order):
+        const -= shifts[v] ** 2 / pivots[v]
+        p = parent[v]
+        if p is not None:
+            pivots[p] -= 1 / pivots[v]
+            shifts[p] += shifts[v] / pivots[v]
+    rows = []
+    for d, s in zip(pivots, shifts):
+        a, b, c, e = d.numerator, d.denominator, s.numerator, s.denominator
+        rows.append((a * e, b * e, b * c, a * b * e * e))
+    scale = math.lcm(const.denominator, *(row[3] for row in rows))
+    rows = [(a, b, c, scale // w) for a, b, c, w in rows]
+    return order, parent, rows, scale, int(const * scale)
 
 
-class _BoxPass:
-    """One box enumeration: chi values, per-level union-find, localization.
+def _sublevel_set(elim, cap):
+    """{point: chi} for every lattice point with chi <= cap.
 
-    Point-to-component localization maps are recorded only up to
-    record_limit to keep probing passes cheap."""
+    A Fincke-Pohst walk over the coordinates in elimination order: each
+    coordinate steps out from the floor of its centre in both directions
+    while its term fits in what the fixed coordinates leave of the budget."""
+    order, parent, rows, scale, offset = elim
+    x = [0] * len(order)
+    found = {}
 
-    def __init__(self, tree, k, radius, cap, max_points, record_limit=None):
-        n = len(tree)
-        q = np.array(intersection_form(tree), dtype=np.int64)
-        kv = np.array(k, dtype=np.int64)
-        ranges = _box_ranges(tree, k, radius)
-        total = 1
-        for r in ranges:
-            total *= len(r)
-        if total > max_points:
-            raise MemoryGuardError(
-                f"box at radius {radius} needs {total} points (budget {max_points})"
-            )
-        grids = np.meshgrid(
-            *[np.arange(r.start, r.stop, dtype=np.int64) for r in ranges], indexing="ij"
-        )
-        pts = np.stack([g.ravel() for g in grids], axis=1)
+    def walk(depth, budget):
+        if depth == len(order):
+            if len(found) == _POINT_BUDGET:
+                raise MemoryGuardError(
+                    f"sublevel set at level {cap} exceeds {_POINT_BUDGET} points"
+                )
+            found[tuple(x)] = cap - budget // (2 * scale)
+            return
+        v = order[depth]
+        a, b, c, w = rows[v]
+        centre = c + (0 if parent[v] is None else b * x[parent[v]])  # a * mu_v
+        start = centre // a
+        for y, step in ((start, -1), (start + 1, 1)):
+            while (rest := budget - w * (a * y - centre) ** 2) >= 0:
+                x[v] = y
+                walk(depth + 1, rest)
+                y += step
 
-        twice = -(pts @ kv + np.einsum("ij,jk,ik->i", pts, q, pts))
-        assert not np.any(twice & 1), "k is not characteristic"
-        chiv = twice >> 1
+    walk(0, 2 * cap * scale - offset)
+    return found
 
-        self.n_min = int(chiv.min())
-        if cap is None:
-            cap = self.n_min + 8
-        if cap < self.n_min:
-            raise InstabilityError("stop level lies below the minimum of chi")
-        self.cap = cap
-        self.record_limit = cap if record_limit is None else record_limit
 
-        keep = chiv <= cap
-        self.lows = [r.start for r in ranges]
-        self.highs = [r.stop - 1 for r in ranges]
-        dims = [len(r) for r in ranges]
-        strides = [1] * n
-        for i in range(n - 2, -1, -1):
-            strides[i] = strides[i + 1] * dims[i + 1]
-        self.strides = strides
-        self.pts = [tuple(int(x) for x in row) for row in pts[keep]]
-        self.chi = [int(x) for x in chiv[keep]]
-        self.flat = [
-            sum((p[v] - self.lows[v]) * strides[v] for v in range(n)) for p in self.pts
-        ]
-        self.lookup = {f: i for i, f in enumerate(self.flat)}
-        self._run_union()
+class _Sweep:
+    """Per-level union-find over a finite sublevel set S_cap.
 
-    def _point_index(self, point):
-        for v in range(len(self.lows)):
-            if not self.lows[v] <= point[v] <= self.highs[v]:
-                return None
-        f = sum((point[v] - self.lows[v]) * self.strides[v] for v in range(len(point)))
-        return self.lookup.get(f)
+    Points are placed in order of chi, each joined to its placed lattice
+    neighbours at its own level.  Links are never compressed and keep the
+    level at which they were made, so the component of any point at any
+    swept level stays readable after the sweep."""
 
-    def _run_union(self):
-        m = len(self.pts)
-        n = len(self.lows)
-        parent = list(range(m))
+    def __init__(self, chi_of, cap):
+        pts = sorted(chi_of, key=chi_of.get)
+        self.chi = [chi_of[p] for p in pts]
+        self.index = {p: i for i, p in enumerate(pts)}
+        self.link = list(range(len(pts)))
+        self.joined = [None] * len(pts)
+        size = [1] * len(pts)
+        least = list(pts)  # lexicographically least point under each root
+        heads: set[int] = set()  # union-find roots of the placed points
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        by_level: dict[int, list[int]] = {}
-        for i in sorted(range(m), key=lambda i: self.chi[i]):
-            by_level.setdefault(self.chi[i], []).append(i)
-
-        active: list[int] = []
         counter = itertools.count()
-        level_comps = []
-        parent_of = {}
-        reps = {}
-        prev_map: dict[int, int] = {}
-        self._localize: dict[int, dict[int, int]] = {}
-        lookup = self.lookup
-        for lev in range(self.n_min, self.cap + 1):
-            fresh = by_level.get(lev, [])
-            active.extend(fresh)
-            for i in fresh:
-                p = self.pts[i]
-                f = self.flat[i]
-                for v in range(n):
-                    if p[v] < self.highs[v]:
-                        j = lookup.get(f + self.strides[v])
-                        if j is not None and self.chi[j] <= lev:
-                            ra, rb = find(i), find(j)
-                            if ra != rb:
-                                parent[ra] = rb
-                    if p[v] > self.lows[v]:
-                        j = lookup.get(f - self.strides[v])
-                        if j is not None and self.chi[j] <= lev:
-                            ra, rb = find(i), find(j)
-                            if ra != rb:
-                                parent[ra] = rb
-            roots_here: dict[int, int] = {}
-            record = lev <= self.record_limit
-            here: dict[int, int] = {}
-            for i in active:
-                r = find(i)
-                if r not in roots_here:
-                    roots_here[r] = next(counter)
-                    reps[roots_here[r]] = self.pts[r]
-                cid = roots_here[r]
-                if record:
-                    here[i] = cid
-                if self.pts[i] < reps[cid]:
-                    reps[cid] = self.pts[i]
-            level_comps.append((lev, sorted(set(roots_here.values()))))
-            if record:
-                self._localize[lev] = here
-            for prev_root, prev_cid in prev_map.items():
-                parent_of[prev_cid] = roots_here[find(prev_root)]
-            prev_map = roots_here
-        for cid in prev_map.values():
-            parent_of[cid] = None
-        self.level_comps = level_comps
-        self.parent_of = parent_of
-        self.reps = reps
+        self.level_comps = []
+        self.parent_of = {}
+        self.reps = {}
+        self._comp: dict[int, dict[int, int]] = {}
+        prev: dict[int, int] = {}
+        fresh = 0
+        for lev in range(self.chi[0], cap + 1):
+            while fresh < len(pts) and self.chi[fresh] == lev:
+                heads.add(fresh)
+                p = pts[fresh]
+                for v in range(len(p)):
+                    for y in (p[v] - 1, p[v] + 1):
+                        j = self.index.get(p[:v] + (y,) + p[v + 1:])
+                        if j is None or j > fresh:
+                            continue  # not placed yet; it joins this point itself
+                        a, b = self._find(fresh, lev), self._find(j, lev)
+                        if a == b:
+                            continue
+                        if size[a] > size[b]:
+                            a, b = b, a
+                        self.link[a] = b
+                        self.joined[a] = lev
+                        size[b] += size[a]
+                        least[b] = min(least[a], least[b])
+                        heads.discard(a)
+                fresh += 1
+            here = {r: next(counter) for r in sorted(heads)}
+            for r, cid in here.items():
+                self.reps[cid] = least[r]
+            self.level_comps.append((lev, list(here.values())))
+            for r, cid in prev.items():
+                self.parent_of[cid] = here[self._find(r, lev)]
+            self._comp[lev] = here
+            prev = here
+
+    def _find(self, i, level):
+        while self.link[i] != i and self.joined[i] <= level:
+            i = self.link[i]
+        return i
 
     def component_at(self, point, level):
         """Component id of a lattice point at a level, or None."""
-        j = self._point_index(tuple(point))
-        if j is None or level not in self._localize:
+        i = self.index.get(tuple(point))
+        if i is None or self.chi[i] > level:
             return None
-        return self._localize[level].get(j)
+        return self._comp[level][self._find(i, level)]
 
 
 def _perm_from_map(root, comp_index, bp, point_map):
@@ -499,39 +510,6 @@ def _perm_from_map(root, comp_index, bp, point_map):
     return tuple(perm)
 
 
-def _inverse_perm(p):
-    out = [0] * len(p)
-    for i, q in enumerate(p):
-        out[q] = i
-    return out
-
-
-def build_root_box(
-    tree: PlumbingTree,
-    k: tuple[int, ...] | None = None,
-    *,
-    n_max: int | None = None,
-    radius: int | None = None,
-    max_points: int = 8_000_000,
-    involution: str = "auto",
-) -> GradedRoot:
-    """Box-engine graded root with stability by doubling.
-
-    With an explicit n_max the result may be unstable (stable=False) when the
-    top level still holds several components; consumers treat that as an
-    error.  In adaptive mode the stop level is `_MARGIN` above the first level
-    from which the sublevel sets stay connected.
-    """
-    k = _checked_char(tree, k)
-    radius = radius if radius is not None else 4
-    while True:
-        a = _box_build_at(tree, k, radius, n_max, max_points, involution)
-        b = _box_build_at(tree, k, radius + 1, n_max, max_points, involution)
-        if a.is_isomorphic(b, with_involution=True):
-            return a
-        radius *= 2
-
-
 def _connectivity_level(level_comps):
     counts = {n: len(comps) for n, comps in level_comps}
     top = max(counts)
@@ -541,30 +519,56 @@ def _connectivity_level(level_comps):
     )
 
 
-def _box_build_at(tree, k, radius, n_max, max_points, involution):
-    if n_max is None:
-        probe = _BoxPass(tree, k, radius, None, max_points, record_limit=-(10**9))
-        conn = _connectivity_level(probe.level_comps)
-        # insist on a band of single-component levels above the stop level
-        while conn is None or probe.cap - conn < _MARGIN + 4:
-            probe = _BoxPass(
-                tree, k, radius, probe.cap + 20, max_points, record_limit=-(10**9)
-            )
-            conn = _connectivity_level(probe.level_comps)
-        bp = _BoxPass(tree, k, radius, conn + _MARGIN, max_points)
-    else:
-        bp = _BoxPass(tree, k, radius, n_max, max_points)
-    level_comps, parent_of = bp.level_comps, bp.parent_of
-    root, comp_index = _assemble(tree, k, level_comps, parent_of, bp.reps, True, "box")
-    stable = len(root.vertices_at(root.n_max)) == 1
-    root = replace(root, stable=stable)
+def build_root_box(
+    tree: PlumbingTree,
+    k: tuple[int, ...] | None = None,
+    *,
+    n_max: int | None = None,
+    involution: str = "auto",
+) -> GradedRoot:
+    """Box-engine graded root from exactly enumerated sublevel sets.
 
-    refl = _perm_from_map(root, comp_index, bp, lambda p: reflect(tree, k, p))
+    With an explicit n_max the result may be unstable (stable=False) when the
+    top level still holds several components; consumers treat that as an
+    error.  In adaptive mode S_cap is enumerated at the probe levels
+    cap = n_min + 8, n_min + 28, ... until the top `_MARGIN + 4` levels of the
+    sweep are connected; the root stops `_MARGIN` above the first level from
+    which the sublevel sets stay connected.  Cutting the probe's sweep there
+    is exact, since a sweep's levels up to n depend only on S_n.
+    """
+    k = _checked_char(tree, k)
+    elim = _eliminate(tree, k)
+    if n_max is None:
+        *_, scale, offset = elim
+        n_min = -(-offset // (2 * scale))  # 2 chi >= offset / scale
+        while not _sublevel_set(elim, n_min):
+            n_min += 1
+        cap = n_min + 8
+        while True:
+            sweep = _Sweep(_sublevel_set(elim, cap), cap)
+            stop = _connectivity_level(sweep.level_comps)
+            if stop is not None and cap - stop >= _MARGIN + 4:
+                break
+            cap += 20
+        stop += _MARGIN
+    else:
+        points = _sublevel_set(elim, n_max)
+        if not points:
+            raise InstabilityError("stop level lies below the minimum of chi")
+        sweep = _Sweep(points, n_max)
+        stop = n_max
+    level_comps = [(n, comps) for n, comps in sweep.level_comps if n <= stop]
+    top = level_comps[-1][1]
+    parent_of = {**sweep.parent_of, **{cid: None for cid in top}}
+    root, comp_index = _assemble(
+        tree, k, level_comps, parent_of, sweep.reps, len(top) == 1, "box"
+    )
+    refl = _perm_from_map(root, comp_index, sweep, lambda p: reflect(tree, k, p))
     gperm = None
     if tree.automorphism is not None:
-        ainv = _inverse_perm(tree.automorphism)
+        ainv = [tree.automorphism.index(v) for v in range(len(tree))]
         gperm = _perm_from_map(
-            root, comp_index, bp, lambda p: tuple(p[ainv[i]] for i in range(len(p)))
+            root, comp_index, sweep, lambda p: tuple(p[a] for a in ainv)
         )
     return _attach_involutions(root, refl, gperm, involution)
 
@@ -819,12 +823,8 @@ def build_root(
     engine: str = "auto",
     n_max: int | None = None,
     involution: str = "auto",
-    radius: int | None = None,
-    max_points: int = 8_000_000,
 ) -> GradedRoot:
-    """Dispatch: star engine for star-shaped trees, box engine otherwise.
-
-    `radius` and `max_points` only apply to the box engine."""
+    """Dispatch: star engine for star-shaped trees, box engine otherwise."""
     if engine == "auto":
         try:
             _star_decompose(tree)
@@ -832,14 +832,7 @@ def build_root(
         except ValueError:
             engine = "box"
     if engine == "box":
-        return build_root_box(
-            tree,
-            k,
-            n_max=n_max,
-            radius=radius,
-            max_points=max_points,
-            involution=involution,
-        )
+        return build_root_box(tree, k, n_max=n_max, involution=involution)
     if engine != "star":
         raise ValueError(f"unknown engine {engine!r}")
     return build_root_star(tree, k, n_max=n_max, involution=involution)

@@ -197,7 +197,7 @@ def test_criterion_6_property_suite(packages, mirror_packages, leaf_roots):
 
     # engine cross-check on all small star-shaped corpus trees
     for text, (pres, _) in leaf_roots.items():
-        if len(pres.tree) > 6:
+        if len(pres.tree) > 7:
             continue
         a = rt.build_root(pres.tree, pres.char, engine="star", involution=pres.involution)
         b = rt.build_root(pres.tree, pres.char, engine="box", involution=pres.involution)

@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from branchfloer import ConsistencyError, cli, roots
 
 GAMMA7_JSON = '{"weights": [-1, -2, -3, -7], "edges": [[0,1],[0,2],[0,3]]}'
 
@@ -162,6 +165,20 @@ def test_root_verify_cross_checks_engines():
     assert proc.returncode == 0
 
 
+def test_root_verify_reports_an_engine_disagreement(monkeypatch, capsys):
+    build = roots.build_root
+
+    def skewed(*args, engine="auto", **kwargs):
+        root = build(*args, engine=engine, **kwargs)
+        return root.with_involution("trivial") if engine == "box" else root
+
+    monkeypatch.setattr(roots, "build_root", skewed)
+    with pytest.raises(ConsistencyError, match="engine cross-check failed"):
+        cli.cmd_root(GAMMA7_JSON, cli.RunConfig(verify=True), out=io.StringIO())
+    assert cli.main(["root", GAMMA7_JSON, "--verify"]) == 1
+    assert "engine cross-check failed" in capsys.readouterr().err
+
+
 def test_root_cache_round_trip(tmp_path):
     env = {"BRANCHFLOER_CACHE_DIR": str(tmp_path)}
     a = run_cli("root", "torus(3,4)", env=env)
@@ -184,6 +201,20 @@ def test_root_cache_rebuilds_a_truncated_entry(tmp_path):
     assert entry.read_text() == a.stdout.strip()
 
 
+@pytest.mark.parametrize("python_flags", [(), ("-O",)])
+def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags):
+    env = {"BRANCHFLOER_CACHE_DIR": str(tmp_path)}
+    a = run_cli("root", GAMMA7_JSON, env=env)
+    (entry,) = tmp_path.glob("root-*.json")
+    doc = json.loads(entry.read_text())
+    doc["involution"]["0"] = 0  # {"0": 0, "1": 0, ...} is no permutation
+    entry.write_text(json.dumps(doc))
+    b = run_cli("root", GAMMA7_JSON, env=env, python_flags=python_flags)
+    assert a.returncode == b.returncode == 0
+    assert b.stdout == a.stdout
+    assert entry.read_text() == a.stdout.strip()
+
+
 def test_internal_consistency_failure_exits_1():
     # the star engine stops this root too early, so its model complex has
     # several towers: a fault of the package, not of the input
@@ -200,6 +231,7 @@ def test_internal_consistency_failure_exits_1():
         ("root", "torus(2,3)", "--rank-bound", "1"),
         ("root", "torus(2,3)", "--workers", "2"),
         ("independence", "torus(2,3)", "--box", "5"),
+        ("root", "torus(2,3)", "--box", "5"),
     ],
 )
 def test_subcommands_reject_flags_they_do_not_read(args):

@@ -1,12 +1,16 @@
-"""Every function in the package is called by the package itself.
+"""Guards on the shape of the package.
 
-A helper that only tests call belongs under tests/ (see tests/oracles.py), so
-this check fails on any function or method of src/branchfloer whose name is
-referenced nowhere in the package outside its own definition, unless the
-package exports it in `branchfloer.__all__`.
+Every function in the package is called by the package itself: a helper that
+only tests call belongs under tests/ (see tests/oracles.py), so one check
+fails on any function or method of src/branchfloer whose name is referenced
+nowhere in the package outside its own definition, unless the package exports
+it in `branchfloer.__all__`.  The package has no runtime dependencies, so
+another check fails if starting the command line imports numpy.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import branchfloer
@@ -57,3 +61,12 @@ def unreferenced_functions():
 
 def test_no_function_is_referenced_only_by_its_own_definition():
     assert unreferenced_functions() == []
+
+
+def test_cli_start_up_imports_no_numpy():
+    probe = "import sys, branchfloer.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

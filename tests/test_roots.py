@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+from branchfloer import cli
+from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
 
@@ -32,6 +35,21 @@ def test_gamma7_star_root_shape():
 def test_gamma7_box_equals_star():
     a = rt.build_root_star(GAMMA7)
     b = rt.build_root_box(GAMMA7)
+    assert a.is_isomorphic(b, with_involution=True)
+
+
+@pytest.mark.parametrize(
+    "name", ["torus(2,7)", pytest.param("E8", marks=pytest.mark.slow)]
+)
+def test_box_equals_star_past_six_vertices(name):
+    if name == "E8":
+        tree, char, involution = E8, None, "auto"
+    else:
+        pres = kn.presentation(kn.parse_spec(name))
+        tree, char, involution = pres.tree, pres.char, pres.involution
+    assert len(tree) > 6
+    a = rt.build_root_star(tree, char, involution=involution)
+    b = rt.build_root_box(tree, char, involution=involution)
     assert a.is_isomorphic(b, with_involution=True)
 
 
@@ -80,8 +98,8 @@ def test_explicit_stop_level_flags_instability():
         r = build(GAMMA7, n_max=0)
         assert not r.stable
         assert len(r.vertices_at(0)) == 2
-    with pytest.raises(rt.InstabilityError):
-        rt.build_root_star(GAMMA7, n_max=-5)
+        with pytest.raises(rt.InstabilityError):
+            build(GAMMA7, n_max=-5)
 
 
 def test_representative_independence():
@@ -135,9 +153,10 @@ def test_dot_output_is_deterministic():
     assert dot.count("->") >= len(r) - 1
 
 
-def test_memory_guard():
+def test_memory_guard(monkeypatch):
+    monkeypatch.setattr(rt, "_POINT_BUDGET", 10_000)
     with pytest.raises(rt.MemoryGuardError):
-        rt.build_root_box(E8, radius=4, max_points=10_000)
+        rt.build_root_box(E8)
 
 
 def test_dispatch_prefers_star():
@@ -152,6 +171,7 @@ def test_dispatch_prefers_star():
 
 @st.composite
 def small_star_trees(draw):
+    """Negative-definite stars with up to three legs of up to two vertices."""
     center = draw(st.integers(min_value=-4, max_value=-1))
     legs = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -160,17 +180,55 @@ def small_star_trees(draw):
             [draw(st.integers(min_value=-5, max_value=-2)) for _ in range(length)]
         )
     tree = pl.star(center, legs)
-    assume(len(tree) <= 4)
     assume(pl.is_negative_definite(pl.intersection_form(tree)))
-    pd = pl.pd_vector(tree, pl.spin_char(tree))
-    assume(all(abs(x) <= 10 for x in pd))
     return tree
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_star_trees())
 def test_engines_agree_on_random_stars(tree):
-    a = rt.build_root_star(tree)
-    b = rt.build_root_box(tree)
+    if len(tree) <= 5:
+        # Each engine truncates on its own here.
+        a = rt.build_root_star(tree)
+        b = rt.build_root_box(tree)
+    else:
+        # Past five vertices both known defects can show (the xfail tests
+        # below): the box engine may exceed its point budget, and the star
+        # engine may stop before a late split, so compare at the box's stop.
+        try:
+            b = rt.build_root_box(tree)
+        except rt.MemoryGuardError:
+            reject()
+        a = rt.build_root_star(tree, n_max=b.n_max)
     assert a.is_isomorphic(b, with_involution=True)
     assert a.d_invariant() == b.d_invariant()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="star engine's adaptive stop comes before a later split (ROADMAP item 3)",
+)
+def test_star_engine_stop_level_reaches_a_late_split(monkeypatch):
+    # The star engine stops at level -3 with 5 leaves; S_0 has 3 components
+    # and the box root, which agrees with build_root_star(tree, n_max=3),
+    # has 7 leaves.
+    tree = pl.star(-1, [[-5], [-5, -2], [-2, -4]])
+    b = rt.build_root_box(tree)
+    assert rt.build_root_star(tree).is_isomorphic(b, with_involution=True)
+    monkeypatch.delenv("BRANCHFLOER_CACHE_DIR", raising=False)
+    doc = {"weights": list(tree.weights), "edges": [list(e) for e in tree.edges]}
+    assert cli.main(["root", json.dumps(doc), "--verify"]) == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=rt.MemoryGuardError,
+    reason="box engine's probe step of 20 levels overshoots its point budget",
+)
+def test_box_engine_probe_stays_within_budget():
+    # The first probe, at n_min+8 = 2, holds 33k points but its top levels
+    # are not yet connected; the second, at n_min+28, exceeds the budget.
+    tree = pl.star(-1, [[-3], [-4, -5], [-3, -2]])
+    b = rt.build_root_box(tree)
+    assert rt.build_root_star(tree).is_isomorphic(b, with_involution=True)
