@@ -46,8 +46,6 @@ class RunConfig:
     verify: bool = False
 
     def __post_init__(self):
-        if self.n_max is not None and self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
         if self.rank_bound <= 0:
             raise ValueError("rank bound must be positive")
         if self.workers <= 0:

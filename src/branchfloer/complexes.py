@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .exact import solve_mod2
-
 
 class RankBoundExceeded(RuntimeError):
     """A brute-force search was asked to handle too large a complex."""
@@ -628,29 +626,32 @@ def _positions(src: UComplex, tgt: UComplex, degree):
 
 
 def nullhomotopy(f: UMap) -> UMap | None:
-    """Solve f = dH + Hd for H of degree deg(f) + 1, if possible."""
+    """Solve f = dH + Hd for H of degree deg(f) + 1, if possible.
+
+    Each unknown entry of H is a column over the equations, one per entry
+    position of f; the columns go into an echelon tagged by their index, and
+    f is solvable exactly when it reduces to zero, its tag then naming H."""
     src, tgt = f.src, f.tgt
-    hpos = _positions(src, tgt, f.degree + 1)
-    hvar = {p: t for t, p in enumerate(hpos)}
-    eqpos = _positions(src, tgt, f.degree)
-    rows = []
-    rhs = []
-    for (j, i) in eqpos:
-        row = [0] * len(hpos)
+    hvar = {p: t for t, p in enumerate(_positions(src, tgt, f.degree + 1))}
+    cols = [0] * len(hvar)
+    target = 0
+    for e, (j, i) in enumerate(_positions(src, tgt, f.degree)):
         for m in range(len(tgt)):
             if (j, m) in hvar and (tgt.diff[m] >> i) & 1:
-                row[hvar[(j, m)]] ^= 1
+                cols[hvar[(j, m)]] ^= 1 << e
         for m in _bits(src.diff[j]):
             if (m, i) in hvar:
-                row[hvar[(m, i)]] ^= 1
-        rows.append(row)
-        rhs.append((f.rows[j] >> i) & 1)
-    sol = solve_mod2(rows, rhs) if rows else []
-    if sol is None:
+                cols[hvar[(m, i)]] ^= 1 << e
+        target |= ((f.rows[j] >> i) & 1) << e
+    space = _F2Space()
+    for t, col in enumerate(cols):
+        space.add(col, 1 << t)
+    residual, sol = space.reduce(target)
+    if residual:
         return None
     hrows = [0] * len(src)
     for (j, i), t in hvar.items():
-        if sol[t]:
+        if (sol >> t) & 1:
             hrows[j] |= 1 << i
     return UMap(src, tgt, f.degree + 1, tuple(hrows))
 

@@ -12,10 +12,11 @@ characteristic (k(v) == Q(v,v) mod 2 for every vertex).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import invert_exact, is_negative_definite, solve_mod2
+from .complexes import ConsistencyError, _F2Space
 
 
 class DefinitenessError(ValueError):
@@ -38,6 +39,8 @@ class PlumbingTree:
 
     def __post_init__(self):
         n = len(self.weights)
+        if n == 0:
+            raise ValueError("the tree has no vertices")
         object.__setattr__(
             self, "edges", tuple(tuple(sorted(e)) for e in self.edges)
         )
@@ -60,7 +63,7 @@ class PlumbingTree:
             if ra == rb:
                 raise ValueError("edges contain a cycle")
             parent[ra] = rb
-        if n and len(self.edges) != n - 1:
+        if len(self.edges) != n - 1:
             raise ValueError("not a tree: wrong edge count")
         p = self.automorphism
         if p is not None:
@@ -92,9 +95,44 @@ def intersection_form(tree: PlumbingTree) -> list[list[int]]:
     return q
 
 
+def eliminate(tree: PlumbingTree, k: tuple[int, ...]):
+    """Leaves-inward elimination of 2 chi_k(l) = l^T (-Q) l - k(l).
+
+    Vertices are ordered breadth-first from vertex 0 and eliminated in
+    reverse: each completes its square against its parent, which on a tree
+    is the only vertex it touches, so there is no fill-in.  Returns (order,
+    parent, pivots, shifts, const) with
+
+        2 chi_k(l) = const + sum_v pivots[v] (l_v - (l_parent[v] + shifts[v]) / pivots[v])^2
+
+    where l_None = 0 and `order` lists every vertex after its parent.  The
+    pivots are those of -Q in this order, so Q is negative definite exactly
+    when all are positive; the first that is not raises DefinitenessError.
+    """
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for u in sorted(tree.neighbors(v)):
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    pivots = [Fraction(-w) for w in tree.weights]
+    shifts = [Fraction(x, 2) for x in k]
+    const = Fraction(0)
+    for v in reversed(order):
+        if pivots[v] <= 0:
+            raise DefinitenessError("intersection form is not negative definite")
+        const -= shifts[v] ** 2 / pivots[v]
+        p = parent[v]
+        if p is not None:
+            pivots[p] -= 1 / pivots[v]
+            shifts[p] += shifts[v] / pivots[v]
+    return order, parent, pivots, shifts, const
+
+
 def check_negative_definite(tree: PlumbingTree) -> None:
-    if not is_negative_definite(intersection_form(tree)):
-        raise DefinitenessError("intersection form is not negative definite")
+    """Raises DefinitenessError unless every elimination pivot is positive."""
+    eliminate(tree, (0,) * len(tree))
 
 
 def canonical_char(tree: PlumbingTree) -> tuple[int, ...]:
@@ -115,29 +153,40 @@ def chi(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> int:
     kl = sum(k[i] * ell[i] for i in range(len(tree)))
     qll = sum(ell[i] * q[i][j] * ell[j] for i in range(len(tree)) for j in range(len(tree)))
     num = -(kl + qll)
-    assert num % 2 == 0, "k is not characteristic"
+    if num % 2:
+        raise ValueError(f"{tuple(k)} is not a characteristic vector of the tree")
     return num // 2
 
 
 def pd_vector(tree: PlumbingTree, k: tuple[int, ...]) -> list[Fraction]:
-    """Q^{-1} k: the Poincare dual of k in rational coordinates."""
-    inv = invert_exact(intersection_form(tree))
-    n = len(tree)
-    return [sum(inv[i][j] * k[j] for j in range(n)) for i in range(n)]
+    """Q^{-1} k = -2 l*, for l* the real minimiser of chi_k: the
+    elimination's centres, back-substituted from vertex 0 outward."""
+    order, parent, pivots, shifts, _ = eliminate(tree, k)
+    centre = {None: 0}
+    for v in order:
+        centre[v] = (centre[parent[v]] + shifts[v]) / pivots[v]
+    return [-2 * centre[v] for v in range(len(tree))]
 
 
 def k_square(tree: PlumbingTree, k: tuple[int, ...]) -> Fraction:
-    """k^2 = k^T Q^{-1} k."""
-    pd = pd_vector(tree, k)
-    return sum((Fraction(k[i]) * pd[i] for i in range(len(tree))), Fraction(0))
+    """k^2 = k^T Q^{-1} k = 4 const, const being the minimum of 2 chi_k over
+    real vectors l."""
+    *_, const = eliminate(tree, k)
+    return 4 * const
 
 
 def wu_class(tree: PlumbingTree) -> tuple[int, ...]:
-    """The 0/1 vector w with Q w == diag(Q) mod 2 (always solvable)."""
-    q = intersection_form(tree)
-    w = solve_mod2(q, [tree.weights[i] for i in range(len(tree))])
-    assert w is not None, "Wu equation is always solvable for symmetric forms"
-    return tuple(w)
+    """The 0/1 vector w with Q w == diag(Q) mod 2 (always solvable).
+
+    The columns of Q mod 2 go into an F_2 echelon tagged by their index, so
+    the solution uses only the columns independent of the earlier ones."""
+    space = _F2Space()
+    for j, col in enumerate(intersection_form(tree)):  # Q is symmetric
+        space.add(sum((x & 1) << i for i, x in enumerate(col)), 1 << j)
+    residual, w = space.reduce(sum((x & 1) << i for i, x in enumerate(tree.weights)))
+    if residual:
+        raise ConsistencyError("Wu equation has no solution")
+    return tuple((w >> j) & 1 for j in range(len(tree)))
 
 
 def spin_char(tree: PlumbingTree) -> tuple[int, ...]:
@@ -160,20 +209,21 @@ def spin_char(tree: PlumbingTree) -> tuple[int, ...]:
 def reflect(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> tuple[int, ...]:
     """The chi-preserving lattice reflection l -> -l - Q^{-1}k.
 
-    Only defined when Q^{-1}k is integral; chi-invariance is asserted.
+    Only defined when Q^{-1}k is integral; chi-invariance is checked.
     """
     pd = pd_vector(tree, k)
     if any(x.denominator != 1 for x in pd):
         raise ValueError("reflection undefined: Q^{-1}k is not integral")
     out = tuple(-ell[i] - int(pd[i]) for i in range(len(tree)))
-    assert chi(tree, k, out) == chi(tree, k, ell)
+    if chi(tree, k, out) != chi(tree, k, ell):
+        raise ConsistencyError("lattice reflection does not preserve chi")
     return out
 
 
 def determinant_magnitude(tree: PlumbingTree) -> int:
-    from .exact import determinant
-
-    return abs(determinant(intersection_form(tree)))
+    """|det Q|, the product of the elimination's pivots."""
+    _, _, pivots, _, _ = eliminate(tree, (0,) * len(tree))
+    return int(math.prod(pivots))
 
 
 # ---------------------------------------------------------------------------

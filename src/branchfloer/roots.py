@@ -33,6 +33,7 @@ from .complexes import ConsistencyError
 from .plumbing import (
     PlumbingTree,
     check_negative_definite,
+    eliminate,
     is_characteristic,
     k_square,
     pd_vector,
@@ -357,12 +358,9 @@ def _attach_involutions(root, reflection, graph_perm, select):
 
 
 def _eliminate(tree, k):
-    """Leaves-inward elimination of 2*chi_k, scaled to integers.
+    """`plumbing.eliminate`'s form of 2*chi_k, scaled to integers.
 
-    Eliminating a vertex completes its square against its parent; on a tree
-    that touches only the parent, so there is no fill-in, and the pivots are
-    positive because -Q is positive definite.  Returns (order, parent, rows,
-    scale, offset) with
+    Returns (order, parent, rows, scale, offset) with
 
         scale * 2 chi_k(l)
             = offset + sum_v W_v * (A_v l_v - B_v l_{parent[v]} - C_v)^2
@@ -370,23 +368,7 @@ def _eliminate(tree, k):
     for rows[v] = (A_v, B_v, C_v, W_v), all integers with A_v, W_v > 0, where
     l_None = 0 and `order` lists every vertex after its parent.
     """
-    parent = {0: None}
-    order = [0]
-    for v in order:
-        for u in sorted(tree.neighbors(v)):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    # 2 chi = const + sum_v pivots[v] * (l_v - (l_parent + shifts[v]) / pivots[v])^2
-    pivots = [Fraction(-w) for w in tree.weights]
-    shifts = [Fraction(x, 2) for x in k]
-    const = Fraction(0)
-    for v in reversed(order):
-        const -= shifts[v] ** 2 / pivots[v]
-        p = parent[v]
-        if p is not None:
-            pivots[p] -= 1 / pivots[v]
-            shifts[p] += shifts[v] / pivots[v]
+    order, parent, pivots, shifts, const = eliminate(tree, k)
     rows = []
     for d, s in zip(pivots, shifts):
         a, b, c, e = d.numerator, d.denominator, s.numerator, s.denominator
@@ -679,7 +661,8 @@ def _central_profile(tree, k, center, legs, i_lo, i_hi, window):
         mins, argmins = _leg_profile(tree, k, leg, i_values, window)
         total = [a + b for a, b in zip(total, mins)]
         leg_args.append(argmins)
-    assert all(x % 2 == 0 for x in total), "k is not characteristic"
+    if any(x % 2 for x in total):
+        raise ConsistencyError("odd central profile: k is not characteristic")
     return [x // 2 for x in total], leg_args
 
 
@@ -727,8 +710,6 @@ def build_root_star(
         while len(runs(conn)) != 1:
             conn += 1
         cap = n_max if n_max is not None else conn + _MARGIN
-        if cap < n_min:
-            raise InstabilityError("stop level lies below the minimum of chi")
         edge = 5
         ok_left = all(m[i] > m[i + 1] for i in range(edge)) and m[0] > cap
         ok_right = all(m[-i - 1] > m[-i - 2] for i in range(edge)) and m[-1] > cap
@@ -736,6 +717,8 @@ def build_root_star(
             span *= 2
             continue
         break
+    if cap < n_min:
+        raise InstabilityError("stop level lies below the minimum of chi")
 
     level_comps = []
     parent_of = {}
@@ -791,7 +774,8 @@ def build_root_star(
                     if a <= j <= b:
                         target = u
                         break
-                assert target is not None, "reflection escaped the profile window"
+                if target is None:
+                    raise ConsistencyError("reflection escaped the profile window")
                 perm.append(target)
             refl = tuple(perm)
     gperm = None

@@ -155,6 +155,36 @@ def test_root_rejects_indefinite_tree():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"weights": [-1, -1], "edges": [[0, 1]]}',
+        '{"weights": [-2, 0, -2], "edges": [[0, 1], [1, 2]]}',
+    ],
+)
+def test_root_rejects_a_singular_or_indefinite_chain(doc):
+    proc = run_cli("root", doc)
+    assert proc.returncode == 3
+    assert "not negative definite" in proc.stderr
+
+
+def test_root_rejects_a_tree_with_no_vertices():
+    proc = run_cli("root", '{"weights": [], "edges": []}')
+    assert proc.returncode == 2
+    assert "no vertices" in proc.stderr
+
+
+def test_root_accepts_a_negative_stop_level():
+    # stop levels are values of chi: this root spans levels -22..-15
+    plain = run_cli("root", "pretzel(11,-5,9)")
+    capped = run_cli("root", "pretzel(11,-5,9)", "--n-max", "-15")
+    assert plain.returncode == capped.returncode == 0
+    assert capped.stdout == plain.stdout
+    low = run_cli("root", "pretzel(11,-5,9)", "--n-max", "-23")
+    assert low.returncode == 4
+    assert "below the minimum" in low.stderr
+
+
 def test_root_rejects_derived_specs():
     proc = run_cli("root", "mirror(torus(3,7))")
     assert proc.returncode == 2

@@ -1,6 +1,8 @@
+"""The dense exact matrix oracles of tests/oracles.py on frozen examples."""
+
 from fractions import Fraction
 
-from branchfloer.exact import (
+from oracles import (
     determinant,
     invert_exact,
     is_negative_definite,

@@ -5,17 +5,21 @@ only tests call belongs under tests/ (see tests/oracles.py), so one check
 fails on any function or method of src/branchfloer whose name is referenced
 nowhere in the package outside its own definition, unless the package exports
 it in `branchfloer.__all__`.  The package has no runtime dependencies, so
-another check fails if starting the command line imports numpy.
+another check fails if starting the command line imports numpy.  The
+benchmark's tracer (perfbench/tracer.py) wraps the package's layer functions
+by name, so a last check installs and uninstalls it on the loaded package.
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import branchfloer
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "branchfloer"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "branchfloer"
 
 
 def _referenced_names(node):
@@ -70,3 +74,22 @@ def test_cli_start_up_imports_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    import branchfloer.cli  # noqa: F401 - loads every module the tracer wraps
+    from branchfloer import plumbing
+
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    original = plumbing.pd_vector
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert plumbing.pd_vector is not original
+        plumbing.pd_vector(plumbing.linear_chain([-2]), (0,))
+        assert [s["name"] for s in t.spans] == ["plumbing.pd_vector"]
+    finally:
+        t.uninstall()
+    assert plumbing.pd_vector is original

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer.complexes import GradedUModule
-from branchfloer.exact import determinant
+from oracles import determinant
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 

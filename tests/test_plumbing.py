@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branchfloer import plumbing as pl
+from oracles import determinant, is_negative_definite, solve_exact, solve_mod2
 
 # Gamma_7: the central -1 star with legs -2, -3, -7, double cover data for
 # both torus(3,7) and pretzel(2,-3,-7).
@@ -26,6 +29,8 @@ def test_tree_validation():
         pl.PlumbingTree((-2, -2, -2), ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(ValueError):
         pl.PlumbingTree((-2, -3), ((0, 1),), automorphism=(1, 0))
+    with pytest.raises(ValueError, match="no vertices"):
+        pl.PlumbingTree((), ())
 
 
 def test_intersection_form_and_definiteness():
@@ -38,6 +43,21 @@ def test_intersection_form_and_definiteness():
     assert pl.determinant_magnitude(E8) == 1
     with pytest.raises(pl.DefinitenessError):
         pl.check_negative_definite(pl.linear_chain([-2, 0, -2]))
+
+
+@pytest.mark.parametrize("weights", [[-1, -1], [-2, 0, -2]])
+def test_elimination_raises_at_a_non_positive_pivot(weights):
+    # chain(-1,-1) is singular: its last pivot is exactly zero
+    tree = pl.linear_chain(weights)
+    k = pl.canonical_char(tree)
+    for read in (
+        lambda: pl.check_negative_definite(tree),
+        lambda: pl.pd_vector(tree, k),
+        lambda: pl.k_square(tree, k),
+        lambda: pl.determinant_magnitude(tree),
+    ):
+        with pytest.raises(pl.DefinitenessError):
+            read()
 
 
 def test_canonical_char_gamma7():
@@ -82,7 +102,7 @@ def random_tree_and_vectors(draw):
     weights = tuple(draw(st.integers(-5, -1)) for _ in range(n))
     edges = tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n))
     tree = pl.PlumbingTree(weights, edges)
-    assume(pl.is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(pl.intersection_form(tree)))
     ell = tuple(draw(st.integers(-3, 3)) for _ in range(n))
     m = tuple(draw(st.integers(-2, 2)) for _ in range(n))
     return tree, ell, m
@@ -126,3 +146,70 @@ def test_reflection_preserves_chi(data):
         pytest.skip("dual not integral for this k")
     # reflect() asserts chi-invariance internally; check it is an involution
     assert pl.reflect(tree, k, out) == ell
+
+
+@st.composite
+def random_forms(draw):
+    """Trees of up to 9 vertices, labelled at random, with weights in
+    [-6, 1]: definite, indefinite and singular forms all occur."""
+    n = draw(st.integers(1, 9))
+    weights = tuple(draw(st.integers(-6, 1)) for _ in range(n))
+    label = draw(st.permutations(range(n)))
+    edges = tuple((label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n))
+    tree = pl.PlumbingTree(weights, edges)
+    k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in weights)
+    return tree, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_forms())
+def test_elimination_matches_the_matrix_oracles(data):
+    tree, k = data
+    q = pl.intersection_form(tree)
+    assert pl.wu_class(tree) == tuple(solve_mod2(q, list(tree.weights)))
+    try:
+        pl.check_negative_definite(tree)
+    except pl.DefinitenessError:
+        assert not is_negative_definite(q)
+        return
+    assert is_negative_definite(q)
+    pd = solve_exact(q, list(k))
+    assert pl.pd_vector(tree, k) == pd
+    assert pl.k_square(tree, k) == sum(x * y for x, y in zip(k, pd))
+    assert pl.determinant_magnitude(tree) == abs(determinant(q))
+
+
+_UNDER_O = """
+from branchfloer import ConsistencyError
+from branchfloer import plumbing as pl
+from branchfloer import roots as rt
+
+tree = pl.star(-1, [[-2], [-3], [-7]])
+try:
+    pl.chi(tree, (0, 0, 0, 0), (1, 0, 0, 0))
+except ValueError as err:
+    print("chi:", err)
+center, legs = rt._star_decompose(tree)
+try:
+    rt._central_profile(tree, (0, 0, 0, 0), center, legs, -3, 3, 8)
+except ConsistencyError as err:
+    print("profile:", err)
+pl.chi = lambda tree, k, ell: sum(ell)  # a chi the reflection cannot preserve
+try:
+    pl.reflect(tree, pl.canonical_char(tree), (1, 0, 0, 0))
+except ConsistencyError as err:
+    print("reflect:", err)
+"""
+
+
+def test_lattice_checks_survive_python_O():
+    # typed errors, not asserts: `python -O` keeps every one of them
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "chi: (0, 0, 0, 0) is not a characteristic vector of the tree",
+        "profile: odd central profile: k is not characteristic",
+        "reflect: lattice reflection does not preserve chi",
+    ]

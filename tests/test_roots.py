@@ -10,6 +10,7 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
+from oracles import is_negative_definite
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 E8 = pl.star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]])
@@ -102,6 +103,24 @@ def test_explicit_stop_level_flags_instability():
             build(GAMMA7, n_max=-5)
 
 
+def test_star_engine_stops_below_its_first_window_minimum():
+    # The engine's first span and window see a profile minimum of -1, far
+    # above the true minimum -22; the adaptive root spans levels -22..-15.
+    pres = kn.presentation(kn.parse_spec("pretzel(11,-5,9)"))
+
+    def build(n_max=None):
+        return rt.build_root_star(
+            pres.tree, pres.char, involution=pres.involution, n_max=n_max
+        )
+
+    adaptive = build()
+    assert (adaptive.n_min, adaptive.n_max) == (-22, -15)
+    assert build(-15).to_json() == adaptive.to_json()
+    assert len(build(-10).leaves) == 14
+    with pytest.raises(rt.InstabilityError):
+        build(-23)
+
+
 def test_representative_independence():
     """Changing k inside its spinc class shifts levels but not the root."""
     k1 = pl.spin_char(GAMMA7)
@@ -180,7 +199,7 @@ def small_star_trees(draw):
             [draw(st.integers(min_value=-5, max_value=-2)) for _ in range(length)]
         )
     tree = pl.star(center, legs)
-    assume(pl.is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(pl.intersection_form(tree)))
     return tree
 
 
