@@ -166,12 +166,7 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
         pres = knots.presentation(knots.parse_spec(stripped))
         tree, char, involution = pres.tree, pres.char, pres.involution
     root = _build_root(tree, char, involution, config)
-    if not root.stable:
-        comps = len(root.vertices_at(root.n_max))
-        raise roots.InstabilityError(
-            f"sublevel sets still split into {comps} components "
-            f"at level {root.n_max}; raise --n-max"
-        )
+    root.require_stable()
     if config.verify:
         alt_engine = "box" if root.engine == "star" else "star"
         try:
@@ -228,7 +223,7 @@ def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
         for i, j in pair_index
     ]
     if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             results = list(pool.map(_omega_of, tasks))
     else:
         results = [_omega_of(t) for t in tasks]

@@ -89,19 +89,20 @@ class UComplex:
 
     def __post_init__(self):
         n = len(self.gradings)
-        assert len(self.diff) == n
-        if self.labels:
-            assert len(self.labels) == n
+        if len(self.diff) != n or (self.labels and len(self.labels) != n):
+            raise ConsistencyError("gradings, differential and labels differ in length")
         for j in range(n):
             for i in _bits(self.diff[j]):
-                assert _exp_of(self.gradings[j], self.gradings[i], -1) is not None, (
-                    f"differential entry {j}->{i} has no valid U-power"
-                )
+                if _exp_of(self.gradings[j], self.gradings[i], -1) is None:
+                    raise ConsistencyError(
+                        f"differential entry {j}->{i} has no valid U-power"
+                    )
         for j in range(n):
             acc = 0
             for i in _bits(self.diff[j]):
                 acc ^= self.diff[i]
-            assert acc == 0, "differential does not square to zero"
+            if acc:
+                raise ConsistencyError("differential does not square to zero")
 
     def __len__(self):
         return len(self.gradings)
@@ -158,12 +159,12 @@ class UMap:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.rows) == len(self.src)
+        if len(self.rows) != len(self.src):
+            raise ConsistencyError("map rows and source generators differ in number")
         for j in range(len(self.src)):
             for i in _bits(self.rows[j]):
-                assert _exp_of(
-                    self.src.gradings[j], self.tgt.gradings[i], self.degree
-                ) is not None, f"map entry {j}->{i} has no valid U-power"
+                if _exp_of(self.src.gradings[j], self.tgt.gradings[i], self.degree) is None:
+                    raise ConsistencyError(f"map entry {j}->{i} has no valid U-power")
 
     def __call__(self, j):
         return self.rows[j]
@@ -180,8 +181,10 @@ class UMap:
         return True
 
     def __add__(self, other: "UMap") -> "UMap":
-        assert self.src is other.src and self.tgt is other.tgt
-        assert self.degree == other.degree
+        if not (self.src is other.src and self.tgt is other.tgt):
+            raise ValueError("sum of maps between different complexes")
+        if self.degree != other.degree:
+            raise ValueError("sum of maps of different degrees")
         return replace(self, rows=tuple(a ^ b for a, b in zip(self.rows, other.rows)))
 
 
@@ -191,7 +194,8 @@ def identity_map(cx: UComplex) -> UMap:
 
 def compose(g: UMap, f: UMap) -> UMap:
     """g after f."""
-    assert f.tgt is g.src
+    if f.tgt is not g.src:
+        raise ValueError("composition of maps that do not meet")
     rows = []
     for j in range(len(f.src)):
         acc = 0
@@ -404,7 +408,8 @@ def _kernel_of(images, sources):
 def _transport(vec, basis_from, g_from, g_to, cx):
     """Multiply a slice vector by U^((g_from - g_to)/2)."""
     steps = Fraction(g_from - g_to) / 2
-    assert steps.denominator == 1 and steps >= 0
+    if steps.denominator != 1 or steps < 0:
+        raise ConsistencyError(f"cannot transport by U^{steps}")
     steps = int(steps)
     if steps == 0:
         return vec
@@ -528,7 +533,8 @@ def lift_involution(model: ModelComplex) -> UMap:
         r2 = perm[model.rep_leaf[kids[s + 1]]]
         rows[gen] = model.chain_between(r1, r2, model._join(r1, r2))
     iota = UMap(model.cx, model.cx, Fraction(0), tuple(rows))
-    assert iota.is_chain_map(), "involution lift failed to commute with d"
+    if not iota.is_chain_map():
+        raise ConsistencyError("involution lift failed to commute with d")
     if nullhomotopy(compose(iota, iota) + identity_map(model.cx)) is None:
         raise ConsistencyError("lifted involution does not square to the identity")
     return iota
@@ -554,7 +560,8 @@ def involutive_cone(cx: UComplex, iota: UMap):
         labels = tuple(cx.labels) + tuple(f"Q{l}" for l in cx.labels)
     cone = UComplex(tuple(gradings), tuple(rows), labels)
     q = UMap(cone, cone, Fraction(-1), tuple(1 << (n + j) for j in range(n)) + (0,) * n)
-    assert q.is_chain_map()
+    if not q.is_chain_map():
+        raise ConsistencyError("cone marker Q is not a chain map")
     return cone, q
 
 
@@ -821,7 +828,8 @@ def self_local_equivalences(
 
 def image_homology(f: UMap) -> GradedUModule:
     """Homology of the subcomplex im(f) of the target of a chain self-map."""
-    assert f.src is f.tgt and f.degree == 0
+    if f.src is not f.tgt or f.degree != 0:
+        raise ValueError("image homology needs a degree-0 self-map")
 
     def provider(g, basis):
         index = _index_of(basis)

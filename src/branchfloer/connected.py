@@ -76,7 +76,8 @@ def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
         selected.update(above[v0])
     else:
         pair = _best_pair(root, above[v0], None)
-        assert pair is not None, "no invariant leaf and no swapped pair over v0"
+        if pair is None:
+            raise ConsistencyError("no invariant leaf and no swapped pair over v0")
         selected.update(pair)
     seen = len(above[v0])
     cur = root.succ[v0]

@@ -63,7 +63,8 @@ def negative_continued_fraction(p: int, q: int) -> list[int]:
     >>> negative_continued_fraction(5, 4)
     [-2, -2, -2, -2]
     """
-    assert 0 < q < p
+    if not 0 < q < p:
+        raise ValueError(f"continued fraction of {p}/{q} needs 0 < q < p")
     out = []
     while q:
         c = -((-p) // q)
@@ -107,7 +108,7 @@ def _cong(c: int, mod: int, lo: int) -> int:
     for x in range(lo, max(mod, lo + 1)):
         if (c * x + 1) % mod == 0:
             return x
-    raise AssertionError("congruence has no solution in range")
+    raise ConsistencyError("congruence has no solution in range")
 
 
 def torus_plumbing(p: int, q: int) -> Presentation:
@@ -132,7 +133,8 @@ def torus_plumbing(p: int, q: int) -> Presentation:
         b2 = _cong(2 * q, p, 1)
         b3 = _cong(2 * p, q, 1)
         rem = -1 - p * q - 2 * q * b2 - 2 * p * b3
-        assert rem % (2 * p * q) == 0
+        if rem % (2 * p * q):
+            raise ConsistencyError("torus knot central weight is not an integer")
         e0 = rem // (2 * p * q)
         tree = star(
             e0,
@@ -149,7 +151,8 @@ def torus_plumbing(p: int, q: int) -> Presentation:
         b = _cong(2 * m, r, 1)
         b3 = _cong(r, m, 0)
         rem = -1 - 2 * m * b - r * b3
-        assert rem % (r * m) == 0
+        if rem % (r * m):
+            raise ConsistencyError("torus knot central weight is not an integer")
         e0 = rem // (r * m)
         leg = negative_continued_fraction(r, b)
         legs = [leg, leg]
@@ -333,7 +336,8 @@ class KnotSpec:
             )
         ey = Fraction(-e) - sum(1 / f for f in fr)
         det = abs(ey) * prod(abs(f.numerator) for f in fr)
-        assert det.denominator == 1
+        if det.denominator != 1:
+            raise ConsistencyError(f"montesinos determinant {det} is not an integer")
         det = int(det)
         if det == 0:
             raise KnotSpecError("montesinos determinant is zero: not a knot")
@@ -554,6 +558,7 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
         return out
     pres = presentation(spec)
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
+    root.require_stable()
     model = model_complex(root)
     small = model_complex(monotone_subroot(root))
     cx, iota = _shifted(model.cx, lift_involution(model), -2)

@@ -168,6 +168,30 @@ def pd_vector(tree: PlumbingTree, k: tuple[int, ...]) -> list[Fraction]:
     return [-2 * centre[v] for v in range(len(tree))]
 
 
+def coordinate_ranges(tree: PlumbingTree, k: tuple[int, ...], cap: int) -> list[range]:
+    """The exact integer range of each coordinate l_v over {l : chi_k(l) <= cap},
+    empty where no integer fits.
+
+    Back-substituting the elimination from vertex 0 outward gives the real
+    minimiser c_v = (c_parent + s_v) / p_v, as in `pd_vector`, and the diagonal
+    sigma_v = (1 + sigma_parent / p_v) / p_v of (-Q)^{-1}; on the ellipsoid
+    2 chi_k(l) <= 2 cap, l_v takes exactly the values with
+    (l_v - c_v)^2 <= (2 cap - const) sigma_v.
+    """
+    order, parent, pivots, shifts, const = eliminate(tree, k)
+    centre, spread = {None: 0}, {None: 0}
+    out = [range(0)] * len(tree)
+    for v in order:
+        centre[v] = (centre[parent[v]] + shifts[v]) / pivots[v]
+        spread[v] = (1 + spread[parent[v]] / pivots[v]) / pivots[v]
+        r2 = (2 * cap - const) * spread[v]
+        if r2 >= 0:  # for c_v = a/b: |b l_v - a| <= sqrt(r2 b^2), an integer bound
+            a, b = centre[v].numerator, centre[v].denominator
+            s = math.isqrt(math.floor(r2 * b * b))
+            out[v] = range(-((s - a) // b), (a + s) // b + 1)
+    return out
+
+
 def k_square(tree: PlumbingTree, k: tuple[int, ...]) -> Fraction:
     """k^2 = k^T Q^{-1} k = 4 const, const being the minimum of 2 chi_k over
     real vectors l."""

@@ -12,10 +12,12 @@ boundary.  Two engines build roots:
 * a box engine (`build_root_box`), for any tree: eliminate the tree from the
   leaves inward to write 2 chi_k as a sum of positive squares, list each
   finite sublevel set exactly by a short-vector (Fincke-Pohst) walk, and
-  union-find the sublevel graphs level by level;
-* a star engine (`build_root_star`): for star-shaped trees, minimize chi over
-  each slice of the central coordinate by dynamic programming along the legs;
-  components are then maximal intervals of the central profile.
+  union-find the sublevel graphs level by level (`_Sweep`);
+* a star engine (`build_root_star`), for star-shaped trees: minimize chi over
+  each slice of the central coordinate by dynamic programming along the legs,
+  over the slices and leg values that the same elimination bounds exactly
+  (`plumbing.coordinate_ranges`); components are then maximal intervals of
+  the central profile, which the same sweep reads off in one dimension.
 
 Both can attach two involutions: the chi-preserving lattice reflection
 l -> -l - Q^{-1}k, and the map induced by a declared tree automorphism.
@@ -33,6 +35,7 @@ from .complexes import ConsistencyError
 from .plumbing import (
     PlumbingTree,
     check_negative_definite,
+    coordinate_ranges,
     eliminate,
     is_characteristic,
     k_square,
@@ -50,8 +53,9 @@ class MemoryGuardError(RuntimeError):
     """The box engine would exceed its point budget."""
 
 
-# Both engines stop this many levels above the first level from which the
-# sublevel sets stay connected.
+# Adaptive roots stop this many levels above a connected level: for the box
+# engine the first level from which its probe's sublevel sets stay connected,
+# for the star engine the first connected level.
 _MARGIN = 2
 
 # Most lattice points the box engine holds in one sublevel set.
@@ -129,6 +133,15 @@ class GradedRoot:
     def leaves(self) -> tuple[int, ...]:
         targets = {s for s in self.succ if s is not None}
         return tuple(v for v in range(len(self)) if v not in targets)
+
+    def require_stable(self) -> None:
+        """Raise InstabilityError unless the top level is one component."""
+        if not self.stable:
+            comps = len(self.vertices_at(self.n_max))
+            raise InstabilityError(
+                f"sublevel sets still split into {comps} components "
+                f"at level {self.n_max}; raise --n-max"
+            )
 
     def d_invariant(self) -> Fraction:
         """Maximum weight over the root (the tower-top grading)."""
@@ -320,11 +333,12 @@ def _checked_char(tree, k):
     return k
 
 
-def _assemble(tree, k, level_comps, parent_of, reps, stable, engine):
-    """level_comps: [(n, [component ids at level n])] ascending.  parent_of
-    maps a component id to the id one level down (or None at the top); reps
-    maps ids to lattice points.  Returns (root, id -> vertex index)."""
+def _assemble(tree, k, sweep, stop, reps, engine):
+    """The root of a sweep's levels up to `stop`, each level's components
+    ordered by their representative lattice points `reps` (id -> point).
+    Returns (root, component id -> vertex index)."""
     offset = (k_square(tree, k) + len(tree)) / 4
+    level_comps = [(n, comps) for n, comps in sweep.level_comps if n <= stop]
     order = []
     for n, comps in level_comps:
         order.extend(sorted(comps, key=lambda c: reps[c]))
@@ -332,11 +346,11 @@ def _assemble(tree, k, level_comps, parent_of, reps, stable, engine):
     level_of = {c: n for n, comps in level_comps for c in comps}
     levels = tuple(level_of[c] for c in order)
     weights = tuple(offset - 2 * level_of[c] for c in order)
-    succ = tuple(
-        index[parent_of[c]] if parent_of.get(c) is not None else None for c in order
-    )
+    # a top component's parent, if the sweep has one, lies above `stop`
+    succ = tuple(index.get(sweep.parent_of.get(c)) for c in order)
     rep_tuple = tuple(tuple(int(x) for x in reps[c]) for c in order)
     trivial = tuple(range(len(order)))
+    stable = len(level_comps[-1][1]) == 1
     root = GradedRoot(levels, weights, succ, trivial, stable, reps=rep_tuple, engine=engine)
     return root, index
 
@@ -539,12 +553,7 @@ def build_root_box(
             raise InstabilityError("stop level lies below the minimum of chi")
         sweep = _Sweep(points, n_max)
         stop = n_max
-    level_comps = [(n, comps) for n, comps in sweep.level_comps if n <= stop]
-    top = level_comps[-1][1]
-    parent_of = {**sweep.parent_of, **{cid: None for cid in top}}
-    root, comp_index = _assemble(
-        tree, k, level_comps, parent_of, sweep.reps, len(top) == 1, "box"
-    )
+    root, comp_index = _assemble(tree, k, sweep, stop, sweep.reps, "box")
     refl = _perm_from_map(root, comp_index, sweep, lambda p: reflect(tree, k, p))
     gperm = None
     if tree.automorphism is not None:
@@ -619,51 +628,49 @@ def _leg_profile(tree, k, leg, i_values, window):
     central value i, with lex-first minimizers.
 
     The share is sum_t [-k_t x_t - w_t x_t^2] - 2 i x_1 - 2 sum x_t x_{t+1}.
-    Coordinates are eliminated from the tip inward; each step is a min-plus
-    convolution handled by _min_plus_first.
+    Coordinates are eliminated from the tip inward, starting from a single
+    zero beyond the tip; each step is a min-plus convolution handled by
+    _min_plus_first.
     """
     xs = list(range(-window, window + 1))
-    f = None
-    choice: list = []
-    for t in range(len(leg) - 1, -1, -1):
-        v = leg[t]
-        base = [-k[v] * x - tree.weights[v] * x * x for x in xs]
-        if f is None:
-            f = base
-            choice.append(None)
-        else:
-            best = _min_plus_first(xs, f, xs)
-            f = [
-                base[r] - 2 * xs[r] * xs[j] + f[j]
-                for r, j in enumerate(best)
-            ]
-            choice.append(best)
-    choice.reverse()
-    first = _min_plus_first(xs, f, i_values)
-    mins = []
-    argmins = []
-    for row, a in enumerate(i_values):
-        idx = first[row]
+    dom, f, choice = [0], [0], []
+    for v in reversed(leg):
+        best = _min_plus_first(dom, f, xs)
+        f = [
+            -k[v] * x - tree.weights[v] * x * x - 2 * x * dom[j] + f[j]
+            for x, j in zip(xs, best)
+        ]
+        dom = xs
+        choice.append(best)
+    mins, argmins = [], []
+    for a, idx in zip(i_values, _min_plus_first(xs, f, i_values)):
         mins.append(-2 * a * xs[idx] + f[idx])
-        coords = [xs[idx]]
-        for t in range(len(leg) - 1):
-            idx = choice[t][idx]
+        coords = []
+        for step in reversed(choice):
             coords.append(xs[idx])
+            idx = step[idx]
         argmins.append(tuple(coords))
     return mins, argmins
 
 
 def _central_profile(tree, k, center, legs, i_lo, i_hi, window):
+    """m(i), the minimum of chi over the slice l_center = i, for i_lo <= i <=
+    i_hi with leg coordinates in [-window, window], and each slice's
+    lex-first minimizer."""
     i_values = list(range(i_lo, i_hi + 1))
     total = [-k[center] * i - tree.weights[center] * i * i for i in i_values]
-    leg_args = []
+    points = [[0] * len(tree) for _ in i_values]
+    for row, i in enumerate(i_values):
+        points[row][center] = i
     for leg in legs:
         mins, argmins = _leg_profile(tree, k, leg, i_values, window)
         total = [a + b for a, b in zip(total, mins)]
-        leg_args.append(argmins)
+        for point, coords in zip(points, argmins):
+            for v, x in zip(leg, coords):
+                point[v] = x
     if any(x % 2 for x in total):
         raise ConsistencyError("odd central profile: k is not characteristic")
-    return [x // 2 for x in total], leg_args
+    return [x // 2 for x in total], [tuple(p) for p in points]
 
 
 def build_root_star(
@@ -673,111 +680,66 @@ def build_root_star(
     n_max: int | None = None,
     involution: str = "auto",
 ) -> GradedRoot:
-    """Star-engine graded root via the central-coordinate profile.
+    """Star-engine graded root via the central-coordinate profile m.
 
-    Components of S_n are the maximal intervals of {i : m(i) <= n} where m is
-    the slice-wise minimum of chi; slice sublevel sets are connected and meet
-    their neighbors along a minimizing path."""
+    Slice sublevel sets are connected and meet their neighbours along a
+    minimizing path, so the components of S_n are the maximal intervals of
+    {i : m(i) <= n}, which the box engine's sweep reads off {(i,) : m(i) <=
+    cap}.  The slices are the centre's range over S_cap (`coordinate_ranges`)
+    and the leg window the widest leg range, so m is exact where m(i) <= cap.
+    An explicit n_max is that cap.  Adaptive caps are ceil(min chi) + 8, + 16,
+    + 32, ... until the first connected level plus `_MARGIN`, where the root
+    stops, fits under one.
+    """
     k = _checked_char(tree, k)
     center, legs = _star_decompose(tree)
 
-    window = 8 + max((len(l) for l in legs), default=0)
-    span = 8
-    while True:
-        i_lo, i_hi = -span, span
-        m, leg_args = _central_profile(tree, k, center, legs, i_lo, i_hi, window)
-        m_wider, _ = _central_profile(tree, k, center, legs, i_lo, i_hi, window + 4)
-        if m != m_wider:
-            window *= 2
-            continue
+    def profile(cap):
+        """{(i,): m(i)} over the slices with m(i) <= cap, and {i: the
+        lex-first minimizer of chi on slice i}."""
+        ranges = coordinate_ranges(tree, k, cap)
+        if not all(ranges):
+            return {}, {}
+        slices = ranges[center]
+        window = max((max(-ranges[v][0], ranges[v][-1]) for leg in legs for v in leg), default=0)
+        m, points = _central_profile(tree, k, center, legs, slices[0], slices[-1], window)
+        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, dict(zip(slices, points))
 
-        def runs(n):
-            out = []
-            start = None
-            for idx, val in enumerate(m):
-                if val <= n:
-                    if start is None:
-                        start = idx
-                elif start is not None:
-                    out.append((start, idx - 1))
-                    start = None
-            if start is not None:
-                out.append((start, len(m) - 1))
-            return out
-
-        n_min = min(m)
-        conn = n_min
-        while len(runs(conn)) != 1:
-            conn += 1
-        cap = n_max if n_max is not None else conn + _MARGIN
-        edge = 5
-        ok_left = all(m[i] > m[i + 1] for i in range(edge)) and m[0] > cap
-        ok_right = all(m[-i - 1] > m[-i - 2] for i in range(edge)) and m[-1] > cap
-        if not (ok_left and ok_right):
+    if n_max is None:
+        *_, const = eliminate(tree, k)
+        span = 8
+        while True:
+            cap = math.ceil(const / 2) + span  # chi >= const / 2
+            m, points = profile(cap)
+            if m:
+                sweep = _Sweep(m, cap)
+                conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
+                stop = conn + _MARGIN
+                if stop <= cap:
+                    break
             span *= 2
-            continue
-        break
-    if cap < n_min:
-        raise InstabilityError("stop level lies below the minimum of chi")
+    else:
+        stop = n_max
+        m, points = profile(stop)
+        if not m:
+            raise InstabilityError("stop level lies below the minimum of chi")
+        sweep = _Sweep(m, stop)
 
-    level_comps = []
-    parent_of = {}
+    # a component's representative minimizes chi on its slice of least (m(i), i)
     reps = {}
-    run_id = {}
-    counter = itertools.count()
-    levels_runs = {n: runs(n) for n in range(n_min, cap + 1)}
-    for n in range(n_min, cap + 1):
-        comps = []
-        for a, b in levels_runs[n]:
-            cid = next(counter)
-            run_id[(n, a, b)] = cid
-            comps.append(cid)
-            best = min(range(a, b + 1), key=lambda idx: (m[idx], idx))
-            point = [0] * len(tree)
-            point[center] = i_lo + best
-            for leg, args in zip(legs, leg_args):
-                for v, x in zip(leg, args[best]):
-                    point[v] = x
-            reps[cid] = tuple(point)
-        level_comps.append((n, comps))
-        if n > n_min:
-            for a, b in levels_runs[n - 1]:
-                cid = run_id[(n - 1, a, b)]
-                for a2, b2 in levels_runs[n]:
-                    if a2 <= a and b <= b2:
-                        parent_of[cid] = run_id[(n, a2, b2)]
-                        break
-    for a, b in levels_runs[cap]:
-        parent_of[run_id[(cap, a, b)]] = None
-
-    stable = len(levels_runs[cap]) == 1
-    root, _ = _assemble(tree, k, level_comps, parent_of, reps, stable, "star")
+    ranked = sorted(m, key=lambda p: (m[p], p))
+    for n in range(sweep.chi[0], stop + 1):
+        for p in itertools.takewhile(lambda p: m[p] <= n, ranked):
+            reps.setdefault(sweep.component_at(p, n), points[p[0]])
+    root, comp_index = _assemble(tree, k, sweep, stop, reps, "star")
 
     refl = None
     pd = pd_vector(tree, k)
     if all(x.denominator == 1 for x in pd):
         rho = -int(pd[center])
-        width = len(m)
-        symmetric = all(
-            0 <= rho - 2 * i_lo - idx < width and m[rho - 2 * i_lo - idx] == m[idx]
-            for idx in range(width)
-            if m[idx] <= cap
-        )
-        if symmetric:
-            perm = []
-            for v in range(len(root)):
-                j = rho - root.reps[v][center]
-                n = root.levels[v]
-                target = None
-                for u in root.vertices_at(n):
-                    a, b = _run_span(root.reps[u][center], m, i_lo, n)
-                    if a <= j <= b:
-                        target = u
-                        break
-                if target is None:
-                    raise ConsistencyError("reflection escaped the profile window")
-                perm.append(target)
-            refl = tuple(perm)
+        refl = _perm_from_map(root, comp_index, sweep, lambda p: (rho - p[center],))
+        if refl is None:
+            raise ConsistencyError("lattice reflection does not preserve the central profile")
     gperm = None
     if tree.automorphism is not None:
         aut = tree.automorphism
@@ -786,18 +748,6 @@ def build_root_star(
             # interval of slices, maps to itself
             gperm = tuple(range(len(root)))
     return _attach_involutions(root, refl, gperm, involution)
-
-
-def _run_span(i, m, i_lo, n):
-    """Endpoints (in central coordinates) of the level-n run through i."""
-    idx = i - i_lo
-    a = idx
-    while a > 0 and m[a - 1] <= n:
-        a -= 1
-    b = idx
-    while b < len(m) - 1 and m[b + 1] <= n:
-        b += 1
-    return i_lo + a, i_lo + b
 
 
 def build_root(

@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from branchfloer import ConsistencyError, cli, roots
+from branchfloer import ConsistencyError, cli, knots, roots
 
 GAMMA7_JSON = '{"weights": [-1, -2, -3, -7], "edges": [[0,1],[0,2],[0,3]]}'
 
@@ -245,12 +246,23 @@ def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags):
     assert entry.read_text() == a.stdout.strip()
 
 
-def test_internal_consistency_failure_exits_1():
-    # the star engine stops this root too early, so its model complex has
-    # several towers: a fault of the package, not of the input
-    proc = run_cli("invariants", "pretzel(3,-5,-7,9,-11)")
-    assert proc.returncode == 1
-    assert "expected a single tower" in proc.stderr
+def test_internal_consistency_failure_exits_1(monkeypatch, capsys):
+    # torus(7,13)'s root stops with three top components; one that claims to
+    # be stable anyway gives a model complex with several towers: a fault of
+    # the package, not of the input
+    build = knots.build_root
+    monkeypatch.setattr(
+        knots, "build_root", lambda *a, **kw: replace(build(*a, **kw), stable=True)
+    )
+    assert cli.main(["invariants", "torus(7,13)"]) == 1
+    assert "expected a single tower" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["invariants", "root"])
+def test_unstable_truncation_exits_4(command):
+    proc = run_cli(command, "pretzel(11,-5,9)", "--n-max", "-18")
+    assert proc.returncode == 4
+    assert "split into 3 components at level -18; raise --n-max" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -284,6 +296,31 @@ def test_independence_is_stable_across_worker_counts():
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert json.loads(a.stdout)["certificate"] is False
+
+
+def test_independence_pool_has_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs the tasks in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    out = io.StringIO()
+    cli.cmd_independence(["torus(2,3)", "torus(2,5)"], cli.RunConfig(workers=8), out=out)
+    assert sizes == [3]  # two knots and their sum
+    assert json.loads(out.getvalue())["certificate"] is False
 
 
 @pytest.mark.slow

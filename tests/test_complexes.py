@@ -17,12 +17,12 @@ def swap_model(top=-2):
 
 
 def test_differential_entries_must_carry_integer_powers():
-    with pytest.raises(AssertionError):
+    with pytest.raises(cxm.ConsistencyError, match="no valid U-power"):
         cxm.UComplex((Fraction(0), Fraction(-1, 2)), (2, 0))
 
 
 def test_differential_must_square_to_zero():
-    with pytest.raises(AssertionError):
+    with pytest.raises(cxm.ConsistencyError, match="does not square to zero"):
         cxm.UComplex((Fraction(1), Fraction(0), Fraction(-1)), (0, 1, 2))
 
 

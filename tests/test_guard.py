@@ -4,7 +4,9 @@ Every function in the package is called by the package itself: a helper that
 only tests call belongs under tests/ (see tests/oracles.py), so one check
 fails on any function or method of src/branchfloer whose name is referenced
 nowhere in the package outside its own definition, unless the package exports
-it in `branchfloer.__all__`.  The package has no runtime dependencies, so
+it in `branchfloer.__all__`.  Checks raise typed errors, so another check
+fails on any `assert` statement or raised AssertionError, which `python -O`
+would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy.  The
 benchmark's tracer (perfbench/tracer.py) wraps the package's layer functions
 by name, so a last check installs and uninstalls it on the loaded package.
@@ -65,6 +67,20 @@ def unreferenced_functions():
 
 def test_no_function_is_referenced_only_by_its_own_definition():
     assert unreferenced_functions() == []
+
+
+def test_package_has_no_asserts():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            raised = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(raised, ast.Call):
+                raised = raised.func
+            if isinstance(node, ast.Assert) or (
+                isinstance(raised, ast.Name) and raised.id == "AssertionError"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_cli_start_up_imports_no_numpy():

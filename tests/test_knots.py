@@ -27,6 +27,9 @@ def test_negative_continued_fraction_values():
     assert kn.negative_continued_fraction(5, 4) == [-2, -2, -2, -2]
     assert kn.negative_continued_fraction(7, 4) == [-2, -4]
     assert kn.negative_continued_fraction(2, 1) == [-2]
+    for p, q in ((3, 3), (3, 0), (3, 5)):
+        with pytest.raises(ValueError, match="needs 0 < q < p"):
+            kn.negative_continued_fraction(p, q)
 
 
 @given(st.integers(2, 400), st.integers(1, 399))

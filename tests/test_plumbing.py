@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from branchfloer import plumbing as pl
+from branchfloer import roots as rt
 from oracles import determinant, is_negative_definite, solve_exact, solve_mod2
 
 # Gamma_7: the central -1 star with legs -2, -3, -7, double cover data for
@@ -177,6 +179,41 @@ def test_elimination_matches_the_matrix_oracles(data):
     assert pl.pd_vector(tree, k) == pd
     assert pl.k_square(tree, k) == sum(x * y for x, y in zip(k, pd))
     assert pl.determinant_magnitude(tree) == abs(determinant(q))
+
+
+@st.composite
+def definite_trees_and_caps(draw):
+    """Definite trees of any shape with up to 7 vertices, labelled at random,
+    a random characteristic vector and a cap from just below the minimum of
+    chi to 6 above it."""
+    n = draw(st.integers(1, 7))
+    weights = tuple(draw(st.integers(-6, -1)) for _ in range(n))
+    label = draw(st.permutations(range(n)))
+    edges = tuple((label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n))
+    tree = pl.PlumbingTree(weights, edges)
+    assume(is_negative_definite(pl.intersection_form(tree)))
+    k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in weights)
+    *_, const = pl.eliminate(tree, k)
+    cap = math.ceil(const / 2) + draw(st.integers(-1, 6))
+    return tree, k, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(definite_trees_and_caps())
+def test_coordinate_ranges_hold_the_sublevel_set(data):
+    tree, k, cap = data
+    ranges = pl.coordinate_ranges(tree, k, cap)
+    points = rt._sublevel_set(rt._eliminate(tree, k), cap)
+    for point in points:
+        assert all(x in r for x, r in zip(point, ranges))
+
+
+def test_coordinate_ranges_are_empty_where_no_integer_fits():
+    # 2 chi = 8 l^2 - 8 l: at cap -1 the real interval is the single point 1/2
+    tree = pl.linear_chain([-8])
+    assert pl.coordinate_ranges(tree, (8,), -1) == [range(0)]
+    assert pl.coordinate_ranges(tree, (8,), 0) == [range(0, 2)]
+    assert pl.coordinate_ranges(tree, (8,), -2) == [range(0)]
 
 
 _UNDER_O = """

@@ -104,8 +104,9 @@ def test_explicit_stop_level_flags_instability():
 
 
 def test_star_engine_stops_below_its_first_window_minimum():
-    # The engine's first span and window see a profile minimum of -1, far
-    # above the true minimum -22; the adaptive root spans levels -22..-15.
+    # The true minimum -22 lies far from slice 0 (slices -8..8 see a profile
+    # minimum of -1), so only slices taken from the exact coordinate ranges
+    # find it; the adaptive root spans levels -22..-15.
     pres = kn.presentation(kn.parse_spec("pretzel(11,-5,9)"))
 
     def build(n_max=None):
@@ -119,6 +120,23 @@ def test_star_engine_stops_below_its_first_window_minimum():
     assert len(build(-10).leaves) == 14
     with pytest.raises(rt.InstabilityError):
         build(-23)
+
+
+def test_star_engine_computes_the_profile_at_most_twice(monkeypatch):
+    # the slices and the leg window come from the exact coordinate ranges of
+    # S_cap, so no profile is recomputed on a wider span or window
+    pres = kn.presentation(kn.parse_spec("pretzel(15,-7,13)"))
+    calls = []
+    profile = rt._central_profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(rt, "_central_profile", counted)
+    root = rt.build_root_star(pres.tree, pres.char, involution=pres.involution)
+    assert (root.n_min, root.n_max, len(root)) == (-87, -77, 38)
+    assert len(calls) <= 2
 
 
 def test_representative_independence():
