@@ -15,12 +15,27 @@ are the towers.
 The branched construction attaches the mapping cone of 1 + iota with an
 extra degree -1 marker Q.  Its homology carries exactly two towers and the
 Q-action on deep classes tells the upper tower apart from the lower one.
+
+Every chain-level operation goes through one routine: `_slice_vectors` for
+a slice of any map (the differential `UComplex.d` included),
+`_apply_vectors` for applying or composing bitmask matrices, `_transport`
+for multiplication by a power of U, `_F2Space` for every F_2 echelon and
+`_kernel_of` for every kernel, and `_entry` for one entry of a X + X b in
+the linear systems of `nullhomotopy` and `local_equivalences`.
+
+Gradings are `Fraction`s, so these helpers still do `Fraction` arithmetic
+on them: `_exp_of` (and through it `_positions`, `_slice_vectors` and both
+`__post_init__` checks), `slice_basis`, `_parity`, `_transport`, the slice
+walk of `homology`, the slice choice in `branched_invariants` and
+`_DeepContext`, and the grading maps of `shift_complex`, `dual_complex`,
+`tensor_complex` and `involutive_cone`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 
 class RankBoundExceeded(RuntimeError):
@@ -85,30 +100,27 @@ class UComplex:
 
     gradings: tuple[Fraction, ...]
     diff: tuple[int, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = len(self.gradings)
-        if len(self.diff) != n or (self.labels and len(self.labels) != n):
-            raise ConsistencyError("gradings, differential and labels differ in length")
+        if len(self.diff) != n:
+            raise ConsistencyError("gradings and differential differ in length")
         for j in range(n):
             for i in _bits(self.diff[j]):
                 if _exp_of(self.gradings[j], self.gradings[i], -1) is None:
                     raise ConsistencyError(
                         f"differential entry {j}->{i} has no valid U-power"
                     )
-        for j in range(n):
-            acc = 0
-            for i in _bits(self.diff[j]):
-                acc ^= self.diff[i]
-            if acc:
-                raise ConsistencyError("differential does not square to zero")
+        if any(_apply_vectors(self.diff, self.diff)):
+            raise ConsistencyError("differential does not square to zero")
 
     def __len__(self):
         return len(self.gradings)
 
-    def label(self, i):
-        return self.labels[i] if self.labels else f"x{i}"
+    @cached_property
+    def d(self) -> "UMap":
+        """The differential as a degree -1 self-map."""
+        return UMap(self, self, Fraction(-1), self.diff)
 
 
 def shift_complex(cx: UComplex, s) -> UComplex:
@@ -116,15 +128,18 @@ def shift_complex(cx: UComplex, s) -> UComplex:
     return replace(cx, gradings=tuple(g + s for g in cx.gradings))
 
 
+def _transpose(rows, n):
+    """Transpose of an F_2 matrix given as bitmask rows over n columns."""
+    out = [0] * n
+    for j, row in enumerate(rows):
+        for i in _bits(row):
+            out[i] |= 1 << j
+    return out
+
+
 def dual_complex(cx: UComplex) -> UComplex:
     """Plain graded dual: gradings negate, differential transposes."""
-    n = len(cx)
-    rows = [0] * n
-    for j in range(n):
-        for i in _bits(cx.diff[j]):
-            rows[i] |= 1 << j
-    labels = tuple(f"{cx.label(i)}*" for i in range(n)) if cx.labels else ()
-    return UComplex(tuple(-g for g in cx.gradings), tuple(rows), labels)
+    return UComplex(tuple(-g for g in cx.gradings), tuple(_transpose(cx.diff, len(cx))))
 
 
 def tensor_complex(a: UComplex, b: UComplex) -> UComplex:
@@ -141,12 +156,7 @@ def tensor_complex(a: UComplex, b: UComplex) -> UComplex:
             for t in _bits(b.diff[j]):
                 r |= 1 << (i * nb + t)
             rows.append(r)
-    labels = ()
-    if a.labels or b.labels:
-        labels = tuple(
-            f"{a.label(i)}|{b.label(j)}" for i in range(len(a)) for j in range(nb)
-        )
-    return UComplex(tuple(gradings), tuple(rows), labels)
+    return UComplex(tuple(gradings), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -166,19 +176,9 @@ class UMap:
                 if _exp_of(self.src.gradings[j], self.tgt.gradings[i], self.degree) is None:
                     raise ConsistencyError(f"map entry {j}->{i} has no valid U-power")
 
-    def __call__(self, j):
-        return self.rows[j]
-
     def is_chain_map(self) -> bool:
-        for j in range(len(self.src)):
-            acc = 0
-            for i in _bits(self.rows[j]):
-                acc ^= self.tgt.diff[i]
-            for i in _bits(self.src.diff[j]):
-                acc ^= self.rows[i]
-            if acc:
-                return False
-        return True
+        d_after = _apply_vectors(self.tgt.diff, self.rows)
+        return d_after == _apply_vectors(self.rows, self.src.diff)
 
     def __add__(self, other: "UMap") -> "UMap":
         if not (self.src is other.src and self.tgt is other.tgt):
@@ -196,22 +196,12 @@ def compose(g: UMap, f: UMap) -> UMap:
     """g after f."""
     if f.tgt is not g.src:
         raise ValueError("composition of maps that do not meet")
-    rows = []
-    for j in range(len(f.src)):
-        acc = 0
-        for i in _bits(f.rows[j]):
-            acc ^= g.rows[i]
-        rows.append(acc)
-    return UMap(f.src, g.tgt, f.degree + g.degree, tuple(rows))
+    return UMap(f.src, g.tgt, f.degree + g.degree, tuple(_apply_vectors(g.rows, f.rows)))
 
 
 def dual_map(f: UMap, dual_src: UComplex, dual_tgt: UComplex) -> UMap:
     """Transpose of an endomorphism-shaped map on the dual complexes."""
-    rows = [0] * len(f.tgt)
-    for j in range(len(f.src)):
-        for i in _bits(f.rows[j]):
-            rows[i] |= 1 << j
-    return UMap(dual_src, dual_tgt, f.degree, tuple(rows))
+    return UMap(dual_src, dual_tgt, f.degree, tuple(_transpose(f.rows, len(f.tgt))))
 
 
 def tensor_map(f: UMap, g: UMap, src: UComplex, tgt: UComplex) -> UMap:
@@ -242,9 +232,13 @@ def slice_basis(cx: UComplex, g) -> list[tuple[int, int]]:
     return out
 
 
-def _slice_vectors(f: UMap, g, src_basis, tgt_index):
-    """Images of the grading-g source basis under f, as bitmasks over the
-    target slice at g + f.degree."""
+def _index_of(basis):
+    return {pair: t for t, pair in enumerate(basis)}
+
+
+def _slice_vectors(f: UMap, src_basis, tgt_index):
+    """Images of a grading slice's basis under f, as bitmasks over the target
+    slice (the one f.degree away, indexed by `tgt_index`)."""
     vecs = []
     for j, a in src_basis:
         v = 0
@@ -255,23 +249,64 @@ def _slice_vectors(f: UMap, g, src_basis, tgt_index):
     return vecs
 
 
-def _index_of(basis):
-    return {pair: t for t, pair in enumerate(basis)}
+def _apply_vectors(mapped, vectors):
+    """Apply the F_2 matrix whose row t is the image of basis vector t (a
+    slice map, or the rows of a map g) to bitmask vectors; on the rows of a
+    map f, this gives the rows of g after f."""
+    out = []
+    for v in vectors:
+        acc = 0
+        for t in _bits(v):
+            acc ^= mapped[t]
+        out.append(acc)
+    return out
 
 
-def _diff_slice(cx: UComplex, g, src_basis=None, tgt_index=None):
-    if src_basis is None:
-        src_basis = slice_basis(cx, g)
-    if tgt_index is None:
-        tgt_index = _index_of(slice_basis(cx, g - 1))
-    vecs = []
-    for j, a in src_basis:
-        v = 0
-        for i in _bits(cx.diff[j]):
-            e = _exp_of(cx.gradings[j], cx.gradings[i], -1)
-            v |= 1 << tgt_index[(i, a + e)]
-        vecs.append(v)
-    return vecs
+def _transport(vec, basis_from, g_from, g_to, index_to):
+    """Multiply a vector over the grading-g_from slice (basis `basis_from`)
+    by U^((g_from - g_to)/2), landing in the slice indexed by `index_to`."""
+    steps = Fraction(g_from - g_to) / 2
+    if steps.denominator != 1 or steps < 0:
+        raise ConsistencyError(f"cannot transport by U^{steps}")
+    steps = int(steps)
+    if steps == 0:
+        return vec
+    out = 0
+    for t in _bits(vec):
+        j, a = basis_from[t]
+        out |= 1 << index_to[(j, a + steps)]
+    return out
+
+
+def _kernel_of(images, sources):
+    """Kernel vectors of a slice map given parallel image/source lists."""
+    space = _F2Space()
+    kernel = []
+    for img, src in zip(images, sources):
+        if src == 0:
+            continue
+        if img == 0:
+            kernel.append(src)
+            continue
+        indep, combo = space.add(img, src)
+        if not indep and combo:
+            kernel.append(combo)
+    return kernel
+
+
+def _deep_echelon(cx: UComplex, g, deep):
+    """Echelon of the boundaries into the grading-g slice of cx, then of the
+    deep tower classes `deep` = (grading, classes, basis) of `homology`,
+    carried down to g and tagged 1 << position.  Returns it with the slice's
+    index."""
+    index = _index_of(slice_basis(cx, g))
+    space = _F2Space()
+    for v in _slice_vectors(cx.d, slice_basis(cx, g + 1), index):
+        space.add(v)
+    g_deep, alive, basis = deep
+    for t, (_, vec) in enumerate(alive):
+        space.add(_transport(vec, basis, g_deep, g, index), 1 << t)
+    return space, index
 
 
 # ---------------------------------------------------------------------------
@@ -295,80 +330,50 @@ def _parity(g) -> Fraction:
     return Fraction(g) % 2
 
 
-def _sub_provider_full(cx):
-    def provider(g, basis):
-        return [1 << t for t in range(len(basis))]
-
-    return provider
-
-
 def homology(cx: UComplex, sub=None) -> GradedUModule:
     """Barcode homology.  With `sub`, computes homology of the subcomplex
     spanned (slice-wise) by sub(g, basis) -> list of bitmask vectors; the
     span must be closed under the differential."""
     if len(cx) == 0:
         return GradedUModule((), ())
-    provider = sub if sub is not None else _sub_provider_full(cx)
+    if sub is None:
+        def sub(g, basis):
+            return [1 << t for t in range(len(basis))]
     gmin = min(cx.gradings)
     towers = []
     torsion = []
     deep = {}
     for par in sorted({_parity(g) for g in cx.gradings}):
-        in_par = [g for g in cx.gradings if _parity(g) == par]
-        gmax = max(in_par)
-        g_stop = gmax
-        while g_stop > gmin - 5:
-            g_stop -= 2
-        alive = []  # (birth, vector over current slice basis)
+        gmax = max(g for g in cx.gradings if _parity(g) == par)
+        # the first of gmax, gmax - 2, ... at or below gmin - 5
+        g_stop = gmin - 5 - (gmin - 5 - gmax) % 2
+        alive, prev_basis = [], []  # (birth, vector over prev_basis, slice g + 2)
         g = gmax
-        prev_transport = None
         while g >= g_stop:
-            basis = slice_basis(cx, g)
+            above, basis = slice_basis(cx, g + 1), slice_basis(cx, g)
             index = _index_of(basis)
-            below = slice_basis(cx, g - 1)
-            below_index = _index_of(below)
-            above = slice_basis(cx, g + 1)
-            above_index = index
-            dslice = _diff_slice(cx, g, basis, below_index)
-            dabove = _diff_slice(cx, g + 1, above, above_index)
-            span = provider(g, basis)
-            span_above = provider(g + 1, above)
+            span = sub(g, basis)
             # boundaries arriving from one slice up, restricted to the span
-            bspace = _F2Space()
-            for v in _apply_vectors(dabove, span_above):
-                bspace.add(v)
+            quotient = _F2Space()
+            for v in _apply_vectors(_slice_vectors(cx.d, above, index), sub(g + 1, above)):
+                quotient.add(v)
             # cycles inside the span
+            dslice = _slice_vectors(cx.d, basis, _index_of(slice_basis(cx, g - 1)))
             kernel = _kernel_of(_apply_vectors(dslice, span), span)
             # transported survivors first (elder rule), then new classes
-            quotient = _F2Space()
-            for pv, _ in bspace.pivots.values():
-                quotient.add(pv)
             next_alive = []
-            if prev_transport is not None:
-                for birth, vec in alive:
-                    tv = prev_transport(vec, index)
-                    indep, _ = quotient.add(tv)
-                    if indep:
-                        next_alive.append((birth, tv))
-                    else:
-                        torsion.append((birth, int((birth - g) / 2)))
+            for birth, vec in alive:
+                tv = _transport(vec, prev_basis, g + 2, g, index)
+                indep, _ = quotient.add(tv)
+                if indep:
+                    next_alive.append((birth, tv))
+                else:
+                    torsion.append((birth, int((birth - g) / 2)))
             for v in kernel:
                 indep, _ = quotient.add(v)
                 if indep:
                     next_alive.append((g, v))
-            alive = next_alive
-
-            def make_transport(old_basis):
-                def transport(vec, new_index):
-                    out = 0
-                    for t in _bits(vec):
-                        j, a = old_basis[t]
-                        out |= 1 << new_index[(j, a + 1)]
-                    return out
-
-                return transport
-
-            prev_transport = make_transport(basis)
+            alive, prev_basis = next_alive, basis
             if g == g_stop:
                 deep[par] = (g, list(alive), basis)
                 towers.extend(birth for birth, _ in alive)
@@ -376,49 +381,6 @@ def homology(cx: UComplex, sub=None) -> GradedUModule:
     towers.sort(reverse=True)
     torsion.sort(key=lambda t: (-t[0], t[1]))
     return GradedUModule(tuple(towers), tuple(torsion), deep)
-
-
-def _apply_vectors(mapped, vectors):
-    """Apply a slice map (list: basis index -> image bitmask) to vectors."""
-    out = []
-    for v in vectors:
-        acc = 0
-        for t in _bits(v):
-            acc ^= mapped[t]
-        out.append(acc)
-    return out
-
-
-def _kernel_of(images, sources):
-    """Kernel vectors of a slice map given parallel image/source lists."""
-    space = _F2Space()
-    kernel = []
-    for img, src in zip(images, sources):
-        if src == 0:
-            continue
-        if img == 0:
-            kernel.append(src)
-            continue
-        indep, combo = space.add(img, src)
-        if not indep and combo:
-            kernel.append(combo)
-    return kernel
-
-
-def _transport(vec, basis_from, g_from, g_to, cx):
-    """Multiply a slice vector by U^((g_from - g_to)/2)."""
-    steps = Fraction(g_from - g_to) / 2
-    if steps.denominator != 1 or steps < 0:
-        raise ConsistencyError(f"cannot transport by U^{steps}")
-    steps = int(steps)
-    if steps == 0:
-        return vec
-    index = _index_of(slice_basis(cx, g_to))
-    out = 0
-    for t in _bits(vec):
-        j, a = basis_from[t]
-        out |= 1 << index[(j, a + steps)]
-    return out
 
 
 def delta_invariant(cx: UComplex, computed: GradedUModule | None = None):
@@ -452,11 +414,9 @@ class ModelComplex:
                 )
         self.leaf_gen = {}
         gradings = []
-        labels = []
         for leaf in root.leaves:
             self.leaf_gen[leaf] = len(gradings)
             gradings.append(root.weights[leaf])
-            labels.append(f"v{leaf}")
         self.angle_gen = {}
         rows = [0] * len(gradings)
         for v in range(len(root)):
@@ -464,11 +424,10 @@ class ModelComplex:
             for s in range(len(kids) - 1):
                 self.angle_gen[(v, s)] = len(gradings)
                 gradings.append(root.weights[v] + 1)
-                labels.append(f"a{v}.{s}")
                 left = self.leaf_gen[self.rep_leaf[kids[s]]]
                 right = self.leaf_gen[self.rep_leaf[kids[s + 1]]]
                 rows.append((1 << left) | (1 << right))
-        self.cx = UComplex(tuple(gradings), tuple(rows), tuple(labels))
+        self.cx = UComplex(tuple(gradings), tuple(rows))
 
     def _subtree_top(self, c):
         while len(self.children[c]) == 1:
@@ -555,10 +514,7 @@ def involutive_cone(cx: UComplex, iota: UMap):
         rows.append(cx.diff[j] | ((iota.rows[j] ^ (1 << j)) << n))
     for j in range(n):
         rows.append(cx.diff[j] << n)
-    labels = ()
-    if cx.labels:
-        labels = tuple(cx.labels) + tuple(f"Q{l}" for l in cx.labels)
-    cone = UComplex(tuple(gradings), tuple(rows), labels)
+    cone = UComplex(tuple(gradings), tuple(rows))
     q = UMap(cone, cone, Fraction(-1), tuple(1 << (n + j) for j in range(n)) + (0,) * n)
     if not q.is_chain_map():
         raise ConsistencyError("cone marker Q is not a chain map")
@@ -591,20 +547,15 @@ def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:
         if len(alive) != 1:
             raise ConsistencyError("two towers share a parity in the branched cone")
         top, vec = alive[0]
-        other = _parity(g0 - 1)
-        g1, alive1, basis1 = module.deep[other]
-        index1 = _index_of(slice_basis(cone, g0 - 1))
-        img = _apply_vectors(_slice_vectors(q, g0, basis, index1), [vec])[0]
+        other = module.deep[_parity(g0 - 1)]
+        g1, alive1, _ = other
+        (t_top, _), = alive1
+        # Q carries the class one slice down; both meet at the lower slice
         g_common = min(g0 - 1, g1)
-        img = _transport(img, slice_basis(cone, g0 - 1), g0 - 1, g_common, cone)
-        space = _F2Space()
-        up = slice_basis(cone, g_common + 1)
-        for v in _diff_slice(cone, g_common + 1, up, _index_of(slice_basis(cone, g_common))):
-            space.add(v)
-        (t_top, t_vec), = alive1
-        t_vec = _transport(t_vec, basis1, g1, g_common, cone)
-        space.add(t_vec, 1)
-        residual, tag = space.reduce(img)
+        space, index = _deep_echelon(cone, g_common, other)
+        q_basis = slice_basis(cone, g0 - 1)
+        img = _apply_vectors(_slice_vectors(q, basis, _index_of(q_basis)), [vec])[0]
+        residual, tag = space.reduce(_transport(img, q_basis, g0 - 1, g_common, index))
         if residual:
             raise ConsistencyError("deep Q-image escapes the surviving tower")
         if tag:
@@ -632,6 +583,30 @@ def _positions(src: UComplex, tgt: UComplex, degree):
     return out
 
 
+def _entry(src_rows, tgt_rows, var, j, i):
+    """The (j, i) entry of a X + X b, for b on the source and a on the
+    target given by bitmask rows and an unknown X whose entry (j, i) is the
+    bit var[(j, i)]: the bitmask of the unknowns it sums."""
+    row = 0
+    for m in range(len(tgt_rows)):
+        if (tgt_rows[m] >> i) & 1 and (j, m) in var:
+            row ^= var[(j, m)]
+    for m in _bits(src_rows[j]):
+        if (m, i) in var:
+            row ^= var[(m, i)]
+    return row
+
+
+def _map_rows(bits, var, n):
+    """Rows of the map whose entry (j, i) is set exactly where `bits` has
+    the bit var[(j, i)]."""
+    rows = [0] * n
+    for (j, i), b in var.items():
+        if bits & b:
+            rows[j] |= 1 << i
+    return rows
+
+
 def nullhomotopy(f: UMap) -> UMap | None:
     """Solve f = dH + Hd for H of degree deg(f) + 1, if possible.
 
@@ -639,28 +614,20 @@ def nullhomotopy(f: UMap) -> UMap | None:
     position of f; the columns go into an echelon tagged by their index, and
     f is solvable exactly when it reduces to zero, its tag then naming H."""
     src, tgt = f.src, f.tgt
-    hvar = {p: t for t, p in enumerate(_positions(src, tgt, f.degree + 1))}
-    cols = [0] * len(hvar)
+    hpos = _positions(src, tgt, f.degree + 1)
+    hvar = {p: 1 << t for t, p in enumerate(hpos)}
+    fpos = _positions(src, tgt, f.degree)
+    equations = [_entry(src.diff, tgt.diff, hvar, j, i) for j, i in fpos]
     target = 0
-    for e, (j, i) in enumerate(_positions(src, tgt, f.degree)):
-        for m in range(len(tgt)):
-            if (j, m) in hvar and (tgt.diff[m] >> i) & 1:
-                cols[hvar[(j, m)]] ^= 1 << e
-        for m in _bits(src.diff[j]):
-            if (m, i) in hvar:
-                cols[hvar[(m, i)]] ^= 1 << e
+    for e, (j, i) in enumerate(fpos):
         target |= ((f.rows[j] >> i) & 1) << e
     space = _F2Space()
-    for t, col in enumerate(cols):
+    for t, col in enumerate(_transpose(equations, len(hpos))):
         space.add(col, 1 << t)
     residual, sol = space.reduce(target)
     if residual:
         return None
-    hrows = [0] * len(src)
-    for (j, i), t in hvar.items():
-        if (sol >> t) & 1:
-            hrows[j] |= 1 << i
-    return UMap(src, tgt, f.degree + 1, tuple(hrows))
+    return UMap(src, tgt, f.degree + 1, tuple(_map_rows(sol, hvar, len(src))))
 
 
 class _DeepContext:
@@ -678,22 +645,18 @@ class _DeepContext:
             if na == 0:
                 continue
             g0, alive, basis = ha.deep[par]
-            g1, alive1, basis1 = hb.deep[par]
-            g = min(g0, g1)
-            index = _index_of(slice_basis(tgt, g))
-            space = _F2Space()
-            for v in _diff_slice(tgt, g + 1, slice_basis(tgt, g + 1), index):
-                space.add(v)
-            for t, (_, vec) in enumerate(alive1):
-                space.add(_transport(vec, basis1, g1, g, tgt), 1 << t)
-            reps = [_transport(vec, basis, g0, g, src) for _, vec in alive]
-            self.blocks.append((g, slice_basis(src, g), index, space, reps, na))
+            g = min(g0, hb.deep[par][0])
+            space, index = _deep_echelon(tgt, g, hb.deep[par])
+            src_basis = slice_basis(src, g)
+            src_index = _index_of(src_basis)
+            reps = [_transport(vec, basis, g0, g, src_index) for _, vec in alive]
+            self.blocks.append((src_basis, index, space, reps, na))
 
     def iso(self, f: UMap) -> bool:
         if not self.ok_dims:
             return False
-        for g, src_basis, index, space, reps, n in self.blocks:
-            vecs = _slice_vectors(f, g, src_basis, index)
+        for src_basis, index, space, reps, n in self.blocks:
+            vecs = _slice_vectors(f, src_basis, index)
             rows = _F2Space()
             for img in _apply_vectors(vecs, reps):
                 residual, tag = space.reduce(img)
@@ -707,26 +670,6 @@ class _DeepContext:
 
 # ---------------------------------------------------------------------------
 # brute-force enumeration of local equivalences (small ranks only)
-
-
-def _nullspace(rows, ncols):
-    """Basis of the right nullspace of an F_2 matrix given as bitmask rows."""
-    space = _F2Space()
-    for r in rows:
-        space.add(r)
-    pivots = dict(space.pivots)
-    pivot_cols = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
-        v = 1 << fc
-        for pc in sorted(pivots):
-            rest = pivots[pc][0] ^ (1 << pc)
-            if bin(rest & v).count("1") % 2:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
 
 
 def local_equivalences(
@@ -746,39 +689,21 @@ def local_equivalences(
         raise RankBoundExceeded(f"complex rank exceeds bound {rank_bound}")
     fpos = _positions(src, tgt, Fraction(0))
     hpos = _positions(src, tgt, Fraction(1))
-    fvar = {p: t for t, p in enumerate(fpos)}
-    hvar = {p: len(fpos) + t for t, p in enumerate(hpos)}
+    fvar = {p: 1 << t for t, p in enumerate(fpos)}
+    hvar = {p: 1 << (len(fpos) + t) for t, p in enumerate(hpos)}
     nvars = len(fpos) + len(hpos)
-    rows = []
-    # chain condition: d f + f d = 0 at every degree -1 position
-    for (j, i) in _positions(src, tgt, Fraction(-1)):
-        row = 0
-        for m in range(len(tgt)):
-            if (j, m) in fvar and (tgt.diff[m] >> i) & 1:
-                row ^= 1 << fvar[(j, m)]
-        for m in _bits(src.diff[j]):
-            if (m, i) in fvar:
-                row ^= 1 << fvar[(m, i)]
-        if row:
-            rows.append(row)
-    # involution condition: iota_tgt f + f iota_src = d H + H d
-    for (j, i) in fpos:
-        row = 0
-        for m in range(len(src)):
-            if (iota_src.rows[j] >> m) & 1 and (m, i) in fvar:
-                row ^= 1 << fvar[(m, i)]
-        for m in range(len(tgt)):
-            if (j, m) in fvar and (iota_tgt.rows[m] >> i) & 1:
-                row ^= 1 << fvar[(j, m)]
-        for m in range(len(tgt)):
-            if (j, m) in hvar and (tgt.diff[m] >> i) & 1:
-                row ^= 1 << hvar[(j, m)]
-        for m in _bits(src.diff[j]):
-            if (m, i) in hvar:
-                row ^= 1 << hvar[(m, i)]
-        if row:
-            rows.append(row)
-    basis = _nullspace(rows, nvars)
+    # chain condition d f + f d = 0 at every degree -1 position; involution
+    # condition iota_tgt f + f iota_src = d H + H d at every degree 0 one
+    equations = [
+        _entry(src.diff, tgt.diff, fvar, j, i) for j, i in _positions(src, tgt, Fraction(-1))
+    ]
+    for j, i in fpos:
+        equations.append(
+            _entry(iota_src.rows, iota_tgt.rows, fvar, j, i)
+            ^ _entry(src.diff, tgt.diff, hvar, j, i)
+        )
+    # the solutions: kernel of the equations, one column per unknown
+    basis = _kernel_of(_transpose(equations, nvars), [1 << t for t in range(nvars)])
     # the homotopy variables only certify solvability; project them away and
     # enumerate each candidate chain map once
     fmask = (1 << len(fpos)) - 1
@@ -794,22 +719,11 @@ def local_equivalences(
         )
     ctx = _DeepContext(src, tgt, homology(src), homology(tgt))
     found = []
-    for combo in range(1 << len(fbasis)):
+    for combo in range(1, 1 << len(fbasis)):  # fbasis is independent: no zero map
         fbits = 0
-        c = combo
-        t = 0
-        while c:
-            if c & 1:
-                fbits ^= fbasis[t]
-            c >>= 1
-            t += 1
-        if fbits == 0:
-            continue
-        frows = [0] * len(src)
-        for (j, i), t in fvar.items():
-            if (fbits >> t) & 1:
-                frows[j] |= 1 << i
-        f = UMap(src, tgt, Fraction(0), tuple(frows))
+        for t in _bits(combo):
+            fbits ^= fbasis[t]
+        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fbits, fvar, len(src))))
         if ctx.iso(f):
             found.append(f)
     found.sort(key=lambda f: f.rows)
@@ -832,8 +746,7 @@ def image_homology(f: UMap) -> GradedUModule:
         raise ValueError("image homology needs a degree-0 self-map")
 
     def provider(g, basis):
-        index = _index_of(basis)
-        return [v for v in _slice_vectors(f, g, basis, index) if v]
+        return [v for v in _slice_vectors(f, basis, _index_of(basis)) if v]
 
     return homology(f.tgt, sub=provider)
 
@@ -841,10 +754,8 @@ def image_homology(f: UMap) -> GradedUModule:
 def _deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
     total = 0
     for par, (g0, alive, basis) in ha.deep.items():
-        index = _index_of(slice_basis(f.tgt, g0))
-        vecs = _slice_vectors(f, g0, basis, index)
         space = _F2Space()
-        for v in vecs:
+        for v in _slice_vectors(f, basis, _index_of(slice_basis(f.tgt, g0))):
             space.add(v)
         total += len(basis) - space.rank
     return total

@@ -623,47 +623,48 @@ def _min_plus_first(xs, f, mults):
     return out
 
 
-def _leg_profile(tree, k, leg, i_values, window):
+def _leg_profile(tree, k, leg, i_values, ranges):
     """Minimum over the leg coordinates of the leg's share of 2*chi, per
-    central value i, with lex-first minimizers.
+    central value i, with lex-first minimizers; each coordinate l_v runs over
+    ranges[v].
 
     The share is sum_t [-k_t x_t - w_t x_t^2] - 2 i x_1 - 2 sum x_t x_{t+1}.
     Coordinates are eliminated from the tip inward, starting from a single
     zero beyond the tip; each step is a min-plus convolution handled by
     _min_plus_first.
     """
-    xs = list(range(-window, window + 1))
     dom, f, choice = [0], [0], []
     for v in reversed(leg):
+        xs = list(ranges[v])
         best = _min_plus_first(dom, f, xs)
         f = [
             -k[v] * x - tree.weights[v] * x * x - 2 * x * dom[j] + f[j]
             for x, j in zip(xs, best)
         ]
         dom = xs
-        choice.append(best)
+        choice.append((xs, best))
     mins, argmins = [], []
-    for a, idx in zip(i_values, _min_plus_first(xs, f, i_values)):
-        mins.append(-2 * a * xs[idx] + f[idx])
+    for a, idx in zip(i_values, _min_plus_first(dom, f, i_values)):
+        mins.append(-2 * a * dom[idx] + f[idx])
         coords = []
-        for step in reversed(choice):
+        for xs, best in reversed(choice):  # from the centre out: each vertex's own range
             coords.append(xs[idx])
-            idx = step[idx]
+            idx = best[idx]
         argmins.append(tuple(coords))
     return mins, argmins
 
 
-def _central_profile(tree, k, center, legs, i_lo, i_hi, window):
-    """m(i), the minimum of chi over the slice l_center = i, for i_lo <= i <=
-    i_hi with leg coordinates in [-window, window], and each slice's
-    lex-first minimizer."""
-    i_values = list(range(i_lo, i_hi + 1))
+def _central_profile(tree, k, center, legs, ranges):
+    """m(i), the minimum of chi over the slice l_center = i, for i in
+    ranges[center] with every leg coordinate l_v in ranges[v], and each
+    slice's lex-first minimizer."""
+    i_values = list(ranges[center])
     total = [-k[center] * i - tree.weights[center] * i * i for i in i_values]
     points = [[0] * len(tree) for _ in i_values]
     for row, i in enumerate(i_values):
         points[row][center] = i
     for leg in legs:
-        mins, argmins = _leg_profile(tree, k, leg, i_values, window)
+        mins, argmins = _leg_profile(tree, k, leg, i_values, ranges)
         total = [a + b for a, b in zip(total, mins)]
         for point, coords in zip(points, argmins):
             for v, x in zip(leg, coords):
@@ -685,8 +686,8 @@ def build_root_star(
     Slice sublevel sets are connected and meet their neighbours along a
     minimizing path, so the components of S_n are the maximal intervals of
     {i : m(i) <= n}, which the box engine's sweep reads off {(i,) : m(i) <=
-    cap}.  The slices are the centre's range over S_cap (`coordinate_ranges`)
-    and the leg window the widest leg range, so m is exact where m(i) <= cap.
+    cap}.  The slices and the leg coordinates run over their ranges on S_cap
+    (`coordinate_ranges`), so m is exact where m(i) <= cap.
     An explicit n_max is that cap.  Adaptive caps are ceil(min chi) + 8, + 16,
     + 32, ... until the first connected level plus `_MARGIN`, where the root
     stops, fits under one.
@@ -701,8 +702,7 @@ def build_root_star(
         if not all(ranges):
             return {}, {}
         slices = ranges[center]
-        window = max((max(-ranges[v][0], ranges[v][-1]) for leg in legs for v in leg), default=0)
-        m, points = _central_profile(tree, k, center, legs, slices[0], slices[-1], window)
+        m, points = _central_profile(tree, k, center, legs, ranges)
         return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, dict(zip(slices, points))
 
     if n_max is None:

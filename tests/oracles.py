@@ -46,11 +46,7 @@ def standard_swap_complex(top) -> tuple[UComplex, UMap]:
     """Two generators at grading `top` exchanged by the involution, bound by
     a single relator one degree below (the smallest nontrivial model)."""
     top = Fraction(top)
-    cx = UComplex(
-        (top, top, top - 1),
-        (0, 0, (1 << 0) | (1 << 1)),
-        ("a", "b", "c"),
-    )
+    cx = UComplex((top, top, top - 1), (0, 0, (1 << 0) | (1 << 1)))
     iota = UMap(cx, cx, Fraction(0), (1 << 1, 1 << 0, 1 << 2))
     return cx, iota
 

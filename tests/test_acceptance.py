@@ -110,7 +110,7 @@ def test_criterion_2_baseline_pretzel_knot():
 def standard_three_chain(r):
     """Rank-3 comparison complex: two swapped towers over one mixing angle."""
     r = Fraction(r)
-    cx = cxm.UComplex((r, r, r - 1), (0, 0, 0b011), ("a", "b", "c"))
+    cx = cxm.UComplex((r, r, r - 1), (0, 0, 0b011))
     iota = cxm.UMap(cx, cx, Fraction(0), (0b010, 0b001, 0b100))
     return cx, iota
 

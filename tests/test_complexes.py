@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from branchfloer import complexes as cxm
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import standard_swap_complex, zero_map
+from oracles import is_local_equivalence, standard_swap_complex, zero_map
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 
@@ -208,3 +208,118 @@ def test_model_and_branched_invariants_on_random_stars(tree):
     assert (b.upper - d) % 2 == 0 and (d - b.lower) % 2 == 0
     if all(r.involution[v] == v for v in range(len(r))):
         assert b.upper == b.lower == d
+
+
+# ---------------------------------------------------------------------------
+# the F_2 solvers against exhaustive enumeration
+
+
+def _positions(src, tgt, degree):
+    """Entries (j, i) that a map src -> tgt of the given degree may have."""
+    return [
+        (j, i)
+        for j in range(len(src))
+        for i in range(len(tgt))
+        if cxm._exp_of(src.gradings[j], tgt.gradings[i], degree) is not None
+    ]
+
+
+def _all_maps(src, tgt, degree):
+    """Every map src -> tgt of the given degree."""
+    positions = _positions(src, tgt, degree)
+    for bits in range(1 << len(positions)):
+        rows = [0] * len(src)
+        for t, (j, i) in enumerate(positions):
+            if (bits >> t) & 1:
+                rows[j] |= 1 << i
+        yield cxm.UMap(src, tgt, Fraction(degree), tuple(rows))
+
+
+# trees with one-leaf roots: their models sit at gradings 2, 1 and -1
+ONE_LEAF = [
+    pl.star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]]),
+    pl.star(-2, [[-2], [-2], [-2]]),
+    pl.linear_chain([-5]),
+]
+# stars whose roots have two or three leaves (model ranks 3, 3, 5 and 5, some
+# with a nontrivial involution), each with the characteristic vector that
+# gives its root that shape
+SMALL_ROOTS = [(tree, None) for tree in ONE_LEAF] + [
+    (GAMMA7, None),
+    (pl.star(-1, [[-4, -3], [-2, -7], [-7, -5]]), (5, -4, 3, -2, 1, -5, 1)),
+    (pl.star(-1, [[-6], [-7], [-2, -2]]), (-1, 2, -5, -2, 0)),
+    (pl.star(-1, [[-5, -2], [-2], [-4, -5]]), (-3, 1, 0, 2, 4, 1)),
+]
+
+
+def _model(tree, k=None):
+    model = cxm.model_complex(rt.build_root_star(tree, k))
+    return model.cx, cxm.lift_involution(model)
+
+
+def _tensor(a, b):
+    t = cxm.tensor_complex(a[0], b[0])
+    return t, cxm.tensor_map(a[1], b[1], t, t)
+
+
+@st.composite
+def small_models(draw):
+    """A small model complex with its lifted involution, its dual, or its
+    tensor with a one-generator model (with the smallest swap model if it has
+    one generator itself), with at most 12 degree-0 positions."""
+    cx, iota = _model(*draw(st.sampled_from(SMALL_ROOTS)))
+    how = draw(st.sampled_from(["model", "dual", "tensor"]))
+    if how == "dual":
+        dual = cxm.dual_complex(cx)
+        cx, iota = dual, cxm.dual_map(iota, dual, dual)
+    elif how == "tensor":
+        if len(cx) == 1:
+            partner = swap_model(draw(st.integers(min_value=-2, max_value=0)))
+        else:
+            partner = _model(draw(st.sampled_from(ONE_LEAF)))
+        cx, iota = _tensor((cx, iota), partner)
+    assume(len(_positions(cx, cx, 0)) <= 12)
+    return cx, iota
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), small_models())
+def test_local_equivalences_are_exactly_the_certified_maps(a, b):
+    # maps from a model to itself, to its shifts both ways (where the maps
+    # commute with the involutions only up to homotopy) and to another model
+    pairs = [(a, a), (a, b)]
+    for tree in ONE_LEAF:
+        shifted = _tensor(a, _model(tree))
+        pairs += [(a, shifted), (shifted, a)]
+    for (src, iota_src), (tgt, iota_tgt) in pairs:
+        if len(_positions(src, tgt, 0)) > 12:
+            continue
+        found = cxm.local_equivalences(src, iota_src, tgt, iota_tgt)
+        certified = [
+            f.rows
+            for f in _all_maps(src, tgt, 0)
+            if any(f.rows) and is_local_equivalence(f, iota_src, iota_tgt)
+        ]
+        assert [f.rows for f in found] == sorted(certified)
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_models(), st.data())
+def test_nullhomotopy_is_none_exactly_when_no_homotopy_exists(model, data):
+    cx, iota = model
+    assume(len(_positions(cx, cx, 1)) <= 12)
+    d = cxm.UMap(cx, cx, Fraction(-1), cx.diff)
+    boundaries = {
+        (cxm.compose(d, h) + cxm.compose(h, d)).rows for h in _all_maps(cx, cx, 1)
+    }
+    maps = list(_all_maps(cx, cx, 0))
+    picks = data.draw(st.lists(st.sampled_from(maps), max_size=8))
+    square = cxm.compose(iota, iota) + cxm.identity_map(cx)
+    for f in [square, cxm.identity_map(cx), maps[0], *picks]:
+        h = cxm.nullhomotopy(f)
+        assert (h is None) == (f.rows not in boundaries)
+        if h is not None:
+            assert (cxm.compose(d, h) + cxm.compose(h, d)).rows == f.rows
+    # every boundary is solvable, not only the sampled maps
+    for rows in sorted(boundaries)[:16]:
+        assert cxm.nullhomotopy(cxm.UMap(cx, cx, Fraction(0), rows)) is not None

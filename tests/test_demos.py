@@ -1,0 +1,21 @@
+"""Each script under demos/ runs to completion in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

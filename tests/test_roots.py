@@ -123,7 +123,7 @@ def test_star_engine_stops_below_its_first_window_minimum():
 
 
 def test_star_engine_computes_the_profile_at_most_twice(monkeypatch):
-    # the slices and the leg window come from the exact coordinate ranges of
+    # the slices and the leg ranges come from the exact coordinate ranges of
     # S_cap, so no profile is recomputed on a wider span or window
     pres = kn.presentation(kn.parse_spec("pretzel(15,-7,13)"))
     calls = []
@@ -137,6 +137,39 @@ def test_star_engine_computes_the_profile_at_most_twice(monkeypatch):
     root = rt.build_root_star(pres.tree, pres.char, involution=pres.involution)
     assert (root.n_min, root.n_max, len(root)) == (-87, -77, 38)
     assert len(calls) <= 2
+
+
+def test_star_engine_runs_each_leg_coordinate_over_its_own_range(monkeypatch):
+    # The leg DP hands _min_plus_first each coordinate's exact range on S_cap
+    # (for this knot 31 to 397 values), never one window as wide as the
+    # widest leg (1307 values), and reads its minimizers back range by range.
+    pres = kn.presentation(kn.parse_spec("pretzel(15,-7,13)"))
+    tree, k = pres.tree, pres.char
+    ranges, handed = [], []
+    coordinate_ranges, min_plus_first = rt.coordinate_ranges, rt._min_plus_first
+
+    def recorded_ranges(*args):
+        ranges.append(coordinate_ranges(*args))
+        return ranges[-1]
+
+    def recorded_min_plus_first(xs, f, mults):
+        handed.append((ranges[-1], list(xs), list(mults)))
+        return min_plus_first(xs, f, mults)
+
+    monkeypatch.setattr(rt, "coordinate_ranges", recorded_ranges)
+    monkeypatch.setattr(rt, "_min_plus_first", recorded_min_plus_first)
+    root = rt.build_root_star(tree, k, involution=pres.involution)
+    center, legs = rt._star_decompose(tree)
+    expected = []
+    for r in ranges:
+        if not all(r):
+            continue
+        for leg in legs:
+            outer = [[0]] + [list(r[v]) for v in reversed(leg)]
+            expected += [(r, dom, xs) for dom, xs in zip(outer, outer[1:])]
+            expected.append((r, outer[-1], list(r[center])))
+    assert handed == expected
+    assert all(pl.chi(tree, k, p) <= n for p, n in zip(root.reps, root.levels))
 
 
 def test_representative_independence():
