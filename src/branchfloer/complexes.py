@@ -23,12 +23,17 @@ for multiplication by a power of U, `_F2Space` for every F_2 echelon and
 `_kernel_of` for every kernel, and `_entry` for one entry of a X + X b in
 the linear systems of `nullhomotopy` and `local_equivalences`.
 
-Gradings are `Fraction`s, so these helpers still do `Fraction` arithmetic
-on them: `_exp_of` (and through it `_positions`, `_slice_vectors` and both
-`__post_init__` checks), `slice_basis`, `_parity`, `_transport`, the slice
-walk of `homology`, the slice choice in `branched_invariants` and
-`_DeepContext`, and the grading maps of `shift_complex`, `dual_complex`,
-`tensor_complex` and `involutive_cone`.
+Gradings are `Fraction`s, but their arithmetic is done once per complex and
+grading, not once per matrix entry.  Each complex caches its slices
+(`_slice`), indexed by generator: a generator sits at most once in a slice,
+with the exponent its grading forces, so `_slice_vectors` and `_transport`
+only re-index.  The entries a degree-d map may have are the row masks of
+`_allowed`, which both `__post_init__` checks and `_positions` read.
+`Fraction` arithmetic is left in building a slice (once per distinct
+grading), `_transport`'s step, `_parity`, the slice walk of `homology`, the
+slice choice in `branched_invariants` and `_DeepContext`, and the grading
+maps of `shift_complex`, `dual_complex`, `tensor_complex` and
+`involutive_cone`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 
 class RankBoundExceeded(RuntimeError):
@@ -45,14 +51,6 @@ class RankBoundExceeded(RuntimeError):
 class ConsistencyError(RuntimeError):
     """A computed result failed one of the pipeline's own cross-checks: a
     fault in the package or the truncation, not in its input."""
-
-
-def _exp_of(gr_src, gr_tgt, degree):
-    """U-exponent forced on an entry of a degree-`degree` map, or None."""
-    e = Fraction(gr_tgt - gr_src - degree) / 2
-    if e.denominator != 1 or e < 0:
-        return None
-    return int(e)
 
 
 def _bits(mask):
@@ -90,6 +88,17 @@ class _F2Space:
     def rank(self):
         return len(self.pivots)
 
+    def reduced(self) -> tuple[int, ...]:
+        """The reduced echelon basis, which depends on the row space alone."""
+        rows = {}
+        for p in sorted(self.pivots):
+            v = self.pivots[p][0]
+            for q in _bits(v ^ (1 << p)):
+                if q in rows:
+                    v ^= rows[q]
+            rows[p] = v
+        return tuple(rows.values())
+
 
 @dataclass(frozen=True)
 class UComplex:
@@ -102,15 +111,11 @@ class UComplex:
     diff: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.gradings)
-        if len(self.diff) != n:
+        if len(self.diff) != len(self.gradings):
             raise ConsistencyError("gradings and differential differ in length")
-        for j in range(n):
-            for i in _bits(self.diff[j]):
-                if _exp_of(self.gradings[j], self.gradings[i], -1) is None:
-                    raise ConsistencyError(
-                        f"differential entry {j}->{i} has no valid U-power"
-                    )
+        bad = _invalid_entry(self.diff, _allowed(self, self, -1))
+        if bad:
+            raise ConsistencyError(f"differential entry {bad} has no valid U-power")
         if any(_apply_vectors(self.diff, self.diff)):
             raise ConsistencyError("differential does not square to zero")
 
@@ -121,6 +126,25 @@ class UComplex:
     def d(self) -> "UMap":
         """The differential as a degree -1 self-map."""
         return UMap(self, self, Fraction(-1), self.diff)
+
+    @cached_property
+    def _by_grading(self) -> dict:
+        """Each distinct grading with the bitmask of its generators."""
+        out = {}
+        for j, g in enumerate(self.gradings):
+            out[g] = out.get(g, 0) | 1 << j
+        return out
+
+    @cached_property
+    def _slices(self) -> dict:
+        """The grading slices built so far, by grading (see `_slice`)."""
+        return {}
+
+    @cached_property
+    def _tables(self) -> dict:
+        """(id(target gradings), degree) -> (target gradings, row masks), see
+        `_allowed`."""
+        return {}
 
 
 def shift_complex(cx: UComplex, s) -> UComplex:
@@ -171,10 +195,9 @@ class UMap:
     def __post_init__(self):
         if len(self.rows) != len(self.src):
             raise ConsistencyError("map rows and source generators differ in number")
-        for j in range(len(self.src)):
-            for i in _bits(self.rows[j]):
-                if _exp_of(self.src.gradings[j], self.tgt.gradings[i], self.degree) is None:
-                    raise ConsistencyError(f"map entry {j}->{i} has no valid U-power")
+        bad = _invalid_entry(self.rows, _allowed(self.src, self.tgt, self.degree))
+        if bad:
+            raise ConsistencyError(f"map entry {bad} has no valid U-power")
 
     def is_chain_map(self) -> bool:
         d_after = _apply_vectors(self.tgt.diff, self.rows)
@@ -222,29 +245,68 @@ def tensor_map(f: UMap, g: UMap, src: UComplex, tgt: UComplex) -> UMap:
 # grading slices
 
 
-def slice_basis(cx: UComplex, g) -> list[tuple[int, int]]:
-    """Basis of the grading-g piece: pairs (generator, U-exponent)."""
-    out = []
-    for j in range(len(cx)):
-        a = Fraction(cx.gradings[j] - g) / 2
-        if a.denominator == 1 and a >= 0:
-            out.append((j, int(a)))
-    return out
+class _Slice(NamedTuple):
+    """The grading-g piece of a complex: its basis, its index and its mask."""
+
+    basis: tuple[tuple[int, int], ...]  # (generator, U-exponent), generator order
+    index: tuple[int | None, ...]  # generator -> position in basis, or None
+    mask: int  # bitmask of the generators in basis
 
 
-def _index_of(basis):
-    return {pair: t for t, pair in enumerate(basis)}
+def _slice(cx: UComplex, g) -> _Slice:
+    """The grading-g slice of cx, built once per complex and grading with one
+    exponent per distinct grading."""
+    got = cx._slices.get(g)
+    if got is None:
+        exps = {}
+        mask = 0
+        for h, gens in cx._by_grading.items():
+            a = Fraction(h - g) / 2
+            if a.denominator == 1 and a >= 0:
+                mask |= gens
+                for j in _bits(gens):
+                    exps[j] = int(a)
+        basis = tuple(sorted(exps.items()))
+        index = [None] * len(cx)
+        for t, (j, _) in enumerate(basis):
+            index[j] = t
+        got = cx._slices[g] = _Slice(basis, tuple(index), mask)
+    return got
+
+
+def _allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
+    """Row masks of the entries a degree-`degree` map src -> tgt may have:
+    generator j may hit exactly the generators of tgt's slice at gr(j) +
+    degree.  Built once per (source, target gradings, degree), one slice per
+    distinct source grading.  The entry holds the target's gradings, not the
+    target (which would make every complex a reference cycle), and is used
+    only for that very tuple: an unpickled entry's id names another object."""
+    key = (id(tgt.gradings), degree)
+    got = src._tables.get(key)
+    if got is None or got[0] is not tgt.gradings:
+        by_grading = {g: _slice(tgt, g + degree).mask for g in src._by_grading}
+        masks = tuple(by_grading[g] for g in src.gradings)
+        got = src._tables[key] = (tgt.gradings, masks)
+    return got[1]
+
+
+def _invalid_entry(rows, allowed) -> str | None:
+    """The first entry "j->i" of `rows` outside `allowed`, or None."""
+    for j, row in enumerate(rows):
+        bad = row & ~allowed[j]
+        if bad:
+            return f"{j}->{(bad & -bad).bit_length() - 1}"
+    return None
 
 
 def _slice_vectors(f: UMap, src_basis, tgt_index):
     """Images of a grading slice's basis under f, as bitmasks over the target
-    slice (the one f.degree away, indexed by `tgt_index`)."""
+    slice (the one f.degree away, whose `index` is `tgt_index`)."""
     vecs = []
-    for j, a in src_basis:
+    for j, _ in src_basis:
         v = 0
         for i in _bits(f.rows[j]):
-            e = _exp_of(f.src.gradings[j], f.tgt.gradings[i], f.degree)
-            v |= 1 << tgt_index[(i, a + e)]
+            v |= 1 << tgt_index[i]
         vecs.append(v)
     return vecs
 
@@ -264,17 +326,16 @@ def _apply_vectors(mapped, vectors):
 
 def _transport(vec, basis_from, g_from, g_to, index_to):
     """Multiply a vector over the grading-g_from slice (basis `basis_from`)
-    by U^((g_from - g_to)/2), landing in the slice indexed by `index_to`."""
+    by U^((g_from - g_to)/2), landing in the slice whose `index` is
+    `index_to`: each generator keeps its place, with a higher exponent."""
     steps = Fraction(g_from - g_to) / 2
     if steps.denominator != 1 or steps < 0:
         raise ConsistencyError(f"cannot transport by U^{steps}")
-    steps = int(steps)
     if steps == 0:
         return vec
     out = 0
     for t in _bits(vec):
-        j, a = basis_from[t]
-        out |= 1 << index_to[(j, a + steps)]
+        out |= 1 << index_to[basis_from[t][0]]
     return out
 
 
@@ -299,9 +360,9 @@ def _deep_echelon(cx: UComplex, g, deep):
     deep tower classes `deep` = (grading, classes, basis) of `homology`,
     carried down to g and tagged 1 << position.  Returns it with the slice's
     index."""
-    index = _index_of(slice_basis(cx, g))
+    index = _slice(cx, g).index
     space = _F2Space()
-    for v in _slice_vectors(cx.d, slice_basis(cx, g + 1), index):
+    for v in _slice_vectors(cx.d, _slice(cx, g + 1).basis, index):
         space.add(v)
     g_deep, alive, basis = deep
     for t, (_, vec) in enumerate(alive):
@@ -350,15 +411,15 @@ def homology(cx: UComplex, sub=None) -> GradedUModule:
         alive, prev_basis = [], []  # (birth, vector over prev_basis, slice g + 2)
         g = gmax
         while g >= g_stop:
-            above, basis = slice_basis(cx, g + 1), slice_basis(cx, g)
-            index = _index_of(basis)
+            above = _slice(cx, g + 1).basis
+            basis, index, _ = _slice(cx, g)
             span = sub(g, basis)
             # boundaries arriving from one slice up, restricted to the span
             quotient = _F2Space()
             for v in _apply_vectors(_slice_vectors(cx.d, above, index), sub(g + 1, above)):
                 quotient.add(v)
             # cycles inside the span
-            dslice = _slice_vectors(cx.d, basis, _index_of(slice_basis(cx, g - 1)))
+            dslice = _slice_vectors(cx.d, basis, _slice(cx, g - 1).index)
             kernel = _kernel_of(_apply_vectors(dslice, span), span)
             # transported survivors first (elder rule), then new classes
             next_alive = []
@@ -553,8 +614,8 @@ def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:
         # Q carries the class one slice down; both meet at the lower slice
         g_common = min(g0 - 1, g1)
         space, index = _deep_echelon(cone, g_common, other)
-        q_basis = slice_basis(cone, g0 - 1)
-        img = _apply_vectors(_slice_vectors(q, basis, _index_of(q_basis)), [vec])[0]
+        q_basis, q_index, _ = _slice(cone, g0 - 1)
+        img = _apply_vectors(_slice_vectors(q, basis, q_index), [vec])[0]
         residual, tag = space.reduce(_transport(img, q_basis, g0 - 1, g_common, index))
         if residual:
             raise ConsistencyError("deep Q-image escapes the surviving tower")
@@ -575,12 +636,8 @@ def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:
 
 
 def _positions(src: UComplex, tgt: UComplex, degree):
-    out = []
-    for j in range(len(src)):
-        for i in range(len(tgt)):
-            if _exp_of(src.gradings[j], tgt.gradings[i], degree) is not None:
-                out.append((j, i))
-    return out
+    """The entries (j, i) a degree-`degree` map src -> tgt may have."""
+    return [(j, i) for j, mask in enumerate(_allowed(src, tgt, degree)) for i in _bits(mask)]
 
 
 def _entry(src_rows, tgt_rows, var, j, i):
@@ -647,8 +704,7 @@ class _DeepContext:
             g0, alive, basis = ha.deep[par]
             g = min(g0, hb.deep[par][0])
             space, index = _deep_echelon(tgt, g, hb.deep[par])
-            src_basis = slice_basis(src, g)
-            src_index = _index_of(src_basis)
+            src_basis, src_index, _ = _slice(src, g)
             reps = [_transport(vec, basis, g0, g, src_index) for _, vec in alive]
             self.blocks.append((src_basis, index, space, reps, na))
 
@@ -746,16 +802,31 @@ def image_homology(f: UMap) -> GradedUModule:
         raise ValueError("image homology needs a degree-0 self-map")
 
     def provider(g, basis):
-        return [v for v in _slice_vectors(f, basis, _index_of(basis)) if v]
+        return [v for v in _slice_vectors(f, basis, _slice(f.tgt, g).index) if v]
 
     return homology(f.tgt, sub=provider)
+
+
+def _image_key(f: UMap) -> tuple:
+    """Equal for two self-maps of one complex exactly when their images are
+    the same subcomplex: the reduced echelon of im f in the slice of each
+    generator grading.  im f is generated over F_2[U] by the f(x_j), and
+    f(x_j) lies in the slice at gr(x_j)."""
+    key = []
+    for g in f.tgt._by_grading:
+        basis, index, _ = _slice(f.tgt, g)
+        space = _F2Space()
+        for v in _slice_vectors(f, basis, index):
+            space.add(v)
+        key.append(space.reduced())
+    return tuple(key)
 
 
 def _deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
     total = 0
     for par, (g0, alive, basis) in ha.deep.items():
         space = _F2Space()
-        for v in _slice_vectors(f, basis, _index_of(slice_basis(f.tgt, g0))):
+        for v in _slice_vectors(f, basis, _slice(f.tgt, g0).index):
             space.add(v)
         total += len(basis) - space.rank
     return total
@@ -768,7 +839,8 @@ def connected_homology_brute(
     self local equivalence whose deep kernel is as large as possible.
 
     All maximizers must agree on the answer; if they do not, the search is
-    reported as inconclusive."""
+    reported as inconclusive.  Maximizers with the same image share one
+    `image_homology` call."""
     cands = self_local_equivalences(cx, iota, rank_bound, search_bound)
     ha = homology(cx)
     best_rank = -1
@@ -779,10 +851,12 @@ def connected_homology_brute(
             best_rank, best = kr, [f]
         elif kr == best_rank:
             best.append(f)
-    modules = []
+    modules = {}
     for f in best:
-        m = image_homology(f)
-        modules.append((m.towers, m.torsion))
-    if len(set(modules)) != 1:
+        key = _image_key(f)
+        if key not in modules:
+            m = image_homology(f)
+            modules[key] = (m.towers, m.torsion)
+    if len(set(modules.values())) != 1:
         raise ConsistencyError("maximal self equivalences disagree; no canonical image")
-    return GradedUModule(*modules[0])
+    return GradedUModule(*next(iter(modules.values())))

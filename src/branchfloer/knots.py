@@ -637,6 +637,11 @@ def invariants(
     search.
     """
     ev = _evaluate(spec, n_max)
+    # the search is the step that can exceed its bounds: run it first
+    if not ev.direct:
+        conn = connected_homology_brute(
+            ev.small_cx, ev.small_iota, rank_bound, search_bound
+        )
     full = homology(ev.cx)
     delta = delta_invariant(ev.cx, full)
     br = branched_invariants(ev.cx, ev.iota)
@@ -648,10 +653,6 @@ def invariants(
             )
             if (check.towers, check.torsion) != (conn.towers, conn.torsion):
                 raise ConsistencyError("connected homology cross-check failed")
-    else:
-        conn = connected_homology_brute(
-            ev.small_cx, ev.small_iota, rank_bound, search_bound
-        )
     if conn.towers != (delta,):
         raise ConsistencyError(
             f"connected module towers {conn.towers} disagree with delta {delta}"

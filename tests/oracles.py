@@ -5,6 +5,12 @@ the pipeline produces by a different route, or builds a reference object.
 
 * `standard_swap_complex`, `zero_map`: the smallest nontrivial model complex
   and the zero map, as fixtures.
+* `exp_of`, `ref_slice_basis`, `ref_slice_vectors`, `ref_transport`,
+  `ref_positions`: the chain-level slice routines with the U-exponent of
+  every entry computed explicitly from the gradings, the reference for the
+  package's slices indexed by generator and its table of allowed entries.
+* `image_spans`: every vector of the image of a self-map in each generator
+  grading, which names the image subcomplex without any echelon form.
 * `module_dim_at`, `branched_dimensions`: graded dimensions of a homology
   module, and the same dimensions predicted from a root's involution orbits.
 * `is_local_equivalence`, `induces_localized_iso`: the defining test of a
@@ -31,7 +37,6 @@ from branchfloer.complexes import (
     UMap,
     _bits,
     _DeepContext,
-    _exp_of,
     compose,
     homology,
     lift_involution,
@@ -53,6 +58,65 @@ def standard_swap_complex(top) -> tuple[UComplex, UMap]:
 
 def zero_map(src: UComplex, tgt: UComplex, degree=Fraction(0)) -> UMap:
     return UMap(src, tgt, Fraction(degree), (0,) * len(src))
+
+
+def exp_of(gr_src, gr_tgt, degree):
+    """U-exponent forced on an entry of a degree-`degree` map, or None."""
+    e = Fraction(gr_tgt - gr_src - degree) / 2
+    if e.denominator != 1 or e < 0:
+        return None
+    return int(e)
+
+
+def ref_slice_basis(cx: UComplex, g) -> list[tuple[int, int]]:
+    """Basis of the grading-g piece: pairs (generator, U-exponent)."""
+    return [(j, exp_of(g, h, 0)) for j, h in enumerate(cx.gradings) if exp_of(g, h, 0) is not None]
+
+
+def ref_slice_vectors(f: UMap, g) -> list[int]:
+    """Images of the grading-g slice's basis under f, as bitmasks over the
+    slice f.degree away, each entry placed by its explicit exponent."""
+    index = {pair: t for t, pair in enumerate(ref_slice_basis(f.tgt, g + f.degree))}
+    vecs = []
+    for j, a in ref_slice_basis(f.src, g):
+        v = 0
+        for i in _bits(f.rows[j]):
+            v |= 1 << index[(i, a + exp_of(f.src.gradings[j], f.tgt.gradings[i], f.degree))]
+        vecs.append(v)
+    return vecs
+
+
+def ref_transport(cx: UComplex, vec, g_from, g_to) -> int:
+    """U^((g_from - g_to)/2) times a vector over the grading-g_from slice."""
+    steps = int(Fraction(g_from - g_to) / 2)
+    index = {pair: t for t, pair in enumerate(ref_slice_basis(cx, g_to))}
+    basis = ref_slice_basis(cx, g_from)
+    out = 0
+    for t in _bits(vec):
+        j, a = basis[t]
+        out |= 1 << index[(j, a + steps)]
+    return out
+
+
+def ref_positions(src: UComplex, tgt: UComplex, degree) -> list[tuple[int, int]]:
+    """Entries (j, i) that a map src -> tgt of the given degree may have."""
+    return [
+        (j, i)
+        for j in range(len(src))
+        for i in range(len(tgt))
+        if exp_of(src.gradings[j], tgt.gradings[i], degree) is not None
+    ]
+
+
+def image_spans(f: UMap) -> tuple[frozenset[int], ...]:
+    """All vectors of im f in the slice of each generator grading."""
+    out = []
+    for g in sorted(set(f.tgt.gradings)):
+        span = {0}
+        for v in ref_slice_vectors(f, g):
+            span |= {w ^ v for w in span}
+        out.append(frozenset(span))
+    return tuple(out)
 
 
 def module_dim_at(module: GradedUModule, g) -> int:
@@ -134,7 +198,7 @@ def _extend_to_angles(msrc, mtgt, rows):
         (a, b)
         for a in angle_src
         for b in angle_tgt
-        if _exp_of(src.gradings[a], tgt.gradings[b], Fraction(0)) is not None
+        if exp_of(src.gradings[a], tgt.gradings[b], Fraction(0)) is not None
     ]
     matrix, rhs = [], []
     for a in angle_src:

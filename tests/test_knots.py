@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
-from branchfloer.complexes import GradedUModule
+from branchfloer.complexes import GradedUModule, RankBoundExceeded
 from oracles import determinant
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
@@ -444,6 +444,19 @@ def test_connected_sum_pipeline():
     assert sorted(length for _, length in s.connected.torsion) == [1, 2]
     assert s.omega == 2
     assert s.det == k1.det * k2.det
+
+
+def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):
+    # the small tensor of three rank-3 models has rank 27 > 16: the search
+    # must refuse it before any work on the full tensor (rank 4123) or its cone
+    def unreachable(*args, **kwargs):
+        raise AssertionError("full complex touched before the connected search")
+
+    monkeypatch.setattr(kn, "branched_invariants", unreachable)
+    monkeypatch.setattr(kn, "homology", unreachable)
+    spec = kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9),pretzel(15,-7,13))")
+    with pytest.raises(RankBoundExceeded, match="rank exceeds bound 16"):
+        kn.invariants(spec)
 
 
 @pytest.mark.parametrize(
