@@ -23,12 +23,9 @@ root subcommand reuse graded roots across runs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -123,6 +120,9 @@ def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
     cache_dir = os.environ.get("BRANCHFLOER_CACHE_DIR")
     key_path = None
     if cache_dir:
+        import hashlib  # only the cache needs these: keep start-up lean
+        import tempfile
+
         key_doc = {
             "version": __version__,
             "weights": list(tree.weights),
@@ -223,6 +223,8 @@ def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
         for i, j in pair_index
     ]
     if config.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
         with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
             results = list(pool.map(_omega_of, tasks))
     else:

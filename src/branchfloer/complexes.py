@@ -20,8 +20,11 @@ Every chain-level operation goes through one routine: `_slice_vectors` for
 a slice of any map (the differential `UComplex.d` included),
 `_apply_vectors` for applying or composing bitmask matrices, `_transport`
 for multiplication by a power of U, `_F2Space` for every F_2 echelon and
-`_kernel_of` for every kernel, and `_entry` for one entry of a X + X b in
-the linear systems of `nullhomotopy` and `local_equivalences`.
+`_kernel_of` for every kernel, `_entry` for one entry of a X + X b in the
+linear systems of `nullhomotopy` and `_chain_map_basis`, and `_walk` for
+the search over the chain maps that `local_equivalences` and
+`connected_homology_brute` both run: one Gray-code walk that xors one
+precomputed delta per candidate and reads the deep-kernel rank on the way.
 
 Gradings are `Fraction`s, but their arithmetic is done once per complex and
 grading, not once per matrix entry.  Each complex caches its slices
@@ -31,7 +34,7 @@ only re-index.  The entries a degree-d map may have are the row masks of
 `_allowed`, which both `__post_init__` checks and `_positions` read.
 `Fraction` arithmetic is left in building a slice (once per distinct
 grading), `_transport`'s step, `_parity`, the slice walk of `homology`, the
-slice choice in `branched_invariants` and `_DeepContext`, and the grading
+slice choice in `branched_invariants` and `_deep_blocks`, and the grading
 maps of `shift_complex`, `dual_complex`, `tensor_complex` and
 `involutive_cone`.
 """
@@ -67,22 +70,32 @@ class _F2Space:
         self.pivots = {}  # leading bit -> (vector, combination tag)
 
     def reduce(self, v, tag=0):
+        """Reduce v by every pivot whose bit it has, highest first.  The
+        residual has no pivot bit, so it and the tag are F_2-linear in v."""
+        residual = 0
         while v:
             p = v.bit_length() - 1
-            if p not in self.pivots:
-                return v, tag
-            pv, pt = self.pivots[p]
-            v ^= pv
-            tag ^= pt
-        return 0, tag
+            hit = self.pivots.get(p)
+            if hit is None:
+                residual |= 1 << p
+                v ^= 1 << p
+            else:
+                v ^= hit[0]
+                tag ^= hit[1]
+        return residual, tag
 
     def add(self, v, tag=0):
-        """Insert; returns (independent?, residual tag)."""
-        v, tag = self.reduce(v, tag)
-        if v == 0:
-            return False, tag
-        self.pivots[v.bit_length() - 1] = (v, tag)
-        return True, tag
+        """Insert; returns (independent?, residual tag).  Only the leading
+        bit needs clearing, so this stops at the first one that is new."""
+        while v:
+            p = v.bit_length() - 1
+            hit = self.pivots.get(p)
+            if hit is None:
+                self.pivots[p] = (v, tag)
+                return True, tag
+            v ^= hit[0]
+            tag ^= hit[1]
+        return False, tag
 
     @property
     def rank(self):
@@ -687,60 +700,37 @@ def nullhomotopy(f: UMap) -> UMap | None:
     return UMap(src, tgt, f.degree + 1, tuple(_map_rows(sol, hvar, len(src))))
 
 
-class _DeepContext:
-    """Cached slice data for testing maps src -> tgt on deep tower classes."""
-
-    def __init__(self, src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUModule):
-        self.ok_dims = True
-        self.blocks = []
-        for par in sorted(set(ha.deep) | set(hb.deep)):
-            na = len(ha.deep[par][1]) if par in ha.deep else 0
-            nb = len(hb.deep[par][1]) if par in hb.deep else 0
-            if na != nb:
-                self.ok_dims = False
-                return
-            if na == 0:
-                continue
-            g0, alive, basis = ha.deep[par]
-            g = min(g0, hb.deep[par][0])
-            space, index = _deep_echelon(tgt, g, hb.deep[par])
-            src_basis, src_index, _ = _slice(src, g)
-            reps = [_transport(vec, basis, g0, g, src_index) for _, vec in alive]
-            self.blocks.append((src_basis, index, space, reps, na))
-
-    def iso(self, f: UMap) -> bool:
-        if not self.ok_dims:
-            return False
-        for src_basis, index, space, reps, n in self.blocks:
-            vecs = _slice_vectors(f, src_basis, index)
-            rows = _F2Space()
-            for img in _apply_vectors(vecs, reps):
-                residual, tag = space.reduce(img)
-                if residual:
-                    return False
-                rows.add(tag)
-            if rows.rank != n:
-                return False
-        return True
+def _deep_blocks(src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUModule):
+    """Slice data for testing maps src -> tgt on deep tower classes, one
+    block (source slice basis, target slice index, echelon of the target's
+    boundaries and deep classes, tower representatives, tower count) per
+    parity with towers; None when the tower counts differ at some parity,
+    so that no map is an equivalence."""
+    blocks = []
+    for par in sorted(set(ha.deep) | set(hb.deep)):
+        na = len(ha.deep[par][1]) if par in ha.deep else 0
+        nb = len(hb.deep[par][1]) if par in hb.deep else 0
+        if na != nb:
+            return None
+        if na == 0:
+            continue
+        g0, alive, basis = ha.deep[par]
+        g = min(g0, hb.deep[par][0])
+        space, index = _deep_echelon(tgt, g, hb.deep[par])
+        src_basis, src_index, _ = _slice(src, g)
+        reps = [_transport(vec, basis, g0, g, src_index) for _, vec in alive]
+        blocks.append((src_basis, index, space, reps, na))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
 # brute-force enumeration of local equivalences (small ranks only)
 
 
-def local_equivalences(
-    src: UComplex,
-    iota_src: UMap,
-    tgt: UComplex,
-    iota_tgt: UMap,
-    rank_bound: int = 8,
-    search_bound: int = 18,
-) -> list[UMap]:
-    """All local equivalences src -> tgt, found by exhausting the affine
-    space of chain maps that commute with the involutions up to homotopy.
-
-    Maps are returned up to equality (not up to homotopy), sorted.  Raises
-    RankBoundExceeded when the complexes or the search space are too big."""
+def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
+    """The unknowns of a degree-0 map src -> tgt, and an independent basis
+    (bitmasks over them) of the chain maps that commute with the involutions
+    up to homotopy.  Raises RankBoundExceeded as `local_equivalences`."""
     if len(src) > rank_bound or len(tgt) > rank_bound:
         raise RankBoundExceeded(f"complex rank exceeds bound {rank_bound}")
     fpos = _positions(src, tgt, Fraction(0))
@@ -760,8 +750,8 @@ def local_equivalences(
         )
     # the solutions: kernel of the equations, one column per unknown
     basis = _kernel_of(_transpose(equations, nvars), [1 << t for t in range(nvars)])
-    # the homotopy variables only certify solvability; project them away and
-    # enumerate each candidate chain map once
+    # the homotopy variables only certify solvability; project them away so
+    # that each candidate chain map comes from one combination
     fmask = (1 << len(fpos)) - 1
     fspace = _F2Space()
     fbasis = []
@@ -773,23 +763,99 @@ def local_equivalences(
         raise RankBoundExceeded(
             f"search space dimension {len(fbasis)} exceeds bound {search_bound}"
         )
-    ctx = _DeepContext(src, tgt, homology(src), homology(tgt))
-    found = []
-    for combo in range(1, 1 << len(fbasis)):  # fbasis is independent: no zero map
-        fbits = 0
-        for t in _bits(combo):
-            fbits ^= fbasis[t]
-        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fbits, fvar, len(src))))
-        if ctx.iso(f):
-            found.append(f)
-    found.sort(key=lambda f: f.rows)
-    return found
+    return fvar, fbasis
 
 
-def self_local_equivalences(
-    cx: UComplex, iota: UMap, rank_bound: int = 8, search_bound: int = 18
+def _walk(src, tgt, fvar, fbasis, ha, hb, deep):
+    """Every nonzero combination of `fbasis` that is a local equivalence,
+    as (rows, deep kernel rank): the rank of its kernel on the slices of
+    `deep` (a `homology(src).deep`, or {} for none).
+
+    Everything read off a candidate is F_2-linear in it: its rows, its
+    slice vectors on `deep`, and the (residual, tag) of each tower
+    representative's image reduced by its block's echelon.  So each basis
+    map gets one packed delta of all of them, and the combinations are
+    walked in Gray-code order: step k flips the basis map numbered
+    `(k & -k).bit_length() - 1`, one xor into the running state.  A
+    combination is an equivalence when every residual is 0 and each block's
+    tags have full rank, the two rank checks being the only nonlinear step."""
+    blocks = _deep_blocks(src, tgt, ha, hb)
+    if blocks is None:
+        return
+    width = len(tgt)
+    field = (1 << width) - 1
+    # the packed state, `width` bits per field: the residuals (lowest), then
+    # the rows, the slice vectors of each deep basis and the tags
+    n_res = sum(len(b[3]) for b in blocks)
+    deep_parts = [(_slice(tgt, g0).index, basis) for g0, _, basis in deep.values()]
+    spans, at = [], len(src)
+    for _, basis in deep_parts:
+        spans.append((at, at + len(basis)))
+        at += len(basis)
+    tag_spans = []
+    for *_, n in blocks:
+        tag_spans.append((at, at + n))
+        at += n
+    deltas = []
+    for fb in fbasis:
+        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fb, fvar, len(src))))
+        residuals, fields = [], list(f.rows)
+        for index, basis in deep_parts:
+            fields += _slice_vectors(f, basis, index)
+        for src_basis, index, space, reps, _ in blocks:
+            for img in _apply_vectors(_slice_vectors(f, src_basis, index), reps):
+                residual, tag = space.reduce(img)
+                residuals.append(residual)
+                fields.append(tag)
+        delta = 0
+        for v in reversed(residuals + fields):
+            delta = delta << width | v
+        deltas.append(delta)
+    checked = (1 << n_res * width) - 1
+    ranks = {}
+    state = 0
+
+    def rank(a, b):
+        """Rank of fields a..b-1 of the state, once per distinct value."""
+        key = (a, state >> (n_res + a) * width & (1 << (b - a) * width) - 1)
+        got = ranks.get(key)
+        if got is None:
+            space = _F2Space()
+            for t in range(b - a):
+                space.add(key[1] >> (t * width) & field)
+            got = ranks[key] = space.rank
+        return got
+
+    for k in range(1, 1 << len(deltas)):
+        state ^= deltas[(k & -k).bit_length() - 1]
+        if state & checked:
+            continue
+        if all(rank(a, b) == b - a for a, b in tag_spans):
+            rows = state >> n_res * width
+            yield (
+                tuple(rows >> (j * width) & field for j in range(len(src))),
+                sum(b - a - rank(a, b) for a, b in spans),
+            )
+
+
+def local_equivalences(
+    src: UComplex,
+    iota_src: UMap,
+    tgt: UComplex,
+    iota_tgt: UMap,
+    rank_bound: int = 8,
+    search_bound: int = 18,
 ) -> list[UMap]:
-    return local_equivalences(cx, iota, cx, iota, rank_bound, search_bound)
+    """All local equivalences src -> tgt, found by exhausting the affine
+    space of chain maps that commute with the involutions up to homotopy.
+
+    Maps are returned up to equality (not up to homotopy), sorted.  Raises
+    RankBoundExceeded when the complexes or the search space are too big."""
+    fvar, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    ha = homology(src)
+    hb = ha if tgt is src else homology(tgt)
+    found = sorted(rows for rows, _ in _walk(src, tgt, fvar, fbasis, ha, hb, {}))
+    return [UMap(src, tgt, Fraction(0), rows) for rows in found]
 
 
 # ---------------------------------------------------------------------------
@@ -822,16 +888,6 @@ def _image_key(f: UMap) -> tuple:
     return tuple(key)
 
 
-def _deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
-    total = 0
-    for par, (g0, alive, basis) in ha.deep.items():
-        space = _F2Space()
-        for v in _slice_vectors(f, basis, _slice(f.tgt, g0).index):
-            space.add(v)
-        total += len(basis) - space.rank
-    return total
-
-
 def connected_homology_brute(
     cx: UComplex, iota: UMap, rank_bound: int = 8, search_bound: int = 18
 ) -> GradedUModule:
@@ -841,18 +897,18 @@ def connected_homology_brute(
     All maximizers must agree on the answer; if they do not, the search is
     reported as inconclusive.  Maximizers with the same image share one
     `image_homology` call."""
-    cands = self_local_equivalences(cx, iota, rank_bound, search_bound)
+    fvar, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, search_bound)
     ha = homology(cx)
     best_rank = -1
     best = []
-    for f in cands:
-        kr = _deep_kernel_rank(f, ha)
+    for rows, kr in _walk(cx, cx, fvar, fbasis, ha, ha, ha.deep):
         if kr > best_rank:
-            best_rank, best = kr, [f]
+            best_rank, best = kr, [rows]
         elif kr == best_rank:
-            best.append(f)
+            best.append(rows)
     modules = {}
-    for f in best:
+    for rows in best:
+        f = UMap(cx, cx, Fraction(0), rows)
         key = _image_key(f)
         if key not in modules:
             m = image_homology(f)

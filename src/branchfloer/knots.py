@@ -13,6 +13,7 @@ input language is
 parsed by `parse_spec` and evaluated by `invariants`.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, prod
@@ -504,13 +505,14 @@ def presentation(spec: KnotSpec) -> Presentation:
 
 @dataclass
 class _Eval:
-    """Chain data for a spec: the full complex with involution, a small
-    locally equivalent representative, and diagram bookkeeping.  `direct`
+    """Chain data for a spec: a small locally equivalent representative with
+    its involution, the full complex with its involution on demand (`full`,
+    built from the roots already built, so that a search that refuses the
+    small model costs no full tensor), and diagram bookkeeping.  `direct`
     marks the small model as a monotone subroot model, whose homology is the
     connected module with no search."""
 
-    cx: UComplex
-    iota: UMap
+    full: Callable[[], tuple[UComplex, UMap]]
     small_cx: UComplex
     small_iota: UMap
     direct: bool
@@ -532,45 +534,59 @@ def _dualized(cx: UComplex, iota: UMap) -> tuple[UComplex, UMap]:
     return out, dual_map(iota, out, out)
 
 
+def _tensored(a: tuple[UComplex, UMap], b: tuple[UComplex, UMap]) -> tuple[UComplex, UMap]:
+    cx = tensor_complex(a[0], b[0])
+    return _shifted(cx, tensor_map(a[1], b[1], cx, cx), 2)
+
+
+def _root_model(root, mirrored: bool) -> tuple[UComplex, UMap]:
+    """The model complex of a root with its lifted involution, shifted by -2
+    and dualized for a mirrored presentation."""
+    model = model_complex(root)
+    cx, iota = _shifted(model.cx, lift_involution(model), -2)
+    return _dualized(cx, iota) if mirrored else (cx, iota)
+
+
 def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     if spec.kind == "mirror":
         ev = _evaluate(spec.children[0], n_max)
-        cx, iota = _dualized(ev.cx, ev.iota)
         scx, siota = _dualized(ev.small_cx, ev.small_iota)
         sigma = None if ev.sigma is None else -ev.sigma
-        return _Eval(cx, iota, scx, siota, False, ev.det, sigma)
+        return _Eval(lambda: _dualized(*ev.full()), scx, siota, False, ev.det, sigma)
     if spec.kind == "sum":
         parts = [_evaluate(c, n_max) for c in spec.children]
         out = parts[0]
         for nxt in parts[1:]:
-            cx = tensor_complex(out.cx, nxt.cx)
-            iota = tensor_map(out.iota, nxt.iota, cx, cx)
-            scx = tensor_complex(out.small_cx, nxt.small_cx)
-            siota = tensor_map(out.small_iota, nxt.small_iota, scx, scx)
-            cx, iota = _shifted(cx, iota, 2)
-            scx, siota = _shifted(scx, siota, 2)
+            scx, siota = _tensored((out.small_cx, out.small_iota), (nxt.small_cx, nxt.small_iota))
             sigma = (
                 None
                 if out.sigma is None or nxt.sigma is None
                 else out.sigma + nxt.sigma
             )
-            out = _Eval(cx, iota, scx, siota, False, out.det * nxt.det, sigma)
+            out = _Eval(
+                lambda a=out, b=nxt: _tensored(a.full(), b.full()),
+                scx,
+                siota,
+                False,
+                out.det * nxt.det,
+                sigma,
+            )
         return out
     pres = presentation(spec)
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
     root.require_stable()
-    model = model_complex(root)
-    small = model_complex(monotone_subroot(root))
-    cx, iota = _shifted(model.cx, lift_involution(model), -2)
-    scx, siota = _shifted(small.cx, lift_involution(small), -2)
-    direct = not pres.mirrored
-    if pres.mirrored:
-        cx, iota = _dualized(cx, iota)
-        scx, siota = _dualized(scx, siota)
+    scx, siota = _root_model(monotone_subroot(root), pres.mirrored)
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
         sigma = goeritz_oracle(spec.params)[1]
-    return _Eval(cx, iota, scx, siota, direct, determinant_magnitude(pres.tree), sigma)
+    return _Eval(
+        lambda: _root_model(root, pres.mirrored),
+        scx,
+        siota,
+        not pres.mirrored,
+        determinant_magnitude(pres.tree),
+        sigma,
+    )
 
 
 @dataclass(frozen=True)
@@ -637,14 +653,15 @@ def invariants(
     search.
     """
     ev = _evaluate(spec, n_max)
-    # the search is the step that can exceed its bounds: run it first
+    # the search is the step that can exceed its bounds: run it before the
+    # full complex is built
     if not ev.direct:
         conn = connected_homology_brute(
             ev.small_cx, ev.small_iota, rank_bound, search_bound
         )
-    full = homology(ev.cx)
-    delta = delta_invariant(ev.cx, full)
-    br = branched_invariants(ev.cx, ev.iota)
+    cx, iota = ev.full()
+    delta = delta_invariant(cx)
+    br = branched_invariants(cx, iota)
     if ev.direct:
         conn = homology(ev.small_cx)
         if verify:

@@ -15,6 +15,13 @@ the pipeline produces by a different route, or builds a reference object.
   module, and the same dimensions predicted from a root's involution orbits.
 * `is_local_equivalence`, `induces_localized_iso`: the defining test of a
   local equivalence, for certifying an explicit map.
+* `self_local_equivalences`: `local_equivalences` of a complex to itself.
+* `deep_iso`, `deep_kernel_rank`, `ref_local_equivalences`,
+  `ref_connected_homology`: the connected search one candidate map at a
+  time (rows rebuilt, a `UMap` built and its deep slices reduced for each
+  of the 2^dim combinations, in binary order), the reference for the
+  package's Gray-code walk.  `ref_connected_homology` reads the package's
+  list of self local equivalences and ranks each map's deep kernel itself.
 * `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
   redirecting them onto an invariant vertex of the same weight, each step
   certified by an explicit local equivalence.  When it runs to completion
@@ -35,11 +42,20 @@ from branchfloer.complexes import (
     GradedUModule,
     UComplex,
     UMap,
+    _apply_vectors,
     _bits,
-    _DeepContext,
+    _chain_map_basis,
+    _deep_blocks,
+    _F2Space,
+    _image_key,
+    _map_rows,
+    _slice,
+    _slice_vectors,
     compose,
     homology,
+    image_homology,
     lift_involution,
+    local_equivalences,
     model_complex,
     nullhomotopy,
 )
@@ -152,11 +168,30 @@ def branched_dimensions(root: GradedRoot) -> dict[Fraction, int]:
     return dims
 
 
+def deep_iso(blocks, f: UMap) -> bool:
+    """Does f, on the deep blocks of its complexes (`_deep_blocks`), send the
+    tower representatives into the boundaries plus the deep classes, with
+    tags of full rank?"""
+    if blocks is None:
+        return False
+    for src_basis, index, space, reps, n in blocks:
+        vecs = _slice_vectors(f, src_basis, index)
+        rows = _F2Space()
+        for img in _apply_vectors(vecs, reps):
+            residual, tag = space.reduce(img)
+            if residual:
+                return False
+            rows.add(tag)
+        if rows.rank != n:
+            return False
+    return True
+
+
 def induces_localized_iso(f: UMap, ha=None, hb=None) -> bool:
     """Does f invert the deep (U-localized) homology on every parity?"""
     ha = ha if ha is not None else homology(f.src)
     hb = hb if hb is not None else homology(f.tgt)
-    return _DeepContext(f.src, f.tgt, ha, hb).iso(f)
+    return deep_iso(_deep_blocks(f.src, f.tgt, ha, hb), f)
 
 
 def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap) -> bool:
@@ -167,6 +202,59 @@ def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap) -> bool:
     if nullhomotopy(compose(iota_tgt, f) + compose(f, iota_src)) is None:
         return False
     return induces_localized_iso(f)
+
+
+def deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
+    """Dimension of the kernel of a self-map on the deep slices of `ha`."""
+    total = 0
+    for g0, _, basis in ha.deep.values():
+        space = _F2Space()
+        for v in _slice_vectors(f, basis, _slice(f.tgt, g0).index):
+            space.add(v)
+        total += len(basis) - space.rank
+    return total
+
+
+def self_local_equivalences(cx, iota, rank_bound=8, search_bound=18) -> list[UMap]:
+    """The local equivalences of a complex to itself."""
+    return local_equivalences(cx, iota, cx, iota, rank_bound, search_bound)
+
+
+def ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
+    """`local_equivalences` with each combination of the chain-map basis
+    rebuilt as a map and tested on its own."""
+    fvar, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    blocks = _deep_blocks(src, tgt, homology(src), homology(tgt))
+    found = []
+    for combo in range(1, 1 << len(fbasis)):
+        fbits = 0
+        for t in _bits(combo):
+            fbits ^= fbasis[t]
+        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fbits, fvar, len(src))))
+        if deep_iso(blocks, f):
+            found.append(f)
+    found.sort(key=lambda f: f.rows)
+    return found
+
+
+def ref_connected_homology(cx, iota, rank_bound=8, search_bound=18) -> GradedUModule:
+    """`connected_homology_brute` from the list of `self_local_equivalences`:
+    the deep kernel rank of each map, then one image homology per distinct
+    image among the maximizers, which must all agree."""
+    ha = homology(cx)
+    cands = self_local_equivalences(cx, iota, rank_bound, search_bound)
+    ranks = [deep_kernel_rank(f, ha) for f in cands]
+    top = max(ranks, default=-1)
+    best = [f for f, kr in zip(cands, ranks) if kr == top]
+    modules = {}
+    for f in best:
+        key = _image_key(f)
+        if key not in modules:
+            m = image_homology(f)
+            modules[key] = (m.towers, m.torsion)
+    if len(set(modules.values())) != 1:
+        raise ValueError("maximal self equivalences disagree")
+    return GradedUModule(*next(iter(modules.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -316,7 +317,7 @@ def test_independence_pool_has_no_more_workers_than_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     out = io.StringIO()
     cli.cmd_independence(["torus(2,3)", "torus(2,5)"], cli.RunConfig(workers=8), out=out)
     assert sizes == [3]  # two knots and their sum

@@ -12,12 +12,16 @@ from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
 from oracles import (
+    deep_kernel_rank,
     image_spans,
     is_local_equivalence,
+    ref_connected_homology,
+    ref_local_equivalences,
     ref_positions,
     ref_slice_basis,
     ref_slice_vectors,
     ref_transport,
+    self_local_equivalences,
     standard_swap_complex,
     zero_map,
 )
@@ -78,7 +82,7 @@ def test_branched_cone_with_trivial_involution_collapses():
 
 def test_self_equivalences_of_swap_model():
     c, swap = swap_model()
-    maps = cxm.self_local_equivalences(c, swap)
+    maps = self_local_equivalences(c, swap)
     rows = sorted(m.rows for m in maps)
     assert rows == sorted([cxm.identity_map(c).rows, swap.rows])
 
@@ -86,7 +90,7 @@ def test_self_equivalences_of_swap_model():
 def test_self_equivalences_with_trivial_involution():
     # dropping the involution constraint admits the two projections as well
     c, _ = swap_model()
-    maps = cxm.self_local_equivalences(c, cxm.identity_map(c))
+    maps = self_local_equivalences(c, cxm.identity_map(c))
     assert len(maps) == 4
     assert (1 << 0 | 1 << 1, 0, 0) not in [m.rows for m in maps]
 
@@ -106,7 +110,7 @@ def test_rank_bound_guards_the_search():
     t = cxm.tensor_complex(c, c)
     it = cxm.tensor_map(swap, swap, t, t)
     with pytest.raises(cxm.RankBoundExceeded):
-        cxm.self_local_equivalences(t, it)
+        self_local_equivalences(t, it)
 
 
 def test_tensor_square():
@@ -542,3 +546,92 @@ def test_connected_search_still_reports_disagreeing_images(monkeypatch):
     monkeypatch.setattr(cxm, "image_homology", disagreeing)
     with pytest.raises(cxm.ConsistencyError, match="maximal self equivalences disagree"):
         cxm.connected_homology_brute(cx, iota, 16, 24)
+
+
+# ---------------------------------------------------------------------------
+# the Gray-code walk against one candidate map at a time
+
+# the generator and benchmark sums, with the number of self local
+# equivalences of each one's small model
+SUM_SPECS = [
+    ("sum(pretzel(2,-3,-7),pretzel(2,-3,-9))", 4096),
+    ("sum(pretzel(7,-3,5),mirror(pretzel(2,-3,-7)))", 4096),
+    ("sum(torus(3,7),mirror(pretzel(2,-3,-7)))", 2),
+    ("sum(pretzel(7,-3,5),pretzel(11,-5,9))", 1024),
+    ("sum(pretzel(7,-3,5),pretzel(15,-7,13))", 1024),
+    ("sum(pretzel(11,-5,9),pretzel(15,-7,13))", 1024),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=255), max_size=6),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=255),
+)
+def test_reduce_is_linear_and_leaves_no_pivot_bit(rows, v, w):
+    # the walk adds up reductions of its basis maps' images
+    space = cxm._F2Space()
+    for t, row in enumerate(rows):
+        space.add(row, 1 << t)
+    (rv, tv), (rw, tw) = space.reduce(v), space.reduce(w)
+    assert space.reduce(v ^ w) == (rv ^ rw, tv ^ tw)
+    assert not any(rv >> p & 1 for p in space.pivots)
+    combo = 0
+    for t in range(len(rows)):
+        if tv >> t & 1:
+            combo ^= rows[t]
+    assert combo ^ rv == v
+
+
+def _check_walk(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
+    """The maps the walk accepts, and the deep kernel ranks it reports on
+    src's deep slices, against the references; returns the maps' count."""
+    fvar, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    ha = cxm.homology(src)
+    walked = sorted(cxm._walk(src, tgt, fvar, fbasis, ha, cxm.homology(tgt), ha.deep))
+    expected = ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    assert [rows for rows, _ in walked] == [f.rows for f in expected]
+    assert [kr for _, kr in walked] == [deep_kernel_rank(f, ha) for f in expected]
+    found = cxm.local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    assert [f.rows for f in found] == [f.rows for f in expected]
+    return len(found)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_models(), small_models())
+def test_walk_matches_one_map_at_a_time(a, b):
+    pairs = [(a, a), (a, b), (b, a)]
+    for tree in ONE_LEAF[:2]:
+        shifted = _tensor(a, _model(tree))
+        pairs += [(a, shifted), (shifted, a)]
+    for (src, iota_src), (tgt, iota_tgt) in pairs:
+        if len(ref_positions(src, tgt, 0)) <= 12:
+            _check_walk(src, iota_src, tgt, iota_tgt)
+    assert cxm.connected_homology_brute(*a) == ref_connected_homology(*a)
+
+
+@pytest.mark.parametrize("text, count", SUM_SPECS)
+def test_walk_on_the_small_models_of_sums(text, count):
+    ev = kn._evaluate(kn.parse_spec(text), None)
+    cx, iota = ev.small_cx, ev.small_iota
+    assert _check_walk(cx, iota, cx, iota, 16, 24) == count
+    assert cxm.connected_homology_brute(cx, iota, 16, 24) == ref_connected_homology(
+        cx, iota, 16, 24
+    )
+
+
+def test_searches_of_dimension_zero_and_one():
+    # one generator to itself and to its shifts: a search of dimension 1
+    # (x -> x, or x -> U^e x below a higher copy) or 0 (no map of degree 0)
+    one = cxm.UComplex((Fraction(0),), (0,))
+    ident = cxm.identity_map(one)
+    for shift, expected in [(0, [(1,)]), (2, [(1,)]), (4, [(1,)]), (-2, []), (1, [])]:
+        tgt = cxm.shift_complex(one, shift)
+        iota = cxm.UMap(tgt, tgt, Fraction(0), (1,))
+        _, fbasis = cxm._chain_map_basis(one, ident, tgt, iota, 8, 18)
+        assert len(fbasis) == (1 if expected else 0)
+        found = cxm.local_equivalences(one, ident, tgt, iota)
+        assert [f.rows for f in found] == expected
+    conn = cxm.connected_homology_brute(one, ident)
+    assert (conn.towers, conn.torsion) == ((Fraction(0),), ())

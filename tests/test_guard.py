@@ -7,7 +7,10 @@ nowhere in the package outside its own definition, unless the package exports
 it in `branchfloer.__all__`.  Checks raise typed errors, so another check
 fails on any `assert` statement or raised AssertionError, which `python -O`
 would strip or misfile.  The package has no runtime dependencies, so
-another check fails if starting the command line imports numpy.  The
+another check fails if starting the command line imports numpy, and one
+more if it imports the process pool or the root cache's hashing and
+temporary files, which only `independence --workers` and
+BRANCHFLOER_CACHE_DIR use.  The
 benchmark's tracer (perfbench/tracer.py) wraps the package's layer functions
 by name, so a last check installs and uninstalls it on the loaded package.
 """
@@ -90,6 +93,19 @@ def test_cli_start_up_imports_no_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_start_up_imports_no_pool_or_cache_modules():
+    # -S: no site hooks of the environment load these modules first
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import branchfloer.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'hashlib', 'tempfile') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_benchmark_tracer_finds_every_traced_name():

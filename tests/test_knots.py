@@ -448,15 +448,25 @@ def test_connected_sum_pipeline():
 
 def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):
     # the small tensor of three rank-3 models has rank 27 > 16: the search
-    # must refuse it before any work on the full tensor (rank 4123) or its cone
+    # must refuse it before any work on the full tensor (rank 4123) or its
+    # cone, and before the full tensor is even built
     def unreachable(*args, **kwargs):
         raise AssertionError("full complex touched before the connected search")
 
+    built = []
+    tensor_complex = kn.tensor_complex
+
+    def recorded(a, b):
+        built.append(len(a) * len(b))
+        return tensor_complex(a, b)
+
     monkeypatch.setattr(kn, "branched_invariants", unreachable)
     monkeypatch.setattr(kn, "homology", unreachable)
+    monkeypatch.setattr(kn, "tensor_complex", recorded)
     spec = kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9),pretzel(15,-7,13))")
     with pytest.raises(RankBoundExceeded, match="rank exceeds bound 16"):
         kn.invariants(spec)
+    assert built and max(built) <= 27
 
 
 @pytest.mark.parametrize(
