@@ -16,27 +16,31 @@ The branched construction attaches the mapping cone of 1 + iota with an
 extra degree -1 marker Q.  Its homology carries exactly two towers and the
 Q-action on deep classes tells the upper tower apart from the lower one.
 
-Every chain-level operation goes through one routine: `_slice_vectors` for
-a slice of any map (the differential `UComplex.d` included),
-`_apply_vectors` for applying or composing bitmask matrices, `_transport`
-for multiplication by a power of U, `_F2Space` for every F_2 echelon and
-`_kernel_of` for every kernel, `_entry` for one entry of a X + X b in the
-linear systems of `nullhomotopy` and `_chain_map_basis`, and `_walk` for
-the search over the chain maps that `local_equivalences` and
-`connected_homology_brute` both run: one Gray-code walk that xors one
-precomputed delta per candidate and reads the deep-kernel rank on the way.
+A vector over a grading slice is a bitmask over generator ids: bit j is x_j
+at the U-power the slice forces (`_slice` gives the slice's mask).  In these
+coordinates the boundary of x_j in any slice is diff[j], its image under a
+degree-0 map is rows[j], and multiplication by U is the identity, so no
+slice is ever re-indexed.  `homology` keeps one echelon of boundaries and
+one of the slice differential per parity, both growing as generators enter
+its downward sweep.  Every other chain-level job has one routine:
+`_apply_vectors` for applying or composing bitmask matrices, `_F2Space` for
+every F_2 echelon and `_kernel_of` for the kernel of a linear system,
+`_entry` for one entry of a X + X b in the systems of `nullhomotopy` and
+`_chain_map_basis`, and `_walk` for the search over the chain maps that
+`local_equivalences` and `connected_homology_brute` both run: one Gray-code
+walk that xors one precomputed delta per candidate and reads the deep-kernel
+rank on the way.
 
-Gradings are `Fraction`s, but their arithmetic is done once per complex and
-grading, not once per matrix entry.  Each complex caches its slices
-(`_slice`), indexed by generator: a generator sits at most once in a slice,
-with the exponent its grading forces, so `_slice_vectors` and `_transport`
-only re-index.  The entries a degree-d map may have are the row masks of
-`_allowed`, which both `__post_init__` checks and `_positions` read.
-`Fraction` arithmetic is left in building a slice (once per distinct
-grading), `_transport`'s step, `_parity`, the slice walk of `homology`, the
-slice choice in `branched_invariants` and `_deep_blocks`, and the grading
-maps of `shift_complex`, `dual_complex`, `tensor_complex` and
-`involutive_cone`.
+Gradings are `Fraction`s at the interface only.  Each complex holds one
+`Fraction` offset and integer levels (`UComplex._grid`: gr = offset +
+level/scale, scale 1 when all gradings lie in one coset of Z), and the sweep
+sorts and compares levels.  `Fraction` arithmetic is left once per distinct
+grading in `_grid`, once per parity in `_sweep` and `branched_invariants`,
+once per distinct source level in the tables of allowed entries
+(`_allowed`, which `__post_init__` checks and `_positions` reads), and in
+the grading maps of `shift_complex`, `dual_complex`, `tensor_complex` and
+`involutive_cone` and the degrees of maps.  Births are read off generator
+gradings, so `homology` makes no `Fraction` once a complex's sweep is built.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 
@@ -66,8 +71,8 @@ def _bits(mask):
 class _F2Space:
     """Row space over F_2 with combination tracking (echelon insertion)."""
 
-    def __init__(self):
-        self.pivots = {}  # leading bit -> (vector, combination tag)
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)  # leading bit -> (vector, combination tag)
 
     def reduce(self, v, tag=0):
         """Reduce v by every pivot whose bit it has, highest first.  The
@@ -136,21 +141,56 @@ class UComplex:
         return len(self.gradings)
 
     @cached_property
-    def d(self) -> "UMap":
-        """The differential as a degree -1 self-map."""
-        return UMap(self, self, Fraction(-1), self.diff)
+    def _grid(self) -> tuple:
+        """(offset, scale, levels): gr(x_j) = offset + levels[j] / scale, the
+        levels integers, with one `Fraction` step per distinct grading.  The
+        scale is 1 when every grading lies in one coset of Z."""
+        distinct = {}
+        ids = [distinct.setdefault(g, len(distinct)) for g in self.gradings]
+        offset = Fraction(min(distinct, default=0))
+        rel = [g - offset for g in distinct]
+        scale = lcm(*(r.denominator for r in rel))
+        at = [r.numerator * (scale // r.denominator) for r in rel]
+        return offset, scale, tuple(at[i] for i in ids)
 
     @cached_property
-    def _by_grading(self) -> dict:
-        """Each distinct grading with the bitmask of its generators."""
+    def _by_level(self) -> dict:
+        """Each distinct level with the bitmask of its generators."""
         out = {}
-        for j, g in enumerate(self.gradings):
-            out[g] = out.get(g, 0) | 1 << j
+        for j, level in enumerate(self._grid[2]):
+            out[level] = out.get(level, 0) | 1 << j
         return out
 
     @cached_property
+    def _sweep(self) -> tuple:
+        """The downward sweep of `homology`, per parity class of levels:
+        (parity, class mask, events), each event (level, its grading,
+        generators entering the slice there, generators whose boundaries
+        start to land there), by descending level.  A generator at level L
+        enters the slices of its class at L, and its boundary lands in the
+        other class from L - scale down."""
+        scale = self._grid[1]
+        events = {}
+        for level, gens in self._by_level.items():
+            ev = events.setdefault(level, [level, None, 0, 0])
+            ev[1], ev[2] = self.gradings[(gens & -gens).bit_length() - 1], gens
+            events.setdefault(level - scale, [level - scale, None, 0, 0])[3] = gens
+        classes = {}
+        for level in sorted(events, reverse=True):
+            classes.setdefault(level % (2 * scale), []).append(tuple(events[level]))
+        out = []
+        for evs in classes.values():
+            mask = 0
+            for ev in evs:
+                mask |= ev[2]
+            if mask:
+                par = Fraction(self.gradings[(mask & -mask).bit_length() - 1]) % 2
+                out.append((par, mask, tuple(evs)))
+        return tuple(sorted(out, key=lambda c: c[0]))
+
+    @cached_property
     def _slices(self) -> dict:
-        """The grading slices built so far, by grading (see `_slice`)."""
+        """The slice masks built so far, by level (see `_slice`)."""
         return {}
 
     @cached_property
@@ -258,32 +298,22 @@ def tensor_map(f: UMap, g: UMap, src: UComplex, tgt: UComplex) -> UMap:
 # grading slices
 
 
-class _Slice(NamedTuple):
-    """The grading-g piece of a complex: its basis, its index and its mask."""
-
-    basis: tuple[tuple[int, int], ...]  # (generator, U-exponent), generator order
-    index: tuple[int | None, ...]  # generator -> position in basis, or None
-    mask: int  # bitmask of the generators in basis
-
-
-def _slice(cx: UComplex, g) -> _Slice:
-    """The grading-g slice of cx, built once per complex and grading with one
-    exponent per distinct grading."""
-    got = cx._slices.get(g)
+def _slice(cx: UComplex, g) -> int:
+    """Bitmask of the generators x_j of the grading-g slice of cx: those with
+    gr(x_j) - g a nonnegative even integer, x_j standing for x_j U^((gr(x_j) -
+    g)/2).  Cached per complex and level."""
+    offset, scale, _ = cx._grid
+    level = (g - offset) * scale
+    if level.denominator != 1:
+        return 0
+    level = level.numerator
+    got = cx._slices.get(level)
     if got is None:
-        exps = {}
-        mask = 0
-        for h, gens in cx._by_grading.items():
-            a = Fraction(h - g) / 2
-            if a.denominator == 1 and a >= 0:
-                mask |= gens
-                for j in _bits(gens):
-                    exps[j] = int(a)
-        basis = tuple(sorted(exps.items()))
-        index = [None] * len(cx)
-        for t, (j, _) in enumerate(basis):
-            index[j] = t
-        got = cx._slices[g] = _Slice(basis, tuple(index), mask)
+        got = 0
+        for h, gens in cx._by_level.items():
+            if h >= level and (h - level) % (2 * scale) == 0:
+                got |= gens
+        cx._slices[level] = got
     return got
 
 
@@ -291,15 +321,17 @@ def _allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
     """Row masks of the entries a degree-`degree` map src -> tgt may have:
     generator j may hit exactly the generators of tgt's slice at gr(j) +
     degree.  Built once per (source, target gradings, degree), one slice per
-    distinct source grading.  The entry holds the target's gradings, not the
+    distinct source level.  The entry holds the target's gradings, not the
     target (which would make every complex a reference cycle), and is used
     only for that very tuple: an unpickled entry's id names another object."""
     key = (id(tgt.gradings), degree)
     got = src._tables.get(key)
     if got is None or got[0] is not tgt.gradings:
-        by_grading = {g: _slice(tgt, g + degree).mask for g in src._by_grading}
-        masks = tuple(by_grading[g] for g in src.gradings)
-        got = src._tables[key] = (tgt.gradings, masks)
+        offset, scale, levels = src._grid
+        by_level = {
+            h: _slice(tgt, offset + Fraction(h, scale) + degree) for h in src._by_level
+        }
+        got = src._tables[key] = (tgt.gradings, tuple(by_level[h] for h in levels))
     return got[1]
 
 
@@ -312,22 +344,10 @@ def _invalid_entry(rows, allowed) -> str | None:
     return None
 
 
-def _slice_vectors(f: UMap, src_basis, tgt_index):
-    """Images of a grading slice's basis under f, as bitmasks over the target
-    slice (the one f.degree away, whose `index` is `tgt_index`)."""
-    vecs = []
-    for j, _ in src_basis:
-        v = 0
-        for i in _bits(f.rows[j]):
-            v |= 1 << tgt_index[i]
-        vecs.append(v)
-    return vecs
-
-
 def _apply_vectors(mapped, vectors):
-    """Apply the F_2 matrix whose row t is the image of basis vector t (a
-    slice map, or the rows of a map g) to bitmask vectors; on the rows of a
-    map f, this gives the rows of g after f."""
+    """Apply the F_2 matrix whose row t is the image of basis vector t (the
+    rows of a map g) to bitmask vectors; on the rows of a map f, this gives
+    the rows of g after f."""
     out = []
     for v in vectors:
         acc = 0
@@ -337,23 +357,8 @@ def _apply_vectors(mapped, vectors):
     return out
 
 
-def _transport(vec, basis_from, g_from, g_to, index_to):
-    """Multiply a vector over the grading-g_from slice (basis `basis_from`)
-    by U^((g_from - g_to)/2), landing in the slice whose `index` is
-    `index_to`: each generator keeps its place, with a higher exponent."""
-    steps = Fraction(g_from - g_to) / 2
-    if steps.denominator != 1 or steps < 0:
-        raise ConsistencyError(f"cannot transport by U^{steps}")
-    if steps == 0:
-        return vec
-    out = 0
-    for t in _bits(vec):
-        out |= 1 << index_to[basis_from[t][0]]
-    return out
-
-
 def _kernel_of(images, sources):
-    """Kernel vectors of a slice map given parallel image/source lists."""
+    """Kernel vectors of a linear map given parallel image/source lists."""
     space = _F2Space()
     kernel = []
     for img, src in zip(images, sources):
@@ -366,21 +371,6 @@ def _kernel_of(images, sources):
         if not indep and combo:
             kernel.append(combo)
     return kernel
-
-
-def _deep_echelon(cx: UComplex, g, deep):
-    """Echelon of the boundaries into the grading-g slice of cx, then of the
-    deep tower classes `deep` = (grading, classes, basis) of `homology`,
-    carried down to g and tagged 1 << position.  Returns it with the slice's
-    index."""
-    index = _slice(cx, g).index
-    space = _F2Space()
-    for v in _slice_vectors(cx.d, _slice(cx, g + 1).basis, index):
-        space.add(v)
-    g_deep, alive, basis = deep
-    for t, (_, vec) in enumerate(alive):
-        space.add(_transport(vec, basis, g_deep, g, index), 1 << t)
-    return space, index
 
 
 # ---------------------------------------------------------------------------
@@ -400,66 +390,83 @@ class GradedUModule:
     deep: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def _parity(g) -> Fraction:
-    return Fraction(g) % 2
+class _Deep(NamedTuple):
+    """One parity of a complex below all of its generators, where its slices
+    no longer change: the generators of that parity, the surviving tower
+    classes (top grading, vector) and the echelon pivots of the boundaries."""
+
+    mask: int
+    alive: tuple[tuple[Fraction, int], ...]
+    bound: tuple
 
 
-def homology(cx: UComplex, sub=None) -> GradedUModule:
-    """Barcode homology.  With `sub`, computes homology of the subcomplex
-    spanned (slice-wise) by sub(g, basis) -> list of bitmask vectors; the
-    span must be closed under the differential."""
+def homology(cx: UComplex, sub: tuple[int, ...] | None = None) -> GradedUModule:
+    """Barcode homology, by one downward sweep per parity; with `sub`, the
+    rows of a degree-0 chain self-map, the homology of its image instead.
+
+    A vector over a slice is a bitmask over generators (see `_slice`): the
+    slice at a level is spanned by the vectors (x_j, or sub[j]) of the
+    generators at or above it, their boundaries are the diff[j] (or their
+    sums over sub[j]), and multiplication by U is the identity.  So each
+    parity keeps one echelon of the boundaries landing in it and one of the
+    boundaries of its own vectors, tagged with the vectors (a relation is a
+    cycle); both only grow as generators enter.  At each level where one
+    does, the survivors from above are checked against the boundaries,
+    oldest first (elder rule), then the new cycles against both."""
     if len(cx) == 0:
         return GradedUModule((), ())
-    if sub is None:
-        def sub(g, basis):
-            return [1 << t for t in range(len(basis))]
-    gmin = min(cx.gradings)
+    vectors = sub if sub is not None else tuple(1 << j for j in range(len(cx)))
+    bounds = cx.diff if sub is None else _apply_vectors(cx.diff, sub)
+    step = 2 * cx._grid[1]
     towers = []
     torsion = []
     deep = {}
-    for par in sorted({_parity(g) for g in cx.gradings}):
-        gmax = max(g for g in cx.gradings if _parity(g) == par)
-        # the first of gmax, gmax - 2, ... at or below gmin - 5
-        g_stop = gmin - 5 - (gmin - 5 - gmax) % 2
-        alive, prev_basis = [], []  # (birth, vector over prev_basis, slice g + 2)
-        g = gmax
-        while g >= g_stop:
-            above = _slice(cx, g + 1).basis
-            basis, index, _ = _slice(cx, g)
-            span = sub(g, basis)
-            # boundaries arriving from one slice up, restricted to the span
-            quotient = _F2Space()
-            for v in _apply_vectors(_slice_vectors(cx.d, above, index), sub(g + 1, above)):
-                quotient.add(v)
-            # cycles inside the span
-            dslice = _slice_vectors(cx.d, basis, _slice(cx, g - 1).index)
-            kernel = _kernel_of(_apply_vectors(dslice, span), span)
-            # transported survivors first (elder rule), then new classes
+    for par, mask, events in cx._sweep:
+        bound, kernel = _F2Space(), _F2Space()
+        alive = []  # (birth level, birth grading, vector)
+        for level, grading, entering, sources in events:
+            for j in _bits(sources):
+                bound.add(bounds[j])
+            born = []
+            for j in _bits(entering):
+                indep, combo = kernel.add(bounds[j], vectors[j])
+                if not indep and combo:
+                    born.append(combo)
+            if not (sources or born):
+                continue
+            quotient = _F2Space(bound.pivots)
             next_alive = []
-            for birth, vec in alive:
-                tv = _transport(vec, prev_basis, g + 2, g, index)
-                indep, _ = quotient.add(tv)
-                if indep:
-                    next_alive.append((birth, tv))
+            for cls in alive:
+                if quotient.add(cls[2])[0]:
+                    next_alive.append(cls)
                 else:
-                    torsion.append((birth, int((birth - g) / 2)))
-            for v in kernel:
-                indep, _ = quotient.add(v)
-                if indep:
-                    next_alive.append((g, v))
-            alive, prev_basis = next_alive, basis
-            if g == g_stop:
-                deep[par] = (g, list(alive), basis)
-                towers.extend(birth for birth, _ in alive)
-            g -= 2
-    towers.sort(reverse=True)
-    torsion.sort(key=lambda t: (-t[0], t[1]))
-    return GradedUModule(tuple(towers), tuple(torsion), deep)
+                    torsion.append((-cls[0], (cls[0] - level) // step, cls[1]))
+            for v in born:
+                if quotient.add(v)[0]:
+                    next_alive.append((level, grading, v))
+            alive = next_alive
+        deep[par] = _Deep(mask, tuple((g, v) for _, g, v in alive), tuple(bound.pivots.items()))
+        towers.extend(alive)
+    # descending by top, then ascending by length, on levels
+    towers.sort(key=lambda t: -t[0])
+    torsion.sort(key=lambda t: t[:2])
+    return GradedUModule(
+        tuple(g for _, g, _ in towers), tuple((g, n) for _, n, g in torsion), deep
+    )
 
 
-def delta_invariant(cx: UComplex, computed: GradedUModule | None = None):
+def _deep_echelon(deep: _Deep) -> _F2Space:
+    """Echelon of the boundaries into a deep slice of `homology`, then of its
+    tower classes, tagged 1 << position.  A fresh copy for each caller."""
+    space = _F2Space(deep.bound)
+    for t, (_, vec) in enumerate(deep.alive):
+        space.add(vec, 1 << t)
+    return space
+
+
+def delta_invariant(cx: UComplex):
     """Top grading of the unique tower of H(cx)."""
-    module = computed if computed is not None else homology(cx)
+    module = homology(cx)
     if len(module.towers) != 1:
         raise ConsistencyError(f"expected a single tower, found {module.towers}")
     return module.towers[0]
@@ -615,21 +622,17 @@ def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:
     if (module.towers[0] - module.towers[1]) % 2 != 1:
         raise ConsistencyError("branched towers do not alternate parity")
     hits = {}
-    for par, (g0, alive, basis) in module.deep.items():
-        if not alive:
+    for par, deep in module.deep.items():
+        if not deep.alive:
             continue
-        if len(alive) != 1:
+        if len(deep.alive) != 1:
             raise ConsistencyError("two towers share a parity in the branched cone")
-        top, vec = alive[0]
-        other = module.deep[_parity(g0 - 1)]
-        g1, alive1, _ = other
-        (t_top, _), = alive1
-        # Q carries the class one slice down; both meet at the lower slice
-        g_common = min(g0 - 1, g1)
-        space, index = _deep_echelon(cone, g_common, other)
-        q_basis, q_index, _ = _slice(cone, g0 - 1)
-        img = _apply_vectors(_slice_vectors(q, basis, q_index), [vec])[0]
-        residual, tag = space.reduce(_transport(img, q_basis, g0 - 1, g_common, index))
+        (top, vec), = deep.alive
+        other = module.deep[(par - 1) % 2]
+        (t_top, _), = other.alive
+        # Q carries the class one slice down, into the other parity's deep
+        # slice, which no longer changes either
+        residual, tag = _deep_echelon(other).reduce(_apply_vectors(q.rows, [vec])[0])
         if residual:
             raise ConsistencyError("deep Q-image escapes the surviving tower")
         if tag:
@@ -701,25 +704,21 @@ def nullhomotopy(f: UMap) -> UMap | None:
 
 
 def _deep_blocks(src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUModule):
-    """Slice data for testing maps src -> tgt on deep tower classes, one
-    block (source slice basis, target slice index, echelon of the target's
-    boundaries and deep classes, tower representatives, tower count) per
-    parity with towers; None when the tower counts differ at some parity,
-    so that no map is an equivalence."""
+    """Data for testing maps src -> tgt on deep tower classes, one block
+    (echelon of the target's deep boundaries and classes, source tower
+    classes, tower count) per parity with towers; None when the tower counts
+    differ at some parity, so that no map is an equivalence.  A map sends
+    the deep slice of a parity into the target's one as its rows say."""
     blocks = []
     for par in sorted(set(ha.deep) | set(hb.deep)):
-        na = len(ha.deep[par][1]) if par in ha.deep else 0
-        nb = len(hb.deep[par][1]) if par in hb.deep else 0
+        na = len(ha.deep[par].alive) if par in ha.deep else 0
+        nb = len(hb.deep[par].alive) if par in hb.deep else 0
         if na != nb:
             return None
         if na == 0:
             continue
-        g0, alive, basis = ha.deep[par]
-        g = min(g0, hb.deep[par][0])
-        space, index = _deep_echelon(tgt, g, hb.deep[par])
-        src_basis, src_index, _ = _slice(src, g)
-        reps = [_transport(vec, basis, g0, g, src_index) for _, vec in alive]
-        blocks.append((src_basis, index, space, reps, na))
+        reps = [vec for _, vec in ha.deep[par].alive]
+        blocks.append((_deep_echelon(hb.deep[par]), reps, na))
     return blocks
 
 
@@ -771,39 +770,40 @@ def _walk(src, tgt, fvar, fbasis, ha, hb, deep):
     as (rows, deep kernel rank): the rank of its kernel on the slices of
     `deep` (a `homology(src).deep`, or {} for none).
 
-    Everything read off a candidate is F_2-linear in it: its rows, its
-    slice vectors on `deep`, and the (residual, tag) of each tower
-    representative's image reduced by its block's echelon.  So each basis
-    map gets one packed delta of all of them, and the combinations are
-    walked in Gray-code order: step k flips the basis map numbered
-    `(k & -k).bit_length() - 1`, one xor into the running state.  A
-    combination is an equivalence when every residual is 0 and each block's
-    tags have full rank, the two rank checks being the only nonlinear step."""
+    Everything read off a candidate is F_2-linear in it: its rows, the rows
+    of the generators of each parity of `deep` (its deep slice map), and the
+    (residual, tag) of each tower representative's image reduced by its
+    block's echelon.  So each basis map gets one packed delta of all of
+    them, and the combinations are walked in Gray-code order: step k flips
+    the basis map numbered `(k & -k).bit_length() - 1`, one xor into the
+    running state.  A combination is an equivalence when every residual is
+    0 and each block's tags have full rank, the two rank checks being the
+    only nonlinear step."""
     blocks = _deep_blocks(src, tgt, ha, hb)
     if blocks is None:
         return
     width = len(tgt)
     field = (1 << width) - 1
     # the packed state, `width` bits per field: the residuals (lowest), then
-    # the rows, the slice vectors of each deep basis and the tags
-    n_res = sum(len(b[3]) for b in blocks)
-    deep_parts = [(_slice(tgt, g0).index, basis) for g0, _, basis in deep.values()]
+    # the rows, the rows again for each deep parity's generators and the tags
+    n_res = sum(len(reps) for _, reps, _ in blocks)
+    deep_parts = [list(_bits(d.mask)) for d in deep.values()]
     spans, at = [], len(src)
-    for _, basis in deep_parts:
-        spans.append((at, at + len(basis)))
-        at += len(basis)
+    for gens in deep_parts:
+        spans.append((at, at + len(gens)))
+        at += len(gens)
     tag_spans = []
     for *_, n in blocks:
         tag_spans.append((at, at + n))
         at += n
     deltas = []
     for fb in fbasis:
-        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fb, fvar, len(src))))
-        residuals, fields = [], list(f.rows)
-        for index, basis in deep_parts:
-            fields += _slice_vectors(f, basis, index)
-        for src_basis, index, space, reps, _ in blocks:
-            for img in _apply_vectors(_slice_vectors(f, src_basis, index), reps):
+        rows = _map_rows(fb, fvar, len(src))
+        residuals, fields = [], list(rows)
+        for gens in deep_parts:
+            fields += [rows[j] for j in gens]
+        for space, reps, _ in blocks:
+            for img in _apply_vectors(rows, reps):
                 residual, tag = space.reduce(img)
                 residuals.append(residual)
                 fields.append(tag)
@@ -866,25 +866,23 @@ def image_homology(f: UMap) -> GradedUModule:
     """Homology of the subcomplex im(f) of the target of a chain self-map."""
     if f.src is not f.tgt or f.degree != 0:
         raise ValueError("image homology needs a degree-0 self-map")
-
-    def provider(g, basis):
-        return [v for v in _slice_vectors(f, basis, _slice(f.tgt, g).index) if v]
-
-    return homology(f.tgt, sub=provider)
+    return homology(f.tgt, sub=f.rows)
 
 
 def _image_key(f: UMap) -> tuple:
     """Equal for two self-maps of one complex exactly when their images are
     the same subcomplex: the reduced echelon of im f in the slice of each
     generator grading.  im f is generated over F_2[U] by the f(x_j), and
-    f(x_j) lies in the slice at gr(x_j)."""
+    f(x_j) lies in the slice at gr(x_j), as rows[j]; going down a parity,
+    a slice's span only grows."""
     key = []
-    for g in f.tgt._by_grading:
-        basis, index, _ = _slice(f.tgt, g)
+    for _, _, events in f.tgt._sweep:
         space = _F2Space()
-        for v in _slice_vectors(f, basis, index):
-            space.add(v)
-        key.append(space.reduced())
+        for _, _, entering, _ in events:
+            if entering:
+                for j in _bits(entering):
+                    space.add(f.rows[j])
+                key.append(space.reduced())
     return tuple(key)
 
 

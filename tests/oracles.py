@@ -9,6 +9,10 @@ the pipeline produces by a different route, or builds a reference object.
   `ref_positions`: the chain-level slice routines with the U-exponent of
   every entry computed explicitly from the gradings, the reference for the
   package's slices indexed by generator and its table of allowed entries.
+* `ref_homology`, `ref_image`: barcode homology rebuilt slice by slice over
+  explicit bases, with U-transport between them, for a complex or the image
+  of a self-map: the reference for the package's one sweep per parity over
+  generator masks.
 * `image_spans`: every vector of the image of a self-map in each generator
   grading, which names the image subcomplex without any echelon form.
 * `module_dim_at`, `branched_dimensions`: graded dimensions of a homology
@@ -20,8 +24,10 @@ the pipeline produces by a different route, or builds a reference object.
   `ref_connected_homology`: the connected search one candidate map at a
   time (rows rebuilt, a `UMap` built and its deep slices reduced for each
   of the 2^dim combinations, in binary order), the reference for the
-  package's Gray-code walk.  `ref_connected_homology` reads the package's
-  list of self local equivalences and ranks each map's deep kernel itself.
+  package's Gray-code walk.  `deep_kernel_rank` places every entry by its
+  explicit exponent at a grading below all generators, and
+  `ref_connected_homology` reads the package's list of self local
+  equivalences and ranks each map's deep kernel with it.
 * `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
   redirecting them onto an invariant vertex of the same weight, each step
   certified by an explicit local equivalence.  When it runs to completion
@@ -48,9 +54,8 @@ from branchfloer.complexes import (
     _deep_blocks,
     _F2Space,
     _image_key,
+    _kernel_of,
     _map_rows,
-    _slice,
-    _slice_vectors,
     compose,
     homology,
     image_homology,
@@ -114,6 +119,62 @@ def ref_transport(cx: UComplex, vec, g_from, g_to) -> int:
     return out
 
 
+def ref_homology(cx: UComplex, sub=None) -> GradedUModule:
+    """Barcode homology slice by slice: every grading of each parity from its
+    top generator down to five below the lowest, each slice's boundaries,
+    cycles and U-transported survivors rebuilt over that slice's explicit
+    basis.  With `sub`, the homology of the subcomplex spanned slice-wise by
+    sub(g, basis) -> bitmask vectors over `ref_slice_basis(cx, g)`.  `deep`
+    maps each parity to (lowest grading, surviving (birth, vector) pairs,
+    that slice's basis)."""
+    if len(cx) == 0:
+        return GradedUModule((), ())
+    if sub is None:
+        def sub(g, basis):
+            return [1 << t for t in range(len(basis))]
+    d = UMap(cx, cx, Fraction(-1), cx.diff)
+    gmin = min(cx.gradings)
+    towers, torsion, deep = [], [], {}
+    for par in sorted({Fraction(g) % 2 for g in cx.gradings}):
+        gmax = max(g for g in cx.gradings if Fraction(g) % 2 == par)
+        g_stop = gmin - 5 - (gmin - 5 - gmax) % 2
+        alive = []  # (birth, vector over the slice two gradings up)
+        g = gmax
+        while g >= g_stop:
+            basis = ref_slice_basis(cx, g)
+            span = sub(g, basis)
+            quotient = _F2Space()
+            above = sub(g + 1, ref_slice_basis(cx, g + 1))
+            for v in _apply_vectors(ref_slice_vectors(d, g + 1), above):
+                quotient.add(v)
+            kernel = _kernel_of(_apply_vectors(ref_slice_vectors(d, g), span), span)
+            next_alive = []
+            for birth, vec in alive:
+                tv = ref_transport(cx, vec, g + 2, g)
+                if quotient.add(tv)[0]:
+                    next_alive.append((birth, tv))
+                else:
+                    torsion.append((birth, int((birth - g) / 2)))
+            for v in kernel:
+                if quotient.add(v)[0]:
+                    next_alive.append((g, v))
+            alive = next_alive
+            if g == g_stop:
+                deep[par] = (g, alive, basis)
+                towers.extend(birth for birth, _ in alive)
+            g -= 2
+    towers.sort(reverse=True)
+    torsion.sort(key=lambda t: (-t[0], t[1]))
+    return GradedUModule(tuple(towers), tuple(torsion), deep)
+
+
+def ref_image(f: UMap):
+    """The `sub` of `ref_homology` for the image of a degree-0 self-map."""
+    def provider(g, basis):
+        return [v for v in ref_slice_vectors(f, g) if v]
+    return provider
+
+
 def ref_positions(src: UComplex, tgt: UComplex, degree) -> list[tuple[int, int]]:
     """Entries (j, i) that a map src -> tgt of the given degree may have."""
     return [
@@ -171,13 +232,13 @@ def branched_dimensions(root: GradedRoot) -> dict[Fraction, int]:
 def deep_iso(blocks, f: UMap) -> bool:
     """Does f, on the deep blocks of its complexes (`_deep_blocks`), send the
     tower representatives into the boundaries plus the deep classes, with
-    tags of full rank?"""
+    tags of full rank?  Below every generator a slice vector is a set of
+    generators, and f maps generator j to its row."""
     if blocks is None:
         return False
-    for src_basis, index, space, reps, n in blocks:
-        vecs = _slice_vectors(f, src_basis, index)
+    for space, reps, n in blocks:
         rows = _F2Space()
-        for img in _apply_vectors(vecs, reps):
+        for img in _apply_vectors(f.rows, reps):
             residual, tag = space.reduce(img)
             if residual:
                 return False
@@ -205,13 +266,18 @@ def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap) -> bool:
 
 
 def deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
-    """Dimension of the kernel of a self-map on the deep slices of `ha`."""
+    """Dimension of the kernel of a map on the slices of f.src below all of
+    its generators, at each parity of `ha` (a `homology(f.src)`), with every
+    entry placed by its explicit exponent."""
     total = 0
-    for g0, _, basis in ha.deep.values():
+    low = min(f.src.gradings)
+    for par in ha.deep:
+        g = par + 2 * ((low - par) // 2) - 2
         space = _F2Space()
-        for v in _slice_vectors(f, basis, _slice(f.tgt, g0).index):
+        vecs = ref_slice_vectors(f, g)
+        for v in vecs:
             space.add(v)
-        total += len(basis) - space.rank
+        total += len(vecs) - space.rank
     return total
 
 

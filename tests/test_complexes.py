@@ -16,6 +16,8 @@ from oracles import (
     image_spans,
     is_local_equivalence,
     ref_connected_homology,
+    ref_homology,
+    ref_image,
     ref_local_equivalences,
     ref_positions,
     ref_slice_basis,
@@ -376,28 +378,45 @@ def _slice_gradings(cx):
     return sorted(out)
 
 
+def _generators(basis, vec):
+    """The generators of a vector over an explicit slice basis."""
+    out = 0
+    for t in cxm._bits(vec):
+        out |= 1 << basis[t][0]
+    return out
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_models(), small_models(), st.data())
 def test_slices_and_allowed_entries_match_explicit_exponents(a, b, data):
     (cx, iota), (other, _) = a, b
     cone, q = cxm.involutive_cone(cx, iota)
-    for f in [cx.d, iota, cone.d, q]:
+    d, cone_d = (cxm.UMap(c, c, Fraction(-1), c.diff) for c in (cx, cone))
+    for f in [d, iota, cone_d, q]:
         for g in _slice_gradings(f.src):
-            basis = cxm._slice(f.src, g).basis
-            assert list(basis) == ref_slice_basis(f.src, g)
-            index = cxm._slice(f.tgt, g + f.degree).index
-            assert cxm._slice_vectors(f, basis, index) == ref_slice_vectors(f, g)
+            # a slice vector is a set of generators, each at the U-power its
+            # grading forces: the slice masks are the explicit bases, f maps
+            # x_j to rows[j] in every slice and U is the identity
+            basis = ref_slice_basis(f.src, g)
+            mask = cxm._slice(f.src, g)
+            assert mask == _generators(basis, (1 << len(basis)) - 1)
+            tgt_basis = ref_slice_basis(f.tgt, g + f.degree)
+            assert [_generators(tgt_basis, v) for v in ref_slice_vectors(f, g)] == [
+                f.rows[j] for j in cxm._bits(mask)
+            ]
+            assert all(f.rows[j] & ~cxm._slice(f.tgt, g + f.degree) == 0 for j in cxm._bits(mask))
             if not basis:
                 continue
             vec = data.draw(st.integers(min_value=0, max_value=(1 << len(basis)) - 1))
             for steps in range(4):
                 g_to = g - 2 * steps
-                index_to = cxm._slice(f.src, g_to).index
-                got = cxm._transport(vec, basis, g, g_to, index_to)
-                assert got == ref_transport(f.src, vec, g, g_to)
-            for g_to in [g + 2, g - 1]:
-                with pytest.raises(cxm.ConsistencyError, match="cannot transport"):
-                    cxm._transport(vec, basis, g, g_to, index)
+                got = ref_transport(f.src, vec, g, g_to)
+                assert _generators(ref_slice_basis(f.src, g_to), got) == _generators(basis, vec)
+                assert mask & ~cxm._slice(f.src, g_to) == 0
+            # U only goes down, by two: the slice above lies in this one, and
+            # the one below shares no generator with it
+            assert cxm._slice(f.src, g + 2) & ~mask == 0
+            assert mask & cxm._slice(f.src, g - 1) == 0
     for src, tgt in [(cx, cx), (cx, other), (other, cx), (cone, cx)]:
         for degree in [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]:
             allowed = ref_positions(src, tgt, degree)
@@ -465,19 +484,31 @@ def test_allowed_entries_of_an_unpickled_complex():
 
 
 def test_cached_slices_cannot_be_mutated():
-    c, _ = swap_model()
-    basis = cxm._slice(c, -2).basis
+    # slices are int masks; a deep parity is tuples, and every echelon built
+    # from it is the caller's own copy
+    c, swap = swap_model()
+    assert cxm._slice(c, -2) == 0b11
+    h = cxm.homology(c)
+    deep = h.deep[Fraction(0)]
     with pytest.raises(TypeError):
-        basis[0] = (1, 0)
+        deep.alive[0] = (Fraction(0), 1)
     with pytest.raises(AttributeError):
-        basis.append((2, 0))
+        deep.alive.append((Fraction(0), 1))
     with pytest.raises(TypeError):
-        cxm._slice(c, -2).index[0] = 1
-    _, _, deep_basis = cxm.homology(c).deep[Fraction(0)]
-    with pytest.raises(TypeError):
-        deep_basis[0] = (1, 0)
-    assert cxm._slice(c, -2).basis == ((0, 0), (1, 0))
+        deep.bound[0] = (0, (1, 0))
+    with pytest.raises(AttributeError):
+        deep.mask = 1
+    space = cxm._deep_echelon(deep)
+    space.add(1 << 2, 1 << 5)
+    space.pivots.clear()
+    assert cxm._deep_echelon(deep).rank == len(deep.bound) + len(deep.alive) == 2
+    assert cxm._slice(c, -2) == 0b11
     assert cxm.homology(c).towers == (Fraction(-2),)
+    b = cxm.branched_invariants(c, swap)
+    assert (b.upper, b.lower) == (-2, -4)
+    assert cxm.branched_invariants(c, swap).module.deep[Fraction(1)].alive == b.module.deep[
+        Fraction(1)
+    ].alive
 
 
 _UNDER_O = """
@@ -635,3 +666,96 @@ def test_searches_of_dimension_zero_and_one():
         assert [f.rows for f in found] == expected
     conn = cxm.connected_homology_brute(one, ident)
     assert (conn.towers, conn.torsion) == ((Fraction(0),), ())
+
+
+# ---------------------------------------------------------------------------
+# homology on integer levels against the slice-by-slice reference
+
+
+def test_gradings_in_two_cosets_of_the_integers():
+    half = cxm.homology(cxm.UComplex((Fraction(0), Fraction(1, 2)), (0, 0)))
+    assert half.towers == (Fraction(1, 2), Fraction(0))
+    assert half.torsion == ()
+    low = cxm.homology(cxm.UComplex((Fraction(0), Fraction(-7, 2)), (0, 0)))
+    assert low.towers == (Fraction(0), Fraction(-7, 2))
+
+
+def _shifted(module, s):
+    return (tuple(t + s for t in module.towers), tuple((b + s, n) for b, n in module.torsion))
+
+
+@pytest.mark.parametrize("tree, k", SMALL_ROOTS)
+def test_a_half_shift_moves_every_answer_by_a_half(tree, k):
+    half = Fraction(1, 2)
+    for cx, iota in [_model(tree, k), swap_model()]:
+        sh = cxm.shift_complex(cx, half)
+        iota_sh = cxm.UMap(sh, sh, Fraction(0), iota.rows)
+        h, h_sh = cxm.homology(cx), cxm.homology(sh)
+        assert (h_sh.towers, h_sh.torsion) == _shifted(h, half)
+        b, b_sh = cxm.branched_invariants(cx, iota), cxm.branched_invariants(sh, iota_sh)
+        assert (b_sh.upper, b_sh.lower) == (b.upper + half, b.lower + half)
+        assert (b_sh.module.towers, b_sh.module.torsion) == _shifted(b.module, half)
+        c, c_sh = cxm.connected_homology_brute(cx, iota), cxm.connected_homology_brute(sh, iota_sh)
+        assert (c_sh.towers, c_sh.torsion) == _shifted(c, half)
+
+
+def _same_homology(got, ref):
+    assert (got.towers, got.torsion) == (ref.towers, ref.torsion)
+    assert {p: len(v.alive) for p, v in got.deep.items()} == {
+        p: len(v[1]) for p, v in ref.deep.items()
+    }
+
+
+def _direct_sum(a, b):
+    (ca, ia), (cb, ib) = a, b
+    n = len(ca)
+    cx = cxm.UComplex(ca.gradings + cb.gradings, ca.diff + tuple(r << n for r in cb.diff))
+    return cx, cxm.UMap(cx, cx, Fraction(0), ia.rows + tuple(r << n for r in ib.rows))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_models(), small_models(), st.sampled_from([Fraction(0), Fraction(1, 2)]))
+def test_homology_matches_the_slice_by_slice_reference(a, b, shift):
+    # each model, its dual, the tensor of the two, their direct sum with b
+    # moved into another coset of Z, and every cone, shifted by `shift`;
+    # then the image of every self local equivalence of a
+    dual = cxm.dual_complex(a[0])
+    cases = [a, b, (dual, cxm.dual_map(a[1], dual, dual))]
+    if len(a[0]) * len(b[0]) <= 30:
+        cases.append(_tensor(a, b))
+    third = cxm.shift_complex(b[0], Fraction(1, 3))
+    cases.append(_direct_sum(a, (third, cxm.UMap(third, third, Fraction(0), b[1].rows))))
+    for cx, iota in cases:
+        cx = cxm.shift_complex(cx, shift)
+        iota = cxm.UMap(cx, cx, Fraction(0), iota.rows)
+        for c in [cx, cxm.involutive_cone(cx, iota)[0]]:
+            _same_homology(cxm.homology(c), ref_homology(c))
+    cx = cxm.shift_complex(a[0], shift)
+    iota = cxm.UMap(cx, cx, Fraction(0), a[1].rows)
+    fvar, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8, 18)
+    ha = cxm.homology(cx)
+    for rows, _ in cxm._walk(cx, cx, fvar, fbasis, ha, ha, ha.deep):
+        f = cxm.UMap(cx, cx, Fraction(0), rows)
+        _same_homology(cxm.image_homology(f), ref_homology(cx, ref_image(f)))
+
+
+def test_homology_of_a_large_cone_makes_few_fractions(monkeypatch):
+    # the rank-266 cone of a benchmark sum: its gradings are read once per
+    # distinct grading and once per bar, never once per slice or entry
+    ev = kn._evaluate(kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9))"), None)
+    cone, _ = cxm.involutive_cone(*ev.full())
+    fresh = cxm.UComplex(cone.gradings, cone.diff)
+    made = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    h = cxm.homology(fresh)
+    monkeypatch.undo()
+    distinct, bars = len(set(fresh.gradings)), len(h.towers) + len(h.torsion)
+    assert (len(fresh), distinct, bars) == (266, 14, 68)
+    assert h == cxm.homology(cone)
+    assert len(made) <= 4 * (distinct + bars)
