@@ -13,9 +13,9 @@ boundary.  Two engines build roots:
   leaves inward to write 2 chi_k as a sum of positive squares, list each
   finite sublevel set exactly by a short-vector (Fincke-Pohst) walk, and
   union-find the sublevel graphs level by level (`_Sweep`);
-* a star engine (`build_root_star`), for star-shaped trees: minimize chi over
-  each slice of the central coordinate by dynamic programming along the legs,
-  over the slices and leg values that the same elimination bounds exactly
+* a star engine (`build_root_star`), for star-shaped trees: minimize chi in
+  closed form, from each leg's continued fraction and twist (`_leg_seifert`),
+  on each slice of the central coordinate that the same elimination bounds
   (`plumbing.coordinate_ranges`); components are then maximal intervals of
   the central profile, which the same sweep reads off in one dimension.
 
@@ -69,6 +69,9 @@ class GradedRoot:
     succ[v] is the vertex one level down the tree, None at top-level
     components.  involution is the selected level-preserving involution;
     reflection / graph_perm hold the two candidates when computable.
+    reps[v] is a point of the component, which orders each level and which
+    the box engine maps to find the involutions: the box engine's least
+    point, the star engine's least minimizer on its slice of least (m(i), i).
     """
 
     levels: tuple[int, ...]
@@ -339,19 +342,18 @@ def _assemble(tree, k, sweep, stop, reps, engine):
     Returns (root, component id -> vertex index)."""
     offset = (k_square(tree, k) + len(tree)) / 4
     level_comps = [(n, comps) for n, comps in sweep.level_comps if n <= stop]
-    order = []
+    order, levels = [], []
     for n, comps in level_comps:
         order.extend(sorted(comps, key=lambda c: reps[c]))
+        levels.extend([n] * len(comps))
     index = {c: i for i, c in enumerate(order)}
-    level_of = {c: n for n, comps in level_comps for c in comps}
-    levels = tuple(level_of[c] for c in order)
-    weights = tuple(offset - 2 * level_of[c] for c in order)
+    weights = tuple(offset - 2 * n for n in levels)
     # a top component's parent, if the sweep has one, lies above `stop`
     succ = tuple(index.get(sweep.parent_of.get(c)) for c in order)
-    rep_tuple = tuple(tuple(int(x) for x in reps[c]) for c in order)
+    rep_tuple = tuple(reps[c] for c in order)
     trivial = tuple(range(len(order)))
     stable = len(level_comps[-1][1]) == 1
-    root = GradedRoot(levels, weights, succ, trivial, stable, reps=rep_tuple, engine=engine)
+    root = GradedRoot(tuple(levels), weights, succ, trivial, stable, reps=rep_tuple, engine=engine)
     return root, index
 
 
@@ -572,11 +574,7 @@ def _star_decompose(tree: PlumbingTree):
     """(center, legs): legs are chains of vertex ids, center-adjacent first.
 
     Raises ValueError if the tree branches away from the chosen center."""
-    n = len(tree)
-    if n == 1:
-        return 0, []
-    deg = [tree.degree(v) for v in range(n)]
-    center = max(range(n), key=lambda v: (deg[v], -v))
+    center = max(range(len(tree)), key=lambda v: (tree.degree(v), -v))
     legs = []
     for first in sorted(tree.neighbors(center)):
         leg = [first]
@@ -593,85 +591,53 @@ def _star_decompose(tree: PlumbingTree):
     return center, legs
 
 
-def _min_plus_first(xs, f, mults):
-    """First index j minimizing -2*a*xs[j] + f[j], for each a in `mults`.
+def _leg_seifert(weights, ks):
+    """(alpha_t, omega_t, b_t) for the vertices v_1..v_s of a leg, centre
+    first, with weights w_t and k-entries k_t.  From the tip inward, with
+    alpha_{s+1} = 1 and alpha_{s+2} = 0:
 
-    `xs` must be strictly increasing and `mults` nondecreasing.  Only the
-    lower convex hull of the points (xs[j], f[j]) can win, and the winning
-    hull vertex moves right as a grows, so one forward walk answers every
-    query; ties keep the leftmost (lowest index) point, like np.argmin.
+        alpha_t = -w_t alpha_{t+1} - alpha_{t+2}    (det -Q on v_t..v_s)
+        omega_t = alpha_{t+1}
+        b_t     = sum_{r >= t} alpha_{r+1} (k_r + 2 + w_r) / 2
+
+    alpha_1/omega_1 is the leg's Seifert invariant (the weights are its
+    negative continued fraction); b_t is an integer for characteristic k and
+    0 for the canonical one.  If v_{t-1} takes the value y (i at the centre),
+    the least minimizer of chi on the slice has
+    l_{v_t} = ceil(((y - 1) omega_t + b_t) / alpha_t).
+
+    >>> _leg_seifert([-3, -2, -2], [1, 0, 0]), _leg_seifert([-3, -2, -2], [3, 0, 0])
+    ([(7, 3, 0), (3, 2, 0), (2, 1, 0)], [(7, 3, 3), (3, 2, 0), (2, 1, 0)])
     """
-    hull = []
-    for j in range(len(xs)):
-        while len(hull) >= 2:
-            a, b = hull[-2], hull[-1]
-            if (f[b] - f[a]) * (xs[j] - xs[b]) >= (f[j] - f[b]) * (xs[b] - xs[a]):
-                hull.pop()
-            else:
-                break
-        hull.append(j)
-    out = []
-    t = 0
-    for a in mults:
-        while t + 1 < len(hull):
-            b, c = hull[t], hull[t + 1]
-            if f[c] - f[b] < 2 * a * (xs[c] - xs[b]):
-                t += 1
-            else:
-                break
-        out.append(hull[t])
-    return out
+    out, alpha, after, twice_b = [], 1, 0, 0  # alpha_{t+1}, alpha_{t+2}, 2 b_{t+1}
+    for w, kt in zip(reversed(weights), reversed(ks)):
+        twice_b += alpha * (kt + 2 + w)
+        alpha, after = -w * alpha - after, alpha
+        out.append((alpha, after, twice_b // 2 if twice_b % 2 == 0 else Fraction(twice_b, 2)))
+    return out[::-1]
 
 
-def _leg_profile(tree, k, leg, i_values, ranges):
-    """Minimum over the leg coordinates of the leg's share of 2*chi, per
-    central value i, with lex-first minimizers; each coordinate l_v runs over
-    ranges[v].
-
-    The share is sum_t [-k_t x_t - w_t x_t^2] - 2 i x_1 - 2 sum x_t x_{t+1}.
-    Coordinates are eliminated from the tip inward, starting from a single
-    zero beyond the tip; each step is a min-plus convolution handled by
-    _min_plus_first.
-    """
-    dom, f, choice = [0], [0], []
-    for v in reversed(leg):
-        xs = list(ranges[v])
-        best = _min_plus_first(dom, f, xs)
-        f = [
-            -k[v] * x - tree.weights[v] * x * x - 2 * x * dom[j] + f[j]
-            for x, j in zip(xs, best)
-        ]
-        dom = xs
-        choice.append((xs, best))
-    mins, argmins = [], []
-    for a, idx in zip(i_values, _min_plus_first(dom, f, i_values)):
-        mins.append(-2 * a * dom[idx] + f[idx])
-        coords = []
-        for xs, best in reversed(choice):  # from the centre out: each vertex's own range
-            coords.append(xs[idx])
-            idx = best[idx]
-        argmins.append(tuple(coords))
-    return mins, argmins
-
-
-def _central_profile(tree, k, center, legs, ranges):
-    """m(i), the minimum of chi over the slice l_center = i, for i in
-    ranges[center] with every leg coordinate l_v in ranges[v], and each
-    slice's lex-first minimizer."""
-    i_values = list(ranges[center])
-    total = [-k[center] * i - tree.weights[center] * i * i for i in i_values]
-    points = [[0] * len(tree) for _ in i_values]
-    for row, i in enumerate(i_values):
-        points[row][center] = i
-    for leg in legs:
-        mins, argmins = _leg_profile(tree, k, leg, i_values, ranges)
-        total = [a + b for a, b in zip(total, mins)]
-        for point, coords in zip(points, argmins):
-            for v, x in zip(leg, coords):
-                point[v] = x
-    if any(x % 2 for x in total):
-        raise ConsistencyError("odd central profile: k is not characteristic")
-    return [x // 2 for x in total], [tuple(p) for p in points]
+def _central_profile(tree, k, center, legs, slices):
+    """m(i), the minimum of chi over the slice l_center = i, for each i in
+    `slices`, and each slice's least minimizer, which every leg builds
+    outward from the centre by `_leg_seifert`'s closed form."""
+    w, m, points = tree.weights, [], []
+    legs = [(leg, _leg_seifert([w[v] for v in leg], [k[v] for v in leg])) for leg in legs]
+    for i in slices:
+        point = [0] * len(tree)
+        point[center] = i
+        twice = -k[center] * i - w[center] * i * i
+        for leg, data in legs:
+            y = i
+            for v, (alpha, omega, b) in zip(leg, data):
+                x = -(-((y - 1) * omega + b) // alpha)
+                twice -= k[v] * x + w[v] * x * x + 2 * y * x
+                point[v] = y = x
+        if twice % 2:
+            raise ConsistencyError("odd central profile: k is not characteristic")
+        m.append(twice // 2)
+        points.append(tuple(point))
+    return m, points
 
 
 def build_root_star(
@@ -686,23 +652,20 @@ def build_root_star(
     Slice sublevel sets are connected and meet their neighbours along a
     minimizing path, so the components of S_n are the maximal intervals of
     {i : m(i) <= n}, which the box engine's sweep reads off {(i,) : m(i) <=
-    cap}.  The slices and the leg coordinates run over their ranges on S_cap
-    (`coordinate_ranges`), so m is exact where m(i) <= cap.
-    An explicit n_max is that cap.  Adaptive caps are ceil(min chi) + 8, + 16,
-    + 32, ... until the first connected level plus `_MARGIN`, where the root
-    stops, fits under one.
+    cap}.  The slices run over the central coordinate's range on S_cap
+    (`coordinate_ranges`), and m is exact on every slice, not only where
+    m(i) <= cap (`_leg_seifert`).  An explicit n_max is that cap.  Adaptive
+    caps are ceil(min chi) + 8, + 16, + 32, ... until the first connected
+    level plus `_MARGIN`, where the root stops, fits under one.
     """
     k = _checked_char(tree, k)
     center, legs = _star_decompose(tree)
 
     def profile(cap):
         """{(i,): m(i)} over the slices with m(i) <= cap, and {i: the
-        lex-first minimizer of chi on slice i}."""
-        ranges = coordinate_ranges(tree, k, cap)
-        if not all(ranges):
-            return {}, {}
-        slices = ranges[center]
-        m, points = _central_profile(tree, k, center, legs, ranges)
+        least minimizer of chi on slice i}."""
+        slices = coordinate_ranges(tree, k, cap)[center]
+        m, points = _central_profile(tree, k, center, legs, slices)
         return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, dict(zip(slices, points))
 
     if n_max is None:
@@ -725,12 +688,15 @@ def build_root_star(
             raise InstabilityError("stop level lies below the minimum of chi")
         sweep = _Sweep(m, stop)
 
-    # a component's representative minimizes chi on its slice of least (m(i), i)
-    reps = {}
-    ranked = sorted(m, key=lambda p: (m[p], p))
-    for n in range(sweep.chi[0], stop + 1):
-        for p in itertools.takewhile(lambda p: m[p] <= n, ranked):
-            reps.setdefault(sweep.component_at(p, n), points[p[0]])
+    # a component's representative minimizes chi on its slice of least (m(i), i):
+    # a new one's leftmost (all enter at its level), a merged one's children's least
+    least = {}
+    for n, comps in sweep.level_comps:
+        for c in comps:
+            least.setdefault(c, (n, sweep.reps[c]))
+            if (up := sweep.parent_of.get(c)) is not None:
+                least[up] = min(least.get(up, least[c]), least[c])
+    reps = {c: points[i] for c, (_, (i,)) in least.items()}
     root, comp_index = _assemble(tree, k, sweep, stop, reps, "star")
 
     refl = None
@@ -740,13 +706,11 @@ def build_root_star(
         refl = _perm_from_map(root, comp_index, sweep, lambda p: (rho - p[center],))
         if refl is None:
             raise ConsistencyError("lattice reflection does not preserve the central profile")
-    gperm = None
-    if tree.automorphism is not None:
-        aut = tree.automorphism
-        if aut[center] == center and all(k[aut[v]] == k[v] for v in range(len(tree))):
-            # slice-preserving and chi-preserving: every component, being an
-            # interval of slices, maps to itself
-            gperm = tuple(range(len(root)))
+    # a slice- and chi-preserving automorphism maps every component, being an
+    # interval of slices, to itself
+    gperm, aut = None, tree.automorphism
+    if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
+        gperm = tuple(range(len(root)))
     return _attach_involutions(root, refl, gperm, involution)
 
 

@@ -33,6 +33,11 @@ the pipeline produces by a different route, or builds a reference object.
   certified by an explicit local equivalence.  When it runs to completion
   the involution is trivial, which forces the reduced connected homology to
   vanish; the monotone subroot must agree.
+* `ref_min_plus_first`, `ref_leg_profile`, `ref_central_profile`: the
+  star engine's central profile by a min-plus dynamic program along each
+  leg over every coordinate's exact range on a sublevel set that holds all
+  the slice minimizers, with lex-first minimizers: the reference for the
+  package's closed form from each leg's continued fraction.
 * `determinant`, `leading_minors`, `is_negative_definite`, `solve_exact`,
   `invert_exact`, `solve_mod2`: dense exact matrix algebra (Bareiss minors,
   Gauss-Jordan over the rationals and over F_2) on plain lists of lists, the
@@ -65,6 +70,7 @@ from branchfloer.complexes import (
     nullhomotopy,
 )
 from branchfloer.connected import _subroot_spanned
+from branchfloer.plumbing import chi, coordinate_ranges
 from branchfloer.roots import GradedRoot
 
 
@@ -422,6 +428,98 @@ def symmetric_reduction(root: GradedRoot) -> ReductionReport:
             return ReductionReport(current, deletions, True)
         current = nxt
         deletions += 1
+
+
+# ---------------------------------------------------------------------------
+# star central profile by dynamic programming along the legs
+
+
+def ref_min_plus_first(xs, f, mults):
+    """First index j minimizing -2*a*xs[j] + f[j], for each a in `mults`.
+
+    `xs` must be strictly increasing and `mults` nondecreasing.  Only the
+    lower convex hull of the points (xs[j], f[j]) can win, and the winning
+    hull vertex moves right as a grows, so one forward walk answers every
+    query; ties keep the leftmost (lowest index) point.
+
+    >>> ref_min_plus_first([0, 1, 2], [0, -1, 2], [-1, 0, 1, 2])
+    [0, 1, 1, 2]
+    """
+    hull = []
+    for j in range(len(xs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (f[b] - f[a]) * (xs[j] - xs[b]) >= (f[j] - f[b]) * (xs[b] - xs[a]):
+                hull.pop()
+            else:
+                break
+        hull.append(j)
+    out = []
+    t = 0
+    for a in mults:
+        while t + 1 < len(hull):
+            b, c = hull[t], hull[t + 1]
+            if f[c] - f[b] < 2 * a * (xs[c] - xs[b]):
+                t += 1
+            else:
+                break
+        out.append(hull[t])
+    return out
+
+
+def ref_leg_profile(tree, k, leg, i_values, ranges):
+    """Minimum over the leg coordinates of the leg's share of 2*chi, per
+    central value i, with lex-first minimizers; each coordinate l_v runs over
+    ranges[v].
+
+    The share is sum_t [-k_t x_t - w_t x_t^2] - 2 i x_1 - 2 sum x_t x_{t+1}.
+    Coordinates are eliminated from the tip inward, starting from a single
+    zero beyond the tip; each step is a min-plus convolution handled by
+    `ref_min_plus_first`.
+    """
+    dom, f, choice = [0], [0], []
+    for v in reversed(leg):
+        xs = list(ranges[v])
+        best = ref_min_plus_first(dom, f, xs)
+        f = [
+            -k[v] * x - tree.weights[v] * x * x - 2 * x * dom[j] + f[j]
+            for x, j in zip(xs, best)
+        ]
+        dom = xs
+        choice.append((xs, best))
+    mins, argmins = [], []
+    for a, idx in zip(i_values, ref_min_plus_first(dom, f, i_values)):
+        mins.append(-2 * a * dom[idx] + f[idx])
+        coords = []
+        for xs, best in reversed(choice):  # from the centre out: each vertex's own range
+            coords.append(xs[idx])
+            idx = best[idx]
+        argmins.append(tuple(coords))
+    return mins, argmins
+
+
+def ref_central_profile(tree, k, center, legs, slices):
+    """`roots._central_profile` by `ref_leg_profile`.
+
+    Every slice's minimum is at most chi at its point with all leg
+    coordinates 0, so every slice minimizer lies in S_cap for cap the largest
+    of those values, and the leg DP runs each coordinate over its exact range
+    on S_cap (`coordinate_ranges`)."""
+    slices = list(slices)
+    if not slices:
+        return [], []
+    base = [[0] * len(tree) for _ in slices]
+    for point, i in zip(base, slices):
+        point[center] = i
+    ranges = coordinate_ranges(tree, k, max(chi(tree, k, tuple(p)) for p in base))
+    total = [-k[center] * i - tree.weights[center] * i * i for i in slices]
+    for leg in legs:
+        mins, argmins = ref_leg_profile(tree, k, leg, slices, ranges)
+        total = [a + b for a, b in zip(total, mins)]
+        for point, coords in zip(base, argmins):
+            for v, x in zip(leg, coords):
+                point[v] = x
+    return [x // 2 for x in total], [tuple(p) for p in base]
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ except ValueError as err:
     print("chi:", err)
 center, legs = rt._star_decompose(tree)
 try:
-    rt._central_profile(tree, (0, 0, 0, 0), center, legs, [range(-3, 4)] + [range(-8, 9)] * 3)
+    rt._central_profile(tree, (0, 0, 0, 0), center, legs, range(-3, 4))
 except ConsistencyError as err:
     print("profile:", err)
 pl.chi = lambda tree, k, ell: sum(ell)  # a chi the reflection cannot preserve

@@ -10,7 +10,7 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import is_negative_definite
+from oracles import is_negative_definite, ref_central_profile
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 E8 = pl.star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]])
@@ -139,37 +139,158 @@ def test_star_engine_computes_the_profile_at_most_twice(monkeypatch):
     assert len(calls) <= 2
 
 
-def test_star_engine_runs_each_leg_coordinate_over_its_own_range(monkeypatch):
-    # The leg DP hands _min_plus_first each coordinate's exact range on S_cap
-    # (for this knot 31 to 397 values), never one window as wide as the
-    # widest leg (1307 values), and reads its minimizers back range by range.
+def test_star_engine_profiles_the_centre_range_to_least_minimizers(monkeypatch):
+    # The profile runs over the centre's exact range on S_cap and nothing
+    # wider, and each representative is the least minimizer of chi on its
+    # slice (the leg DP's lex-first one), so it lies in S_n at its level n.
     pres = kn.presentation(kn.parse_spec("pretzel(15,-7,13)"))
     tree, k = pres.tree, pres.char
     ranges, handed = [], []
-    coordinate_ranges, min_plus_first = rt.coordinate_ranges, rt._min_plus_first
+    coordinate_ranges, central_profile = rt.coordinate_ranges, rt._central_profile
 
     def recorded_ranges(*args):
         ranges.append(coordinate_ranges(*args))
         return ranges[-1]
 
-    def recorded_min_plus_first(xs, f, mults):
-        handed.append((ranges[-1], list(xs), list(mults)))
-        return min_plus_first(xs, f, mults)
+    def recorded_profile(tree, k, center, legs, slices):
+        handed.append((ranges[-1], slices))
+        return central_profile(tree, k, center, legs, slices)
 
     monkeypatch.setattr(rt, "coordinate_ranges", recorded_ranges)
-    monkeypatch.setattr(rt, "_min_plus_first", recorded_min_plus_first)
+    monkeypatch.setattr(rt, "_central_profile", recorded_profile)
     root = rt.build_root_star(tree, k, involution=pres.involution)
     center, legs = rt._star_decompose(tree)
-    expected = []
-    for r in ranges:
-        if not all(r):
-            continue
-        for leg in legs:
-            outer = [[0]] + [list(r[v]) for v in reversed(leg)]
-            expected += [(r, dom, xs) for dom, xs in zip(outer, outer[1:])]
-            expected.append((r, outer[-1], list(r[center])))
-    assert handed == expected
+    assert handed == [(r, r[center]) for r in ranges]
     assert all(pl.chi(tree, k, p) <= n for p, n in zip(root.reps, root.levels))
+    slices = sorted({p[center] for p in root.reps})
+    _, least = ref_central_profile(tree, k, center, legs, slices)
+    assert set(root.reps) == set(least)
+
+
+@st.composite
+def twisted_chains(draw):
+    """A chain of 1-3 vertices with weights -1..-6 hung off a centre, a
+    characteristic k twisted on every vertex, and a run of central values
+    of either sign."""
+    legs = [[draw(st.integers(-6, -1)) for _ in range(draw(st.integers(1, 3)))]]
+    tree = pl.star(draw(st.integers(-6, -1)), legs)
+    assume(is_negative_definite(pl.intersection_form(tree)))
+    k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
+    lo = draw(st.integers(-15, 15))
+    return tree, k, range(lo, draw(st.integers(lo, 15)) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(twisted_chains())
+def test_closed_form_matches_the_leg_dp_on_chains(data):
+    tree, k, slices = data
+    center, legs = rt._star_decompose(tree)
+    assert rt._central_profile(tree, k, center, legs, slices) == ref_central_profile(
+        tree, k, center, legs, slices
+    )
+
+
+@st.composite
+def twisted_stars(draw):
+    """Definite stars of one to four legs of up to three vertices, leg weights
+    -1..-7 around a centre of weight -1..-3 (so that some roots branch), the
+    centre relabelled, k twisted, and an adaptive or explicit stop level."""
+    legs = [
+        [draw(st.integers(-7, -1)) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    tree = pl.star(draw(st.integers(-3, -1)), legs)
+    assume(is_negative_definite(pl.intersection_form(tree)))
+    n = len(tree)
+    label = draw(st.permutations(range(n)))
+    tree = pl.PlumbingTree(
+        tuple(tree.weights[label.index(v)] for v in range(n)),
+        tuple((label[a], label[b]) for a, b in tree.edges),
+    )
+    k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
+    return tree, k, draw(st.none() | st.integers(-3, 8))
+
+
+def _built_both_ways(tree, k, n_max, involution="auto"):
+    """A star root's JSON, representatives and reflection, or its error, built
+    by the package and again with the leg DP's central profile."""
+
+    def build():
+        try:
+            root = rt.build_root_star(tree, k, n_max=n_max, involution=involution)
+        except rt.InstabilityError as err:
+            return str(err)
+        return root.to_json(), root.reps, root.reflection
+
+    ours = build()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rt, "_central_profile", ref_central_profile)
+        return ours, build()
+
+
+@settings(max_examples=150, deadline=None)
+@given(twisted_stars())
+def test_star_roots_match_the_leg_dp_profile(data):
+    ours, reference = _built_both_ways(*data)
+    assert ours == reference
+
+
+@pytest.mark.parametrize(
+    "text", ["torus(3,7)", "pretzel(7,-3,5)", "pretzel(11,-5,9)", "pretzel(3,-5,-7,9,-11)"]
+)
+@pytest.mark.parametrize("n_max", [None, 3])
+def test_branched_star_roots_match_the_leg_dp_profile(text, n_max):
+    # random small stars rarely branch; these roots have up to 16 leaves
+    pres = kn.presentation(kn.parse_spec(text))
+    ours, reference = _built_both_ways(pres.tree, pres.char, n_max, pres.involution)
+    assert ours == reference
+
+
+SEIFERT_CORPUS = [
+    "torus(2,3)",
+    "torus(2,5)",
+    "torus(2,7)",
+    "torus(3,4)",
+    "torus(3,5)",
+    "torus(3,7)",
+    "torus(4,5)",
+    "torus(7,13)",
+    "pretzel(2,-3,-7)",
+    "pretzel(2,-3,-11)",
+    "pretzel(-2,3,7)",
+    "pretzel(7,-3,5)",
+    "pretzel(11,-5,9)",
+    "pretzel(15,-7,13)",
+    "pretzel(3,-5,-7,9,11)",
+    "pretzel(3,-5,-7,9,-11)",
+    "montesinos(0;7/3)",
+    "montesinos(-2;2/1,3/2,7/6)",
+]
+# the presentations whose spin vector is not the canonical one
+TWISTED_CHARS = ("pretzel(3,-5,-7,9,11)", "pretzel(3,-5,-7,9,-11)", "montesinos(0;7/3)")
+
+
+@pytest.mark.parametrize("text", SEIFERT_CORPUS)
+def test_leg_data_are_the_seifert_invariants(text):
+    # alpha_1/omega_1 expands back to the leg's weights, and the twists b_t
+    # vanish for the canonical k.  montesinos(0;7/3) is a chain (-1, -2, -4)
+    # centred on its middle vertex, so its -1 end is not a Seifert leg.
+    tree, k = (pres := kn.presentation(kn.parse_spec(text))).tree, pres.char
+    center, legs = rt._star_decompose(tree)
+    canonical = k == pl.canonical_char(tree)
+    seifert_legs = 0
+    for leg in legs:
+        weights = [tree.weights[v] for v in leg]
+        data = rt._leg_seifert(weights, [k[v] for v in leg])
+        assert all(isinstance(b, int) for _, _, b in data)
+        if canonical:
+            assert all(b == 0 for _, _, b in data)
+        if max(weights) <= -2:
+            alpha, omega, _ = data[0]
+            assert kn.negative_continued_fraction(alpha, omega) == weights
+            seifert_legs += 1
+    assert seifert_legs == len(legs) - (text == "montesinos(0;7/3)")
+    assert canonical == (text not in TWISTED_CHARS)
 
 
 def test_representative_independence():
