@@ -275,7 +275,8 @@ def test_leg_data_are_the_seifert_invariants(text):
     # alpha_1/omega_1 expands back to the leg's weights, and the twists b_t
     # vanish for the canonical k.  montesinos(0;7/3) is a chain (-1, -2, -4)
     # centred on its middle vertex, so its -1 end is not a Seifert leg.
-    tree, k = (pres := kn.presentation(kn.parse_spec(text))).tree, pres.char
+    pres = kn.presentation(kn.parse_spec(text))
+    tree, k = pres.tree, pres.char
     center, legs = rt._star_decompose(tree)
     canonical = k == pl.canonical_char(tree)
     seifert_legs = 0
