@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ConsistencyError, __version__, knots, plumbing, roots
+from .complexes import delta_invariant
+from .connected import omega
 
 
 @dataclass(frozen=True)
@@ -200,16 +202,43 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
         out.write(f"involution  {' '.join(f'({a} {b})' for a, b in swaps) or 'id'}\n")
 
 
+def _checked_omega(ev, delta, config: RunConfig) -> int:
+    """omega of an evaluation whose full complex has `delta`, from its small
+    model; `--verify` adds delta and the branched invariants of the full
+    complex, built from the roots already built."""
+    if config.verify and knots._full_invariants(ev)[0] != delta:
+        raise ConsistencyError(f"delta of the full complex differs from {delta}")
+    conn = knots._connected(ev, config.rank_bound, config.rank_bound + 8, config.verify)
+    knots._require_tower(conn, delta)
+    return omega(conn)
+
+
+def _evaluated(task):
+    """First-round pool task: evaluate one knot spec, building its roots
+    once, and return the evaluation, delta of its full complex and omega."""
+    text, config = task
+    ev = knots._evaluate(knots.parse_spec(text), config.n_max)
+    delta = delta_invariant(ev.full()[0])
+    return ev, delta, _checked_omega(ev, delta, config)
+
+
 def _omega_of(task) -> int:
-    text, n_max, rank_bound, verify = task
-    pkg = knots.invariants(
-        knots.parse_spec(text),
-        n_max=n_max,
-        rank_bound=rank_bound,
-        search_bound=rank_bound + 8,
-        verify=verify,
-    )
-    return pkg.omega
+    """Second-round pool task: omega of the sum of two evaluated knots, from
+    the tensor of their small models, its tower checked against
+    delta(a) + delta(b) + 2."""
+    text, (a, delta_a), (b, delta_b), config = task
+    return _checked_omega(knots._summed(a, b), delta_a + delta_b + 2, config)
+
+
+def _rounds(run, names, pair_index, config: RunConfig):
+    """Both rounds of `independence` through `run` (`map` or a pool's): each
+    knot evaluated once, then each pair from the two evaluations."""
+    evals = list(run(_evaluated, [(n, config) for n in names]))
+    pairs = [
+        (f"sum({names[i]},{names[j]})", evals[i][:2], evals[j][:2], config)
+        for i, j in pair_index
+    ]
+    return [w for _, _, w in evals], list(run(_omega_of, pairs))
 
 
 def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
@@ -217,20 +246,14 @@ def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
     specs = [knots.parse_spec(t) for t in texts]
     names = [knots.unparse(s) for s in specs]
     pair_index = [(i, j) for i in range(len(specs)) for j in range(i + 1, len(specs))]
-    tasks = [(n, config.n_max, config.rank_bound, config.verify) for n in names]
-    tasks += [
-        (f"sum({names[i]},{names[j]})", config.n_max, config.rank_bound, config.verify)
-        for i, j in pair_index
-    ]
-    if config.workers > 1:
+    size = min(config.workers, max(len(names), len(pair_index)))
+    if size > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
 
-        with ProcessPoolExecutor(max_workers=min(config.workers, len(tasks))) as pool:
-            results = list(pool.map(_omega_of, tasks))
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            omegas, pair_omegas = _rounds(pool.map, names, pair_index, config)
     else:
-        results = [_omega_of(t) for t in tasks]
-    omegas = results[: len(specs)]
-    pair_omegas = results[len(specs):]
+        omegas, pair_omegas = _rounds(map, names, pair_index, config)
     certificate = all(w > 0 for w in omegas) and len(set(omegas)) == len(omegas)
     for (i, j), w in zip(pair_index, pair_omegas):
         if w != max(omegas[i], omegas[j]):

@@ -13,13 +13,13 @@ input language is
 parsed by `parse_spec` and evaluated by `invariants`.
 """
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, prod
 import re
 
 from .complexes import (
+    BranchedModule,
     ConsistencyError,
     GradedUModule,
     UComplex,
@@ -45,7 +45,7 @@ from .plumbing import (
     spin_char,
     star,
 )
-from .roots import build_root
+from .roots import GradedRoot, build_root
 
 
 class KnotSpecError(ValueError):
@@ -506,18 +506,29 @@ def presentation(spec: KnotSpec) -> Presentation:
 @dataclass
 class _Eval:
     """Chain data for a spec: a small locally equivalent representative with
-    its involution, the full complex with its involution on demand (`full`,
-    built from the roots already built, so that a search that refuses the
-    small model costs no full tensor), and diagram bookkeeping.  `direct`
+    its involution, what `full` builds the full complex from (a knot's root
+    and `mirrored`, or the evaluations of a mirror's one child or a sum's
+    two), and diagram bookkeeping.  Plain data, so it pickles.  `direct`
     marks the small model as a monotone subroot model, whose homology is the
     connected module with no search."""
 
-    full: Callable[[], tuple[UComplex, UMap]]
     small_cx: UComplex
     small_iota: UMap
     direct: bool
     det: int
     sigma: int | None
+    root: GradedRoot | None = None
+    mirrored: bool = False
+    children: tuple["_Eval", ...] = ()
+
+    def full(self) -> tuple[UComplex, UMap]:
+        """The full complex with its involution, from the roots already built,
+        so that a search that refuses the small model costs no full tensor."""
+        if self.root is not None:
+            return _root_model(self.root, self.mirrored)
+        if len(self.children) == 1:
+            return _dualized(*self.children[0].full())
+        return _tensored(*(c.full() for c in self.children))
 
 
 def _rebase(m: UMap, cx: UComplex) -> UMap:
@@ -547,30 +558,25 @@ def _root_model(root, mirrored: bool) -> tuple[UComplex, UMap]:
     return _dualized(cx, iota) if mirrored else (cx, iota)
 
 
+def _summed(a: _Eval, b: _Eval) -> _Eval:
+    """The evaluation of the sum of two evaluated specs: the tensor of their
+    small models, and of their full complexes on demand."""
+    scx, siota = _tensored((a.small_cx, a.small_iota), (b.small_cx, b.small_iota))
+    sigma = None if a.sigma is None or b.sigma is None else a.sigma + b.sigma
+    return _Eval(scx, siota, False, a.det * b.det, sigma, children=(a, b))
+
+
 def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     if spec.kind == "mirror":
         ev = _evaluate(spec.children[0], n_max)
         scx, siota = _dualized(ev.small_cx, ev.small_iota)
         sigma = None if ev.sigma is None else -ev.sigma
-        return _Eval(lambda: _dualized(*ev.full()), scx, siota, False, ev.det, sigma)
+        return _Eval(scx, siota, False, ev.det, sigma, children=(ev,))
     if spec.kind == "sum":
         parts = [_evaluate(c, n_max) for c in spec.children]
         out = parts[0]
         for nxt in parts[1:]:
-            scx, siota = _tensored((out.small_cx, out.small_iota), (nxt.small_cx, nxt.small_iota))
-            sigma = (
-                None
-                if out.sigma is None or nxt.sigma is None
-                else out.sigma + nxt.sigma
-            )
-            out = _Eval(
-                lambda a=out, b=nxt: _tensored(a.full(), b.full()),
-                scx,
-                siota,
-                False,
-                out.det * nxt.det,
-                sigma,
-            )
+            out = _summed(out, nxt)
         return out
     pres = presentation(spec)
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
@@ -580,13 +586,47 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
         sigma = goeritz_oracle(spec.params)[1]
     return _Eval(
-        lambda: _root_model(root, pres.mirrored),
         scx,
         siota,
         not pres.mirrored,
         determinant_magnitude(pres.tree),
         sigma,
+        root,
+        pres.mirrored,
     )
+
+
+def _connected(ev: _Eval, rank_bound: int, search_bound: int, verify: bool) -> GradedUModule:
+    """The connected module of an evaluation, from its small model: the
+    homology of a direct model (cross-checked by the search with `verify`),
+    else the search, which is the step that can exceed its bounds."""
+    if not ev.direct:
+        return connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound, search_bound)
+    conn = homology(ev.small_cx)
+    if verify:
+        check = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound, search_bound)
+        if (check.towers, check.torsion) != (conn.towers, conn.torsion):
+            raise ConsistencyError("connected homology cross-check failed")
+    return conn
+
+
+def _require_tower(conn: GradedUModule, delta) -> None:
+    if conn.towers != (delta,):
+        raise ConsistencyError(
+            f"connected module towers {conn.towers} disagree with delta {delta}"
+        )
+
+
+def _full_invariants(ev: _Eval) -> tuple[Fraction, BranchedModule]:
+    """delta and the branched module of an evaluation's full complex, with
+    the check that the branched correction terms bracket delta."""
+    cx, iota = ev.full()
+    delta = delta_invariant(cx)
+    br = branched_invariants(cx, iota)
+    if not br.lower <= delta <= br.upper:
+        raise ConsistencyError("branched correction terms bracket delta; got "
+                               f"{br.lower}, {delta}, {br.upper}")
+    return delta, br
 
 
 @dataclass(frozen=True)
@@ -653,30 +693,10 @@ def invariants(
     search.
     """
     ev = _evaluate(spec, n_max)
-    # the search is the step that can exceed its bounds: run it before the
-    # full complex is built
-    if not ev.direct:
-        conn = connected_homology_brute(
-            ev.small_cx, ev.small_iota, rank_bound, search_bound
-        )
-    cx, iota = ev.full()
-    delta = delta_invariant(cx)
-    br = branched_invariants(cx, iota)
-    if ev.direct:
-        conn = homology(ev.small_cx)
-        if verify:
-            check = connected_homology_brute(
-                ev.small_cx, ev.small_iota, rank_bound, search_bound
-            )
-            if (check.towers, check.torsion) != (conn.towers, conn.torsion):
-                raise ConsistencyError("connected homology cross-check failed")
-    if conn.towers != (delta,):
-        raise ConsistencyError(
-            f"connected module towers {conn.towers} disagree with delta {delta}"
-        )
-    if not br.lower <= delta <= br.upper:
-        raise ConsistencyError("branched correction terms bracket delta; got "
-                               f"{br.lower}, {delta}, {br.upper}")
+    # the search runs before the full complex is built
+    conn = _connected(ev, rank_bound, search_bound, verify)
+    delta, br = _full_invariants(ev)
+    _require_tower(conn, delta)
     return InvariantPackage(
         spec=spec,
         delta=delta,

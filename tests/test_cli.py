@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from branchfloer import ConsistencyError, cli, knots, roots
+from branchfloer import ConsistencyError, cli, complexes, knots, roots
 
 GAMMA7_JSON = '{"weights": [-1, -2, -3, -7], "edges": [[0,1],[0,2],[0,3]]}'
 
@@ -320,8 +320,57 @@ def test_independence_pool_has_no_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     out = io.StringIO()
     cli.cmd_independence(["torus(2,3)", "torus(2,5)"], cli.RunConfig(workers=8), out=out)
-    assert sizes == [3]  # two knots and their sum
+    assert sizes == [2]  # two knots, then their one sum, in one pool
     assert json.loads(out.getvalue())["certificate"] is False
+
+
+GENERATORS = ["pretzel(7,-3,5)", "pretzel(11,-5,9)", "pretzel(15,-7,13)"]
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper; returns the list of its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_independence_builds_each_root_once_and_no_cone(monkeypatch):
+    built = _counted(monkeypatch, knots, "build_root")
+    branched = _counted(monkeypatch, knots, "branched_invariants")
+    cones = _counted(monkeypatch, complexes, "involutive_cone")
+    out = io.StringIO()
+    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=out)
+    assert len(built) == 3
+    assert branched == [] and cones == []
+    doc = json.loads(out.getvalue())
+    assert [e["omega"] for e in doc["entries"]] == [1, 2, 3]
+    assert [p["omega"] for p in doc["pairs"]] == [2, 3, 3]
+
+
+def test_independence_verify_checks_every_cone_from_the_same_roots(monkeypatch):
+    plain = io.StringIO()
+    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=plain)
+    built = _counted(monkeypatch, knots, "build_root")
+    cones = _counted(monkeypatch, complexes, "involutive_cone")
+    checked = io.StringIO()
+    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1, verify=True), out=checked)
+    assert len(built) == 3
+    assert len(cones) == 6  # three knots and three pairs
+    assert checked.getvalue() == plain.getvalue()
+
+
+def test_independence_checks_each_pair_tower_against_the_summed_delta():
+    config = cli.RunConfig()
+    (a, delta_a, _), (b, delta_b, _) = (cli._evaluated((t, config)) for t in GENERATORS[:2])
+    assert cli._omega_of(("pair", (a, delta_a), (b, delta_b), config)) == 2
+    with pytest.raises(ConsistencyError, match="disagree with delta"):
+        cli._omega_of(("pair", (a, delta_a), (b, delta_b + 2), config))
 
 
 @pytest.mark.slow

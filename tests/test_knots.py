@@ -494,6 +494,10 @@ def test_mirror_duality(text):
         "mirror(torus(3,5))",
         "sum(torus(2,7),torus(3,5))",
         "sum(torus(3,7),mirror(torus(3,7)))",
+        # K # mirror(K) is locally trivial for the generators of omega = 1..3
+        "sum(pretzel(7,-3,5),mirror(pretzel(7,-3,5)))",
+        "sum(pretzel(11,-5,9),mirror(pretzel(11,-5,9)))",
+        "sum(pretzel(15,-7,13),mirror(pretzel(15,-7,13)))",
     ],
 )
 def test_reduced_part_vanishes_on_alternating_and_torus_sums(text):
