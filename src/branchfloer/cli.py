@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ConsistencyError, __version__, knots, plumbing, roots
-from .complexes import delta_invariant
 from .connected import omega
 
 
@@ -218,7 +217,7 @@ def _evaluated(task):
     once, and return the evaluation, delta of its full complex and omega."""
     text, config = task
     ev = knots._evaluate(knots.parse_spec(text), config.n_max)
-    delta = delta_invariant(ev.full()[0])
+    delta = ev.delta()
     return ev, delta, _checked_omega(ev, delta, config)
 
 

@@ -40,7 +40,6 @@ from .connected import monotone_subroot, omega
 from .plumbing import (
     DefinitenessError,
     PlumbingTree,
-    check_negative_definite,
     determinant_magnitude,
     spin_char,
     star,
@@ -165,7 +164,6 @@ def torus_plumbing(p: int, q: int) -> Presentation:
             perm[1 + i], perm[1 + len(leg) + i] = 1 + len(leg) + i, 1 + i
         tree = star(e0, legs, automorphism=tuple(perm))
         mode = "auto"
-    check_negative_definite(tree)
     return Presentation(tree, spin_char(tree), mode, mirrored)
 
 
@@ -188,7 +186,6 @@ def pretzel_plumbing(strands) -> Presentation:
         slopes = [-s for s in slopes]
         mirrored = True
     tree = _seifert_star(0, slopes)
-    check_negative_definite(tree)
     return Presentation(tree, spin_char(tree), "auto", mirrored)
 
 
@@ -225,7 +222,6 @@ def montesinos_plumbing(e: int, fractions) -> Presentation:
         extra = e
         mirrored = True
     tree = _seifert_star(extra, slopes)
-    check_negative_definite(tree)
     det = determinant_magnitude(tree)
     if det % 2 == 0:
         raise KnotSpecError(
@@ -529,6 +525,14 @@ class _Eval:
         if len(self.children) == 1:
             return _dualized(*self.children[0].full())
         return _tensored(*(c.full() for c in self.children))
+
+    def delta(self) -> Fraction:
+        """delta of the full complex.  A knot's needs only its model complex,
+        shifted and dualized as in `_root_model`, not the involution lift."""
+        if self.root is None:
+            return delta_invariant(self.full()[0])
+        cx = shift_complex(model_complex(self.root).cx, -2)
+        return delta_invariant(dual_complex(cx) if self.mirrored else cx)
 
 
 def _rebase(m: UMap, cx: UComplex) -> UMap:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import ConsistencyError, _F2Space
 
@@ -84,6 +85,54 @@ class PlumbingTree:
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
+    @cached_property
+    def _elimination(self) -> tuple:
+        """The k-independent pass of `eliminate`: its order, then its parents,
+        pivots and the diagonal of (-Q)^{-1} (spreads) by vertex."""
+        parent, order = {0: None}, [0]
+        for v in order:
+            for u in sorted(self.neighbors(v)):
+                if u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        pivots = [Fraction(-w) for w in self.weights]
+        for v in reversed(order):
+            if pivots[v] <= 0:
+                raise DefinitenessError("intersection form is not negative definite")
+            if parent[v] is not None:
+                pivots[parent[v]] -= 1 / pivots[v]
+        spread = {None: 0}
+        for v in order:
+            spread[v] = (1 + spread[parent[v]] / pivots[v]) / pivots[v]
+        n = range(len(self))
+        return tuple(order), tuple(parent[v] for v in n), tuple(pivots), tuple(spread[v] for v in n)
+
+    @cached_property
+    def _solved(self) -> dict:
+        """The k-dependent passes made so far, by characteristic vector."""
+        return {}
+
+    def _solve(self, k) -> tuple:
+        """(shifts, const, centres) for k, from one pass per k."""
+        k = tuple(k)
+        if k not in self._solved:
+            self._solved[k] = self._centres(k)
+        return self._solved[k]
+
+    def _centres(self, k: tuple[int, ...]) -> tuple:
+        """The k-dependent pass: the shifts and const of `eliminate`, then
+        the real minimiser c_v = (c_parent + s_v) / p_v of chi_k."""
+        order, parent, pivots, _ = self._elimination
+        shifts, const = [Fraction(x, 2) for x in k], Fraction(0)
+        for v in reversed(order):
+            const -= shifts[v] ** 2 / pivots[v]
+            if parent[v] is not None:
+                shifts[parent[v]] += shifts[v] / pivots[v]
+        centre = {None: 0}
+        for v in order:
+            centre[v] = (centre[parent[v]] + shifts[v]) / pivots[v]
+        return tuple(shifts), const, tuple(centre[v] for v in range(len(self)))
+
 
 def intersection_form(tree: PlumbingTree) -> list[list[int]]:
     n = len(tree)
@@ -108,31 +157,17 @@ def eliminate(tree: PlumbingTree, k: tuple[int, ...]):
     where l_None = 0 and `order` lists every vertex after its parent.  The
     pivots are those of -Q in this order, so Q is negative definite exactly
     when all are positive; the first that is not raises DefinitenessError.
+    Both passes are kept on the tree, once per tree and once per k (a pass
+    that raises keeps nothing); the lists returned are copies.
     """
-    parent = {0: None}
-    order = [0]
-    for v in order:
-        for u in sorted(tree.neighbors(v)):
-            if u not in parent:
-                parent[u] = v
-                order.append(u)
-    pivots = [Fraction(-w) for w in tree.weights]
-    shifts = [Fraction(x, 2) for x in k]
-    const = Fraction(0)
-    for v in reversed(order):
-        if pivots[v] <= 0:
-            raise DefinitenessError("intersection form is not negative definite")
-        const -= shifts[v] ** 2 / pivots[v]
-        p = parent[v]
-        if p is not None:
-            pivots[p] -= 1 / pivots[v]
-            shifts[p] += shifts[v] / pivots[v]
-    return order, parent, pivots, shifts, const
+    order, parent, pivots, _ = tree._elimination
+    shifts, const, _ = tree._solve(k)
+    return list(order), dict(enumerate(parent)), list(pivots), list(shifts), const
 
 
 def check_negative_definite(tree: PlumbingTree) -> None:
     """Raises DefinitenessError unless every elimination pivot is positive."""
-    eliminate(tree, (0,) * len(tree))
+    tree._elimination  # raises at the first pivot <= 0
 
 
 def canonical_char(tree: PlumbingTree) -> tuple[int, ...]:
@@ -161,32 +196,24 @@ def chi(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> int:
 def pd_vector(tree: PlumbingTree, k: tuple[int, ...]) -> list[Fraction]:
     """Q^{-1} k = -2 l*, for l* the real minimiser of chi_k: the
     elimination's centres, back-substituted from vertex 0 outward."""
-    order, parent, pivots, shifts, _ = eliminate(tree, k)
-    centre = {None: 0}
-    for v in order:
-        centre[v] = (centre[parent[v]] + shifts[v]) / pivots[v]
-    return [-2 * centre[v] for v in range(len(tree))]
+    return [-2 * c for c in tree._solve(k)[2]]
 
 
 def coordinate_ranges(tree: PlumbingTree, k: tuple[int, ...], cap: int) -> list[range]:
     """The exact integer range of each coordinate l_v over {l : chi_k(l) <= cap},
     empty where no integer fits.
 
-    Back-substituting the elimination from vertex 0 outward gives the real
-    minimiser c_v = (c_parent + s_v) / p_v, as in `pd_vector`, and the diagonal
-    sigma_v = (1 + sigma_parent / p_v) / p_v of (-Q)^{-1}; on the ellipsoid
-    2 chi_k(l) <= 2 cap, l_v takes exactly the values with
-    (l_v - c_v)^2 <= (2 cap - const) sigma_v.
+    On the ellipsoid 2 chi_k(l) <= 2 cap, l_v takes exactly the values with
+    (l_v - c_v)^2 <= (2 cap - const) sigma_v, for the real minimiser c and the
+    diagonal sigma of (-Q)^{-1} that the tree keeps; only this radius is
+    computed per call.
     """
-    order, parent, pivots, shifts, const = eliminate(tree, k)
-    centre, spread = {None: 0}, {None: 0}
+    _, const, centres = tree._solve(k)
     out = [range(0)] * len(tree)
-    for v in order:
-        centre[v] = (centre[parent[v]] + shifts[v]) / pivots[v]
-        spread[v] = (1 + spread[parent[v]] / pivots[v]) / pivots[v]
-        r2 = (2 * cap - const) * spread[v]
-        if r2 >= 0:  # for c_v = a/b: |b l_v - a| <= sqrt(r2 b^2), an integer bound
-            a, b = centre[v].numerator, centre[v].denominator
+    for v, (c, spread) in enumerate(zip(centres, tree._elimination[3])):
+        r2 = (2 * cap - const) * spread
+        if r2 >= 0:  # for c = a/b: |b l_v - a| <= sqrt(r2 b^2), an integer bound
+            a, b = c.numerator, c.denominator
             s = math.isqrt(math.floor(r2 * b * b))
             out[v] = range(-((s - a) // b), (a + s) // b + 1)
     return out
@@ -195,8 +222,7 @@ def coordinate_ranges(tree: PlumbingTree, k: tuple[int, ...], cap: int) -> list[
 def k_square(tree: PlumbingTree, k: tuple[int, ...]) -> Fraction:
     """k^2 = k^T Q^{-1} k = 4 const, const being the minimum of 2 chi_k over
     real vectors l."""
-    *_, const = eliminate(tree, k)
-    return 4 * const
+    return 4 * tree._solve(k)[1]
 
 
 def wu_class(tree: PlumbingTree) -> tuple[int, ...]:
@@ -246,8 +272,7 @@ def reflect(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> tup
 
 def determinant_magnitude(tree: PlumbingTree) -> int:
     """|det Q|, the product of the elimination's pivots."""
-    _, _, pivots, _, _ = eliminate(tree, (0,) * len(tree))
-    return int(math.prod(pivots))
+    return int(math.prod(tree._elimination[2]))
 
 
 # ---------------------------------------------------------------------------

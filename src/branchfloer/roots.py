@@ -327,10 +327,11 @@ class GradedRoot:
 
 
 def _checked_char(tree, k):
-    """The characteristic vector a build uses: k itself, or the spin vector."""
-    check_negative_definite(tree)
+    """The characteristic vector a build uses: k itself, or the spin vector,
+    whose elimination raises DefinitenessError itself."""
     if k is None:
         return spin_char(tree)
+    check_negative_definite(tree)
     if not is_characteristic(tree, k):
         raise ValueError(f"{tuple(k)} is not a characteristic vector of the tree")
     return k

@@ -365,6 +365,30 @@ def test_independence_verify_checks_every_cone_from_the_same_roots(monkeypatch):
     assert checked.getvalue() == plain.getvalue()
 
 
+def test_independence_lifts_only_the_small_models(monkeypatch):
+    # delta comes from each knot's model complex; the lift is for the search
+    lifts = _counted(monkeypatch, knots, "lift_involution")
+    out = io.StringIO()
+    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=out)
+    assert len(lifts) == 3
+    assert [e["omega"] for e in json.loads(out.getvalue())["entries"]] == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "text",
+    # a knot, a knot whose presentation is mirrored, a mirror and a sum
+    [
+        "pretzel(7,-3,5)",
+        "pretzel(-2,3,7)",
+        "mirror(pretzel(11,-5,9))",
+        "sum(torus(3,7),mirror(torus(2,5)))",
+    ],
+)
+def test_evaluation_delta_is_the_full_complex_delta(text):
+    ev = knots._evaluate(knots.parse_spec(text), None)
+    assert ev.delta() == complexes.delta_invariant(ev.full()[0])
+
+
 def test_independence_checks_each_pair_tower_against_the_summed_delta():
     config = cli.RunConfig()
     (a, delta_a, _), (b, delta_b, _) = (cli._evaluated((t, config)) for t in GENERATORS[:2])

@@ -10,9 +10,12 @@ would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
 more if it imports the process pool or the root cache's hashing and
 temporary files, which only `independence --workers` and
-BRANCHFLOER_CACHE_DIR use.  The
-benchmark's tracer (perfbench/tracer.py) wraps the package's layer functions
-by name, so a last check installs and uninstalls it on the loaded package.
+BRANCHFLOER_CACHE_DIR use.  No result may outlive the objects it belongs to
+(the benchmark re-parses every input to measure each pass in full), so a
+check fails on any use of `functools.lru_cache` or `functools.cache` in the
+package.  The benchmark's tracer (perfbench/tracer.py) wraps the package's
+layer functions by name, so a last check installs and uninstalls it on the
+loaded package.
 """
 
 import ast
@@ -83,6 +86,20 @@ def test_package_has_no_asserts():
                 isinstance(raised, ast.Name) and raised.id == "AssertionError"
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_package_keeps_no_cross_call_cache():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "functools" else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ("lru_cache", "cache")]
     assert found == []
 
 

@@ -1,4 +1,6 @@
+import io
 import math
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,9 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from branchfloer import cli
+from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
 from oracles import determinant, is_negative_definite, solve_exact, solve_mod2
+from test_acceptance import CORPUS
 
 # Gamma_7: the central -1 star with legs -2, -3, -7, double cover data for
 # both torus(3,7) and pretzel(2,-3,-7).
@@ -54,12 +59,113 @@ def test_elimination_raises_at_a_non_positive_pivot(weights):
     k = pl.canonical_char(tree)
     for read in (
         lambda: pl.check_negative_definite(tree),
+        lambda: pl.eliminate(tree, k),
         lambda: pl.pd_vector(tree, k),
         lambda: pl.k_square(tree, k),
+        lambda: pl.coordinate_ranges(tree, k, 0),
         lambda: pl.determinant_magnitude(tree),
+        lambda: pl.spin_char(tree),
+        lambda: pl.reflect(tree, k, (0,) * len(tree)),
     ):
-        with pytest.raises(pl.DefinitenessError):
-            read()
+        for _ in range(2):  # on the same tree object: a failed pass is never kept
+            with pytest.raises(pl.DefinitenessError):
+                read()
+
+
+def _lattice_answers(tree, k):
+    return (
+        pl.eliminate(tree, k),
+        pl.pd_vector(tree, k),
+        pl.coordinate_ranges(tree, k, 3),
+        pl.k_square(tree, k),
+        pl.determinant_magnitude(tree),
+        pl.spin_char(tree),
+    )
+
+
+def test_kept_elimination_is_private_to_each_answer():
+    # its canonical dual is fractional, so spin_char takes the Wu vector
+    def fresh():
+        return pl.star(-2, [[-3], [-3, -2]])
+
+    tree = fresh()
+    k = pl.canonical_char(tree)
+    expected = _lattice_answers(fresh(), k)
+    order, parent, pivots, shifts, _ = pl.eliminate(tree, k)
+    order.reverse()
+    parent.clear()
+    pivots[0] = Fraction(0)
+    shifts.append(Fraction(1))
+    pd = pl.pd_vector(tree, k)
+    pd[0] += 1
+    ranges = pl.coordinate_ranges(tree, k, 3)
+    ranges[0] = range(0)
+    assert _lattice_answers(tree, k) == expected
+    # the kept passes are not part of the tree's value
+    assert tree == fresh() and hash(tree) == hash(fresh())
+    assert repr(tree) == repr(fresh())
+    assert _lattice_answers(pickle.loads(pickle.dumps(tree)), k) == expected
+
+
+def _elimination_passes(monkeypatch):
+    """Count the two passes every lattice reader shares: the trees the
+    k-independent pass ran on, and the (tree, k) of each k-dependent pass."""
+    whole, per_k = [], []
+    kept = pl.PlumbingTree.__dict__["_elimination"]
+    first, second = kept.func, pl.PlumbingTree._centres
+
+    def counted_first(tree):
+        whole.append(tree)
+        return first(tree)
+
+    def counted_second(tree, k):
+        per_k.append((tree, k))
+        return second(tree, k)
+
+    monkeypatch.setattr(kept, "func", counted_first)
+    monkeypatch.setattr(pl.PlumbingTree, "_centres", counted_second)
+    return whole, per_k
+
+
+def _once_each(whole, per_k):
+    # the counters hold the trees, so no id is reused while they are read
+    trees, pairs = {id(t) for t in whole}, {(id(t), k) for t, k in per_k}
+    return len(trees) == len(whole) and len(pairs) == len(per_k)
+
+
+def test_invariants_eliminate_each_tree_once_per_vector(monkeypatch):
+    whole, per_k = _elimination_passes(monkeypatch)
+    for text in CORPUS + ["pretzel(3,-5,-7,9,11)"]:
+        kn.invariants(kn.parse_spec(text))
+    assert len(whole) == 17  # one presentation per knot
+    assert _once_each(whole, per_k)
+    # the canonical vector, and the Wu vector where its dual is fractional
+    assert len(whole) <= len(per_k) <= 2 * len(whole)
+
+
+def test_box_root_eliminates_once_for_every_reflection(monkeypatch):
+    whole, per_k = _elimination_passes(monkeypatch)
+    reflections = []
+    reflect = rt.reflect
+    monkeypatch.setattr(rt, "reflect", lambda *a: reflections.append(a) or reflect(*a))
+    bush = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
+    out = io.StringIO()
+    cli.cmd_root(bush, cli.RunConfig(), out)
+    root = rt.GradedRoot.from_json(out.getvalue())
+    assert root.engine == "box"
+    assert len(reflections) == len(root) > 1
+    assert len(whole) == 1
+    assert _once_each(whole, per_k) and len(per_k) <= 2
+
+
+def test_no_elimination_is_reused_across_calls(monkeypatch):
+    # each call parses a new tree, so a repeated call makes the same passes
+    whole, per_k = _elimination_passes(monkeypatch)
+    counts = []
+    for _ in range(2):
+        kn.invariants(kn.parse_spec("pretzel(15,-7,13)"))
+        counts.append((len(whole), len(per_k)))
+    assert counts[0][0] > 0 and counts[1] == (2 * counts[0][0], 2 * counts[0][1])
 
 
 def test_canonical_char_gamma7():
