@@ -656,13 +656,14 @@ def _positions(src: UComplex, tgt: UComplex, degree):
     return [(j, i) for j, mask in enumerate(_allowed(src, tgt, degree)) for i in _bits(mask)]
 
 
-def _entry(src_rows, tgt_rows, var, j, i):
-    """The (j, i) entry of a X + X b, for b on the source and a on the
-    target given by bitmask rows and an unknown X whose entry (j, i) is the
-    bit var[(j, i)]: the bitmask of the unknowns it sums."""
+def _entry(src_rows, tgt_cols, var, j, i):
+    """The (j, i) entry of a X + X b, for b on the source given by bitmask
+    rows, a on the target by bitmask columns (`_transpose` of its rows) and
+    an unknown X whose entry (j, i) is the bit var[(j, i)]: the bitmask of
+    the unknowns it sums."""
     row = 0
-    for m in range(len(tgt_rows)):
-        if (tgt_rows[m] >> i) & 1 and (j, m) in var:
+    for m in _bits(tgt_cols[i]):
+        if (j, m) in var:
             row ^= var[(j, m)]
     for m in _bits(src_rows[j]):
         if (m, i) in var:
@@ -690,7 +691,8 @@ def nullhomotopy(f: UMap) -> UMap | None:
     hpos = _positions(src, tgt, f.degree + 1)
     hvar = {p: 1 << t for t, p in enumerate(hpos)}
     fpos = _positions(src, tgt, f.degree)
-    equations = [_entry(src.diff, tgt.diff, hvar, j, i) for j, i in fpos]
+    dcols = _transpose(tgt.diff, len(tgt))
+    equations = [_entry(src.diff, dcols, hvar, j, i) for j, i in fpos]
     target = 0
     for e, (j, i) in enumerate(fpos):
         target |= ((f.rows[j] >> i) & 1) << e
@@ -739,13 +741,13 @@ def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
     nvars = len(fpos) + len(hpos)
     # chain condition d f + f d = 0 at every degree -1 position; involution
     # condition iota_tgt f + f iota_src = d H + H d at every degree 0 one
+    dcols, icols = _transpose(tgt.diff, len(tgt)), _transpose(iota_tgt.rows, len(tgt))
     equations = [
-        _entry(src.diff, tgt.diff, fvar, j, i) for j, i in _positions(src, tgt, Fraction(-1))
+        _entry(src.diff, dcols, fvar, j, i) for j, i in _positions(src, tgt, Fraction(-1))
     ]
     for j, i in fpos:
         equations.append(
-            _entry(iota_src.rows, iota_tgt.rows, fvar, j, i)
-            ^ _entry(src.diff, tgt.diff, hvar, j, i)
+            _entry(iota_src.rows, icols, fvar, j, i) ^ _entry(src.diff, dcols, hvar, j, i)
         )
     # the solutions: kernel of the equations, one column per unknown
     basis = _kernel_of(_transpose(equations, nvars), [1 << t for t in range(nvars)])

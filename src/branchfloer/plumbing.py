@@ -80,10 +80,19 @@ class PlumbingTree:
         return len(self.weights)
 
     def neighbors(self, v: int) -> list[int]:
-        return [b if a == v else a for a, b in self.edges if v in (a, b)]
+        return list(self._adjacency[v])
 
     def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
+        return len(self._adjacency[v])
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, in the order of the edges that hold them."""
+        adj: list[list[int]] = [[] for _ in self.weights]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _elimination(self) -> tuple:

@@ -16,8 +16,12 @@ boundary.  Two engines build roots:
 * a star engine (`build_root_star`), for star-shaped trees: minimize chi in
   closed form, from each leg's continued fraction and twist (`_leg_seifert`),
   on each slice of the central coordinate that the same elimination bounds
-  (`plumbing.coordinate_ranges`); components are then maximal intervals of
-  the central profile, which the same sweep reads off in one dimension.
+  (`plumbing.coordinate_ranges`).  A leg's share of chi is walked on its
+  first 2 alpha_1 slices only and has a constant second difference in steps
+  of alpha_1 after them (`_leg_shares`), and least minimizers are built only
+  for the slices that represent components.  Components are then maximal
+  intervals of the central profile, which the same sweep reads off in one
+  dimension.
 
 Both can attach two involutions: the chi-preserving lattice reflection
 l -> -l - Q^{-1}k, and the map induced by a declared tree automorphism.
@@ -30,6 +34,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import ConsistencyError
 from .plumbing import (
@@ -129,8 +134,17 @@ class GradedRoot:
     def n_max(self) -> int:
         return max(self.levels)
 
-    def children(self, v: int) -> list[int]:
-        return [u for u in range(len(self)) if self.succ[u] == v]
+    @cached_property
+    def _children(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices one level up from each vertex, in increasing order."""
+        kids: list[list[int]] = [[] for _ in self.levels]
+        for u, s in enumerate(self.succ):
+            if s is not None:
+                kids[s].append(u)
+        return tuple(map(tuple, kids))
+
+    def children(self, v: int) -> tuple[int, ...]:
+        return self._children[v]
 
     @property
     def leaves(self) -> tuple[int, ...]:
@@ -158,19 +172,9 @@ class GradedRoot:
 
         which: "reflection" | "automorphism" | "trivial".
         """
-        if which == "trivial":
-            perm = tuple(range(len(self)))
-        elif which == "reflection":
-            if self.reflection is None:
-                raise ValueError("no lattice reflection attached to this root")
-            perm = self.reflection
-        elif which == "automorphism":
-            if self.graph_perm is None:
-                raise ValueError("no graph automorphism attached to this root")
-            perm = self.graph_perm
-        else:
-            raise ValueError(f"unknown involution {which!r}")
-        return replace(self, involution=perm)
+        return replace(
+            self, involution=_selected(which, self.reflection, self.graph_perm, len(self))
+        )
 
     # -- isomorphism ------------------------------------------------------
 
@@ -183,7 +187,7 @@ class GradedRoot:
             return sorted(keep)
         b = bottoms[0]
         while True:
-            ch = [u for u in keep if self.succ[u] == b]
+            ch = self.children(b)  # none of them removed yet
             if len(ch) == 1 and b not in leaves:
                 keep.remove(b)
                 b = ch[0]
@@ -337,10 +341,11 @@ def _checked_char(tree, k):
     return k
 
 
-def _assemble(tree, k, sweep, stop, reps, engine):
-    """The root of a sweep's levels up to `stop`, each level's components
+def _assemble(tree, k, sweep, stop, reps):
+    """The vertices of a sweep's levels up to `stop`, each level's components
     ordered by their representative lattice points `reps` (id -> point).
-    Returns (root, component id -> vertex index)."""
+    Returns (the root's fields but its engine and involutions, component id
+    -> vertex index)."""
     offset = (k_square(tree, k) + len(tree)) / 4
     level_comps = [(n, comps) for n, comps in sweep.level_comps if n <= stop]
     order, levels = [], []
@@ -348,18 +353,35 @@ def _assemble(tree, k, sweep, stop, reps, engine):
         order.extend(sorted(comps, key=lambda c: reps[c]))
         levels.extend([n] * len(comps))
     index = {c: i for i, c in enumerate(order)}
-    weights = tuple(offset - 2 * n for n in levels)
-    # a top component's parent, if the sweep has one, lies above `stop`
-    succ = tuple(index.get(sweep.parent_of.get(c)) for c in order)
-    rep_tuple = tuple(reps[c] for c in order)
-    trivial = tuple(range(len(order)))
-    stable = len(level_comps[-1][1]) == 1
-    root = GradedRoot(tuple(levels), weights, succ, trivial, stable, reps=rep_tuple, engine=engine)
-    return root, index
+    fields = dict(
+        levels=tuple(levels),
+        weights=tuple(offset - 2 * n for n in levels),
+        # a top component's parent, if the sweep has one, lies above `stop`
+        succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
+        stable=len(level_comps[-1][1]) == 1,
+        reps=tuple(reps[c] for c in order),
+    )
+    return fields, index
 
 
-def _attach_involutions(root, reflection, graph_perm, select):
-    root = replace(root, reflection=reflection, graph_perm=graph_perm)
+def _selected(which, reflection, graph_perm, n):
+    """The involution named `which` among a root's candidates."""
+    if which == "trivial":
+        return tuple(range(n))
+    if which == "reflection":
+        if reflection is None:
+            raise ValueError("no lattice reflection attached to this root")
+        return reflection
+    if which == "automorphism":
+        if graph_perm is None:
+            raise ValueError("no graph automorphism attached to this root")
+        return graph_perm
+    raise ValueError(f"unknown involution {which!r}")
+
+
+def _finished(fields, engine, reflection, graph_perm, select):
+    """The root of assembled `fields` with both candidate involutions and the
+    selected one, validated once."""
     if select == "auto":
         if graph_perm is not None:
             select = "automorphism"
@@ -367,7 +389,14 @@ def _attach_involutions(root, reflection, graph_perm, select):
             select = "reflection"
         else:
             select = "trivial"
-    return root.with_involution(select)
+    involution = _selected(select, reflection, graph_perm, len(fields["levels"]))
+    return GradedRoot(
+        **fields,
+        involution=involution,
+        reflection=reflection,
+        graph_perm=graph_perm,
+        engine=engine,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +523,15 @@ class _Sweep:
         return self._comp[level][self._find(i, level)]
 
 
-def _perm_from_map(root, comp_index, bp, point_map):
+def _perm_from_map(fields, comp_index, bp, point_map):
     """Vertex permutation induced by a chi-preserving lattice map, or None."""
     perm = []
-    for v in range(len(root)):
+    for rep, level in zip(fields["reps"], fields["levels"]):
         try:
-            image = point_map(root.reps[v])
+            image = point_map(rep)
         except ValueError:
             return None
-        cid = bp.component_at(image, root.levels[v])
+        cid = bp.component_at(image, level)
         if cid is None or cid not in comp_index:
             return None
         perm.append(comp_index[cid])
@@ -556,15 +585,15 @@ def build_root_box(
             raise InstabilityError("stop level lies below the minimum of chi")
         sweep = _Sweep(points, n_max)
         stop = n_max
-    root, comp_index = _assemble(tree, k, sweep, stop, sweep.reps, "box")
-    refl = _perm_from_map(root, comp_index, sweep, lambda p: reflect(tree, k, p))
+    fields, comp_index = _assemble(tree, k, sweep, stop, sweep.reps)
+    refl = _perm_from_map(fields, comp_index, sweep, lambda p: reflect(tree, k, p))
     gperm = None
     if tree.automorphism is not None:
         ainv = [tree.automorphism.index(v) for v in range(len(tree))]
         gperm = _perm_from_map(
-            root, comp_index, sweep, lambda p: tuple(p[a] for a in ainv)
+            fields, comp_index, sweep, lambda p: tuple(p[a] for a in ainv)
         )
-    return _attach_involutions(root, refl, gperm, involution)
+    return _finished(fields, "box", refl, gperm, involution)
 
 
 # ---------------------------------------------------------------------------
@@ -618,27 +647,75 @@ def _leg_seifert(weights, ks):
     return out[::-1]
 
 
+def _leg_minimizer(data, i):
+    """The leg's coordinates, centre first, in the least minimizer of chi on
+    slice i, from its `_leg_seifert` data.  Each is the ceiling of an affine
+    function of the one before with slope omega_t / alpha_t = alpha_{t+1} /
+    alpha_t, so moving i by alpha_1 moves them by (omega_1, ..., omega_s):
+
+    >>> data = _leg_seifert([-3, -2, -2], [3, 0, 0])
+    >>> [(alpha, omega) for alpha, omega, _ in data]
+    [(7, 3), (3, 2), (2, 1)]
+    >>> _leg_minimizer(data, 4), _leg_minimizer(data, 4 + 7), _leg_minimizer(data, 4 + 14)
+    ([2, 1, 0], [5, 3, 1], [8, 5, 2])
+    """
+    out, y = [], i
+    for alpha, omega, b in data:
+        y = -(-((y - 1) * omega + b) // alpha)
+        out.append(y)
+    return out
+
+
+def _leg_shares(weights, ks, data, slices):
+    """The leg's share of 2 chi at each slice's least minimizer x,
+
+        c(i) = -sum_t (k_t x_t + w_t x_t^2 + 2 x_{t-1} x_t)    (x_0 = i),
+
+    over the contiguous range `slices`.  Moving i by alpha_1 moves x by
+    omega (`_leg_minimizer`), and the terms of c(i + alpha_1) - c(i) in x_t,
+    t >= 1, cancel, since -w_t omega_t = omega_{t-1} + omega_{t+1} (omega_0 =
+    alpha_1, omega_{s+1} = 0).  So that difference is affine in i with slope
+    -2 omega_1, and c(i) = 2 c(i - alpha_1) - c(i - 2 alpha_1) - 2 alpha_1
+    omega_1: the first 2 alpha_1 slices are walked, the rest follow."""
+    alpha, omega, _ = data[0]
+    shares = []
+    for i in slices[: 2 * alpha]:
+        c, y = 0, i
+        for w, kt, x in zip(weights, ks, _leg_minimizer(data, i)):
+            c -= kt * x + w * x * x + 2 * y * x
+            y = x
+        shares.append(c)
+    bend = 2 * alpha * omega
+    for p in range(2 * alpha, len(slices)):
+        shares.append(2 * shares[p - alpha] - shares[p - 2 * alpha] - bend)
+    return shares
+
+
 def _central_profile(tree, k, center, legs, slices):
     """m(i), the minimum of chi over the slice l_center = i, for each i in
-    `slices`, and each slice's least minimizer, which every leg builds
-    outward from the centre by `_leg_seifert`'s closed form."""
-    w, m, points = tree.weights, [], []
-    legs = [(leg, _leg_seifert([w[v] for v in leg], [k[v] for v in leg])) for leg in legs]
-    for i in slices:
+    the contiguous range `slices`, and the function taking a slice to its
+    least minimizer, which every leg builds outward from the centre
+    (`_leg_minimizer`).  2 m(i) is the centre's share of 2 chi plus each
+    leg's (`_leg_shares`); minimizers are built only for the slices asked."""
+    w, built = tree.weights, []
+    twice = [-k[center] * i - w[center] * i * i for i in slices]
+    for leg in legs:
+        ws, ks = [w[v] for v in leg], [k[v] for v in leg]
+        data = _leg_seifert(ws, ks)
+        twice = [t + c for t, c in zip(twice, _leg_shares(ws, ks, data, slices))]
+        built.append((leg, data))
+    if any(t % 2 for t in twice):
+        raise ConsistencyError("odd central profile: k is not characteristic")
+
+    def minimizer(i):
         point = [0] * len(tree)
         point[center] = i
-        twice = -k[center] * i - w[center] * i * i
-        for leg, data in legs:
-            y = i
-            for v, (alpha, omega, b) in zip(leg, data):
-                x = -(-((y - 1) * omega + b) // alpha)
-                twice -= k[v] * x + w[v] * x * x + 2 * y * x
-                point[v] = y = x
-        if twice % 2:
-            raise ConsistencyError("odd central profile: k is not characteristic")
-        m.append(twice // 2)
-        points.append(tuple(point))
-    return m, points
+        for leg, data in built:
+            for v, x in zip(leg, _leg_minimizer(data, i)):
+                point[v] = x
+        return tuple(point)
+
+    return [t // 2 for t in twice], minimizer
 
 
 def build_root_star(
@@ -660,21 +737,25 @@ def build_root_star(
     level plus `_MARGIN`, where the root stops, fits under one.
     """
     k = _checked_char(tree, k)
-    center, legs = _star_decompose(tree)
+    return _star_root(tree, k, *_star_decompose(tree), n_max, involution)
+
+
+def _star_root(tree, k, center, legs, n_max, involution):
+    """`build_root_star` for a checked k and the star's `_star_decompose`."""
 
     def profile(cap):
-        """{(i,): m(i)} over the slices with m(i) <= cap, and {i: the
-        least minimizer of chi on slice i}."""
+        """{(i,): m(i)} over the slices with m(i) <= cap, and the least
+        minimizer of chi on a slice."""
         slices = coordinate_ranges(tree, k, cap)[center]
-        m, points = _central_profile(tree, k, center, legs, slices)
-        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, dict(zip(slices, points))
+        m, minimizer = _central_profile(tree, k, center, legs, slices)
+        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, minimizer
 
     if n_max is None:
         *_, const = eliminate(tree, k)
         span = 8
         while True:
             cap = math.ceil(const / 2) + span  # chi >= const / 2
-            m, points = profile(cap)
+            m, minimizer = profile(cap)
             if m:
                 sweep = _Sweep(m, cap)
                 conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
@@ -684,7 +765,7 @@ def build_root_star(
             span *= 2
     else:
         stop = n_max
-        m, points = profile(stop)
+        m, minimizer = profile(stop)
         if not m:
             raise InstabilityError("stop level lies below the minimum of chi")
         sweep = _Sweep(m, stop)
@@ -697,22 +778,23 @@ def build_root_star(
             least.setdefault(c, (n, sweep.reps[c]))
             if (up := sweep.parent_of.get(c)) is not None:
                 least[up] = min(least.get(up, least[c]), least[c])
+    points = {i: minimizer(i) for i in {i for _, (i,) in least.values()}}
     reps = {c: points[i] for c, (_, (i,)) in least.items()}
-    root, comp_index = _assemble(tree, k, sweep, stop, reps, "star")
+    fields, comp_index = _assemble(tree, k, sweep, stop, reps)
 
     refl = None
     pd = pd_vector(tree, k)
     if all(x.denominator == 1 for x in pd):
         rho = -int(pd[center])
-        refl = _perm_from_map(root, comp_index, sweep, lambda p: (rho - p[center],))
+        refl = _perm_from_map(fields, comp_index, sweep, lambda p: (rho - p[center],))
         if refl is None:
             raise ConsistencyError("lattice reflection does not preserve the central profile")
     # a slice- and chi-preserving automorphism maps every component, being an
     # interval of slices, to itself
     gperm, aut = None, tree.automorphism
     if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
-        gperm = tuple(range(len(root)))
-    return _attach_involutions(root, refl, gperm, involution)
+        gperm = tuple(range(len(fields["levels"])))
+    return _finished(fields, "star", refl, gperm, involution)
 
 
 def build_root(
@@ -726,10 +808,11 @@ def build_root(
     """Dispatch: star engine for star-shaped trees, box engine otherwise."""
     if engine == "auto":
         try:
-            _star_decompose(tree)
-            engine = "star"
+            star = _star_decompose(tree)
         except ValueError:
             engine = "box"
+        else:
+            return _star_root(tree, _checked_char(tree, k), *star, n_max, involution)
     if engine == "box":
         return build_root_box(tree, k, n_max=n_max, involution=involution)
     if engine != "star":

@@ -426,6 +426,19 @@ def test_invariants_independence_generators(text, q, delta):
     assert p.det == 1
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_generator_family_past_n_3(n):
+    # pretzel(4n+3, -(2n+1), 4n+1) has omega = n; truncated at level 1, the
+    # long-legged stars of n = 4..6 take well under a second together
+    p = kn.invariants(kn.parse_spec(f"pretzel({4 * n + 3},-{2 * n + 1},{4 * n + 1})"), n_max=1)
+    delta = 2 * n - 2
+    assert p.delta == p.delta_upper == delta
+    assert p.connected.towers == (rat(delta),)
+    assert p.connected.torsion == ((rat(delta), n),)
+    assert p.omega == n
+    assert p.det == 1
+
+
 def test_invariants_pretzel_7_3_5_signature():
     p = kn.invariants(kn.parse_spec("pretzel(7,-3,5)"))
     assert p.sigma == 0

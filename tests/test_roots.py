@@ -180,12 +180,52 @@ def twisted_chains(draw):
     return tree, k, range(lo, draw(st.integers(lo, 15)) + 1)
 
 
+def _profile_by_slice(tree, k, center, legs, slices):
+    """`rt._central_profile` read as m and every slice's least minimizer."""
+    m, minimizer = rt._central_profile(tree, k, center, legs, slices)
+    return m, [minimizer(i) for i in slices]
+
+
+def _ref_profile(tree, k, center, legs, slices):
+    """`ref_central_profile` in the shape of `rt._central_profile`."""
+    m, points = ref_central_profile(tree, k, center, legs, slices)
+    return m, dict(zip(slices, points)).__getitem__
+
+
 @settings(max_examples=200, deadline=None)
 @given(twisted_chains())
 def test_closed_form_matches_the_leg_dp_on_chains(data):
     tree, k, slices = data
     center, legs = rt._star_decompose(tree)
-    assert rt._central_profile(tree, k, center, legs, slices) == ref_central_profile(
+    assert _profile_by_slice(tree, k, center, legs, slices) == ref_central_profile(
+        tree, k, center, legs, slices
+    )
+
+
+@st.composite
+def long_legged_stars(draw):
+    """One to three legs, each a run of 1-6 vertices of weight -2 or -3, a
+    centre of weight -1..-3, k twisted on every vertex, and a run of central
+    values longer than twice the largest leg's alpha_1, so that most of the
+    profile comes from the second-difference recurrence."""
+    legs = [
+        draw(st.lists(st.sampled_from([-2, -3]), min_size=1, max_size=6))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    tree = pl.star(draw(st.integers(-3, -1)), legs)
+    assume(is_negative_definite(pl.intersection_form(tree)))
+    k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
+    alpha = max(rt._leg_seifert(leg, [0] * len(leg))[0][0] for leg in legs)
+    lo = draw(st.integers(-60, 10))
+    return tree, k, range(lo, lo + 2 * alpha + draw(st.integers(1, 40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_legged_stars())
+def test_second_difference_recurrence_matches_the_leg_dp(data):
+    tree, k, slices = data
+    center, legs = rt._star_decompose(tree)
+    assert _profile_by_slice(tree, k, center, legs, slices) == ref_central_profile(
         tree, k, center, legs, slices
     )
 
@@ -224,7 +264,7 @@ def _built_both_ways(tree, k, n_max, involution="auto"):
 
     ours = build()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rt, "_central_profile", ref_central_profile)
+        mp.setattr(rt, "_central_profile", _ref_profile)
         return ours, build()
 
 
