@@ -25,11 +25,13 @@ one of the slice differential per parity, both growing as generators enter
 its downward sweep.  Every other chain-level job has one routine:
 `_apply_vectors` for applying or composing bitmask matrices, `_F2Space` for
 every F_2 echelon and `_kernel_of` for the kernel of a linear system,
-`_entry` for one entry of a X + X b in the systems of `nullhomotopy` and
-`_chain_map_basis`, and `_walk` for the search over the chain maps that
-`local_equivalences` and `connected_homology_brute` both run: one Gray-code
-walk that xors one precomputed delta per candidate and reads the deep-kernel
-rank on the way.
+`_columns` for the column of each unknown of X -> a X + X b in the systems
+of `nullhomotopy` and `_chain_map_basis`, and `_walk` for the search over
+the chain maps that `local_equivalences` and `connected_homology_brute` both
+run: one Gray-code walk that xors one precomputed delta per candidate and
+reads the deep-kernel rank on the way.  The model complex of a graded root
+keeps one angle mask per vertex (`ModelComplex.path`), and the involution's
+lift reads each angle's image off two of them.
 
 Gradings are `Fraction`s at the interface only.  Each complex holds one
 `Fraction` offset and integer levels (`UComplex._grid`: gr = offset +
@@ -478,14 +480,22 @@ def delta_invariant(cx: UComplex):
 
 class ModelComplex:
     """Chain model of a graded root: one generator per leaf, one per angle
-    between consecutive branches, with the grading-forced differential."""
+    between consecutive branches, with the grading-forced differential.
+
+    Angles are numbered in vertex-id order, those of one vertex consecutively.
+    path[v] is the set of angles whose boundary joins v's representative leaf
+    to the representative leaf of the bottom of v's component: for u = succ[c]
+    it is path[u] plus the angles of u between c and u's representative
+    child.  So for a leaf l over u, path[l] ^ path[u] joins l to u's
+    representative leaf, and path[l1] ^ path[l2] joins two leaves of one
+    component, through the vertex where their paths meet."""
 
     def __init__(self, root):
         self.root = root
-        self.children = {v: root.children(v) for v in range(len(root))}
+        order = sorted(range(len(root)), key=lambda v: root.levels[v])
         self.rep_leaf = {}
-        for v in sorted(range(len(root)), key=lambda v: root.levels[v]):
-            kids = self.children[v]
+        for v in order:
+            kids = root.children(v)
             if not kids:
                 self.rep_leaf[v] = v
             else:
@@ -501,7 +511,7 @@ class ModelComplex:
         self.angle_gen = {}
         rows = [0] * len(gradings)
         for v in range(len(root)):
-            kids = self.children[v]
+            kids = root.children(v)
             for s in range(len(kids) - 1):
                 self.angle_gen[(v, s)] = len(gradings)
                 gradings.append(root.weights[v] + 1)
@@ -509,49 +519,17 @@ class ModelComplex:
                 right = self.leaf_gen[self.rep_leaf[kids[s + 1]]]
                 rows.append((1 << left) | (1 << right))
         self.cx = UComplex(tuple(gradings), tuple(rows))
-
-    def _subtree_top(self, c):
-        while len(self.children[c]) == 1:
-            c = self.children[c][0]
-        return c
-
-    def _child_toward(self, u, leaf):
-        prev = leaf
-        x = self.root.succ[leaf]
-        while x != u:
-            prev = x
-            x = self.root.succ[x]
-        return prev
-
-    def chain_to_rep(self, leaf, u):
-        """Angle set whose boundary joins `leaf` to the representative leaf
-        of the subtree over u (with the grading-forced U-powers)."""
-        if leaf == self.rep_leaf[u]:
-            return 0
-        c = self._child_toward(u, leaf)
-        mask = self.chain_to_rep(leaf, self._subtree_top(c))
-        kids = self.children[u]
-        i = kids.index(c)
-        j = next(
-            t for t, cc in enumerate(kids) if self.rep_leaf[cc] == self.rep_leaf[u]
-        )
-        for s in range(min(i, j), max(i, j)):
-            mask ^= 1 << self.angle_gen[(u, s)]
-        return mask
-
-    def chain_between(self, la, lb, u):
-        return self.chain_to_rep(la, u) ^ self.chain_to_rep(lb, u)
-
-    def _join(self, a, b):
-        down = set()
-        x = a
-        while x is not None:
-            down.add(x)
-            x = self.root.succ[x]
-        x = b
-        while x not in down:
-            x = self.root.succ[x]
-        return x
+        self.path = [0] * len(root)
+        for u in reversed(order):
+            kids = root.children(u)
+            if not kids:
+                continue
+            j = [self.rep_leaf[c] for c in kids].index(self.rep_leaf[u])
+            first = self.angle_gen.get((u, 0), 0)
+            for i, c in enumerate(kids):
+                # angles (u, lo) .. (u, hi - 1), numbered on from `first`
+                lo, hi = min(i, j), max(i, j)
+                self.path[c] = self.path[u] ^ ((1 << hi - lo) - 1) << (first + lo)
 
 
 def model_complex(root) -> ModelComplex:
@@ -561,17 +539,15 @@ def model_complex(root) -> ModelComplex:
 def lift_involution(model: ModelComplex) -> UMap:
     """Chain-level involution of the model complex induced by the root's
     symmetry: leaves map to their partner leaves, angles to the angle chain
-    joining the partner representatives."""
+    joining the partner representatives, path[r1] ^ path[r2]."""
     root = model.root
     perm = root.involution
     rows = [0] * len(model.cx)
     for leaf, gen in model.leaf_gen.items():
         rows[gen] = 1 << model.leaf_gen[perm[leaf]]
     for (v, s), gen in model.angle_gen.items():
-        kids = model.children[v]
-        r1 = perm[model.rep_leaf[kids[s]]]
-        r2 = perm[model.rep_leaf[kids[s + 1]]]
-        rows[gen] = model.chain_between(r1, r2, model._join(r1, r2))
+        r1, r2 = (perm[model.rep_leaf[c]] for c in root.children(v)[s : s + 2])
+        rows[gen] = model.path[r1] ^ model.path[r2]
     iota = UMap(model.cx, model.cx, Fraction(0), tuple(rows))
     if not iota.is_chain_map():
         raise ConsistencyError("involution lift failed to commute with d")
@@ -656,28 +632,32 @@ def _positions(src: UComplex, tgt: UComplex, degree):
     return [(j, i) for j, mask in enumerate(_allowed(src, tgt, degree)) for i in _bits(mask)]
 
 
-def _entry(src_rows, tgt_cols, var, j, i):
-    """The (j, i) entry of a X + X b, for b on the source given by bitmask
-    rows, a on the target by bitmask columns (`_transpose` of its rows) and
-    an unknown X whose entry (j, i) is the bit var[(j, i)]: the bitmask of
-    the unknowns it sums."""
-    row = 0
-    for m in _bits(tgt_cols[i]):
-        if (j, m) in var:
-            row ^= var[(j, m)]
-    for m in _bits(src_rows[j]):
-        if (m, i) in var:
-            row ^= var[(m, i)]
-    return row
+def _columns(b_rows, a_rows, unknowns, equations):
+    """The column of each unknown entry (j, i) of X in X -> a X + X b, for b
+    on the source and a on the target given by bitmask rows, as a bitmask
+    over the equations, entry position p being equation `equations[p]`:
+    entry (j, i) lands at (j, t) for each t in a's row i and at (s, i) for
+    each s whose b row holds j.  By grading, every such position is an
+    allowed one of a X + X b, so an equation."""
+    b_cols = _transpose(b_rows, len(b_rows))
+    cols = []
+    for j, i in unknowns:
+        col = 0
+        for t in _bits(a_rows[i]):
+            col ^= 1 << equations[j, t]
+        for s in _bits(b_cols[j]):
+            col ^= 1 << equations[s, i]
+        cols.append(col)
+    return cols
 
 
-def _map_rows(bits, var, n):
-    """Rows of the map whose entry (j, i) is set exactly where `bits` has
-    the bit var[(j, i)]."""
+def _map_rows(bits, positions, n):
+    """Rows of the map whose entry positions[t] is set exactly where `bits`
+    has bit t."""
     rows = [0] * n
-    for (j, i), b in var.items():
-        if bits & b:
-            rows[j] |= 1 << i
+    for t in _bits(bits):
+        j, i = positions[t]
+        rows[j] |= 1 << i
     return rows
 
 
@@ -689,20 +669,18 @@ def nullhomotopy(f: UMap) -> UMap | None:
     f is solvable exactly when it reduces to zero, its tag then naming H."""
     src, tgt = f.src, f.tgt
     hpos = _positions(src, tgt, f.degree + 1)
-    hvar = {p: 1 << t for t, p in enumerate(hpos)}
     fpos = _positions(src, tgt, f.degree)
-    dcols = _transpose(tgt.diff, len(tgt))
-    equations = [_entry(src.diff, dcols, hvar, j, i) for j, i in fpos]
     target = 0
     for e, (j, i) in enumerate(fpos):
         target |= ((f.rows[j] >> i) & 1) << e
+    equations = {p: e for e, p in enumerate(fpos)}
     space = _F2Space()
-    for t, col in enumerate(_transpose(equations, len(hpos))):
+    for t, col in enumerate(_columns(src.diff, tgt.diff, hpos, equations)):
         space.add(col, 1 << t)
     residual, sol = space.reduce(target)
     if residual:
         return None
-    return UMap(src, tgt, f.degree + 1, tuple(_map_rows(sol, hvar, len(src))))
+    return UMap(src, tgt, f.degree + 1, tuple(_map_rows(sol, hpos, len(src))))
 
 
 def _deep_blocks(src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUModule):
@@ -736,21 +714,17 @@ def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
         raise RankBoundExceeded(f"complex rank exceeds bound {rank_bound}")
     fpos = _positions(src, tgt, Fraction(0))
     hpos = _positions(src, tgt, Fraction(1))
-    fvar = {p: 1 << t for t, p in enumerate(fpos)}
-    hvar = {p: 1 << (len(fpos) + t) for t, p in enumerate(hpos)}
-    nvars = len(fpos) + len(hpos)
-    # chain condition d f + f d = 0 at every degree -1 position; involution
-    # condition iota_tgt f + f iota_src = d H + H d at every degree 0 one
-    dcols, icols = _transpose(tgt.diff, len(tgt)), _transpose(iota_tgt.rows, len(tgt))
-    equations = [
-        _entry(src.diff, dcols, fvar, j, i) for j, i in _positions(src, tgt, Fraction(-1))
-    ]
-    for j, i in fpos:
-        equations.append(
-            _entry(iota_src.rows, icols, fvar, j, i) ^ _entry(src.diff, dcols, hvar, j, i)
-        )
+    # chain condition d f + f d = 0 at every degree -1 position, numbered
+    # first; involution condition iota_tgt f + f iota_src = d H + H d at every
+    # degree 0 one
+    chain = {p: e for e, p in enumerate(_positions(src, tgt, Fraction(-1)))}
+    commute = {p: e for e, p in enumerate(fpos, len(chain))}
+    fcols = _columns(src.diff, tgt.diff, fpos, chain)
+    icols = _columns(iota_src.rows, iota_tgt.rows, fpos, commute)
+    columns = [a ^ b for a, b in zip(fcols, icols)]
+    columns += _columns(src.diff, tgt.diff, hpos, commute)
     # the solutions: kernel of the equations, one column per unknown
-    basis = _kernel_of(_transpose(equations, nvars), [1 << t for t in range(nvars)])
+    basis = _kernel_of(columns, [1 << t for t in range(len(columns))])
     # the homotopy variables only certify solvability; project them away so
     # that each candidate chain map comes from one combination
     fmask = (1 << len(fpos)) - 1
@@ -764,10 +738,10 @@ def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
         raise RankBoundExceeded(
             f"search space dimension {len(fbasis)} exceeds bound {search_bound}"
         )
-    return fvar, fbasis
+    return fpos, fbasis
 
 
-def _walk(src, tgt, fvar, fbasis, ha, hb, deep):
+def _walk(src, tgt, fpos, fbasis, ha, hb, deep):
     """Every nonzero combination of `fbasis` that is a local equivalence,
     as (rows, deep kernel rank): the rank of its kernel on the slices of
     `deep` (a `homology(src).deep`, or {} for none).
@@ -800,7 +774,7 @@ def _walk(src, tgt, fvar, fbasis, ha, hb, deep):
         at += n
     deltas = []
     for fb in fbasis:
-        rows = _map_rows(fb, fvar, len(src))
+        rows = _map_rows(fb, fpos, len(src))
         residuals, fields = [], list(rows)
         for gens in deep_parts:
             fields += [rows[j] for j in gens]
@@ -853,10 +827,10 @@ def local_equivalences(
 
     Maps are returned up to equality (not up to homotopy), sorted.  Raises
     RankBoundExceeded when the complexes or the search space are too big."""
-    fvar, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     ha = homology(src)
     hb = ha if tgt is src else homology(tgt)
-    found = sorted(rows for rows, _ in _walk(src, tgt, fvar, fbasis, ha, hb, {}))
+    found = sorted(rows for rows, _ in _walk(src, tgt, fpos, fbasis, ha, hb, {}))
     return [UMap(src, tgt, Fraction(0), rows) for rows in found]
 
 
@@ -897,11 +871,11 @@ def connected_homology_brute(
     All maximizers must agree on the answer; if they do not, the search is
     reported as inconclusive.  Maximizers with the same image share one
     `image_homology` call."""
-    fvar, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, search_bound)
+    fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, search_bound)
     ha = homology(cx)
     best_rank = -1
     best = []
-    for rows, kr in _walk(cx, cx, fvar, fbasis, ha, ha, ha.deep):
+    for rows, kr in _walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
         if kr > best_rank:
             best_rank, best = kr, [rows]
         elif kr == best_rank:

@@ -93,7 +93,8 @@ def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
 
 
 def _subroot_spanned(root: GradedRoot, leaf_ids):
-    """Smallest subroot containing the given leaves, plus the id map into it.
+    """Smallest subroot containing the given leaves, its vertices kept in
+    id order.
 
     The leaf set must be closed under the involution; successors, weights and
     representatives are inherited, candidate involutions are dropped."""
@@ -109,7 +110,7 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
             raise ValueError("leaf set is not closed under the involution")
     order = sorted(keep)
     index = {v: i for i, v in enumerate(order)}
-    sub = GradedRoot(
+    return GradedRoot(
         levels=tuple(root.levels[v] for v in order),
         weights=tuple(root.weights[v] for v in order),
         succ=tuple(
@@ -120,14 +121,12 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
         reps=tuple(root.reps[v] for v in order) if root.reps is not None else None,
         engine=root.engine,
     )
-    return sub, index
 
 
 def monotone_subroot(root: GradedRoot) -> GradedRoot:
     """Subroot spanned by the distinguished leaves; computes the connected
     homology through its model complex."""
-    sub, _ = _subroot_spanned(root, monotone_leaves(root))
-    return sub
+    return _subroot_spanned(root, monotone_leaves(root))
 
 
 def connected_homology(root: GradedRoot, verify: bool = False) -> GradedUModule:

@@ -28,6 +28,11 @@ the pipeline produces by a different route, or builds a reference object.
   explicit exponent at a grading below all generators, and
   `ref_connected_homology` reads the package's list of self local
   equivalences and ranks each map's deep kernel with it.
+* `ref_lift_rows`: the rows of `lift_involution`, each angle's image found
+  by walking the root: from each partner leaf down to the vertex where their
+  paths join, collecting the angles between each branch vertex's child on
+  the way and its representative child.  The reference for the package's one
+  angle mask per vertex.
 * `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
   redirecting them onto an invariant vertex of the same weight, each step
   certified by an explicit local equivalence.  When it runs to completion
@@ -295,14 +300,14 @@ def self_local_equivalences(cx, iota, rank_bound=8, search_bound=18) -> list[UMa
 def ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
     """`local_equivalences` with each combination of the chain-map basis
     rebuilt as a map and tested on its own."""
-    fvar, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     blocks = _deep_blocks(src, tgt, homology(src), homology(tgt))
     found = []
     for combo in range(1, 1 << len(fbasis)):
         fbits = 0
         for t in _bits(combo):
             fbits ^= fbasis[t]
-        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fbits, fvar, len(src))))
+        f = UMap(src, tgt, Fraction(0), tuple(_map_rows(fbits, fpos, len(src))))
         if deep_iso(blocks, f):
             found.append(f)
     found.sort(key=lambda f: f.rows)
@@ -327,6 +332,74 @@ def ref_connected_homology(cx, iota, rank_bound=8, search_bound=18) -> GradedUMo
     if len(set(modules.values())) != 1:
         raise ValueError("maximal self equivalences disagree")
     return GradedUModule(*next(iter(modules.values())))
+
+
+# ---------------------------------------------------------------------------
+# the involution lift by walking the root
+
+
+def _subtree_top(root: GradedRoot, c):
+    """The first vertex from c upward with other than one child."""
+    while len(root.children(c)) == 1:
+        c = root.children(c)[0]
+    return c
+
+
+def _child_toward(root: GradedRoot, u, leaf):
+    """The child of u on the path from u up to `leaf`."""
+    prev = leaf
+    x = root.succ[leaf]
+    while x != u:
+        prev = x
+        x = root.succ[x]
+    return prev
+
+
+def chain_to_rep(model, leaf, u) -> int:
+    """Angle set whose boundary joins `leaf` to the representative leaf of
+    the subtree over u (with the grading-forced U-powers)."""
+    root = model.root
+    if leaf == model.rep_leaf[u]:
+        return 0
+    c = _child_toward(root, u, leaf)
+    mask = chain_to_rep(model, leaf, _subtree_top(root, c))
+    kids = root.children(u)
+    i = kids.index(c)
+    j = next(t for t, cc in enumerate(kids) if model.rep_leaf[cc] == model.rep_leaf[u])
+    for s in range(min(i, j), max(i, j)):
+        mask ^= 1 << model.angle_gen[(u, s)]
+    return mask
+
+
+def _join(root: GradedRoot, a, b):
+    """The first vertex the successor chains of a and b share."""
+    down = set()
+    x = a
+    while x is not None:
+        down.add(x)
+        x = root.succ[x]
+    x = b
+    while x not in down:
+        x = root.succ[x]
+    return x
+
+
+def ref_lift_rows(model) -> list[int]:
+    """The rows of `lift_involution(model)`: leaves to their partner leaves,
+    each angle to the angle chain joining its two partner representatives
+    through the vertex where their paths join."""
+    root = model.root
+    perm = root.involution
+    rows = [0] * len(model.cx)
+    for leaf, gen in model.leaf_gen.items():
+        rows[gen] = 1 << model.leaf_gen[perm[leaf]]
+    for (v, s), gen in model.angle_gen.items():
+        kids = root.children(v)
+        r1 = perm[model.rep_leaf[kids[s]]]
+        r2 = perm[model.rep_leaf[kids[s + 1]]]
+        u = _join(root, r1, r2)
+        rows[gen] = chain_to_rep(model, r1, u) ^ chain_to_rep(model, r2, u)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +457,14 @@ def _delete_pair(root: GradedRoot, pair) -> GradedRoot | None:
     """Remove one swapped leaf pair, certified by a local equivalence onto
     the spanned subroot; None when every same-weight invariant target fails."""
     survivors = [l for l in root.leaves if l not in pair]
-    sub, index = _subroot_spanned(root, survivors)
+    sub = _subroot_spanned(root, survivors)
+    # the subroot keeps, in id order, every vertex below a survivor
+    kept = set()
+    for v in survivors:
+        while v is not None:
+            kept.add(v)
+            v = root.succ[v]
+    index = {v: i for i, v in enumerate(sorted(kept))}
     msrc = model_complex(root)
     mtgt = model_complex(sub)
     iota_src = lift_involution(msrc)

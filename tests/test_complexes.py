@@ -18,6 +18,7 @@ from oracles import (
     ref_connected_homology,
     ref_homology,
     ref_image,
+    ref_lift_rows,
     ref_local_equivalences,
     ref_positions,
     ref_slice_basis,
@@ -257,6 +258,68 @@ def test_model_and_branched_invariants_on_random_pretzels(pres):
     assert (b.upper - d) % 2 == 0 and (d - b.lower) % 2 == 0
     if all(r.involution[v] == v for v in range(len(r))):
         assert b.upper == b.lower == d
+
+
+@st.composite
+def lift_roots(draw):
+    """Roots to lift: star roots of random pretzels or of pretzels near the
+    generators, adaptive or cut at a low level (several leaves, often
+    swapped, and several components when cut), or box roots of the H-shaped
+    trees, the only trees of up to 6 vertices that are not stars, half of
+    them declaring the symmetry that swaps their two nodes, with the spin
+    vector or a twisted one and the stop adaptive or at one of the lowest
+    levels."""
+    n_max = draw(st.sampled_from([None, 1, 3]))
+    source = draw(st.sampled_from(["pretzel", "near generator", "box"]))
+    if source == "pretzel":
+        pres = draw(pretzel_presentations())
+    elif source == "near generator":
+        # pretzel(p,-q,r) with p, r near 2q, like the generators
+        # pretzel(4n+3,-(2n+1),4n+1): about a third of these lifts send some
+        # angle to a chain of several angles
+        q = draw(st.sampled_from([3, 5, 7]))
+        p, r = (2 * q + draw(st.sampled_from([-1, 1, 3])) for _ in "pr")
+        pres = kn.presentation(kn.parse_spec(f"pretzel({p},-{q},{r})"))
+    if source != "box":
+        try:
+            return rt.build_root_star(pres.tree, pres.char, n_max=n_max, involution=pres.involution)
+        except rt.InstabilityError:
+            reject()
+    a, c = (draw(st.integers(-5, -2)) for _ in "ac")
+    b = draw(st.integers(-3, -2))
+    if draw(st.booleans()):
+        weights, aut = (a, b, c, b, a, c), (4, 3, 5, 1, 0, 2)
+    else:
+        d, e, f = draw(st.integers(-3, -2)), draw(st.integers(-5, -2)), draw(st.integers(-5, -2))
+        weights, aut = (a, b, c, d, e, f), None
+    tree = pl.PlumbingTree(weights, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)), aut)
+    try:
+        k = pl.spin_char(tree)
+    except pl.DefinitenessError:
+        reject()
+    if draw(st.booleans()):
+        k = tuple(x + 2 * draw(st.integers(-2, 2)) for x in k)
+    if n_max is not None:
+        *_, const = pl.eliminate(tree, k)
+        n_max += -(-const // 2) - 1  # from just above the minimum of chi
+    try:
+        return rt.build_root_box(tree, k, n_max=n_max)
+    except rt.InstabilityError:
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lift_roots())
+def test_lift_matches_the_walk_reference(root):
+    # every involution the root offers, against the walk from each partner
+    # leaf down to where the two paths join
+    for which in ("auto", "reflection", "automorphism", "trivial"):
+        try:
+            r = root if which == "auto" else root.with_involution(which)
+        except ValueError:
+            continue
+        model = cxm.model_complex(r)
+        assert list(cxm.lift_involution(model).rows) == ref_lift_rows(model)
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +681,9 @@ def test_reduce_is_linear_and_leaves_no_pivot_bit(rows, v, w):
 def _check_walk(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
     """The maps the walk accepts, and the deep kernel ranks it reports on
     src's deep slices, against the references; returns the maps' count."""
-    fvar, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    fpos, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     ha = cxm.homology(src)
-    walked = sorted(cxm._walk(src, tgt, fvar, fbasis, ha, cxm.homology(tgt), ha.deep))
+    walked = sorted(cxm._walk(src, tgt, fpos, fbasis, ha, cxm.homology(tgt), ha.deep))
     expected = ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     assert [rows for rows, _ in walked] == [f.rows for f in expected]
     assert [kr for _, kr in walked] == [deep_kernel_rank(f, ha) for f in expected]
@@ -732,9 +795,9 @@ def test_homology_matches_the_slice_by_slice_reference(a, b, shift):
             _same_homology(cxm.homology(c), ref_homology(c))
     cx = cxm.shift_complex(a[0], shift)
     iota = cxm.UMap(cx, cx, Fraction(0), a[1].rows)
-    fvar, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8, 18)
+    fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8, 18)
     ha = cxm.homology(cx)
-    for rows, _ in cxm._walk(cx, cx, fvar, fbasis, ha, ha, ha.deep):
+    for rows, _ in cxm._walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
         f = cxm.UMap(cx, cx, Fraction(0), rows)
         _same_homology(cxm.image_homology(f), ref_homology(cx, ref_image(f)))
 

@@ -426,10 +426,13 @@ def test_invariants_independence_generators(text, q, delta):
     assert p.det == 1
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize(
+    "n", [4, 5, 6, pytest.param(7, marks=pytest.mark.slow), pytest.param(8, marks=pytest.mark.slow)]
+)
 def test_generator_family_past_n_3(n):
     # pretzel(4n+3, -(2n+1), 4n+1) has omega = n; truncated at level 1, the
-    # long-legged stars of n = 4..6 take well under a second together
+    # long-legged stars of n = 4..6 take well under a second together, and
+    # n = 8 lifts the involution to a model of rank 511
     p = kn.invariants(kn.parse_spec(f"pretzel({4 * n + 3},-{2 * n + 1},{4 * n + 1})"), n_max=1)
     delta = 2 * n - 2
     assert p.delta == p.delta_upper == delta
