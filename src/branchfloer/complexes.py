@@ -35,18 +35,19 @@ lift reads each angle's image off two of them.
 
 Gradings are `Fraction`s at the interface only.  Each complex holds one
 `Fraction` offset and integer levels (`UComplex._grid`: gr = offset +
-level/scale, scale 1 when all gradings lie in one coset of Z), and the sweep
-sorts and compares levels.  `Fraction` arithmetic is left once per distinct
-grading in `_grid`, once per parity in `_sweep` and `branched_invariants`,
-once per distinct source level in the tables of allowed entries
-(`_allowed`, which `__post_init__` checks and `_positions` reads), and in
-the grading maps of `shift_complex`, `dual_complex`, `tensor_complex` and
-`involutive_cone` and the degrees of maps.  Births are read off generator
-gradings, so `homology` makes no `Fraction` once a complex's sweep is built.
+level/scale), and each constructor hands levels through: a shift moves the
+offset, a dual negates levels, a tensor adds them on the lcm of the scales,
+a cone appends level - scale, a model reads -2 * level (+1 for an angle).
+`Fraction` arithmetic is left once per distinct level of a new complex (or
+grading, for the public constructor), once per parity in `_sweep` and
+`branched_invariants`, once per allowed-entry table (`_allowed`: an integer
+shift between grids, then one bisection per source level) and in degrees of
+maps; `homology` reads births off generator gradings.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -139,6 +140,20 @@ class UComplex:
         if any(_apply_vectors(self.diff, self.diff)):
             raise ConsistencyError("differential does not square to zero")
 
+    @classmethod
+    def _on_grid(cls, offset, scale, levels, diff, base=None):
+        """The complex gr(x_j) = offset + levels[j] / scale, one `Fraction` per
+        distinct level; a shift of `base` shares its level tables."""
+        num, den = offset.numerator * scale, offset.denominator
+        at = {h: Fraction(num + h * den, den * scale) for h in set(levels)}
+        self = cls.__new__(cls)
+        grid = (offset, scale, tuple(levels))
+        vars(self).update(gradings=tuple(map(at.__getitem__, levels)), diff=tuple(diff), _grid=grid)
+        if base is not None:
+            vars(self).update({k: getattr(base, k) for k in ("_by_level", "_classes", "_tables")})
+        self.__post_init__()
+        return self
+
     def __len__(self):
         return len(self.gradings)
 
@@ -164,6 +179,18 @@ class UComplex:
         return out
 
     @cached_property
+    def _classes(self) -> dict:
+        """Per class of levels mod 2 * scale: its levels negated, ascending,
+        and the running union of their generator masks, 0 first."""
+        step = 2 * self._grid[1]
+        out = {}
+        for h in sorted(self._by_level, reverse=True):
+            neg, masks = out.setdefault(h % step, ([], [0]))
+            neg.append(-h)
+            masks.append(masks[-1] | self._by_level[h])
+        return {c: (tuple(neg), tuple(masks)) for c, (neg, masks) in out.items()}
+
+    @cached_property
     def _sweep(self) -> tuple:
         """The downward sweep of `homology`, per parity class of levels:
         (parity, class mask, events), each event (level, its grading,
@@ -181,30 +208,23 @@ class UComplex:
         for level in sorted(events, reverse=True):
             classes.setdefault(level % (2 * scale), []).append(tuple(events[level]))
         out = []
-        for evs in classes.values():
-            mask = 0
-            for ev in evs:
-                mask |= ev[2]
+        for c, evs in classes.items():
+            mask = self._classes[c][1][-1] if c in self._classes else 0
             if mask:
                 par = Fraction(self.gradings[(mask & -mask).bit_length() - 1]) % 2
                 out.append((par, mask, tuple(evs)))
         return tuple(sorted(out, key=lambda c: c[0]))
 
     @cached_property
-    def _slices(self) -> dict:
-        """The slice masks built so far, by level (see `_slice`)."""
-        return {}
-
-    @cached_property
     def _tables(self) -> dict:
-        """(id(target gradings), degree) -> (target gradings, row masks), see
-        `_allowed`."""
+        """(id(target levels), shift) -> (target levels, rows), see `_allowed`."""
         return {}
 
 
 def shift_complex(cx: UComplex, s) -> UComplex:
     """Add s to every grading."""
-    return replace(cx, gradings=tuple(g + s for g in cx.gradings))
+    offset, scale, levels = cx._grid
+    return UComplex._on_grid(offset + s, scale, levels, cx.diff, base=cx)
 
 
 def _transpose(rows, n):
@@ -218,24 +238,30 @@ def _transpose(rows, n):
 
 def dual_complex(cx: UComplex) -> UComplex:
     """Plain graded dual: gradings negate, differential transposes."""
-    return UComplex(tuple(-g for g in cx.gradings), tuple(_transpose(cx.diff, len(cx))))
+    offset, scale, levels = cx._grid
+    return UComplex._on_grid(-offset, scale, [-h for h in levels], _transpose(cx.diff, len(cx)))
 
 
 def tensor_complex(a: UComplex, b: UComplex) -> UComplex:
-    """Tensor product over F_2[U]; generator (i, j) sits at index i*len(b)+j."""
+    """Tensor product over F_2[U]; generator (i, j) sits at index i*len(b)+j,
+    at the sum of their levels on the lcm of their scales."""
+    (oa, sa, la), (ob, sb, lb) = a._grid, b._grid
+    scale = lcm(sa, sb)
+    lb = [h * (scale // sb) for h in lb]
     nb = len(b)
-    gradings = []
+    levels = []
     rows = []
     for i in range(len(a)):
+        ha = la[i] * (scale // sa)
         for j in range(nb):
-            gradings.append(a.gradings[i] + b.gradings[j])
+            levels.append(ha + lb[j])
             r = 0
             for t in _bits(a.diff[i]):
                 r |= 1 << (t * nb + j)
             for t in _bits(b.diff[j]):
                 r |= 1 << (i * nb + t)
             rows.append(r)
-    return UComplex(tuple(gradings), tuple(rows))
+    return UComplex._on_grid(oa + ob, scale, levels, rows)
 
 
 @dataclass(frozen=True)
@@ -300,40 +326,34 @@ def tensor_map(f: UMap, g: UMap, src: UComplex, tgt: UComplex) -> UMap:
 # grading slices
 
 
-def _slice(cx: UComplex, g) -> int:
-    """Bitmask of the generators x_j of the grading-g slice of cx: those with
-    gr(x_j) - g a nonnegative even integer, x_j standing for x_j U^((gr(x_j) -
-    g)/2).  Cached per complex and level."""
-    offset, scale, _ = cx._grid
-    level = (g - offset) * scale
-    if level.denominator != 1:
-        return 0
-    level = level.numerator
-    got = cx._slices.get(level)
-    if got is None:
-        got = 0
-        for h, gens in cx._by_level.items():
-            if h >= level and (h - level) % (2 * scale) == 0:
-                got |= gens
-        cx._slices[level] = got
-    return got
+def _slice(cx: UComplex, level: int) -> int:
+    """Bitmask of the generators x_j of the slice of cx at `level` (on its
+    grid): those whose level lies at or above it in its class mod 2 * scale,
+    x_j standing for x_j U^((gr(x_j) - gr)/2).  One bisection of the class."""
+    got = cx._classes.get(level % (2 * cx._grid[1]))
+    return got[1][bisect_right(got[0], -level)] if got else 0
 
 
 def _allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
     """Row masks of the entries a degree-`degree` map src -> tgt may have:
     generator j may hit exactly the generators of tgt's slice at gr(j) +
-    degree.  Built once per (source, target gradings, degree), one slice per
-    distinct source level.  The entry holds the target's gradings, not the
-    target (which would make every complex a reference cycle), and is used
-    only for that very tuple: an unpickled entry's id names another object."""
-    key = (id(tgt.gradings), degree)
+    degree, `shift` levels from j's on the lcm of the two scales.  Built
+    once per (target levels, shift), one slice per distinct source level,
+    and shared with src's shifts.  The entry holds the target's levels, not
+    the target (which would make every complex a reference cycle), and is
+    used only for that very tuple: an unpickled entry's id names another."""
+    (s_off, s_scale, s_levels), (t_off, t_scale, t_levels) = src._grid, tgt._grid
+    scale = lcm(s_scale, t_scale)
+    rel = degree if s_off is t_off else s_off - t_off + degree
+    shift, off_grid = divmod(rel.numerator * scale, rel.denominator)
+    if off_grid:
+        return (0,) * len(src)
+    key = (id(t_levels), shift)
     got = src._tables.get(key)
-    if got is None or got[0] is not tgt.gradings:
-        offset, scale, levels = src._grid
-        by_level = {
-            h: _slice(tgt, offset + Fraction(h, scale) + degree) for h in src._by_level
-        }
-        got = src._tables[key] = (tgt.gradings, tuple(by_level[h] for h in levels))
+    if got is None or got[0] is not t_levels:
+        at = {h: divmod(h * (scale // s_scale) + shift, scale // t_scale) for h in src._by_level}
+        by_level = {h: 0 if r else _slice(tgt, t) for h, (t, r) in at.items()}
+        got = src._tables[key] = (t_levels, tuple(map(by_level.__getitem__, s_levels)))
     return got[1]
 
 
@@ -503,22 +523,21 @@ class ModelComplex:
                     (self.rep_leaf[c] for c in kids),
                     key=lambda l: (-root.weights[l], l),
                 )
-        self.leaf_gen = {}
-        gradings = []
-        for leaf in root.leaves:
-            self.leaf_gen[leaf] = len(gradings)
-            gradings.append(root.weights[leaf])
+        # on the grid of the weights, offset - 2 * level; an angle one above
+        self.leaf_gen = {leaf: j for j, leaf in enumerate(root.leaves)}
+        levels = [-2 * root.levels[leaf] for leaf in root.leaves]
         self.angle_gen = {}
-        rows = [0] * len(gradings)
+        rows = [0] * len(levels)
         for v in range(len(root)):
             kids = root.children(v)
             for s in range(len(kids) - 1):
-                self.angle_gen[(v, s)] = len(gradings)
-                gradings.append(root.weights[v] + 1)
+                self.angle_gen[(v, s)] = len(levels)
+                levels.append(1 - 2 * root.levels[v])
                 left = self.leaf_gen[self.rep_leaf[kids[s]]]
                 right = self.leaf_gen[self.rep_leaf[kids[s + 1]]]
                 rows.append((1 << left) | (1 << right))
-        self.cx = UComplex(tuple(gradings), tuple(rows))
+        offset = root.weights[0] + 2 * root.levels[0] if len(root) else 0
+        self.cx = UComplex._on_grid(Fraction(offset), 1, levels, rows)
         self.path = [0] * len(root)
         for u in reversed(order):
             kids = root.children(u)
@@ -565,13 +584,10 @@ def involutive_cone(cx: UComplex, iota: UMap):
 
     Returns the cone complex and the Q-action on it as a chain map."""
     n = len(cx)
-    gradings = list(cx.gradings) + [g - 1 for g in cx.gradings]
-    rows = []
-    for j in range(n):
-        rows.append(cx.diff[j] | ((iota.rows[j] ^ (1 << j)) << n))
-    for j in range(n):
-        rows.append(cx.diff[j] << n)
-    cone = UComplex(tuple(gradings), tuple(rows))
+    offset, scale, levels = cx._grid
+    rows = [d | (r ^ 1 << j) << n for j, (d, r) in enumerate(zip(cx.diff, iota.rows))]
+    rows += [d << n for d in cx.diff]
+    cone = UComplex._on_grid(offset, scale, levels + tuple(h - scale for h in levels), rows)
     q = UMap(cone, cone, Fraction(-1), tuple(1 << (n + j) for j in range(n)) + (0,) * n)
     if not q.is_chain_map():
         raise ConsistencyError("cone marker Q is not a chain map")

@@ -467,6 +467,8 @@ class _Parser:
                 parts.append(self.expr())
             self.expect(")")
             return KnotSpec.connected_sum(*parts)
+        if not name.isalpha():
+            raise KnotSpecError(f"expected a knot spec, found {name!r}")
         raise KnotSpecError(f"unknown constructor {name!r}")
 
 

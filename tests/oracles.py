@@ -9,6 +9,11 @@ the pipeline produces by a different route, or builds a reference object.
   `ref_positions`: the chain-level slice routines with the U-exponent of
   every entry computed explicitly from the gradings, the reference for the
   package's slices indexed by generator and its table of allowed entries.
+* `ref_slice`, `ref_allowed`: the slice masks and allowed-entry tables by a
+  scan over every distinct level of the target for each slice, one
+  `Fraction` step per distinct source level: the reference for the
+  package's bisection of each class of levels and its integer shift
+  between two grids.
 * `ref_homology`, `ref_image`: barcode homology rebuilt slice by slice over
   explicit bases, with U-transport between them, for a complex or the image
   of a self-map: the reference for the package's one sweep per parity over
@@ -128,6 +133,29 @@ def ref_transport(cx: UComplex, vec, g_from, g_to) -> int:
         j, a = basis[t]
         out |= 1 << index[(j, a + steps)]
     return out
+
+
+def ref_slice(cx: UComplex, g) -> int:
+    """Bitmask of the generators of the grading-g slice of cx, by a scan
+    over its levels (`_grid`): those at or above g's level in its class mod
+    2 * scale."""
+    offset, scale, levels = cx._grid
+    level = (g - offset) * scale
+    if level.denominator != 1:
+        return 0
+    out = 0
+    for j, h in enumerate(levels):
+        if h >= level and (h - level) % (2 * scale) == 0:
+            out |= 1 << j
+    return out
+
+
+def ref_allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
+    """Row masks of the allowed entries of a degree-`degree` map src -> tgt:
+    the slice of tgt at each source generator's grading plus the degree."""
+    offset, scale, levels = src._grid
+    by_level = {h: ref_slice(tgt, offset + Fraction(h, scale) + degree) for h in set(levels)}
+    return tuple(by_level[h] for h in levels)
 
 
 def ref_homology(cx: UComplex, sub=None) -> GradedUModule:

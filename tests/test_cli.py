@@ -87,6 +87,19 @@ def test_invariants_empty_spec_is_a_parse_error():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "spec, found",
+    [("mirror()", "')'"), ("sum(torus(2,3),)", "')'"), ("sum(5)", "'5'"), ("foo(1)", None)],
+)
+def test_invariants_names_the_token_where_a_spec_is_expected(spec, found):
+    proc = run_cli("invariants", spec)
+    assert proc.returncode == 2
+    if found is None:
+        assert "error: unknown constructor 'foo'" in proc.stderr
+    else:
+        assert f"error: expected a knot spec, found {found}" in proc.stderr
+
+
 def test_invariants_verify_flag_passes():
     proc = run_cli("invariants", "pretzel(2,-3,-7)", "--verify")
     assert proc.returncode == 0

@@ -15,12 +15,14 @@ from oracles import (
     deep_kernel_rank,
     image_spans,
     is_local_equivalence,
+    ref_allowed,
     ref_connected_homology,
     ref_homology,
     ref_image,
     ref_lift_rows,
     ref_local_equivalences,
     ref_positions,
+    ref_slice,
     ref_slice_basis,
     ref_slice_vectors,
     ref_transport,
@@ -441,6 +443,13 @@ def _slice_gradings(cx):
     return sorted(out)
 
 
+def _slice_at(cx, g):
+    """The package's slice of cx at grading g, 0 off its grid."""
+    offset, scale, _ = cx._grid
+    level = (g - offset) * scale
+    return cxm._slice(cx, level.numerator) if level.denominator == 1 else 0
+
+
 def _generators(basis, vec):
     """The generators of a vector over an explicit slice basis."""
     out = 0
@@ -461,13 +470,13 @@ def test_slices_and_allowed_entries_match_explicit_exponents(a, b, data):
             # grading forces: the slice masks are the explicit bases, f maps
             # x_j to rows[j] in every slice and U is the identity
             basis = ref_slice_basis(f.src, g)
-            mask = cxm._slice(f.src, g)
+            mask = _slice_at(f.src, g)
             assert mask == _generators(basis, (1 << len(basis)) - 1)
             tgt_basis = ref_slice_basis(f.tgt, g + f.degree)
             assert [_generators(tgt_basis, v) for v in ref_slice_vectors(f, g)] == [
                 f.rows[j] for j in cxm._bits(mask)
             ]
-            assert all(f.rows[j] & ~cxm._slice(f.tgt, g + f.degree) == 0 for j in cxm._bits(mask))
+            assert all(f.rows[j] & ~_slice_at(f.tgt, g + f.degree) == 0 for j in cxm._bits(mask))
             if not basis:
                 continue
             vec = data.draw(st.integers(min_value=0, max_value=(1 << len(basis)) - 1))
@@ -475,11 +484,11 @@ def test_slices_and_allowed_entries_match_explicit_exponents(a, b, data):
                 g_to = g - 2 * steps
                 got = ref_transport(f.src, vec, g, g_to)
                 assert _generators(ref_slice_basis(f.src, g_to), got) == _generators(basis, vec)
-                assert mask & ~cxm._slice(f.src, g_to) == 0
+                assert mask & ~_slice_at(f.src, g_to) == 0
             # U only goes down, by two: the slice above lies in this one, and
             # the one below shares no generator with it
-            assert cxm._slice(f.src, g + 2) & ~mask == 0
-            assert mask & cxm._slice(f.src, g - 1) == 0
+            assert _slice_at(f.src, g + 2) & ~mask == 0
+            assert mask & _slice_at(f.src, g - 1) == 0
     for src, tgt in [(cx, cx), (cx, other), (other, cx), (cone, cx)]:
         for degree in [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]:
             allowed = ref_positions(src, tgt, degree)
@@ -511,6 +520,52 @@ def test_slices_and_allowed_entries_match_explicit_exponents(a, b, data):
             cxm.UMap(src, tgt, degree, tuple(r & m for r, m in zip(rows, masks)))
 
 
+def _grid_cases(a, b, s):
+    """Complexes from every constructor out of two model complexes a and b:
+    shifts by s, duals, a direct sum in two cosets of Z (scale 2, public
+    constructor), tensors of scale-1 and scale-2 factors, and cones."""
+    two = cxm.UComplex(
+        a.gradings + tuple(g + Fraction(1, 2) for g in b.gradings),
+        a.diff + tuple(r << len(a) for r in b.diff),
+    )
+    pair = cxm.UComplex((Fraction(0), Fraction(-1, 2)), (0, 0))
+    swap = cxm.shift_complex(swap_model()[0], Fraction(1, 2))
+    shifted = cxm.shift_complex(a, s)
+    cases = [a, b, shifted, cxm.shift_complex(shifted, -s - 1), cxm.dual_complex(b), two]
+    cases += [cxm.tensor_complex(a, swap), cxm.tensor_complex(a, pair)]
+    cases += [cxm.tensor_complex(pair, two), cxm.tensor_complex(cxm.dual_complex(two), pair)]
+    cases += [cxm.involutive_cone(c, cxm.identity_map(c))[0] for c in (shifted, two, cases[-1])]
+    cases.append(cxm.dual_complex(cxm.shift_complex(cases[-1], s)))
+    return cases + [cxm.UComplex(c.gradings, c.diff) for c in cases[-4:]]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    small_star_trees(),
+    small_star_trees(),
+    st.sampled_from([Fraction(-2), Fraction(1), Fraction(1, 2), Fraction(-3, 2)]),
+    st.data(),
+)
+def test_every_constructor_keeps_its_grid_and_allowed_entries(t1, t2, s, data):
+    # each complex's grid gives back every grading exactly, and its tables
+    # of allowed entries, built on integer levels and shared with its
+    # shifts, are those of the per-level scan, across grids and scales
+    a, b = (cxm.model_complex(rt.build_root_star(t)).cx for t in (t1, t2))
+    assume(len(a) * len(b) <= 40)
+    cases = _grid_cases(a, b, s)
+    for cx in cases:
+        offset, scale, levels = cx._grid
+        assert [offset + Fraction(h, scale) for h in levels] == list(cx.gradings)
+    assert cases[2]._tables is cases[3]._tables is a._tables
+    for src in cases:
+        for tgt in [src, *data.draw(st.lists(st.sampled_from(cases), min_size=3, max_size=3))]:
+            for degree in [Fraction(-1), Fraction(0), Fraction(1), Fraction(1, 2)]:
+                assert cxm._allowed(src, tgt, degree) == ref_allowed(src, tgt, degree)
+    for cx in cases[:4]:
+        for g in _slice_gradings(cx):
+            assert _slice_at(cx, g) == ref_slice(cx, g)
+
+
 def test_allowed_entries_are_cached_per_target():
     # the swap is a valid degree-0 map into any copy of its complex, and
     # into none whose gradings are shifted by a half
@@ -535,11 +590,14 @@ def test_allowed_entries_of_an_unpickled_complex():
     target = cxm.UComplex(tuple(g + 0 for g in c.gradings), c.diff)
     cxm.UMap(c, target, Fraction(0), swap.rows)
     copy = pickle.loads(pickle.dumps(c))
-    half = cxm.shift_complex(c, Fraction(1, 2))
-    stale = copy._tables.pop((id(target.gradings), Fraction(0)))
-    copy._tables[(id(half.gradings), Fraction(0))] = stale  # its id taken over
+    # a target on which the swap has no valid entry: generator 1 two below
+    # generator 0, its grid offset one level under c's
+    low = cxm.UComplex((Fraction(-2), Fraction(-4), Fraction(-3)), c.diff)
+    assert (c._grid[0] - low._grid[0]) * low._grid[1] == 1
+    stale = copy._tables.pop((id(target._grid[2]), 0))
+    copy._tables[(id(low._grid[2]), 1)] = stale  # its id taken over
     with pytest.raises(cxm.ConsistencyError, match="map entry 0->1 has no valid U-power"):
-        cxm.UMap(copy, half, Fraction(0), swap.rows)
+        cxm.UMap(copy, low, Fraction(0), swap.rows)
     cxm.UMap(copy, target, Fraction(0), swap.rows)
     assert cxm.connected_homology_brute(copy, cxm.UMap(copy, copy, Fraction(0), swap.rows)) == (
         cxm.connected_homology_brute(c, swap)
@@ -547,10 +605,19 @@ def test_allowed_entries_of_an_unpickled_complex():
 
 
 def test_cached_slices_cannot_be_mutated():
-    # slices are int masks; a deep parity is tuples, and every echelon built
-    # from it is the caller's own copy
+    # slices and tables are int masks in tuples; a deep parity is tuples,
+    # and every echelon built from it is the caller's own copy
     c, swap = swap_model()
-    assert cxm._slice(c, -2) == 0b11
+    assert c._grid == (Fraction(-3), 1, (1, 1, 0))
+    assert cxm._slice(c, 1) == 0b11
+    table = cxm._allowed(c, c, Fraction(-1))
+    with pytest.raises(TypeError):
+        table[2] = 0b111
+    for neg, masks in c._classes.values():
+        with pytest.raises(TypeError):
+            masks[-1] = 0
+        with pytest.raises(TypeError):
+            neg[0] = 0
     h = cxm.homology(c)
     deep = h.deep[Fraction(0)]
     with pytest.raises(TypeError):
@@ -565,7 +632,8 @@ def test_cached_slices_cannot_be_mutated():
     space.add(1 << 2, 1 << 5)
     space.pivots.clear()
     assert cxm._deep_echelon(deep).rank == len(deep.bound) + len(deep.alive) == 2
-    assert cxm._slice(c, -2) == 0b11
+    assert cxm._slice(c, 1) == 0b11
+    assert cxm._allowed(c, c, Fraction(-1)) == table == (0b100, 0b100, 0b11)
     assert cxm.homology(c).towers == (Fraction(-2),)
     b = cxm.branched_invariants(c, swap)
     assert (b.upper, b.lower) == (-2, -4)
