@@ -25,13 +25,14 @@ one of the slice differential per parity, both growing as generators enter
 its downward sweep.  Every other chain-level job has one routine:
 `_apply_vectors` for applying or composing bitmask matrices, `_F2Space` for
 every F_2 echelon and `_kernel_of` for the kernel of a linear system,
-`_columns` for the column of each unknown of X -> a X + X b in the systems
-of `nullhomotopy` and `_chain_map_basis`, and `_walk` for the search over
+`_columns` for the column of each unknown of X -> a X + X b in the system
+of `_chain_map_basis`, and `_walk` for the search over
 the chain maps that `local_equivalences` and `connected_homology_brute` both
 run: one Gray-code walk that xors one precomputed delta per candidate and
 reads the deep-kernel rank on the way.  The model complex of a graded root
 keeps one angle mask per vertex (`ModelComplex.path`), and the involution's
-lift reads each angle's image off two of them.
+lift reads each angle's image off two of them; its square is checked to be
+the identity exactly, with no homotopy to solve for (`lift_involution`).
 
 Gradings are `Fraction`s at the interface only.  Each complex holds one
 `Fraction` offset and integer levels (`UComplex._grid`: gr = offset +
@@ -48,7 +49,7 @@ maps; `homology` reads births off generator gradings.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -284,13 +285,6 @@ class UMap:
         d_after = _apply_vectors(self.tgt.diff, self.rows)
         return d_after == _apply_vectors(self.rows, self.src.diff)
 
-    def __add__(self, other: "UMap") -> "UMap":
-        if not (self.src is other.src and self.tgt is other.tgt):
-            raise ValueError("sum of maps between different complexes")
-        if self.degree != other.degree:
-            raise ValueError("sum of maps of different degrees")
-        return replace(self, rows=tuple(a ^ b for a, b in zip(self.rows, other.rows)))
-
 
 def identity_map(cx: UComplex) -> UMap:
     return UMap(cx, cx, Fraction(0), tuple(1 << j for j in range(len(cx))))
@@ -519,9 +513,9 @@ class ModelComplex:
             if not kids:
                 self.rep_leaf[v] = v
             else:
+                # the leaf of largest weight, offset - 2 * level, then least id
                 self.rep_leaf[v] = min(
-                    (self.rep_leaf[c] for c in kids),
-                    key=lambda l: (-root.weights[l], l),
+                    (self.rep_leaf[c] for c in kids), key=lambda l: (root.levels[l], l)
                 )
         # on the grid of the weights, offset - 2 * level; an angle one above
         self.leaf_gen = {leaf: j for j, leaf in enumerate(root.leaves)}
@@ -536,8 +530,7 @@ class ModelComplex:
                 left = self.leaf_gen[self.rep_leaf[kids[s]]]
                 right = self.leaf_gen[self.rep_leaf[kids[s + 1]]]
                 rows.append((1 << left) | (1 << right))
-        offset = root.weights[0] + 2 * root.levels[0] if len(root) else 0
-        self.cx = UComplex._on_grid(Fraction(offset), 1, levels, rows)
+        self.cx = UComplex._on_grid(root.offset, 1, levels, rows)
         self.path = [0] * len(root)
         for u in reversed(order):
             kids = root.children(u)
@@ -558,7 +551,16 @@ def model_complex(root) -> ModelComplex:
 def lift_involution(model: ModelComplex) -> UMap:
     """Chain-level involution of the model complex induced by the root's
     symmetry: leaves map to their partner leaves, angles to the angle chain
-    joining the partner representatives, path[r1] ^ path[r2]."""
+    joining the partner representatives, path[r1] ^ path[r2].
+
+    Its square is the identity on the nose, not only up to homotopy, and is
+    checked as such.  The angles of a vertex join the representative leaves
+    of consecutive children, whose subtrees are disjoint, so the angles form
+    a spanning forest on the leaves; a forest's incidence map is injective
+    over F_2[U], so d is injective on the span of the angles.  The lift
+    permutes the leaves by an involution and sends each angle into that
+    span, so for an angle a, iota^2(a) + a lies in the span and is a cycle
+    once iota is a chain map, hence 0."""
     root = model.root
     perm = root.involution
     rows = [0] * len(model.cx)
@@ -570,7 +572,7 @@ def lift_involution(model: ModelComplex) -> UMap:
     iota = UMap(model.cx, model.cx, Fraction(0), tuple(rows))
     if not iota.is_chain_map():
         raise ConsistencyError("involution lift failed to commute with d")
-    if nullhomotopy(compose(iota, iota) + identity_map(model.cx)) is None:
+    if compose(iota, iota).rows != identity_map(model.cx).rows:
         raise ConsistencyError("lifted involution does not square to the identity")
     return iota
 
@@ -675,28 +677,6 @@ def _map_rows(bits, positions, n):
         j, i = positions[t]
         rows[j] |= 1 << i
     return rows
-
-
-def nullhomotopy(f: UMap) -> UMap | None:
-    """Solve f = dH + Hd for H of degree deg(f) + 1, if possible.
-
-    Each unknown entry of H is a column over the equations, one per entry
-    position of f; the columns go into an echelon tagged by their index, and
-    f is solvable exactly when it reduces to zero, its tag then naming H."""
-    src, tgt = f.src, f.tgt
-    hpos = _positions(src, tgt, f.degree + 1)
-    fpos = _positions(src, tgt, f.degree)
-    target = 0
-    for e, (j, i) in enumerate(fpos):
-        target |= ((f.rows[j] >> i) & 1) << e
-    equations = {p: e for e, p in enumerate(fpos)}
-    space = _F2Space()
-    for t, col in enumerate(_columns(src.diff, tgt.diff, hpos, equations)):
-        space.add(col, 1 << t)
-    residual, sol = space.reduce(target)
-    if residual:
-        return None
-    return UMap(src, tgt, f.degree + 1, tuple(_map_rows(sol, hpos, len(src))))
 
 
 def _deep_blocks(src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUModule):

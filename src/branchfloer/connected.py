@@ -1,12 +1,14 @@
 """The connected homology of a symmetric graded root, with no search.
 
 `monotone_subroot` keeps only a distinguished set of leaves, found by walking
-the stem upward from the highest-weight invariant vertex and collecting
-swapped leaf pairs of strictly increasing weight.  The homology of its model
-complex is the connected homology of the whole root (the image of a maximal
-self local equivalence, after Hendricks-Hom-Lidman), so a knot presented
-directly needs no enumeration of self-equivalences; `connected_homology(...,
-verify=True)` cross-checks against that enumeration when the rank allows.
+the stem downward from the highest-weight invariant vertex and collecting
+swapped leaf pairs of strictly increasing weight; one bottom-up pass gives
+every vertex its leaf count and its best swapped leaf, which is all the walk
+reads.  The homology of its model complex is the connected homology of the
+whole root (the image of a maximal self local equivalence, after
+Hendricks-Hom-Lidman), so a knot presented directly needs no enumeration of
+self-equivalences; `connected_homology(..., verify=True)` cross-checks
+against that enumeration when the rank allows.
 Mirrors and sums still enumerate, but on the small models of monotone
 subroots.  `omega` reads the torsion exponent off the result.
 """
@@ -25,38 +27,6 @@ from .complexes import (
 from .roots import GradedRoot
 
 
-def _leaves_above(root: GradedRoot) -> dict[int, frozenset]:
-    """For each vertex, the set of leaves whose downward path passes it."""
-    above: dict[int, frozenset] = {}
-    for v in sorted(range(len(root)), key=lambda v: root.levels[v]):
-        kids = root.children(v)
-        if kids:
-            above[v] = frozenset().union(*(above[c] for c in kids))
-        else:
-            above[v] = frozenset({v})
-    return above
-
-
-def _best_pair(root, leafset, floor):
-    """Swapped pair in leafset of maximal weight (above floor, if given).
-
-    Ties go to the pair containing the smallest vertex id.  Returns None when
-    no pair qualifies."""
-    j = root.involution
-    best = None
-    for v in sorted(leafset):
-        if j[v] == v or j[v] < v or j[v] not in leafset:
-            continue
-        w = root.weights[v]
-        if floor is not None and w <= floor:
-            continue
-        if best is None or w > root.weights[best]:
-            best = v
-    if best is None:
-        return None
-    return (best, j[best])
-
-
 def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
     """The distinguished leaf set of the monotone subroot.
 
@@ -64,30 +34,45 @@ def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
     kept, otherwise one swapped pair of maximal weight.  Then walk down the
     stem; whenever the set of leaves overhead grows, adopt a swapped pair of
     maximal weight provided it strictly beats everything selected so far.
+
+    One bottom-up pass gives each vertex its leaf count and its best swapped
+    leaf: the least (level, id) over the leaves l above it with j(l) > l, so
+    the largest weight, ties to the smaller id.  Every vertex the walk visits
+    is invariant, and the leaves above an invariant vertex are closed under
+    the involution, so each such leaf's partner lies above the vertex too.
     """
     j = root.involution
-    above = _leaves_above(root)
     invariant = [v for v in range(len(root)) if j[v] == v]
     if not invariant:
         raise ConsistencyError("symmetric root has no invariant vertex")
-    v0 = min(invariant, key=lambda v: (-root.weights[v], v))
-    selected: set[int] = set()
-    if len(above[v0]) == 1:
-        selected.update(above[v0])
+    count = [1] * len(root)
+    best: list[tuple[int, int] | None] = [None] * len(root)
+    for v in sorted(range(len(root)), key=root.levels.__getitem__):
+        kids = root.children(v)
+        if kids:
+            count[v] = sum(count[c] for c in kids)
+            best[v] = min((best[c] for c in kids if best[c] is not None), default=None)
+        elif j[v] > v:
+            best[v] = (root.levels[v], v)
+    v0 = min(invariant, key=lambda v: (root.levels[v], v))
+    if count[v0] == 1:
+        leaf = v0
+        while root.children(leaf):
+            (leaf,) = root.children(leaf)
+        floor, selected = root.levels[leaf], {leaf}
+    elif best[v0] is None:
+        raise ConsistencyError("no invariant leaf and no swapped pair over v0")
     else:
-        pair = _best_pair(root, above[v0], None)
-        if pair is None:
-            raise ConsistencyError("no invariant leaf and no swapped pair over v0")
-        selected.update(pair)
-    seen = len(above[v0])
+        floor, leaf = best[v0]
+        selected = {leaf, j[leaf]}
+    seen = count[v0]
     cur = root.succ[v0]
     while cur is not None:
-        if len(above[cur]) > seen:
-            floor = max(root.weights[l] for l in selected)
-            pair = _best_pair(root, above[cur], floor)
-            if pair is not None:
-                selected.update(pair)
-            seen = len(above[cur])
+        if count[cur] > seen:
+            if best[cur] is not None and best[cur][0] < floor:
+                floor, leaf = best[cur]
+                selected.update((leaf, j[leaf]))
+            seen = count[cur]
         cur = root.succ[cur]
     return tuple(sorted(selected))
 
@@ -96,8 +81,9 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
     """Smallest subroot containing the given leaves, its vertices kept in
     id order.
 
-    The leaf set must be closed under the involution; successors, weights and
-    representatives are inherited, candidate involutions are dropped."""
+    The leaf set must be closed under the involution; successors, the weight
+    offset and representatives are inherited, candidate involutions are
+    dropped."""
     keep: set[int] = set()
     for l in leaf_ids:
         v: int | None = l
@@ -112,7 +98,7 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
     index = {v: i for i, v in enumerate(order)}
     return GradedRoot(
         levels=tuple(root.levels[v] for v in order),
-        weights=tuple(root.weights[v] for v in order),
+        offset=root.offset,
         succ=tuple(
             index[root.succ[v]] if root.succ[v] is not None else None for v in order
         ),

@@ -71,16 +71,18 @@ _POINT_BUDGET = 1_000_000
 class GradedRoot:
     """Finite part of a graded root, levels n_min..n_max.
 
-    succ[v] is the vertex one level down the tree, None at top-level
-    components.  involution is the selected level-preserving involution;
-    reflection / graph_perm hold the two candidates when computable.
+    Vertex v has weight offset - 2 * levels[v] (`weights`), so the root
+    stores the offset once.  succ[v] is the vertex one level down the tree,
+    None at top-level components.  involution is the selected
+    level-preserving involution; reflection / graph_perm hold the two
+    candidates when computable.
     reps[v] is a point of the component, which orders each level and which
     the box engine maps to find the involutions: the box engine's least
     point, the star engine's least minimizer on its slice of least (m(i), i).
     """
 
     levels: tuple[int, ...]
-    weights: tuple[Fraction, ...]
+    offset: Fraction
     succ: tuple[int | None, ...]
     involution: tuple[int, ...]
     stable: bool
@@ -98,11 +100,9 @@ class GradedRoot:
                 raise ConsistencyError(f"graded root: {prop}")
 
         check(
-            len(self.weights) == len(self.succ) == len(self.involution) == n,
-            "levels, weights, successors and involution differ in length",
+            len(self.succ) == len(self.involution) == n,
+            "levels, successors and involution differ in length",
         )
-        offsets = {self.weights[v] + 2 * self.levels[v] for v in range(n)}
-        check(len(offsets) <= 1, "weights are not an affine function of level")
         for v in range(n):
             s = self.succ[v]
             check(
@@ -135,6 +135,12 @@ class GradedRoot:
         return max(self.levels)
 
     @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """offset - 2 * level for each vertex, one `Fraction` per level."""
+        at = {n: self.offset - 2 * n for n in set(self.levels)}
+        return tuple(map(at.__getitem__, self.levels))
+
+    @cached_property
     def _children(self) -> tuple[tuple[int, ...], ...]:
         """The vertices one level up from each vertex, in increasing order."""
         kids: list[list[int]] = [[] for _ in self.levels]
@@ -162,7 +168,7 @@ class GradedRoot:
 
     def d_invariant(self) -> Fraction:
         """Maximum weight over the root (the tower-top grading)."""
-        return max(self.weights)
+        return self.offset - 2 * self.n_min
 
     def vertices_at(self, n: int) -> list[int]:
         return [v for v in range(len(self)) if self.levels[v] == n]
@@ -284,11 +290,16 @@ class GradedRoot:
 
     @classmethod
     def from_json(cls, text: str) -> "GradedRoot":
+        """The root of `to_json` text, which may come from outside the
+        package (a cache entry): weights that are not offset - 2 * level
+        raise ConsistencyError, as `__post_init__`'s checks do."""
         doc = json.loads(text)
         vs = sorted(doc["vertices"], key=lambda v: v["id"])
         ids = {v["id"]: i for i, v in enumerate(vs)}
         levels = tuple(int(v["level"]) for v in vs)
-        weights = tuple(Fraction(v["weight"][0], v["weight"][1]) for v in vs)
+        offsets = {Fraction(v["weight"][0], v["weight"][1]) + 2 * n for v, n in zip(vs, levels)}
+        if len(offsets) > 1:
+            raise ConsistencyError("graded root: weights are not an affine function of level")
         succ: list[int | None] = [None] * len(vs)
         for a, b in doc["successor"].items():
             succ[ids[int(a)]] = ids[b]
@@ -297,7 +308,7 @@ class GradedRoot:
             inv[ids[int(a)]] = ids[b]
         return cls(
             levels,
-            weights,
+            offsets.pop() if offsets else Fraction(0),
             tuple(succ),
             tuple(inv),
             bool(doc.get("stable", True)),
@@ -355,7 +366,7 @@ def _assemble(tree, k, sweep, stop, reps):
     index = {c: i for i, c in enumerate(order)}
     fields = dict(
         levels=tuple(levels),
-        weights=tuple(offset - 2 * n for n in levels),
+        offset=offset,
         # a top component's parent, if the sweep has one, lies above `stop`
         succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
         stable=len(level_comps[-1][1]) == 1,

@@ -3,8 +3,13 @@
 None of this runs in the package: each function here recomputes something
 the pipeline produces by a different route, or builds a reference object.
 
-* `standard_swap_complex`, `zero_map`: the smallest nontrivial model complex
-  and the zero map, as fixtures.
+* `standard_swap_complex`, `zero_map`, `map_sum`: the smallest nontrivial
+  model complex, the zero map and the sum of two maps (rows xored), as
+  fixtures.
+* `nullhomotopy`: solves f = dH + Hd for H, one column per unknown entry of
+  H in one echelon, for certifying that a map is nullhomotopic (ι² + 1, or
+  a map's failure to commute with the involutions); the package checks
+  ι² = 1 exactly instead.
 * `exp_of`, `ref_slice_basis`, `ref_slice_vectors`, `ref_transport`,
   `ref_positions`: the chain-level slice routines with the U-exponent of
   every entry computed explicitly from the gradings, the reference for the
@@ -38,6 +43,10 @@ the pipeline produces by a different route, or builds a reference object.
   paths join, collecting the angles between each branch vertex's child on
   the way and its representative child.  The reference for the package's one
   angle mask per vertex.
+* `ref_monotone_leaves`: the monotone subroot's leaves with one leaf set
+  per vertex and each swapped pair searched in it, testing that a leaf's
+  partner lies in the set: the reference for the package's one bottom-up
+  pass of leaf counts and best swapped leaves.
 * `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
   redirecting them onto an invariant vertex of the same weight, each step
   certified by an explicit local equivalence.  When it runs to completion
@@ -60,24 +69,26 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from branchfloer.complexes import (
+    ConsistencyError,
     GradedUModule,
     UComplex,
     UMap,
     _apply_vectors,
     _bits,
     _chain_map_basis,
+    _columns,
     _deep_blocks,
     _F2Space,
     _image_key,
     _kernel_of,
     _map_rows,
+    _positions,
     compose,
     homology,
     image_homology,
     lift_involution,
     local_equivalences,
     model_complex,
-    nullhomotopy,
 )
 from branchfloer.connected import _subroot_spanned
 from branchfloer.plumbing import chi, coordinate_ranges
@@ -95,6 +106,36 @@ def standard_swap_complex(top) -> tuple[UComplex, UMap]:
 
 def zero_map(src: UComplex, tgt: UComplex, degree=Fraction(0)) -> UMap:
     return UMap(src, tgt, Fraction(degree), (0,) * len(src))
+
+
+def map_sum(f: UMap, g: UMap) -> UMap:
+    """f + g: two maps between the same complexes, of the same degree, with
+    their rows xored."""
+    if not (f.src is g.src and f.tgt is g.tgt) or f.degree != g.degree:
+        raise ValueError("sum of maps between different complexes or degrees")
+    return replace(f, rows=tuple(a ^ b for a, b in zip(f.rows, g.rows)))
+
+
+def nullhomotopy(f: UMap) -> UMap | None:
+    """Solve f = dH + Hd for H of degree deg(f) + 1, if possible.
+
+    Each unknown entry of H is a column over the equations, one per entry
+    position of f; the columns go into an echelon tagged by their index, and
+    f is solvable exactly when it reduces to zero, its tag then naming H."""
+    src, tgt = f.src, f.tgt
+    hpos = _positions(src, tgt, f.degree + 1)
+    fpos = _positions(src, tgt, f.degree)
+    target = 0
+    for e, (j, i) in enumerate(fpos):
+        target |= ((f.rows[j] >> i) & 1) << e
+    equations = {p: e for e, p in enumerate(fpos)}
+    space = _F2Space()
+    for t, col in enumerate(_columns(src.diff, tgt.diff, hpos, equations)):
+        space.add(col, 1 << t)
+    residual, sol = space.reduce(target)
+    if residual:
+        return None
+    return UMap(src, tgt, f.degree + 1, tuple(_map_rows(sol, hpos, len(src))))
 
 
 def exp_of(gr_src, gr_tgt, degree):
@@ -299,7 +340,7 @@ def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap) -> bool:
     the localized homology."""
     if not f.is_chain_map():
         return False
-    if nullhomotopy(compose(iota_tgt, f) + compose(f, iota_src)) is None:
+    if nullhomotopy(map_sum(compose(iota_tgt, f), compose(f, iota_src))) is None:
         return False
     return induces_localized_iso(f)
 
@@ -428,6 +469,71 @@ def ref_lift_rows(model) -> list[int]:
         u = _join(root, r1, r2)
         rows[gen] = chain_to_rep(model, r1, u) ^ chain_to_rep(model, r2, u)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the monotone subroot's leaves by one leaf set per vertex
+
+
+def _leaves_above(root: GradedRoot) -> dict[int, frozenset]:
+    """For each vertex, the set of leaves whose downward path passes it."""
+    above: dict[int, frozenset] = {}
+    for v in sorted(range(len(root)), key=lambda v: root.levels[v]):
+        kids = root.children(v)
+        if kids:
+            above[v] = frozenset().union(*(above[c] for c in kids))
+        else:
+            above[v] = frozenset({v})
+    return above
+
+
+def _best_pair(root, leafset, floor):
+    """Swapped pair in leafset of maximal weight (above floor, if given).
+
+    Ties go to the pair containing the smallest vertex id.  Returns None when
+    no pair qualifies."""
+    j = root.involution
+    best = None
+    for v in sorted(leafset):
+        if j[v] == v or j[v] < v or j[v] not in leafset:
+            continue
+        w = root.weights[v]
+        if floor is not None and w <= floor:
+            continue
+        if best is None or w > root.weights[best]:
+            best = v
+    if best is None:
+        return None
+    return (best, j[best])
+
+
+def ref_monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
+    """`monotone_leaves` by walking the stem over explicit leaf sets."""
+    j = root.involution
+    above = _leaves_above(root)
+    invariant = [v for v in range(len(root)) if j[v] == v]
+    if not invariant:
+        raise ConsistencyError("symmetric root has no invariant vertex")
+    v0 = min(invariant, key=lambda v: (-root.weights[v], v))
+    selected: set[int] = set()
+    if len(above[v0]) == 1:
+        selected.update(above[v0])
+    else:
+        pair = _best_pair(root, above[v0], None)
+        if pair is None:
+            raise ConsistencyError("no invariant leaf and no swapped pair over v0")
+        selected.update(pair)
+    seen = len(above[v0])
+    cur = root.succ[v0]
+    while cur is not None:
+        if len(above[cur]) > seen:
+            floor = max(root.weights[l] for l in selected)
+            pair = _best_pair(root, above[cur], floor)
+            if pair is not None:
+                selected.update(pair)
+            seen = len(above[cur])
+        cur = root.succ[cur]
+    return tuple(sorted(selected))
 
 
 # ---------------------------------------------------------------------------

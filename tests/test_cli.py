@@ -246,13 +246,24 @@ def test_root_cache_rebuilds_a_truncated_entry(tmp_path):
     assert entry.read_text() == a.stdout.strip()
 
 
+def _break_involution(doc):
+    doc["involution"]["0"] = 0  # {"0": 0, "1": 0, ...} is no permutation
+
+
+def _break_weight(doc):
+    # one weight off offset - 2 * level: the root stores only the offset, so
+    # reading the entry back is where this is caught
+    doc["vertices"][0]["weight"][0] += 2
+
+
+@pytest.mark.parametrize("edit", [_break_involution, _break_weight], ids=["involution", "weight"])
 @pytest.mark.parametrize("python_flags", [(), ("-O",)])
-def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags):
+def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags, edit):
     env = {"BRANCHFLOER_CACHE_DIR": str(tmp_path)}
     a = run_cli("root", GAMMA7_JSON, env=env)
     (entry,) = tmp_path.glob("root-*.json")
     doc = json.loads(entry.read_text())
-    doc["involution"]["0"] = 0  # {"0": 0, "1": 0, ...} is no permutation
+    edit(doc)
     entry.write_text(json.dumps(doc))
     b = run_cli("root", GAMMA7_JSON, env=env, python_flags=python_flags)
     assert a.returncode == b.returncode == 0

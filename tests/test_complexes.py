@@ -8,6 +8,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from branchfloer import complexes as cxm
+from branchfloer import connected as cn
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
@@ -15,12 +16,15 @@ from oracles import (
     deep_kernel_rank,
     image_spans,
     is_local_equivalence,
+    map_sum,
+    nullhomotopy,
     ref_allowed,
     ref_connected_homology,
     ref_homology,
     ref_image,
     ref_lift_rows,
     ref_local_equivalences,
+    ref_monotone_leaves,
     ref_positions,
     ref_slice,
     ref_slice_basis,
@@ -144,9 +148,9 @@ def test_tensor_of_involutions_is_an_involution():
 
 def test_nullhomotopy_solver():
     c, _ = swap_model()
-    assert cxm.nullhomotopy(zero_map(c, c)) is not None
+    assert nullhomotopy(zero_map(c, c)) is not None
     # the identity is not nullhomotopic on a complex with homology
-    assert cxm.nullhomotopy(cxm.identity_map(c)) is None
+    assert nullhomotopy(cxm.identity_map(c)) is None
 
 
 def test_model_complex_of_two_leaf_root():
@@ -171,8 +175,8 @@ def test_model_complex_with_three_leaves():
     assert any(r.involution[v] != v for v in range(len(r)))
     model = cxm.model_complex(r)
     iota = cxm.lift_involution(model)
-    square = cxm.compose(iota, iota) + cxm.identity_map(model.cx)
-    assert cxm.nullhomotopy(square) is not None
+    square = map_sum(cxm.compose(iota, iota), cxm.identity_map(model.cx))
+    assert nullhomotopy(square) is not None
     h = cxm.homology(model.cx)
     assert h.towers == (r.d_invariant(),)
     cxm.branched_invariants(model.cx, iota)
@@ -310,18 +314,44 @@ def lift_roots(draw):
         reject()
 
 
+def _outcome(f, root):
+    """f(root), or the message of the ConsistencyError it raises."""
+    try:
+        return f(root)
+    except cxm.ConsistencyError as err:
+        return str(err)
+
+
 @settings(max_examples=100, deadline=None)
 @given(lift_roots())
 def test_lift_matches_the_walk_reference(root):
     # every involution the root offers, against the walk from each partner
-    # leaf down to where the two paths join
+    # leaf down to where the two paths join; its square is the identity on
+    # the nose, because d is injective on the span of the angles
     for which in ("auto", "reflection", "automorphism", "trivial"):
         try:
             r = root if which == "auto" else root.with_involution(which)
         except ValueError:
             continue
         model = cxm.model_complex(r)
-        assert list(cxm.lift_involution(model).rows) == ref_lift_rows(model)
+        iota = cxm.lift_involution(model)
+        assert list(iota.rows) == ref_lift_rows(model)
+        square = cxm.compose(iota, iota)
+        assert square.rows == cxm.identity_map(model.cx).rows
+        assert nullhomotopy(map_sum(square, cxm.identity_map(model.cx))) is not None
+        angles = cxm._F2Space()
+        assert all(angles.add(model.cx.diff[g])[0] for g in model.angle_gen.values())
+        # the one-pass monotone leaves against the walk over leaf sets (a cut
+        # root may have no invariant vertex: both refuse it alike); the
+        # leaves above an invariant vertex are closed under the involution
+        assert _outcome(cn.monotone_leaves, r) == _outcome(ref_monotone_leaves, r)
+        j = r.involution
+        above = {}
+        for v in sorted(range(len(r)), key=r.levels.__getitem__):
+            kids = r.children(v)
+            above[v] = set().union(*(above[c] for c in kids)) if kids else {v}
+            if j[v] == v:
+                assert {j[l] for l in above[v]} == above[v]
 
 
 # ---------------------------------------------------------------------------
@@ -414,19 +444,19 @@ def test_nullhomotopy_is_none_exactly_when_no_homotopy_exists(model, data):
     assume(len(ref_positions(cx, cx, 1)) <= 12)
     d = cxm.UMap(cx, cx, Fraction(-1), cx.diff)
     boundaries = {
-        (cxm.compose(d, h) + cxm.compose(h, d)).rows for h in _all_maps(cx, cx, 1)
+        map_sum(cxm.compose(d, h), cxm.compose(h, d)).rows for h in _all_maps(cx, cx, 1)
     }
     maps = list(_all_maps(cx, cx, 0))
     picks = data.draw(st.lists(st.sampled_from(maps), max_size=8))
-    square = cxm.compose(iota, iota) + cxm.identity_map(cx)
+    square = map_sum(cxm.compose(iota, iota), cxm.identity_map(cx))
     for f in [square, cxm.identity_map(cx), maps[0], *picks]:
-        h = cxm.nullhomotopy(f)
+        h = nullhomotopy(f)
         assert (h is None) == (f.rows not in boundaries)
         if h is not None:
-            assert (cxm.compose(d, h) + cxm.compose(h, d)).rows == f.rows
+            assert map_sum(cxm.compose(d, h), cxm.compose(h, d)).rows == f.rows
     # every boundary is solvable, not only the sampled maps
     for rows in sorted(boundaries)[:16]:
-        assert cxm.nullhomotopy(cxm.UMap(cx, cx, Fraction(0), rows)) is not None
+        assert nullhomotopy(cxm.UMap(cx, cx, Fraction(0), rows)) is not None
 
 
 # ---------------------------------------------------------------------------

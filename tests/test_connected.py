@@ -18,7 +18,7 @@ def hand_root():
     # three leaves at weight 0 over a single join, two of them swapped
     return rt.GradedRoot(
         levels=(0, 0, 0, 1, 2),
-        weights=(Fraction(0), Fraction(0), Fraction(0), Fraction(-2), Fraction(-4)),
+        offset=Fraction(0),
         succ=(3, 3, 3, 4, None),
         involution=(1, 0, 2, 3, 4),
         stable=True,

@@ -439,7 +439,7 @@ def test_engines_agree_on_random_stars(tree):
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="star engine's adaptive stop comes before a later split (ROADMAP item 3)",
+    reason="star engine's adaptive stop comes before a later split (ROADMAP item 1)",
 )
 def test_star_engine_stop_level_reaches_a_late_split(monkeypatch):
     # The star engine stops at level -3 with 5 leaves; S_0 has 3 components
