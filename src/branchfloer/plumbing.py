@@ -96,8 +96,8 @@ class PlumbingTree:
 
     @cached_property
     def _elimination(self) -> tuple:
-        """The k-independent pass of `eliminate`: its order, then its parents,
-        pivots and the diagonal of (-Q)^{-1} (spreads) by vertex."""
+        """The k-independent pass of `eliminate`: its order, then its parents
+        and pivots by vertex."""
         parent, order = {0: None}, [0]
         for v in order:
             for u in sorted(self.neighbors(v)):
@@ -110,11 +110,7 @@ class PlumbingTree:
                 raise DefinitenessError("intersection form is not negative definite")
             if parent[v] is not None:
                 pivots[parent[v]] -= 1 / pivots[v]
-        spread = {None: 0}
-        for v in order:
-            spread[v] = (1 + spread[parent[v]] / pivots[v]) / pivots[v]
-        n = range(len(self))
-        return tuple(order), tuple(parent[v] for v in n), tuple(pivots), tuple(spread[v] for v in n)
+        return tuple(order), tuple(parent[v] for v in range(len(self))), tuple(pivots)
 
     @cached_property
     def _solved(self) -> dict:
@@ -131,7 +127,7 @@ class PlumbingTree:
     def _centres(self, k: tuple[int, ...]) -> tuple:
         """The k-dependent pass: the shifts and const of `eliminate`, then
         the real minimiser c_v = (c_parent + s_v) / p_v of chi_k."""
-        order, parent, pivots, _ = self._elimination
+        order, parent, pivots = self._elimination
         shifts, const = [Fraction(x, 2) for x in k], Fraction(0)
         for v in reversed(order):
             const -= shifts[v] ** 2 / pivots[v]
@@ -169,7 +165,7 @@ def eliminate(tree: PlumbingTree, k: tuple[int, ...]):
     Both passes are kept on the tree, once per tree and once per k (a pass
     that raises keeps nothing); the lists returned are copies.
     """
-    order, parent, pivots, _ = tree._elimination
+    order, parent, pivots = tree._elimination
     shifts, const, _ = tree._solve(k)
     return list(order), dict(enumerate(parent)), list(pivots), list(shifts), const
 
@@ -208,24 +204,29 @@ def pd_vector(tree: PlumbingTree, k: tuple[int, ...]) -> list[Fraction]:
     return [-2 * c for c in tree._solve(k)[2]]
 
 
-def coordinate_ranges(tree: PlumbingTree, k: tuple[int, ...], cap: int) -> list[range]:
-    """The exact integer range of each coordinate l_v over {l : chi_k(l) <= cap},
+def coordinate_range(tree: PlumbingTree, k: tuple[int, ...], cap: int, v: int) -> range:
+    """The exact integer range of the coordinate l_v over {l : chi_k(l) <= cap},
     empty where no integer fits.
 
     On the ellipsoid 2 chi_k(l) <= 2 cap, l_v takes exactly the values with
-    (l_v - c_v)^2 <= (2 cap - const) sigma_v, for the real minimiser c and the
-    diagonal sigma of (-Q)^{-1} that the tree keeps; only this radius is
-    computed per call.
+    (l_v - c_v)^2 <= (2 cap - const) sigma_v, for the real minimiser c and
+    sigma_v = ((-Q)^{-1})_vv, which the pivots give along the path from the
+    elimination's first vertex down to v: sigma = (1 + sigma_parent / p) / p.
     """
+    _, parent, pivots = tree._elimination
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    spread = 0
+    for u in reversed(path):
+        spread = (1 + spread / pivots[u]) / pivots[u]
     _, const, centres = tree._solve(k)
-    out = [range(0)] * len(tree)
-    for v, (c, spread) in enumerate(zip(centres, tree._elimination[3])):
-        r2 = (2 * cap - const) * spread
-        if r2 >= 0:  # for c = a/b: |b l_v - a| <= sqrt(r2 b^2), an integer bound
-            a, b = c.numerator, c.denominator
-            s = math.isqrt(math.floor(r2 * b * b))
-            out[v] = range(-((s - a) // b), (a + s) // b + 1)
-    return out
+    r2 = (2 * cap - const) * spread
+    if r2 < 0:
+        return range(0)
+    a, b = centres[v].numerator, centres[v].denominator  # |b l_v - a| <= sqrt(r2 b^2)
+    s = math.isqrt(math.floor(r2 * b * b))
+    return range(-((s - a) // b), (a + s) // b + 1)
 
 
 def k_square(tree: PlumbingTree, k: tuple[int, ...]) -> Fraction:

@@ -15,13 +15,13 @@ boundary.  Two engines build roots:
   union-find the sublevel graphs level by level (`_Sweep`);
 * a star engine (`build_root_star`), for star-shaped trees: minimize chi in
   closed form, from each leg's continued fraction and twist (`_leg_seifert`),
-  on each slice of the central coordinate that the same elimination bounds
-  (`plumbing.coordinate_ranges`).  A leg's share of chi is walked on its
-  first 2 alpha_1 slices only and has a constant second difference in steps
-  of alpha_1 after them (`_leg_shares`), and least minimizers are built only
-  for the slices that represent components.  Components are then maximal
-  intervals of the central profile, which the same sweep reads off in one
-  dimension.
+  on each slice of the central coordinate's range that the same elimination
+  bounds (`plumbing.coordinate_range`).  A leg's share of chi is walked on
+  its first 2 alpha_1 slices only and has a constant second difference in
+  steps of alpha_1 after them (`_leg_shares`).  Components are the maximal
+  intervals of the central profile, so the root is its merge tree, read off
+  in one pass (`_merge_tree`), and least minimizers are built only for the
+  slices that represent components.
 
 Both can attach two involutions: the chi-preserving lattice reflection
 l -> -l - Q^{-1}k, and the map induced by a declared tree automorphism.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +41,7 @@ from .complexes import ConsistencyError
 from .plumbing import (
     PlumbingTree,
     check_negative_definite,
-    coordinate_ranges,
+    coordinate_range,
     eliminate,
     is_characteristic,
     k_square,
@@ -152,10 +153,9 @@ class GradedRoot:
     def children(self, v: int) -> tuple[int, ...]:
         return self._children[v]
 
-    @property
+    @cached_property
     def leaves(self) -> tuple[int, ...]:
-        targets = {s for s in self.succ if s is not None}
-        return tuple(v for v in range(len(self)) if v not in targets)
+        return tuple(v for v, kids in enumerate(self._children) if not kids)
 
     def require_stable(self) -> None:
         """Raise InstabilityError unless the top level is one component."""
@@ -187,18 +187,11 @@ class GradedRoot:
     def _trimmed(self) -> list[int]:
         """Vertex set with the unbranched tail of the stem removed."""
         keep = set(range(len(self)))
-        leaves = set(self.leaves)
         bottoms = [v for v in range(len(self)) if self.succ[v] is None]
-        if len(bottoms) != 1:
-            return sorted(keep)
-        b = bottoms[0]
-        while True:
-            ch = self.children(b)  # none of them removed yet
-            if len(ch) == 1 and b not in leaves:
-                keep.remove(b)
-                b = ch[0]
-            else:
-                return sorted(keep)
+        while len(bottoms) == 1 and len(self.children(bottoms[0])) == 1:
+            keep.remove(bottoms[0])
+            bottoms = list(self.children(bottoms[0]))
+        return sorted(keep)
 
     def _shape_key(self, v: int, keep: set[int]) -> tuple:
         w = self.weights[v]
@@ -350,29 +343,6 @@ def _checked_char(tree, k):
     if not is_characteristic(tree, k):
         raise ValueError(f"{tuple(k)} is not a characteristic vector of the tree")
     return k
-
-
-def _assemble(tree, k, sweep, stop, reps):
-    """The vertices of a sweep's levels up to `stop`, each level's components
-    ordered by their representative lattice points `reps` (id -> point).
-    Returns (the root's fields but its engine and involutions, component id
-    -> vertex index)."""
-    offset = (k_square(tree, k) + len(tree)) / 4
-    level_comps = [(n, comps) for n, comps in sweep.level_comps if n <= stop]
-    order, levels = [], []
-    for n, comps in level_comps:
-        order.extend(sorted(comps, key=lambda c: reps[c]))
-        levels.extend([n] * len(comps))
-    index = {c: i for i, c in enumerate(order)}
-    fields = dict(
-        levels=tuple(levels),
-        offset=offset,
-        # a top component's parent, if the sweep has one, lies above `stop`
-        succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
-        stable=len(level_comps[-1][1]) == 1,
-        reps=tuple(reps[c] for c in order),
-    )
-    return fields, index
 
 
 def _selected(which, reflection, graph_perm, n):
@@ -596,7 +566,18 @@ def build_root_box(
             raise InstabilityError("stop level lies below the minimum of chi")
         sweep = _Sweep(points, n_max)
         stop = n_max
-    fields, comp_index = _assemble(tree, k, sweep, stop, sweep.reps)
+    # each level's components in the order of their least points
+    level_comps = [(n, sorted(c, key=sweep.reps.get)) for n, c in sweep.level_comps if n <= stop]
+    order = [c for _, comps in level_comps for c in comps]
+    comp_index = {c: i for i, c in enumerate(order)}
+    fields = dict(
+        levels=tuple(n for n, comps in level_comps for _ in comps),
+        offset=(k_square(tree, k) + len(tree)) / 4,
+        # a top component's parent, if the sweep has one, lies above `stop`
+        succ=tuple(comp_index.get(sweep.parent_of.get(c)) for c in order),
+        stable=len(level_comps[-1][1]) == 1,
+        reps=tuple(sweep.reps[c] for c in order),
+    )
     refl = _perm_from_map(fields, comp_index, sweep, lambda p: reflect(tree, k, p))
     gperm = None
     if tree.automorphism is not None:
@@ -614,21 +595,17 @@ def build_root_box(
 def _star_decompose(tree: PlumbingTree):
     """(center, legs): legs are chains of vertex ids, center-adjacent first.
 
-    Raises ValueError if the tree branches away from the chosen center."""
+    Raises ValueError unless the center, a vertex of largest degree, is the
+    only one of degree 3 or more."""
     center = max(range(len(tree)), key=lambda v: (tree.degree(v), -v))
+    if sum(tree.degree(v) > 2 for v in range(len(tree))) > 1:
+        raise ValueError("tree is not star-shaped")
     legs = []
     for first in sorted(tree.neighbors(center)):
-        leg = [first]
-        prev, cur = center, first
-        while True:
-            nxt = [u for u in tree.neighbors(cur) if u != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise ValueError("tree is not star-shaped")
-            prev, cur = cur, nxt[0]
-            leg.append(cur)
-        legs.append(leg)
+        leg = [center, first]
+        while tree.degree(leg[-1]) == 2:
+            leg.append(next(u for u in tree.neighbors(leg[-1]) if u != leg[-2]))
+        legs.append(leg[1:])
     return center, legs
 
 
@@ -729,6 +706,42 @@ def _central_profile(tree, k, center, legs, slices):
     return [t // 2 for t in twice], minimizer
 
 
+def _merge_tree(m, lo, top):
+    """The merge tree of the profile m(lo), m(lo + 1), ... up to level `top`:
+    for each level n from min m, the maximal intervals [a, b] of
+    {i : m(i) <= n} left to right, as [a, b, up, least] with `up` the
+    position one level up of the interval holding [a, b] (None at `top`) and
+    `least` its slice of least (m(i), i).  A profile symmetric under
+    i -> 6 - i, connected at level 1 and split again at level 2:
+
+    >>> for n, intervals in _merge_tree([2, 4, 1, 0, 1, 4, 2], 0, 4):
+    ...     print(n, intervals)
+    0 [[3, 3, 0, 3]]
+    1 [[2, 4, 1, 3]]
+    2 [[0, 0, 0, 0], [2, 4, 1, 3], [6, 6, 2, 6]]
+    3 [[0, 0, 0, 0], [2, 4, 0, 3], [6, 6, 0, 6]]
+    4 [[0, 6, None, 3]]
+    """
+    # Slices enter in order of (m(i), i), each joining the intervals beside it,
+    # so an interval's least slice is the first to enter it.  Slice lo + p is p
+    # here; an interval's start keeps its end and least entry, its end its start.
+    order = sorted(range(len(m)), key=m.__getitem__)
+    ends, starts, least = {}, {}, {}
+    levels, fresh = [], 0
+    for n in range(min(m, default=top + 1), top + 1):
+        while fresh < len(order) and m[order[fresh]] == n:
+            p = order[fresh]  # joins the intervals ending at p - 1 and starting at p + 1
+            a, b = starts.pop(p - 1, p), ends.pop(p + 1, p)
+            ends[a], starts[b] = b, a
+            least[a] = min(least.get(a, fresh), least.pop(p + 1, fresh))
+            fresh += 1
+        here = sorted(ends)
+        for below in levels[-1][1] if levels else ():
+            below[2] = bisect_right(here, below[0] - lo) - 1  # the last start at or before it
+        levels.append((n, [[a + lo, ends[a] + lo, None, order[least[a]] + lo] for a in here]))
+    return levels
+
+
 def build_root_star(
     tree: PlumbingTree,
     k: tuple[int, ...] | None = None,
@@ -740,12 +753,11 @@ def build_root_star(
 
     Slice sublevel sets are connected and meet their neighbours along a
     minimizing path, so the components of S_n are the maximal intervals of
-    {i : m(i) <= n}, which the box engine's sweep reads off {(i,) : m(i) <=
-    cap}.  The slices run over the central coordinate's range on S_cap
-    (`coordinate_ranges`), and m is exact on every slice, not only where
-    m(i) <= cap (`_leg_seifert`).  An explicit n_max is that cap.  Adaptive
-    caps are ceil(min chi) + 8, + 16, + 32, ... until the first connected
-    level plus `_MARGIN`, where the root stops, fits under one.
+    {i : m(i) <= n}: the root is the merge tree of m (`_merge_tree`) on the
+    centre's range on S_cap (`coordinate_range`), with m exact on every slice
+    (`_leg_seifert`).  An explicit n_max is that cap.  Adaptive caps are
+    ceil(min chi) + 8, + 16, + 32, ... until the first connected level plus
+    `_MARGIN`, where the root stops, fits under one.
     """
     k = _checked_char(tree, k)
     return _star_root(tree, k, *_star_decompose(tree), n_max, involution)
@@ -753,58 +765,48 @@ def build_root_star(
 
 def _star_root(tree, k, center, legs, n_max, involution):
     """`build_root_star` for a checked k and the star's `_star_decompose`."""
-
-    def profile(cap):
-        """{(i,): m(i)} over the slices with m(i) <= cap, and the least
-        minimizer of chi on a slice."""
-        slices = coordinate_ranges(tree, k, cap)[center]
+    ksq, span = k_square(tree, k), 8
+    while True:
+        # adaptive caps start above ceil(min chi), and min chi >= k^2 / 8
+        cap = math.ceil(ksq / 8) + span if n_max is None else n_max
+        slices = coordinate_range(tree, k, cap, center)
         m, minimizer = _central_profile(tree, k, center, legs, slices)
-        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, minimizer
-
-    if n_max is None:
-        *_, const = eliminate(tree, k)
-        span = 8
-        while True:
-            cap = math.ceil(const / 2) + span  # chi >= const / 2
-            m, minimizer = profile(cap)
-            if m:
-                sweep = _Sweep(m, cap)
-                conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
-                stop = conn + _MARGIN
-                if stop <= cap:
-                    break
-            span *= 2
-    else:
-        stop = n_max
-        m, minimizer = profile(stop)
-        if not m:
+        levels = _merge_tree(m, slices.start, cap)
+        # an adaptive root stops at its first connected level plus `_MARGIN`
+        stop = next((n for n, c in levels if len(c) == 1), cap) + _MARGIN if n_max is None else cap
+        if levels and stop <= cap:
+            break
+        if n_max is not None:
             raise InstabilityError("stop level lies below the minimum of chi")
-        sweep = _Sweep(m, stop)
+        span *= 2
+    levels = levels[: stop - levels[0][0] + 1]
 
-    # a component's representative minimizes chi on its slice of least (m(i), i):
-    # a new one's leftmost (all enter at its level), a merged one's children's least
-    least = {}
-    for n, comps in sweep.level_comps:
-        for c in comps:
-            least.setdefault(c, (n, sweep.reps[c]))
-            if (up := sweep.parent_of.get(c)) is not None:
-                least[up] = min(least.get(up, least[c]), least[c])
-    points = {i: minimizer(i) for i in {i for _, (i,) in least.values()}}
-    reps = {c: points[i] for c, (_, (i,)) in least.items()}
-    fields, comp_index = _assemble(tree, k, sweep, stop, reps)
-
-    refl = None
-    pd = pd_vector(tree, k)
+    # A component's representative is the least minimizer of chi on its least
+    # slice.  Its leg coordinates do not decrease with the slice
+    # (`_leg_minimizer`), so the representatives order each level left to right.
+    points = {s: minimizer(s) for s in {c[3] for _, comps in levels for c in comps}}
+    at = list(itertools.accumulate((len(comps) for _, comps in levels), initial=0))
+    vertices = [(x, n, c) for x, (n, comps) in enumerate(levels) for c in comps]
+    fields = dict(
+        levels=tuple(n for _, n, _ in vertices),
+        offset=(ksq + len(tree)) / 4,
+        succ=tuple(at[x + 1] + c[2] if x + 1 < len(levels) else None for x, _, c in vertices),
+        stable=len(levels[-1][1]) == 1,
+        reps=tuple(points[c[3]] for *_, c in vertices),
+    )
+    # i -> rho - i maps each level's intervals onto themselves in reverse order
+    refl, pd = None, pd_vector(tree, k)
     if all(x.denominator == 1 for x in pd):
         rho = -int(pd[center])
-        refl = _perm_from_map(fields, comp_index, sweep, lambda p: (rho - p[center],))
-        if refl is None:
-            raise ConsistencyError("lattice reflection does not preserve the central profile")
+        for _, comps in levels:
+            if [[rho - b, rho - a] for a, b, *_ in reversed(comps)] != [c[:2] for c in comps]:
+                raise ConsistencyError("lattice reflection does not preserve the central profile")
+        refl = tuple(at[x] + at[x + 1] - 1 - v for v, (x, _, _) in enumerate(vertices))
     # a slice- and chi-preserving automorphism maps every component, being an
     # interval of slices, to itself
     gperm, aut = None, tree.automorphism
     if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
-        gperm = tuple(range(len(fields["levels"])))
+        gperm = tuple(range(len(vertices)))
     return _finished(fields, "star", refl, gperm, involution)
 
 
@@ -816,14 +818,10 @@ def build_root(
     n_max: int | None = None,
     involution: str = "auto",
 ) -> GradedRoot:
-    """Dispatch: star engine for star-shaped trees, box engine otherwise."""
+    """Dispatch: star engine for star-shaped trees, those with at most one
+    vertex of degree 3 or more (`_star_decompose`), box engine otherwise."""
     if engine == "auto":
-        try:
-            star = _star_decompose(tree)
-        except ValueError:
-            engine = "box"
-        else:
-            return _star_root(tree, _checked_char(tree, k), *star, n_max, involution)
+        engine = "star" if sum(tree.degree(v) > 2 for v in range(len(tree))) <= 1 else "box"
     if engine == "box":
         return build_root_box(tree, k, n_max=n_max, involution=involution)
     if engine != "star":

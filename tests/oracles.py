@@ -57,6 +57,13 @@ the pipeline produces by a different route, or builds a reference object.
   leg over every coordinate's exact range on a sublevel set that holds all
   the slice minimizers, with lex-first minimizers: the reference for the
   package's closed form from each leg's continued fraction.
+* `coordinate_ranges`: every coordinate's exact range on a sublevel set,
+  from the dense inverse of Q: the reference for the package's range of one
+  coordinate from the elimination.
+* `ref_star_root`: the star engine reading components off the box engine's
+  union-find sweep over 1-tuples and mapping each representative through
+  the reflection: the reference for the package's merge tree of the central
+  profile, whose reflection reverses each level's intervals.
 * `determinant`, `leading_minors`, `is_negative_definite`, `solve_exact`,
   `invert_exact`, `solve_mod2`: dense exact matrix algebra (Bareiss minors,
   Gauss-Jordan over the rationals and over F_2) on plain lists of lists, the
@@ -65,9 +72,11 @@ the pipeline produces by a different route, or builds a reference object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from branchfloer import roots as rt
 from branchfloer.complexes import (
     ConsistencyError,
     GradedUModule,
@@ -91,7 +100,7 @@ from branchfloer.complexes import (
     model_complex,
 )
 from branchfloer.connected import _subroot_spanned
-from branchfloer.plumbing import chi, coordinate_ranges
+from branchfloer.plumbing import chi, intersection_form, k_square, pd_vector
 from branchfloer.roots import GradedRoot
 
 
@@ -734,6 +743,98 @@ def ref_central_profile(tree, k, center, legs, slices):
             for v, x in zip(leg, coords):
                 point[v] = x
     return [x // 2 for x in total], [tuple(p) for p in base]
+
+
+def coordinate_ranges(tree, k, cap) -> list[range]:
+    """The exact integer range of every coordinate l_v over {l : chi_k(l) <=
+    cap}, empty where no integer fits, from the dense inverse of Q: 2 chi_k(l)
+    = const + (l - c)^T (-Q) (l - c) with c = -Q^{-1}k / 2 and const =
+    k^T Q^{-1} k / 4, so l_v runs over (l_v - c_v)^2 <= (2 cap - const)
+    ((-Q)^{-1})_vv.  The reference for `plumbing.coordinate_range`, which
+    reads c, const and that diagonal entry off the tree's elimination."""
+    inv, n = invert_exact(intersection_form(tree)), len(tree)
+    pd = [sum(inv[v][u] * k[u] for u in range(n)) for v in range(n)]
+    const = sum(x * y for x, y in zip(k, pd)) / 4
+    out = []
+    for v in range(n):
+        r2, c = (2 * cap - const) * -inv[v][v], -pd[v] / 2
+        if r2 < 0:
+            out.append(range(0))
+            continue
+        a, b = c.numerator, c.denominator
+        s = math.isqrt(math.floor(r2 * b * b))  # |b l_v - a| <= s
+        out.append(range(-((s - a) // b), (a + s) // b + 1))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# star roots read off the box engine's union-find sweep
+
+
+def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
+    """`roots.build_root_star` with components read off the box engine's
+    union-find `roots._Sweep` over the 1-tuples (i,) with m(i) <= cap, and
+    the reflection found one representative at a time by
+    `roots._perm_from_map`: the reference for the package's merge tree of
+    the central profile.  Slices, profile, stop rule and representatives (the
+    least minimizer on each component's slice of least (m(i), i)) are the
+    package's; each level's components are sorted by their representatives."""
+    k = rt._checked_char(tree, k)
+    center, legs = rt._star_decompose(tree)
+
+    def profile(cap):
+        slices = coordinate_ranges(tree, k, cap)[center]
+        m, minimizer = rt._central_profile(tree, k, center, legs, slices)
+        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, minimizer
+
+    if n_max is None:
+        span = 8
+        while True:
+            cap = math.ceil(k_square(tree, k) / 8) + span  # chi >= k^2 / 8
+            m, minimizer = profile(cap)
+            if m:
+                sweep = rt._Sweep(m, cap)
+                conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
+                stop = conn + rt._MARGIN
+                if stop <= cap:
+                    break
+            span *= 2
+    else:
+        stop = n_max
+        m, minimizer = profile(stop)
+        if not m:
+            raise rt.InstabilityError("stop level lies below the minimum of chi")
+        sweep = rt._Sweep(m, stop)
+
+    # a new component's least slice is its leftmost, a merged one's its
+    # children's least
+    least = {}
+    for n, comps in sweep.level_comps:
+        for c in comps:
+            least.setdefault(c, (n, sweep.reps[c]))
+            if (up := sweep.parent_of.get(c)) is not None:
+                least[up] = min(least.get(up, least[c]), least[c])
+    reps = {c: minimizer(i) for c, (_, (i,)) in least.items()}
+    level_comps = [(n, sorted(comps, key=reps.get)) for n, comps in sweep.level_comps if n <= stop]
+    order = [c for _, comps in level_comps for c in comps]
+    index = {c: i for i, c in enumerate(order)}
+    fields = dict(
+        levels=tuple(n for n, comps in level_comps for _ in comps),
+        offset=(k_square(tree, k) + len(tree)) / 4,
+        succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
+        stable=len(level_comps[-1][1]) == 1,
+        reps=tuple(reps[c] for c in order),
+    )
+    refl, pd = None, pd_vector(tree, k)
+    if all(x.denominator == 1 for x in pd):
+        rho = -int(pd[center])
+        refl = rt._perm_from_map(fields, index, sweep, lambda p: (rho - p[center],))
+        if refl is None:
+            raise ConsistencyError("lattice reflection does not preserve the central profile")
+    gperm, aut = None, tree.automorphism
+    if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
+        gperm = tuple(range(len(order)))
+    return rt._finished(fields, "star", refl, gperm, involution)
 
 
 # ---------------------------------------------------------------------------

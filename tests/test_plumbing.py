@@ -13,7 +13,7 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import determinant, is_negative_definite, solve_exact, solve_mod2
+from oracles import coordinate_ranges, determinant, is_negative_definite, solve_exact, solve_mod2
 from test_acceptance import CORPUS
 
 # Gamma_7: the central -1 star with legs -2, -3, -7, double cover data for
@@ -62,7 +62,7 @@ def test_elimination_raises_at_a_non_positive_pivot(weights):
         lambda: pl.eliminate(tree, k),
         lambda: pl.pd_vector(tree, k),
         lambda: pl.k_square(tree, k),
-        lambda: pl.coordinate_ranges(tree, k, 0),
+        lambda: pl.coordinate_range(tree, k, 0, len(tree) - 1),
         lambda: pl.determinant_magnitude(tree),
         lambda: pl.spin_char(tree),
         lambda: pl.reflect(tree, k, (0,) * len(tree)),
@@ -76,7 +76,7 @@ def _lattice_answers(tree, k):
     return (
         pl.eliminate(tree, k),
         pl.pd_vector(tree, k),
-        pl.coordinate_ranges(tree, k, 3),
+        [pl.coordinate_range(tree, k, 3, v) for v in range(len(tree))],
         pl.k_square(tree, k),
         pl.determinant_magnitude(tree),
         pl.spin_char(tree),
@@ -98,7 +98,7 @@ def test_kept_elimination_is_private_to_each_answer():
     shifts.append(Fraction(1))
     pd = pl.pd_vector(tree, k)
     pd[0] += 1
-    ranges = pl.coordinate_ranges(tree, k, 3)
+    ranges = [pl.coordinate_range(tree, k, 3, v) for v in range(len(tree))]
     ranges[0] = range(0)
     assert _lattice_answers(tree, k) == expected
     # the kept passes are not part of the tree's value
@@ -307,8 +307,11 @@ def definite_trees_and_caps(draw):
 @settings(max_examples=150, deadline=None)
 @given(definite_trees_and_caps())
 def test_coordinate_ranges_hold_the_sublevel_set(data):
+    # each vertex's range, read along its path from the elimination's first
+    # vertex, is the dense inverse's and holds every point of S_cap
     tree, k, cap = data
-    ranges = pl.coordinate_ranges(tree, k, cap)
+    ranges = [pl.coordinate_range(tree, k, cap, v) for v in range(len(tree))]
+    assert ranges == coordinate_ranges(tree, k, cap)
     points = rt._sublevel_set(rt._eliminate(tree, k), cap)
     for point in points:
         assert all(x in r for x, r in zip(point, ranges))
@@ -317,9 +320,9 @@ def test_coordinate_ranges_hold_the_sublevel_set(data):
 def test_coordinate_ranges_are_empty_where_no_integer_fits():
     # 2 chi = 8 l^2 - 8 l: at cap -1 the real interval is the single point 1/2
     tree = pl.linear_chain([-8])
-    assert pl.coordinate_ranges(tree, (8,), -1) == [range(0)]
-    assert pl.coordinate_ranges(tree, (8,), 0) == [range(0, 2)]
-    assert pl.coordinate_ranges(tree, (8,), -2) == [range(0)]
+    assert pl.coordinate_range(tree, (8,), -1, 0) == range(0)
+    assert pl.coordinate_range(tree, (8,), 0, 0) == range(0, 2)
+    assert pl.coordinate_range(tree, (8,), -2, 0) == range(0)
 
 
 _UNDER_O = """

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import is_negative_definite, ref_central_profile
+from branchfloer.complexes import ConsistencyError
+from oracles import coordinate_ranges, is_negative_definite, ref_central_profile, ref_star_root
+from test_acceptance import CORPUS
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 E8 = pl.star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]])
@@ -141,26 +144,30 @@ def test_star_engine_computes_the_profile_at_most_twice(monkeypatch):
 
 def test_star_engine_profiles_the_centre_range_to_least_minimizers(monkeypatch):
     # The profile runs over the centre's exact range on S_cap and nothing
-    # wider, and each representative is the least minimizer of chi on its
-    # slice (the leg DP's lex-first one), so it lies in S_n at its level n.
+    # wider, only the centre's range is computed, and each representative is
+    # the least minimizer of chi on its slice (the leg DP's lex-first one), so
+    # it lies in S_n at its level n.
     pres = kn.presentation(kn.parse_spec("pretzel(15,-7,13)"))
     tree, k = pres.tree, pres.char
     ranges, handed = [], []
-    coordinate_ranges, central_profile = rt.coordinate_ranges, rt._central_profile
+    coordinate_range, central_profile = rt.coordinate_range, rt._central_profile
 
-    def recorded_ranges(*args):
-        ranges.append(coordinate_ranges(*args))
-        return ranges[-1]
+    def recorded_range(*args):
+        ranges.append((args, coordinate_range(*args)))
+        return ranges[-1][1]
 
     def recorded_profile(tree, k, center, legs, slices):
-        handed.append((ranges[-1], slices))
+        handed.append((ranges[-1][1], slices))
         return central_profile(tree, k, center, legs, slices)
 
-    monkeypatch.setattr(rt, "coordinate_ranges", recorded_ranges)
+    monkeypatch.setattr(rt, "coordinate_range", recorded_range)
     monkeypatch.setattr(rt, "_central_profile", recorded_profile)
     root = rt.build_root_star(tree, k, involution=pres.involution)
     center, legs = rt._star_decompose(tree)
-    assert handed == [(r, r[center]) for r in ranges]
+    assert ranges and handed == [(r, r) for _, r in ranges]
+    for (t, kk, cap, v), r in ranges:
+        assert (t, kk, v) == (tree, k, center)
+        assert r == coordinate_ranges(tree, k, cap)[center]
     assert all(pl.chi(tree, k, p) <= n for p, n in zip(root.reps, root.levels))
     slices = sorted({p[center] for p in root.reps})
     _, least = ref_central_profile(tree, k, center, legs, slices)
@@ -284,6 +291,75 @@ def test_branched_star_roots_match_the_leg_dp_profile(text, n_max):
     pres = kn.presentation(kn.parse_spec(text))
     ours, reference = _built_both_ways(pres.tree, pres.char, n_max, pres.involution)
     assert ours == reference
+
+
+@st.composite
+def stars_with_symmetries(draw):
+    """`twisted_stars` that may repeat their first leg as their second with
+    the swap declared as an automorphism, k drawn twisted, spun or symmetric
+    under the swap, an adaptive or explicit stop level and one involution
+    drawn by name."""
+    legs = [
+        [draw(st.integers(-7, -1)) for _ in range(draw(st.integers(1, 3)))]
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    aut = None
+    if len(legs) >= 2 and draw(st.booleans()):
+        legs[1] = list(legs[0])
+        n0 = len(legs[0])
+        aut = list(range(1 + sum(map(len, legs))))
+        aut[1 : 1 + 2 * n0] = list(range(1 + n0, 1 + 2 * n0)) + list(range(1, 1 + n0))
+    tree = pl.star(draw(st.integers(-3, -1)), legs, automorphism=aut and tuple(aut))
+    assume(is_negative_definite(pl.intersection_form(tree)))
+    n = len(tree)
+    twist = [draw(st.integers(-3, 3)) for _ in range(n)]
+    if aut is not None and draw(st.booleans()):
+        twist = [twist[min(v, aut[v])] for v in range(n)]
+    k = None if draw(st.booleans()) else tuple(w + 2 * t for w, t in zip(tree.weights, twist))
+    label = draw(st.permutations(range(n)))
+    tree = pl.PlumbingTree(
+        tuple(tree.weights[label.index(v)] for v in range(n)),
+        tuple((label[a], label[b]) for a, b in tree.edges),
+        None if aut is None else tuple(label[aut[label.index(v)]] for v in range(n)),
+    )
+    k = None if k is None else tuple(k[label.index(v)] for v in range(n))
+    # an explicit stop from just below the minimum of chi to 12 levels above it
+    low = math.ceil(pl.k_square(tree, k or pl.spin_char(tree)) / 8)
+    n_max = draw(st.none() | st.integers(low - 1, low + 12))
+    return tree, k, n_max, draw(st.sampled_from(["auto", "reflection", "automorphism", "trivial"]))
+
+
+def _star_fields(build, tree, k, n_max, involution):
+    """A star root's fields, or the type and text of the error it raised."""
+    try:
+        r = build(tree, k, n_max=n_max, involution=involution)
+    except (rt.InstabilityError, ConsistencyError, ValueError) as err:
+        return type(err), str(err)
+    return r.levels, r.offset, r.succ, r.reps, r.stable, r.reflection, r.graph_perm, r.involution
+
+
+@settings(max_examples=200, deadline=None)
+@given(stars_with_symmetries())
+def test_merge_tree_matches_the_union_find_star_root(data):
+    assert _star_fields(rt.build_root_star, *data) == _star_fields(ref_star_root, *data)
+
+
+@pytest.mark.parametrize("n_max", [None, 1, 3])
+def test_star_roots_build_without_the_box_sweep(monkeypatch, n_max):
+    # the merge tree of the central profile needs no union-find and no
+    # lattice map per representative; the roots agree with the sweep's
+    def refused(*args):
+        raise AssertionError("the star engine called into the box engine's sweep")
+
+    inputs = []
+    for text in CORPUS + ["pretzel(3,-5,-7,9,11)", "pretzel(3,-5,-7,9,-11)", "torus(7,13)"]:
+        pres = kn.presentation(kn.parse_spec(text))
+        args = (pres.tree, pres.char, n_max, pres.involution)
+        inputs.append((args, _star_fields(ref_star_root, *args)))
+    monkeypatch.setattr(rt, "_Sweep", refused)
+    monkeypatch.setattr(rt, "_perm_from_map", refused)
+    for args, expected in inputs:
+        assert _star_fields(rt.build_root, *args) == expected
 
 
 SEIFERT_CORPUS = [
