@@ -32,7 +32,7 @@ from .knots import (  # noqa: E402
     presentation,
     unparse,
 )
-from .plumbing import DefinitenessError, PlumbingTree, linear_chain, star  # noqa: E402
+from .plumbing import DefinitenessError, PlumbingTree, eliminate, linear_chain, star  # noqa: E402
 from .roots import GradedRoot, InstabilityError, build_root  # noqa: E402
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
     "UMap",
     "build_root",
     "connected_homology",
+    "eliminate",
     "homology",
     "invariants",
     "lift_involution",

@@ -144,15 +144,19 @@ class UComplex:
     @classmethod
     def _on_grid(cls, offset, scale, levels, diff, base=None):
         """The complex gr(x_j) = offset + levels[j] / scale, one `Fraction` per
-        distinct level; a shift of `base` shares its level tables."""
+        distinct level.  A shift of `base` shares its level tables and skips
+        the checks: moving every grading by the same amount keeps the table
+        of allowed entries, and the differential is the base's, which passed
+        them."""
         num, den = offset.numerator * scale, offset.denominator
         at = {h: Fraction(num + h * den, den * scale) for h in set(levels)}
         self = cls.__new__(cls)
         grid = (offset, scale, tuple(levels))
         vars(self).update(gradings=tuple(map(at.__getitem__, levels)), diff=tuple(diff), _grid=grid)
-        if base is not None:
+        if base is None:
+            self.__post_init__()
+        else:
             vars(self).update({k: getattr(base, k) for k in ("_by_level", "_classes", "_tables")})
-        self.__post_init__()
         return self
 
     def __len__(self):

@@ -91,9 +91,8 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
             keep.add(v)
             v = root.succ[v]
     j = root.involution
-    for v in keep:
-        if j[v] not in keep:
-            raise ValueError("leaf set is not closed under the involution")
+    if any(j[v] not in keep for v in keep):
+        raise ValueError("leaf set is not closed under the involution")
     order = sorted(keep)
     index = {v: i for i, v in enumerate(order)}
     return GradedRoot(
@@ -111,8 +110,10 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
 
 def monotone_subroot(root: GradedRoot) -> GradedRoot:
     """Subroot spanned by the distinguished leaves; computes the connected
-    homology through its model complex."""
-    return _subroot_spanned(root, monotone_leaves(root))
+    homology through its model complex.  The root itself when every leaf is
+    kept, so callers can tell that its model is the whole root's."""
+    leaves = monotone_leaves(root)
+    return root if len(leaves) == len(root.leaves) else _subroot_spanned(root, leaves)
 
 
 def connected_homology(root: GradedRoot, verify: bool = False) -> GradedUModule:

@@ -136,14 +136,8 @@ def torus_plumbing(p: int, q: int) -> Presentation:
         if rem % (2 * p * q):
             raise ConsistencyError("torus knot central weight is not an integer")
         e0 = rem // (2 * p * q)
-        tree = star(
-            e0,
-            [
-                [-2],
-                negative_continued_fraction(p, b2),
-                negative_continued_fraction(q, b3),
-            ],
-        )
+        legs = [[-2], negative_continued_fraction(p, b2), negative_continued_fraction(q, b3)]
+        tree = star(e0, legs)
         mode = "trivial"
     else:
         # one even parameter 2m; fiber orders (r, r, m), euler number -1/(rm)
@@ -291,9 +285,7 @@ class KnotSpec:
     @classmethod
     def torus(cls, p: int, q: int) -> "KnotSpec":
         if abs(p) < 2 or abs(q) < 2:
-            raise KnotSpecError(
-                "torus parameters need |p|, |q| >= 2; smaller gives the unknot"
-            )
+            raise KnotSpecError("torus parameters need |p|, |q| >= 2; smaller gives the unknot")
         if gcd(p, q) != 1:
             raise KnotSpecError("torus(p, q) with gcd(p, q) > 1 is a link, not a knot")
         return cls("torus", (int(p), int(q)))
@@ -308,9 +300,7 @@ class KnotSpec:
         if det == 0:
             raise KnotSpecError("pretzel determinant is zero: not a knot")
         if det % 2 == 0:
-            raise KnotSpecError(
-                f"pretzel determinant {det} is even: this is a link, not a knot"
-            )
+            raise KnotSpecError(f"pretzel determinant {det} is even: this is a link, not a knot")
         return cls("pretzel", tuple(int(a) for a in strands))
 
     @classmethod
@@ -508,7 +498,8 @@ class _Eval:
     and `mirrored`, or the evaluations of a mirror's one child or a sum's
     two), and diagram bookkeeping.  Plain data, so it pickles.  `direct`
     marks the small model as a monotone subroot model, whose homology is the
-    connected module with no search."""
+    connected module with no search.  A knot whose monotone subroot is its
+    whole root keeps no root: its small model is the full one."""
 
     small_cx: UComplex
     small_iota: UMap
@@ -524,6 +515,8 @@ class _Eval:
         so that a search that refuses the small model costs no full tensor."""
         if self.root is not None:
             return _root_model(self.root, self.mirrored)
+        if not self.children:
+            return self.small_cx, self.small_iota
         if len(self.children) == 1:
             return _dualized(*self.children[0].full())
         return _tensored(*(c.full() for c in self.children))
@@ -587,7 +580,8 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     pres = presentation(spec)
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
     root.require_stable()
-    scx, siota = _root_model(monotone_subroot(root), pres.mirrored)
+    sub = monotone_subroot(root)
+    scx, siota = _root_model(sub, pres.mirrored)
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
         sigma = goeritz_oracle(spec.params)[1]
@@ -597,7 +591,7 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
         not pres.mirrored,
         determinant_magnitude(pres.tree),
         sigma,
-        root,
+        None if sub is root else root,
         pres.mirrored,
     )
 

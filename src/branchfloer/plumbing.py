@@ -13,6 +13,7 @@ characteristic (k(v) == Q(v,v) mod 2 for every vertex).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -96,21 +97,24 @@ class PlumbingTree:
 
     @cached_property
     def _elimination(self) -> tuple:
-        """The k-independent pass of `eliminate`: its order, then its parents
-        and pivots by vertex."""
+        """The k-independent pass of `eliminate`, in integers: its order, its
+        parents, and by vertex D_v = det(-Q) on the subtree at v and P_v, the
+        product of D over v's children, so that v's pivot is D_v / P_v."""
         parent, order = {0: None}, [0]
         for v in order:
-            for u in sorted(self.neighbors(v)):
+            for u in sorted(self._adjacency[v]):
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
-        pivots = [Fraction(-w) for w in self.weights]
+        # v's pivot -w_v - sum_c 1/p_c as the fraction dets[v] / prods[v]
+        dets, prods = [-w for w in self.weights], [1] * len(self)
         for v in reversed(order):
-            if pivots[v] <= 0:
+            if dets[v] <= 0:
                 raise DefinitenessError("intersection form is not negative definite")
-            if parent[v] is not None:
-                pivots[parent[v]] -= 1 / pivots[v]
-        return tuple(order), tuple(parent[v] for v in range(len(self))), tuple(pivots)
+            if (p := parent[v]) is not None:
+                dets[p] = dets[p] * dets[v] - prods[v] * prods[p]
+                prods[p] *= dets[v]
+        return tuple(order), tuple(parent[v] for v in range(len(self))), tuple(dets), tuple(prods)
 
     @cached_property
     def _solved(self) -> dict:
@@ -118,25 +122,26 @@ class PlumbingTree:
         return {}
 
     def _solve(self, k) -> tuple:
-        """(shifts, const, centres) for k, from one pass per k."""
+        """(Y, X, k.X) for k, from one pass per k."""
         k = tuple(k)
         if k not in self._solved:
             self._solved[k] = self._centres(k)
         return self._solved[k]
 
     def _centres(self, k: tuple[int, ...]) -> tuple:
-        """The k-dependent pass: the shifts and const of `eliminate`, then
-        the real minimiser c_v = (c_parent + s_v) / p_v of chi_k."""
-        order, parent, pivots = self._elimination
-        shifts, const = [Fraction(x, 2) for x in k], Fraction(0)
+        """The k-dependent pass, two integer sweeps with exact divisions:
+        inward Y_v = k_v P_v + sum_c Y_c P_v / D_c, outward X_v = (X_parent
+        P_v + Y_v det) / D_v, so that X = -det Q^{-1} k and k.X = -det k^2."""
+        order, parent, dets, prods = self._elimination
+        ys = [x * p for x, p in zip(k, prods)]
         for v in reversed(order):
-            const -= shifts[v] ** 2 / pivots[v]
             if parent[v] is not None:
-                shifts[parent[v]] += shifts[v] / pivots[v]
-        centre = {None: 0}
+                ys[parent[v]] += ys[v] * (prods[parent[v]] // dets[v])
+        det, xs = dets[0], [0] * len(self)
         for v in order:
-            centre[v] = (centre[parent[v]] + shifts[v]) / pivots[v]
-        return tuple(shifts), const, tuple(centre[v] for v in range(len(self)))
+            above = 0 if parent[v] is None else xs[parent[v]] * prods[v]
+            xs[v] = (above + ys[v] * det) // dets[v]
+        return tuple(ys), tuple(xs), sum(map(operator.mul, k, xs))
 
 
 def intersection_form(tree: PlumbingTree) -> list[list[int]]:
@@ -162,17 +167,20 @@ def eliminate(tree: PlumbingTree, k: tuple[int, ...]):
     where l_None = 0 and `order` lists every vertex after its parent.  The
     pivots are those of -Q in this order, so Q is negative definite exactly
     when all are positive; the first that is not raises DefinitenessError.
-    Both passes are kept on the tree, once per tree and once per k (a pass
-    that raises keeps nothing); the lists returned are copies.
+    Both passes run in integers and are kept on the tree, once per tree and
+    once per k (a pass that raises keeps nothing); pivots[v] = D_v / P_v,
+    shifts[v] = Y_v / (2 P_v) and const are made here, in fresh lists.
     """
-    order, parent, pivots = tree._elimination
-    shifts, const, _ = tree._solve(k)
-    return list(order), dict(enumerate(parent)), list(pivots), list(shifts), const
+    order, parent, dets, prods = tree._elimination
+    ys, _, kx = tree._solve(k)
+    pivots = [Fraction(d, p) for d, p in zip(dets, prods)]
+    shifts = [Fraction(y, 2 * p) for y, p in zip(ys, prods)]
+    return list(order), dict(enumerate(parent)), pivots, shifts, Fraction(-kx, 4 * dets[0])
 
 
 def check_negative_definite(tree: PlumbingTree) -> None:
     """Raises DefinitenessError unless every elimination pivot is positive."""
-    tree._elimination  # raises at the first pivot <= 0
+    tree._elimination  # raises at the first D_v <= 0
 
 
 def canonical_char(tree: PlumbingTree) -> tuple[int, ...]:
@@ -189,19 +197,17 @@ def is_characteristic(tree: PlumbingTree, k: tuple[int, ...]) -> bool:
 
 def chi(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> int:
     """chi_k(l) = -(k(l) + l^T Q l)/2, an integer for characteristic k."""
-    q = intersection_form(tree)
-    kl = sum(k[i] * ell[i] for i in range(len(tree)))
-    qll = sum(ell[i] * q[i][j] * ell[j] for i in range(len(tree)) for j in range(len(tree)))
-    num = -(kl + qll)
+    rows = intersection_form(tree)
+    num = -sum(x * (kx + sum(map(operator.mul, row, ell))) for x, kx, row in zip(ell, k, rows))
     if num % 2:
         raise ValueError(f"{tuple(k)} is not a characteristic vector of the tree")
     return num // 2
 
 
 def pd_vector(tree: PlumbingTree, k: tuple[int, ...]) -> list[Fraction]:
-    """Q^{-1} k = -2 l*, for l* the real minimiser of chi_k: the
-    elimination's centres, back-substituted from vertex 0 outward."""
-    return [-2 * c for c in tree._solve(k)[2]]
+    """Q^{-1} k = -X / det, X / det being twice the real minimiser of chi_k."""
+    det = tree._elimination[2][0]  # |det Q|
+    return [Fraction(-x, det) for x in tree._solve(k)[1]]
 
 
 def coordinate_range(tree: PlumbingTree, k: tuple[int, ...], cap: int, v: int) -> range:
@@ -209,30 +215,31 @@ def coordinate_range(tree: PlumbingTree, k: tuple[int, ...], cap: int, v: int) -
     empty where no integer fits.
 
     On the ellipsoid 2 chi_k(l) <= 2 cap, l_v takes exactly the values with
-    (l_v - c_v)^2 <= (2 cap - const) sigma_v, for the real minimiser c and
-    sigma_v = ((-Q)^{-1})_vv, which the pivots give along the path from the
-    elimination's first vertex down to v: sigma = (1 + sigma_parent / p) / p.
+    (l_v - c_v)^2 <= (2 cap - k^2 / 4) sigma_v, for the real minimiser
+    c = X / (2 det) and sigma_v = ((-Q)^{-1})_vv.  In integers, S = det sigma
+    follows the pivots D / P along the path from the elimination's first
+    vertex down to v, S_u = P_u (det D_u + S_parent P_u) / D_u^2 exactly,
+    and |2 det l_v - X_v| <= sqrt((8 cap det + k.X) S_v).
     """
-    _, parent, pivots = tree._elimination
+    _, parent, dets, prods = tree._elimination
     path = [v]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])
-    spread = 0
+    det, spread = dets[0], 0
     for u in reversed(path):
-        spread = (1 + spread / pivots[u]) / pivots[u]
-    _, const, centres = tree._solve(k)
-    r2 = (2 * cap - const) * spread
+        spread = prods[u] * ((det * dets[u] + spread * prods[u]) // (dets[u] * dets[u]))
+    _, xs, kx = tree._solve(k)
+    r2 = (8 * cap * det + kx) * spread
     if r2 < 0:
         return range(0)
-    a, b = centres[v].numerator, centres[v].denominator  # |b l_v - a| <= sqrt(r2 b^2)
-    s = math.isqrt(math.floor(r2 * b * b))
+    a, b, s = xs[v], 2 * det, math.isqrt(r2)  # |b l_v - a| <= sqrt(r2)
     return range(-((s - a) // b), (a + s) // b + 1)
 
 
 def k_square(tree: PlumbingTree, k: tuple[int, ...]) -> Fraction:
-    """k^2 = k^T Q^{-1} k = 4 const, const being the minimum of 2 chi_k over
-    real vectors l."""
-    return 4 * tree._solve(k)[1]
+    """k^2 = k^T Q^{-1} k = -k.X / det, four times the minimum of 2 chi_k
+    over real vectors l."""
+    return Fraction(-tree._solve(k)[2], tree._elimination[2][0])
 
 
 def wu_class(tree: PlumbingTree) -> tuple[int, ...]:
@@ -258,12 +265,11 @@ def spin_char(tree: PlumbingTree) -> tuple[int, ...]:
     so the reflection below is always defined.
     """
     k = canonical_char(tree)
-    if all(x.denominator == 1 for x in pd_vector(tree, k)):
+    det = tree._elimination[2][0]
+    if all(x % det == 0 for x in tree._solve(k)[1]):
         return k
-    q = intersection_form(tree)
     w = wu_class(tree)
-    n = len(tree)
-    return tuple(sum(q[i][j] * w[j] for j in range(n)) for i in range(n))
+    return tuple(sum(map(operator.mul, row, w)) for row in intersection_form(tree))
 
 
 def reflect(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> tuple[int, ...]:
@@ -271,18 +277,18 @@ def reflect(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> tup
 
     Only defined when Q^{-1}k is integral; chi-invariance is checked.
     """
-    pd = pd_vector(tree, k)
-    if any(x.denominator != 1 for x in pd):
+    det, xs = tree._elimination[2][0], tree._solve(k)[1]
+    if any(x % det for x in xs):
         raise ValueError("reflection undefined: Q^{-1}k is not integral")
-    out = tuple(-ell[i] - int(pd[i]) for i in range(len(tree)))
+    out = tuple(x // det - y for x, y in zip(xs, ell))
     if chi(tree, k, out) != chi(tree, k, ell):
         raise ConsistencyError("lattice reflection does not preserve chi")
     return out
 
 
 def determinant_magnitude(tree: PlumbingTree) -> int:
-    """|det Q|, the product of the elimination's pivots."""
-    return int(math.prod(tree._elimination[2]))
+    """|det Q|, D at the elimination's first vertex."""
+    return tree._elimination[2][0]
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .plumbing import (
     PlumbingTree,
     check_negative_definite,
     coordinate_range,
-    eliminate,
     is_characteristic,
     k_square,
     pd_vector,
@@ -244,19 +243,12 @@ class GradedRoot:
         yield from match_sets(roots_a, roots_b)
 
     def is_isomorphic(self, other: "GradedRoot", with_involution: bool = True) -> bool:
-        ka = set(self._trimmed())
-        for phi in self.isomorphisms(other):
-            if not with_involution:
-                return True
-            ok = True
-            for va, vb in phi.items():
-                ja, jb = self.involution[va], other.involution[vb]
-                if ja in ka and (ja not in phi or phi[ja] != jb):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+        ka, ja, jb = set(self._trimmed()), self.involution, other.involution
+        return any(
+            not with_involution
+            or all(ja[a] not in ka or phi.get(ja[a]) == jb[b] for a, b in phi.items())
+            for phi in self.isomorphisms(other)
+        )
 
     # -- serialization ----------------------------------------------------
 
@@ -393,16 +385,16 @@ def _eliminate(tree, k):
             = offset + sum_v W_v * (A_v l_v - B_v l_{parent[v]} - C_v)^2
 
     for rows[v] = (A_v, B_v, C_v, W_v), all integers with A_v, W_v > 0, where
-    l_None = 0 and `order` lists every vertex after its parent.
+    l_None = 0 and `order` lists every vertex after its parent.  Read off the
+    integer passes: v's term pivot * (l_v - (l_parent + shift) / pivot)^2 is
+    (2 D_v l_v - 2 P_v l_parent - Y_v)^2 / (4 P_v D_v), and the constant is
+    -k.X / (4 det).
     """
-    order, parent, pivots, shifts, const = eliminate(tree, k)
-    rows = []
-    for d, s in zip(pivots, shifts):
-        a, b, c, e = d.numerator, d.denominator, s.numerator, s.denominator
-        rows.append((a * e, b * e, b * c, a * b * e * e))
-    scale = math.lcm(const.denominator, *(row[3] for row in rows))
-    rows = [(a, b, c, scale // w) for a, b, c, w in rows]
-    return order, parent, rows, scale, int(const * scale)
+    order, parent, dets, prods = tree._elimination
+    ys, _, kx = tree._solve(k)
+    scale = math.lcm(*(4 * p * d for p, d in zip(prods, dets)))  # vertex 0's is 4 P det
+    rows = [(2 * d, 2 * p, y, scale // (4 * p * d)) for d, p, y in zip(dets, prods, ys)]
+    return order, parent, rows, scale, -kx * (scale // (4 * dets[0]))
 
 
 def _sublevel_set(elim, cap):

@@ -57,9 +57,10 @@ the pipeline produces by a different route, or builds a reference object.
   leg over every coordinate's exact range on a sublevel set that holds all
   the slice minimizers, with lex-first minimizers: the reference for the
   package's closed form from each leg's continued fraction.
-* `coordinate_ranges`: every coordinate's exact range on a sublevel set,
-  from the dense inverse of Q: the reference for the package's range of one
-  coordinate from the elimination.
+* `ellipsoid`, `coordinate_ranges`: Q^{-1}k by Gaussian elimination, the
+  diagonal of (-Q)^{-1} from Bareiss cofactors, and every coordinate's exact
+  range on a sublevel set from them: the reference for the package's range
+  of one coordinate from the integer elimination.
 * `ref_star_root`: the star engine reading components off the box engine's
   union-find sweep over 1-tuples and mapping each representative through
   the reflection: the reference for the package's merge tree of the central
@@ -72,6 +73,7 @@ the pipeline produces by a different route, or builds a reference object.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -745,19 +747,29 @@ def ref_central_profile(tree, k, center, legs, slices):
     return [x // 2 for x in total], [tuple(p) for p in base]
 
 
+@functools.lru_cache(maxsize=64)
+def ellipsoid(tree, k):
+    """Q^{-1}k by Gaussian elimination, and the diagonal of (-Q)^{-1} as
+    -(the cofactor of v) / det Q by Bareiss determinants.  Kept per (tree,
+    k): the generator family's 68-vertex trees take about a second."""
+    q = intersection_form(tree)
+    det = determinant(q)
+    minors = [determinant([r[:v] + r[v + 1 :] for r in q[:v] + q[v + 1 :]]) for v in range(len(q))]
+    return solve_exact(q, list(k)), [Fraction(-m, det) for m in minors]
+
+
 def coordinate_ranges(tree, k, cap) -> list[range]:
     """The exact integer range of every coordinate l_v over {l : chi_k(l) <=
-    cap}, empty where no integer fits, from the dense inverse of Q: 2 chi_k(l)
+    cap}, empty where no integer fits, from dense matrix algebra: 2 chi_k(l)
     = const + (l - c)^T (-Q) (l - c) with c = -Q^{-1}k / 2 and const =
     k^T Q^{-1} k / 4, so l_v runs over (l_v - c_v)^2 <= (2 cap - const)
     ((-Q)^{-1})_vv.  The reference for `plumbing.coordinate_range`, which
-    reads c, const and that diagonal entry off the tree's elimination."""
-    inv, n = invert_exact(intersection_form(tree)), len(tree)
-    pd = [sum(inv[v][u] * k[u] for u in range(n)) for v in range(n)]
+    reads c, const and that diagonal entry off the tree's integer elimination."""
+    pd, spread = ellipsoid(tree, tuple(k))
     const = sum(x * y for x, y in zip(k, pd)) / 4
     out = []
-    for v in range(n):
-        r2, c = (2 * cap - const) * -inv[v][v], -pd[v] / 2
+    for v in range(len(tree)):
+        r2, c = (2 * cap - const) * spread[v], -pd[v] / 2
         if r2 < 0:
             out.append(range(0))
             continue

@@ -596,6 +596,30 @@ def test_every_constructor_keeps_its_grid_and_allowed_entries(t1, t2, s, data):
             assert _slice_at(cx, g) == ref_slice(cx, g)
 
 
+def test_a_shift_is_the_fully_checked_complex_of_its_gradings(monkeypatch):
+    # a shift runs none of `UComplex.__post_init__`'s checks: moving every
+    # grading by s keeps the table of allowed entries, and the differential
+    # is its base's, which passed them; the publicly built complex of the
+    # same gradings and differential passes every check and equals it
+    a = cxm.model_complex(rt.build_root(kn.presentation(kn.parse_spec("pretzel(7,-3,5)")).tree)).cx
+    b = cxm.model_complex(rt.build_root(GAMMA7)).cx
+    ev = kn._evaluate(kn.parse_spec("sum(pretzel(11,-5,9),pretzel(15,-7,13))"), None)
+    bases = _grid_cases(a, b, Fraction(1, 2)) + [ev.full()[0]]
+    assert len(bases[-1]) == 589
+    checks = []
+    post_init = cxm.UComplex.__post_init__
+    monkeypatch.setattr(cxm.UComplex, "__post_init__", lambda cx: checks.append(cx) or post_init(cx))
+    for cx in bases:
+        for shift in (Fraction(-2), Fraction(1), Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)):
+            shifted = cxm.shift_complex(cx, shift)
+            assert not checks
+            public = cxm.UComplex(tuple(g + shift for g in cx.gradings), cx.diff)
+            assert checks.pop() is public
+            assert shifted == public
+            if len(cx) < 100:
+                assert cxm.homology(shifted) == cxm.homology(public)
+
+
 def test_allowed_entries_are_cached_per_target():
     # the swap is a valid degree-0 map into any copy of its complex, and
     # into none whose gradings are shifted by a half

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from branchfloer import complexes as cxm
 from branchfloer import connected as cn
+from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
 from oracles import branched_dimensions, module_dim_at, symmetric_reduction
+from test_acceptance import CORPUS
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 THREE_LEAF = pl.star(-1, [[-3], [-3], [-4, -2]])
@@ -34,6 +36,21 @@ def test_monotone_subroot_keeps_the_swapped_pair():
     assert h.towers == (Fraction(0),)
     assert h.torsion == ((Fraction(0), 1),)
     assert cn.omega(h) == 1
+
+
+def test_monotone_subroot_is_the_root_exactly_when_every_leaf_is_kept():
+    roots = [rt.build_root(GAMMA7), rt.build_root(GAMMA7).with_involution("trivial"), hand_root()]
+    for text in CORPUS + ["pretzel(3,-5,-7,9,11)", "pretzel(19,-9,17)"]:
+        pres = kn.presentation(kn.parse_spec(text))
+        roots.append(rt.build_root(pres.tree, pres.char, involution=pres.involution))
+    whole = 0
+    for root in roots:
+        keeps_all = len(cn.monotone_leaves(root)) == len(root.leaves)
+        whole += keeps_all
+        sub = cn.monotone_subroot(root)
+        assert (sub is root) == keeps_all
+        assert len(sub.leaves) == len(cn.monotone_leaves(root))
+    assert 0 < whole < len(roots)
 
 
 def test_monotone_subroot_is_idempotent():

@@ -11,6 +11,7 @@ from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer.complexes import GradedUModule, RankBoundExceeded
 from oracles import determinant
+from test_acceptance import CORPUS
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 
@@ -460,6 +461,21 @@ def test_connected_sum_pipeline():
     assert sorted(length for _, length in s.connected.torsion) == [1, 2]
     assert s.omega == 2
     assert s.det == k1.det * k2.det
+
+
+def test_invariants_build_one_model_per_whole_root_knot(monkeypatch):
+    # a knot whose monotone subroot keeps every leaf builds its model and
+    # lifts its involution once: its small model is its full one
+    built = []
+    model_complex = kn.model_complex
+    monkeypatch.setattr(kn, "model_complex", lambda root: built.append(root) or model_complex(root))
+    whole = 0
+    for text in CORPUS + ["pretzel(3,-5,-7,9,11)"]:
+        before = len(built)
+        kn.invariants(kn.parse_spec(text))
+        assert len(built) - before in (1, 2)
+        whole += len(built) - before == 1
+    assert (len(built), whole) == (23, 11)  # 17 small models and 6 full ones
 
 
 def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):

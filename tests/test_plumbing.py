@@ -13,7 +13,7 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import coordinate_ranges, determinant, is_negative_definite, solve_exact, solve_mod2
+from oracles import coordinate_ranges, determinant, ellipsoid, is_negative_definite, solve_exact, solve_mod2
 from test_acceptance import CORPUS
 
 # Gamma_7: the central -1 star with legs -2, -3, -7, double cover data for
@@ -315,6 +315,34 @@ def test_coordinate_ranges_hold_the_sublevel_set(data):
     points = rt._sublevel_set(rt._eliminate(tree, k), cap)
     for point in points:
         assert all(x in r for x, r in zip(point, ranges))
+
+
+# every presentation the package reaches: the corpus, the benchmark's
+# 5-strand pretzel, both known-defect probes and the generator family
+# pretzel(4n+3,-(2n+1),4n+1) for n = 4..8 (pretzel(19,-9,17) first), on up to
+# 68 vertices
+PRESENTATIONS = (
+    CORPUS
+    + ["pretzel(3,-5,-7,9,11)", "pretzel(3,-5,-7,9,-11)", "torus(7,13)"]
+    + [f"pretzel({4 * n + 3},{-(2 * n + 1)},{4 * n + 1})" for n in range(4, 9)]
+)
+
+
+@pytest.mark.parametrize("text", PRESENTATIONS)
+def test_integer_elimination_matches_the_matrix_oracles_on_presentations(text):
+    # the exact divisions of both integer sweeps, on trees far past the
+    # 9 vertices of `random_forms`
+    tree = kn.presentation(kn.parse_spec(text)).tree
+    q = pl.intersection_form(tree)
+    assert pl.determinant_magnitude(tree) == abs(determinant(q))
+    for k in {pl.spin_char(tree), pl.canonical_char(tree)}:
+        pd, _ = ellipsoid(tree, k)  # solve_exact(q, k), kept for coordinate_ranges
+        assert pl.pd_vector(tree, k) == pd
+        ksq = pl.k_square(tree, k)
+        assert ksq == sum(x * y for x, y in zip(k, pd))
+        for cap in (math.ceil(ksq / 8) + d for d in (-1, 0, 3, 12)):
+            ranges = [pl.coordinate_range(tree, k, cap, v) for v in range(len(tree))]
+            assert ranges == coordinate_ranges(tree, k, cap)
 
 
 def test_coordinate_ranges_are_empty_where_no_integer_fits():

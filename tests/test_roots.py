@@ -237,16 +237,67 @@ def test_second_difference_recurrence_matches_the_leg_dp(data):
     )
 
 
+def _brieskorn_star(a, b, c):
+    """Centre weight and legs of the Seifert star of the Brieskorn sphere
+    Sigma(a, b, c): leg i has Seifert invariants (x, w) for x in (a, b, c),
+    w = -(abc / x)^-1 mod x, and the centre makes the euler number
+    -1 / abc."""
+    n = a * b * c
+    ws = [-pow(n // x, -1, x) % x for x in (a, b, c)]
+    centre = (-1 - sum(w * (n // x) for w, x in zip(ws, (a, b, c)))) // n
+    return centre, [kn.negative_continued_fraction(x, w) for x, w in zip((a, b, c), ws)]
+
+
+def _leg_weights(tree):
+    center, legs = rt._star_decompose(tree)
+    return tree.weights[center], [[tree.weights[v] for v in leg] for leg in legs]
+
+
+# Seifert stars of at most 10 vertices whose roots nearly all branch
+# (Sigma(2, 3, 5) is the one stem): the Brieskorn spheres Sigma(a, b, c) with
+# a <= 5 and c <= 13, and the torus knot covers Sigma(2, 2m, r), presented
+# with two equal legs that the covering involution swaps
+BRANCHING_STARS = [
+    (centre, legs)
+    for centre, legs in [
+        _brieskorn_star(a, b, c)
+        for a in range(2, 6)
+        for b in range(a + 1, 13)
+        for c in range(b + 1, 14)
+        if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
+    ]
+    + [
+        _leg_weights(kn.torus_plumbing(2 * m, r).tree)
+        for m in range(2, 5)
+        for r in range(3, 12, 2)
+        if math.gcd(m, r) == 1
+    ]
+    if sum(map(len, legs)) < 10
+]
+
+
 @st.composite
-def twisted_stars(draw):
-    """Definite stars of one to four legs of up to three vertices, leg weights
-    -1..-7 around a centre of weight -1..-3 (so that some roots branch), the
-    centre relabelled, k twisted, and an adaptive or explicit stop level."""
+def star_legs(draw):
+    """Centre weight and legs of a star: in half the draws one to four legs
+    of up to three vertices, leg weights -1..-7 around a centre of weight
+    -1..-3, and in the other half one of `BRANCHING_STARS`, so that about
+    half the roots branch."""
+    if draw(st.booleans()):
+        centre, legs = draw(st.sampled_from(BRANCHING_STARS))
+        return centre, [list(leg) for leg in legs]
     legs = [
         [draw(st.integers(-7, -1)) for _ in range(draw(st.integers(1, 3)))]
         for _ in range(draw(st.integers(1, 4)))
     ]
-    tree = pl.star(draw(st.integers(-3, -1)), legs)
+    return draw(st.integers(-3, -1)), legs
+
+
+@st.composite
+def twisted_stars(draw):
+    """Definite stars of `star_legs`, the centre relabelled, k twisted, and
+    an adaptive or explicit stop level near the minimum of chi."""
+    centre, legs = draw(star_legs())
+    tree = pl.star(centre, legs)
     assume(is_negative_definite(pl.intersection_form(tree)))
     n = len(tree)
     label = draw(st.permutations(range(n)))
@@ -255,7 +306,9 @@ def twisted_stars(draw):
         tuple((label[a], label[b]) for a, b in tree.edges),
     )
     k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
-    return tree, k, draw(st.none() | st.integers(-3, 8))
+    # an explicit stop from 3 below the bound ceil(k^2 / 8) on min chi to 8 above
+    low = math.ceil(pl.k_square(tree, k) / 8)
+    return tree, k, draw(st.none() | st.integers(low - 3, low + 8))
 
 
 def _built_both_ways(tree, k, n_max, involution="auto"):
@@ -296,20 +349,19 @@ def test_branched_star_roots_match_the_leg_dp_profile(text, n_max):
 @st.composite
 def stars_with_symmetries(draw):
     """`twisted_stars` that may repeat their first leg as their second with
-    the swap declared as an automorphism, k drawn twisted, spun or symmetric
+    the swap declared as an automorphism (a star of `BRANCHING_STARS` only
+    when those legs are already equal), k drawn twisted, spun or symmetric
     under the swap, an adaptive or explicit stop level and one involution
     drawn by name."""
-    legs = [
-        [draw(st.integers(-7, -1)) for _ in range(draw(st.integers(1, 3)))]
-        for _ in range(draw(st.integers(1, 4)))
-    ]
+    centre, legs = draw(star_legs())
+    kept = (centre, legs) in BRANCHING_STARS and legs[0] != legs[1]
     aut = None
-    if len(legs) >= 2 and draw(st.booleans()):
+    if len(legs) >= 2 and draw(st.booleans()) and not kept:
         legs[1] = list(legs[0])
         n0 = len(legs[0])
         aut = list(range(1 + sum(map(len, legs))))
         aut[1 : 1 + 2 * n0] = list(range(1 + n0, 1 + 2 * n0)) + list(range(1, 1 + n0))
-    tree = pl.star(draw(st.integers(-3, -1)), legs, automorphism=aut and tuple(aut))
+    tree = pl.star(centre, legs, automorphism=aut and tuple(aut))
     assume(is_negative_definite(pl.intersection_form(tree)))
     n = len(tree)
     twist = [draw(st.integers(-3, 3)) for _ in range(n)]
