@@ -258,22 +258,18 @@ def _leg_weights(tree):
 # a <= 5 and c <= 13, and the torus knot covers Sigma(2, 2m, r), presented
 # with two equal legs that the covering involution swaps
 BRANCHING_STARS = [
-    (centre, legs)
-    for centre, legs in [
-        _brieskorn_star(a, b, c)
-        for a in range(2, 6)
-        for b in range(a + 1, 13)
-        for c in range(b + 1, 14)
-        if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
-    ]
-    + [
-        _leg_weights(kn.torus_plumbing(2 * m, r).tree)
-        for m in range(2, 5)
-        for r in range(3, 12, 2)
-        if math.gcd(m, r) == 1
-    ]
-    if sum(map(len, legs)) < 10
+    _brieskorn_star(a, b, c)
+    for a in range(2, 6)
+    for b in range(a + 1, 13)
+    for c in range(b + 1, 14)
+    if math.gcd(a, b) == math.gcd(a, c) == math.gcd(b, c) == 1
+] + [
+    _leg_weights(kn.torus_plumbing(2 * m, r).tree)
+    for m in range(2, 5)
+    for r in range(3, 12, 2)
+    if math.gcd(m, r) == 1
 ]
+BRANCHING_STARS = [(c, legs) for c, legs in BRANCHING_STARS if sum(map(len, legs)) < 10]
 
 
 @st.composite
