@@ -741,10 +741,17 @@ def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
     return fpos, fbasis
 
 
+def _unpack(packed, n, width):
+    """The n fields of `width` bits of a packed integer, lowest first."""
+    field = (1 << width) - 1
+    return tuple([packed >> (t * width) & field for t in range(n)])
+
+
 def _walk(src, tgt, fpos, fbasis, ha, hb, deep):
     """Every nonzero combination of `fbasis` that is a local equivalence,
-    as (rows, deep kernel rank): the rank of its kernel on the slices of
-    `deep` (a `homology(src).deep`, or {} for none).
+    as (packed rows, deep kernel rank): its rows, `len(tgt)` bits each and
+    row 0 lowest (`_unpack` reads them), and the rank of its kernel on the
+    slices of `deep` (a `homology(src).deep`, or {} for none).
 
     Everything read off a candidate is F_2-linear in it: its rows, the rows
     of the generators of each parity of `deep` (its deep slice map), and the
@@ -753,65 +760,59 @@ def _walk(src, tgt, fpos, fbasis, ha, hb, deep):
     them, and the combinations are walked in Gray-code order: step k flips
     the basis map numbered `(k & -k).bit_length() - 1`, one xor into the
     running state.  A combination is an equivalence when every residual is
-    0 and each block's tags have full rank, the two rank checks being the
-    only nonlinear step."""
+    0 and each block's tags have full rank.  The ranks are the only
+    nonlinear step: each field after the rows (a block's tags, then a
+    parity's deep rows) is read off the state with a precomputed shift and
+    mask, and has one memo of its kernel dimension keyed by its value, which
+    must be 0 for tags and is summed for deep rows."""
     blocks = _deep_blocks(src, tgt, ha, hb)
     if blocks is None:
         return
     width = len(tgt)
     field = (1 << width) - 1
     # the packed state, `width` bits per field: the residuals (lowest), then
-    # the rows, the rows again for each deep parity's generators and the tags
+    # the rows, the tags of each block and the rows of each deep parity's
+    # generators again
     n_res = sum(len(reps) for _, reps, _ in blocks)
     deep_parts = [list(_bits(d.mask)) for d in deep.values()]
-    spans, at = [], len(src)
-    for gens in deep_parts:
-        spans.append((at, at + len(gens)))
-        at += len(gens)
-    tag_spans = []
-    for *_, n in blocks:
-        tag_spans.append((at, at + n))
+    fields, at = [], n_res + len(src)
+    for t, n in enumerate([len(reps) for _, reps, _ in blocks] + [len(g) for g in deep_parts]):
+        fields.append((at * width, (1 << n * width) - 1, n, {}, t < len(blocks)))
         at += n
     deltas = []
     for fb in fbasis:
         rows = _map_rows(fb, fpos, len(src))
-        residuals, fields = [], list(rows)
-        for gens in deep_parts:
-            fields += [rows[j] for j in gens]
+        residuals, tags = [], []
         for space, reps, _ in blocks:
             for img in _apply_vectors(rows, reps):
                 residual, tag = space.reduce(img)
                 residuals.append(residual)
-                fields.append(tag)
+                tags.append(tag)
         delta = 0
-        for v in reversed(residuals + fields):
+        for v in reversed(residuals + rows + tags + [rows[j] for g in deep_parts for j in g]):
             delta = delta << width | v
         deltas.append(delta)
     checked = (1 << n_res * width) - 1
-    ranks = {}
+    rows_at, rows_mask = n_res * width, (1 << len(src) * width) - 1
     state = 0
-
-    def rank(a, b):
-        """Rank of fields a..b-1 of the state, once per distinct value."""
-        key = (a, state >> (n_res + a) * width & (1 << (b - a) * width) - 1)
-        got = ranks.get(key)
-        if got is None:
-            space = _F2Space()
-            for t in range(b - a):
-                space.add(key[1] >> (t * width) & field)
-            got = ranks[key] = space.rank
-        return got
-
     for k in range(1, 1 << len(deltas)):
         state ^= deltas[(k & -k).bit_length() - 1]
         if state & checked:
             continue
-        if all(rank(a, b) == b - a for a, b in tag_spans):
-            rows = state >> n_res * width
-            yield (
-                tuple(rows >> (j * width) & field for j in range(len(src))),
-                sum(b - a - rank(a, b) for a, b in spans),
-            )
+        rank = 0
+        for shift, mask, n, memo, is_tag in fields:
+            v = state >> shift & mask
+            got = memo.get(v)
+            if got is None:
+                space = _F2Space()
+                for t in range(n):
+                    space.add(v >> t * width & field)
+                got = memo[v] = n - space.rank
+            if got and is_tag:
+                break
+            rank += got
+        else:
+            yield state >> rows_at & rows_mask, rank
 
 
 def local_equivalences(
@@ -830,7 +831,8 @@ def local_equivalences(
     fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     ha = homology(src)
     hb = ha if tgt is src else homology(tgt)
-    found = sorted(rows for rows, _ in _walk(src, tgt, fpos, fbasis, ha, hb, {}))
+    walked = _walk(src, tgt, fpos, fbasis, ha, hb, {})
+    found = sorted(_unpack(packed, len(src), len(tgt)) for packed, _ in walked)
     return [UMap(src, tgt, Fraction(0), rows) for rows in found]
 
 
@@ -845,21 +847,21 @@ def image_homology(f: UMap) -> GradedUModule:
     return homology(f.tgt, sub=f.rows)
 
 
-def _image_key(f: UMap) -> tuple:
-    """Equal for two self-maps of one complex exactly when their images are
-    the same subcomplex: the reduced echelon of im f in the slice of each
-    generator grading.  im f is generated over F_2[U] by the f(x_j), and
-    f(x_j) lies in the slice at gr(x_j), as rows[j]; going down a parity,
-    a slice's span only grows."""
-    key = []
-    for _, _, events in f.tgt._sweep:
-        space = _F2Space()
-        for _, _, entering, _ in events:
-            if entering:
-                for j in _bits(entering):
-                    space.add(f.rows[j])
-                key.append(space.reduced())
-    return tuple(key)
+def _image_part(rows, events) -> tuple:
+    """The image of a self-map with these rows in one parity of its target,
+    up to equality of subcomplexes: the reduced echelon of im f in the slice
+    of each level of that parity's sweep `events` where generators enter.
+    im f is generated over F_2[U] by the f(x_j), and f(x_j) lies in the
+    slice at gr(x_j), as rows[j]; going down a parity, a slice's span only
+    grows."""
+    space = _F2Space()
+    part = []
+    for _, _, entering, _ in events:
+        if entering:
+            for j in _bits(entering):
+                space.add(rows[j])
+            part.append(space.reduced())
+    return tuple(part)
 
 
 def connected_homology_brute(
@@ -869,23 +871,33 @@ def connected_homology_brute(
     self local equivalence whose deep kernel is as large as possible.
 
     All maximizers must agree on the answer; if they do not, the search is
-    reported as inconclusive.  Maximizers with the same image share one
-    `image_homology` call."""
+    reported as inconclusive.  The walk's candidates stay packed, and only
+    the current maximizers are kept.  Each maximizer's image is keyed by one
+    `_image_part` per parity, memoized on that parity's rows, and a map is
+    built and `image_homology` called once per distinct image."""
     fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, search_bound)
     ha = homology(cx)
     best_rank = -1
     best = []
-    for rows, kr in _walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
+    for packed, kr in _walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
         if kr > best_rank:
-            best_rank, best = kr, [rows]
+            best_rank, best = kr, [packed]
         elif kr == best_rank:
-            best.append(rows)
+            best.append(packed)
+    parities = [(list(_bits(mask)), events, {}) for _, mask, events in cx._sweep]
     modules = {}
-    for rows in best:
-        f = UMap(cx, cx, Fraction(0), rows)
-        key = _image_key(f)
+    for packed in best:
+        rows = _unpack(packed, len(cx), len(cx))
+        key = []
+        for gens, events, memo in parities:
+            own = tuple(map(rows.__getitem__, gens))
+            part = memo.get(own)
+            if part is None:
+                part = memo[own] = _image_part(rows, events)
+            key.append(part)
+        key = tuple(key)
         if key not in modules:
-            m = image_homology(f)
+            m = image_homology(UMap(cx, cx, Fraction(0), rows))
             modules[key] = (m.towers, m.torsion)
     if len(set(modules.values())) != 1:
         raise ConsistencyError("maximal self equivalences disagree; no canonical image")

@@ -122,9 +122,11 @@ def connected_homology(root: GradedRoot, verify: bool = False) -> GradedUModule:
     With verify=True the answer is recomputed by enumerating maximal
     self-equivalences of the full model whenever its rank permits; a
     disagreement is a hard failure."""
-    module = homology(model_complex(monotone_subroot(root)).cx)
+    sub = monotone_subroot(root)
+    model = model_complex(sub)
+    module = homology(model.cx)
     if verify:
-        model = model_complex(root)
+        model = model if sub is root else model_complex(root)
         try:
             brute = connected_homology_brute(model.cx, lift_involution(model))
         except RankBoundExceeded:

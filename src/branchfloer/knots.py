@@ -15,6 +15,7 @@ parsed by `parse_spec` and evaluated by `invariants`.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, prod
 import re
 
@@ -499,7 +500,8 @@ class _Eval:
     two), and diagram bookkeeping.  Plain data, so it pickles.  `direct`
     marks the small model as a monotone subroot model, whose homology is the
     connected module with no search.  A knot whose monotone subroot is its
-    whole root keeps no root: its small model is the full one."""
+    whole root keeps no root: its small model is the full one.  `delta` and
+    `full` share the root's model complex, built once (`model`)."""
 
     small_cx: UComplex
     small_iota: UMap
@@ -514,7 +516,7 @@ class _Eval:
         """The full complex with its involution, from the roots already built,
         so that a search that refuses the small model costs no full tensor."""
         if self.root is not None:
-            return _root_model(self.root, self.mirrored)
+            return _root_model(self.model, self.mirrored)
         if not self.children:
             return self.small_cx, self.small_iota
         if len(self.children) == 1:
@@ -526,8 +528,12 @@ class _Eval:
         shifted and dualized as in `_root_model`, not the involution lift."""
         if self.root is None:
             return delta_invariant(self.full()[0])
-        cx = shift_complex(model_complex(self.root).cx, -2)
+        cx = shift_complex(self.model.cx, -2)
         return delta_invariant(dual_complex(cx) if self.mirrored else cx)
+
+    @cached_property
+    def model(self):
+        return model_complex(self.root)
 
 
 def _rebase(m: UMap, cx: UComplex) -> UMap:
@@ -549,10 +555,9 @@ def _tensored(a: tuple[UComplex, UMap], b: tuple[UComplex, UMap]) -> tuple[UComp
     return _shifted(cx, tensor_map(a[1], b[1], cx, cx), 2)
 
 
-def _root_model(root, mirrored: bool) -> tuple[UComplex, UMap]:
-    """The model complex of a root with its lifted involution, shifted by -2
-    and dualized for a mirrored presentation."""
-    model = model_complex(root)
+def _root_model(model, mirrored: bool) -> tuple[UComplex, UMap]:
+    """A root's model complex with its lifted involution, shifted by -2 and
+    dualized for a mirrored presentation."""
     cx, iota = _shifted(model.cx, lift_involution(model), -2)
     return _dualized(cx, iota) if mirrored else (cx, iota)
 
@@ -581,7 +586,7 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
     root.require_stable()
     sub = monotone_subroot(root)
-    scx, siota = _root_model(sub, pres.mirrored)
+    scx, siota = _root_model(model_complex(sub), pres.mirrored)
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
         sigma = goeritz_oracle(spec.params)[1]

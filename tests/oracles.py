@@ -30,14 +30,16 @@ the pipeline produces by a different route, or builds a reference object.
 * `is_local_equivalence`, `induces_localized_iso`: the defining test of a
   local equivalence, for certifying an explicit map.
 * `self_local_equivalences`: `local_equivalences` of a complex to itself.
-* `deep_iso`, `deep_kernel_rank`, `ref_local_equivalences`,
+* `deep_iso`, `deep_kernel_rank`, `ref_local_equivalences`, `image_key`,
   `ref_connected_homology`: the connected search one candidate map at a
   time (rows rebuilt, a `UMap` built and its deep slices reduced for each
   of the 2^dim combinations, in binary order), the reference for the
   package's Gray-code walk.  `deep_kernel_rank` places every entry by its
   explicit exponent at a grading below all generators, and
   `ref_connected_homology` reads the package's list of self local
-  equivalences and ranks each map's deep kernel with it.
+  equivalences, ranks each map's deep kernel with it and keys each
+  maximizer's image by `image_key`, one echelon per generator grading of
+  the whole map, where the package keys one parity at a time.
 * `ref_lift_rows`: the rows of `lift_involution`, each angle's image found
   by walking the root: from each partner leaf down to the vertex where their
   paths join, collecting the angles between each branch vertex's child on
@@ -90,7 +92,6 @@ from branchfloer.complexes import (
     _columns,
     _deep_blocks,
     _F2Space,
-    _image_key,
     _kernel_of,
     _map_rows,
     _positions,
@@ -394,6 +395,21 @@ def ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bo
     return found
 
 
+def image_key(f: UMap) -> tuple:
+    """Equal for two self-maps of one complex exactly when their images are
+    the same subcomplex: the reduced echelon of im f in the slice of each
+    generator grading, built from the map itself."""
+    key = []
+    for _, _, events in f.tgt._sweep:
+        space = _F2Space()
+        for _, _, entering, _ in events:
+            if entering:
+                for j in _bits(entering):
+                    space.add(f.rows[j])
+                key.append(space.reduced())
+    return tuple(key)
+
+
 def ref_connected_homology(cx, iota, rank_bound=8, search_bound=18) -> GradedUModule:
     """`connected_homology_brute` from the list of `self_local_equivalences`:
     the deep kernel rank of each map, then one image homology per distinct
@@ -405,7 +421,7 @@ def ref_connected_homology(cx, iota, rank_bound=8, search_bound=18) -> GradedUMo
     best = [f for f, kr in zip(cands, ranks) if kr == top]
     modules = {}
     for f in best:
-        key = _image_key(f)
+        key = image_key(f)
         if key not in modules:
             m = image_homology(f)
             modules[key] = (m.towers, m.torsion)

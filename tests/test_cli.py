@@ -398,6 +398,19 @@ def test_independence_lifts_only_the_small_models(monkeypatch):
     assert [e["omega"] for e in json.loads(out.getvalue())["entries"]] == [1, 2, 3]
 
 
+def test_independence_verify_builds_each_model_once(monkeypatch):
+    # each knot's monotone subroot and its whole root: delta, the knot's full
+    # complex and the pairs' tensors share the root's one model
+    plain = io.StringIO()
+    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=plain)
+    models = _counted(monkeypatch, knots, "model_complex")
+    checked = io.StringIO()
+    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1, verify=True), out=checked)
+    assert len(models) == 6
+    assert len({id(root) for (root,) in models}) == 6
+    assert checked.getvalue() == plain.getvalue()
+
+
 @pytest.mark.parametrize(
     "text",
     # a knot, a knot whose presentation is mirrored, a mirror and a sum

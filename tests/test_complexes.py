@@ -764,6 +764,26 @@ def test_connected_search_still_reports_disagreeing_images(monkeypatch):
         cxm.connected_homology_brute(cx, iota, 16, 24)
 
 
+def test_connected_search_builds_one_map_per_image(monkeypatch):
+    # the 1024 maximizers have 16 distinct images; a map is built for each
+    # image, not for each maximizer
+    cx, iota = _small_sum_model()
+    expected = cxm.connected_homology_brute(cx, iota, 16, 24)
+    built = []
+    original = cxm.UMap
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cxm, "UMap", counted)
+    got = cxm.connected_homology_brute(cx, iota, 16, 24)
+    monkeypatch.undo()
+    assert (got.towers, got.torsion) == (expected.towers, expected.torsion)
+    images = {image_spans(cxm.UMap(*args)) for args in built}
+    assert len(built) == len(images) == 16
+
+
 # ---------------------------------------------------------------------------
 # the Gray-code walk against one candidate map at a time
 
@@ -805,7 +825,10 @@ def _check_walk(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
     src's deep slices, against the references; returns the maps' count."""
     fpos, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     ha = cxm.homology(src)
-    walked = sorted(cxm._walk(src, tgt, fpos, fbasis, ha, cxm.homology(tgt), ha.deep))
+    walked = sorted(
+        (cxm._unpack(packed, len(src), len(tgt)), kr)
+        for packed, kr in cxm._walk(src, tgt, fpos, fbasis, ha, cxm.homology(tgt), ha.deep)
+    )
     expected = ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
     assert [rows for rows, _ in walked] == [f.rows for f in expected]
     assert [kr for _, kr in walked] == [deep_kernel_rank(f, ha) for f in expected]
@@ -919,8 +942,8 @@ def test_homology_matches_the_slice_by_slice_reference(a, b, shift):
     iota = cxm.UMap(cx, cx, Fraction(0), a[1].rows)
     fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8, 18)
     ha = cxm.homology(cx)
-    for rows, _ in cxm._walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
-        f = cxm.UMap(cx, cx, Fraction(0), rows)
+    for packed, _ in cxm._walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
+        f = cxm.UMap(cx, cx, Fraction(0), cxm._unpack(packed, len(cx), len(cx)))
         _same_homology(cxm.image_homology(f), ref_homology(cx, ref_image(f)))
 
 

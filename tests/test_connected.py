@@ -27,6 +27,25 @@ def hand_root():
     )
 
 
+@pytest.mark.parametrize("text", ["torus(2,3)", "torus(2,5)", "pretzel(2,-3,-7)"])
+def test_verify_reuses_the_model_of_a_subroot_that_is_the_root(monkeypatch, text):
+    pres = kn.presentation(kn.parse_spec(text))
+    root = rt.build_root(pres.tree, pres.char, involution=pres.involution)
+    assert cn.monotone_subroot(root) is root
+    expected = cn.connected_homology(root)
+    built = []
+    original = cn.model_complex
+
+    def counted(r):
+        built.append(r)
+        return original(r)
+
+    monkeypatch.setattr(cn, "model_complex", counted)
+    assert cn.connected_homology(root, verify=True) == expected
+    # one model, for the homology and the brute-force cross-check alike
+    assert built == [root]
+
+
 def test_monotone_subroot_keeps_the_swapped_pair():
     r = rt.build_root(GAMMA7)
     assert cn.monotone_leaves(r) == r.leaves
