@@ -81,9 +81,8 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
     """Smallest subroot containing the given leaves, its vertices kept in
     id order.
 
-    The leaf set must be closed under the involution; successors, the weight
-    offset and representatives are inherited, candidate involutions are
-    dropped."""
+    The leaf set must be closed under the involution; successors, the
+    weight offset and the involution are inherited."""
     keep: set[int] = set()
     for l in leaf_ids:
         v: int | None = l
@@ -103,7 +102,6 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
         ),
         involution=tuple(index[j[v]] for v in order),
         stable=root.stable,
-        reps=tuple(root.reps[v] for v in order) if root.reps is not None else None,
         engine=root.engine,
     )
 

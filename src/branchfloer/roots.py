@@ -20,11 +20,11 @@ boundary.  Two engines build roots:
   its first 2 alpha_1 slices only and has a constant second difference in
   steps of alpha_1 after them (`_leg_shares`).  Components are the maximal
   intervals of the central profile, so the root is its merge tree, read off
-  in one pass (`_merge_tree`), and least minimizers are built only for the
-  slices that represent components.
+  in one pass (`_merge_tree`).
 
-Both can attach two involutions: the chi-preserving lattice reflection
-l -> -l - Q^{-1}k, and the map induced by a declared tree automorphism.
+Both compute two candidate involutions, the chi-preserving lattice reflection
+l -> -l - Q^{-1}k and the map induced by a declared tree automorphism, and
+keep the one selected.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -74,11 +74,9 @@ class GradedRoot:
     Vertex v has weight offset - 2 * levels[v] (`weights`), so the root
     stores the offset once.  succ[v] is the vertex one level down the tree,
     None at top-level components.  involution is the selected
-    level-preserving involution; reflection / graph_perm hold the two
-    candidates when computable.
-    reps[v] is a point of the component, which orders each level and which
-    the box engine maps to find the involutions: the box engine's least
-    point, the star engine's least minimizer on its slice of least (m(i), i).
+    level-preserving involution.  Each level's vertices are ordered left to
+    right: by the least lattice point of their component in the box engine,
+    by slice in the star engine.
     """
 
     levels: tuple[int, ...]
@@ -86,9 +84,6 @@ class GradedRoot:
     succ: tuple[int | None, ...]
     involution: tuple[int, ...]
     stable: bool
-    reps: tuple[tuple[int, ...], ...] | None = None
-    reflection: tuple[int, ...] | None = None
-    graph_perm: tuple[int, ...] | None = None
     engine: str = "?"
 
     def __post_init__(self):
@@ -172,83 +167,41 @@ class GradedRoot:
     def vertices_at(self, n: int) -> list[int]:
         return [v for v in range(len(self)) if self.levels[v] == n]
 
-    def with_involution(self, which: str) -> "GradedRoot":
-        """Copy with the selected involution set to `which`.
-
-        which: "reflection" | "automorphism" | "trivial".
-        """
-        return replace(
-            self, involution=_selected(which, self.reflection, self.graph_perm, len(self))
-        )
-
     # -- isomorphism ------------------------------------------------------
 
-    def _trimmed(self) -> list[int]:
-        """Vertex set with the unbranched tail of the stem removed."""
-        keep = set(range(len(self)))
+    def _key(self, with_involution: bool, interned: dict) -> tuple:
+        """Canonical key of the root with the unbranched tail of its stem
+        trimmed, up to weight-preserving isomorphism, commuting with the
+        involutions when asked.  In one pass over the vertices in increasing
+        level, a vertex's shape key is (weight, sorted child keys), and an
+        invariant vertex's key with the involution is (weight, sorted keys of
+        its invariant children, sorted shape keys of one child from each
+        swapped pair).  Keys are interned in `interned`, which the roots
+        compared share, so a subtree's key is one integer."""
+        j, weights = self.involution, self.weights
+        shape: list = [None] * len(self)
+        fixed: list = [None] * len(self)
+
+        def split(kids):
+            return (
+                tuple(sorted(fixed[c] for c in kids if j[c] == c)),
+                tuple(sorted(shape[c] for c in kids if j[c] > c)),
+            )
+
+        for v in sorted(range(len(self)), key=self.levels.__getitem__):
+            kids = self.children(v)
+            key = (weights[v], tuple(sorted(shape[c] for c in kids)))
+            shape[v] = interned.setdefault(key, len(interned))
+            if with_involution and j[v] == v:
+                fixed[v] = interned.setdefault((weights[v], *split(kids)), len(interned))
         bottoms = [v for v in range(len(self)) if self.succ[v] is None]
         while len(bottoms) == 1 and len(self.children(bottoms[0])) == 1:
-            keep.remove(bottoms[0])
             bottoms = list(self.children(bottoms[0]))
-        return sorted(keep)
-
-    def _shape_key(self, v: int, keep: set[int]) -> tuple:
-        w = self.weights[v]
-        childkeys = tuple(
-            sorted(self._shape_key(c, keep) for c in self.children(v) if c in keep)
-        )
-        return ((w.numerator, w.denominator), childkeys)
-
-    def isomorphisms(self, other: "GradedRoot"):
-        """Yield stem-trimmed tree isomorphisms (dicts self->other) that
-        respect weights."""
-        ka, kb = self._trimmed(), other._trimmed()
-        sa, sb = set(ka), set(kb)
-        roots_a = [v for v in ka if self.succ[v] is None or self.succ[v] not in sa]
-        roots_b = [v for v in kb if other.succ[v] is None or other.succ[v] not in sb]
-
-        def match(va, vb):
-            if self.weights[va] != other.weights[vb]:
-                return
-            ca = [c for c in self.children(va) if c in sa]
-            cb = [c for c in other.children(vb) if c in sb]
-            for sub in match_sets(ca, cb):
-                yield {va: vb, **sub}
-
-        def match_sets(ca, cb):
-            if len(ca) != len(cb):
-                return
-            if not ca:
-                yield {}
-                return
-            keys_a = {c: self._shape_key(c, sa) for c in ca}
-            keys_b = {c: other._shape_key(c, sb) for c in cb}
-            if sorted(keys_a.values()) != sorted(keys_b.values()):
-                return
-            ca = sorted(ca, key=lambda c: (keys_a[c], c))
-
-            def assign(i, used, acc):
-                if i == len(ca):
-                    yield acc
-                    return
-                c = ca[i]
-                for c2 in cb:
-                    if c2 in used or keys_b[c2] != keys_a[c]:
-                        continue
-                    for sub in match(c, c2):
-                        yield from assign(i + 1, used | {c2}, {**acc, **sub})
-
-            yield from assign(0, frozenset(), {})
-
-        yield from match_sets(roots_a, roots_b)
+        return split(bottoms) if with_involution else tuple(sorted(shape[v] for v in bottoms))
 
     def is_isomorphic(self, other: "GradedRoot", with_involution: bool = True) -> bool:
-        ka, ja, jb = set(self._trimmed()), self.involution, other.involution
-        return any(
-            not with_involution
-            or all(ja[a] not in ka or phi.get(ja[a]) == jb[b] for a, b in phi.items())
-            for phi in self.isomorphisms(other)
-        )
+        interned: dict = {}
+        return self._key(with_involution, interned) == other._key(with_involution, interned)
 
     # -- serialization ----------------------------------------------------
 
@@ -337,39 +290,23 @@ def _checked_char(tree, k):
     return k
 
 
-def _selected(which, reflection, graph_perm, n):
-    """The involution named `which` among a root's candidates."""
-    if which == "trivial":
-        return tuple(range(n))
-    if which == "reflection":
-        if reflection is None:
-            raise ValueError("no lattice reflection attached to this root")
-        return reflection
-    if which == "automorphism":
-        if graph_perm is None:
-            raise ValueError("no graph automorphism attached to this root")
-        return graph_perm
-    raise ValueError(f"unknown involution {which!r}")
-
-
 def _finished(fields, engine, reflection, graph_perm, select):
-    """The root of assembled `fields` with both candidate involutions and the
-    selected one, validated once."""
+    """The root of assembled `fields` with the involution `select` names
+    among the candidates, validated once: "auto" takes the declared
+    automorphism, else the lattice reflection, else the trivial one."""
+    named = {
+        "automorphism": (graph_perm, "graph automorphism"),
+        "reflection": (reflection, "lattice reflection"),
+        "trivial": (tuple(range(len(fields["levels"]))), None),
+    }
     if select == "auto":
-        if graph_perm is not None:
-            select = "automorphism"
-        elif reflection is not None:
-            select = "reflection"
-        else:
-            select = "trivial"
-    involution = _selected(select, reflection, graph_perm, len(fields["levels"]))
-    return GradedRoot(
-        **fields,
-        involution=involution,
-        reflection=reflection,
-        graph_perm=graph_perm,
-        engine=engine,
-    )
+        select = next(which for which, (perm, _) in named.items() if perm is not None)
+    if select not in named:
+        raise ValueError(f"unknown involution {select!r}")
+    involution, what = named[select]
+    if involution is None:
+        raise ValueError(f"no {what} attached to this root")
+    return GradedRoot(**fields, involution=involution, engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +433,11 @@ class _Sweep:
         return self._comp[level][self._find(i, level)]
 
 
-def _perm_from_map(fields, comp_index, bp, point_map):
-    """Vertex permutation induced by a chi-preserving lattice map, or None."""
+def _perm_from_map(reps, levels, comp_index, bp, point_map):
+    """Vertex permutation induced by a chi-preserving lattice map, read off
+    one point `reps[v]` of each vertex's component, or None."""
     perm = []
-    for rep, level in zip(fields["reps"], fields["levels"]):
+    for rep, level in zip(reps, levels):
         try:
             image = point_map(rep)
         except ValueError:
@@ -568,14 +506,14 @@ def build_root_box(
         # a top component's parent, if the sweep has one, lies above `stop`
         succ=tuple(comp_index.get(sweep.parent_of.get(c)) for c in order),
         stable=len(level_comps[-1][1]) == 1,
-        reps=tuple(sweep.reps[c] for c in order),
     )
-    refl = _perm_from_map(fields, comp_index, sweep, lambda p: reflect(tree, k, p))
+    reps, levels = [sweep.reps[c] for c in order], fields["levels"]
+    refl = _perm_from_map(reps, levels, comp_index, sweep, lambda p: reflect(tree, k, p))
     gperm = None
     if tree.automorphism is not None:
         ainv = [tree.automorphism.index(v) for v in range(len(tree))]
         gperm = _perm_from_map(
-            fields, comp_index, sweep, lambda p: tuple(p[a] for a in ainv)
+            reps, levels, comp_index, sweep, lambda p: tuple(p[a] for a in ainv)
         )
     return _finished(fields, "box", refl, gperm, involution)
 
@@ -673,64 +611,49 @@ def _leg_shares(weights, ks, data, slices):
 
 def _central_profile(tree, k, center, legs, slices):
     """m(i), the minimum of chi over the slice l_center = i, for each i in
-    the contiguous range `slices`, and the function taking a slice to its
-    least minimizer, which every leg builds outward from the centre
-    (`_leg_minimizer`).  2 m(i) is the centre's share of 2 chi plus each
-    leg's (`_leg_shares`); minimizers are built only for the slices asked."""
-    w, built = tree.weights, []
+    the contiguous range `slices`: 2 m(i) is the centre's share of 2 chi
+    plus each leg's (`_leg_shares`)."""
+    w = tree.weights
     twice = [-k[center] * i - w[center] * i * i for i in slices]
     for leg in legs:
         ws, ks = [w[v] for v in leg], [k[v] for v in leg]
-        data = _leg_seifert(ws, ks)
-        twice = [t + c for t, c in zip(twice, _leg_shares(ws, ks, data, slices))]
-        built.append((leg, data))
+        twice = [t + c for t, c in zip(twice, _leg_shares(ws, ks, _leg_seifert(ws, ks), slices))]
     if any(t % 2 for t in twice):
         raise ConsistencyError("odd central profile: k is not characteristic")
-
-    def minimizer(i):
-        point = [0] * len(tree)
-        point[center] = i
-        for leg, data in built:
-            for v, x in zip(leg, _leg_minimizer(data, i)):
-                point[v] = x
-        return tuple(point)
-
-    return [t // 2 for t in twice], minimizer
+    return [t // 2 for t in twice]
 
 
 def _merge_tree(m, lo, top):
     """The merge tree of the profile m(lo), m(lo + 1), ... up to level `top`:
     for each level n from min m, the maximal intervals [a, b] of
-    {i : m(i) <= n} left to right, as [a, b, up, least] with `up` the
-    position one level up of the interval holding [a, b] (None at `top`) and
-    `least` its slice of least (m(i), i).  A profile symmetric under
-    i -> 6 - i, connected at level 1 and split again at level 2:
+    {i : m(i) <= n} left to right, as [a, b, up] with `up` the position one
+    level up of the interval holding [a, b] (None at `top`).  A profile
+    symmetric under i -> 6 - i, connected at level 1 and split again at
+    level 2:
 
     >>> for n, intervals in _merge_tree([2, 4, 1, 0, 1, 4, 2], 0, 4):
     ...     print(n, intervals)
-    0 [[3, 3, 0, 3]]
-    1 [[2, 4, 1, 3]]
-    2 [[0, 0, 0, 0], [2, 4, 1, 3], [6, 6, 2, 6]]
-    3 [[0, 0, 0, 0], [2, 4, 0, 3], [6, 6, 0, 6]]
-    4 [[0, 6, None, 3]]
+    0 [[3, 3, 0]]
+    1 [[2, 4, 1]]
+    2 [[0, 0, 0], [2, 4, 1], [6, 6, 2]]
+    3 [[0, 0, 0], [2, 4, 0], [6, 6, 0]]
+    4 [[0, 6, None]]
     """
-    # Slices enter in order of (m(i), i), each joining the intervals beside it,
-    # so an interval's least slice is the first to enter it.  Slice lo + p is p
-    # here; an interval's start keeps its end and least entry, its end its start.
+    # Slices enter in order of m(i), each joining the intervals beside it.
+    # Slice lo + p is p here; an interval's start keeps its end, its end its start.
     order = sorted(range(len(m)), key=m.__getitem__)
-    ends, starts, least = {}, {}, {}
+    ends, starts = {}, {}
     levels, fresh = [], 0
     for n in range(min(m, default=top + 1), top + 1):
         while fresh < len(order) and m[order[fresh]] == n:
             p = order[fresh]  # joins the intervals ending at p - 1 and starting at p + 1
             a, b = starts.pop(p - 1, p), ends.pop(p + 1, p)
             ends[a], starts[b] = b, a
-            least[a] = min(least.get(a, fresh), least.pop(p + 1, fresh))
             fresh += 1
         here = sorted(ends)
         for below in levels[-1][1] if levels else ():
             below[2] = bisect_right(here, below[0] - lo) - 1  # the last start at or before it
-        levels.append((n, [[a + lo, ends[a] + lo, None, order[least[a]] + lo] for a in here]))
+        levels.append((n, [[a + lo, ends[a] + lo, None] for a in here]))
     return levels
 
 
@@ -762,7 +685,7 @@ def _star_root(tree, k, center, legs, n_max, involution):
         # adaptive caps start above ceil(min chi), and min chi >= k^2 / 8
         cap = math.ceil(ksq / 8) + span if n_max is None else n_max
         slices = coordinate_range(tree, k, cap, center)
-        m, minimizer = _central_profile(tree, k, center, legs, slices)
+        m = _central_profile(tree, k, center, legs, slices)
         levels = _merge_tree(m, slices.start, cap)
         # an adaptive root stops at its first connected level plus `_MARGIN`
         stop = next((n for n, c in levels if len(c) == 1), cap) + _MARGIN if n_max is None else cap
@@ -773,10 +696,6 @@ def _star_root(tree, k, center, legs, n_max, involution):
         span *= 2
     levels = levels[: stop - levels[0][0] + 1]
 
-    # A component's representative is the least minimizer of chi on its least
-    # slice.  Its leg coordinates do not decrease with the slice
-    # (`_leg_minimizer`), so the representatives order each level left to right.
-    points = {s: minimizer(s) for s in {c[3] for _, comps in levels for c in comps}}
     at = list(itertools.accumulate((len(comps) for _, comps in levels), initial=0))
     vertices = [(x, n, c) for x, (n, comps) in enumerate(levels) for c in comps]
     fields = dict(
@@ -784,14 +703,13 @@ def _star_root(tree, k, center, legs, n_max, involution):
         offset=(ksq + len(tree)) / 4,
         succ=tuple(at[x + 1] + c[2] if x + 1 < len(levels) else None for x, _, c in vertices),
         stable=len(levels[-1][1]) == 1,
-        reps=tuple(points[c[3]] for *_, c in vertices),
     )
     # i -> rho - i maps each level's intervals onto themselves in reverse order
     refl, pd = None, pd_vector(tree, k)
     if all(x.denominator == 1 for x in pd):
         rho = -int(pd[center])
         for _, comps in levels:
-            if [[rho - b, rho - a] for a, b, *_ in reversed(comps)] != [c[:2] for c in comps]:
+            if [[rho - b, rho - a] for a, b, _ in reversed(comps)] != [c[:2] for c in comps]:
                 raise ConsistencyError("lattice reflection does not preserve the central profile")
         refl = tuple(at[x] + at[x + 1] - 1 - v for v, (x, _, _) in enumerate(vertices))
     # a slice- and chi-preserving automorphism maps every component, being an

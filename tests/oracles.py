@@ -63,10 +63,16 @@ the pipeline produces by a different route, or builds a reference object.
   diagonal of (-Q)^{-1} from Bareiss cofactors, and every coordinate's exact
   range on a sublevel set from them: the reference for the package's range
   of one coordinate from the integer elimination.
+* `least_minimizer`: a star slice's least minimizer of chi, assembled from
+  each leg's closed form, which the star engine sums but does not build.
 * `ref_star_root`: the star engine reading components off the box engine's
   union-find sweep over 1-tuples and mapping each representative through
   the reflection: the reference for the package's merge tree of the central
   profile, whose reflection reverses each level's intervals.
+* `ref_isomorphisms`, `ref_is_isomorphic`: weight-preserving isomorphisms of
+  two stem-trimmed graded roots by backtracking over children of equal
+  shape, and the test that one of them commutes with the involutions: the
+  reference for the package's canonical key of a root.
 * `determinant`, `leading_minors`, `is_negative_definite`, `solve_exact`,
   `invert_exact`, `solve_mod2`: dense exact matrix algebra (Bareiss minors,
   Gauss-Jordan over the rationals and over F_2) on plain lists of lists, the
@@ -799,27 +805,49 @@ def coordinate_ranges(tree, k, cap) -> list[range]:
 # star roots read off the box engine's union-find sweep
 
 
+def least_minimizer(tree, k, center, legs):
+    """The function taking a slice i of a star to the least minimizer of chi
+    on l_center = i, each leg built outward from the centre from its
+    `roots._leg_seifert` data by `roots._leg_minimizer`: the closed form
+    whose shares of chi the star engine sums, as a point."""
+    built = [
+        (leg, rt._leg_seifert([tree.weights[v] for v in leg], [k[v] for v in leg])) for leg in legs
+    ]
+
+    def minimizer(i):
+        point = [0] * len(tree)
+        point[center] = i
+        for leg, data in built:
+            for v, x in zip(leg, rt._leg_minimizer(data, i)):
+                point[v] = x
+        return tuple(point)
+
+    return minimizer
+
+
 def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
     """`roots.build_root_star` with components read off the box engine's
     union-find `roots._Sweep` over the 1-tuples (i,) with m(i) <= cap, and
     the reflection found one representative at a time by
     `roots._perm_from_map`: the reference for the package's merge tree of
-    the central profile.  Slices, profile, stop rule and representatives (the
-    least minimizer on each component's slice of least (m(i), i)) are the
-    package's; each level's components are sorted by their representatives."""
+    the central profile.  Slices, profile and stop rule are the package's;
+    each component's representative is the least minimizer of chi on its
+    slice of least (m(i), i), built leg by leg (`roots._leg_minimizer`), and
+    each level's components are sorted by their representatives."""
     k = rt._checked_char(tree, k)
     center, legs = rt._star_decompose(tree)
+    minimizer = least_minimizer(tree, k, center, legs)
 
     def profile(cap):
         slices = coordinate_ranges(tree, k, cap)[center]
-        m, minimizer = rt._central_profile(tree, k, center, legs, slices)
-        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}, minimizer
+        m = rt._central_profile(tree, k, center, legs, slices)
+        return {(i,): mi for i, mi in zip(slices, m) if mi <= cap}
 
     if n_max is None:
         span = 8
         while True:
             cap = math.ceil(k_square(tree, k) / 8) + span  # chi >= k^2 / 8
-            m, minimizer = profile(cap)
+            m = profile(cap)
             if m:
                 sweep = rt._Sweep(m, cap)
                 conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
@@ -829,7 +857,7 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
             span *= 2
     else:
         stop = n_max
-        m, minimizer = profile(stop)
+        m = profile(stop)
         if not m:
             raise rt.InstabilityError("stop level lies below the minimum of chi")
         sweep = rt._Sweep(m, stop)
@@ -851,18 +879,93 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
         offset=(k_square(tree, k) + len(tree)) / 4,
         succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
         stable=len(level_comps[-1][1]) == 1,
-        reps=tuple(reps[c] for c in order),
     )
     refl, pd = None, pd_vector(tree, k)
     if all(x.denominator == 1 for x in pd):
         rho = -int(pd[center])
-        refl = rt._perm_from_map(fields, index, sweep, lambda p: (rho - p[center],))
+        refl = rt._perm_from_map(
+            [reps[c] for c in order], fields["levels"], index, sweep, lambda p: (rho - p[center],)
+        )
         if refl is None:
             raise ConsistencyError("lattice reflection does not preserve the central profile")
     gperm, aut = None, tree.automorphism
     if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
         gperm = tuple(range(len(order)))
     return rt._finished(fields, "star", refl, gperm, involution)
+
+
+# ---------------------------------------------------------------------------
+# graded root isomorphism by backtracking
+
+
+def _trimmed(root) -> set[int]:
+    """Vertex set with the unbranched tail of the stem removed."""
+    keep = set(range(len(root)))
+    bottoms = [v for v in range(len(root)) if root.succ[v] is None]
+    while len(bottoms) == 1 and len(root.children(bottoms[0])) == 1:
+        keep.remove(bottoms[0])
+        bottoms = list(root.children(bottoms[0]))
+    return keep
+
+
+def _shape_key(root, v, keep) -> tuple:
+    w = root.weights[v]
+    childkeys = tuple(sorted(_shape_key(root, c, keep) for c in root.children(v) if c in keep))
+    return ((w.numerator, w.denominator), childkeys)
+
+
+def ref_isomorphisms(a, b):
+    """Yield the weight-preserving isomorphisms (dicts a -> b) of the two
+    stem-trimmed roots, matching children of equal shape key in every order."""
+    sa, sb = _trimmed(a), _trimmed(b)
+    roots_a = sorted(v for v in sa if a.succ[v] not in sa)
+    roots_b = sorted(v for v in sb if b.succ[v] not in sb)
+
+    def match(va, vb):
+        if a.weights[va] != b.weights[vb]:
+            return
+        ca = [c for c in a.children(va) if c in sa]
+        cb = [c for c in b.children(vb) if c in sb]
+        for sub in match_sets(ca, cb):
+            yield {va: vb, **sub}
+
+    def match_sets(ca, cb):
+        if len(ca) != len(cb):
+            return
+        if not ca:
+            yield {}
+            return
+        keys_a = {c: _shape_key(a, c, sa) for c in ca}
+        keys_b = {c: _shape_key(b, c, sb) for c in cb}
+        if sorted(keys_a.values()) != sorted(keys_b.values()):
+            return
+        ca = sorted(ca, key=lambda c: (keys_a[c], c))
+
+        def assign(i, used, acc):
+            if i == len(ca):
+                yield acc
+                return
+            c = ca[i]
+            for c2 in cb:
+                if c2 in used or keys_b[c2] != keys_a[c]:
+                    continue
+                for sub in match(c, c2):
+                    yield from assign(i + 1, used | {c2}, {**acc, **sub})
+
+        yield from assign(0, frozenset(), {})
+
+    yield from match_sets(roots_a, roots_b)
+
+
+def ref_is_isomorphic(a, b, with_involution=True) -> bool:
+    """Whether some isomorphism of `ref_isomorphisms` exists, and with the
+    involution, one that carries a's involution to b's."""
+    keep, ja, jb = _trimmed(a), a.involution, b.involution
+    return any(
+        not with_involution
+        or all(ja[x] not in keep or phi.get(ja[x]) == jb[y] for x, y in phi.items())
+        for phi in ref_isomorphisms(a, b)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -214,8 +214,9 @@ def test_root_verify_reports_an_engine_disagreement(monkeypatch, capsys):
     build = roots.build_root
 
     def skewed(*args, engine="auto", **kwargs):
-        root = build(*args, engine=engine, **kwargs)
-        return root.with_involution("trivial") if engine == "box" else root
+        if engine == "box":
+            kwargs["involution"] = "trivial"
+        return build(*args, engine=engine, **kwargs)
 
     monkeypatch.setattr(roots, "build_root", skewed)
     with pytest.raises(ConsistencyError, match="engine cross-check failed"):

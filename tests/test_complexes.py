@@ -268,7 +268,8 @@ def test_model_and_branched_invariants_on_random_pretzels(pres):
 
 @st.composite
 def lift_roots(draw):
-    """Roots to lift: star roots of random pretzels or of pretzels near the
+    """Roots to lift, one tree's root under each involution it offers (its
+    own first): star roots of random pretzels or of pretzels near the
     generators, adaptive or cut at a low level (several leaves, often
     swapped, and several components when cut), or box roots of the H-shaped
     trees, the only trees of up to 6 vertices that are not stars, half of
@@ -287,10 +288,7 @@ def lift_roots(draw):
         p, r = (2 * q + draw(st.sampled_from([-1, 1, 3])) for _ in "pr")
         pres = kn.presentation(kn.parse_spec(f"pretzel({p},-{q},{r})"))
     if source != "box":
-        try:
-            return rt.build_root_star(pres.tree, pres.char, n_max=n_max, involution=pres.involution)
-        except rt.InstabilityError:
-            reject()
+        return _under_each_involution(rt.build_root_star, pres.tree, pres.char, n_max, pres.involution)
     a, c = (draw(st.integers(-5, -2)) for _ in "ac")
     b = draw(st.integers(-3, -2))
     if draw(st.booleans()):
@@ -308,10 +306,21 @@ def lift_roots(draw):
     if n_max is not None:
         *_, const = pl.eliminate(tree, k)
         n_max += -(-const // 2) - 1  # from just above the minimum of chi
-    try:
-        return rt.build_root_box(tree, k, n_max=n_max)
-    except rt.InstabilityError:
-        reject()
+    return _under_each_involution(rt.build_root_box, tree, k, n_max, "auto")
+
+
+def _under_each_involution(build, tree, k, n_max, own):
+    """The roots `build` makes under `own` and each named involution the
+    root has; rejects a stop level below the minimum of chi."""
+    roots = []
+    for which in dict.fromkeys((own, "reflection", "automorphism", "trivial")):
+        try:
+            roots.append(build(tree, k, n_max=n_max, involution=which))
+        except rt.InstabilityError:
+            reject()
+        except ValueError:
+            continue
+    return roots
 
 
 def _outcome(f, root):
@@ -324,15 +333,11 @@ def _outcome(f, root):
 
 @settings(max_examples=100, deadline=None)
 @given(lift_roots())
-def test_lift_matches_the_walk_reference(root):
+def test_lift_matches_the_walk_reference(roots):
     # every involution the root offers, against the walk from each partner
     # leaf down to where the two paths join; its square is the identity on
     # the nose, because d is injective on the span of the angles
-    for which in ("auto", "reflection", "automorphism", "trivial"):
-        try:
-            r = root if which == "auto" else root.with_involution(which)
-        except ValueError:
-            continue
+    for r in roots:
         model = cxm.model_complex(r)
         iota = cxm.lift_involution(model)
         assert list(iota.rows) == ref_lift_rows(model)

@@ -58,7 +58,7 @@ def test_monotone_subroot_keeps_the_swapped_pair():
 
 
 def test_monotone_subroot_is_the_root_exactly_when_every_leaf_is_kept():
-    roots = [rt.build_root(GAMMA7), rt.build_root(GAMMA7).with_involution("trivial"), hand_root()]
+    roots = [rt.build_root(GAMMA7), rt.build_root(GAMMA7, involution="trivial"), hand_root()]
     for text in CORPUS + ["pretzel(3,-5,-7,9,11)", "pretzel(19,-9,17)"]:
         pres = kn.presentation(kn.parse_spec(text))
         roots.append(rt.build_root(pres.tree, pres.char, involution=pres.involution))
@@ -78,7 +78,7 @@ def test_monotone_subroot_is_idempotent():
 
 
 def test_trivial_involution_reduces_to_the_stem():
-    r = rt.build_root(GAMMA7).with_involution("trivial")
+    r = rt.build_root(GAMMA7, involution="trivial")
     sub = cn.monotone_subroot(r)
     assert len(sub.leaves) == 1
     h = cn.connected_homology(r, verify=True)
@@ -97,7 +97,7 @@ def test_reduction_is_obstructed_without_an_invariant_target():
 
 
 def test_reduction_leaves_trivial_involutions_alone():
-    r = rt.build_root(GAMMA7).with_involution("trivial")
+    r = rt.build_root(GAMMA7, involution="trivial")
     rep = symmetric_reduction(r)
     assert rep.root == r and rep.deletions == 0 and not rep.obstructed
 
@@ -126,8 +126,8 @@ def test_monotone_agrees_with_brute_force_on_three_leaves():
 
 
 def test_orbit_counts_predict_the_branched_dimensions():
-    base = rt.build_root(GAMMA7)
-    for root in (base, base.with_involution("trivial"), rt.build_root(THREE_LEAF)):
+    trivial = rt.build_root(GAMMA7, involution="trivial")
+    for root in (rt.build_root(GAMMA7), trivial, rt.build_root(THREE_LEAF)):
         model = cxm.model_complex(root)
         cone = cxm.branched_invariants(model.cx, cxm.lift_involution(model)).module
         for g, want in branched_dimensions(root).items():

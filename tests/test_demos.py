@@ -1,4 +1,5 @@
-"""Each script under demos/ runs to completion in a fresh interpreter."""
+"""Each script under demos/ runs to completion in a fresh interpreter, in a
+temporary directory, so what a demo writes stays out of the checkout."""
 
 import os
 import subprocess
@@ -12,10 +13,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo):
+def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env, cwd=ROOT
+        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -4,7 +4,8 @@ Every function in the package is called by the package itself: a helper that
 only tests call belongs under tests/ (see tests/oracles.py), so one check
 fails on any function or method of src/branchfloer whose name is referenced
 nowhere in the package outside its own definition, unless the package exports
-it in `branchfloer.__all__`.  Checks raise typed errors, so another check
+it in `branchfloer.__all__`.  A bare name that is a parameter of an enclosing
+function refers to that parameter, so it does not count as a reference.  Checks raise typed errors, so another check
 fails on any `assert` statement or raised AssertionError, which `python -O`
 would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
@@ -30,14 +31,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "branchfloer"
 
 
-def _referenced_names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name.split(".")[-1]
+def _referenced_names(node, params=frozenset()):
+    """Names, attributes and imported names under `node`, except bare names
+    bound as parameters of an enclosing function (`params` from outside)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        args = node.args
+        named = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        params = params | {a.arg for a in named if a is not None}
+    if isinstance(node, ast.Name):
+        if node.id not in params:
+            yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, ast.alias):
+        yield node.name.split(".")[-1]
+    for child in ast.iter_child_nodes(node):
+        yield from _referenced_names(child, params)
 
 
 def _definitions(tree):
@@ -51,8 +60,11 @@ def _definitions(tree):
                     yield item
 
 
-def unreferenced_functions():
-    modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+def unreferenced_functions(modules=None):
+    """"file:line name" of each function nothing else references, over
+    `modules` (file name -> parsed module), the package's by default."""
+    if modules is None:
+        modules = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     counts = {}
     for tree in modules.values():
         for name in _referenced_names(tree):
@@ -73,6 +85,31 @@ def unreferenced_functions():
 
 def test_no_function_is_referenced_only_by_its_own_definition():
     assert unreferenced_functions() == []
+
+
+COLLIDING = """
+def helper(x):
+    return x
+
+
+class Root:
+    def switched(self, flag):
+        return flag
+
+    def compare(self, other, switched=True):
+        return (lambda helper: helper)(other) if switched else other
+
+
+def caller(root):
+    return root.compare(root, switched=False)
+"""
+
+
+def test_a_parameter_of_the_same_name_is_not_a_reference():
+    # `switched` and `helper` are only ever parameters where they are read,
+    # so only `compare` counts as referenced
+    modules = {"m.py": ast.parse(COLLIDING)}
+    assert unreferenced_functions(modules) == ["m.py:2 helper", "m.py:7 switched", "m.py:14 caller"]
 
 
 def test_package_has_no_asserts():
