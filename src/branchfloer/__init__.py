@@ -21,7 +21,7 @@ from .complexes import (  # noqa: E402
     local_equivalences,
     model_complex,
 )
-from .connected import connected_homology, monotone_subroot  # noqa: E402
+from .connected import monotone_subroot  # noqa: E402
 from .knots import (  # noqa: E402
     InvariantPackage,
     KnotSpec,
@@ -32,7 +32,7 @@ from .knots import (  # noqa: E402
     presentation,
     unparse,
 )
-from .plumbing import DefinitenessError, PlumbingTree, eliminate, linear_chain, star  # noqa: E402
+from .plumbing import DefinitenessError, PlumbingTree, star  # noqa: E402
 from .roots import GradedRoot, InstabilityError, build_root  # noqa: E402
 
 __all__ = [
@@ -50,12 +50,9 @@ __all__ = [
     "UComplex",
     "UMap",
     "build_root",
-    "connected_homology",
-    "eliminate",
     "homology",
     "invariants",
     "lift_involution",
-    "linear_chain",
     "local_equivalences",
     "model_complex",
     "monotone_subroot",

@@ -66,11 +66,7 @@ def cmd_invariants(text: str, config: RunConfig, out=None) -> None:
     out = out or sys.stdout
     spec = knots.parse_spec(text)
     pkg = knots.invariants(
-        spec,
-        n_max=config.n_max,
-        rank_bound=config.rank_bound,
-        search_bound=config.rank_bound + 8,
-        verify=config.verify,
+        spec, n_max=config.n_max, rank_bound=config.rank_bound, verify=config.verify
     )
     if config.fmt == "json":
         out.write(json.dumps(pkg.to_jsonable(), sort_keys=True) + "\n")
@@ -87,18 +83,26 @@ def cmd_invariants(text: str, config: RunConfig, out=None) -> None:
     out.write(f"sigma       {pkg.sigma if pkg.sigma is not None else '-'}\n")
 
 
+def _ints(value, field: str) -> tuple[int, ...]:
+    """A JSON array of integers; anything else (a float, a bool, a string)
+    is a ValueError that names `field`."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f"{field} must be a list of integers, got {json.dumps(value)}")
+    return tuple(value)
+
+
 def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, str]:
     """Parse the plumbing JSON input ("Plumbing JSON input" in README.md);
     every malformed field, `char` included, is a KnotSpecError."""
     try:
-        weights = tuple(int(w) for w in doc["weights"])
-        edges = tuple((int(a), int(b)) for a, b in doc.get("edges", []))
+        weights = _ints(doc["weights"], "weights")
+        edges = tuple(_ints(e, "edges") for e in doc.get("edges", []))
         aut = doc.get("automorphism")
         tree = plumbing.PlumbingTree(
-            weights, edges, automorphism=tuple(aut) if aut else None
+            weights, edges, automorphism=_ints(aut, "automorphism") if aut else None
         )
         char = doc.get("char")
-        char = None if char is None else tuple(int(c) for c in char)
+        char = None if char is None else _ints(char, "char")
         involution = str(doc.get("involution", "auto"))
     except (KeyError, TypeError, ValueError) as err:
         raise knots.KnotSpecError(f"bad plumbing JSON: {err}")
@@ -207,7 +211,7 @@ def _checked_omega(ev, delta, config: RunConfig) -> int:
     complex, built from the roots already built."""
     if config.verify and knots._full_invariants(ev)[0] != delta:
         raise ConsistencyError(f"delta of the full complex differs from {delta}")
-    conn = knots._connected(ev, config.rank_bound, config.rank_bound + 8, config.verify)
+    conn = knots._connected(ev, config.rank_bound, config.verify)
     knots._require_tower(conn, delta)
     return omega(conn)
 

@@ -706,10 +706,12 @@ def _deep_blocks(src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUMod
 # brute-force enumeration of local equivalences (small ranks only)
 
 
-def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
+def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound):
     """The unknowns of a degree-0 map src -> tgt, and an independent basis
     (bitmasks over them) of the chain maps that commute with the involutions
-    up to homotopy.  Raises RankBoundExceeded as `local_equivalences`."""
+    up to homotopy.  Raises RankBoundExceeded as `local_equivalences`: a
+    complex of rank above `rank_bound`, or a basis of more than `rank_bound`
+    + 8 maps, whose 2^dim combinations the walk would visit."""
     if len(src) > rank_bound or len(tgt) > rank_bound:
         raise RankBoundExceeded(f"complex rank exceeds bound {rank_bound}")
     fpos = _positions(src, tgt, Fraction(0))
@@ -734,9 +736,9 @@ def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound):
         indep, _ = fspace.add(v & fmask)
         if indep:
             fbasis.append(v & fmask)
-    if len(fbasis) > search_bound:
+    if len(fbasis) > rank_bound + 8:
         raise RankBoundExceeded(
-            f"search space dimension {len(fbasis)} exceeds bound {search_bound}"
+            f"search space dimension {len(fbasis)} exceeds bound {rank_bound + 8}"
         )
     return fpos, fbasis
 
@@ -821,14 +823,14 @@ def local_equivalences(
     tgt: UComplex,
     iota_tgt: UMap,
     rank_bound: int = 8,
-    search_bound: int = 18,
 ) -> list[UMap]:
     """All local equivalences src -> tgt, found by exhausting the affine
     space of chain maps that commute with the involutions up to homotopy.
 
     Maps are returned up to equality (not up to homotopy), sorted.  Raises
-    RankBoundExceeded when the complexes or the search space are too big."""
-    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    RankBoundExceeded when the complexes or the search space are too big
+    for `rank_bound` (see `_chain_map_basis`)."""
+    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound)
     ha = homology(src)
     hb = ha if tgt is src else homology(tgt)
     walked = _walk(src, tgt, fpos, fbasis, ha, hb, {})
@@ -864,9 +866,7 @@ def _image_part(rows, events) -> tuple:
     return tuple(part)
 
 
-def connected_homology_brute(
-    cx: UComplex, iota: UMap, rank_bound: int = 8, search_bound: int = 18
-) -> GradedUModule:
+def connected_homology_brute(cx: UComplex, iota: UMap, rank_bound: int = 8) -> GradedUModule:
     """Connected homology via exhaustive search: the image homology of a
     self local equivalence whose deep kernel is as large as possible.
 
@@ -875,7 +875,7 @@ def connected_homology_brute(
     the current maximizers are kept.  Each maximizer's image is keyed by one
     `_image_part` per parity, memoized on that parity's rows, and a map is
     built and `image_homology` called once per distinct image."""
-    fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, search_bound)
+    fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound)
     ha = homology(cx)
     best_rank = -1
     best = []

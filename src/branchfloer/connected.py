@@ -7,23 +7,15 @@ every vertex its leaf count and its best swapped leaf, which is all the walk
 reads.  The homology of its model complex is the connected homology of the
 whole root (the image of a maximal self local equivalence, after
 Hendricks-Hom-Lidman), so a knot presented directly needs no enumeration of
-self-equivalences; `connected_homology(..., verify=True)` cross-checks
-against that enumeration when the rank allows.
-Mirrors and sums still enumerate, but on the small models of monotone
-subroots.  `omega` reads the torsion exponent off the result.
+self-equivalences (`knots` computes it, and `invariants(verify=True)`
+cross-checks it against that enumeration).  Mirrors and sums still
+enumerate, but on the small models of monotone subroots.  `omega` reads the
+torsion exponent off the result.
 """
 
 from __future__ import annotations
 
-from .complexes import (
-    ConsistencyError,
-    GradedUModule,
-    RankBoundExceeded,
-    connected_homology_brute,
-    homology,
-    lift_involution,
-    model_complex,
-)
+from .complexes import ConsistencyError, GradedUModule
 from .roots import GradedRoot
 
 
@@ -112,26 +104,6 @@ def monotone_subroot(root: GradedRoot) -> GradedRoot:
     kept, so callers can tell that its model is the whole root's."""
     leaves = monotone_leaves(root)
     return root if len(leaves) == len(root.leaves) else _subroot_spanned(root, leaves)
-
-
-def connected_homology(root: GradedRoot, verify: bool = False) -> GradedUModule:
-    """Homology of the monotone subroot's model complex.
-
-    With verify=True the answer is recomputed by enumerating maximal
-    self-equivalences of the full model whenever its rank permits; a
-    disagreement is a hard failure."""
-    sub = monotone_subroot(root)
-    model = model_complex(sub)
-    module = homology(model.cx)
-    if verify:
-        model = model if sub is root else model_complex(root)
-        try:
-            brute = connected_homology_brute(model.cx, lift_involution(model))
-        except RankBoundExceeded:
-            return module
-        if brute != module:
-            raise ConsistencyError("monotone subroot disagrees with the brute-force image")
-    return module
 
 
 def omega(module: GradedUModule) -> int:

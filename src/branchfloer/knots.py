@@ -39,7 +39,6 @@ from .complexes import (
 )
 from .connected import monotone_subroot, omega
 from .plumbing import (
-    DefinitenessError,
     PlumbingTree,
     determinant_magnitude,
     spin_char,
@@ -114,17 +113,14 @@ def _cong(c: int, mod: int, lo: int) -> int:
 
 def torus_plumbing(p: int, q: int) -> Presentation:
     """Minimal resolution plumbing for the double cover of the (p, q) torus
-    knot, which is the link of the suspension singularity x^2 + y^p + z^q.
+    knot, which is the link of the suspension singularity x^2 + y^p + z^q;
+    p and q are those of a checked `KnotSpec`.
 
     For odd p*q the cover is a Brieskorn homology sphere and the covering
     involution acts trivially on the root.  For even p*q the resolution has
     two equal legs that the involution exchanges; the swap is recorded as a
     tree automorphism.
     """
-    if abs(p) < 2 or abs(q) < 2:
-        raise KnotSpecError("torus parameters need |p|, |q| >= 2; smaller gives the unknot")
-    if gcd(p, q) != 1:
-        raise KnotSpecError("torus(p, q) with gcd(p, q) > 1 is a link, not a knot")
     mirrored = p * q < 0
     p, q = abs(p), abs(q)
     if p > q:
@@ -162,75 +158,36 @@ def torus_plumbing(p: int, q: int) -> Presentation:
     return Presentation(tree, spin_char(tree), mode, mirrored)
 
 
-def pretzel_plumbing(strands) -> Presentation:
-    """Seifert plumbing for the double cover of a pretzel: one fiber of
-    slope -1/a per strand.  Falls back to the mirror when the given
-    orientation bounds the positive-definite side."""
-    strands = tuple(int(a) for a in strands)
-    if any(a == 0 for a in strands):
-        raise KnotSpecError("zero strands split the pretzel diagram")
-    slopes = [Fraction(-1, a) for a in strands]
-    ey = sum(slopes)
-    if ey == 0:
-        raise DefinitenessError(
-            "pretzel cover has euler number zero; neither orientation bounds "
-            "a definite plumbing"
-        )
-    mirrored = False
-    if ey > 0:
-        slopes = [-s for s in slopes]
-        mirrored = True
-    tree = _seifert_star(0, slopes)
-    return Presentation(tree, spin_char(tree), "auto", mirrored)
+def _seifert_det(e: int, fractions) -> int:
+    """|H_1| of the cover of montesinos(e; a1/b1, ...), |e + sum b_i/a_i| *
+    prod |a_i|, in integers; pretzel(a1, ...) is montesinos(0; a1/1, ...)."""
+    top = prod(f.numerator for f in fractions)
+    return abs(e * top + sum(f.denominator * (top // f.numerator) for f in fractions))
 
 
-def montesinos_plumbing(e: int, fractions) -> Presentation:
-    """Seifert plumbing for the double cover of montesinos(e; a1/b1, ...).
-
-    The cover has orbifold euler number -e - sum(b_i/a_i); pretzel(a1,...)
-    is the special case montesinos(0; a1/1, ...).
-    """
-    try:
-        fractions = [
-            Fraction(*f) if isinstance(f, tuple) else Fraction(f) for f in fractions
-        ]
-    except ZeroDivisionError:
-        raise KnotSpecError("montesinos fraction with zero denominator") from None
-    if not fractions:
-        raise KnotSpecError("montesinos spec needs at least one fraction")
-    if any(abs(f.numerator) < 2 for f in fractions):
-        raise KnotSpecError(
-            "montesinos fraction with |numerator| < 2 is a trivial fiber; "
-            "fold it into the integer coefficient"
-        )
+def seifert_plumbing(e: int, fractions) -> Presentation:
+    """Seifert plumbing for the double cover of montesinos(e; a1/b1, ...),
+    the fractions those of a checked `KnotSpec` as `Fraction`s: one fiber of
+    slope -b_i/a_i each, orbifold euler number -e - sum(b_i/a_i).  Falls
+    back to the mirror when the given orientation bounds the
+    positive-definite side.  The tree's determinant is checked against
+    `_seifert_det`."""
     slopes = [-1 / f for f in fractions]
-    ey = Fraction(-e) + sum(slopes)
-    if ey == 0:
-        raise DefinitenessError(
-            "montesinos cover has euler number zero; neither orientation "
-            "bounds a definite plumbing"
-        )
-    mirrored = False
-    extra = -e
-    if ey > 0:
+    mirrored = -e + sum(slopes) > 0
+    if mirrored:
         slopes = [-s for s in slopes]
-        extra = e
-        mirrored = True
-    tree = _seifert_star(extra, slopes)
-    det = determinant_magnitude(tree)
-    if det % 2 == 0:
-        raise KnotSpecError(
-            f"montesinos determinant {det} is even: the data describes a link"
+    tree = _seifert_star(e if mirrored else -e, slopes)
+    det = _seifert_det(e, fractions)
+    if determinant_magnitude(tree) != det:
+        raise ConsistencyError(
+            f"plumbing determinant {determinant_magnitude(tree)} is not the "
+            f"Seifert invariants' {det}"
         )
     return Presentation(tree, spin_char(tree), "auto", mirrored)
 
 
 # ---------------------------------------------------------------------------
 # diagram-side oracle
-
-
-def _pretzel_det(strands) -> int:
-    return abs(sum(prod(strands) // a for a in strands))
 
 
 def goeritz_oracle(strands) -> tuple[int, int]:
@@ -277,35 +234,78 @@ def goeritz_oracle(strands) -> tuple[int, int]:
 @dataclass(frozen=True)
 class KnotSpec:
     """A parsed knot description: a constructor with parameters, or a
-    mirror/sum node over child specs."""
+    mirror/sum node over child specs.
+
+    Every spec is checked once, when it is made, so that the plumbing
+    constructors (`torus_plumbing`, `seifert_plumbing`) can trust its
+    parameters."""
 
     kind: str
     params: tuple = ()
     children: tuple["KnotSpec", ...] = ()
 
+    def __post_init__(self):
+        integers = self.params if self.kind in ("torus", "pretzel") else self.params[:1]
+        if any(type(x) is not int for x in integers):
+            raise KnotSpecError(f"{self.kind} parameters must be integers, got {self.params}")
+        if self.kind == "torus":
+            p, q = self.params
+            if abs(p) < 2 or abs(q) < 2:
+                raise KnotSpecError("torus parameters need |p|, |q| >= 2; smaller gives the unknot")
+            if gcd(p, q) != 1:
+                raise KnotSpecError("torus(p, q) with gcd(p, q) > 1 is a link, not a knot")
+        elif self.kind == "pretzel":
+            if len(self.params) < 2:
+                raise KnotSpecError("a pretzel needs at least two strands")
+            if 0 in self.params:
+                raise KnotSpecError("zero strands split the pretzel diagram")
+            self._require_odd_det()
+        elif self.kind == "montesinos":
+            fractions = self.params[1:]
+            if not fractions:
+                raise KnotSpecError("montesinos spec needs at least one fraction")
+            if 0 in fractions:
+                raise KnotSpecError("zero montesinos fraction")
+            if any(abs(f.numerator) < 2 for f in fractions):
+                raise KnotSpecError(
+                    "montesinos fraction with |numerator| < 2 is a trivial fiber; "
+                    "fold it into the integer coefficient"
+                )
+            self._require_odd_det()
+        elif self.kind == "mirror":
+            if len(self.children) != 1:
+                raise KnotSpecError("a mirror has exactly one child")
+        elif self.kind == "sum":
+            if len(self.children) < 2:
+                raise KnotSpecError("a sum needs at least two summands")
+        else:
+            raise KnotSpecError(f"unknown knot kind {self.kind!r}")
+
+    def _require_odd_det(self) -> None:
+        det = _seifert_det(*self.seifert_invariants())
+        if det == 0:
+            raise KnotSpecError(f"{self.kind} determinant is zero: not a knot")
+        if det % 2 == 0:
+            raise KnotSpecError(f"{self.kind} determinant {det} is even: this is a link, not a knot")
+
+    def seifert_invariants(self) -> tuple[int, tuple[Fraction, ...]]:
+        """(e, fractions) of a pretzel or Montesinos spec: pretzel(a1, ...)
+        is montesinos(0; a1/1, ...)."""
+        e, *fractions = (0, *self.params) if self.kind == "pretzel" else self.params
+        return e, tuple(map(Fraction, fractions))
+
     @classmethod
     def torus(cls, p: int, q: int) -> "KnotSpec":
-        if abs(p) < 2 or abs(q) < 2:
-            raise KnotSpecError("torus parameters need |p|, |q| >= 2; smaller gives the unknot")
-        if gcd(p, q) != 1:
-            raise KnotSpecError("torus(p, q) with gcd(p, q) > 1 is a link, not a knot")
-        return cls("torus", (int(p), int(q)))
+        return cls("torus", (p, q))
 
     @classmethod
     def pretzel(cls, *strands: int) -> "KnotSpec":
-        if len(strands) < 2:
-            raise KnotSpecError("a pretzel needs at least two strands")
-        if any(a == 0 for a in strands):
-            raise KnotSpecError("zero strands split the pretzel diagram")
-        det = _pretzel_det(strands)
-        if det == 0:
-            raise KnotSpecError("pretzel determinant is zero: not a knot")
-        if det % 2 == 0:
-            raise KnotSpecError(f"pretzel determinant {det} is even: this is a link, not a knot")
-        return cls("pretzel", tuple(int(a) for a in strands))
+        return cls("pretzel", strands)
 
     @classmethod
     def montesinos(cls, e: int, fractions) -> "KnotSpec":
+        """`fractions` as `Fraction`s, integers or (numerator, denominator)
+        pairs."""
         try:
             fr = tuple(
                 Fraction(*f) if isinstance(f, tuple) else Fraction(f)
@@ -313,27 +313,7 @@ class KnotSpec:
             )
         except ZeroDivisionError:
             raise KnotSpecError("montesinos fraction with zero denominator") from None
-        if not fr:
-            raise KnotSpecError("montesinos spec needs at least one fraction")
-        if any(f == 0 for f in fr):
-            raise KnotSpecError("zero montesinos fraction")
-        if any(abs(f.numerator) < 2 for f in fr):
-            raise KnotSpecError(
-                "montesinos fraction with |numerator| < 2 is a trivial fiber; "
-                "fold it into the integer coefficient"
-            )
-        ey = Fraction(-e) - sum(1 / f for f in fr)
-        det = abs(ey) * prod(abs(f.numerator) for f in fr)
-        if det.denominator != 1:
-            raise ConsistencyError(f"montesinos determinant {det} is not an integer")
-        det = int(det)
-        if det == 0:
-            raise KnotSpecError("montesinos determinant is zero: not a knot")
-        if det % 2 == 0:
-            raise KnotSpecError(
-                f"montesinos determinant {det} is even: the data describes a link"
-            )
-        return cls("montesinos", (int(e),) + fr)
+        return cls("montesinos", (e,) + fr)
 
     @classmethod
     def mirror(cls, inner: "KnotSpec") -> "KnotSpec":
@@ -341,8 +321,6 @@ class KnotSpec:
 
     @classmethod
     def connected_sum(cls, *specs: "KnotSpec") -> "KnotSpec":
-        if len(specs) < 2:
-            raise KnotSpecError("a sum needs at least two summands")
         return cls("sum", (), tuple(specs))
 
     def __str__(self) -> str:
@@ -413,54 +391,41 @@ class _Parser:
     def fraction(self):
         a = self.integer()
         self.expect("/")
-        b = self.integer()
-        if b == 0:
-            raise KnotSpecError("montesinos fraction with zero denominator")
-        return (a, b)
+        return (a, self.integer())
+
+    def listed(self, item):
+        """`item` (',' `item`)* ')', as a list."""
+        out = [item()]
+        while self.peek() == ",":
+            self.take()
+            out.append(item())
+        self.expect(")")
+        return out
 
     def expr(self) -> KnotSpec:
         name = self.take()
+        if name not in ("torus", "pretzel", "montesinos", "mirror", "sum"):
+            if not name.isalpha():
+                raise KnotSpecError(f"expected a knot spec, found {name!r}")
+            raise KnotSpecError(f"unknown constructor {name!r}")
+        self.expect("(")
         if name == "torus":
-            self.expect("(")
             p = self.integer()
             self.expect(",")
             q = self.integer()
             self.expect(")")
             return KnotSpec.torus(p, q)
         if name == "pretzel":
-            self.expect("(")
-            strands = [self.integer()]
-            while self.peek() == ",":
-                self.take()
-                strands.append(self.integer())
-            self.expect(")")
-            return KnotSpec.pretzel(*strands)
+            return KnotSpec.pretzel(*self.listed(self.integer))
         if name == "montesinos":
-            self.expect("(")
             e = self.integer()
             self.expect(";")
-            fractions = [self.fraction()]
-            while self.peek() == ",":
-                self.take()
-                fractions.append(self.fraction())
-            self.expect(")")
-            return KnotSpec.montesinos(e, fractions)
+            return KnotSpec.montesinos(e, self.listed(self.fraction))
         if name == "mirror":
-            self.expect("(")
             inner = self.expr()
             self.expect(")")
             return KnotSpec.mirror(inner)
-        if name == "sum":
-            self.expect("(")
-            parts = [self.expr()]
-            while self.peek() == ",":
-                self.take()
-                parts.append(self.expr())
-            self.expect(")")
-            return KnotSpec.connected_sum(*parts)
-        if not name.isalpha():
-            raise KnotSpecError(f"expected a knot spec, found {name!r}")
-        raise KnotSpecError(f"unknown constructor {name!r}")
+        return KnotSpec.connected_sum(*self.listed(self.expr))
 
 
 def parse_spec(text: str) -> KnotSpec:
@@ -481,10 +446,8 @@ def presentation(spec: KnotSpec) -> Presentation:
     have no single plumbing; they live at the chain level."""
     if spec.kind == "torus":
         return torus_plumbing(*spec.params)
-    if spec.kind == "pretzel":
-        return pretzel_plumbing(spec.params)
-    if spec.kind == "montesinos":
-        return montesinos_plumbing(spec.params[0], spec.params[1:])
+    if spec.kind in ("pretzel", "montesinos"):
+        return seifert_plumbing(*spec.seifert_invariants())
     raise KnotSpecError(f"{spec.kind} specs do not have a plumbing presentation")
 
 
@@ -601,15 +564,15 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     )
 
 
-def _connected(ev: _Eval, rank_bound: int, search_bound: int, verify: bool) -> GradedUModule:
+def _connected(ev: _Eval, rank_bound: int, verify: bool) -> GradedUModule:
     """The connected module of an evaluation, from its small model: the
     homology of a direct model (cross-checked by the search with `verify`),
     else the search, which is the step that can exceed its bounds."""
     if not ev.direct:
-        return connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound, search_bound)
+        return connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
     conn = homology(ev.small_cx)
     if verify:
-        check = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound, search_bound)
+        check = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
         if (check.towers, check.torsion) != (conn.towers, conn.torsion):
             raise ConsistencyError("connected homology cross-check failed")
     return conn
@@ -658,10 +621,7 @@ class InvariantPackage:
             "delta_lower": _rat(self.delta_lower),
             "branched": _module_jsonable(self.branched),
             "connected": _module_jsonable(self.connected),
-            "red_conn": [
-                {"degree": _rat(b), "length": length}
-                for b, length in self.reduced_connected.torsion
-            ],
+            "red_conn": _module_jsonable(self.reduced_connected)["torsion"],
             "omega": self.omega,
             "det": self.det,
             "sigma": self.sigma,
@@ -687,19 +647,19 @@ def invariants(
     *,
     n_max: int | None = None,
     rank_bound: int = 16,
-    search_bound: int = 24,
     verify: bool = False,
 ) -> InvariantPackage:
     """Compute the full branched invariant package of a knot spec.
 
     Mirrors and sums are evaluated on small locally equivalent models, so
-    the connected part of a sum stays inside `rank_bound`.  With `verify`
+    the connected part of a sum stays inside `rank_bound`, which bounds the
+    search's complex rank, and its dimension at `rank_bound` + 8.  With `verify`
     the fast connected computation is cross-checked against the exhaustive
     search.
     """
     ev = _evaluate(spec, n_max)
     # the search runs before the full complex is built
-    conn = _connected(ev, rank_bound, search_bound, verify)
+    conn = _connected(ev, rank_bound, verify)
     delta, br = _full_invariants(ev)
     _require_tower(conn, delta)
     return InvariantPackage(

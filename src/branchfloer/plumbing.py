@@ -97,9 +97,13 @@ class PlumbingTree:
 
     @cached_property
     def _elimination(self) -> tuple:
-        """The k-independent pass of `eliminate`, in integers: its order, its
-        parents, and by vertex D_v = det(-Q) on the subtree at v and P_v, the
-        product of D over v's children, so that v's pivot is D_v / P_v."""
+        """The k-independent pass of the leaves-inward elimination of -Q, in
+        integers.  Vertices are ordered breadth-first from vertex 0 and
+        eliminated in reverse: each completes its square against its parent,
+        the only vertex it touches, so there is no fill-in.  Returns the
+        order, the parents, and by vertex D_v = det(-Q) on the subtree at v
+        and P_v, the product of D over v's children, so that v's pivot is
+        D_v / P_v; Q is negative definite exactly when every D_v > 0."""
         parent, order = {0: None}, [0]
         for v in order:
             for u in sorted(self._adjacency[v]):
@@ -152,30 +156,6 @@ def intersection_form(tree: PlumbingTree) -> list[list[int]]:
     for a, b in tree.edges:
         q[a][b] = q[b][a] = 1
     return q
-
-
-def eliminate(tree: PlumbingTree, k: tuple[int, ...]):
-    """Leaves-inward elimination of 2 chi_k(l) = l^T (-Q) l - k(l).
-
-    Vertices are ordered breadth-first from vertex 0 and eliminated in
-    reverse: each completes its square against its parent, which on a tree
-    is the only vertex it touches, so there is no fill-in.  Returns (order,
-    parent, pivots, shifts, const) with
-
-        2 chi_k(l) = const + sum_v pivots[v] (l_v - (l_parent[v] + shifts[v]) / pivots[v])^2
-
-    where l_None = 0 and `order` lists every vertex after its parent.  The
-    pivots are those of -Q in this order, so Q is negative definite exactly
-    when all are positive; the first that is not raises DefinitenessError.
-    Both passes run in integers and are kept on the tree, once per tree and
-    once per k (a pass that raises keeps nothing); pivots[v] = D_v / P_v,
-    shifts[v] = Y_v / (2 P_v) and const are made here, in fresh lists.
-    """
-    order, parent, dets, prods = tree._elimination
-    ys, _, kx = tree._solve(k)
-    pivots = [Fraction(d, p) for d, p in zip(dets, prods)]
-    shifts = [Fraction(y, 2 * p) for y, p in zip(ys, prods)]
-    return list(order), dict(enumerate(parent)), pivots, shifts, Fraction(-kx, 4 * dets[0])
 
 
 def check_negative_definite(tree: PlumbingTree) -> None:
@@ -311,8 +291,3 @@ def star(center_weight: int, legs: list[list[int]], automorphism=None) -> Plumbi
             prev = len(weights) - 1
     return PlumbingTree(tuple(weights), tuple(edges), automorphism)
 
-
-def linear_chain(weights: list[int]) -> PlumbingTree:
-    return PlumbingTree(
-        tuple(weights), tuple((i, i + 1) for i in range(len(weights) - 1))
-    )

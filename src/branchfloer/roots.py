@@ -314,7 +314,8 @@ def _finished(fields, engine, reflection, graph_perm, select):
 
 
 def _eliminate(tree, k):
-    """`plumbing.eliminate`'s form of 2*chi_k, scaled to integers.
+    """2*chi_k as the tree's leaves-inward elimination writes it (each vertex
+    squared against its parent), scaled to integers.
 
     Returns (order, parent, rows, scale, offset) with
 

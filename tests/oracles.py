@@ -49,6 +49,9 @@ the pipeline produces by a different route, or builds a reference object.
   per vertex and each swapped pair searched in it, testing that a leaf's
   partner lies in the set: the reference for the package's one bottom-up
   pass of leaf counts and best swapped leaves.
+* `monotone_homology`: the connected homology of a root by the homology of
+  its monotone subroot's model, checked against the brute-force search on
+  the whole root's model whenever that search is within its default bounds.
 * `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
   redirecting them onto an invariant vertex of the same weight, each step
   certified by an explicit local equivalence.  When it runs to completion
@@ -73,6 +76,11 @@ the pipeline produces by a different route, or builds a reference object.
   two stem-trimmed graded roots by backtracking over children of equal
   shape, and the test that one of them commutes with the involutions: the
   reference for the package's canonical key of a root.
+* `linear_chain`: a linear plumbing, as a fixture.
+* `eliminate`: the completed-square form of 2 chi_k (order, parents,
+  pivots, shifts, constant) read off the package's integer passes: what the
+  tests compare the dense algebra below and the box engine's integer form
+  against.
 * `determinant`, `leading_minors`, `is_negative_definite`, `solve_exact`,
   `invert_exact`, `solve_mod2`: dense exact matrix algebra (Bareiss minors,
   Gauss-Jordan over the rationals and over F_2) on plain lists of lists, the
@@ -90,6 +98,7 @@ from branchfloer import roots as rt
 from branchfloer.complexes import (
     ConsistencyError,
     GradedUModule,
+    RankBoundExceeded,
     UComplex,
     UMap,
     _apply_vectors,
@@ -102,14 +111,15 @@ from branchfloer.complexes import (
     _map_rows,
     _positions,
     compose,
+    connected_homology_brute,
     homology,
     image_homology,
     lift_involution,
     local_equivalences,
     model_complex,
 )
-from branchfloer.connected import _subroot_spanned
-from branchfloer.plumbing import chi, intersection_form, k_square, pd_vector
+from branchfloer.connected import _subroot_spanned, monotone_subroot
+from branchfloer.plumbing import PlumbingTree, chi, intersection_form, k_square, pd_vector
 from branchfloer.roots import GradedRoot
 
 
@@ -379,15 +389,15 @@ def deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
     return total
 
 
-def self_local_equivalences(cx, iota, rank_bound=8, search_bound=18) -> list[UMap]:
+def self_local_equivalences(cx, iota, rank_bound=8) -> list[UMap]:
     """The local equivalences of a complex to itself."""
-    return local_equivalences(cx, iota, cx, iota, rank_bound, search_bound)
+    return local_equivalences(cx, iota, cx, iota, rank_bound)
 
 
-def ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
+def ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound=8):
     """`local_equivalences` with each combination of the chain-map basis
     rebuilt as a map and tested on its own."""
-    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound)
     blocks = _deep_blocks(src, tgt, homology(src), homology(tgt))
     found = []
     for combo in range(1, 1 << len(fbasis)):
@@ -416,12 +426,12 @@ def image_key(f: UMap) -> tuple:
     return tuple(key)
 
 
-def ref_connected_homology(cx, iota, rank_bound=8, search_bound=18) -> GradedUModule:
+def ref_connected_homology(cx, iota, rank_bound=8) -> GradedUModule:
     """`connected_homology_brute` from the list of `self_local_equivalences`:
     the deep kernel rank of each map, then one image homology per distinct
     image among the maximizers, which must all agree."""
     ha = homology(cx)
-    cands = self_local_equivalences(cx, iota, rank_bound, search_bound)
+    cands = self_local_equivalences(cx, iota, rank_bound)
     ranks = [deep_kernel_rank(f, ha) for f in cands]
     top = max(ranks, default=-1)
     best = [f for f, kr in zip(cands, ranks) if kr == top]
@@ -567,6 +577,23 @@ def ref_monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
             seen = len(above[cur])
         cur = root.succ[cur]
     return tuple(sorted(selected))
+
+
+def monotone_homology(root: GradedRoot) -> GradedUModule:
+    """The connected homology of a root as the pipeline computes it for a
+    directly presented knot, the homology of its monotone subroot's model,
+    checked against `connected_homology_brute` of the whole root's model
+    when that model is within the search's default bounds."""
+    sub = monotone_subroot(root)
+    module = homology(model_complex(sub).cx)
+    model = model_complex(root)
+    try:
+        brute = connected_homology_brute(model.cx, lift_involution(model))
+    except RankBoundExceeded:
+        return module
+    if brute != module:
+        raise ConsistencyError("monotone subroot disagrees with the brute-force image")
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -966,6 +993,41 @@ def ref_is_isomorphic(a, b, with_involution=True) -> bool:
         or all(ja[x] not in keep or phi.get(ja[x]) == jb[y] for x, y in phi.items())
         for phi in ref_isomorphisms(a, b)
     )
+
+
+# ---------------------------------------------------------------------------
+# plumbing fixtures and the elimination as a completed square
+
+
+def linear_chain(weights: list[int]) -> PlumbingTree:
+    """A linear plumbing: vertex i joined to vertex i + 1."""
+    return PlumbingTree(
+        tuple(weights), tuple((i, i + 1) for i in range(len(weights) - 1))
+    )
+
+
+def eliminate(tree: PlumbingTree, k: tuple[int, ...]):
+    """Leaves-inward elimination of 2 chi_k(l) = l^T (-Q) l - k(l), read off
+    the package's two integer passes kept on the tree.
+
+    Vertices are ordered breadth-first from vertex 0 and eliminated in
+    reverse: each completes its square against its parent, which on a tree
+    is the only vertex it touches, so there is no fill-in.  Returns (order,
+    parent, pivots, shifts, const) with
+
+        2 chi_k(l) = const + sum_v pivots[v] (l_v - (l_parent[v] + shifts[v]) / pivots[v])^2
+
+    where l_None = 0 and `order` lists every vertex after its parent.  The
+    pivots are those of -Q in this order, so Q is negative definite exactly
+    when all are positive; the first that is not raises DefinitenessError.
+    pivots[v] = D_v / P_v, shifts[v] = Y_v / (2 P_v) and const are made
+    here, in fresh lists.
+    """
+    order, parent, dets, prods = tree._elimination
+    ys, _, kx = tree._solve(k)
+    pivots = [Fraction(d, p) for d, p in zip(dets, prods)]
+    shifts = [Fraction(y, 2 * p) for y, p in zip(ys, prods)]
+    return list(order), dict(enumerate(parent)), pivots, shifts, Fraction(-kx, 4 * dets[0])
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from fractions import Fraction
 import pytest
 
 from branchfloer import complexes as cxm
-from branchfloer import connected as cn
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
+from oracles import monotone_homology
 
 CORPUS = [
     "torus(2,3)",
@@ -118,7 +118,7 @@ def standard_three_chain(r):
 def test_criterion_3_pretzel_family_representative():
     t0 = time.time()
     for q in (7, 9, 11, 13, 15):
-        pres = kn.pretzel_plumbing((2, -3, -q))
+        pres = kn.presentation(kn.KnotSpec.pretzel(2, -3, -q))
         root = rt.build_root(pres.tree, pres.char, involution=pres.involution)
         assert len(root.vertices_at(0)) == 2
         assert len(root.vertices_at(1)) == 1
@@ -206,7 +206,7 @@ def test_criterion_6_property_suite(packages, mirror_packages, leaf_roots):
     # brute-force reduction agrees with the monotone subroot on small roots
     for text, (_, root) in leaf_roots.items():
         if len(root.leaves) <= 8:
-            cn.connected_homology(root, verify=True)
+            monotone_homology(root)
 
     # model complex homology puts its tower at the root's correction term
     for text, (_, root) in leaf_roots.items():
@@ -217,7 +217,7 @@ def test_criterion_6_property_suite(packages, mirror_packages, leaf_roots):
     for text in PRETZELS:
         strands = kn.parse_spec(text).params
         det, _ = kn.goeritz_oracle(strands)
-        assert det == pl.determinant_magnitude(kn.pretzel_plumbing(strands).tree)
+        assert det == pl.determinant_magnitude(kn.presentation(kn.KnotSpec.pretzel(*strands)).tree)
 
     elapsed = time.time() - t0
     assert elapsed < 300.0
@@ -248,7 +248,7 @@ def test_criterion_6_signature_relation_normalized(packages):
     checked = 0
     for text in PRETZELS:
         strands = kn.parse_spec(text).params
-        if kn.pretzel_plumbing(strands).mirrored:
+        if kn.presentation(kn.KnotSpec.pretzel(*strands)).mirrored:
             continue
         p = packages[text]
         assert p.delta_upper == p.delta, text

@@ -165,6 +165,26 @@ def test_root_rejects_a_char_of_the_wrong_length():
     assert "char has 1 entries for 2 vertices" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"weights": [-2.7, -3], "edges": [[0, 1]]}', "weights"),
+        ('{"weights": [-2, -3], "edges": [[0, 1]], "char": [0.5, 1]}', "char"),
+        ('{"weights": [true, -3], "edges": [[0, 1]]}', "weights"),
+        ('{"weights": "-2"}', "weights"),
+        ('{"weights": [-2, -3], "edges": [[0, 1.0]]}', "edges"),
+        ('{"weights": [-2, -2], "edges": [[0, 1]], "automorphism": [1, false]}', "automorphism"),
+    ],
+)
+def test_root_rejects_plumbing_json_that_is_not_integer(capsys, doc, field):
+    # a float, a bool or a string is never read as an integer: exit 2, and
+    # the message names the field
+    assert cli.main(["root", doc]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"bad plumbing JSON: {field} must be a list of integers" in out.err
+
+
 def test_root_rejects_indefinite_tree():
     proc = run_cli("root", '{"weights": [0], "edges": []}')
     assert proc.returncode == 3

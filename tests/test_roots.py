@@ -14,7 +14,9 @@ from branchfloer import roots as rt
 from branchfloer.complexes import ConsistencyError
 from oracles import (
     coordinate_ranges,
+    eliminate,
     is_negative_definite,
+    linear_chain,
     least_minimizer,
     ref_central_profile,
     ref_is_isomorphic,
@@ -83,7 +85,7 @@ def test_d_invariant_anchors():
     # which blows down to the chain (-2, -2)
     tref = pl.star(-1, [[-3], [-3]])
     assert rt.build_root_star(tref).d_invariant() == Fraction(1, 2)
-    assert rt.build_root_star(pl.linear_chain([-2, -2])).d_invariant() == Fraction(1, 2)
+    assert rt.build_root_star(linear_chain([-2, -2])).d_invariant() == Fraction(1, 2)
 
 
 def test_pure_stem_root_has_trivial_involution():
@@ -504,7 +506,7 @@ def root_inputs(draw):
         weights, aut = (a, b, c, *(draw(st.integers(-4, -2)) for _ in "def")), None
     tree = pl.PlumbingTree(weights, H_EDGES, aut)
     assume(is_negative_definite(pl.intersection_form(tree)))
-    *_, const = pl.eliminate(tree, pl.spin_char(tree))
+    *_, const = eliminate(tree, pl.spin_char(tree))
     return tree, None, -(-const // 2) + draw(st.integers(0, 4)), ["box"]
 
 
