@@ -93,7 +93,10 @@ def _ints(value, field: str) -> tuple[int, ...]:
 
 def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, str]:
     """Parse the plumbing JSON input ("Plumbing JSON input" in README.md);
-    every malformed field, `char` included, is a KnotSpecError."""
+    every malformed or unknown field, `char` included, is a KnotSpecError."""
+    for field in doc:
+        if field not in ("weights", "edges", "automorphism", "char", "involution"):
+            raise knots.KnotSpecError(f"bad plumbing JSON: unknown field {json.dumps(field)}")
     try:
         weights = _ints(doc["weights"], "weights")
         edges = tuple(_ints(e, "edges") for e in doc.get("edges", []))
@@ -184,7 +187,7 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
             )
         except ValueError:
             alt = None  # non-star tree cannot feed the star engine
-        if alt is not None and not root.is_isomorphic(alt, with_involution=True):
+        if alt is not None and not root.is_isomorphic(alt):
             raise ConsistencyError(
                 "engine cross-check failed: star and box roots differ"
             )
@@ -205,32 +208,28 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
         out.write(f"involution  {' '.join(f'({a} {b})' for a, b in swaps) or 'id'}\n")
 
 
-def _checked_omega(ev, delta, config: RunConfig) -> int:
-    """omega of an evaluation whose full complex has `delta`, from its small
-    model; `--verify` adds delta and the branched invariants of the full
-    complex, built from the roots already built."""
-    if config.verify and knots._full_invariants(ev)[0] != delta:
-        raise ConsistencyError(f"delta of the full complex differs from {delta}")
-    conn = knots._connected(ev, config.rank_bound, config.verify)
-    knots._require_tower(conn, delta)
-    return omega(conn)
+def _checked_omega(ev, config: RunConfig) -> int:
+    """omega of an evaluation, from its small model; `--verify` adds the
+    delta and branched checks of the full complex, built from the roots
+    already built."""
+    if config.verify:
+        knots._full_invariants(ev)
+    return omega(knots._connected(ev, config.rank_bound, config.verify))
 
 
 def _evaluated(task):
     """First-round pool task: evaluate one knot spec, building its roots
-    once, and return the evaluation, delta of its full complex and omega."""
+    once, and return the evaluation and its omega."""
     text, config = task
     ev = knots._evaluate(knots.parse_spec(text), config.n_max)
-    delta = ev.delta()
-    return ev, delta, _checked_omega(ev, delta, config)
+    return ev, _checked_omega(ev, config)
 
 
 def _omega_of(task) -> int:
     """Second-round pool task: omega of the sum of two evaluated knots, from
-    the tensor of their small models, its tower checked against
-    delta(a) + delta(b) + 2."""
-    text, (a, delta_a), (b, delta_b), config = task
-    return _checked_omega(knots._summed(a, b), delta_a + delta_b + 2, config)
+    the tensor of their small models."""
+    text, a, b, config = task
+    return _checked_omega(knots._summed(a, b), config)
 
 
 def _rounds(run, names, pair_index, config: RunConfig):
@@ -238,10 +237,10 @@ def _rounds(run, names, pair_index, config: RunConfig):
     knot evaluated once, then each pair from the two evaluations."""
     evals = list(run(_evaluated, [(n, config) for n in names]))
     pairs = [
-        (f"sum({names[i]},{names[j]})", evals[i][:2], evals[j][:2], config)
+        (f"sum({names[i]},{names[j]})", evals[i][0], evals[j][0], config)
         for i, j in pair_index
     ]
-    return [w for _, _, w in evals], list(run(_omega_of, pairs))
+    return [w for _, w in evals], list(run(_omega_of, pairs))
 
 
 def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:

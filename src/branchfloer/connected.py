@@ -6,11 +6,11 @@ swapped leaf pairs of strictly increasing weight; one bottom-up pass gives
 every vertex its leaf count and its best swapped leaf, which is all the walk
 reads.  The homology of its model complex is the connected homology of the
 whole root (the image of a maximal self local equivalence, after
-Hendricks-Hom-Lidman), so a knot presented directly needs no enumeration of
-self-equivalences (`knots` computes it, and `invariants(verify=True)`
-cross-checks it against that enumeration).  Mirrors and sums still
-enumerate, but on the small models of monotone subroots.  `omega` reads the
-torsion exponent off the result.
+Hendricks-Hom-Lidman), so a knot needs no enumeration of self-equivalences,
+and neither does a mirror, whose model is the dual (`knots` computes both, and
+`invariants(verify=True)` cross-checks them against that enumeration).  Sums
+still enumerate, but on the small models of monotone subroots.  `omega` reads
+the torsion exponent off the result.
 """
 
 from __future__ import annotations

@@ -458,41 +458,33 @@ def presentation(spec: KnotSpec) -> Presentation:
 @dataclass
 class _Eval:
     """Chain data for a spec: a small locally equivalent representative with
-    its involution, what `full` builds the full complex from (a knot's root
-    and `mirrored`, or the evaluations of a mirror's one child or a sum's
-    two), and diagram bookkeeping.  Plain data, so it pickles.  `direct`
-    marks the small model as a monotone subroot model, whose homology is the
-    connected module with no search.  A knot whose monotone subroot is its
-    whole root keeps no root: its small model is the full one.  `delta` and
-    `full` share the root's model complex, built once (`model`)."""
+    its involution, delta of the full complex, what `full` builds the full
+    complex from (a knot's root, or the evaluations of a mirror's one child
+    or a sum's two), and diagram bookkeeping.  Plain data, so it pickles.
+    `direct` marks the small model as a monotone subroot model or its dual,
+    whose homology is the connected module with no search.  A knot whose
+    monotone subroot is its whole root keeps no root: its small model is the
+    full one.  `full` builds the root's model complex once (`model`)."""
 
     small_cx: UComplex
     small_iota: UMap
     direct: bool
     det: int
     sigma: int | None
+    delta: Fraction
     root: GradedRoot | None = None
-    mirrored: bool = False
     children: tuple["_Eval", ...] = ()
 
     def full(self) -> tuple[UComplex, UMap]:
         """The full complex with its involution, from the roots already built,
         so that a search that refuses the small model costs no full tensor."""
         if self.root is not None:
-            return _root_model(self.model, self.mirrored)
+            return _root_model(self.model)
         if not self.children:
             return self.small_cx, self.small_iota
         if len(self.children) == 1:
             return _dualized(*self.children[0].full())
         return _tensored(*(c.full() for c in self.children))
-
-    def delta(self) -> Fraction:
-        """delta of the full complex.  A knot's needs only its model complex,
-        shifted and dualized as in `_root_model`, not the involution lift."""
-        if self.root is None:
-            return delta_invariant(self.full()[0])
-        cx = shift_complex(self.model.cx, -2)
-        return delta_invariant(dual_complex(cx) if self.mirrored else cx)
 
     @cached_property
     def model(self):
@@ -518,11 +510,18 @@ def _tensored(a: tuple[UComplex, UMap], b: tuple[UComplex, UMap]) -> tuple[UComp
     return _shifted(cx, tensor_map(a[1], b[1], cx, cx), 2)
 
 
-def _root_model(model, mirrored: bool) -> tuple[UComplex, UMap]:
-    """A root's model complex with its lifted involution, shifted by -2 and
-    dualized for a mirrored presentation."""
-    cx, iota = _shifted(model.cx, lift_involution(model), -2)
-    return _dualized(cx, iota) if mirrored else (cx, iota)
+def _root_model(model) -> tuple[UComplex, UMap]:
+    """A root's model complex with its lifted involution, shifted by -2."""
+    return _shifted(model.cx, lift_involution(model), -2)
+
+
+def _mirrored(ev: _Eval) -> _Eval:
+    """The evaluation of the mirror of an evaluated spec: the dual of its
+    small model, and of its full complex on demand.  The dual of a direct
+    model is direct."""
+    scx, siota = _dualized(ev.small_cx, ev.small_iota)
+    sigma = None if ev.sigma is None else -ev.sigma
+    return _Eval(scx, siota, ev.direct, ev.det, sigma, -ev.delta, children=(ev,))
 
 
 def _summed(a: _Eval, b: _Eval) -> _Eval:
@@ -530,15 +529,12 @@ def _summed(a: _Eval, b: _Eval) -> _Eval:
     small models, and of their full complexes on demand."""
     scx, siota = _tensored((a.small_cx, a.small_iota), (b.small_cx, b.small_iota))
     sigma = None if a.sigma is None or b.sigma is None else a.sigma + b.sigma
-    return _Eval(scx, siota, False, a.det * b.det, sigma, children=(a, b))
+    return _Eval(scx, siota, False, a.det * b.det, sigma, a.delta + b.delta + 2, children=(a, b))
 
 
 def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     if spec.kind == "mirror":
-        ev = _evaluate(spec.children[0], n_max)
-        scx, siota = _dualized(ev.small_cx, ev.small_iota)
-        sigma = None if ev.sigma is None else -ev.sigma
-        return _Eval(scx, siota, False, ev.det, sigma, children=(ev,))
+        return _mirrored(_evaluate(spec.children[0], n_max))
     if spec.kind == "sum":
         parts = [_evaluate(c, n_max) for c in spec.children]
         out = parts[0]
@@ -549,52 +545,51 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
     root.require_stable()
     sub = monotone_subroot(root)
-    scx, siota = _root_model(model_complex(sub), pres.mirrored)
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
-        sigma = goeritz_oracle(spec.params)[1]
-    return _Eval(
-        scx,
-        siota,
-        not pres.mirrored,
+        # the signature of the knot the tree presents: the mirror's if mirrored
+        sigma = goeritz_oracle(spec.params)[1] * (-1 if pres.mirrored else 1)
+    ev = _Eval(
+        *_root_model(model_complex(sub)),
+        True,
         determinant_magnitude(pres.tree),
         sigma,
+        root.d_invariant() - 2,
         None if sub is root else root,
-        pres.mirrored,
     )
+    return _mirrored(ev) if pres.mirrored else ev
 
 
 def _connected(ev: _Eval, rank_bound: int, verify: bool) -> GradedUModule:
     """The connected module of an evaluation, from its small model: the
     homology of a direct model (cross-checked by the search with `verify`),
-    else the search, which is the step that can exceed its bounds."""
+    else the search, which is the step that can exceed its bounds.  Its one
+    tower is checked against the evaluation's delta."""
     if not ev.direct:
-        return connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
-    conn = homology(ev.small_cx)
-    if verify:
-        check = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
-        if (check.towers, check.torsion) != (conn.towers, conn.torsion):
+        conn = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
+    else:
+        conn = homology(ev.small_cx)
+        if verify and connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound) != conn:
             raise ConsistencyError("connected homology cross-check failed")
+    if conn.towers != (ev.delta,):
+        raise ConsistencyError(
+            f"connected module towers {conn.towers} disagree with delta {ev.delta}"
+        )
     return conn
 
 
-def _require_tower(conn: GradedUModule, delta) -> None:
-    if conn.towers != (delta,):
-        raise ConsistencyError(
-            f"connected module towers {conn.towers} disagree with delta {delta}"
-        )
-
-
-def _full_invariants(ev: _Eval) -> tuple[Fraction, BranchedModule]:
-    """delta and the branched module of an evaluation's full complex, with
-    the check that the branched correction terms bracket delta."""
+def _full_invariants(ev: _Eval) -> BranchedModule:
+    """The branched module of an evaluation's full complex, with the checks
+    that the full complex has the evaluation's delta and that the branched
+    correction terms bracket it."""
     cx, iota = ev.full()
-    delta = delta_invariant(cx)
+    if (delta := delta_invariant(cx)) != ev.delta:
+        raise ConsistencyError(f"delta of the full complex {delta} differs from {ev.delta}")
     br = branched_invariants(cx, iota)
-    if not br.lower <= delta <= br.upper:
+    if not br.lower <= ev.delta <= br.upper:
         raise ConsistencyError("branched correction terms bracket delta; got "
-                               f"{br.lower}, {delta}, {br.upper}")
-    return delta, br
+                               f"{br.lower}, {ev.delta}, {br.upper}")
+    return br
 
 
 @dataclass(frozen=True)
@@ -607,10 +602,16 @@ class InvariantPackage:
     delta_lower: Fraction
     branched: GradedUModule
     connected: GradedUModule
-    reduced_connected: GradedUModule
-    omega: int
     det: int
     sigma: int | None
+
+    @property
+    def reduced_connected(self) -> GradedUModule:
+        return GradedUModule((), self.connected.torsion)
+
+    @property
+    def omega(self) -> int:
+        return omega(self.connected)
 
     def to_jsonable(self) -> dict:
         return {
@@ -660,17 +661,14 @@ def invariants(
     ev = _evaluate(spec, n_max)
     # the search runs before the full complex is built
     conn = _connected(ev, rank_bound, verify)
-    delta, br = _full_invariants(ev)
-    _require_tower(conn, delta)
+    br = _full_invariants(ev)
     return InvariantPackage(
         spec=spec,
-        delta=delta,
+        delta=ev.delta,
         delta_upper=br.upper,
         delta_lower=br.lower,
         branched=br.module,
         connected=conn,
-        reduced_connected=GradedUModule((), conn.torsion),
-        omega=omega(conn),
         det=ev.det,
         sigma=ev.sigma,
     )

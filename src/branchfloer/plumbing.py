@@ -47,26 +47,16 @@ class PlumbingTree:
             self, "edges", tuple(tuple(sorted(e)) for e in self.edges)
         )
         seen = set()
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for a, b in self.edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad edge ({a}, {b})")
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise ValueError("edges contain a cycle")
-            parent[ra] = rb
         if len(self.edges) != n - 1:
             raise ValueError("not a tree: wrong edge count")
+        if len(self._breadth_first[0]) != n:
+            raise ValueError("edges contain a cycle")
         p = self.automorphism
         if p is not None:
             if sorted(p) != list(range(n)):
@@ -96,20 +86,29 @@ class PlumbingTree:
         return tuple(map(tuple, adj))
 
     @cached_property
-    def _elimination(self) -> tuple:
-        """The k-independent pass of the leaves-inward elimination of -Q, in
-        integers.  Vertices are ordered breadth-first from vertex 0 and
-        eliminated in reverse: each completes its square against its parent,
-        the only vertex it touches, so there is no fill-in.  Returns the
-        order, the parents, and by vertex D_v = det(-Q) on the subtree at v
-        and P_v, the product of D over v's children, so that v's pivot is
-        D_v / P_v; Q is negative definite exactly when every D_v > 0."""
+    def _breadth_first(self) -> tuple:
+        """The vertices reached from vertex 0, breadth-first with neighbours
+        in increasing order, and by vertex its parent in that pass (None at
+        vertex 0)."""
         parent, order = {0: None}, [0]
         for v in order:
             for u in sorted(self._adjacency[v]):
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
+        return tuple(order), tuple(parent.get(v) for v in range(len(self)))
+
+    @cached_property
+    def _elimination(self) -> tuple:
+        """The k-independent pass of the leaves-inward elimination of -Q, in
+        integers.  Vertices are taken in the breadth-first order of
+        `_breadth_first` and eliminated in reverse: each completes its square
+        against its parent, the only vertex it touches, so there is no
+        fill-in.  Returns the order, the parents, and by vertex D_v = det(-Q)
+        on the subtree at v and P_v, the product of D over v's children, so
+        that v's pivot is D_v / P_v; Q is negative definite exactly when
+        every D_v > 0."""
+        order, parent = self._breadth_first
         # v's pivot -w_v - sum_c 1/p_c as the fraction dets[v] / prods[v]
         dets, prods = [-w for w in self.weights], [1] * len(self)
         for v in reversed(order):
@@ -118,7 +117,7 @@ class PlumbingTree:
             if (p := parent[v]) is not None:
                 dets[p] = dets[p] * dets[v] - prods[v] * prods[p]
                 prods[p] *= dets[v]
-        return tuple(order), tuple(parent[v] for v in range(len(self))), tuple(dets), tuple(prods)
+        return order, parent, tuple(dets), tuple(prods)
 
     @cached_property
     def _solved(self) -> dict:

@@ -169,15 +169,15 @@ class GradedRoot:
 
     # -- isomorphism ------------------------------------------------------
 
-    def _key(self, with_involution: bool, interned: dict) -> tuple:
+    def _key(self, interned: dict) -> tuple:
         """Canonical key of the root with the unbranched tail of its stem
-        trimmed, up to weight-preserving isomorphism, commuting with the
-        involutions when asked.  In one pass over the vertices in increasing
-        level, a vertex's shape key is (weight, sorted child keys), and an
-        invariant vertex's key with the involution is (weight, sorted keys of
-        its invariant children, sorted shape keys of one child from each
-        swapped pair).  Keys are interned in `interned`, which the roots
-        compared share, so a subtree's key is one integer."""
+        trimmed, up to weight-preserving isomorphism commuting with the
+        involutions.  In one pass over the vertices in increasing level, a
+        vertex's shape key is (weight, sorted child keys), and an invariant
+        vertex's key is (weight, sorted keys of its invariant children,
+        sorted shape keys of one child from each swapped pair).  Keys are
+        interned in `interned`, which the roots compared share, so a
+        subtree's key is one integer."""
         j, weights = self.involution, self.weights
         shape: list = [None] * len(self)
         fixed: list = [None] * len(self)
@@ -192,16 +192,17 @@ class GradedRoot:
             kids = self.children(v)
             key = (weights[v], tuple(sorted(shape[c] for c in kids)))
             shape[v] = interned.setdefault(key, len(interned))
-            if with_involution and j[v] == v:
+            if j[v] == v:
                 fixed[v] = interned.setdefault((weights[v], *split(kids)), len(interned))
         bottoms = [v for v in range(len(self)) if self.succ[v] is None]
         while len(bottoms) == 1 and len(self.children(bottoms[0])) == 1:
             bottoms = list(self.children(bottoms[0]))
-        return split(bottoms) if with_involution else tuple(sorted(shape[v] for v in bottoms))
+        return split(bottoms)
 
-    def is_isomorphic(self, other: "GradedRoot", with_involution: bool = True) -> bool:
+    def is_isomorphic(self, other: "GradedRoot") -> bool:
+        """Isomorphic as graded roots with involution."""
         interned: dict = {}
-        return self._key(with_involution, interned) == other._key(with_involution, interned)
+        return self._key(interned) == other._key(interned)
 
     # -- serialization ----------------------------------------------------
 

@@ -984,13 +984,12 @@ def ref_isomorphisms(a, b):
     yield from match_sets(roots_a, roots_b)
 
 
-def ref_is_isomorphic(a, b, with_involution=True) -> bool:
-    """Whether some isomorphism of `ref_isomorphisms` exists, and with the
-    involution, one that carries a's involution to b's."""
+def ref_is_isomorphic(a, b) -> bool:
+    """Whether some isomorphism of `ref_isomorphisms` carries a's involution
+    to b's."""
     keep, ja, jb = _trimmed(a), a.involution, b.involution
     return any(
-        not with_involution
-        or all(ja[x] not in keep or phi.get(ja[x]) == jb[y] for x, y in phi.items())
+        all(ja[x] not in keep or phi.get(ja[x]) == jb[y] for x, y in phi.items())
         for phi in ref_isomorphisms(a, b)
     )
 

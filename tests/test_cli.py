@@ -185,6 +185,15 @@ def test_root_rejects_plumbing_json_that_is_not_integer(capsys, doc, field):
     assert f"bad plumbing JSON: {field} must be a list of integers" in out.err
 
 
+def test_root_rejects_an_unknown_plumbing_json_field(capsys):
+    # a misspelled "char" must not fall back to the default spin vector
+    doc = '{"weights": [-2, -3], "edges": [[0, 1]], "chars": [0, 1]}'
+    assert cli.main(["root", doc]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert 'bad plumbing JSON: unknown field "chars"' in out.err
+
+
 def test_root_rejects_indefinite_tree():
     proc = run_cli("root", '{"weights": [0], "edges": []}')
     assert proc.returncode == 3
@@ -411,7 +420,7 @@ def test_independence_verify_checks_every_cone_from_the_same_roots(monkeypatch):
 
 
 def test_independence_lifts_only_the_small_models(monkeypatch):
-    # delta comes from each knot's model complex; the lift is for the search
+    # delta is read off each knot's root; the lift is for the small model
     lifts = _counted(monkeypatch, knots, "lift_involution")
     out = io.StringIO()
     cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=out)
@@ -444,15 +453,15 @@ def test_independence_verify_builds_each_model_once(monkeypatch):
 )
 def test_evaluation_delta_is_the_full_complex_delta(text):
     ev = knots._evaluate(knots.parse_spec(text), None)
-    assert ev.delta() == complexes.delta_invariant(ev.full()[0])
+    assert ev.delta == complexes.delta_invariant(ev.full()[0])
 
 
 def test_independence_checks_each_pair_tower_against_the_summed_delta():
     config = cli.RunConfig()
-    (a, delta_a, _), (b, delta_b, _) = (cli._evaluated((t, config)) for t in GENERATORS[:2])
-    assert cli._omega_of(("pair", (a, delta_a), (b, delta_b), config)) == 2
+    (a, _), (b, _) = (cli._evaluated((t, config)) for t in GENERATORS[:2])
+    assert cli._omega_of(("pair", a, b, config)) == 2
     with pytest.raises(ConsistencyError, match="disagree with delta"):
-        cli._omega_of(("pair", (a, delta_a), (b, delta_b + 2), config))
+        cli._omega_of(("pair", a, replace(b, delta=b.delta + 2), config))
 
 
 @pytest.mark.slow

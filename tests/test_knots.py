@@ -5,12 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
-from branchfloer.complexes import GradedUModule, RankBoundExceeded
+from branchfloer.complexes import (
+    GradedUModule,
+    RankBoundExceeded,
+    connected_homology_brute,
+    delta_invariant,
+    homology,
+)
+from branchfloer.roots import InstabilityError
 from oracles import determinant
 from test_acceptance import CORPUS
 
@@ -581,6 +588,59 @@ def test_mirror_duality(text):
     # both correction gaps stay even
     assert (k.delta_upper - k.delta) % 2 == 0
     assert (k.delta - k.delta_lower) % 2 == 0
+
+
+@st.composite
+def evaluated_specs(draw):
+    """A torus knot or a 3-strand pretzel, as drawn, mirrored or mirrored
+    twice, or the sum of two such."""
+
+    def knot():
+        if draw(st.booleans()):
+            p, q = draw(st.sampled_from([(2, 3), (2, 5), (3, 4), (3, 5), (3, 7), (4, 5)]))
+            spec = kn.KnotSpec.torus(p, draw(st.sampled_from([q, -q])))
+        else:
+            # random strands mostly give stems: mix in knots with torsion
+            strands = draw(st.one_of(
+                st.sampled_from([(2, -3, -7), (-2, 3, 7), (7, -3, 5), (11, -5, 9)]),
+                st.lists(st.integers(-11, 11).filter(lambda a: abs(a) > 1), min_size=3, max_size=3),
+            ))
+            try:
+                spec = kn.KnotSpec.pretzel(*strands)
+            except kn.KnotSpecError:
+                reject()
+        for _ in range(draw(st.integers(0, 2))):
+            spec = kn.KnotSpec.mirror(spec)
+        return spec
+
+    first = knot()
+    return kn.KnotSpec.connected_sum(first, knot()) if draw(st.booleans()) else first
+
+
+@settings(max_examples=60, deadline=None)
+@given(evaluated_specs())
+def test_evaluation_delta_is_read_off_the_roots(spec):
+    # delta, set where each node is built, is that of the full complex; a
+    # direct model (a knot's monotone subroot, or a mirror's dual of one)
+    # has the search's connected homology
+    try:
+        ev = kn._evaluate(spec, None)
+    except InstabilityError:
+        reject()
+    assert ev.delta == delta_invariant(ev.full()[0])
+    if ev.direct:
+        assert homology(ev.small_cx) == connected_homology_brute(ev.small_cx, ev.small_iota, 16)
+
+
+def test_a_mirror_runs_the_search_only_to_verify(monkeypatch):
+    calls = []
+    brute = kn.connected_homology_brute
+    monkeypatch.setattr(kn, "connected_homology_brute", lambda *a: calls.append(a) or brute(*a))
+    spec = kn.parse_spec("mirror(pretzel(11,-5,9))")
+    plain = kn.invariants(spec)
+    assert calls == []
+    assert kn.invariants(spec, verify=True) == plain
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

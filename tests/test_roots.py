@@ -48,7 +48,7 @@ def test_gamma7_star_root_shape():
 def test_gamma7_box_equals_star():
     a = rt.build_root_star(GAMMA7)
     b = rt.build_root_box(GAMMA7)
-    assert a.is_isomorphic(b, with_involution=True)
+    assert a.is_isomorphic(b)
 
 
 @pytest.mark.parametrize(
@@ -63,7 +63,7 @@ def test_box_equals_star_past_six_vertices(name):
     assert len(tree) > 6
     a = rt.build_root_star(tree, char, involution=involution)
     b = rt.build_root_box(tree, char, involution=involution)
-    assert a.is_isomorphic(b, with_involution=True)
+    assert a.is_isomorphic(b)
 
 
 def test_gamma_family_two_swapped_leaves():
@@ -471,7 +471,7 @@ def test_representative_independence():
     k2 = tuple(int(x) for x in np.array(k1) + 2 * q @ np.array([1, 0, 0, 0]))
     r1 = rt.build_root_star(GAMMA7, k1)
     r2 = rt.build_root_star(GAMMA7, k2)
-    assert r1.is_isomorphic(r2, with_involution=True)
+    assert r1.is_isomorphic(r2)
     assert r1.d_invariant() == r2.d_invariant()
 
 
@@ -539,10 +539,9 @@ def root_pairs(draw):
 @given(root_pairs())
 def test_isomorphism_key_matches_the_backtracking_matcher(pair):
     a, b = pair
-    for with_involution in (True, False):
-        want = ref_is_isomorphic(a, b, with_involution)
-        assert a.is_isomorphic(b, with_involution) == want
-        assert b.is_isomorphic(a, with_involution) == want
+    want = ref_is_isomorphic(a, b)
+    assert a.is_isomorphic(b) == want
+    assert b.is_isomorphic(a) == want
 
 
 def test_involution_selection():
@@ -625,7 +624,7 @@ def test_engines_agree_on_random_stars(tree):
         except rt.MemoryGuardError:
             reject()
         a = rt.build_root_star(tree, n_max=b.n_max)
-    assert a.is_isomorphic(b, with_involution=True)
+    assert a.is_isomorphic(b)
     assert a.d_invariant() == b.d_invariant()
 
 
@@ -640,7 +639,7 @@ def test_star_engine_stop_level_reaches_a_late_split(monkeypatch):
     # has 7 leaves.
     tree = pl.star(-1, [[-5], [-5, -2], [-2, -4]])
     b = rt.build_root_box(tree)
-    assert rt.build_root_star(tree).is_isomorphic(b, with_involution=True)
+    assert rt.build_root_star(tree).is_isomorphic(b)
     monkeypatch.delenv("BRANCHFLOER_CACHE_DIR", raising=False)
     doc = {"weights": list(tree.weights), "edges": [list(e) for e in tree.edges]}
     assert cli.main(["root", json.dumps(doc), "--verify"]) == 0
@@ -673,4 +672,4 @@ def test_box_engine_probe_stays_within_budget():
     # are not yet connected; the second, at n_min+28, exceeds the budget.
     tree = pl.star(-1, [[-3], [-4, -5], [-3, -2]])
     b = rt.build_root_box(tree)
-    assert rt.build_root_star(tree).is_isomorphic(b, with_involution=True)
+    assert rt.build_root_star(tree).is_isomorphic(b)
