@@ -102,7 +102,7 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
         edges = tuple(_ints(e, "edges") for e in doc.get("edges", []))
         aut = doc.get("automorphism")
         tree = plumbing.PlumbingTree(
-            weights, edges, automorphism=_ints(aut, "automorphism") if aut else None
+            weights, edges, automorphism=None if aut is None else _ints(aut, "automorphism")
         )
         char = doc.get("char")
         char = None if char is None else _ints(char, "char")
@@ -175,22 +175,10 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
         tree, char, involution = pres.tree, pres.char, pres.involution
     root = _build_root(tree, char, involution, config)
     root.require_stable()
-    if config.verify:
-        alt_engine = "box" if root.engine == "star" else "star"
-        try:
-            alt = roots.build_root(
-                tree,
-                char,
-                engine=alt_engine,
-                involution=involution,
-                n_max=config.n_max,
-            )
-        except ValueError:
-            alt = None  # non-star tree cannot feed the star engine
-        if alt is not None and not root.is_isomorphic(alt):
-            raise ConsistencyError(
-                "engine cross-check failed: star and box roots differ"
-            )
+    if config.verify and root.engine == "star":
+        alt = roots.build_root_box(tree, char, involution=involution, n_max=config.n_max)
+        if not root.is_isomorphic(alt):
+            raise ConsistencyError("engine cross-check failed: star and box roots differ")
     if config.fmt == "dot":
         out.write(root.render_dot())
     elif config.fmt == "json":

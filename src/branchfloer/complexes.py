@@ -34,16 +34,18 @@ keeps one angle mask per vertex (`ModelComplex.path`), and the involution's
 lift reads each angle's image off two of them; its square is checked to be
 the identity exactly, with no homotopy to solve for (`lift_involution`).
 
-Gradings are `Fraction`s at the interface only.  Each complex holds one
-`Fraction` offset and integer levels (`UComplex._grid`: gr = offset +
-level/scale), and each constructor hands levels through: a shift moves the
-offset, a dual negates levels, a tensor adds them on the lcm of the scales,
-a cone appends level - scale, a model reads -2 * level (+1 for an angle).
-`Fraction` arithmetic is left once per distinct level of a new complex (or
-grading, for the public constructor), once per parity in `_sweep` and
-`branched_invariants`, once per allowed-entry table (`_allowed`: an integer
-shift between grids, then one bisection per source level) and in degrees of
-maps; `homology` reads births off generator gradings.
+Gradings are `Fraction`s at the interface only.  A complex here is one spin
+structure's, so its gradings lie in one coset of Z; the public constructor
+refuses any other.  Each complex holds one `Fraction` offset and integer
+levels (`UComplex._grid`: gr = offset + level), and each constructor hands
+levels through: a shift moves the offset, a dual negates levels, a tensor
+adds them, a cone appends level - 1, a model reads -2 * level (+1 for an
+angle).  `Fraction` arithmetic is left once per distinct level of a new
+complex (or grading, for the public constructor), once per parity in
+`_sweep` and `branched_invariants`, once per allowed-entry table
+(`_allowed`: an integer shift between grids, then one bisection per source
+level) and in degrees of maps; `homology` reads births off generator
+gradings.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import NamedTuple
 
 
@@ -142,16 +143,16 @@ class UComplex:
             raise ConsistencyError("differential does not square to zero")
 
     @classmethod
-    def _on_grid(cls, offset, scale, levels, diff, base=None):
-        """The complex gr(x_j) = offset + levels[j] / scale, one `Fraction` per
+    def _on_grid(cls, offset, levels, diff, base=None):
+        """The complex gr(x_j) = offset + levels[j], one `Fraction` per
         distinct level.  A shift of `base` shares its level tables and skips
         the checks: moving every grading by the same amount keeps the table
         of allowed entries, and the differential is the base's, which passed
         them."""
-        num, den = offset.numerator * scale, offset.denominator
-        at = {h: Fraction(num + h * den, den * scale) for h in set(levels)}
+        num, den = offset.numerator, offset.denominator
+        at = {h: Fraction(num + h * den, den) for h in set(levels)}
         self = cls.__new__(cls)
-        grid = (offset, scale, tuple(levels))
+        grid = (offset, tuple(levels))
         vars(self).update(gradings=tuple(map(at.__getitem__, levels)), diff=tuple(diff), _grid=grid)
         if base is None:
             self.__post_init__()
@@ -164,33 +165,31 @@ class UComplex:
 
     @cached_property
     def _grid(self) -> tuple:
-        """(offset, scale, levels): gr(x_j) = offset + levels[j] / scale, the
-        levels integers, with one `Fraction` step per distinct grading.  The
-        scale is 1 when every grading lies in one coset of Z."""
+        """(offset, levels): gr(x_j) = offset + levels[j], the levels
+        integers, with one `Fraction` step per distinct grading."""
         distinct = {}
         ids = [distinct.setdefault(g, len(distinct)) for g in self.gradings]
         offset = Fraction(min(distinct, default=0))
         rel = [g - offset for g in distinct]
-        scale = lcm(*(r.denominator for r in rel))
-        at = [r.numerator * (scale // r.denominator) for r in rel]
-        return offset, scale, tuple(at[i] for i in ids)
+        if any(r.denominator != 1 for r in rel):
+            raise ConsistencyError("gradings lie in more than one coset of Z")
+        return offset, tuple(rel[i].numerator for i in ids)
 
     @cached_property
     def _by_level(self) -> dict:
         """Each distinct level with the bitmask of its generators."""
         out = {}
-        for j, level in enumerate(self._grid[2]):
+        for j, level in enumerate(self._grid[1]):
             out[level] = out.get(level, 0) | 1 << j
         return out
 
     @cached_property
     def _classes(self) -> dict:
-        """Per class of levels mod 2 * scale: its levels negated, ascending,
-        and the running union of their generator masks, 0 first."""
-        step = 2 * self._grid[1]
+        """Per class of levels mod 2: its levels negated, ascending, and the
+        running union of their generator masks, 0 first."""
         out = {}
         for h in sorted(self._by_level, reverse=True):
-            neg, masks = out.setdefault(h % step, ([], [0]))
+            neg, masks = out.setdefault(h % 2, ([], [0]))
             neg.append(-h)
             masks.append(masks[-1] | self._by_level[h])
         return {c: (tuple(neg), tuple(masks)) for c, (neg, masks) in out.items()}
@@ -202,16 +201,15 @@ class UComplex:
         generators entering the slice there, generators whose boundaries
         start to land there), by descending level.  A generator at level L
         enters the slices of its class at L, and its boundary lands in the
-        other class from L - scale down."""
-        scale = self._grid[1]
+        other class from L - 1 down."""
         events = {}
         for level, gens in self._by_level.items():
             ev = events.setdefault(level, [level, None, 0, 0])
             ev[1], ev[2] = self.gradings[(gens & -gens).bit_length() - 1], gens
-            events.setdefault(level - scale, [level - scale, None, 0, 0])[3] = gens
+            events.setdefault(level - 1, [level - 1, None, 0, 0])[3] = gens
         classes = {}
         for level in sorted(events, reverse=True):
-            classes.setdefault(level % (2 * scale), []).append(tuple(events[level]))
+            classes.setdefault(level % 2, []).append(tuple(events[level]))
         out = []
         for c, evs in classes.items():
             mask = self._classes[c][1][-1] if c in self._classes else 0
@@ -228,8 +226,8 @@ class UComplex:
 
 def shift_complex(cx: UComplex, s) -> UComplex:
     """Add s to every grading."""
-    offset, scale, levels = cx._grid
-    return UComplex._on_grid(offset + s, scale, levels, cx.diff, base=cx)
+    offset, levels = cx._grid
+    return UComplex._on_grid(offset + s, levels, cx.diff, base=cx)
 
 
 def _transpose(rows, n):
@@ -243,30 +241,27 @@ def _transpose(rows, n):
 
 def dual_complex(cx: UComplex) -> UComplex:
     """Plain graded dual: gradings negate, differential transposes."""
-    offset, scale, levels = cx._grid
-    return UComplex._on_grid(-offset, scale, [-h for h in levels], _transpose(cx.diff, len(cx)))
+    offset, levels = cx._grid
+    return UComplex._on_grid(-offset, [-h for h in levels], _transpose(cx.diff, len(cx)))
 
 
 def tensor_complex(a: UComplex, b: UComplex) -> UComplex:
     """Tensor product over F_2[U]; generator (i, j) sits at index i*len(b)+j,
-    at the sum of their levels on the lcm of their scales."""
-    (oa, sa, la), (ob, sb, lb) = a._grid, b._grid
-    scale = lcm(sa, sb)
-    lb = [h * (scale // sb) for h in lb]
+    at the sum of their levels."""
+    (oa, la), (ob, lb) = a._grid, b._grid
     nb = len(b)
     levels = []
     rows = []
     for i in range(len(a)):
-        ha = la[i] * (scale // sa)
         for j in range(nb):
-            levels.append(ha + lb[j])
+            levels.append(la[i] + lb[j])
             r = 0
             for t in _bits(a.diff[i]):
                 r |= 1 << (t * nb + j)
             for t in _bits(b.diff[j]):
                 r |= 1 << (i * nb + t)
             rows.append(r)
-    return UComplex._on_grid(oa + ob, scale, levels, rows)
+    return UComplex._on_grid(oa + ob, levels, rows)
 
 
 @dataclass(frozen=True)
@@ -326,31 +321,30 @@ def tensor_map(f: UMap, g: UMap, src: UComplex, tgt: UComplex) -> UMap:
 
 def _slice(cx: UComplex, level: int) -> int:
     """Bitmask of the generators x_j of the slice of cx at `level` (on its
-    grid): those whose level lies at or above it in its class mod 2 * scale,
-    x_j standing for x_j U^((gr(x_j) - gr)/2).  One bisection of the class."""
-    got = cx._classes.get(level % (2 * cx._grid[1]))
+    grid): those whose level lies at or above it in its class mod 2, x_j
+    standing for x_j U^((gr(x_j) - gr)/2).  One bisection of the class."""
+    got = cx._classes.get(level % 2)
     return got[1][bisect_right(got[0], -level)] if got else 0
 
 
 def _allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
     """Row masks of the entries a degree-`degree` map src -> tgt may have:
     generator j may hit exactly the generators of tgt's slice at gr(j) +
-    degree, `shift` levels from j's on the lcm of the two scales.  Built
-    once per (target levels, shift), one slice per distinct source level,
-    and shared with src's shifts.  The entry holds the target's levels, not
-    the target (which would make every complex a reference cycle), and is
-    used only for that very tuple: an unpickled entry's id names another."""
-    (s_off, s_scale, s_levels), (t_off, t_scale, t_levels) = src._grid, tgt._grid
-    scale = lcm(s_scale, t_scale)
+    degree, `shift` levels from j's, or none when that grading is off tgt's
+    grid.  Built once per (target levels, shift), one slice per distinct
+    source level, and shared with src's shifts.  The entry holds the
+    target's levels, not the target (which would make every complex a
+    reference cycle), and is used only for that very tuple: an unpickled
+    entry's id names another."""
+    (s_off, s_levels), (t_off, t_levels) = src._grid, tgt._grid
     rel = degree if s_off is t_off else s_off - t_off + degree
-    shift, off_grid = divmod(rel.numerator * scale, rel.denominator)
-    if off_grid:
+    if rel.denominator != 1:
         return (0,) * len(src)
+    shift = rel.numerator
     key = (id(t_levels), shift)
     got = src._tables.get(key)
     if got is None or got[0] is not t_levels:
-        at = {h: divmod(h * (scale // s_scale) + shift, scale // t_scale) for h in src._by_level}
-        by_level = {h: 0 if r else _slice(tgt, t) for h, (t, r) in at.items()}
+        by_level = {h: _slice(tgt, h + shift) for h in src._by_level}
         got = src._tables[key] = (t_levels, tuple(map(by_level.__getitem__, s_levels)))
     return got[1]
 
@@ -437,7 +431,6 @@ def homology(cx: UComplex, sub: tuple[int, ...] | None = None) -> GradedUModule:
         return GradedUModule((), ())
     vectors = sub if sub is not None else tuple(1 << j for j in range(len(cx)))
     bounds = cx.diff if sub is None else _apply_vectors(cx.diff, sub)
-    step = 2 * cx._grid[1]
     towers = []
     torsion = []
     deep = {}
@@ -460,7 +453,7 @@ def homology(cx: UComplex, sub: tuple[int, ...] | None = None) -> GradedUModule:
                 if quotient.add(cls[2])[0]:
                     next_alive.append(cls)
                 else:
-                    torsion.append((-cls[0], (cls[0] - level) // step, cls[1]))
+                    torsion.append((-cls[0], (cls[0] - level) // 2, cls[1]))
             for v in born:
                 if quotient.add(v)[0]:
                     next_alive.append((level, grading, v))
@@ -534,7 +527,7 @@ class ModelComplex:
                 left = self.leaf_gen[self.rep_leaf[kids[s]]]
                 right = self.leaf_gen[self.rep_leaf[kids[s + 1]]]
                 rows.append((1 << left) | (1 << right))
-        self.cx = UComplex._on_grid(root.offset, 1, levels, rows)
+        self.cx = UComplex._on_grid(root.offset, levels, rows)
         self.path = [0] * len(root)
         for u in reversed(order):
             kids = root.children(u)
@@ -590,10 +583,10 @@ def involutive_cone(cx: UComplex, iota: UMap):
 
     Returns the cone complex and the Q-action on it as a chain map."""
     n = len(cx)
-    offset, scale, levels = cx._grid
+    offset, levels = cx._grid
     rows = [d | (r ^ 1 << j) << n for j, (d, r) in enumerate(zip(cx.diff, iota.rows))]
     rows += [d << n for d in cx.diff]
-    cone = UComplex._on_grid(offset, scale, levels + tuple(h - scale for h in levels), rows)
+    cone = UComplex._on_grid(offset, levels + tuple(h - 1 for h in levels), rows)
     q = UMap(cone, cone, Fraction(-1), tuple(1 << (n + j) for j in range(n)) + (0,) * n)
     if not q.is_chain_map():
         raise ConsistencyError("cone marker Q is not a chain map")

@@ -190,9 +190,9 @@ def seifert_plumbing(e: int, fractions) -> Presentation:
 # diagram-side oracle
 
 
-def goeritz_oracle(strands) -> tuple[int, int]:
-    """Determinant and signature of a pretzel knot from its checkerboard
-    form, independent of any plumbing.
+def goeritz_oracle(spec: "KnotSpec") -> tuple[int, int]:
+    """Determinant and signature of a pretzel knot spec from its
+    checkerboard form, independent of any plumbing.
 
     The Goeritz matrix of the standard diagram is tridiagonal with nonzero
     off-diagonal entries, so its leading minors obey the continuant
@@ -201,30 +201,24 @@ def goeritz_oracle(strands) -> tuple[int, int]:
     sequence, zeros skipped.  The signature needs a correction term counting
     crossings whose smoothing disagrees with the coloring.  With all strands
     odd no correction is needed; with exactly one even strand the odd strands
-    contribute theirs.  Supports 3 to 5 strands.
+    contribute theirs.  Supports 3 to 5 strands; the spec is checked, so
+    its strands are nonzero and at most one is even.
     """
-    strands = tuple(int(a) for a in strands)
+    strands = spec.params
     k = len(strands)
-    if not 3 <= k <= 5:
+    if spec.kind != "pretzel" or not 3 <= k <= 5:
         raise KnotSpecError("goeritz oracle supports pretzels with 3 to 5 strands")
-    if any(a == 0 for a in strands):
-        raise KnotSpecError("zero strands split the pretzel diagram")
-    evens = [a for a in strands if a % 2 == 0]
-    if len(evens) > 1:
-        raise KnotSpecError("two even strands form a pretzel link, not a knot")
     # diagonal a_i + a_{i+1}, off-diagonal -a_{i+1}
     minors = [1, strands[0] + strands[1]]
     for i in range(1, k - 1):
         d = strands[i] + strands[i + 1]
         minors.append(d * minors[-1] - strands[i] ** 2 * minors[-2])
-    det = abs(minors[-1])
-    if det % 2 == 0:
-        raise KnotSpecError(f"pretzel determinant {det} is even: this is a link")
     signs = [m > 0 for m in minors if m != 0]
     negative = sum(a != b for a, b in zip(signs, signs[1:]))
     sig = (k - 1) - 2 * negative
-    mu = 0 if not evens else sum(a for a in strands if a % 2)
-    return det, sig - mu
+    odd = [a for a in strands if a % 2]
+    mu = sum(odd) if len(odd) < k else 0
+    return abs(minors[-1]), sig - mu
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +298,9 @@ class KnotSpec:
 
     @classmethod
     def montesinos(cls, e: int, fractions) -> "KnotSpec":
-        """`fractions` as `Fraction`s, integers or (numerator, denominator)
-        pairs."""
+        """`fractions` as (numerator, denominator) pairs."""
         try:
-            fr = tuple(
-                Fraction(*f) if isinstance(f, tuple) else Fraction(f)
-                for f in fractions
-            )
+            fr = tuple(Fraction(a, b) for a, b in fractions)
         except ZeroDivisionError:
             raise KnotSpecError("montesinos fraction with zero denominator") from None
         return cls("montesinos", (e,) + fr)
@@ -548,7 +538,7 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
         # the signature of the knot the tree presents: the mirror's if mirrored
-        sigma = goeritz_oracle(spec.params)[1] * (-1 if pres.mirrored else 1)
+        sigma = goeritz_oracle(spec)[1] * (-1 if pres.mirrored else 1)
     ev = _Eval(
         *_root_model(model_complex(sub)),
         True,

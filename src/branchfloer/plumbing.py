@@ -147,16 +147,6 @@ class PlumbingTree:
         return tuple(ys), tuple(xs), sum(map(operator.mul, k, xs))
 
 
-def intersection_form(tree: PlumbingTree) -> list[list[int]]:
-    n = len(tree)
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        q[i][i] = tree.weights[i]
-    for a, b in tree.edges:
-        q[a][b] = q[b][a] = 1
-    return q
-
-
 def check_negative_definite(tree: PlumbingTree) -> None:
     """Raises DefinitenessError unless every elimination pivot is positive."""
     tree._elimination  # raises at the first D_v <= 0
@@ -174,10 +164,15 @@ def is_characteristic(tree: PlumbingTree, k: tuple[int, ...]) -> bool:
     )
 
 
+def _form_times(tree: PlumbingTree, v: tuple[int, ...]) -> tuple[int, ...]:
+    """Q v, one vertex's weight and neighbours at a time."""
+    by_vertex = zip(tree.weights, v, tree._adjacency)
+    return tuple(w * x + sum(v[u] for u in adj) for w, x, adj in by_vertex)
+
+
 def chi(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> int:
     """chi_k(l) = -(k(l) + l^T Q l)/2, an integer for characteristic k."""
-    rows = intersection_form(tree)
-    num = -sum(x * (kx + sum(map(operator.mul, row, ell))) for x, kx, row in zip(ell, k, rows))
+    num = -sum(x * (kx + qx) for x, kx, qx in zip(ell, k, _form_times(tree, ell)))
     if num % 2:
         raise ValueError(f"{tuple(k)} is not a characteristic vector of the tree")
     return num // 2
@@ -227,8 +222,8 @@ def wu_class(tree: PlumbingTree) -> tuple[int, ...]:
     The columns of Q mod 2 go into an F_2 echelon tagged by their index, so
     the solution uses only the columns independent of the earlier ones."""
     space = _F2Space()
-    for j, col in enumerate(intersection_form(tree)):  # Q is symmetric
-        space.add(sum((x & 1) << i for i, x in enumerate(col)), 1 << j)
+    for j, (weight, adj) in enumerate(zip(tree.weights, tree._adjacency)):  # Q is symmetric
+        space.add((weight & 1) << j | sum(1 << i for i in adj), 1 << j)
     residual, w = space.reduce(sum((x & 1) << i for i, x in enumerate(tree.weights)))
     if residual:
         raise ConsistencyError("Wu equation has no solution")
@@ -247,8 +242,7 @@ def spin_char(tree: PlumbingTree) -> tuple[int, ...]:
     det = tree._elimination[2][0]
     if all(x % det == 0 for x in tree._solve(k)[1]):
         return k
-    w = wu_class(tree)
-    return tuple(sum(map(operator.mul, row, w)) for row in intersection_form(tree))
+    return _form_times(tree, wu_class(tree))
 
 
 def reflect(tree: PlumbingTree, k: tuple[int, ...], ell: tuple[int, ...]) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ inclusion maps S_n -> S_{n+1}.  Vertices carry the weight
     w = (k^2 + |tree|)/4 - 2 n,
 
 so the maximum weight is the correction-term invariant of the plumbed
-boundary.  Two engines build roots:
+boundary.  Two engines build roots, and `build_root` picks one by the
+tree's shape:
 
 * a box engine (`build_root_box`), for any tree: eliminate the tree from the
   leaves inward to write 2 chi_k as a sum of positive squares, list each
@@ -528,9 +529,9 @@ def _star_decompose(tree: PlumbingTree):
     """(center, legs): legs are chains of vertex ids, center-adjacent first.
 
     Raises ValueError unless the center, a vertex of largest degree, is the
-    only one of degree 3 or more."""
+    only one of degree 3 or more (`_is_star`)."""
     center = max(range(len(tree)), key=lambda v: (tree.degree(v), -v))
-    if sum(tree.degree(v) > 2 for v in range(len(tree))) > 1:
+    if not _is_star(tree):
         raise ValueError("tree is not star-shaped")
     legs = []
     for first in sorted(tree.neighbors(center)):
@@ -722,20 +723,18 @@ def _star_root(tree, k, center, legs, n_max, involution):
     return _finished(fields, "star", refl, gperm, involution)
 
 
+def _is_star(tree: PlumbingTree) -> bool:
+    """At most one vertex of degree 3 or more."""
+    return sum(tree.degree(v) > 2 for v in range(len(tree))) <= 1
+
+
 def build_root(
     tree: PlumbingTree,
     k: tuple[int, ...] | None = None,
     *,
-    engine: str = "auto",
     n_max: int | None = None,
     involution: str = "auto",
 ) -> GradedRoot:
-    """Dispatch: star engine for star-shaped trees, those with at most one
-    vertex of degree 3 or more (`_star_decompose`), box engine otherwise."""
-    if engine == "auto":
-        engine = "star" if sum(tree.degree(v) > 2 for v in range(len(tree))) <= 1 else "box"
-    if engine == "box":
-        return build_root_box(tree, k, n_max=n_max, involution=involution)
-    if engine != "star":
-        raise ValueError(f"unknown engine {engine!r}")
-    return build_root_star(tree, k, n_max=n_max, involution=involution)
+    """The star engine for a star-shaped tree (`_is_star`), else the box engine."""
+    build = build_root_star if _is_star(tree) else build_root_box
+    return build(tree, k, n_max=n_max, involution=involution)

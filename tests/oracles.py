@@ -77,6 +77,8 @@ the pipeline produces by a different route, or builds a reference object.
   shape, and the test that one of them commutes with the involutions: the
   reference for the package's canonical key of a root.
 * `linear_chain`: a linear plumbing, as a fixture.
+* `intersection_form`: the dense intersection form of a tree, the reference
+  for the package's form read off the weights and edges.
 * `eliminate`: the completed-square form of 2 chi_k (order, parents,
   pivots, shifts, constant) read off the package's integer passes: what the
   tests compare the dense algebra below and the box engine's integer form
@@ -119,7 +121,7 @@ from branchfloer.complexes import (
     model_complex,
 )
 from branchfloer.connected import _subroot_spanned, monotone_subroot
-from branchfloer.plumbing import PlumbingTree, chi, intersection_form, k_square, pd_vector
+from branchfloer.plumbing import PlumbingTree, chi, k_square, pd_vector
 from branchfloer.roots import GradedRoot
 
 
@@ -207,14 +209,14 @@ def ref_transport(cx: UComplex, vec, g_from, g_to) -> int:
 def ref_slice(cx: UComplex, g) -> int:
     """Bitmask of the generators of the grading-g slice of cx, by a scan
     over its levels (`_grid`): those at or above g's level in its class mod
-    2 * scale."""
-    offset, scale, levels = cx._grid
-    level = (g - offset) * scale
+    2."""
+    offset, levels = cx._grid
+    level = g - offset
     if level.denominator != 1:
         return 0
     out = 0
     for j, h in enumerate(levels):
-        if h >= level and (h - level) % (2 * scale) == 0:
+        if h >= level and (h - level) % 2 == 0:
             out |= 1 << j
     return out
 
@@ -222,8 +224,8 @@ def ref_slice(cx: UComplex, g) -> int:
 def ref_allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
     """Row masks of the allowed entries of a degree-`degree` map src -> tgt:
     the slice of tgt at each source generator's grading plus the degree."""
-    offset, scale, levels = src._grid
-    by_level = {h: ref_slice(tgt, offset + Fraction(h, scale) + degree) for h in set(levels)}
+    offset, levels = src._grid
+    by_level = {h: ref_slice(tgt, offset + h + degree) for h in set(levels)}
     return tuple(by_level[h] for h in levels)
 
 
@@ -1003,6 +1005,17 @@ def linear_chain(weights: list[int]) -> PlumbingTree:
     return PlumbingTree(
         tuple(weights), tuple((i, i + 1) for i in range(len(weights) - 1))
     )
+
+
+def intersection_form(tree: PlumbingTree) -> list[list[int]]:
+    """Q as a list of rows: the weights on the diagonal, 1 for each edge."""
+    n = len(tree)
+    q = [[0] * n for _ in range(n)]
+    for i in range(n):
+        q[i][i] = tree.weights[i]
+    for a, b in tree.edges:
+        q[a][b] = q[b][a] = 1
+    return q
 
 
 def eliminate(tree: PlumbingTree, k: tuple[int, ...]):

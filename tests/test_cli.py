@@ -185,6 +185,17 @@ def test_root_rejects_plumbing_json_that_is_not_integer(capsys, doc, field):
     assert f"bad plumbing JSON: {field} must be a list of integers" in out.err
 
 
+@pytest.mark.parametrize("value", ["0", "false", '""', "{}", "[]"])
+def test_root_rejects_a_falsy_automorphism(capsys, value):
+    # a value that is false in Python is still not "no automorphism": exit 2,
+    # and the message names the field ([] is a list but no permutation)
+    doc = '{"weights": [-2, -2], "edges": [[0, 1]], "automorphism": %s}' % value
+    assert cli.main(["root", doc]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "bad plumbing JSON: automorphism" in out.err
+
+
 def test_root_rejects_an_unknown_plumbing_json_field(capsys):
     # a misspelled "char" must not fall back to the default spin vector
     doc = '{"weights": [-2, -3], "edges": [[0, 1]], "chars": [0, 1]}'
@@ -240,14 +251,12 @@ def test_root_verify_cross_checks_engines():
 
 
 def test_root_verify_reports_an_engine_disagreement(monkeypatch, capsys):
-    build = roots.build_root
+    build = roots.build_root_box
 
-    def skewed(*args, engine="auto", **kwargs):
-        if engine == "box":
-            kwargs["involution"] = "trivial"
-        return build(*args, engine=engine, **kwargs)
+    def skewed(*args, **kwargs):
+        return build(*args, **{**kwargs, "involution": "trivial"})
 
-    monkeypatch.setattr(roots, "build_root", skewed)
+    monkeypatch.setattr(roots, "build_root_box", skewed)
     with pytest.raises(ConsistencyError, match="engine cross-check failed"):
         cli.cmd_root(GAMMA7_JSON, cli.RunConfig(verify=True), out=io.StringIO())
     assert cli.main(["root", GAMMA7_JSON, "--verify"]) == 1

@@ -45,8 +45,9 @@ def swap_model(top=-2):
 
 
 def test_differential_entries_must_carry_integer_powers():
+    # a degree -1 entry from grading 0 to -2 would need U^(-1/2)
     with pytest.raises(cxm.ConsistencyError, match="no valid U-power"):
-        cxm.UComplex((Fraction(0), Fraction(-1, 2)), (2, 0))
+        cxm.UComplex((Fraction(0), Fraction(-2)), (2, 0))
 
 
 def test_differential_must_square_to_zero():
@@ -482,8 +483,7 @@ def _slice_gradings(cx):
 
 def _slice_at(cx, g):
     """The package's slice of cx at grading g, 0 off its grid."""
-    offset, scale, _ = cx._grid
-    level = (g - offset) * scale
+    level = g - cx._grid[0]
     return cxm._slice(cx, level.numerator) if level.denominator == 1 else 0
 
 
@@ -559,19 +559,19 @@ def test_slices_and_allowed_entries_match_explicit_exponents(a, b, data):
 
 def _grid_cases(a, b, s):
     """Complexes from every constructor out of two model complexes a and b:
-    shifts by s, duals, a direct sum in two cosets of Z (scale 2, public
-    constructor), tensors of scale-1 and scale-2 factors, and cones."""
-    two = cxm.UComplex(
-        a.gradings + tuple(g + Fraction(1, 2) for g in b.gradings),
+    shifts by s, duals, a direct sum with b moved onto a's coset of Z and one
+    level up (public constructor), tensors and cones."""
+    lift = a.gradings[0] - b.gradings[0] + 1
+    one = cxm.UComplex(
+        a.gradings + tuple(g + lift for g in b.gradings),
         a.diff + tuple(r << len(a) for r in b.diff),
     )
-    pair = cxm.UComplex((Fraction(0), Fraction(-1, 2)), (0, 0))
     swap = cxm.shift_complex(swap_model()[0], Fraction(1, 2))
     shifted = cxm.shift_complex(a, s)
-    cases = [a, b, shifted, cxm.shift_complex(shifted, -s - 1), cxm.dual_complex(b), two]
-    cases += [cxm.tensor_complex(a, swap), cxm.tensor_complex(a, pair)]
-    cases += [cxm.tensor_complex(pair, two), cxm.tensor_complex(cxm.dual_complex(two), pair)]
-    cases += [cxm.involutive_cone(c, cxm.identity_map(c))[0] for c in (shifted, two, cases[-1])]
+    cases = [a, b, shifted, cxm.shift_complex(shifted, -s - 1), cxm.dual_complex(b), one]
+    cases += [cxm.tensor_complex(a, swap), cxm.tensor_complex(swap, one)]
+    cases += [cxm.tensor_complex(cxm.dual_complex(one), swap)]
+    cases += [cxm.involutive_cone(c, cxm.identity_map(c))[0] for c in (shifted, one, cases[-1])]
     cases.append(cxm.dual_complex(cxm.shift_complex(cases[-1], s)))
     return cases + [cxm.UComplex(c.gradings, c.diff) for c in cases[-4:]]
 
@@ -586,13 +586,13 @@ def _grid_cases(a, b, s):
 def test_every_constructor_keeps_its_grid_and_allowed_entries(t1, t2, s, data):
     # each complex's grid gives back every grading exactly, and its tables
     # of allowed entries, built on integer levels and shared with its
-    # shifts, are those of the per-level scan, across grids and scales
+    # shifts, are those of the per-level scan, across grids
     a, b = (cxm.model_complex(rt.build_root_star(t)).cx for t in (t1, t2))
     assume(len(a) * len(b) <= 40)
     cases = _grid_cases(a, b, s)
     for cx in cases:
-        offset, scale, levels = cx._grid
-        assert [offset + Fraction(h, scale) for h in levels] == list(cx.gradings)
+        offset, levels = cx._grid
+        assert [offset + h for h in levels] == list(cx.gradings)
     assert cases[2]._tables is cases[3]._tables is a._tables
     for src in cases:
         for tgt in [src, *data.draw(st.lists(st.sampled_from(cases), min_size=3, max_size=3))]:
@@ -654,9 +654,9 @@ def test_allowed_entries_of_an_unpickled_complex():
     # a target on which the swap has no valid entry: generator 1 two below
     # generator 0, its grid offset one level under c's
     low = cxm.UComplex((Fraction(-2), Fraction(-4), Fraction(-3)), c.diff)
-    assert (c._grid[0] - low._grid[0]) * low._grid[1] == 1
-    stale = copy._tables.pop((id(target._grid[2]), 0))
-    copy._tables[(id(low._grid[2]), 1)] = stale  # its id taken over
+    assert c._grid[0] - low._grid[0] == 1
+    stale = copy._tables.pop((id(target._grid[1]), 0))
+    copy._tables[(id(low._grid[1]), 1)] = stale  # its id taken over
     with pytest.raises(cxm.ConsistencyError, match="map entry 0->1 has no valid U-power"):
         cxm.UMap(copy, low, Fraction(0), swap.rows)
     cxm.UMap(copy, target, Fraction(0), swap.rows)
@@ -669,7 +669,7 @@ def test_cached_slices_cannot_be_mutated():
     # slices and tables are int masks in tuples; a deep parity is tuples,
     # and every echelon built from it is the caller's own copy
     c, swap = swap_model()
-    assert c._grid == (Fraction(-3), 1, (1, 1, 0))
+    assert c._grid == (Fraction(-3), (1, 1, 0))
     assert cxm._slice(c, 1) == 0b11
     table = cxm._allowed(c, c, Fraction(-1))
     with pytest.raises(TypeError):
@@ -708,7 +708,7 @@ from fractions import Fraction
 from branchfloer import complexes as cxm
 
 try:
-    cxm.UComplex((Fraction(0), Fraction(-1, 2)), (2, 0))
+    cxm.UComplex((Fraction(0), Fraction(-2)), (2, 0))
 except cxm.ConsistencyError as err:
     print("complex:", err)
 cx = cxm.UComplex((Fraction(0), Fraction(-1)), (2, 0))
@@ -885,12 +885,13 @@ def test_searches_of_dimension_zero_and_one():
 # homology on integer levels against the slice-by-slice reference
 
 
-def test_gradings_in_two_cosets_of_the_integers():
-    half = cxm.homology(cxm.UComplex((Fraction(0), Fraction(1, 2)), (0, 0)))
-    assert half.towers == (Fraction(1, 2), Fraction(0))
-    assert half.torsion == ()
-    low = cxm.homology(cxm.UComplex((Fraction(0), Fraction(-7, 2)), (0, 0)))
-    assert low.towers == (Fraction(0), Fraction(-7, 2))
+def test_a_complex_in_two_cosets_of_the_integers_is_refused():
+    # a complex is one spin structure's: its gradings lie in one coset of Z
+    for gradings in [(Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(-7, 2), Fraction(1))]:
+        with pytest.raises(cxm.ConsistencyError, match="more than one coset"):
+            cxm.UComplex(gradings, (0,) * len(gradings))
+    one = cxm.UComplex((Fraction(1, 2), Fraction(-7, 2)), (0, 0))
+    assert cxm.homology(one).towers == (Fraction(1, 2), Fraction(-7, 2))
 
 
 def _shifted(module, s):
@@ -930,14 +931,14 @@ def _direct_sum(a, b):
 @given(small_models(), small_models(), st.sampled_from([Fraction(0), Fraction(1, 2)]))
 def test_homology_matches_the_slice_by_slice_reference(a, b, shift):
     # each model, its dual, the tensor of the two, their direct sum with b
-    # moved into another coset of Z, and every cone, shifted by `shift`;
-    # then the image of every self local equivalence of a
+    # moved onto a's coset of Z and one level up, and every cone, shifted
+    # by `shift`; then the image of every self local equivalence of a
     dual = cxm.dual_complex(a[0])
     cases = [a, b, (dual, cxm.dual_map(a[1], dual, dual))]
     if len(a[0]) * len(b[0]) <= 30:
         cases.append(_tensor(a, b))
-    third = cxm.shift_complex(b[0], Fraction(1, 3))
-    cases.append(_direct_sum(a, (third, cxm.UMap(third, third, Fraction(0), b[1].rows))))
+    up = cxm.shift_complex(b[0], a[0].gradings[0] - b[0].gradings[0] + 1)
+    cases.append(_direct_sum(a, (up, cxm.UMap(up, up, Fraction(0), b[1].rows))))
     for cx, iota in cases:
         cx = cxm.shift_complex(cx, shift)
         iota = cxm.UMap(cx, cx, Fraction(0), iota.rows)

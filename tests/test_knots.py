@@ -216,7 +216,7 @@ def test_presentation_rejects_derived_specs():
     ],
 )
 def test_goeritz_oracle_frozen_values(strands, expected):
-    assert kn.goeritz_oracle(strands) == expected
+    assert kn.goeritz_oracle(kn.KnotSpec.pretzel(*strands)) == expected
 
 
 @pytest.mark.parametrize(
@@ -233,8 +233,9 @@ def test_goeritz_oracle_frozen_values(strands, expected):
     ],
 )
 def test_goeritz_determinant_matches_cover_presentation(strands):
-    det, _ = kn.goeritz_oracle(strands)
-    assert det == pl.determinant_magnitude(kn.presentation(kn.KnotSpec.pretzel(*strands)).tree)
+    spec = kn.KnotSpec.pretzel(*strands)
+    det, _ = kn.goeritz_oracle(spec)
+    assert det == pl.determinant_magnitude(kn.presentation(spec).tree)
 
 
 def _goeritz_by_eigenvalues(strands):
@@ -260,10 +261,10 @@ def test_goeritz_signature_matches_eigenvalues(strands):
     det, sig = _goeritz_by_eigenvalues(strands)
     if det % 2 == 0:
         with pytest.raises(kn.KnotSpecError):
-            kn.goeritz_oracle(strands)
+            kn.KnotSpec.pretzel(*strands)
         return
     mu = sum(a for a in strands if a % 2) if any(a % 2 == 0 for a in strands) else 0
-    assert kn.goeritz_oracle(strands) == (det, sig - mu)
+    assert kn.goeritz_oracle(kn.KnotSpec.pretzel(*strands)) == (det, sig - mu)
 
 
 def _congruence_breaks(even_residue):
@@ -277,7 +278,7 @@ def _congruence_breaks(even_residue):
         evens = [a for a in strands if a % 2 == 0]
         if len(evens) != 1 or evens[0] % 4 != even_residue:
             continue
-        det, sigma = kn.goeritz_oracle(strands)
+        det, sigma = kn.goeritz_oracle(kn.KnotSpec.pretzel(*strands))
         checked += 1
         if (sigma % 4 == 0) != (det % 4 == 1):
             broken.append(strands)
@@ -286,6 +287,7 @@ def _congruence_breaks(even_residue):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="ROADMAP item 11: goeritz_oracle's correction term is wrong on "
     "4-strand pretzels whose even strand is 2 (mod 4); "
     "pretzel(2,3,5,7) prints det 247 and sigma -12",
@@ -306,18 +308,19 @@ def test_goeritz_signature_is_exact_on_ill_conditioned_forms():
     n = 10**8
     strands = (n, -(n + 1), -n * (n + 1) - 1)
     mu = strands[1] + strands[2]
-    assert kn.goeritz_oracle(strands) == (1, -2 - mu)
+    assert kn.goeritz_oracle(kn.KnotSpec.pretzel(*strands)) == (1, -2 - mu)
 
 
 def test_goeritz_oracle_rejects_links_and_odd_sizes():
-    with pytest.raises(kn.KnotSpecError):
-        kn.goeritz_oracle((2, 4, 5))
-    with pytest.raises(kn.KnotSpecError):
-        kn.goeritz_oracle((0, 1, 1))
-    with pytest.raises(kn.KnotSpecError):
-        kn.goeritz_oracle((3, 5))
-    with pytest.raises(kn.KnotSpecError):
-        kn.goeritz_oracle((1, 1, 1, 1, 1, 3))
+    # links and split diagrams fail at the spec, which the oracle takes checked
+    for strands in ((2, 4, 5), (0, 1, 1), (3, 5), (1, 1, 1, 1, 1, 3)):
+        with pytest.raises(kn.KnotSpecError):
+            kn.goeritz_oracle(kn.KnotSpec.pretzel(*strands))
+    # knots outside the oracle: 2 or 6 strands, or not a pretzel
+    pretzel, torus = kn.KnotSpec.pretzel, kn.KnotSpec.torus
+    for spec in (pretzel(2, 3), pretzel(1, 1, 1, 1, 1, 2), torus(2, 3)):
+        with pytest.raises(kn.KnotSpecError, match="3 to 5 strands"):
+            kn.goeritz_oracle(spec)
 
 
 # ---------------------------------------------------------------------------

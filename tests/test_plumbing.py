@@ -18,6 +18,7 @@ from oracles import (
     determinant,
     eliminate,
     ellipsoid,
+    intersection_form,
     is_negative_definite,
     linear_chain,
     solve_exact,
@@ -50,7 +51,7 @@ def test_tree_validation():
 
 
 def test_intersection_form_and_definiteness():
-    q = pl.intersection_form(GAMMA7)
+    q = intersection_form(GAMMA7)
     assert q[0] == [-1, 1, 1, 1]
     assert q[3][3] == -7
     pl.check_negative_definite(GAMMA7)
@@ -219,7 +220,7 @@ def random_tree_and_vectors(draw):
     weights = tuple(draw(st.integers(-5, -1)) for _ in range(n))
     edges = tuple((draw(st.integers(0, i - 1)), i) for i in range(1, n))
     tree = pl.PlumbingTree(weights, edges)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     ell = tuple(draw(st.integers(-3, 3)) for _ in range(n))
     m = tuple(draw(st.integers(-2, 2)) for _ in range(n))
     return tree, ell, m
@@ -231,9 +232,12 @@ def test_chi_change_of_vector_identity(data):
     # chi_{k+2Qm}(l) = chi_k(l+m) - chi_k(m), and the induced square change
     tree, ell, m = data
     k = pl.canonical_char(tree)
-    q = pl.intersection_form(tree)
+    q = intersection_form(tree)
     n = len(tree)
     k2 = tuple(k[i] + 2 * sum(q[i][j] * m[j] for j in range(n)) for i in range(n))
+    # chi reads Q off the weights and edges: the dense form agrees
+    q_ell = [sum(q[i][j] * ell[j] for j in range(n)) for i in range(n)]
+    assert -2 * pl.chi(tree, k, ell) == sum(x * (kx + y) for x, kx, y in zip(ell, k, q_ell))
     lhs = pl.chi(tree, k2, ell)
     rhs = pl.chi(tree, k, tuple(x + y for x, y in zip(ell, m))) - pl.chi(tree, k, m)
     assert lhs == rhs
@@ -246,10 +250,13 @@ def test_wu_property(data):
     # (Qw)_v == Q_vv mod 2 makes Qw characteristic
     tree, _, _ = data
     w = pl.wu_class(tree)
-    q = pl.intersection_form(tree)
+    q = intersection_form(tree)
     n = len(tree)
     for v in range(n):
         assert (sum(q[v][j] * w[j] for j in range(n)) - q[v][v]) % 2 == 0
+    # the spin vector is the canonical one or Q w, by the dense form
+    q_w = tuple(sum(q[v][j] * w[j] for j in range(n)) for v in range(n))
+    assert pl.spin_char(tree) in (pl.canonical_char(tree), q_w)
 
 
 @settings(max_examples=80, deadline=None)
@@ -282,7 +289,7 @@ def random_forms(draw):
 @given(random_forms())
 def test_elimination_matches_the_matrix_oracles(data):
     tree, k = data
-    q = pl.intersection_form(tree)
+    q = intersection_form(tree)
     assert pl.wu_class(tree) == tuple(solve_mod2(q, list(tree.weights)))
     try:
         pl.check_negative_definite(tree)
@@ -306,7 +313,7 @@ def definite_trees_and_caps(draw):
     label = draw(st.permutations(range(n)))
     edges = tuple((label[draw(st.integers(0, i - 1))], label[i]) for i in range(1, n))
     tree = pl.PlumbingTree(weights, edges)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in weights)
     *_, const = eliminate(tree, k)
     cap = math.ceil(const / 2) + draw(st.integers(-1, 6))
@@ -342,7 +349,7 @@ def test_integer_elimination_matches_the_matrix_oracles_on_presentations(text):
     # the exact divisions of both integer sweeps, on trees far past the
     # 9 vertices of `random_forms`
     tree = kn.presentation(kn.parse_spec(text)).tree
-    q = pl.intersection_form(tree)
+    q = intersection_form(tree)
     assert pl.determinant_magnitude(tree) == abs(determinant(q))
     for k in {pl.spin_char(tree), pl.canonical_char(tree)}:
         pd, _ = ellipsoid(tree, k)  # solve_exact(q, k), kept for coordinate_ranges

@@ -15,6 +15,7 @@ from branchfloer.complexes import ConsistencyError
 from oracles import (
     coordinate_ranges,
     eliminate,
+    intersection_form,
     is_negative_definite,
     linear_chain,
     least_minimizer,
@@ -184,7 +185,7 @@ def twisted_chains(draw):
     of either sign."""
     legs = [[draw(st.integers(-6, -1)) for _ in range(draw(st.integers(1, 3)))]]
     tree = pl.star(draw(st.integers(-6, -1)), legs)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
     lo = draw(st.integers(-15, 15))
     return tree, k, range(lo, draw(st.integers(lo, 15)) + 1)
@@ -223,7 +224,7 @@ def long_legged_stars(draw):
         for _ in range(draw(st.integers(1, 3)))
     ]
     tree = pl.star(draw(st.integers(-3, -1)), legs)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
     alpha = max(rt._leg_seifert(leg, [0] * len(leg))[0][0] for leg in legs)
     lo = draw(st.integers(-60, 10))
@@ -297,7 +298,7 @@ def twisted_stars(draw):
     an adaptive or explicit stop level near the minimum of chi."""
     centre, legs = draw(star_legs())
     tree = pl.star(centre, legs)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     n = len(tree)
     label = draw(st.permutations(range(n)))
     tree = pl.PlumbingTree(
@@ -364,7 +365,7 @@ def stars_with_symmetries(draw):
         aut = list(range(1 + sum(map(len, legs))))
         aut[1 : 1 + 2 * n0] = list(range(1 + n0, 1 + 2 * n0)) + list(range(1, 1 + n0))
     tree = pl.star(centre, legs, automorphism=aut and tuple(aut))
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     n = len(tree)
     twist = [draw(st.integers(-3, 3)) for _ in range(n)]
     if aut is not None and draw(st.booleans()):
@@ -467,7 +468,7 @@ def test_leg_data_are_the_seifert_invariants(text):
 def test_representative_independence():
     """Changing k inside its spinc class shifts levels but not the root."""
     k1 = pl.spin_char(GAMMA7)
-    q = np.array(pl.intersection_form(GAMMA7))
+    q = np.array(intersection_form(GAMMA7))
     k2 = tuple(int(x) for x in np.array(k1) + 2 * q @ np.array([1, 0, 0, 0]))
     r1 = rt.build_root_star(GAMMA7, k1)
     r2 = rt.build_root_star(GAMMA7, k2)
@@ -497,7 +498,8 @@ def root_inputs(draw):
     bound on the minimum of chi that its elimination gives."""
     if draw(st.booleans()):
         tree, k, n_max, _ = draw(stars_with_symmetries())
-        return tree, k, n_max, ["star", "box"] if len(tree) <= 5 and n_max is not None else ["star"]
+        star, box = rt.build_root_star, rt.build_root_box
+        return tree, k, n_max, [star, box] if len(tree) <= 5 and n_max is not None else [star]
     a, c = (draw(st.integers(-5, -2)) for _ in "ac")
     b = draw(st.integers(-3, -2))
     if draw(st.booleans()):
@@ -505,9 +507,9 @@ def root_inputs(draw):
     else:
         weights, aut = (a, b, c, *(draw(st.integers(-4, -2)) for _ in "def")), None
     tree = pl.PlumbingTree(weights, H_EDGES, aut)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     *_, const = eliminate(tree, pl.spin_char(tree))
-    return tree, None, -(-const // 2) + draw(st.integers(0, 4)), ["box"]
+    return tree, None, -(-const // 2) + draw(st.integers(0, 4)), [rt.build_root_box]
 
 
 @st.composite
@@ -515,10 +517,10 @@ def built_roots(draw, inputs):
     """The root of `inputs` by one of its engines under one drawn involution,
     the automatic one when the root has no such involution."""
     tree, k, n_max, engines = inputs
-    engine = draw(st.sampled_from(engines))
+    build = draw(st.sampled_from(engines))
     for which in (draw(st.sampled_from(INVOLUTIONS)), "auto"):
         try:
-            return rt.build_root(tree, k, engine=engine, n_max=n_max, involution=which)
+            return build(tree, k, n_max=n_max, involution=which)
         except rt.InstabilityError:
             reject()
         except ValueError:
@@ -604,7 +606,7 @@ def small_star_trees(draw):
             [draw(st.integers(min_value=-5, max_value=-2)) for _ in range(length)]
         )
     tree = pl.star(center, legs)
-    assume(is_negative_definite(pl.intersection_form(tree)))
+    assume(is_negative_definite(intersection_form(tree)))
     return tree
 
 
