@@ -42,7 +42,7 @@ levels through: a shift moves the offset, a dual negates levels, a tensor
 adds them, a cone appends level - 1, a model reads -2 * level (+1 for an
 angle).  `Fraction` arithmetic is left once per distinct level of a new
 complex (or grading, for the public constructor), once per parity in
-`_sweep` and `branched_invariants`, once per allowed-entry table
+`_sweep` and `branched_invariants`, once per allowed-entry check
 (`_allowed`: an integer shift between grids, then one bisection per source
 level) and in degrees of maps; `homology` reads births off generator
 gradings.
@@ -157,7 +157,7 @@ class UComplex:
         if base is None:
             self.__post_init__()
         else:
-            vars(self).update({k: getattr(base, k) for k in ("_by_level", "_classes", "_tables")})
+            vars(self).update({k: getattr(base, k) for k in ("_by_level", "_classes")})
         return self
 
     def __len__(self):
@@ -217,11 +217,6 @@ class UComplex:
                 par = Fraction(self.gradings[(mask & -mask).bit_length() - 1]) % 2
                 out.append((par, mask, tuple(evs)))
         return tuple(sorted(out, key=lambda c: c[0]))
-
-    @cached_property
-    def _tables(self) -> dict:
-        """(id(target levels), shift) -> (target levels, rows), see `_allowed`."""
-        return {}
 
 
 def shift_complex(cx: UComplex, s) -> UComplex:
@@ -331,22 +326,14 @@ def _allowed(src: UComplex, tgt: UComplex, degree) -> tuple[int, ...]:
     """Row masks of the entries a degree-`degree` map src -> tgt may have:
     generator j may hit exactly the generators of tgt's slice at gr(j) +
     degree, `shift` levels from j's, or none when that grading is off tgt's
-    grid.  Built once per (target levels, shift), one slice per distinct
-    source level, and shared with src's shifts.  The entry holds the
-    target's levels, not the target (which would make every complex a
-    reference cycle), and is used only for that very tuple: an unpickled
-    entry's id names another."""
-    (s_off, s_levels), (t_off, t_levels) = src._grid, tgt._grid
+    grid.  One slice per distinct source level."""
+    (s_off, s_levels), t_off = src._grid, tgt._grid[0]
     rel = degree if s_off is t_off else s_off - t_off + degree
     if rel.denominator != 1:
         return (0,) * len(src)
     shift = rel.numerator
-    key = (id(t_levels), shift)
-    got = src._tables.get(key)
-    if got is None or got[0] is not t_levels:
-        by_level = {h: _slice(tgt, h + shift) for h in src._by_level}
-        got = src._tables[key] = (t_levels, tuple(map(by_level.__getitem__, s_levels)))
-    return got[1]
+    by_level = {h: _slice(tgt, h + shift) for h in src._by_level}
+    return tuple(map(by_level.__getitem__, s_levels))
 
 
 def _invalid_entry(rows, allowed) -> str | None:

@@ -1,7 +1,8 @@
 """Knots presented through their double branched covers.
 
 Torus, pretzel, and Montesinos knots all have branched covers that are
-Seifert fibered over the sphere, so each constructor here produces a
+Seifert fibered over the sphere, so every constructor spec reads off its
+Seifert invariants and one builder, `seifert_plumbing`, produces the
 star-shaped negative-definite plumbing together with the right spin
 characteristic vector and a recipe for the covering involution.  Mirrors
 dualize the resulting chain data and connected sums tensor it, so the full
@@ -13,7 +14,7 @@ input language is
 parsed by `parse_spec` and evaluated by `invariants`.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, prod
@@ -77,85 +78,17 @@ def negative_continued_fraction(p: int, q: int) -> list[int]:
 class Presentation:
     """A negative-definite plumbing presenting a branched double cover.
 
-    `involution` names the symmetry the graded root should carry ("auto"
-    picks the declared tree automorphism or the lattice reflection).  When
-    the definite side belongs to the mirror, `mirrored` is set and consumers
-    must dualize whatever they compute.
+    `involution` names the symmetry the graded root should carry: "trivial"
+    for a torus knot, "auto" (the lattice reflection) for a pretzel or
+    Montesinos knot.  The tree declares no automorphism.  When the definite
+    side belongs to the mirror, `mirrored` is set and consumers must
+    dualize whatever they compute.
     """
 
     tree: PlumbingTree
     char: tuple[int, ...]
     involution: str
     mirrored: bool
-
-
-def _seifert_star(extra: int, slopes: list[Fraction]) -> PlumbingTree:
-    """Star plumbing bounding the Seifert space with unnormalized fiber
-    slopes `slopes` over a base orbifold twisted by `extra`."""
-    e0 = extra
-    legs = []
-    for s in slopes:
-        f = s - floor(s)
-        e0 += floor(s)
-        if f:
-            legs.append(negative_continued_fraction(f.denominator, f.numerator))
-    return star(e0, legs)
-
-
-def _cong(c: int, mod: int, lo: int) -> int:
-    # unique x in [lo, mod) with c*x = -1 mod `mod`; callers guarantee
-    # gcd(c, mod) == 1
-    for x in range(lo, max(mod, lo + 1)):
-        if (c * x + 1) % mod == 0:
-            return x
-    raise ConsistencyError("congruence has no solution in range")
-
-
-def torus_plumbing(p: int, q: int) -> Presentation:
-    """Minimal resolution plumbing for the double cover of the (p, q) torus
-    knot, which is the link of the suspension singularity x^2 + y^p + z^q;
-    p and q are those of a checked `KnotSpec`.
-
-    For odd p*q the cover is a Brieskorn homology sphere and the covering
-    involution acts trivially on the root.  For even p*q the resolution has
-    two equal legs that the involution exchanges; the swap is recorded as a
-    tree automorphism.
-    """
-    mirrored = p * q < 0
-    p, q = abs(p), abs(q)
-    if p > q:
-        p, q = q, p
-    if p % 2 and q % 2:
-        # fiber orders (2, p, q), orbifold euler number -1/(2pq)
-        b2 = _cong(2 * q, p, 1)
-        b3 = _cong(2 * p, q, 1)
-        rem = -1 - p * q - 2 * q * b2 - 2 * p * b3
-        if rem % (2 * p * q):
-            raise ConsistencyError("torus knot central weight is not an integer")
-        e0 = rem // (2 * p * q)
-        legs = [[-2], negative_continued_fraction(p, b2), negative_continued_fraction(q, b3)]
-        tree = star(e0, legs)
-        mode = "trivial"
-    else:
-        # one even parameter 2m; fiber orders (r, r, m), euler number -1/(rm)
-        r, m = (q, p // 2) if p % 2 == 0 else (p, q // 2)
-        b = _cong(2 * m, r, 1)
-        b3 = _cong(r, m, 0)
-        rem = -1 - 2 * m * b - r * b3
-        if rem % (r * m):
-            raise ConsistencyError("torus knot central weight is not an integer")
-        e0 = rem // (r * m)
-        leg = negative_continued_fraction(r, b)
-        legs = [leg, leg]
-        if m > 1:
-            legs.append(negative_continued_fraction(m, b3))
-        size = 1 + sum(len(l) for l in legs)
-        perm = list(range(size))
-        for i in range(len(leg)):
-            perm[1 + i], perm[1 + len(leg) + i] = 1 + len(leg) + i, 1 + i
-        tree = star(e0, legs, automorphism=tuple(perm))
-        mode = "auto"
-    return Presentation(tree, spin_char(tree), mode, mirrored)
 
 
 def _seifert_det(e: int, fractions) -> int:
@@ -167,16 +100,23 @@ def _seifert_det(e: int, fractions) -> int:
 
 def seifert_plumbing(e: int, fractions) -> Presentation:
     """Seifert plumbing for the double cover of montesinos(e; a1/b1, ...),
-    the fractions those of a checked `KnotSpec` as `Fraction`s: one fiber of
-    slope -b_i/a_i each, orbifold euler number -e - sum(b_i/a_i).  Falls
-    back to the mirror when the given orientation bounds the
+    the invariants those of a checked `KnotSpec` (`seifert_invariants`):
+    one fiber of slope -b_i/a_i each, orbifold euler number
+    -e - sum(b_i/a_i), a star whose centre absorbs the slopes' integer
+    parts.  Falls back to the mirror when the given orientation bounds the
     positive-definite side.  The tree's determinant is checked against
     `_seifert_det`."""
     slopes = [-1 / f for f in fractions]
     mirrored = -e + sum(slopes) > 0
     if mirrored:
         slopes = [-s for s in slopes]
-    tree = _seifert_star(e if mirrored else -e, slopes)
+    centre, legs = e if mirrored else -e, []
+    for s in slopes:
+        f = s - floor(s)
+        centre += floor(s)
+        if f:
+            legs.append(negative_continued_fraction(f.denominator, f.numerator))
+    tree = star(centre, legs)
     det = _seifert_det(e, fractions)
     if determinant_magnitude(tree) != det:
         raise ConsistencyError(
@@ -231,7 +171,7 @@ class KnotSpec:
     mirror/sum node over child specs.
 
     Every spec is checked once, when it is made, so that the plumbing
-    constructors (`torus_plumbing`, `seifert_plumbing`) can trust its
+    builder (`seifert_plumbing` of `seifert_invariants`) can trust its
     parameters."""
 
     kind: str
@@ -283,8 +223,28 @@ class KnotSpec:
             raise KnotSpecError(f"{self.kind} determinant {det} is even: this is a link, not a knot")
 
     def seifert_invariants(self) -> tuple[int, tuple[Fraction, ...]]:
-        """(e, fractions) of a pretzel or Montesinos spec: pretzel(a1, ...)
-        is montesinos(0; a1/1, ...)."""
+        """(e, fractions) of a constructor spec in montesinos form:
+        pretzel(a1, ...) is montesinos(0; a1/1, ...).
+
+        The cover of torus(p, q) is the link of x^2 + y^p + z^q.  For odd
+        p*q its fibers are (2, p, q) with orbifold euler number -1/N,
+        N = 2pq; otherwise, the even parameter 2m and the odd one r, they
+        are (r, r, m) with N = rm, the m-fiber left out when m = 1.  The
+        fiber of order a has the slope b/a with b = -c^-1 mod a, c = 2N/a
+        on the repeated r-fiber and N/a on the others, which makes
+        e = 1/N + sum(b_i/a_i) an integer; it is returned with the fractions
+        -a_i/b_i, both negated for the mirror (p*q < 0)."""
+        if self.kind == "torus":
+            p, q = sorted(map(abs, self.params))
+            if p * q % 2:
+                n, fibers = 2 * p * q, [(2, p * q), (p, 2 * q), (q, 2 * p)]
+            else:
+                r, m = (q, p // 2) if p % 2 == 0 else (p, q // 2)
+                n, fibers = r * m, [(r, 2 * m), (r, 2 * m), (m, r)][: 2 + (m > 1)]
+            slopes = [(a, -pow(c, -1, a) % a) for a, c in fibers]
+            sign = -1 if self.params[0] * self.params[1] < 0 else 1
+            e = (1 + sum(b * n // a for a, b in slopes)) // n
+            return sign * e, tuple(Fraction(-sign * a, b) for a, b in slopes)
         e, *fractions = (0, *self.params) if self.kind == "pretzel" else self.params
         return e, tuple(map(Fraction, fractions))
 
@@ -298,7 +258,10 @@ class KnotSpec:
 
     @classmethod
     def montesinos(cls, e: int, fractions) -> "KnotSpec":
-        """`fractions` as (numerator, denominator) pairs."""
+        """`fractions` as (numerator, denominator) pairs of integers."""
+        fractions = tuple(fractions)
+        if any(type(x) is not int for pair in fractions for x in pair):
+            raise KnotSpecError(f"montesinos fractions must be integer pairs, got {fractions}")
         try:
             fr = tuple(Fraction(a, b) for a, b in fractions)
         except ZeroDivisionError:
@@ -432,13 +395,15 @@ def parse_spec(text: str) -> KnotSpec:
 
 
 def presentation(spec: KnotSpec) -> Presentation:
-    """The plumbing presentation of a constructor spec.  Mirrors and sums
-    have no single plumbing; they live at the chain level."""
-    if spec.kind == "torus":
-        return torus_plumbing(*spec.params)
-    if spec.kind in ("pretzel", "montesinos"):
-        return seifert_plumbing(*spec.seifert_invariants())
-    raise KnotSpecError(f"{spec.kind} specs do not have a plumbing presentation")
+    """The plumbing presentation of a constructor spec, `seifert_plumbing`
+    of its `seifert_invariants`.  The covering involution of a torus knot's
+    cover is isotopic to the identity, so it acts trivially on the root.
+    Mirrors and sums have no single plumbing; they live at the chain
+    level."""
+    if spec.kind not in ("torus", "pretzel", "montesinos"):
+        raise KnotSpecError(f"{spec.kind} specs do not have a plumbing presentation")
+    pres = seifert_plumbing(*spec.seifert_invariants())
+    return replace(pres, involution="trivial") if spec.kind == "torus" else pres
 
 
 # ---------------------------------------------------------------------------
