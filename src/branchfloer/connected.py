@@ -1,21 +1,29 @@
-"""The connected homology of a symmetric graded root, with no search.
+"""The connected homology of a symmetric graded root, with no search, and a
+directly presented knot's whole package read off its root.
 
 `monotone_subroot` keeps only a distinguished set of leaves, found by walking
 the stem downward from the highest-weight invariant vertex and collecting
 swapped leaf pairs of strictly increasing weight; one bottom-up pass gives
 every vertex its leaf count and its best swapped leaf, which is all the walk
-reads.  The homology of its model complex is the connected homology of the
-whole root (the image of a maximal self local equivalence, after
-Hendricks-Hom-Lidman), so a knot needs no enumeration of self-equivalences,
-and neither does a mirror, whose model is the dual (`knots` computes both, and
-`invariants(verify=True)` cross-checks them against that enumeration).  Sums
-still enumerate, but on the small models of monotone subroots.  `omega` reads
-the torsion exponent off the result.
+reads.  Its homology is the connected homology of the whole root (the image
+of a maximal self local equivalence, after Hendricks-Hom-Lidman), so a knot
+needs no enumeration of self-equivalences, and neither does a mirror, whose
+model is the dual.  Sums still enumerate, but on the small models of
+monotone subroots.
+
+A root's homology H(R) is the F[U]-module with one generator per vertex at
+its weight and U sending a vertex to its successor, a forest module that the
+elder rule decomposes (`_elder`).  So `_root_invariants` reads a knot's
+branched module (ker and coker of 1 + J on H(R), after Dai-Manolescu), its
+two corrections and its connected module (H of the monotone subroot) off the
+root, with no model complex, lift or cone; `knots.invariants(verify=True)`
+rebuilds them on that chain path and cross-checks.  `omega` reads the
+torsion exponent off the connected module.
 """
 
 from __future__ import annotations
 
-from .complexes import ConsistencyError, GradedUModule
+from .complexes import BranchedModule, ConsistencyError, GradedUModule
 from .roots import GradedRoot
 
 
@@ -104,6 +112,68 @@ def monotone_subroot(root: GradedRoot) -> GradedRoot:
     kept, so callers can tell that its model is the whole root's."""
     leaves = monotone_leaves(root)
     return root if len(leaves) == len(root.leaves) else _subroot_spanned(root, leaves)
+
+
+def _elder(root: GradedRoot, nodes, down, shift) -> tuple[list, list]:
+    """(towers, torsion) of the F[U]-module with one generator per vertex of
+    `root` in `nodes` at its weight + `shift`, U sending v to down(v), or to
+    0 where that is None, except that the bottom vertex carries on as a
+    tower.  By the elder rule: a summand runs down from its top until it
+    meets an older one."""
+    born: dict[int, int] = {}
+    towers, torsion = [], []
+    for v in sorted(nodes, key=root.levels.__getitem__):
+        top = born.setdefault(v, root.levels[v])
+        u = down(v)
+        if u is not None:
+            if u not in born:
+                born[u] = top
+                continue
+            top, born[u] = max(top, born[u]), min(top, born[u])
+        grading = root.offset + shift - 2 * top
+        if root.succ[v] is None:
+            towers.append(grading)
+        else:
+            torsion.append((grading, root.levels[v] - top + 1))
+    return towers, torsion
+
+
+def _module(towers, torsion) -> GradedUModule:
+    """Towers descending; torsion by descending grading, then length."""
+    return GradedUModule(
+        tuple(sorted(towers, reverse=True)), tuple(sorted(torsion, key=lambda t: (-t[0], t[1])))
+    )
+
+
+def _root_invariants(root: GradedRoot) -> tuple[BranchedModule, GradedUModule]:
+    """The branched and connected modules of a stable root with involution
+    J, shifted by -2 as a knot's are, with no chain complex.  H(root) has
+    one generator per vertex at its weight, U sending a vertex to its
+    successor.  Its parity is even, so the branched cone's homology is
+    ker(1 + J) at the weights plus coker(1 + J) one grading lower; both are
+    spanned by J-orbits, and in ker(1 + J) a swapped pair over an invariant
+    successor maps to 0.  The corrections are the top weight and that of the
+    highest invariant vertex; the connected module is H of the monotone
+    subroot."""
+    j, succ = root.involution, root.succ
+    if (bottoms := succ.count(None)) != 1:
+        raise ConsistencyError(f"expected a single tower, found one over each of {bottoms} bottoms")
+    orbits = [v for v in range(len(root)) if j[v] >= v]
+
+    def coker_down(v):
+        return None if succ[v] is None else min(succ[v], j[succ[v]])
+
+    def ker_down(v):
+        u = coker_down(v)
+        return None if j[v] != v and u is not None and j[u] == u else u
+
+    ker, coker = _elder(root, orbits, ker_down, -2), _elder(root, orbits, coker_down, -3)
+    lower = root.offset - 2 * min(root.levels[v] for v in orbits if j[v] == v) - 2
+    branched = BranchedModule(
+        root.d_invariant() - 2, lower, _module(ker[0] + coker[0], ker[1] + coker[1])
+    )
+    sub = monotone_subroot(root)
+    return branched, _module(*_elder(sub, range(len(sub)), sub.succ.__getitem__, -2))
 
 
 def omega(module: GradedUModule) -> int:

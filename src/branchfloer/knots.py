@@ -4,9 +4,10 @@ Torus, pretzel, and Montesinos knots all have branched covers that are
 Seifert fibered over the sphere, so every constructor spec reads off its
 Seifert invariants and one builder, `seifert_plumbing`, produces the
 star-shaped negative-definite plumbing together with the right spin
-characteristic vector and a recipe for the covering involution.  Mirrors
-dualize the resulting chain data and connected sums tensor it, so the full
-input language is
+characteristic vector and a recipe for the covering involution.  A knot
+presented directly has its invariants read off the graded root; mirrors
+dualize the chain data of their root's model and connected sums tensor it,
+so the full input language is
 
     torus(p,q) | pretzel(a1,...,ak) | montesinos(e; a1/b1, ...)
                | mirror(S) | sum(S, S, ...)
@@ -38,7 +39,7 @@ from .complexes import (
     tensor_complex,
     tensor_map,
 )
-from .connected import monotone_subroot, omega
+from .connected import _root_invariants, monotone_subroot, omega
 from .plumbing import (
     PlumbingTree,
     determinant_magnitude,
@@ -260,7 +261,10 @@ class KnotSpec:
     def montesinos(cls, e: int, fractions) -> "KnotSpec":
         """`fractions` as (numerator, denominator) pairs of integers."""
         fractions = tuple(fractions)
-        if any(type(x) is not int for pair in fractions for x in pair):
+        if not all(
+            isinstance(pair, (tuple, list)) and len(pair) == 2 and all(type(x) is int for x in pair)
+            for pair in fractions
+        ):
             raise KnotSpecError(f"montesinos fractions must be integer pairs, got {fractions}")
         try:
             fr = tuple(Fraction(a, b) for a, b in fractions)
@@ -496,14 +500,25 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
         for nxt in parts[1:]:
             out = _summed(out, nxt)
         return out
+    return _knot_eval(*_knot(spec, n_max))
+
+
+def _knot(spec: KnotSpec, n_max) -> tuple[Presentation, GradedRoot, int | None]:
+    """A constructor spec's presentation, its stable root and the signature
+    of the knot the tree presents (the mirror's if mirrored)."""
     pres = presentation(spec)
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
     root.require_stable()
-    sub = monotone_subroot(root)
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
-        # the signature of the knot the tree presents: the mirror's if mirrored
         sigma = goeritz_oracle(spec)[1] * (-1 if pres.mirrored else 1)
+    return pres, root, sigma
+
+
+def _knot_eval(pres: Presentation, root: GradedRoot, sigma) -> _Eval:
+    """The chain evaluation of a knot from its `_knot` data: the model of its
+    monotone subroot, dualized when the presentation is mirrored."""
+    sub = monotone_subroot(root)
     ev = _Eval(
         *_root_model(model_complex(sub)),
         True,
@@ -513,6 +528,17 @@ def _evaluate(spec: KnotSpec, n_max) -> _Eval:
         None if sub is root else root,
     )
     return _mirrored(ev) if pres.mirrored else ev
+
+
+def _check_tower(conn: GradedUModule, delta) -> None:
+    if conn.towers != (delta,):
+        raise ConsistencyError(f"connected module towers {conn.towers} disagree with delta {delta}")
+
+
+def _check_bracket(br: BranchedModule, delta) -> None:
+    if not br.lower <= delta <= br.upper:
+        raise ConsistencyError("branched correction terms bracket delta; got "
+                               f"{br.lower}, {delta}, {br.upper}")
 
 
 def _connected(ev: _Eval, rank_bound: int, verify: bool) -> GradedUModule:
@@ -526,10 +552,7 @@ def _connected(ev: _Eval, rank_bound: int, verify: bool) -> GradedUModule:
         conn = homology(ev.small_cx)
         if verify and connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound) != conn:
             raise ConsistencyError("connected homology cross-check failed")
-    if conn.towers != (ev.delta,):
-        raise ConsistencyError(
-            f"connected module towers {conn.towers} disagree with delta {ev.delta}"
-        )
+    _check_tower(conn, ev.delta)
     return conn
 
 
@@ -541,9 +564,7 @@ def _full_invariants(ev: _Eval) -> BranchedModule:
     if (delta := delta_invariant(cx)) != ev.delta:
         raise ConsistencyError(f"delta of the full complex {delta} differs from {ev.delta}")
     br = branched_invariants(cx, iota)
-    if not br.lower <= ev.delta <= br.upper:
-        raise ConsistencyError("branched correction terms bracket delta; got "
-                               f"{br.lower}, {ev.delta}, {br.upper}")
+    _check_bracket(br, ev.delta)
     return br
 
 
@@ -598,6 +619,17 @@ def _module_jsonable(m: GradedUModule) -> dict:
     }
 
 
+def _read_off(spec: KnotSpec, pres: Presentation, root: GradedRoot, sigma) -> InvariantPackage:
+    """The package of a directly presented knot read off its root
+    (`connected._root_invariants`), with the checks that are cheap there."""
+    delta = root.d_invariant() - 2
+    br, conn = _root_invariants(root)
+    _check_tower(conn, delta)
+    _check_bracket(br, delta)
+    det = determinant_magnitude(pres.tree)
+    return InvariantPackage(spec, delta, br.upper, br.lower, br.module, conn, det, sigma)
+
+
 def invariants(
     spec: KnotSpec,
     *,
@@ -607,17 +639,30 @@ def invariants(
 ) -> InvariantPackage:
     """Compute the full branched invariant package of a knot spec.
 
-    Mirrors and sums are evaluated on small locally equivalent models, so
-    the connected part of a sum stays inside `rank_bound`, which bounds the
-    search's complex rank, and its dimension at `rank_bound` + 8.  With `verify`
-    the fast connected computation is cross-checked against the exhaustive
-    search.
+    A directly presented knot (a torus, pretzel or Montesinos spec whose
+    plumbing is not the mirror's) has everything but `det` and `sigma` read
+    off its graded root, with no chain complex.  Mirrors and sums are
+    evaluated on small locally equivalent models, so the connected part of a
+    sum stays inside `rank_bound`, which bounds the search's complex rank,
+    and its dimension at `rank_bound` + 8.  With `verify` the fast connected
+    computation is cross-checked against the exhaustive search, and a
+    directly presented knot is computed on that chain path too, which must
+    agree with the read-off.
     """
-    ev = _evaluate(spec, n_max)
+    read_off = None
+    if spec.kind in ("mirror", "sum"):
+        ev = _evaluate(spec, n_max)
+    else:
+        pres, root, sigma = _knot(spec, n_max)
+        if not pres.mirrored:
+            read_off = _read_off(spec, pres, root, sigma)
+            if not verify:
+                return read_off
+        ev = _knot_eval(pres, root, sigma)
     # the search runs before the full complex is built
     conn = _connected(ev, rank_bound, verify)
     br = _full_invariants(ev)
-    return InvariantPackage(
+    package = InvariantPackage(
         spec=spec,
         delta=ev.delta,
         delta_upper=br.upper,
@@ -627,3 +672,8 @@ def invariants(
         det=ev.det,
         sigma=ev.sigma,
     )
+    if read_off is not None and read_off != package:
+        fields = ("delta", "delta_upper", "delta_lower", "branched", "connected")
+        differ = ", ".join(f for f in fields if getattr(read_off, f) != getattr(package, f))
+        raise ConsistencyError(f"the root read-off and the chain path disagree on {differ}")
+    return package

@@ -52,6 +52,13 @@ the pipeline produces by a different route, or builds a reference object.
 * `monotone_homology`: the connected homology of a root by the homology of
   its monotone subroot's model, checked against the brute-force search on
   the whole root's model whenever that search is within its default bounds.
+* `ref_root_invariants`: a directly presented knot's branched module, its
+  two corrections and its connected module from its root and involution
+  alone, each module decomposed by the ranks of U^k between the levels of
+  H(root), of ker(1 + J) and coker(1 + J) on it, or of H of the monotone
+  subroot: the reference for the package's elder-rule read-off, and what
+  the tests compare with the chain path (the branched cone of the lifted
+  model, the homology of the subroot's model).
 * `symmetric_reduction`: deletes swapped leaf pairs of a root one at a time,
   redirecting them onto an invariant vertex of the same weight, each step
   certified by an explicit local equivalence.  When it runs to completion
@@ -98,6 +105,7 @@ from fractions import Fraction
 
 from branchfloer import roots as rt
 from branchfloer.complexes import (
+    BranchedModule,
     ConsistencyError,
     GradedUModule,
     RankBoundExceeded,
@@ -596,6 +604,102 @@ def monotone_homology(root: GradedRoot) -> GradedUModule:
     if brute != module:
         raise ConsistencyError("monotone subroot disagrees with the brute-force image")
     return module
+
+
+# ---------------------------------------------------------------------------
+# a knot's package read off its root by ranks of U^k
+
+
+def _f2_rank(vectors) -> int:
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v and (top := v.bit_length() - 1) in pivots:
+            v ^= pivots[top]
+        if v:
+            pivots[top] = v
+    return len(pivots)
+
+
+def _f2_kernel(images: dict[int, int]) -> list[int]:
+    """A basis of the kernel of the map sending the bit of each key to its
+    value, as bitmasks over the keys."""
+    pivots: dict[int, tuple[int, int]] = {}
+    out = []
+    for key, v in images.items():
+        combo = 1 << key
+        while v and (top := v.bit_length() - 1) in pivots:
+            v ^= pivots[top][0]
+            combo ^= pivots[top][1]
+        if v:
+            pivots[top] = (v, combo)
+        else:
+            out.append(combo)
+    return out
+
+
+def _ref_bars(root: GradedRoot, part: str, shift) -> tuple[list, list]:
+    """(towers, torsion) of the F_2[U]-module H(root) (`part` "all"), of the
+    kernel of 1 + J on it ("ker") or of its cokernel ("coker"), graded by
+    weight + `shift`: H(root) has one generator per vertex at its weight, U
+    sending a vertex to its successor, and the bottom vertex of a stable root
+    carries on as a tower.  From the ranks r(n, k) of U^k from level n to
+    level n + k, a bar with top level n reaching level n + k is counted by
+    r(n, k) - r(n - 1, k + 1); a bar reaching level n_max is a tower."""
+    j = root.involution
+    lo, hi = root.n_min, root.n_max
+    verts = {n: root.vertices_at(n) for n in range(lo, hi + 1)}
+    if part == "ker":
+        gens = {n: _f2_kernel({v: (1 << v) ^ (1 << j[v]) for v in vs}) for n, vs in verts.items()}
+    else:
+        gens = {n: [1 << v for v in vs] for n, vs in verts.items()}
+    rels = {n: [(1 << v) ^ (1 << j[v]) for v in vs] if part == "coker" else [] for n, vs in verts.items()}
+
+    def down(vec, k):
+        out = 0
+        for v in _bits(vec):
+            for _ in range(k):
+                v = root.succ[v]
+            out ^= 1 << v
+        return out
+
+    def rank(n, k):
+        if n < lo:
+            return 0
+        images = [down(g, k) for g in gens[n]]
+        return _f2_rank(images + rels[n + k]) - _f2_rank(rels[n + k])
+
+    towers, torsion = [], []
+    for n in range(lo, hi + 1):
+        alive = [rank(n, k) - rank(n - 1, k + 1) for k in range(hi - n + 1)]
+        grading = root.offset - 2 * n + shift
+        towers += [grading] * alive[-1]
+        for k in range(hi - n):
+            torsion += [(grading, k + 1)] * (alive[k] - alive[k + 1])
+    return towers, torsion
+
+
+def _ref_module(towers, torsion) -> GradedUModule:
+    return GradedUModule(
+        tuple(sorted(towers, reverse=True)), tuple(sorted(torsion, key=lambda t: (-t[0], t[1])))
+    )
+
+
+def ref_root_invariants(root: GradedRoot) -> tuple[BranchedModule, GradedUModule]:
+    """The branched module and the connected module of a stable root, shifted
+    by -2 as a knot's are, with no chain complex: the branched cone's
+    homology is ker(1 + J) at the weights plus coker(1 + J) one grading
+    lower, its corrections the top weight and the weight of the highest
+    invariant vertex; the connected module is H of the monotone subroot
+    (`ref_monotone_leaves`)."""
+    ker = _ref_bars(root, "ker", -2)
+    coker = _ref_bars(root, "coker", -3)
+    j = root.involution
+    lower = max(root.weights[v] for v in range(len(root)) if j[v] == v) - 2
+    branched = BranchedModule(
+        root.d_invariant() - 2, lower, _ref_module(ker[0] + coker[0], ker[1] + coker[1])
+    )
+    sub = _subroot_spanned(root, ref_monotone_leaves(root))
+    return branched, _ref_module(*_ref_bars(sub, "all", -2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ import sympy
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer.complexes import (
+    ConsistencyError,
     GradedUModule,
     RankBoundExceeded,
     connected_homology_brute,
@@ -207,6 +211,14 @@ def test_montesinos_fractions_must_be_integer_pairs(fractions):
     # refused by name, not a TypeError from `Fraction` or a bool read as 1
     with pytest.raises(kn.KnotSpecError, match=r"must be integer pairs, got \(\("):
         kn.KnotSpec.montesinos(-1, fractions)
+
+
+@pytest.mark.parametrize("fractions", [((7,),), ((7, 3, 1),), (7,)])
+def test_montesinos_fractions_must_be_pairs(fractions):
+    # refused by name, not a ValueError from unpacking or a TypeError from
+    # iterating an integer
+    with pytest.raises(kn.KnotSpecError, match=r"must be integer pairs, got \("):
+        kn.KnotSpec.montesinos(0, fractions)
 
 
 def test_a_directly_built_spec_is_checked():
@@ -568,15 +580,15 @@ def test_connected_sum_pipeline():
 
 
 def test_invariants_build_one_model_per_whole_root_knot(monkeypatch):
-    # a knot whose monotone subroot keeps every leaf builds its model and
-    # lifts its involution once: its small model is its full one
+    # on the chain path, a knot whose monotone subroot keeps every leaf builds
+    # its model and lifts its involution once: its small model is its full one
     built = []
     model_complex = kn.model_complex
     monkeypatch.setattr(kn, "model_complex", lambda root: built.append(root) or model_complex(root))
     whole = 0
     for text in CORPUS + ["pretzel(3,-5,-7,9,11)"]:
         before = len(built)
-        kn.invariants(kn.parse_spec(text))
+        kn.invariants(kn.parse_spec(text), verify=True)
         assert len(built) - before in (1, 2)
         whole += len(built) - before == 1
     assert (len(built), whole) == (23, 11)  # 17 small models and 6 full ones
@@ -738,3 +750,60 @@ def test_package_serialization_shape():
     assert d["det"] == 1
     assert d["sigma"] == 8
     assert json.loads(json.dumps(d, sort_keys=True)) == d
+
+
+class _ChainPathRan(Exception):
+    pass
+
+
+def test_direct_knots_build_no_chain_complex(monkeypatch):
+    # a directly presented knot is read off its root; only `verify` builds
+    # the model, its lift and the branched cone, to check the read-off
+    def refused(*args, **kwargs):
+        raise _ChainPathRan
+
+    specs = [kn.parse_spec(t) for t in CORPUS + ["pretzel(3,-5,-7,9,11)"]]
+    direct = [s for s in specs if not kn.presentation(s).mirrored]
+    assert len(direct) == len(specs) - 1  # pretzel(-2,3,7) is presented mirrored
+    for name in ("model_complex", "lift_involution", "branched_invariants", "homology", "delta_invariant"):
+        monkeypatch.setattr(kn, name, refused)
+    for spec in direct:
+        package = kn.invariants(spec)
+        assert package.connected.towers == (package.delta,)
+        with pytest.raises(_ChainPathRan):
+            kn.invariants(spec, verify=True)
+
+
+def test_verify_catches_a_read_off_that_disagrees(monkeypatch, capsys):
+    read_off = kn._root_invariants
+
+    def one_more_summand(root):
+        br, conn = read_off(root)
+        module = GradedUModule(br.module.towers, br.module.torsion + ((br.upper, 1),))
+        return replace(br, module=module), conn
+
+    monkeypatch.setattr(kn, "_root_invariants", one_more_summand)
+    spec = kn.parse_spec("pretzel(7,-3,5)")
+    assert len(kn.invariants(spec).branched.torsion) == 4  # unchecked without verify
+    with pytest.raises(ConsistencyError, match="disagree on branched$"):
+        kn.invariants(spec, verify=True)
+    assert cli.main(["invariants", "pretzel(7,-3,5)", "--verify"]) == 1
+    assert "disagree on branched" in capsys.readouterr().err
+
+
+FROZEN = json.loads((Path(__file__).parent / "invariants_frozen.json").read_text())
+
+
+@pytest.mark.parametrize("label", list(FROZEN))
+def test_outputs_are_byte_identical_to_the_frozen_ones(label):
+    # the package JSON of the 17 `knots` benchmark inputs at n_max auto, 1
+    # and 3, three more direct knots, the corpus mirrors, the bench sums and
+    # the generators' pairwise sums, as the chain path computed them for
+    # every input; the two truncated probes end in the same instability
+    text, n_max = label.rsplit(" n_max=", 1)
+    spec = kn.parse_spec(text)
+    try:
+        got = kn.invariants(spec, n_max=None if n_max == "None" else int(n_max)).to_jsonable()
+    except InstabilityError as err:
+        got = {"error": "InstabilityError", "message": str(err)}
+    assert json.dumps(got) == json.dumps(FROZEN[label])
