@@ -197,9 +197,9 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
 
 
 def _checked_omega(ev, config: RunConfig) -> int:
-    """omega of an evaluation, from its small model; `--verify` adds the
-    delta and branched checks of the full complex, built from the roots
-    already built."""
+    """omega of an evaluation's connected module, a knot's read off and a
+    sum's searched; `--verify` adds the search for a knot too, and the delta
+    and branched checks of the full complex, from the roots already built."""
     if config.verify:
         knots._full_invariants(ev)
     return omega(knots._connected(ev, config.rank_bound, config.verify))

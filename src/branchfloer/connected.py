@@ -1,5 +1,5 @@
-"""The connected homology of a symmetric graded root, with no search, and a
-directly presented knot's whole package read off its root.
+"""The connected homology of a symmetric graded root, with no search, a
+knot's whole package read off its root, and the dual that mirrors one.
 
 `monotone_subroot` keeps only a distinguished set of leaves, found by walking
 the stem downward from the highest-weight invariant vertex and collecting
@@ -7,17 +7,17 @@ swapped leaf pairs of strictly increasing weight; one bottom-up pass gives
 every vertex its leaf count and its best swapped leaf, which is all the walk
 reads.  Its homology is the connected homology of the whole root (the image
 of a maximal self local equivalence, after Hendricks-Hom-Lidman), so a knot
-needs no enumeration of self-equivalences, and neither does a mirror, whose
-model is the dual.  Sums still enumerate, but on the small models of
-monotone subroots.
+needs no enumeration of self-equivalences.  Sums still enumerate, but on the
+small models of monotone subroots.
 
 A root's homology H(R) is the F[U]-module with one generator per vertex at
 its weight and U sending a vertex to its successor, a forest module that the
 elder rule decomposes (`_elder`).  So `_root_invariants` reads a knot's
 branched module (ker and coker of 1 + J on H(R), after Dai-Manolescu), its
-two corrections and its connected module (H of the monotone subroot) off the
-root, with no model complex, lift or cone; `knots.invariants(verify=True)`
-rebuilds them on that chain path and cross-checks.  `omega` reads the
+two corrections and its connected module (`_subroot_homology`) off the
+root, with no model complex, lift or cone, and a mirror's are the duals of
+its knot's (`_dual`, after Hendricks-Manolescu); `knots.invariants(verify=True)`
+rebuilds them on the chain path and cross-checks.  `omega` reads the
 torsion exponent off the connected module.
 """
 
@@ -107,9 +107,9 @@ def _subroot_spanned(root: GradedRoot, leaf_ids):
 
 
 def monotone_subroot(root: GradedRoot) -> GradedRoot:
-    """Subroot spanned by the distinguished leaves; computes the connected
-    homology through its model complex.  The root itself when every leaf is
-    kept, so callers can tell that its model is the whole root's."""
+    """Subroot spanned by the distinguished leaves, whose homology is the
+    connected module.  The root itself when every leaf is kept, so callers
+    can tell that its model is the whole root's."""
     leaves = monotone_leaves(root)
     return root if len(leaves) == len(root.leaves) else _subroot_spanned(root, leaves)
 
@@ -145,6 +145,19 @@ def _module(towers, torsion) -> GradedUModule:
     )
 
 
+def _dual(module: GradedUModule, shift) -> GradedUModule:
+    """The universal-coefficient dual of a module, shifted by `shift`: a
+    tower at g goes to -g, and F[U]/U^n with top g, whose two generators
+    have dx = U^n y, to the summand of top 2n - 1 - g."""
+    towers = [shift - g for g in module.towers]
+    return _module(towers, [(shift + 2 * n - 1 - g, n) for g, n in module.torsion])
+
+
+def _subroot_homology(sub: GradedRoot) -> GradedUModule:
+    """H of a monotone subroot, shifted by -2 as a knot's: the connected module."""
+    return _module(*_elder(sub, range(len(sub)), sub.succ.__getitem__, -2))
+
+
 def _root_invariants(root: GradedRoot) -> tuple[BranchedModule, GradedUModule]:
     """The branched and connected modules of a stable root with involution
     J, shifted by -2 as a knot's are, with no chain complex.  H(root) has
@@ -172,8 +185,7 @@ def _root_invariants(root: GradedRoot) -> tuple[BranchedModule, GradedUModule]:
     branched = BranchedModule(
         root.d_invariant() - 2, lower, _module(ker[0] + coker[0], ker[1] + coker[1])
     )
-    sub = monotone_subroot(root)
-    return branched, _module(*_elder(sub, range(len(sub)), sub.succ.__getitem__, -2))
+    return branched, _subroot_homology(monotone_subroot(root))
 
 
 def omega(module: GradedUModule) -> int:

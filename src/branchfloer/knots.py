@@ -4,10 +4,10 @@ Torus, pretzel, and Montesinos knots all have branched covers that are
 Seifert fibered over the sphere, so every constructor spec reads off its
 Seifert invariants and one builder, `seifert_plumbing`, produces the
 star-shaped negative-definite plumbing together with the right spin
-characteristic vector and a recipe for the covering involution.  A knot
-presented directly has its invariants read off the graded root; mirrors
-dualize the chain data of their root's model and connected sums tensor it,
-so the full input language is
+characteristic vector and a recipe for the covering involution.  A knot has
+its invariants read off the graded root, a mirror (or a mirrored
+presentation) takes the dual of its knot's package, and connected sums
+tensor the chain data of their roots' models, so the full input language is
 
     torus(p,q) | pretzel(a1,...,ak) | montesinos(e; a1/b1, ...)
                | mirror(S) | sum(S, S, ...)
@@ -17,7 +17,7 @@ parsed by `parse_spec` and evaluated by `invariants`.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import floor, gcd, prod
 import re
 
@@ -32,14 +32,13 @@ from .complexes import (
     delta_invariant,
     dual_complex,
     dual_map,
-    homology,
     lift_involution,
     model_complex,
     shift_complex,
     tensor_complex,
     tensor_map,
 )
-from .connected import _root_invariants, monotone_subroot, omega
+from .connected import _dual, _root_invariants, _subroot_homology, monotone_subroot, omega
 from .plumbing import (
     PlumbingTree,
     determinant_magnitude,
@@ -180,10 +179,14 @@ class KnotSpec:
     children: tuple["KnotSpec", ...] = ()
 
     def __post_init__(self):
+        if not all(isinstance(c, KnotSpec) for c in self.children):
+            raise KnotSpecError(f"{self.kind} children must be knot specs, got {self.children}")
         integers = self.params if self.kind in ("torus", "pretzel") else self.params[:1]
         if any(type(x) is not int for x in integers):
             raise KnotSpecError(f"{self.kind} parameters must be integers, got {self.params}")
         if self.kind == "torus":
+            if len(self.params) != 2:
+                raise KnotSpecError(f"torus takes two parameters, got {self.params}")
             p, q = self.params
             if abs(p) < 2 or abs(q) < 2:
                 raise KnotSpecError("torus parameters need |p|, |q| >= 2; smaller gives the unknot")
@@ -199,6 +202,8 @@ class KnotSpec:
             fractions = self.params[1:]
             if not fractions:
                 raise KnotSpecError("montesinos spec needs at least one fraction")
+            if any(type(f) is not Fraction for f in fractions):
+                raise KnotSpecError(f"montesinos fractions must be Fractions, got {fractions}")
             if 0 in fractions:
                 raise KnotSpecError("zero montesinos fraction")
             if any(abs(f.numerator) < 2 for f in fractions):
@@ -402,8 +407,8 @@ def presentation(spec: KnotSpec) -> Presentation:
     """The plumbing presentation of a constructor spec, `seifert_plumbing`
     of its `seifert_invariants`.  The covering involution of a torus knot's
     cover is isotopic to the identity, so it acts trivially on the root.
-    Mirrors and sums have no single plumbing; they live at the chain
-    level."""
+    Mirrors and sums have no single plumbing; they are evaluated from their
+    children."""
     if spec.kind not in ("torus", "pretzel", "montesinos"):
         raise KnotSpecError(f"{spec.kind} specs do not have a plumbing presentation")
     pres = seifert_plumbing(*spec.seifert_invariants())
@@ -420,14 +425,15 @@ class _Eval:
     its involution, delta of the full complex, what `full` builds the full
     complex from (a knot's root, or the evaluations of a mirror's one child
     or a sum's two), and diagram bookkeeping.  Plain data, so it pickles.
-    `direct` marks the small model as a monotone subroot model or its dual,
-    whose homology is the connected module with no search.  A knot whose
-    monotone subroot is its whole root keeps no root: its small model is the
-    full one.  `full` builds the root's model complex once (`model`)."""
+    `connected` is the connected module where no search is needed: a knot's
+    read off its monotone subroot, a mirror's the dual; None for a sum.  A
+    knot whose monotone subroot is its whole root keeps no root: its small
+    model is the full one.  `full` builds the root's model complex once
+    (`model`)."""
 
     small_cx: UComplex
     small_iota: UMap
-    direct: bool
+    connected: GradedUModule | None
     det: int
     sigma: int | None
     delta: Fraction
@@ -450,13 +456,9 @@ class _Eval:
         return model_complex(self.root)
 
 
-def _rebase(m: UMap, cx: UComplex) -> UMap:
-    return UMap(cx, cx, m.degree, m.rows)
-
-
 def _shifted(cx: UComplex, iota: UMap, s) -> tuple[UComplex, UMap]:
     out = shift_complex(cx, s)
-    return out, _rebase(iota, out)
+    return out, UMap(out, out, iota.degree, iota.rows)
 
 
 def _dualized(cx: UComplex, iota: UMap) -> tuple[UComplex, UMap]:
@@ -476,11 +478,12 @@ def _root_model(model) -> tuple[UComplex, UMap]:
 
 def _mirrored(ev: _Eval) -> _Eval:
     """The evaluation of the mirror of an evaluated spec: the dual of its
-    small model, and of its full complex on demand.  The dual of a direct
-    model is direct."""
+    small model and of its connected module, and of its full complex on
+    demand."""
     scx, siota = _dualized(ev.small_cx, ev.small_iota)
     sigma = None if ev.sigma is None else -ev.sigma
-    return _Eval(scx, siota, ev.direct, ev.det, sigma, -ev.delta, children=(ev,))
+    conn = None if ev.connected is None else _dual(ev.connected, 0)
+    return _Eval(scx, siota, conn, ev.det, sigma, -ev.delta, children=(ev,))
 
 
 def _summed(a: _Eval, b: _Eval) -> _Eval:
@@ -488,18 +491,14 @@ def _summed(a: _Eval, b: _Eval) -> _Eval:
     small models, and of their full complexes on demand."""
     scx, siota = _tensored((a.small_cx, a.small_iota), (b.small_cx, b.small_iota))
     sigma = None if a.sigma is None or b.sigma is None else a.sigma + b.sigma
-    return _Eval(scx, siota, False, a.det * b.det, sigma, a.delta + b.delta + 2, children=(a, b))
+    return _Eval(scx, siota, None, a.det * b.det, sigma, a.delta + b.delta + 2, children=(a, b))
 
 
 def _evaluate(spec: KnotSpec, n_max) -> _Eval:
     if spec.kind == "mirror":
         return _mirrored(_evaluate(spec.children[0], n_max))
     if spec.kind == "sum":
-        parts = [_evaluate(c, n_max) for c in spec.children]
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = _summed(out, nxt)
-        return out
+        return reduce(_summed, [_evaluate(c, n_max) for c in spec.children])
     return _knot_eval(*_knot(spec, n_max))
 
 
@@ -517,11 +516,12 @@ def _knot(spec: KnotSpec, n_max) -> tuple[Presentation, GradedRoot, int | None]:
 
 def _knot_eval(pres: Presentation, root: GradedRoot, sigma) -> _Eval:
     """The chain evaluation of a knot from its `_knot` data: the model of its
-    monotone subroot, dualized when the presentation is mirrored."""
+    monotone subroot and that subroot's homology, dualized when the
+    presentation is mirrored."""
     sub = monotone_subroot(root)
     ev = _Eval(
         *_root_model(model_complex(sub)),
-        True,
+        _subroot_homology(sub),
         determinant_magnitude(pres.tree),
         sigma,
         root.d_invariant() - 2,
@@ -542,16 +542,15 @@ def _check_bracket(br: BranchedModule, delta) -> None:
 
 
 def _connected(ev: _Eval, rank_bound: int, verify: bool) -> GradedUModule:
-    """The connected module of an evaluation, from its small model: the
-    homology of a direct model (cross-checked by the search with `verify`),
-    else the search, which is the step that can exceed its bounds.  Its one
-    tower is checked against the evaluation's delta."""
-    if not ev.direct:
+    """The connected module of an evaluation: the one it carries (checked
+    against the search of its small model with `verify`), else that search,
+    which is the step that can exceed its bounds.  Its one tower is checked
+    against the evaluation's delta."""
+    conn = ev.connected
+    if conn is None:
         conn = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
-    else:
-        conn = homology(ev.small_cx)
-        if verify and connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound) != conn:
-            raise ConsistencyError("connected homology cross-check failed")
+    elif verify and connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound) != conn:
+        raise ConsistencyError("connected homology cross-check failed")
     _check_tower(conn, ev.delta)
     return conn
 
@@ -619,15 +618,39 @@ def _module_jsonable(m: GradedUModule) -> dict:
     }
 
 
-def _read_off(spec: KnotSpec, pres: Presentation, root: GradedRoot, sigma) -> InvariantPackage:
-    """The package of a directly presented knot read off its root
-    (`connected._root_invariants`), with the checks that are cheap there."""
+def _dual_package(spec: KnotSpec, pkg: InvariantPackage) -> InvariantPackage:
+    """The package of `spec`, the mirror of `pkg`'s knot: delta negates, the
+    corrections negate and swap, the modules dualize (`connected._dual`), the
+    branched one shifted by -1, `sigma` negates and `det` stays."""
+    sigma = None if pkg.sigma is None else -pkg.sigma
+    br, conn = _dual(pkg.branched, -1), _dual(pkg.connected, 0)
+    upper, lower = -pkg.delta_lower, -pkg.delta_upper
+    return InvariantPackage(spec, -pkg.delta, upper, lower, br, conn, pkg.det, sigma)
+
+
+def _package(spec: KnotSpec, n_max, rank_bound: int) -> InvariantPackage:
+    """The default path: a knot read off its root
+    (`connected._root_invariants`, with the checks that are cheap there), a
+    mirror or a mirrored presentation dualized, a sum on the chain path."""
+    if spec.kind == "mirror":
+        return _dual_package(spec, _package(spec.children[0], n_max, rank_bound))
+    if spec.kind == "sum":
+        return _chain_package(spec, _evaluate(spec, n_max), rank_bound, False)
+    pres, root, sigma = _knot(spec, n_max)
     delta = root.d_invariant() - 2
     br, conn = _root_invariants(root)
     _check_tower(conn, delta)
     _check_bracket(br, delta)
     det = determinant_magnitude(pres.tree)
-    return InvariantPackage(spec, delta, br.upper, br.lower, br.module, conn, det, sigma)
+    pkg = InvariantPackage(spec, delta, br.upper, br.lower, br.module, conn, det, sigma)
+    return _dual_package(spec, pkg) if pres.mirrored else pkg
+
+
+def _chain_package(spec: KnotSpec, ev: _Eval, rank_bound: int, verify: bool) -> InvariantPackage:
+    # the search runs before the full complex is built
+    conn = _connected(ev, rank_bound, verify)
+    br = _full_invariants(ev)
+    return InvariantPackage(spec, ev.delta, br.upper, br.lower, br.module, conn, ev.det, ev.sigma)
 
 
 def invariants(
@@ -639,41 +662,19 @@ def invariants(
 ) -> InvariantPackage:
     """Compute the full branched invariant package of a knot spec.
 
-    A directly presented knot (a torus, pretzel or Montesinos spec whose
-    plumbing is not the mirror's) has everything but `det` and `sigma` read
-    off its graded root, with no chain complex.  Mirrors and sums are
-    evaluated on small locally equivalent models, so the connected part of a
-    sum stays inside `rank_bound`, which bounds the search's complex rank,
-    and its dimension at `rank_bound` + 8.  With `verify` the fast connected
-    computation is cross-checked against the exhaustive search, and a
-    directly presented knot is computed on that chain path too, which must
-    agree with the read-off.
+    A torus, pretzel or Montesinos spec has everything but `det` and `sigma`
+    read off its graded root, with no chain complex, and a mirror (or a
+    presentation whose plumbing is the mirror's) takes the dual of its
+    knot's package.  Sums are evaluated on small locally equivalent models,
+    so their connected part stays inside `rank_bound`, which bounds the
+    search's complex rank, and its dimension at `rank_bound` + 8.  With
+    `verify` every spec but a sum, whose default path this already is, is
+    rebuilt on the chain path with the connected module cross-checked by the
+    exhaustive search, and must agree field by field.
     """
-    read_off = None
-    if spec.kind in ("mirror", "sum"):
-        ev = _evaluate(spec, n_max)
-    else:
-        pres, root, sigma = _knot(spec, n_max)
-        if not pres.mirrored:
-            read_off = _read_off(spec, pres, root, sigma)
-            if not verify:
-                return read_off
-        ev = _knot_eval(pres, root, sigma)
-    # the search runs before the full complex is built
-    conn = _connected(ev, rank_bound, verify)
-    br = _full_invariants(ev)
-    package = InvariantPackage(
-        spec=spec,
-        delta=ev.delta,
-        delta_upper=br.upper,
-        delta_lower=br.lower,
-        branched=br.module,
-        connected=conn,
-        det=ev.det,
-        sigma=ev.sigma,
-    )
-    if read_off is not None and read_off != package:
-        fields = ("delta", "delta_upper", "delta_lower", "branched", "connected")
-        differ = ", ".join(f for f in fields if getattr(read_off, f) != getattr(package, f))
-        raise ConsistencyError(f"the root read-off and the chain path disagree on {differ}")
+    package = _package(spec, n_max, rank_bound)
+    if verify and spec.kind != "sum":
+        reference = _chain_package(spec, _evaluate(spec, n_max), rank_bound, True)
+        if differ := [k for k, v in vars(package).items() if v != vars(reference)[k]]:
+            raise ConsistencyError(f"the default and chain paths disagree on {', '.join(differ)}")
     return package

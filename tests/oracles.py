@@ -79,10 +79,11 @@ the pipeline produces by a different route, or builds a reference object.
   union-find sweep over 1-tuples and mapping each representative through
   the reflection: the reference for the package's merge tree of the central
   profile, whose reflection reverses each level's intervals.
-* `ref_isomorphisms`, `ref_is_isomorphic`: weight-preserving isomorphisms of
-  two stem-trimmed graded roots by backtracking over children of equal
-  shape, and the test that one of them commutes with the involutions: the
-  reference for the package's canonical key of a root.
+* `ref_isomorphisms`, `ref_is_isomorphic`: the weight-preserving
+  isomorphisms of two stem-trimmed graded roots that commute with the
+  involutions, by backtracking over children of equal shape and dropping a
+  partial map as soon as it breaks the involutions, and the test that one
+  exists: the reference for the package's canonical key of a root.
 * `linear_chain`: a linear plumbing, as a fixture.
 * `intersection_form`: the dense intersection form of a tree, the reference
   for the package's form read off the weights and edges.
@@ -1049,30 +1050,37 @@ def _shape_key(root, v, keep) -> tuple:
 
 def ref_isomorphisms(a, b):
     """Yield the weight-preserving isomorphisms (dicts a -> b) of the two
-    stem-trimmed roots, matching children of equal shape key in every order."""
+    stem-trimmed roots that carry a's involution to b's, matching children
+    of equal shape key in every order.
+
+    A partial map is dropped as soon as it sends some x to y and j(x) to
+    anything but j(y).  Children are matched in order of shape key, then of
+    the smaller id in their orbit, so the two halves of a swapped pair of
+    siblings are placed one after the other and a pair that b does not swap
+    is refused at once."""
     sa, sb = _trimmed(a), _trimmed(b)
+    ja, jb = a.involution, b.involution
     roots_a = sorted(v for v in sa if a.succ[v] not in sa)
     roots_b = sorted(v for v in sb if b.succ[v] not in sb)
 
-    def match(va, vb):
+    def match(va, vb, acc):
         if a.weights[va] != b.weights[vb]:
+            return
+        acc = {**acc, va: vb}
+        if ja[va] in acc and acc[ja[va]] != jb[vb]:
             return
         ca = [c for c in a.children(va) if c in sa]
         cb = [c for c in b.children(vb) if c in sb]
-        for sub in match_sets(ca, cb):
-            yield {va: vb, **sub}
+        yield from match_sets(ca, cb, acc)
 
-    def match_sets(ca, cb):
+    def match_sets(ca, cb, acc):
         if len(ca) != len(cb):
-            return
-        if not ca:
-            yield {}
             return
         keys_a = {c: _shape_key(a, c, sa) for c in ca}
         keys_b = {c: _shape_key(b, c, sb) for c in cb}
         if sorted(keys_a.values()) != sorted(keys_b.values()):
             return
-        ca = sorted(ca, key=lambda c: (keys_a[c], c))
+        ca = sorted(ca, key=lambda c: (keys_a[c], min(c, ja[c]), c))
 
         def assign(i, used, acc):
             if i == len(ca):
@@ -1082,22 +1090,17 @@ def ref_isomorphisms(a, b):
             for c2 in cb:
                 if c2 in used or keys_b[c2] != keys_a[c]:
                     continue
-                for sub in match(c, c2):
-                    yield from assign(i + 1, used | {c2}, {**acc, **sub})
+                for grown in match(c, c2, acc):
+                    yield from assign(i + 1, used | {c2}, grown)
 
-        yield from assign(0, frozenset(), {})
+        yield from assign(0, frozenset(), acc)
 
-    yield from match_sets(roots_a, roots_b)
+    yield from match_sets(roots_a, roots_b, {})
 
 
 def ref_is_isomorphic(a, b) -> bool:
-    """Whether some isomorphism of `ref_isomorphisms` carries a's involution
-    to b's."""
-    keep, ja, jb = _trimmed(a), a.involution, b.involution
-    return any(
-        all(ja[x] not in keep or phi.get(ja[x]) == jb[y] for x, y in phi.items())
-        for phi in ref_isomorphisms(a, b)
-    )
+    """Whether some isomorphism of `ref_isomorphisms` exists."""
+    return next(ref_isomorphisms(a, b), None) is not None
 
 
 # ---------------------------------------------------------------------------

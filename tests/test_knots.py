@@ -12,6 +12,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from branchfloer import cli
+from branchfloer import complexes as cxm
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer.complexes import (
@@ -230,6 +231,21 @@ def test_a_directly_built_spec_is_checked():
         kn.KnotSpec("mirror")
     with pytest.raises(kn.KnotSpecError, match="unknown knot kind"):
         kn.KnotSpec("figure_eight")
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: kn.KnotSpec("torus", (2, 3, 5)), "two parameters"),
+        (lambda: kn.KnotSpec("montesinos", (0, 2.5)), "must be Fractions"),
+        (lambda: kn.KnotSpec("mirror", (), ("torus(2,3)",)), "must be knot specs"),
+    ],
+)
+def test_a_malformed_direct_spec_raises_a_spec_error(make, message):
+    # not a ValueError from unpacking, an AttributeError from a float's
+    # numerator, or a text child that fails only when the spec is printed
+    with pytest.raises(kn.KnotSpecError, match=message):
+        make()
 
 
 def test_presentation_rejects_derived_specs():
@@ -609,7 +625,7 @@ def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):
         return tensor_complex(a, b)
 
     monkeypatch.setattr(kn, "branched_invariants", unreachable)
-    monkeypatch.setattr(kn, "homology", unreachable)
+    monkeypatch.setattr(kn, "delta_invariant", unreachable)
     monkeypatch.setattr(kn, "tensor_complex", recorded)
     spec = kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9),pretzel(15,-7,13))")
     with pytest.raises(RankBoundExceeded, match="rank exceeds bound 16"):
@@ -694,16 +710,18 @@ def evaluated_specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(evaluated_specs())
 def test_evaluation_delta_is_read_off_the_roots(spec):
-    # delta, set where each node is built, is that of the full complex; a
-    # direct model (a knot's monotone subroot, or a mirror's dual of one)
-    # has the search's connected homology
+    # delta, set where each node is built, is that of the full complex; the
+    # connected module a knot carries (read off its monotone subroot, or a
+    # mirror's dual of one) is its small model's homology and the search's
     try:
         ev = kn._evaluate(spec, None)
     except InstabilityError:
         reject()
     assert ev.delta == delta_invariant(ev.full()[0])
-    if ev.direct:
-        assert homology(ev.small_cx) == connected_homology_brute(ev.small_cx, ev.small_iota, 16)
+    assert (ev.connected is None) == (spec.kind == "sum")
+    if ev.connected is not None:
+        assert ev.connected == homology(ev.small_cx)
+        assert ev.connected == connected_homology_brute(ev.small_cx, ev.small_iota, 16)
 
 
 def test_a_mirror_runs_the_search_only_to_verify(monkeypatch):
@@ -715,6 +733,63 @@ def test_a_mirror_runs_the_search_only_to_verify(monkeypatch):
     assert calls == []
     assert kn.invariants(spec, verify=True) == plain
     assert len(calls) == 1
+
+
+@st.composite
+def constructor_specs(draw, most_strands=5):
+    """A torus, a 3- to `most_strands`-strand pretzel or a Montesinos spec, as
+    a function of the sign that mirrors it: the sign negates one torus
+    parameter, every strand, or e and every fraction.  Strands or numerators
+    of one sign mostly give stems, so some draws turn the first against the
+    rest, and known pretzels with torsion are mixed in."""
+    kind = draw(st.sampled_from(["torus", "pretzel", "montesinos"]))
+    if kind == "torus":
+        p, q = draw(st.sampled_from([(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5)]))
+        return lambda sign: kn.KnotSpec.torus(p, sign * q)
+    size = st.integers(2, 9)
+    if kind == "pretzel":
+        strands = draw(st.one_of(
+            st.sampled_from([(7, -3, 5), (11, -5, 9), (2, -3, -7), (-2, 3, 7), (3, -5, -7, 9, 11)]),
+            st.lists(st.integers(-9, 9).filter(lambda a: abs(a) > 1), min_size=3, max_size=most_strands),
+            st.lists(size, min_size=3, max_size=most_strands).map(lambda l: (-l[0], *l[1:])),
+        ))
+        return lambda sign: kn.KnotSpec.pretzel(*(sign * a for a in strands))
+    e = draw(st.integers(-2, 2))
+    fractions = draw(st.lists(st.tuples(size, st.integers(1, 8)), min_size=2, max_size=3))
+    if draw(st.booleans()):
+        fractions[0] = (-fractions[0][0], fractions[0][1])
+    return lambda sign: kn.KnotSpec.montesinos(sign * e, [(sign * a, b) for a, b in fractions])
+
+
+@st.composite
+def mirrored_specs(draw):
+    """A mirror or a double mirror of a constructor spec, a constructor spec
+    whose presentation is mirrored, or the mirror of a sum of two small
+    ones."""
+    form = draw(st.sampled_from(["mirror", "double mirror", "presentation", "sum"]))
+    try:
+        if form == "sum":
+            first, second = (draw(constructor_specs(3))(draw(st.sampled_from([1, -1]))) for _ in "ab")
+            return kn.KnotSpec.mirror(kn.KnotSpec.connected_sum(first, second))
+        make = draw(constructor_specs())
+        if form == "presentation":
+            return make(1) if kn.presentation(make(1)).mirrored else make(-1)
+        spec = kn.KnotSpec.mirror(make(draw(st.sampled_from([1, -1]))))
+        return kn.KnotSpec.mirror(spec) if form == "double mirror" else spec
+    except kn.KnotSpecError:
+        reject()
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirrored_specs(), st.sampled_from([None, 1, 3]))
+def test_a_mirror_is_the_dual_of_its_knots_package(spec, n_max):
+    # the default path dualizes the package of the mirrored knot; the chain
+    # path dualizes its chain data and computes the package from that
+    try:
+        package = kn.invariants(spec, n_max=n_max)
+    except InstabilityError:
+        reject()
+    assert package == kn._chain_package(spec, kn._evaluate(spec, n_max), 16, False)
 
 
 @pytest.mark.parametrize(
@@ -752,26 +827,38 @@ def test_package_serialization_shape():
     assert json.loads(json.dumps(d, sort_keys=True)) == d
 
 
-class _ChainPathRan(Exception):
-    pass
+# the chain path's functions, each patched in the module that looks it up
+CHAIN_PATH = [
+    (kn, "model_complex"),
+    (kn, "lift_involution"),
+    (kn, "branched_invariants"),
+    (kn, "delta_invariant"),
+    (kn, "connected_homology_brute"),
+    (cxm, "homology"),
+]
 
 
-def test_direct_knots_build_no_chain_complex(monkeypatch):
-    # a directly presented knot is read off its root; only `verify` builds
-    # the model, its lift and the branched cone, to check the read-off
-    def refused(*args, **kwargs):
-        raise _ChainPathRan
+def test_the_default_path_builds_no_chain_complex(monkeypatch):
+    # a knot is read off its root, and a mirror or a mirrored presentation
+    # (pretzel(-2,3,7)) takes the dual of its knot's package; only `verify`
+    # rebuilds them on the chain path, which must agree
+    calls = []
 
-    specs = [kn.parse_spec(t) for t in CORPUS + ["pretzel(3,-5,-7,9,11)"]]
-    direct = [s for s in specs if not kn.presentation(s).mirrored]
-    assert len(direct) == len(specs) - 1  # pretzel(-2,3,7) is presented mirrored
-    for name in ("model_complex", "lift_involution", "branched_invariants", "homology", "delta_invariant"):
-        monkeypatch.setattr(kn, name, refused)
-    for spec in direct:
-        package = kn.invariants(spec)
-        assert package.connected.towers == (package.delta,)
-        with pytest.raises(_ChainPathRan):
-            kn.invariants(spec, verify=True)
+    def recorded(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    for module, name in CHAIN_PATH:
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    assert kn.presentation(kn.parse_spec("pretzel(-2,3,7)")).mirrored
+    for text in CORPUS + ["pretzel(3,-5,-7,9,11)"]:
+        knot = kn.parse_spec(text)
+        for spec in (knot, kn.KnotSpec.mirror(knot), kn.KnotSpec.mirror(kn.KnotSpec.mirror(knot))):
+            package = kn.invariants(spec)
+            assert calls == [], spec
+            assert package.connected.towers == (package.delta,)
+            assert kn.invariants(spec, verify=True) == package
+            assert set(calls) == {name for _, name in CHAIN_PATH}, spec
+            calls.clear()
 
 
 def test_verify_catches_a_read_off_that_disagrees(monkeypatch, capsys):
@@ -789,6 +876,16 @@ def test_verify_catches_a_read_off_that_disagrees(monkeypatch, capsys):
         kn.invariants(spec, verify=True)
     assert cli.main(["invariants", "pretzel(7,-3,5)", "--verify"]) == 1
     assert "disagree on branched" in capsys.readouterr().err
+    monkeypatch.undo()
+    # a sigma negated twice differs in sigma alone, which the message names
+    dual = kn._dual_package
+    monkeypatch.setattr(kn, "_dual_package", lambda spec, pkg: replace(dual(spec, pkg), sigma=pkg.sigma))
+    spec = kn.parse_spec("pretzel(-2,3,7)")
+    assert kn.invariants(spec).sigma == 8  # unchecked without verify
+    with pytest.raises(ConsistencyError, match="disagree on sigma$"):
+        kn.invariants(spec, verify=True)
+    assert cli.main(["invariants", "pretzel(-2,3,7)", "--verify"]) == 1
+    assert "disagree on sigma" in capsys.readouterr().err
 
 
 FROZEN = json.loads((Path(__file__).parent / "invariants_frozen.json").read_text())

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -548,6 +549,32 @@ def test_isomorphism_key_matches_the_backtracking_matcher(pair):
     want = ref_is_isomorphic(a, b)
     assert a.is_isomorphic(b) == want
     assert b.is_isomorphic(a) == want
+
+
+def _fan(involution):
+    """Equal leaves, one per entry of `involution`, over a single vertex."""
+    k = len(involution)
+    return rt.GradedRoot(
+        levels=(0,) * k + (1, 2),
+        offset=Fraction(0),
+        succ=(k,) * k + (k + 1, None),
+        involution=tuple(involution) + (k, k + 1),
+        stable=True,
+    )
+
+
+def test_both_matchers_refuse_a_fan_whose_swaps_differ():
+    # twelve equal leaves have 12! weight isomorphisms; the oracle must drop
+    # each partial map that breaks the involutions, not list them all.  Leaf
+    # i is swapped with i + 6, so a swapped pair's halves are not neighbours
+    swapped = _fan([(i + 6) % 12 for i in range(12)])
+    fixed = _fan(range(12))
+    fewer = _fan([(i + 5) % 10 for i in range(10)] + [10, 11])  # five pairs
+    for a, b in itertools.permutations((swapped, fixed, fewer), 2):
+        assert not a.is_isomorphic(b)
+        assert not ref_is_isomorphic(a, b)
+    for a in (swapped, fixed, fewer):
+        assert a.is_isomorphic(a) and ref_is_isomorphic(a, a)
 
 
 def test_involution_selection():
