@@ -10,9 +10,9 @@ Subcommands:
 A knot spec uses the grammar
 ``torus(p,q) | pretzel(a1,...,ak) | montesinos(e; a1/b1, ...) | mirror(S) |
 sum(S, S, ...)``.  The root subcommand also accepts a plumbing tree as JSON
-(``{"weights": [...], "edges": [[i,j], ...]}``, optionally with
-"automorphism", "char" and "involution"; the fields are described under
-"Plumbing JSON input" in README.md) either inline or on stdin via ``-``.
+(``{"weights": [...], "edges": [[i,j], ...]}``, optionally with "char"
+and "involution"; the fields are described under "Plumbing JSON input" in
+README.md) either inline or on stdin via ``-``.
 
 Exit codes: 0 success, 2 malformed input or usage, 3 no definite cover
 presentation, 4 unstable truncation, 1 an internal fault (a failed
@@ -95,18 +95,19 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
     """Parse the plumbing JSON input ("Plumbing JSON input" in README.md);
     every malformed or unknown field, `char` included, is a KnotSpecError."""
     for field in doc:
-        if field not in ("weights", "edges", "automorphism", "char", "involution"):
+        if field not in ("weights", "edges", "char", "involution"):
             raise knots.KnotSpecError(f"bad plumbing JSON: unknown field {json.dumps(field)}")
     try:
         weights = _ints(doc["weights"], "weights")
-        edges = tuple(_ints(e, "edges") for e in doc.get("edges", []))
-        aut = doc.get("automorphism")
-        tree = plumbing.PlumbingTree(
-            weights, edges, automorphism=None if aut is None else _ints(aut, "automorphism")
-        )
+        edges = doc.get("edges", [])
+        if not isinstance(edges, list) or any(type(e) is not list or len(e) != 2 for e in edges):
+            raise ValueError(f"edges must be a list of integer pairs, got {json.dumps(edges)}")
+        tree = plumbing.PlumbingTree(weights, tuple(_ints(e, "edges") for e in edges))
         char = doc.get("char")
         char = None if char is None else _ints(char, "char")
-        involution = str(doc.get("involution", "auto"))
+        involution = doc.get("involution", "auto")
+        if type(involution) is not str:
+            raise ValueError(f"involution must be a string, got {json.dumps(involution)}")
     except (KeyError, TypeError, ValueError) as err:
         raise knots.KnotSpecError(f"bad plumbing JSON: {err}")
     if char is not None and len(char) != len(tree):
@@ -135,7 +136,6 @@ def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
             "version": __version__,
             "weights": list(tree.weights),
             "edges": [list(e) for e in tree.edges],
-            "automorphism": list(tree.automorphism) if tree.automorphism else None,
             "char": list(char) if char else None,
             "involution": involution,
             "n_max": config.n_max,

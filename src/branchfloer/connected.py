@@ -56,10 +56,8 @@ def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:
             best[v] = (root.levels[v], v)
     v0 = min(invariant, key=lambda v: (root.levels[v], v))
     if count[v0] == 1:
-        leaf = v0
-        while root.children(leaf):
-            (leaf,) = root.children(leaf)
-        floor, selected = root.levels[leaf], {leaf}
+        # v0 is a leaf: a lone child of v0 would be invariant one level below it
+        floor, selected = root.levels[v0], {v0}
     elif best[v0] is None:
         raise ConsistencyError("no invariant leaf and no swapped pair over v0")
     else:

@@ -78,11 +78,11 @@ def negative_continued_fraction(p: int, q: int) -> list[int]:
 class Presentation:
     """A negative-definite plumbing presenting a branched double cover.
 
-    `involution` names the symmetry the graded root should carry: "trivial"
-    for a torus knot, "auto" (the lattice reflection) for a pretzel or
-    Montesinos knot.  The tree declares no automorphism.  When the definite
-    side belongs to the mirror, `mirrored` is set and consumers must
-    dualize whatever they compute.
+    `involution` names how the covering involution acts on the graded root:
+    "trivial" (the identity) for a torus knot, "auto" (the lattice
+    reflection) for a pretzel or Montesinos knot.  When the definite side
+    belongs to the mirror, `mirrored` is set and consumers must dualize
+    whatever they compute.
     """
 
     tree: PlumbingTree
@@ -179,6 +179,10 @@ class KnotSpec:
     children: tuple["KnotSpec", ...] = ()
 
     def __post_init__(self):
+        if self.kind in ("mirror", "sum") and self.params:
+            raise KnotSpecError(f"{self.kind} takes child specs, not parameters, got {self.params}")
+        if self.kind in ("torus", "pretzel", "montesinos") and self.children:
+            raise KnotSpecError(f"{self.kind} takes parameters, not child specs")
         if not all(isinstance(c, KnotSpec) for c in self.children):
             raise KnotSpecError(f"{self.kind} children must be knot specs, got {self.children}")
         integers = self.params if self.kind in ("torus", "pretzel") else self.params[:1]

@@ -27,17 +27,10 @@ class DefinitenessError(ValueError):
 
 @dataclass(frozen=True)
 class PlumbingTree:
-    """Weighted tree on vertices 0..n-1, with an optional declared symmetry.
-
-    `automorphism`, when present, is a permutation p of the vertices with
-    weights[p[i]] == weights[i] preserving the edge set; constructors use it to
-    declare a geometric symmetry (for instance the leg swap of an even torus
-    knot cover) whose induced map on graded roots we need downstream.
-    """
+    """Weighted tree on vertices 0..n-1."""
 
     weights: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    automorphism: tuple[int, ...] | None = None
 
     def __post_init__(self):
         n = len(self.weights)
@@ -57,15 +50,6 @@ class PlumbingTree:
             raise ValueError("not a tree: wrong edge count")
         if len(self._breadth_first[0]) != n:
             raise ValueError("edges contain a cycle")
-        p = self.automorphism
-        if p is not None:
-            if sorted(p) != list(range(n)):
-                raise ValueError("automorphism is not a permutation")
-            if any(self.weights[p[i]] != self.weights[i] for i in range(n)):
-                raise ValueError("automorphism does not preserve weights")
-            mapped = {tuple(sorted((p[a], p[b]))) for a, b in self.edges}
-            if mapped != set(self.edges):
-                raise ValueError("automorphism does not preserve edges")
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -268,7 +252,7 @@ def determinant_magnitude(tree: PlumbingTree) -> int:
 # convenient builders
 
 
-def star(center_weight: int, legs: list[list[int]], automorphism=None) -> PlumbingTree:
+def star(center_weight: int, legs: list[list[int]]) -> PlumbingTree:
     """Star-shaped tree: a center and chains hanging off it.
 
     Each leg lists weights from the center outward.  Vertex 0 is the center;
@@ -282,5 +266,5 @@ def star(center_weight: int, legs: list[list[int]], automorphism=None) -> Plumbi
             weights.append(w)
             edges.append((prev, len(weights) - 1))
             prev = len(weights) - 1
-    return PlumbingTree(tuple(weights), tuple(edges), automorphism)
+    return PlumbingTree(tuple(weights), tuple(edges))
 

@@ -23,9 +23,8 @@ tree's shape:
   intervals of the central profile, so the root is its merge tree, read off
   in one pass (`_merge_tree`).
 
-Both compute two candidate involutions, the chi-preserving lattice reflection
-l -> -l - Q^{-1}k and the map induced by a declared tree automorphism, and
-keep the one selected.
+Both compute the chi-preserving lattice reflection l -> -l - Q^{-1}k when
+Q^{-1}k is integral, and the root carries it or the identity, as selected.
 """
 
 from __future__ import annotations
@@ -292,23 +291,19 @@ def _checked_char(tree, k):
     return k
 
 
-def _finished(fields, engine, reflection, graph_perm, select):
-    """The root of assembled `fields` with the involution `select` names
-    among the candidates, validated once: "auto" takes the declared
-    automorphism, else the lattice reflection, else the trivial one."""
-    named = {
-        "automorphism": (graph_perm, "graph automorphism"),
-        "reflection": (reflection, "lattice reflection"),
-        "trivial": (tuple(range(len(fields["levels"]))), None),
-    }
+def _finished(fields, engine, reflection, select):
+    """The root of assembled `fields` with the involution `select` names,
+    validated once: "reflection" is the lattice reflection (None where it is
+    undefined), "trivial" the identity, and "auto" the reflection when it is
+    defined, else the identity."""
+    named = {"reflection": reflection, "trivial": tuple(range(len(fields["levels"])))}
     if select == "auto":
-        select = next(which for which, (perm, _) in named.items() if perm is not None)
+        select = "trivial" if reflection is None else "reflection"
     if select not in named:
         raise ValueError(f"unknown involution {select!r}")
-    involution, what = named[select]
-    if involution is None:
-        raise ValueError(f"no {what} attached to this root")
-    return GradedRoot(**fields, involution=involution, engine=engine)
+    if named[select] is None:
+        raise ValueError("no lattice reflection attached to this root")
+    return GradedRoot(**fields, involution=named[select], engine=engine)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +507,7 @@ def build_root_box(
     )
     reps, levels = [sweep.reps[c] for c in order], fields["levels"]
     refl = _perm_from_map(reps, levels, comp_index, sweep, lambda p: reflect(tree, k, p))
-    gperm = None
-    if tree.automorphism is not None:
-        ainv = [tree.automorphism.index(v) for v in range(len(tree))]
-        gperm = _perm_from_map(
-            reps, levels, comp_index, sweep, lambda p: tuple(p[a] for a in ainv)
-        )
-    return _finished(fields, "box", refl, gperm, involution)
+    return _finished(fields, "box", refl, involution)
 
 
 # ---------------------------------------------------------------------------
@@ -715,12 +704,7 @@ def _star_root(tree, k, center, legs, n_max, involution):
             if [[rho - b, rho - a] for a, b, _ in reversed(comps)] != [c[:2] for c in comps]:
                 raise ConsistencyError("lattice reflection does not preserve the central profile")
         refl = tuple(at[x] + at[x + 1] - 1 - v for v, (x, _, _) in enumerate(vertices))
-    # a slice- and chi-preserving automorphism maps every component, being an
-    # interval of slices, to itself
-    gperm, aut = None, tree.automorphism
-    if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
-        gperm = tuple(range(len(vertices)))
-    return _finished(fields, "star", refl, gperm, involution)
+    return _finished(fields, "star", refl, involution)
 
 
 def _is_star(tree: PlumbingTree) -> bool:

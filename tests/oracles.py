@@ -1022,10 +1022,7 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
         )
         if refl is None:
             raise ConsistencyError("lattice reflection does not preserve the central profile")
-    gperm, aut = None, tree.automorphism
-    if aut is not None and aut[center] == center and all(k[a] == k[v] for v, a in enumerate(aut)):
-        gperm = tuple(range(len(order)))
-    return rt._finished(fields, "star", refl, gperm, involution)
+    return rt._finished(fields, "star", refl, involution)
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,27 @@ def test_root_with_tight_cap_reports_instability():
     assert "level 0" in proc.stderr
 
 
-def test_root_accepts_a_declared_automorphism():
-    doc = '{"weights": [-2, -3, -3], "edges": [[0, 1], [0, 2]], "automorphism": [0, 2, 1]}'
-    proc = run_cli("root", doc, "--format", "text")
-    assert proc.returncode == 0
-    assert "d_invariant 1/4" in proc.stdout
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        # a declared leg swap, which the star engine took as the identity
+        pytest.param(
+            '"automorphism": [0, 2, 1]',
+            'bad plumbing JSON: unknown field "automorphism"',
+            id="field",
+        ),
+        pytest.param(
+            '"involution": "automorphism"', "unknown involution 'automorphism'", id="name"
+        ),
+    ],
+)
+def test_root_rejects_a_declared_automorphism(capsys, extra, message):
+    # a root carries the lattice reflection or the identity, nothing else
+    doc = '{"weights": [-2, -3, -3], "edges": [[0, 1], [0, 2]], %s}' % extra
+    assert cli.main(["root", doc]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
 
 
 @pytest.mark.parametrize("python_flags", [(), ("-O",)])
@@ -173,7 +189,7 @@ def test_root_rejects_a_char_of_the_wrong_length():
         ('{"weights": [true, -3], "edges": [[0, 1]]}', "weights"),
         ('{"weights": "-2"}', "weights"),
         ('{"weights": [-2, -3], "edges": [[0, 1.0]]}', "edges"),
-        ('{"weights": [-2, -2], "edges": [[0, 1]], "automorphism": [1, false]}', "automorphism"),
+        ('{"weights": [-2, -2], "edges": [[0, true]]}', "edges"),
     ],
 )
 def test_root_rejects_plumbing_json_that_is_not_integer(capsys, doc, field):
@@ -187,13 +203,33 @@ def test_root_rejects_plumbing_json_that_is_not_integer(capsys, doc, field):
 
 @pytest.mark.parametrize("value", ["0", "false", '""', "{}", "[]"])
 def test_root_rejects_a_falsy_automorphism(capsys, value):
-    # a value that is false in Python is still not "no automorphism": exit 2,
-    # and the message names the field ([] is a list but no permutation)
+    # a value that is false in Python does not make the field absent: exit 2,
+    # and the message names the field
     doc = '{"weights": [-2, -2], "edges": [[0, 1]], "automorphism": %s}' % value
     assert cli.main(["root", doc]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert "bad plumbing JSON: automorphism" in out.err
+    assert 'bad plumbing JSON: unknown field "automorphism"' in out.err
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"weights": [-2, -2], "edges": [[0, 1, 1]]}', "edges must be a list of integer pairs"),
+        ('{"weights": [-2, -2], "edges": [[0]]}', "edges must be a list of integer pairs"),
+        ('{"weights": [-2, -2], "edges": {"0": 1}}', "edges must be a list of integer pairs"),
+        ('{"weights": [-2, -2], "edges": "01"}', "edges must be a list of integer pairs"),
+        ('{"weights": [-2], "involution": null}', "involution must be a string"),
+        ('{"weights": [-2], "involution": ["trivial"]}', "involution must be a string"),
+    ],
+)
+def test_root_rejects_plumbing_json_of_the_wrong_shape(capsys, doc, message):
+    # not an unpacking error, a string's characters read as edges, or a
+    # value printed into an unknown involution name
+    assert cli.main(["root", doc]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: bad plumbing JSON: {message}, got " in out.err
 
 
 def test_root_rejects_an_unknown_plumbing_json_field(capsys):

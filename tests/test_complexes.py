@@ -36,6 +36,7 @@ from oracles import (
     standard_swap_complex,
     zero_map,
 )
+from test_roots import H_EDGES, symmetric_roots
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 
@@ -274,13 +275,16 @@ def lift_roots(draw):
     """Roots to lift, one tree's root under each involution it offers (its
     own first): star roots of random pretzels or of pretzels near the
     generators, adaptive or cut at a low level (several leaves, often
-    swapped, and several components when cut), or box roots of the H-shaped
+    swapped, and several components when cut), box roots of the H-shaped
     trees, the only trees of up to 6 vertices that are not stars, half of
-    them declaring the symmetry that swaps their two nodes, with the spin
+    them with sides equal under the swap of their two nodes, with the spin
     vector or a twisted one and the stop adaptive or at one of the lowest
-    levels."""
+    levels, or one hand-built root under an involution that is mostly
+    neither a reflection nor the identity (`symmetric_roots`)."""
     n_max = draw(st.sampled_from([None, 1, 3]))
-    source = draw(st.sampled_from(["pretzel", "near generator", "box"]))
+    source = draw(st.sampled_from(["pretzel", "near generator", "box", "hand"]))
+    if source == "hand":
+        return [draw(symmetric_roots())]
     if source == "pretzel":
         pres = draw(pretzel_presentations())
     elif source == "near generator":
@@ -295,11 +299,11 @@ def lift_roots(draw):
     a, c = (draw(st.integers(-5, -2)) for _ in "ac")
     b = draw(st.integers(-3, -2))
     if draw(st.booleans()):
-        weights, aut = (a, b, c, b, a, c), (4, 3, 5, 1, 0, 2)
+        weights = (a, b, c, b, a, c)
     else:
         d, e, f = draw(st.integers(-3, -2)), draw(st.integers(-5, -2)), draw(st.integers(-5, -2))
-        weights, aut = (a, b, c, d, e, f), None
-    tree = pl.PlumbingTree(weights, ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)), aut)
+        weights = (a, b, c, d, e, f)
+    tree = pl.PlumbingTree(weights, H_EDGES)
     try:
         k = pl.spin_char(tree)
     except pl.DefinitenessError:
@@ -316,7 +320,7 @@ def _under_each_involution(build, tree, k, n_max, own):
     """The roots `build` makes under `own` and each named involution the
     root has; rejects a stop level below the minimum of chi."""
     roots = []
-    for which in dict.fromkeys((own, "reflection", "automorphism", "trivial")):
+    for which in dict.fromkeys((own, "reflection", "trivial")):
         try:
             roots.append(build(tree, k, n_max=n_max, involution=which))
         except rt.InstabilityError:

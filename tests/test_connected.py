@@ -16,11 +16,18 @@ from oracles import (
     is_negative_definite,
     module_dim_at,
     monotone_homology,
+    ref_monotone_leaves,
     ref_root_invariants,
     symmetric_reduction,
 )
 from test_acceptance import CORPUS
-from test_roots import BRANCHING_STARS, H_EDGES, INVOLUTIONS, stars_with_symmetries
+from test_roots import (
+    BRANCHING_STARS,
+    H_EDGES,
+    INVOLUTIONS,
+    stars_with_symmetries,
+    symmetric_roots,
+)
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 THREE_LEAF = pl.star(-1, [[-3], [-3], [-4, -2]])
@@ -61,6 +68,23 @@ def test_monotone_subroot_is_the_root_exactly_when_every_leaf_is_kept():
         assert (sub is root) == keeps_all
         assert len(sub.leaves) == len(cn.monotone_leaves(root))
     assert 0 < whole < len(roots)
+
+
+def test_the_stem_walk_adopts_a_heavier_swapped_pair():
+    # v0 is the invariant leaf 2; one level down the stem, the swapped pair
+    # 0, 1 (over the swapped 3, 4) joins and outweighs it, so it is adopted
+    r = rt.GradedRoot(
+        levels=(0, 0, 1, 1, 1, 2),
+        offset=Fraction(0),
+        succ=(3, 4, 5, 5, 5, None),
+        involution=(1, 0, 2, 4, 3, 5),
+        stable=True,
+    )
+    assert cn.monotone_leaves(r) == ref_monotone_leaves(r) == (0, 1, 2)
+    model = cxm.model_complex(r)
+    brute = cxm.connected_homology_brute(model.cx, cxm.lift_involution(model))
+    assert cxm.homology(cxm.model_complex(cn.monotone_subroot(r)).cx) == brute
+    assert brute.torsion
 
 
 def test_monotone_subroot_is_idempotent():
@@ -221,9 +245,9 @@ def box_inputs(draw):
     """A tree of 4 to 6 vertices for the box engine: in half the draws each
     vertex after the first joined to a random earlier one (the H shapes
     among them are not stars), inner weights -1..-3 and leaf weights
-    -2..-9; else the H shape with equal sides and their swap declared, or
-    one of `BRANCHING_STARS` small enough, since small random trees rarely
-    branch.  k twisted in half the draws, an explicit stop 0 to 4 levels
+    -2..-9; else the H shape with sides equal under the swap of its two
+    nodes, or one of `BRANCHING_STARS` small enough, since small random
+    trees rarely branch.  k twisted in half the draws, an explicit stop 0 to 4 levels
     above the bound on the minimum of chi that the elimination gives, and
     one involution drawn by name."""
     shape = draw(st.sampled_from(["random", "random", "H", "star"]))
@@ -236,7 +260,7 @@ def box_inputs(draw):
     elif shape == "H":
         a, c = draw(st.integers(-9, -2)), draw(st.integers(-9, -2))
         b = draw(st.integers(-3, -1))
-        tree = pl.PlumbingTree((a, b, c, b, a, c), H_EDGES, (4, 3, 5, 1, 0, 2))
+        tree = pl.PlumbingTree((a, b, c, b, a, c), H_EDGES)
     else:
         tree = pl.star(*draw(st.sampled_from(SMALL_BRANCHING_STARS)))
     assume(is_negative_definite(intersection_form(tree)))
@@ -274,6 +298,13 @@ def test_star_roots_read_off_the_chain_path_invariants(data):
 @given(box_inputs())
 def test_box_roots_read_off_the_chain_path_invariants(data):
     _assert_read_off(_built(rt.build_root_box, *data))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_roots())
+def test_hand_built_roots_read_off_the_chain_path_invariants(root):
+    # involutions that no engine builds, neither a reflection nor the identity
+    _assert_read_off(root)
 
 
 @pytest.mark.parametrize("text", CORPUS + ["pretzel(3,-5,-7,9,11)", "pretzel(-3,5,7)"])

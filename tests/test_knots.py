@@ -76,22 +76,19 @@ def test_torus_35_presents_the_even_unimodular_tree():
     assert pl.determinant_magnitude(pres.tree) == 1
 
 
-# an even torus knot's cover has two equal legs; the star engine maps any
-# centre- and k-fixing leg swap to the identity, so none is declared and the
-# presentation carries the trivial involution
+# an even torus knot's cover has two equal legs, and its covering involution
+# acts on the root as the identity: the presentation carries the trivial one
 
 
 def test_torus_34_declares_no_leg_swap():
     pres = kn.presentation(kn.KnotSpec.torus(3, 4))
     assert pres.tree == pl.star(-2, [[-2, -2], [-2, -2], [-2]])
-    assert pres.tree.automorphism is None
     assert pres.involution == "trivial"
 
 
 def test_torus_27_declares_no_leg_swap():
     pres = kn.presentation(kn.KnotSpec.torus(2, 7))
     assert pres.tree == pl.star(-1, [[-3, -2, -2], [-3, -2, -2]])
-    assert pres.tree.automorphism is None
     assert pres.involution == "trivial"
     assert pl.determinant_magnitude(pres.tree) == 7
 
@@ -99,7 +96,6 @@ def test_torus_27_declares_no_leg_swap():
 def test_torus_45_presentation():
     pres = kn.presentation(kn.KnotSpec.torus(4, 5))
     assert pres.tree == pl.star(-1, [[-5], [-5], [-2]])
-    assert pres.tree.automorphism is None
     assert pres.involution == "trivial"
 
 
@@ -233,17 +229,25 @@ def test_a_directly_built_spec_is_checked():
         kn.KnotSpec("figure_eight")
 
 
+T25 = kn.KnotSpec.torus(2, 5)
+
+
 @pytest.mark.parametrize(
     "make,message",
     [
         (lambda: kn.KnotSpec("torus", (2, 3, 5)), "two parameters"),
         (lambda: kn.KnotSpec("montesinos", (0, 2.5)), "must be Fractions"),
         (lambda: kn.KnotSpec("mirror", (), ("torus(2,3)",)), "must be knot specs"),
+        (lambda: kn.KnotSpec("torus", (2, 3), (T25,)), "torus takes parameters, not child specs"),
+        (lambda: kn.KnotSpec("pretzel", (3, -5, 7), (T25,)), "pretzel takes parameters"),
+        (lambda: kn.KnotSpec("mirror", (7,), (T25,)), "mirror takes child specs, not parameters"),
+        (lambda: kn.KnotSpec("sum", (1,), (T25, kn.KnotSpec.torus(2, 3))), "sum takes child"),
     ],
 )
 def test_a_malformed_direct_spec_raises_a_spec_error(make, message):
     # not a ValueError from unpacking, an AttributeError from a float's
-    # numerator, or a text child that fails only when the spec is printed
+    # numerator, a text child that fails only when the spec is printed, or
+    # children or parameters that the node ignores and str(spec) drops
     with pytest.raises(kn.KnotSpecError, match=message):
         make()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import pickle
@@ -44,8 +45,12 @@ def test_tree_validation():
         pl.PlumbingTree((-2, -2), ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
         pl.PlumbingTree((-2, -2, -2), ((0, 1), (1, 2), (0, 2)))
-    with pytest.raises(ValueError):
-        pl.PlumbingTree((-2, -3), ((0, 1),), automorphism=(1, 0))
+    # a tree is its weights and edges: no symmetry can be declared on it
+    assert [f.name for f in dataclasses.fields(pl.PlumbingTree)] == ["weights", "edges"]
+    with pytest.raises(TypeError):
+        pl.PlumbingTree((-2, -2), ((0, 1),), automorphism=(1, 0))
+    with pytest.raises(TypeError):
+        pl.star(-1, [[-3], [-3]], automorphism=(0, 2, 1))
     with pytest.raises(ValueError, match="no vertices"):
         pl.PlumbingTree((), ())
 

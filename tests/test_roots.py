@@ -56,12 +56,8 @@ def test_gamma7_box_equals_star():
 @pytest.mark.parametrize(
     "tree",
     [
-        # the cover of torus(2,7) with its leg swap declared, so that the box
-        # engine's automorphism involution meets a 7-vertex tree
-        pytest.param(
-            pl.star(-1, [[-3, -2, -2], [-3, -2, -2]], automorphism=(0, 4, 5, 6, 1, 2, 3)),
-            id="torus(2,7)",
-        ),
+        # the cover of torus(2,7): two equal legs of three vertices
+        pytest.param(pl.star(-1, [[-3, -2, -2], [-3, -2, -2]]), id="torus(2,7)"),
         pytest.param(E8, id="E8", marks=pytest.mark.slow),
     ],
 )
@@ -356,37 +352,35 @@ def test_branched_star_roots_match_the_leg_dp_profile(text, n_max):
 
 @st.composite
 def stars_with_symmetries(draw):
-    """`twisted_stars` that may repeat their first leg as their second with
-    the swap declared as an automorphism (a star of `BRANCHING_STARS` only
-    when those legs are already equal), k drawn twisted, spun or symmetric
-    under the swap, an adaptive or explicit stop level and one involution
-    drawn by name."""
+    """`twisted_stars` that may repeat their first leg as their second (a
+    star of `BRANCHING_STARS` only when those legs are already equal), k
+    drawn twisted, spun or symmetric under the swap of those two legs, an
+    adaptive or explicit stop level and one involution drawn by name."""
     centre, legs = draw(star_legs())
     kept = (centre, legs) in BRANCHING_STARS and legs[0] != legs[1]
-    aut = None
+    swap = None
     if len(legs) >= 2 and draw(st.booleans()) and not kept:
         legs[1] = list(legs[0])
         n0 = len(legs[0])
-        aut = list(range(1 + sum(map(len, legs))))
-        aut[1 : 1 + 2 * n0] = list(range(1 + n0, 1 + 2 * n0)) + list(range(1, 1 + n0))
-    tree = pl.star(centre, legs, automorphism=aut and tuple(aut))
+        swap = list(range(1 + sum(map(len, legs))))
+        swap[1 : 1 + 2 * n0] = list(range(1 + n0, 1 + 2 * n0)) + list(range(1, 1 + n0))
+    tree = pl.star(centre, legs)
     assume(is_negative_definite(intersection_form(tree)))
     n = len(tree)
     twist = [draw(st.integers(-3, 3)) for _ in range(n)]
-    if aut is not None and draw(st.booleans()):
-        twist = [twist[min(v, aut[v])] for v in range(n)]
+    if swap is not None and draw(st.booleans()):
+        twist = [twist[min(v, swap[v])] for v in range(n)]
     k = None if draw(st.booleans()) else tuple(w + 2 * t for w, t in zip(tree.weights, twist))
     label = draw(st.permutations(range(n)))
     tree = pl.PlumbingTree(
         tuple(tree.weights[label.index(v)] for v in range(n)),
         tuple((label[a], label[b]) for a, b in tree.edges),
-        None if aut is None else tuple(label[aut[label.index(v)]] for v in range(n)),
     )
     k = None if k is None else tuple(k[label.index(v)] for v in range(n))
     # an explicit stop from just below the minimum of chi to 12 levels above it
     low = math.ceil(pl.k_square(tree, k or pl.spin_char(tree)) / 8)
     n_max = draw(st.none() | st.integers(low - 1, low + 12))
-    return tree, k, n_max, draw(st.sampled_from(["auto", "reflection", "automorphism", "trivial"]))
+    return tree, k, n_max, draw(st.sampled_from(INVOLUTIONS))
 
 
 def _star_fields(build, tree, k, n_max, involution):
@@ -490,7 +484,7 @@ def test_isomorphism_is_discriminating():
 
 
 H_EDGES = ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5))
-INVOLUTIONS = ("auto", "reflection", "automorphism", "trivial")
+INVOLUTIONS = ("auto", "reflection", "trivial")
 
 
 @st.composite
@@ -498,9 +492,10 @@ def root_inputs(draw):
     """A tree, k, stop level and the engines that build its root: a star of
     `stars_with_symmetries`, which the box engine builds too when it has at
     most 5 vertices and an explicit stop, or, for the box engine only, an
-    H-shaped tree, the smallest kind that is not a star, declaring the swap
-    of its two nodes in half the draws, stopped up to 4 levels above the
-    bound on the minimum of chi that its elimination gives."""
+    H-shaped tree, the smallest kind that is not a star, with sides equal
+    under the swap of its two nodes in half the draws, stopped up to 4
+    levels above the bound on the minimum of chi that its elimination
+    gives."""
     if draw(st.booleans()):
         tree, k, n_max, _ = draw(stars_with_symmetries())
         star, box = rt.build_root_star, rt.build_root_box
@@ -508,10 +503,10 @@ def root_inputs(draw):
     a, c = (draw(st.integers(-5, -2)) for _ in "ac")
     b = draw(st.integers(-3, -2))
     if draw(st.booleans()):
-        weights, aut = (a, b, c, b, a, c), (4, 3, 5, 1, 0, 2)
+        weights = (a, b, c, b, a, c)
     else:
-        weights, aut = (a, b, c, *(draw(st.integers(-4, -2)) for _ in "def")), None
-    tree = pl.PlumbingTree(weights, H_EDGES, aut)
+        weights = (a, b, c, *(draw(st.integers(-4, -2)) for _ in "def"))
+    tree = pl.PlumbingTree(weights, H_EDGES)
     assume(is_negative_definite(intersection_form(tree)))
     *_, const = eliminate(tree, pl.spin_char(tree))
     return tree, None, -(-const // 2) + draw(st.integers(0, 4)), [rt.build_root_box]
@@ -532,11 +527,67 @@ def built_roots(draw, inputs):
             continue
 
 
+def _relabelled(root, label):
+    """The root with vertex v renamed label[v]."""
+    n = len(root)
+    levels, succ, inv = [0] * n, [None] * n, [0] * n
+    for v in range(n):
+        levels[label[v]] = root.levels[v]
+        succ[label[v]] = None if root.succ[v] is None else label[root.succ[v]]
+        inv[label[v]] = label[root.involution[v]]
+    return rt.GradedRoot(tuple(levels), root.offset, tuple(succ), tuple(inv), root.stable)
+
+
+@st.composite
+def symmetric_roots(draw):
+    """Hand-built roots under an involution drawn at random.  Each invariant
+    vertex, from the bottom one up to depth 3, gets up to three children:
+    invariant ones, grown the same way, and swapped pairs of equal random
+    subtrees; vertex ids are shuffled.  Every level-preserving involution
+    commuting with the successor map has this form, and most of these are
+    neither a lattice reflection nor the identity."""
+    levels, succ, inv = [], [], []
+
+    def add(level, below):
+        levels.append(level)
+        succ.append(below)
+        inv.append(len(inv))
+        return len(levels) - 1
+
+    def shape(depth):
+        return [shape(depth - 1) for _ in range(draw(st.integers(0, 2)) if depth else 0)]
+
+    def place(subtree, level, below):
+        v = add(level, below)
+        return [v] + [u for kid in subtree for u in place(kid, level - 1, v)]
+
+    def grow(level, below, depth):
+        v = add(level, below)
+        for _ in range(draw(st.integers(0, 3)) if depth else 0):
+            if draw(st.booleans()):
+                grow(level - 1, v, depth - 1)
+            else:
+                subtree = shape(depth - 1)
+                for a, b in zip(place(subtree, level - 1, v), place(subtree, level - 1, v)):
+                    inv[a], inv[b] = b, a
+
+    grow(0, None, 3)
+    root = rt.GradedRoot(tuple(levels), Fraction(1, 4), tuple(succ), tuple(inv), True)
+    return _relabelled(root, draw(st.permutations(range(len(root)))))
+
+
 @st.composite
 def root_pairs(draw):
     """Two roots of one tree in half the draws (either engine, any
     involution: isomorphic, or alike but for the involution), of two trees
-    in the other half (mostly not isomorphic)."""
+    in the other half (mostly not isomorphic); in a fifth of all draws a
+    `symmetric_roots` root instead, with itself relabelled or under the
+    identity."""
+    if draw(st.integers(0, 4)) == 0:
+        a = draw(symmetric_roots())
+        if draw(st.booleans()):
+            return a, _relabelled(a, draw(st.permutations(range(len(a)))))
+        return a, rt.GradedRoot(a.levels, a.offset, a.succ, tuple(range(len(a))), True)
     first = draw(root_inputs())
     second = first if draw(st.booleans()) else draw(root_inputs())
     return draw(built_roots(first)), draw(built_roots(second))
@@ -578,17 +629,22 @@ def test_both_matchers_refuse_a_fan_whose_swaps_differ():
 
 
 def test_involution_selection():
-    # "auto" prefers the declared automorphism, then the reflection
-    tree = pl.star(-2, [[-3], [-3]], automorphism=(0, 2, 1))
-    r = rt.build_root_star(tree, involution="automorphism")
-    assert rt.build_root_star(tree).involution == r.involution
-    assert rt.build_root_star(tree, involution="trivial").involution == tuple(range(len(r)))
-    with pytest.raises(ValueError):
-        rt.build_root_star(tree, involution="nonsense")
-    swapped = rt.build_root_star(GAMMA7, involution="reflection")
-    assert rt.build_root_star(GAMMA7).involution == swapped.involution != tuple(range(len(swapped)))
-    with pytest.raises(ValueError, match="no graph automorphism"):
-        rt.build_root_star(GAMMA7, involution="automorphism")
+    # in both engines "auto" is the lattice reflection where it is defined,
+    # else the identity; Q^{-1}k = -1/3 is not integral for (-3) and k = (1)
+    minus3, k = pl.PlumbingTree((-3,), ()), (1,)
+    for build in (rt.build_root_star, rt.build_root_box):
+        swapped = build(GAMMA7, involution="reflection")
+        identity = tuple(range(len(swapped)))
+        assert build(GAMMA7).involution == swapped.involution != identity
+        assert build(GAMMA7, involution="trivial").involution == identity
+        for name in ("nonsense", "automorphism"):
+            with pytest.raises(ValueError, match=f"unknown involution '{name}'"):
+                build(GAMMA7, involution=name)
+        r = build(minus3, k)
+        assert r.involution == build(minus3, k, involution="trivial").involution
+        assert r.involution == tuple(range(len(r)))
+        with pytest.raises(ValueError, match="no lattice reflection"):
+            build(minus3, k, involution="reflection")
 
 
 def test_json_round_trip():
