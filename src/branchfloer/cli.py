@@ -98,6 +98,8 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
         if field not in ("weights", "edges", "char", "involution"):
             raise knots.KnotSpecError(f"bad plumbing JSON: unknown field {json.dumps(field)}")
     try:
+        if "weights" not in doc:
+            raise ValueError(f"weights is missing, got fields {json.dumps(sorted(doc))}")
         weights = _ints(doc["weights"], "weights")
         edges = doc.get("edges", [])
         if not isinstance(edges, list) or any(type(e) is not list or len(e) != 2 for e in edges):
@@ -108,7 +110,7 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
         involution = doc.get("involution", "auto")
         if type(involution) is not str:
             raise ValueError(f"involution must be a string, got {json.dumps(involution)}")
-    except (KeyError, TypeError, ValueError) as err:
+    except (TypeError, ValueError) as err:
         raise knots.KnotSpecError(f"bad plumbing JSON: {err}")
     if char is not None and len(char) != len(tree):
         raise knots.KnotSpecError(
@@ -147,7 +149,7 @@ def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
         try:
             with open(key_path) as fh:
                 return roots.GradedRoot.from_json(fh.read())
-        except (OSError, ValueError, KeyError, TypeError, IndexError, ConsistencyError):
+        except (OSError, ValueError, ArithmeticError, LookupError, TypeError, ConsistencyError):
             pass
     root = roots.build_root(tree, char, involution=involution, n_max=config.n_max)
     if key_path:
@@ -198,19 +200,22 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
 
 def _checked_omega(ev, config: RunConfig) -> int:
     """omega of an evaluation's connected module, a knot's read off and a
-    sum's searched; `--verify` adds the search for a knot too, and the delta
-    and branched checks of the full complex, from the roots already built."""
+    sum's searched; `--verify` first checks both modules against the chain
+    reference on the same node, as `invariants --verify` does."""
     if config.verify:
-        knots._full_invariants(ev)
-    return omega(knots._connected(ev, config.rank_bound, config.verify))
+        ev.verify()
+    return omega(ev.connected)
 
 
 def _evaluated(task):
     """First-round pool task: evaluate one knot spec, building its roots
-    once, and return the evaluation and its omega."""
+    once, and return the evaluation, with the small model that the second
+    round tensors, and its omega."""
     text, config = task
-    ev = knots._evaluate(knots.parse_spec(text), config.n_max)
-    return ev, _checked_omega(ev, config)
+    ev = knots._evaluate(knots.parse_spec(text), config.n_max, config.rank_bound)
+    w = _checked_omega(ev, config)
+    ev.small  # built here, so that no second-round worker rebuilds it
+    return ev, w
 
 
 def _omega_of(task) -> int:
@@ -288,6 +293,15 @@ def _add_flags(sub, formats, *extra):
     )
 
 
+# exit code by the first matching cause; KnotSpecError is a ValueError
+_EXIT_CODES = (
+    (plumbing.DefinitenessError, 3),
+    (roots.InstabilityError, 4),
+    (ValueError, 2),
+    (Exception, 1),
+)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="branchfloer",
@@ -323,21 +337,9 @@ def main(argv=None) -> int:
             cmd_root(args.source, config)
         else:
             cmd_independence(args.specs, config)
-    except knots.KnotSpecError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except plumbing.DefinitenessError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except roots.InstabilityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except Exception as err:  # noqa: BLE001 - rc 1 is part of the contract
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except Exception as err:  # noqa: BLE001 - the exit code follows the cause
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(err, kind))
     return 0
 
 

@@ -1,5 +1,5 @@
 """The connected homology of a symmetric graded root, with no search, a
-knot's whole package read off its root, and the dual that mirrors one.
+knot's two modules read off its root, and the dual that mirrors one.
 
 `monotone_subroot` keeps only a distinguished set of leaves, found by walking
 the stem downward from the highest-weight invariant vertex and collecting
@@ -12,13 +12,14 @@ small models of monotone subroots.
 
 A root's homology H(R) is the F[U]-module with one generator per vertex at
 its weight and U sending a vertex to its successor, a forest module that the
-elder rule decomposes (`_elder`).  So `_root_invariants` reads a knot's
-branched module (ker and coker of 1 + J on H(R), after Dai-Manolescu), its
-two corrections and its connected module (`_subroot_homology`) off the
-root, with no model complex, lift or cone, and a mirror's are the duals of
-its knot's (`_dual`, after Hendricks-Manolescu); `knots.invariants(verify=True)`
-rebuilds them on the chain path and cross-checks.  `omega` reads the
-torsion exponent off the connected module.
+elder rule decomposes (`_elder`).  So `_root_branched` reads a knot's
+branched module (ker and coker of 1 + J on H(R), after Dai-Manolescu) and
+its two corrections off the root, and `_subroot_homology` its connected
+module off the monotone subroot, with no model complex, lift or cone; a
+mirror's are the duals of its knot's (`_dual`, after Hendricks-Manolescu).
+`knots._Eval` applies them, and `knots.invariants(verify=True)` checks them
+against the chain path.  `omega` reads the torsion exponent off the
+connected module.
 """
 
 from __future__ import annotations
@@ -156,16 +157,15 @@ def _subroot_homology(sub: GradedRoot) -> GradedUModule:
     return _module(*_elder(sub, range(len(sub)), sub.succ.__getitem__, -2))
 
 
-def _root_invariants(root: GradedRoot) -> tuple[BranchedModule, GradedUModule]:
-    """The branched and connected modules of a stable root with involution
-    J, shifted by -2 as a knot's are, with no chain complex.  H(root) has
-    one generator per vertex at its weight, U sending a vertex to its
-    successor.  Its parity is even, so the branched cone's homology is
-    ker(1 + J) at the weights plus coker(1 + J) one grading lower; both are
-    spanned by J-orbits, and in ker(1 + J) a swapped pair over an invariant
-    successor maps to 0.  The corrections are the top weight and that of the
-    highest invariant vertex; the connected module is H of the monotone
-    subroot."""
+def _root_branched(root: GradedRoot) -> BranchedModule:
+    """The branched module of a stable root with involution J, shifted by -2
+    as a knot's is, with no chain complex.  H(root) has one generator per
+    vertex at its weight, U sending a vertex to its successor.  Its parity
+    is even, so the branched cone's homology is ker(1 + J) at the weights
+    plus coker(1 + J) one grading lower; both are spanned by J-orbits, and
+    in ker(1 + J) a swapped pair over an invariant successor maps to 0.  The
+    corrections are the top weight and that of the highest invariant
+    vertex."""
     j, succ = root.involution, root.succ
     if (bottoms := succ.count(None)) != 1:
         raise ConsistencyError(f"expected a single tower, found one over each of {bottoms} bottoms")
@@ -180,10 +180,8 @@ def _root_invariants(root: GradedRoot) -> tuple[BranchedModule, GradedUModule]:
 
     ker, coker = _elder(root, orbits, ker_down, -2), _elder(root, orbits, coker_down, -3)
     lower = root.offset - 2 * min(root.levels[v] for v in orbits if j[v] == v) - 2
-    branched = BranchedModule(
-        root.d_invariant() - 2, lower, _module(ker[0] + coker[0], ker[1] + coker[1])
-    )
-    return branched, _subroot_homology(monotone_subroot(root))
+    module = _module(ker[0] + coker[0], ker[1] + coker[1])
+    return BranchedModule(root.d_invariant() - 2, lower, module)
 
 
 def omega(module: GradedUModule) -> int:

@@ -38,7 +38,7 @@ from .complexes import (
     tensor_complex,
     tensor_map,
 )
-from .connected import _dual, _root_invariants, _subroot_homology, monotone_subroot, omega
+from .connected import _dual, _root_branched, _subroot_homology, monotone_subroot, omega
 from .plumbing import (
     PlumbingTree,
     determinant_magnitude,
@@ -425,39 +425,91 @@ def presentation(spec: KnotSpec) -> Presentation:
 
 @dataclass
 class _Eval:
-    """Chain data for a spec: a small locally equivalent representative with
-    its involution, delta of the full complex, what `full` builds the full
-    complex from (a knot's root, or the evaluations of a mirror's one child
-    or a sum's two), and diagram bookkeeping.  Plain data, so it pickles.
-    `connected` is the connected module where no search is needed: a knot's
-    read off its monotone subroot, a mirror's the dual; None for a sum.  A
-    knot whose monotone subroot is its whole root keeps no root: its small
-    model is the full one.  `full` builds the root's model complex once
-    (`model`)."""
+    """One node of a spec's evaluation tree: a knot over its stable `root`, a
+    mirror over its one child or a sum over its two.  `det`, `sigma` and
+    `delta` are set where the node is built; the rest is computed on
+    demand, once, by one rule per kind:
 
-    small_cx: UComplex
-    small_iota: UMap
-    connected: GradedUModule | None
+    - `connected`: a knot's is the homology of its monotone subroot, a
+      mirror's the dual of its child's, a sum's the `search`;
+    - `branched`: a knot's is read off its root, a mirror's the dual of its
+      child's (the corrections negated and swapped, the module shifted by
+      -1), a sum's the `cone`;
+    - `small`, a locally equivalent model with its involution: a knot's is
+      its monotone subroot's model (the `full` one when that subroot is the
+      whole root), a mirror's the dual of its child's, a sum's the tensor of
+      its children's; `full`, the full complex, likewise from the root.
+
+    `connected` must have the one tower `delta` and `branched` must bracket
+    it.  The chain reference on a node is the `search` on its `small`, which
+    can exceed `rank_bound`, and the `cone` of its `full`, whose delta must
+    be the node's; `verify` checks both modules against it.  Computed values
+    stay on the node, so it pickles with them."""
+
     det: int
     sigma: int | None
     delta: Fraction
+    rank_bound: int
     root: GradedRoot | None = None
     children: tuple["_Eval", ...] = ()
 
-    def full(self) -> tuple[UComplex, UMap]:
-        """The full complex with its involution, from the roots already built,
-        so that a search that refuses the small model costs no full tensor."""
+    @cached_property
+    def connected(self) -> GradedUModule:
         if self.root is not None:
-            return _root_model(self.model)
-        if not self.children:
-            return self.small_cx, self.small_iota
-        if len(self.children) == 1:
-            return _dualized(*self.children[0].full())
-        return _tensored(*(c.full() for c in self.children))
+            conn = _subroot_homology(monotone_subroot(self.root))
+        elif len(self.children) == 1:
+            conn = _dual(self.children[0].connected, 0)
+        else:
+            conn = self.search
+        if conn.towers != (self.delta,):
+            raise ConsistencyError(f"connected module towers {conn.towers} "
+                                   f"disagree with delta {self.delta}")
+        return conn
 
     @cached_property
-    def model(self):
-        return model_complex(self.root)
+    def branched(self) -> BranchedModule:
+        if self.root is not None:
+            br = _root_branched(self.root)
+        elif len(self.children) == 1:
+            child = self.children[0].branched
+            br = BranchedModule(-child.lower, -child.upper, _dual(child.module, -1))
+        else:
+            br = self.cone
+        if not br.lower <= self.delta <= br.upper:
+            raise ConsistencyError("branched correction terms bracket delta; got "
+                                   f"{br.lower}, {self.delta}, {br.upper}")
+        return br
+
+    @cached_property
+    def small(self) -> tuple[UComplex, UMap]:
+        if self.root is None:
+            return _combined([c.small for c in self.children])
+        sub = monotone_subroot(self.root)
+        return self.full if sub is self.root else _root_model(sub)
+
+    @cached_property
+    def full(self) -> tuple[UComplex, UMap]:
+        if self.root is None:
+            return _combined([c.full for c in self.children])
+        return _root_model(self.root)
+
+    @cached_property
+    def search(self) -> GradedUModule:
+        return connected_homology_brute(*self.small, self.rank_bound)
+
+    @cached_property
+    def cone(self) -> BranchedModule:
+        cx, iota = self.full
+        if (delta := delta_invariant(cx)) != self.delta:
+            raise ConsistencyError(f"delta of the full complex {delta} differs from {self.delta}")
+        return branched_invariants(cx, iota)
+
+    def verify(self) -> None:
+        """Raise unless both modules equal the chain reference on this node,
+        the search first, so a sum over its bound builds no full complex."""
+        pairs = (("connected", self.connected, self.search), ("branched", self.branched, self.cone))
+        if differ := [name for name, value, reference in pairs if value != reference]:
+            raise ConsistencyError(f"the default and chain paths disagree on {', '.join(differ)}")
 
 
 def _shifted(cx: UComplex, iota: UMap, s) -> tuple[UComplex, UMap]:
@@ -465,110 +517,53 @@ def _shifted(cx: UComplex, iota: UMap, s) -> tuple[UComplex, UMap]:
     return out, UMap(out, out, iota.degree, iota.rows)
 
 
-def _dualized(cx: UComplex, iota: UMap) -> tuple[UComplex, UMap]:
-    out = dual_complex(cx)
-    return out, dual_map(iota, out, out)
-
-
 def _tensored(a: tuple[UComplex, UMap], b: tuple[UComplex, UMap]) -> tuple[UComplex, UMap]:
     cx = tensor_complex(a[0], b[0])
     return _shifted(cx, tensor_map(a[1], b[1], cx, cx), 2)
 
 
-def _root_model(model) -> tuple[UComplex, UMap]:
+def _combined(parts) -> tuple[UComplex, UMap]:
+    """A mirror's complex, the dual of its child's, or a sum's, the tensor."""
+    if len(parts) == 2:
+        return _tensored(*parts)
+    cx, iota = parts[0]
+    out = dual_complex(cx)
+    return out, dual_map(iota, out, out)
+
+
+def _root_model(root: GradedRoot) -> tuple[UComplex, UMap]:
     """A root's model complex with its lifted involution, shifted by -2."""
+    model = model_complex(root)
     return _shifted(model.cx, lift_involution(model), -2)
 
 
 def _mirrored(ev: _Eval) -> _Eval:
-    """The evaluation of the mirror of an evaluated spec: the dual of its
-    small model and of its connected module, and of its full complex on
-    demand."""
-    scx, siota = _dualized(ev.small_cx, ev.small_iota)
     sigma = None if ev.sigma is None else -ev.sigma
-    conn = None if ev.connected is None else _dual(ev.connected, 0)
-    return _Eval(scx, siota, conn, ev.det, sigma, -ev.delta, children=(ev,))
+    return _Eval(ev.det, sigma, -ev.delta, ev.rank_bound, children=(ev,))
 
 
 def _summed(a: _Eval, b: _Eval) -> _Eval:
-    """The evaluation of the sum of two evaluated specs: the tensor of their
-    small models, and of their full complexes on demand."""
-    scx, siota = _tensored((a.small_cx, a.small_iota), (b.small_cx, b.small_iota))
     sigma = None if a.sigma is None or b.sigma is None else a.sigma + b.sigma
-    return _Eval(scx, siota, None, a.det * b.det, sigma, a.delta + b.delta + 2, children=(a, b))
+    bound = min(a.rank_bound, b.rank_bound)
+    return _Eval(a.det * b.det, sigma, a.delta + b.delta + 2, bound, children=(a, b))
 
 
-def _evaluate(spec: KnotSpec, n_max) -> _Eval:
+def _evaluate(spec: KnotSpec, n_max, rank_bound: int = 16) -> _Eval:
+    """The evaluation tree of a spec.  A constructor spec is a knot node over
+    its stable root, under a mirror node when its presentation is the
+    mirror's; its `sigma` is the Goeritz signature where that applies."""
     if spec.kind == "mirror":
-        return _mirrored(_evaluate(spec.children[0], n_max))
+        return _mirrored(_evaluate(spec.children[0], n_max, rank_bound))
     if spec.kind == "sum":
-        return reduce(_summed, [_evaluate(c, n_max) for c in spec.children])
-    return _knot_eval(*_knot(spec, n_max))
-
-
-def _knot(spec: KnotSpec, n_max) -> tuple[Presentation, GradedRoot, int | None]:
-    """A constructor spec's presentation, its stable root and the signature
-    of the knot the tree presents (the mirror's if mirrored)."""
+        return reduce(_summed, [_evaluate(c, n_max, rank_bound) for c in spec.children])
     pres = presentation(spec)
     root = build_root(pres.tree, pres.char, involution=pres.involution, n_max=n_max)
     root.require_stable()
     sigma = None
     if spec.kind == "pretzel" and 3 <= len(spec.params) <= 5:
         sigma = goeritz_oracle(spec)[1] * (-1 if pres.mirrored else 1)
-    return pres, root, sigma
-
-
-def _knot_eval(pres: Presentation, root: GradedRoot, sigma) -> _Eval:
-    """The chain evaluation of a knot from its `_knot` data: the model of its
-    monotone subroot and that subroot's homology, dualized when the
-    presentation is mirrored."""
-    sub = monotone_subroot(root)
-    ev = _Eval(
-        *_root_model(model_complex(sub)),
-        _subroot_homology(sub),
-        determinant_magnitude(pres.tree),
-        sigma,
-        root.d_invariant() - 2,
-        None if sub is root else root,
-    )
+    ev = _Eval(determinant_magnitude(pres.tree), sigma, root.d_invariant() - 2, rank_bound, root)
     return _mirrored(ev) if pres.mirrored else ev
-
-
-def _check_tower(conn: GradedUModule, delta) -> None:
-    if conn.towers != (delta,):
-        raise ConsistencyError(f"connected module towers {conn.towers} disagree with delta {delta}")
-
-
-def _check_bracket(br: BranchedModule, delta) -> None:
-    if not br.lower <= delta <= br.upper:
-        raise ConsistencyError("branched correction terms bracket delta; got "
-                               f"{br.lower}, {delta}, {br.upper}")
-
-
-def _connected(ev: _Eval, rank_bound: int, verify: bool) -> GradedUModule:
-    """The connected module of an evaluation: the one it carries (checked
-    against the search of its small model with `verify`), else that search,
-    which is the step that can exceed its bounds.  Its one tower is checked
-    against the evaluation's delta."""
-    conn = ev.connected
-    if conn is None:
-        conn = connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound)
-    elif verify and connected_homology_brute(ev.small_cx, ev.small_iota, rank_bound) != conn:
-        raise ConsistencyError("connected homology cross-check failed")
-    _check_tower(conn, ev.delta)
-    return conn
-
-
-def _full_invariants(ev: _Eval) -> BranchedModule:
-    """The branched module of an evaluation's full complex, with the checks
-    that the full complex has the evaluation's delta and that the branched
-    correction terms bracket it."""
-    cx, iota = ev.full()
-    if (delta := delta_invariant(cx)) != ev.delta:
-        raise ConsistencyError(f"delta of the full complex {delta} differs from {ev.delta}")
-    br = branched_invariants(cx, iota)
-    _check_bracket(br, ev.delta)
-    return br
 
 
 @dataclass(frozen=True)
@@ -622,41 +617,6 @@ def _module_jsonable(m: GradedUModule) -> dict:
     }
 
 
-def _dual_package(spec: KnotSpec, pkg: InvariantPackage) -> InvariantPackage:
-    """The package of `spec`, the mirror of `pkg`'s knot: delta negates, the
-    corrections negate and swap, the modules dualize (`connected._dual`), the
-    branched one shifted by -1, `sigma` negates and `det` stays."""
-    sigma = None if pkg.sigma is None else -pkg.sigma
-    br, conn = _dual(pkg.branched, -1), _dual(pkg.connected, 0)
-    upper, lower = -pkg.delta_lower, -pkg.delta_upper
-    return InvariantPackage(spec, -pkg.delta, upper, lower, br, conn, pkg.det, sigma)
-
-
-def _package(spec: KnotSpec, n_max, rank_bound: int) -> InvariantPackage:
-    """The default path: a knot read off its root
-    (`connected._root_invariants`, with the checks that are cheap there), a
-    mirror or a mirrored presentation dualized, a sum on the chain path."""
-    if spec.kind == "mirror":
-        return _dual_package(spec, _package(spec.children[0], n_max, rank_bound))
-    if spec.kind == "sum":
-        return _chain_package(spec, _evaluate(spec, n_max), rank_bound, False)
-    pres, root, sigma = _knot(spec, n_max)
-    delta = root.d_invariant() - 2
-    br, conn = _root_invariants(root)
-    _check_tower(conn, delta)
-    _check_bracket(br, delta)
-    det = determinant_magnitude(pres.tree)
-    pkg = InvariantPackage(spec, delta, br.upper, br.lower, br.module, conn, det, sigma)
-    return _dual_package(spec, pkg) if pres.mirrored else pkg
-
-
-def _chain_package(spec: KnotSpec, ev: _Eval, rank_bound: int, verify: bool) -> InvariantPackage:
-    # the search runs before the full complex is built
-    conn = _connected(ev, rank_bound, verify)
-    br = _full_invariants(ev)
-    return InvariantPackage(spec, ev.delta, br.upper, br.lower, br.module, conn, ev.det, ev.sigma)
-
-
 def invariants(
     spec: KnotSpec,
     *,
@@ -666,19 +626,19 @@ def invariants(
 ) -> InvariantPackage:
     """Compute the full branched invariant package of a knot spec.
 
-    A torus, pretzel or Montesinos spec has everything but `det` and `sigma`
-    read off its graded root, with no chain complex, and a mirror (or a
-    presentation whose plumbing is the mirror's) takes the dual of its
-    knot's package.  Sums are evaluated on small locally equivalent models,
-    so their connected part stays inside `rank_bound`, which bounds the
-    search's complex rank, and its dimension at `rank_bound` + 8.  With
-    `verify` every spec but a sum, whose default path this already is, is
-    rebuilt on the chain path with the connected module cross-checked by the
-    exhaustive search, and must agree field by field.
+    The spec's evaluation tree (`_Eval`) gives the connected module, then
+    the branched one.  A torus, pretzel or Montesinos spec reads both off
+    its graded root, with no chain complex, and a mirror (or a presentation
+    whose plumbing is the mirror's) takes the duals of its knot's.  A sum
+    searches small locally equivalent models, so its connected part stays
+    inside `rank_bound`, which bounds the search's complex rank, and its
+    dimension at `rank_bound` + 8; the search refuses before any full
+    complex is built.  With `verify` both modules must equal the chain
+    reference on the same node, the search on its small model and the cone
+    of its full complex.
     """
-    package = _package(spec, n_max, rank_bound)
-    if verify and spec.kind != "sum":
-        reference = _chain_package(spec, _evaluate(spec, n_max), rank_bound, True)
-        if differ := [k for k, v in vars(package).items() if v != vars(reference)[k]]:
-            raise ConsistencyError(f"the default and chain paths disagree on {', '.join(differ)}")
-    return package
+    ev = _evaluate(spec, n_max, rank_bound)
+    conn, br = ev.connected, ev.branched
+    if verify:
+        ev.verify()
+    return InvariantPackage(spec, ev.delta, br.upper, br.lower, br.module, conn, ev.det, ev.sigma)

@@ -221,6 +221,7 @@ def test_root_rejects_a_falsy_automorphism(capsys, value):
         ('{"weights": [-2, -2], "edges": "01"}', "edges must be a list of integer pairs"),
         ('{"weights": [-2], "involution": null}', "involution must be a string"),
         ('{"weights": [-2], "involution": ["trivial"]}', "involution must be a string"),
+        ('{"edges": []}', "weights is missing"),
     ],
 )
 def test_root_rejects_plumbing_json_of_the_wrong_shape(capsys, doc, message):
@@ -331,7 +332,19 @@ def _break_weight(doc):
     doc["vertices"][0]["weight"][0] += 2
 
 
-@pytest.mark.parametrize("edit", [_break_involution, _break_weight], ids=["involution", "weight"])
+def _zero_denominator(doc):
+    doc["vertices"][0]["weight"] = [1, 0]
+
+
+def _infinite_level(doc):
+    doc["vertices"][0]["level"] = float("inf")  # written as Infinity
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_break_involution, _break_weight, _zero_denominator, _infinite_level],
+    ids=["involution", "weight", "zero-denominator", "infinite-level"],
+)
 @pytest.mark.parametrize("python_flags", [(), ("-O",)])
 def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags, edit):
     env = {"BRANCHFLOER_CACHE_DIR": str(tmp_path)}
@@ -356,6 +369,15 @@ def test_internal_consistency_failure_exits_1(monkeypatch, capsys):
     )
     assert cli.main(["invariants", "torus(7,13)"]) == 1
     assert "expected a single tower" in capsys.readouterr().err
+
+
+def test_an_error_with_no_message_prints_its_type(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(knots, "build_root", exhausted)
+    assert cli.main(["invariants", "torus(2,3)"]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 @pytest.mark.parametrize("command", ["invariants", "root"])
@@ -498,7 +520,7 @@ def test_independence_verify_builds_each_model_once(monkeypatch):
 )
 def test_evaluation_delta_is_the_full_complex_delta(text):
     ev = knots._evaluate(knots.parse_spec(text), None)
-    assert ev.delta == complexes.delta_invariant(ev.full()[0])
+    assert ev.delta == complexes.delta_invariant(ev.full[0])
 
 
 def test_independence_checks_each_pair_tower_against_the_summed_delta():
@@ -507,6 +529,26 @@ def test_independence_checks_each_pair_tower_against_the_summed_delta():
     assert cli._omega_of(("pair", a, b, config)) == 2
     with pytest.raises(ConsistencyError, match="disagree with delta"):
         cli._omega_of(("pair", a, replace(b, delta=b.delta + 2), config))
+
+
+@pytest.mark.parametrize(
+    "texts, entries, pair",
+    [
+        (["mirror(sum(pretzel(2,-3,-7),pretzel(2,-3,-9)))", "torus(2,5)"], [1, 0], 1),
+        (["mirror(sum(pretzel(7,-3,5),mirror(pretzel(2,-3,-7))))", "torus(2,3)"], [0, 0], 0),
+    ],
+)
+def test_independence_dualizes_the_search_of_a_mirrored_sum(texts, entries, pair):
+    # a mirrored sum's connected module is the dual of its sum's search, as
+    # in `invariants`; --verify checks it against the search on the mirror's
+    # own small model
+    for verify in (False, True):
+        out = io.StringIO()
+        cli.cmd_independence(texts, cli.RunConfig(verify=verify), out=out)
+        doc = json.loads(out.getvalue())
+        assert [e["omega"] for e in doc["entries"]] == entries
+        assert [p["omega"] for p in doc["pairs"]] == [pair]
+    assert knots.invariants(knots.parse_spec(texts[0])).omega == entries[0]
 
 
 @pytest.mark.slow

@@ -614,7 +614,7 @@ def test_a_shift_is_the_fully_checked_complex_of_its_gradings(monkeypatch):
     a = cxm.model_complex(rt.build_root(kn.presentation(kn.parse_spec("pretzel(7,-3,5)")).tree)).cx
     b = cxm.model_complex(rt.build_root(GAMMA7)).cx
     ev = kn._evaluate(kn.parse_spec("sum(pretzel(11,-5,9),pretzel(15,-7,13))"), None)
-    bases = _grid_cases(a, b, Fraction(1, 2)) + [ev.full()[0]]
+    bases = _grid_cases(a, b, Fraction(1, 2)) + [ev.full[0]]
     assert len(bases[-1]) == 589
     checks = []
     post_init = cxm.UComplex.__post_init__
@@ -737,7 +737,7 @@ def test_invalid_entries_are_rejected_under_python_O():
 
 def _small_sum_model():
     ev = kn._evaluate(kn.parse_spec("sum(pretzel(2,-3,-7),pretzel(2,-3,-9))"), None)
-    return ev.small_cx, ev.small_iota
+    return ev.small
 
 
 def test_connected_search_computes_each_image_once(monkeypatch):
@@ -860,7 +860,7 @@ def test_walk_matches_one_map_at_a_time(a, b):
 @pytest.mark.parametrize("text, count", SUM_SPECS)
 def test_walk_on_the_small_models_of_sums(text, count):
     ev = kn._evaluate(kn.parse_spec(text), None)
-    cx, iota = ev.small_cx, ev.small_iota
+    cx, iota = ev.small
     assert _check_walk(cx, iota, cx, iota, 16) == count
     assert cxm.connected_homology_brute(cx, iota, 16) == ref_connected_homology(cx, iota, 16)
 
@@ -957,7 +957,7 @@ def test_homology_of_a_large_cone_makes_few_fractions(monkeypatch):
     # the rank-266 cone of a benchmark sum: its gradings are read once per
     # distinct grading and once per bar, never once per slice or entry
     ev = kn._evaluate(kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9))"), None)
-    cone, _ = cxm.involutive_cone(*ev.full())
+    cone, _ = cxm.involutive_cone(*ev.full)
     fresh = cxm.UComplex(cone.gradings, cone.diff)
     made = []
     original = Fraction.__new__

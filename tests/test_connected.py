@@ -272,20 +272,25 @@ def box_inputs(draw):
     return tree, k, n_max, draw(st.sampled_from(INVOLUTIONS))
 
 
-def _chain_path(root):
-    """The branched and connected modules of a root as the chain path
-    computes them: the branched cone of its model with the lifted
+def _knot_node(root):
+    """The knot node of the evaluation tree over `root`, its delta read off
+    the root as `knots._evaluate` sets it."""
+    return kn._Eval(1, None, root.d_invariant() - 2, 16, root)
+
+
+def _chain_path(node):
+    """The branched and connected modules of a knot node as the chain path
+    computes them: the branched cone of its root's model with the lifted
     involution, and the homology of its monotone subroot's model, both
     shifted by -2 as a knot's are."""
-    cx, iota = kn._root_model(cxm.model_complex(root))
-    sub_cx = cxm.shift_complex(cxm.model_complex(cn.monotone_subroot(root)).cx, -2)
-    return cxm.branched_invariants(cx, iota), cxm.homology(sub_cx)
+    return node.cone, cxm.homology(node.small[0])
 
 
 def _assert_read_off(root):
     want = ref_root_invariants(root)
-    assert want == _chain_path(root)
-    assert cn._root_invariants(root) == want
+    node = _knot_node(root)
+    assert want == _chain_path(node)
+    assert (node.branched, node.connected) == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -319,7 +324,8 @@ def test_read_off_kills_a_swapped_pair_over_an_invariant_successor():
     # in ker(1 + J) the orbit sum of the two swapped leaves maps to 0, so it is
     # a summand of length 1 at their weight; in coker(1 + J) their orbit and
     # the invariant leaf meet one level down, where the younger stops
-    br, conn = cn._root_invariants(hand_root())
+    node = _knot_node(hand_root())
+    br, conn = node.branched, node.connected
     assert br.upper == br.lower == Fraction(-2)
     assert br.module.towers == (Fraction(-2), Fraction(-3))
     assert br.module.torsion == ((Fraction(-2), 1), (Fraction(-3), 1))

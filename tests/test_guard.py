@@ -11,12 +11,14 @@ would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
 more if it imports the process pool or the root cache's hashing and
 temporary files, which only `independence --workers` and
-BRANCHFLOER_CACHE_DIR use.  No result may outlive the objects it belongs to
-(the benchmark re-parses every input to measure each pass in full), so a
-check fails on any use of `functools.lru_cache` or `functools.cache` in the
-package.  The benchmark's tracer (perfbench/tracer.py) wraps the package's
-layer functions by name, so one check installs and uninstalls it on the
-loaded package.  A public name must be one a user can find: every name in
+BRANCHFLOER_CACHE_DIR use.  Evaluation logic lives in `knots`, so a check
+fails if the command line uses any private `knots` name but the two that
+build an evaluation tree, `_evaluate` and `_summed`.  No result may outlive
+the objects it belongs to (the benchmark re-parses every input to measure
+each pass in full), so a check fails on any use of `functools.lru_cache` or
+`functools.cache` in the package.  The benchmark's tracer
+(perfbench/tracer.py) wraps the package's layer functions by name, so one
+check installs and uninstalls it on the loaded package.  A public name must be one a user can find: every name in
 `branchfloer.__all__` is used by the README's code, a demo, the command line
 or the acceptance tests.
 """
@@ -141,6 +143,18 @@ def test_package_keeps_no_cross_call_cache():
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ("lru_cache", "cache")]
     assert found == []
+
+
+def test_cli_reaches_knots_privates_only_through_the_evaluation_tree():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "knots":
+                used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module in ("knots", "branchfloer.knots"):
+            used.update(alias.name for alias in node.names)
+    assert {name for name in used if name.startswith("_")} <= {"_evaluate", "_summed"}
 
 
 def test_cli_start_up_imports_no_numpy():

@@ -19,6 +19,7 @@ from branchfloer.complexes import (
     ConsistencyError,
     GradedUModule,
     RankBoundExceeded,
+    branched_invariants,
     connected_homology_brute,
     delta_invariant,
     homology,
@@ -715,17 +716,16 @@ def evaluated_specs(draw):
 @given(evaluated_specs())
 def test_evaluation_delta_is_read_off_the_roots(spec):
     # delta, set where each node is built, is that of the full complex; the
-    # connected module a knot carries (read off its monotone subroot, or a
+    # connected module of a knot (read off its monotone subroot, or a
     # mirror's dual of one) is its small model's homology and the search's
     try:
         ev = kn._evaluate(spec, None)
     except InstabilityError:
         reject()
-    assert ev.delta == delta_invariant(ev.full()[0])
-    assert (ev.connected is None) == (spec.kind == "sum")
-    if ev.connected is not None:
-        assert ev.connected == homology(ev.small_cx)
-        assert ev.connected == connected_homology_brute(ev.small_cx, ev.small_iota, 16)
+    assert ev.delta == delta_invariant(ev.full[0])
+    if spec.kind != "sum":
+        assert ev.connected == homology(ev.small[0])
+        assert ev.connected == connected_homology_brute(*ev.small, 16)
 
 
 def test_a_mirror_runs_the_search_only_to_verify(monkeypatch):
@@ -787,13 +787,21 @@ def mirrored_specs(draw):
 @settings(max_examples=150, deadline=None)
 @given(mirrored_specs(), st.sampled_from([None, 1, 3]))
 def test_a_mirror_is_the_dual_of_its_knots_package(spec, n_max):
-    # the default path dualizes the package of the mirrored knot; the chain
-    # path dualizes its chain data and computes the package from that
+    # a mirror's modules are the duals of its child's, and a knot's are read
+    # off its root; on every node of the tree they must equal the chain
+    # reference on that same node, the search on its own small model and the
+    # cone of its own full complex
     try:
         package = kn.invariants(spec, n_max=n_max)
+        ev = kn._evaluate(spec, n_max)
     except InstabilityError:
         reject()
-    assert package == kn._chain_package(spec, kn._evaluate(spec, n_max), 16, False)
+    assert (package.connected, package.branched) == (ev.connected, ev.branched.module)
+    nodes = [ev]
+    for node in nodes:
+        nodes += node.children
+        assert node.connected == connected_homology_brute(*node.small, 16)
+        assert node.branched == branched_invariants(*node.full)
 
 
 @pytest.mark.parametrize(
@@ -866,30 +874,20 @@ def test_the_default_path_builds_no_chain_complex(monkeypatch):
 
 
 def test_verify_catches_a_read_off_that_disagrees(monkeypatch, capsys):
-    read_off = kn._root_invariants
+    read_off = kn._root_branched
 
     def one_more_summand(root):
-        br, conn = read_off(root)
+        br = read_off(root)
         module = GradedUModule(br.module.towers, br.module.torsion + ((br.upper, 1),))
-        return replace(br, module=module), conn
+        return replace(br, module=module)
 
-    monkeypatch.setattr(kn, "_root_invariants", one_more_summand)
+    monkeypatch.setattr(kn, "_root_branched", one_more_summand)
     spec = kn.parse_spec("pretzel(7,-3,5)")
     assert len(kn.invariants(spec).branched.torsion) == 4  # unchecked without verify
     with pytest.raises(ConsistencyError, match="disagree on branched$"):
         kn.invariants(spec, verify=True)
     assert cli.main(["invariants", "pretzel(7,-3,5)", "--verify"]) == 1
     assert "disagree on branched" in capsys.readouterr().err
-    monkeypatch.undo()
-    # a sigma negated twice differs in sigma alone, which the message names
-    dual = kn._dual_package
-    monkeypatch.setattr(kn, "_dual_package", lambda spec, pkg: replace(dual(spec, pkg), sigma=pkg.sigma))
-    spec = kn.parse_spec("pretzel(-2,3,7)")
-    assert kn.invariants(spec).sigma == 8  # unchecked without verify
-    with pytest.raises(ConsistencyError, match="disagree on sigma$"):
-        kn.invariants(spec, verify=True)
-    assert cli.main(["invariants", "pretzel(-2,3,7)", "--verify"]) == 1
-    assert "disagree on sigma" in capsys.readouterr().err
 
 
 FROZEN = json.loads((Path(__file__).parent / "invariants_frozen.json").read_text())
