@@ -39,15 +39,12 @@ class RunConfig:
 
     n_max: int | None = None
     rank_bound: int = 16
-    workers: int = 1
     fmt: str = "json"
     verify: bool = False
 
     def __post_init__(self):
         if self.rank_bound <= 0:
             raise ValueError("rank bound must be positive")
-        if self.workers <= 0:
-            raise ValueError("worker count must be positive")
         if self.fmt not in ("json", "text", "dot"):
             raise ValueError(f"unknown output format {self.fmt!r}")
 
@@ -207,48 +204,31 @@ def _checked_omega(ev, config: RunConfig) -> int:
     return omega(ev.connected)
 
 
-def _evaluated(task):
-    """First-round pool task: evaluate one knot spec, building its roots
-    once, and return the evaluation, with the small model that the second
-    round tensors, and its omega."""
-    text, config = task
-    ev = knots._evaluate(knots.parse_spec(text), config.n_max, config.rank_bound)
-    w = _checked_omega(ev, config)
-    ev.small  # built here, so that no second-round worker rebuilds it
-    return ev, w
-
-
+# perfbench/tracer.py wraps this function by name, reads the pair's text as
+# `args[0][0]` and sums its spans for `cli.independence.parallel_efficiency`:
+# keep the name and the (text, a, b, config) task
 def _omega_of(task) -> int:
-    """Second-round pool task: omega of the sum of two evaluated knots, from
-    the tensor of their small models."""
+    """omega of the sum of two evaluated knots, from the tensor of their
+    small models, which each knot builds once for all its pairs."""
     text, a, b, config = task
     return _checked_omega(knots._summed(a, b), config)
 
 
-def _rounds(run, names, pair_index, config: RunConfig):
-    """Both rounds of `independence` through `run` (`map` or a pool's): each
-    knot evaluated once, then each pair from the two evaluations."""
-    evals = list(run(_evaluated, [(n, config) for n in names]))
-    pairs = [
-        (f"sum({names[i]},{names[j]})", evals[i][0], evals[j][0], config)
-        for i, j in pair_index
-    ]
-    return [w for _, w in evals], list(run(_omega_of, pairs))
-
-
 def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
+    """omega of each knot, then of each pairwise sum from the two knots'
+    evaluations, so each root is built once."""
     out = out or sys.stdout
     specs = [knots.parse_spec(t) for t in texts]
     names = [knots.unparse(s) for s in specs]
+    evals, omegas = [], []
+    for spec in specs:
+        evals.append(knots._evaluate(spec, config.n_max, config.rank_bound))
+        omegas.append(_checked_omega(evals[-1], config))
     pair_index = [(i, j) for i in range(len(specs)) for j in range(i + 1, len(specs))]
-    size = min(config.workers, max(len(names), len(pair_index)))
-    if size > 1:
-        from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
-
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            omegas, pair_omegas = _rounds(pool.map, names, pair_index, config)
-    else:
-        omegas, pair_omegas = _rounds(map, names, pair_index, config)
+    pair_omegas = [
+        _omega_of((f"sum({names[i]},{names[j]})", evals[i], evals[j], config))
+        for i, j in pair_index
+    ]
     certificate = all(w > 0 for w in omegas) and len(set(omegas)) == len(omegas)
     for (i, j), w in zip(pair_index, pair_omegas):
         if w != max(omegas[i], omegas[j]):
@@ -277,7 +257,7 @@ _FLAGS = {
     "--rank-bound": dict(
         type=int, help="rank cap for the brute-force equivalence search"
     ),
-    "--workers": dict(type=int, help="parallel pipelines"),
+    "--workers": dict(type=int, help="ignored; independence runs in one process"),
 }
 
 
@@ -323,13 +303,14 @@ def main(argv=None) -> int:
     _add_flags(p_ind, ("json", "text"), "--rank-bound", "--workers")
 
     args = parser.parse_args(argv)
+    if hasattr(args, "workers"):
+        print("warning: --workers is ignored; independence runs in one process", file=sys.stderr)
     try:
-        optional = ("rank_bound", "workers")
         config = RunConfig(
             n_max=args.n_max,
+            rank_bound=getattr(args, "rank_bound", RunConfig.rank_bound),
             fmt="dot" if getattr(args, "dot", False) else args.format,
             verify=args.verify,
-            **{name: getattr(args, name) for name in optional if hasattr(args, name)},
         )
         if args.command == "invariants":
             cmd_invariants(args.spec, config)

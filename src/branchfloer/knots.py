@@ -444,7 +444,7 @@ class _Eval:
     it.  The chain reference on a node is the `search` on its `small`, which
     can exceed `rank_bound`, and the `cone` of its `full`, whose delta must
     be the node's; `verify` checks both modules against it.  Computed values
-    stay on the node, so it pickles with them."""
+    stay on the node, so a sum node shares its children's."""
 
     det: int
     sigma: int | None

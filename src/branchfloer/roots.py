@@ -230,9 +230,14 @@ class GradedRoot:
     @classmethod
     def from_json(cls, text: str) -> "GradedRoot":
         """The root of `to_json` text, which may come from outside the
-        package (a cache entry): weights that are not offset - 2 * level
-        raise ConsistencyError, as `__post_init__`'s checks do."""
+        package (a cache entry): weights that are not offset - 2 * level,
+        a `stable` that is not the JSON boolean "one top vertex" or an
+        `engine` that is not a string raise ConsistencyError, as
+        `__post_init__`'s checks do, and a missing field raises KeyError."""
         doc = json.loads(text)
+        stable, engine = doc["stable"], doc["engine"]
+        if type(stable) is not bool or type(engine) is not str:
+            raise ConsistencyError("graded root: stable must be a boolean and engine a string")
         vs = sorted(doc["vertices"], key=lambda v: v["id"])
         ids = {v["id"]: i for i, v in enumerate(vs)}
         levels = tuple(int(v["level"]) for v in vs)
@@ -245,14 +250,17 @@ class GradedRoot:
         inv = [0] * len(vs)
         for a, b in doc["involution"].items():
             inv[ids[int(a)]] = ids[b]
-        return cls(
+        root = cls(
             levels,
             offsets.pop() if offsets else Fraction(0),
             tuple(succ),
             tuple(inv),
-            bool(doc.get("stable", True)),
-            engine=str(doc.get("engine", "?")),
+            stable,
+            engine=engine,
         )
+        if stable != (len(root.vertices_at(root.n_max)) == 1):
+            raise ConsistencyError("graded root: stable disagrees with its top level")
+        return root
 
     def render_dot(self) -> str:
         """Deterministic Graphviz source; stem at the bottom, leaves on top."""
@@ -667,11 +675,7 @@ def build_root_star(
     `_MARGIN`, where the root stops, fits under one.
     """
     k = _checked_char(tree, k)
-    return _star_root(tree, k, *_star_decompose(tree), n_max, involution)
-
-
-def _star_root(tree, k, center, legs, n_max, involution):
-    """`build_root_star` for a checked k and the star's `_star_decompose`."""
+    center, legs = _star_decompose(tree)
     ksq, span = k_square(tree, k), 8
     while True:
         # adaptive caps start above ceil(min chi), and min chi >= k^2 / 8

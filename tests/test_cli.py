@@ -1,4 +1,3 @@
-import concurrent.futures
 import io
 import json
 import os
@@ -340,10 +339,14 @@ def _infinite_level(doc):
     doc["vertices"][0]["level"] = float("inf")  # written as Infinity
 
 
+def _drop_engine(doc):
+    del doc["engine"]  # read back as engine "?", which --verify never cross-checks
+
+
 @pytest.mark.parametrize(
     "edit",
-    [_break_involution, _break_weight, _zero_denominator, _infinite_level],
-    ids=["involution", "weight", "zero-denominator", "infinite-level"],
+    [_break_involution, _break_weight, _zero_denominator, _infinite_level, _drop_engine],
+    ids=["involution", "weight", "zero-denominator", "infinite-level", "engine-removed"],
 )
 @pytest.mark.parametrize("python_flags", [(), ("-O",)])
 def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags, edit):
@@ -357,6 +360,40 @@ def test_root_cache_rebuilds_an_inconsistent_entry(tmp_path, python_flags, edit)
     assert a.returncode == b.returncode == 0
     assert b.stdout == a.stdout
     assert entry.read_text() == a.stdout.strip()
+
+
+def _drop_stable(doc):
+    del doc["stable"]
+
+
+def _stringify_stable(doc):
+    doc["stable"] = "false"  # a non-empty string, so bool() of it is True
+
+
+def _claim_stable(doc):
+    doc["stable"] = True
+
+
+@pytest.mark.parametrize(
+    "edit", [_drop_stable, _stringify_stable, _claim_stable], ids=["removed", "string", "true"]
+)
+def test_root_cache_rebuilds_an_unstable_entry_that_reads_as_stable(tmp_path, edit):
+    # level -18 of pretzel(11,-5,9) has 3 components: an entry whose
+    # "stable": false is lost or overwritten must not print that root with exit 0
+    env = {"BRANCHFLOER_CACHE_DIR": str(tmp_path)}
+    args = ("root", "pretzel(11,-5,9)", "--n-max", "-18")
+    a = run_cli(*args, env=env)
+    (entry,) = tmp_path.glob("root-*.json")
+    written = entry.read_text()
+    assert json.loads(written)["stable"] is False
+    doc = json.loads(written)
+    edit(doc)
+    entry.write_text(json.dumps(doc))
+    b = run_cli(*args, env=env)
+    assert a.returncode == b.returncode == 4
+    assert b.stdout == ""
+    assert "split into 3 components at level -18" in b.stderr
+    assert entry.read_text() == written
 
 
 def test_internal_consistency_failure_exits_1(monkeypatch, capsys):
@@ -412,37 +449,25 @@ def test_independence_duplicate_specs_yield_no_certificate():
     assert [e["omega"] for e in doc["entries"]] == [0, 0]
 
 
+WORKERS_WARNING = "warning: --workers is ignored; independence runs in one process\n"
+
+
 def test_independence_is_stable_across_worker_counts():
     a = run_cli("independence", "torus(3,7)", "torus(2,7)")
     b = run_cli("independence", "torus(3,7)", "torus(2,7)", "--workers", "2")
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+    assert (a.stderr, b.stderr) == ("", WORKERS_WARNING)
     assert json.loads(a.stdout)["certificate"] is False
 
 
-def test_independence_pool_has_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
-
-    class InlinePool:
-        """Records its size and runs the tasks in this process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    out = io.StringIO()
-    cli.cmd_independence(["torus(2,3)", "torus(2,5)"], cli.RunConfig(workers=8), out=out)
-    assert sizes == [2]  # two knots, then their one sum, in one pool
-    assert json.loads(out.getvalue())["certificate"] is False
+@pytest.mark.parametrize("workers", ["0", "8"])
+def test_independence_ignores_any_worker_count_with_a_warning(workers, capsys):
+    # --workers only parses: it runs nothing in parallel and rejects no count
+    assert cli.main(["independence", "torus(2,3)", "torus(2,5)", "--workers", workers]) == 0
+    out, err = capsys.readouterr()
+    assert err == WORKERS_WARNING
+    assert json.loads(out)["certificate"] is False
 
 
 GENERATORS = ["pretzel(7,-3,5)", "pretzel(11,-5,9)", "pretzel(15,-7,13)"]
@@ -466,7 +491,7 @@ def test_independence_builds_each_root_once_and_no_cone(monkeypatch):
     branched = _counted(monkeypatch, knots, "branched_invariants")
     cones = _counted(monkeypatch, complexes, "involutive_cone")
     out = io.StringIO()
-    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=out)
+    cli.cmd_independence(GENERATORS, cli.RunConfig(), out=out)
     assert len(built) == 3
     assert branched == [] and cones == []
     doc = json.loads(out.getvalue())
@@ -476,11 +501,11 @@ def test_independence_builds_each_root_once_and_no_cone(monkeypatch):
 
 def test_independence_verify_checks_every_cone_from_the_same_roots(monkeypatch):
     plain = io.StringIO()
-    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=plain)
+    cli.cmd_independence(GENERATORS, cli.RunConfig(), out=plain)
     built = _counted(monkeypatch, knots, "build_root")
     cones = _counted(monkeypatch, complexes, "involutive_cone")
     checked = io.StringIO()
-    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1, verify=True), out=checked)
+    cli.cmd_independence(GENERATORS, cli.RunConfig(verify=True), out=checked)
     assert len(built) == 3
     assert len(cones) == 6  # three knots and three pairs
     assert checked.getvalue() == plain.getvalue()
@@ -490,7 +515,7 @@ def test_independence_lifts_only_the_small_models(monkeypatch):
     # delta is read off each knot's root; the lift is for the small model
     lifts = _counted(monkeypatch, knots, "lift_involution")
     out = io.StringIO()
-    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=out)
+    cli.cmd_independence(GENERATORS, cli.RunConfig(), out=out)
     assert len(lifts) == 3
     assert [e["omega"] for e in json.loads(out.getvalue())["entries"]] == [1, 2, 3]
 
@@ -499,10 +524,10 @@ def test_independence_verify_builds_each_model_once(monkeypatch):
     # each knot's monotone subroot and its whole root: delta, the knot's full
     # complex and the pairs' tensors share the root's one model
     plain = io.StringIO()
-    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1), out=plain)
+    cli.cmd_independence(GENERATORS, cli.RunConfig(), out=plain)
     models = _counted(monkeypatch, knots, "model_complex")
     checked = io.StringIO()
-    cli.cmd_independence(GENERATORS, cli.RunConfig(workers=1, verify=True), out=checked)
+    cli.cmd_independence(GENERATORS, cli.RunConfig(verify=True), out=checked)
     assert len(models) == 6
     assert len({id(root) for (root,) in models}) == 6
     assert checked.getvalue() == plain.getvalue()
@@ -525,7 +550,7 @@ def test_evaluation_delta_is_the_full_complex_delta(text):
 
 def test_independence_checks_each_pair_tower_against_the_summed_delta():
     config = cli.RunConfig()
-    (a, _), (b, _) = (cli._evaluated((t, config)) for t in GENERATORS[:2])
+    a, b = (knots._evaluate(knots.parse_spec(t), None) for t in GENERATORS[:2])
     assert cli._omega_of(("pair", a, b, config)) == 2
     with pytest.raises(ConsistencyError, match="disagree with delta"):
         cli._omega_of(("pair", a, replace(b, delta=b.delta + 2), config))

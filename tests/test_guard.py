@@ -9,22 +9,26 @@ function refers to that parameter, so it does not count as a reference.  Checks 
 fails on any `assert` statement or raised AssertionError, which `python -O`
 would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
-more if it imports the process pool or the root cache's hashing and
-temporary files, which only `independence --workers` and
-BRANCHFLOER_CACHE_DIR use.  Evaluation logic lives in `knots`, so a check
+more if it imports a process pool or the root cache's hashing and
+temporary files, which only BRANCHFLOER_CACHE_DIR uses.  The package runs
+in one process, so a check fails if any module imports `concurrent.futures`,
+`multiprocessing` or `threading` (ROADMAP item 15: measure before adding
+parallelism back).  Evaluation logic lives in `knots`, so a check
 fails if the command line uses any private `knots` name but the two that
 build an evaluation tree, `_evaluate` and `_summed`.  No result may outlive
 the objects it belongs to (the benchmark re-parses every input to measure
 each pass in full), so a check fails on any use of `functools.lru_cache` or
 `functools.cache` in the package.  The benchmark's tracer
-(perfbench/tracer.py) wraps the package's layer functions by name, so one
-check installs and uninstalls it on the loaded package.  A public name must be one a user can find: every name in
-`branchfloer.__all__` is used by the README's code, a demo, the command line
-or the acceptance tests.
+(perfbench/tracer.py) wraps the package's layer functions by name and reads
+size attributes off their arguments and results, so one check runs
+`independence` and a sum's `invariants` under it.  A public name must be
+one a user can find: every name in `branchfloer.__all__` is used by the
+README's code, a demo, the command line or the acceptance tests.
 """
 
 import ast
 import importlib.util
+import io
 import re
 import subprocess
 import sys
@@ -145,6 +149,24 @@ def test_package_keeps_no_cross_call_cache():
     assert found == []
 
 
+def test_package_runs_in_one_process():
+    """No pool, no threads: `independence` in one process was faster on every
+    input measured (ROADMAP item 15), so parallelism comes back only with a
+    measurement that shows it pays."""
+    pools = ("concurrent", "multiprocessing", "threading")
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] in pools]
+    assert found == []
+
+
 def test_cli_reaches_knots_privates_only_through_the_evaluation_tree():
     tree = ast.parse((SRC / "cli.py").read_text())
     used = set()
@@ -167,6 +189,9 @@ def test_cli_start_up_imports_no_numpy():
 
 
 def test_cli_start_up_imports_no_pool_or_cache_modules():
+    # the package imports no pool module itself (test_package_runs_in_one_process),
+    # nor does any standard module it loads at start-up; hashlib and tempfile
+    # are the root cache's, loaded only under BRANCHFLOER_CACHE_DIR.
     # -S: no site hooks of the environment load these modules first
     probe = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import branchfloer.cli; "
@@ -180,8 +205,7 @@ def test_cli_start_up_imports_no_pool_or_cache_modules():
 
 
 def test_benchmark_tracer_finds_every_traced_name():
-    import branchfloer.cli  # noqa: F401 - loads every module the tracer wraps
-    from branchfloer import plumbing
+    from branchfloer import cli, knots, plumbing  # cli loads every module the tracer wraps
 
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
@@ -193,9 +217,16 @@ def test_benchmark_tracer_finds_every_traced_name():
         assert plumbing.pd_vector is not original
         plumbing.pd_vector(plumbing.PlumbingTree((-2,), ()), (0,))
         assert [s["name"] for s in t.spans] == ["plumbing.pd_vector"]
+        # the readers of ATTRS, cli._omega_of's args[0][0] among them
+        cli.cmd_independence(["torus(2,3)", "torus(2,5)"], cli.RunConfig(), out=io.StringIO())
+        knots.invariants(knots.parse_spec("sum(torus(2,3),torus(2,5))"))
     finally:
         t.uninstall()
     assert plumbing.pd_vector is original
+    tasks = [s.get("task") for s in t.spans if s["name"] == "cli._omega_of"]
+    assert tasks == ["sum(torus(2,3),torus(2,5))"]
+    built = [s for s in t.spans if s["name"].startswith("roots.build_root")]
+    assert len(built) == 4 and all(s["vertices"] > 0 for s in built)
 
 
 def _readme_code() -> str:
