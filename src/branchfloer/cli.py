@@ -16,20 +16,18 @@ README.md) either inline or on stdin via ``-``.
 
 Exit codes: 0 success, 2 malformed input or usage, 3 no definite cover
 presentation, 4 unstable truncation, 1 an internal fault (a failed
-consistency check or a search bound).  Set BRANCHFLOER_CACHE_DIR to let the
-root subcommand reuse graded roots across runs.
+consistency check or a search bound).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ConsistencyError, __version__, knots, plumbing, roots
+from . import ConsistencyError, knots, plumbing, roots
 from .connected import omega
 
 
@@ -102,8 +100,7 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
         if not isinstance(edges, list) or any(type(e) is not list or len(e) != 2 for e in edges):
             raise ValueError(f"edges must be a list of integer pairs, got {json.dumps(edges)}")
         tree = plumbing.PlumbingTree(weights, tuple(_ints(e, "edges") for e in edges))
-        char = doc.get("char")
-        char = None if char is None else _ints(char, "char")
+        char = _ints(doc["char"], "char") if "char" in doc else None
         involution = doc.get("involution", "auto")
         if type(involution) is not str:
             raise ValueError(f"involution must be a string, got {json.dumps(involution)}")
@@ -121,44 +118,6 @@ def _tree_from_doc(doc) -> tuple[plumbing.PlumbingTree, tuple[int, ...] | None, 
     return tree, char, involution
 
 
-def _build_root(tree, char, involution, config: RunConfig) -> roots.GradedRoot:
-    """Build a root, or read it from BRANCHFLOER_CACHE_DIR when set.  An
-    entry that cannot be read back, or reads back as an inconsistent root,
-    counts as a miss and is rewritten."""
-    cache_dir = os.environ.get("BRANCHFLOER_CACHE_DIR")
-    key_path = None
-    if cache_dir:
-        import hashlib  # only the cache needs these: keep start-up lean
-        import tempfile
-
-        key_doc = {
-            "version": __version__,
-            "weights": list(tree.weights),
-            "edges": [list(e) for e in tree.edges],
-            "char": list(char) if char else None,
-            "involution": involution,
-            "n_max": config.n_max,
-        }
-        digest = hashlib.sha256(
-            json.dumps(key_doc, sort_keys=True).encode()
-        ).hexdigest()
-        key_path = os.path.join(cache_dir, f"root-{digest}.json")
-        try:
-            with open(key_path) as fh:
-                return roots.GradedRoot.from_json(fh.read())
-        except (OSError, ValueError, ArithmeticError, LookupError, TypeError, ConsistencyError):
-            pass
-    root = roots.build_root(tree, char, involution=involution, n_max=config.n_max)
-    if key_path:
-        os.makedirs(cache_dir, exist_ok=True)
-        with tempfile.NamedTemporaryFile(
-            "w", dir=cache_dir, prefix=".root-", suffix=".tmp", delete=False
-        ) as fh:
-            fh.write(root.to_json())
-        os.replace(fh.name, key_path)
-    return root
-
-
 def cmd_root(source: str, config: RunConfig, out=None) -> None:
     out = out or sys.stdout
     text = sys.stdin.read() if source == "-" else source
@@ -172,7 +131,7 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
     else:
         pres = knots.presentation(knots.parse_spec(stripped))
         tree, char, involution = pres.tree, pres.char, pres.involution
-    root = _build_root(tree, char, involution, config)
+    root = roots.build_root(tree, char, involution=involution, n_max=config.n_max)
     root.require_stable()
     if config.verify and root.engine == "star":
         alt = roots.build_root_box(tree, char, involution=involution, n_max=config.n_max)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,7 +91,7 @@ class GradedRoot:
         n = len(self.levels)
 
         def check(ok, prop):
-            # raised, not asserted: cache entries are read back through here
+            # raised, not asserted, so the checks hold under python -O
             if not ok:
                 raise ConsistencyError(f"graded root: {prop}")
 
@@ -227,41 +228,6 @@ class GradedRoot:
         }
         return json.dumps(doc, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GradedRoot":
-        """The root of `to_json` text, which may come from outside the
-        package (a cache entry): weights that are not offset - 2 * level,
-        a `stable` that is not the JSON boolean "one top vertex" or an
-        `engine` that is not a string raise ConsistencyError, as
-        `__post_init__`'s checks do, and a missing field raises KeyError."""
-        doc = json.loads(text)
-        stable, engine = doc["stable"], doc["engine"]
-        if type(stable) is not bool or type(engine) is not str:
-            raise ConsistencyError("graded root: stable must be a boolean and engine a string")
-        vs = sorted(doc["vertices"], key=lambda v: v["id"])
-        ids = {v["id"]: i for i, v in enumerate(vs)}
-        levels = tuple(int(v["level"]) for v in vs)
-        offsets = {Fraction(v["weight"][0], v["weight"][1]) + 2 * n for v, n in zip(vs, levels)}
-        if len(offsets) > 1:
-            raise ConsistencyError("graded root: weights are not an affine function of level")
-        succ: list[int | None] = [None] * len(vs)
-        for a, b in doc["successor"].items():
-            succ[ids[int(a)]] = ids[b]
-        inv = [0] * len(vs)
-        for a, b in doc["involution"].items():
-            inv[ids[int(a)]] = ids[b]
-        root = cls(
-            levels,
-            offsets.pop() if offsets else Fraction(0),
-            tuple(succ),
-            tuple(inv),
-            stable,
-            engine=engine,
-        )
-        if stable != (len(root.vertices_at(root.n_max)) == 1):
-            raise ConsistencyError("graded root: stable disagrees with its top level")
-        return root
-
     def render_dot(self) -> str:
         """Deterministic Graphviz source; stem at the bottom, leaves on top."""
         lines = [
@@ -378,16 +344,29 @@ class _Sweep:
     Points are placed in order of chi, each joined to its placed lattice
     neighbours at its own level.  Links are never compressed and keep the
     level at which they were made, so the component of any point at any
-    swept level stays readable after the sweep."""
+    swept level stays readable after the sweep.
+
+    A point is coded as one integer in a mixed radix, first coordinate most
+    significant, so integer order is tuple order.  Each coordinate's digit
+    runs over the points' range padded by one on both sides: a neighbour's
+    code is the point's plus or minus one stride, and never another point's.
+    """
 
     def __init__(self, chi_of, cap):
         pts = sorted(chi_of, key=chi_of.get)
         self.chi = [chi_of[p] for p in pts]
-        self.index = {p: i for i, p in enumerate(pts)}
-        self.link = list(range(len(pts)))
+        cols = list(zip(*pts))
+        self._low = [min(xs) - 1 for xs in cols]
+        self._radix = [max(xs) - lo + 2 for xs, lo in zip(cols, self._low)]
+        self._strides = strides = [math.prod(self._radix[v + 1:]) for v in range(len(self._radix))]
+        self._base = sum(map(operator.mul, self._low, strides))
+        codes = [sum(map(operator.mul, p, strides)) - self._base for p in pts]  # `_code`, unchecked
+        steps = [d * s for s in strides for d in (-1, 1)]  # to each lattice neighbour
+        self.index = index = {c: i for i, c in enumerate(codes)}
+        self.link = link = list(range(len(pts)))
         self.joined = [None] * len(pts)
         size = [1] * len(pts)
-        least = list(pts)  # lexicographically least point under each root
+        least = list(codes)  # code of the least point under each root
         heads: set[int] = set()  # union-find roots of the placed points
 
         counter = itertools.count()
@@ -400,31 +379,38 @@ class _Sweep:
         for lev in range(self.chi[0], cap + 1):
             while fresh < len(pts) and self.chi[fresh] == lev:
                 heads.add(fresh)
-                p = pts[fresh]
-                for v in range(len(p)):
-                    for y in (p[v] - 1, p[v] + 1):
-                        j = self.index.get(p[:v] + (y,) + p[v + 1:])
-                        if j is None or j > fresh:
-                            continue  # not placed yet; it joins this point itself
-                        a, b = self._find(fresh, lev), self._find(j, lev)
-                        if a == b:
-                            continue
-                        if size[a] > size[b]:
-                            a, b = b, a
-                        self.link[a] = b
-                        self.joined[a] = lev
-                        size[b] += size[a]
-                        least[b] = min(least[a], least[b])
-                        heads.discard(a)
+                c, a = codes[fresh], fresh  # a: the root of this point's component
+                for step in steps:
+                    b = index.get(c + step)
+                    if b is None or b > fresh:
+                        continue  # not placed yet; it joins this point itself
+                    while link[b] != b:  # every link so far is live at this level
+                        b = link[b]
+                    if a == b:
+                        continue
+                    if size[a] > size[b]:
+                        a, b = b, a
+                    link[a] = b
+                    self.joined[a] = lev
+                    size[b] += size[a]
+                    least[b] = min(least[a], least[b])
+                    heads.discard(a)
+                    a = b
                 fresh += 1
             here = {r: next(counter) for r in sorted(heads)}
             for r, cid in here.items():
-                self.reps[cid] = least[r]
+                self.reps[cid] = pts[index[least[r]]]
             self.level_comps.append((lev, list(here.values())))
             for r, cid in prev.items():
                 self.parent_of[cid] = here[self._find(r, lev)]
             self._comp[lev] = here
             prev = here
+
+    def _code(self, point):
+        """The point's code, or None outside the padded box."""
+        if not all(0 <= x - lo < r for x, lo, r in zip(point, self._low, self._radix)):
+            return None
+        return sum(map(operator.mul, point, self._strides)) - self._base
 
     def _find(self, i, level):
         while self.link[i] != i and self.joined[i] <= level:
@@ -433,7 +419,7 @@ class _Sweep:
 
     def component_at(self, point, level):
         """Component id of a lattice point at a level, or None."""
-        i = self.index.get(tuple(point))
+        i = self.index.get(self._code(point))
         if i is None or self.chi[i] > level:
             return None
         return self._comp[level][self._find(i, level)]

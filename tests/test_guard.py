@@ -9,8 +9,10 @@ function refers to that parameter, so it does not count as a reference.  Checks 
 fails on any `assert` statement or raised AssertionError, which `python -O`
 would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
-more if it imports a process pool or the root cache's hashing and
-temporary files, which only BRANCHFLOER_CACHE_DIR uses.  The package runs
+more if it imports a process pool, hashing or temporary files, which no
+command needs.  Output depends only on the arguments and stdin, so a check
+fails if any module reads `os.environ` or `os.getenv`, and `root` with the
+retired BRANCHFLOER_CACHE_DIR set writes nothing there.  The package runs
 in one process, so a check fails if any module imports `concurrent.futures`,
 `multiprocessing` or `threading` (ROADMAP item 15: measure before adding
 parallelism back).  Evaluation logic lives in `knots`, so a check
@@ -29,6 +31,7 @@ README's code, a demo, the command line or the acceptance tests.
 import ast
 import importlib.util
 import io
+import os
 import re
 import subprocess
 import sys
@@ -190,8 +193,8 @@ def test_cli_start_up_imports_no_numpy():
 
 def test_cli_start_up_imports_no_pool_or_cache_modules():
     # the package imports no pool module itself (test_package_runs_in_one_process),
-    # nor does any standard module it loads at start-up; hashlib and tempfile
-    # are the root cache's, loaded only under BRANCHFLOER_CACHE_DIR.
+    # nor does any standard module it loads at start-up, and no command needs
+    # hashlib or tempfile, which cost milliseconds to import.
     # -S: no site hooks of the environment load these modules first
     probe = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import branchfloer.cli; "
@@ -202,6 +205,44 @@ def test_cli_start_up_imports_no_pool_or_cache_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_reads_no_environment_variable():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [node.attr] if node.value.id == "os" else []
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ("environ", "getenv")]
+    assert found == []
+
+
+BUSH = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
+BUSH_ROOT = (
+    '{"engine": "box", "involution": {"0": 0, "1": 1, "2": 2}, "leaves": [0], '
+    '"schema": 1, "stable": true, "successor": {"0": 1, "1": 2}, "vertices": '
+    '[{"id": 0, "level": 0, "weight": [-1, 4]}, {"id": 1, "level": 1, "weight": '
+    '[-9, 4]}, {"id": 2, "level": 2, "weight": [-17, 4]}]}\n'
+)
+
+
+def test_root_ignores_the_retired_cache_directory(tmp_path):
+    env = dict(os.environ, BRANCHFLOER_CACHE_DIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "branchfloer", "root", BUSH],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == BUSH_ROOT
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_benchmark_tracer_finds_every_traced_name():

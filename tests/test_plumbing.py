@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import pickle
 import subprocess
@@ -166,9 +167,9 @@ def test_box_root_eliminates_once_for_every_reflection(monkeypatch):
     bush = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
     out = io.StringIO()
     cli.cmd_root(bush, cli.RunConfig(), out)
-    root = rt.GradedRoot.from_json(out.getvalue())
-    assert root.engine == "box"
-    assert len(reflections) == len(root) > 1
+    root = json.loads(out.getvalue())
+    assert root["engine"] == "box"
+    assert len(reflections) == len(root["vertices"]) > 1
     assert len(whole) == 1
     assert _once_each(whole, per_k) and len(per_k) <= 2
 

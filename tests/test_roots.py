@@ -648,13 +648,27 @@ def test_involution_selection():
 
 
 def test_json_round_trip():
+    # every field of the root, read back from its JSON
     r = rt.build_root_star(GAMMA7)
-    back = rt.GradedRoot.from_json(r.to_json())
-    assert back.levels == r.levels
-    assert back.weights == r.weights
-    assert back.succ == r.succ
-    assert back.involution == r.involution
-    assert r.is_isomorphic(back)
+    doc = json.loads(r.to_json())
+    assert [v["id"] for v in doc["vertices"]] == list(range(len(r)))
+    assert tuple(v["level"] for v in doc["vertices"]) == r.levels
+    assert tuple(Fraction(*v["weight"]) for v in doc["vertices"]) == r.weights
+    assert doc["successor"] == {str(v): s for v, s in enumerate(r.succ) if s is not None}
+    assert doc["leaves"] == list(r.leaves)
+    assert doc["involution"] == {str(v): j for v, j in enumerate(r.involution)}
+    assert (doc["engine"], doc["stable"]) == ("star", True)
+
+
+def test_sweep_keeps_apart_points_whose_unpadded_codes_are_adjacent():
+    # unpadded, (0, 2) and (1, 0) would be coded 2 and 3, one apart
+    sweep = rt._Sweep({(0, 2): 0, (1, 0): 0}, 0)
+    assert sweep.level_comps == [(0, [0, 1])]
+    assert sorted(sweep.reps.values()) == [(0, 2), (1, 0)]
+    assert sweep.component_at((0, 2), 0) != sweep.component_at((1, 0), 0)
+    for outside in [(2, 0), (-1, 2), (0, 3), (0, -1), (5, 5)]:
+        assert sweep.component_at(outside, 0) is None
+    assert sweep.component_at((0, 1), 0) is None  # in the box, not in the set
 
 
 def test_dot_output_is_deterministic():
@@ -722,14 +736,13 @@ def test_engines_agree_on_random_stars(tree):
     raises=AssertionError,
     reason="star engine's adaptive stop comes before a later split (ROADMAP item 1)",
 )
-def test_star_engine_stop_level_reaches_a_late_split(monkeypatch):
+def test_star_engine_stop_level_reaches_a_late_split():
     # The star engine stops at level -3 with 5 leaves; S_0 has 3 components
     # and the box root, which agrees with build_root_star(tree, n_max=3),
     # has 7 leaves.
     tree = pl.star(-1, [[-5], [-5, -2], [-2, -4]])
     b = rt.build_root_box(tree)
     assert rt.build_root_star(tree).is_isomorphic(b)
-    monkeypatch.delenv("BRANCHFLOER_CACHE_DIR", raising=False)
     doc = {"weights": list(tree.weights), "edges": [list(e) for e in tree.edges]}
     assert cli.main(["root", json.dumps(doc), "--verify"]) == 0
 
