@@ -10,18 +10,7 @@ connected and reduced-connected versions, and the torsion exponent omega.
 
 __version__ = "0.1.0"
 
-from .complexes import (  # noqa: E402
-    ConsistencyError,
-    GradedUModule,
-    RankBoundExceeded,
-    UComplex,
-    UMap,
-    homology,
-    lift_involution,
-    local_equivalences,
-    model_complex,
-)
-from .connected import monotone_subroot  # noqa: E402
+from .connected import GradedUModule, monotone_subroot  # noqa: E402
 from .knots import (  # noqa: E402
     InvariantPackage,
     KnotSpec,
@@ -32,7 +21,7 @@ from .knots import (  # noqa: E402
     presentation,
     unparse,
 )
-from .plumbing import DefinitenessError, PlumbingTree, star  # noqa: E402
+from .plumbing import ConsistencyError, DefinitenessError, PlumbingTree, star  # noqa: E402
 from .roots import GradedRoot, InstabilityError, build_root  # noqa: E402
 
 __all__ = [
@@ -61,3 +50,12 @@ __all__ = [
     "star",
     "unparse",
 ]
+
+
+def __getattr__(name):
+    # every other public name is bound above: the rest are the chain layer's,
+    # which only sums and --verify run, so it loads on first use
+    if name in __all__:
+        from . import complexes
+        return getattr(complexes, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

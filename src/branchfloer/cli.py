@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ConsistencyError, knots, plumbing, roots
+from . import knots, plumbing, roots
 from .connected import omega
 
 
@@ -136,7 +136,7 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
     if config.verify and root.engine == "star":
         alt = roots.build_root_box(tree, char, involution=involution, n_max=config.n_max)
         if not root.is_isomorphic(alt):
-            raise ConsistencyError("engine cross-check failed: star and box roots differ")
+            raise plumbing.ConsistencyError("engine cross-check failed: star and box roots differ")
     if config.fmt == "dot":
         out.write(root.render_dot())
     elif config.fmt == "json":

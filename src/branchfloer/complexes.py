@@ -16,6 +16,10 @@ The branched construction attaches the mapping cone of 1 + iota with an
 extra degree -1 marker Q.  Its homology carries exactly two towers and the
 Q-action on deep classes tells the upper tower apart from the lower one.
 
+This chain layer runs only for sums and `verify`: `knots._Eval` imports it
+when a node first needs a model (`_root_model`, `_combined`), a search or a
+cone.  Its results are the module types of `connected`.
+
 A vector over a grading slice is a bitmask over generator ids: bit j is x_j
 at the U-power the slice forces (`_slice` gives the slice's mask).  In these
 coordinates the boundary of x_j in any slice is diff[j], its image under a
@@ -23,11 +27,11 @@ degree-0 map is rows[j], and multiplication by U is the identity, so no
 slice is ever re-indexed.  `homology` keeps one echelon of boundaries and
 one of the slice differential per parity, both growing as generators enter
 its downward sweep.  Every other chain-level job has one routine:
-`_apply_vectors` for applying or composing bitmask matrices, `_F2Space` for
-every F_2 echelon and `_kernel_of` for the kernel of a linear system,
-`_columns` for the column of each unknown of X -> a X + X b in the system
-of `_chain_map_basis`, and `_walk` for the search over
-the chain maps that `local_equivalences` and `connected_homology_brute` both
+`_apply_vectors` for applying or composing bitmask matrices, `plumbing`'s
+`_F2Space` for every F_2 echelon and `_kernel_of` for the kernel of a
+linear system, `_columns` for the column of each unknown of X -> a X + X b
+in the system of `_chain_map_basis`, and `_walk` for the search over the
+chain maps that `local_equivalences` and `connected_homology_brute` both
 run: one Gray-code walk that xors one precomputed delta per candidate and
 reads the deep-kernel rank on the way.  The model complex of a graded root
 keeps one angle mask per vertex (`ModelComplex.path`), and the involution's
@@ -51,76 +55,17 @@ gradings.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+from .connected import BranchedModule, GradedUModule
+from .plumbing import ConsistencyError, _bits, _F2Space
+
 
 class RankBoundExceeded(RuntimeError):
     """A brute-force search was asked to handle too large a complex."""
-
-
-class ConsistencyError(RuntimeError):
-    """A computed result failed one of the pipeline's own cross-checks: a
-    fault in the package or the truncation, not in its input."""
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _F2Space:
-    """Row space over F_2 with combination tracking (echelon insertion)."""
-
-    def __init__(self, pivots=()):
-        self.pivots = dict(pivots)  # leading bit -> (vector, combination tag)
-
-    def reduce(self, v, tag=0):
-        """Reduce v by every pivot whose bit it has, highest first.  The
-        residual has no pivot bit, so it and the tag are F_2-linear in v."""
-        residual = 0
-        while v:
-            p = v.bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                residual |= 1 << p
-                v ^= 1 << p
-            else:
-                v ^= hit[0]
-                tag ^= hit[1]
-        return residual, tag
-
-    def add(self, v, tag=0):
-        """Insert; returns (independent?, residual tag).  Only the leading
-        bit needs clearing, so this stops at the first one that is new."""
-        while v:
-            p = v.bit_length() - 1
-            hit = self.pivots.get(p)
-            if hit is None:
-                self.pivots[p] = (v, tag)
-                return True, tag
-            v ^= hit[0]
-            tag ^= hit[1]
-        return False, tag
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduced(self) -> tuple[int, ...]:
-        """The reduced echelon basis, which depends on the row space alone."""
-        rows = {}
-        for p in sorted(self.pivots):
-            v = self.pivots[p][0]
-            for q in _bits(v ^ (1 << p)):
-                if q in rows:
-                    v ^= rows[q]
-            rows[p] = v
-        return tuple(rows.values())
 
 
 @dataclass(frozen=True)
@@ -378,19 +323,6 @@ def _kernel_of(images, sources):
 # homology as towers + torsion
 
 
-@dataclass(frozen=True)
-class GradedUModule:
-    """Isomorphism type of a graded F_2[U]-module of finite rank.
-
-    towers: top gradings of the free summands, descending.
-    torsion: (top grading, U-length) pairs for the F_2[U]/U^n summands.
-    """
-
-    towers: tuple[Fraction, ...]
-    torsion: tuple[tuple[Fraction, int], ...]
-    deep: dict = field(default_factory=dict, compare=False, repr=False)
-
-
 class _Deep(NamedTuple):
     """One parity of a complex below all of its generators, where its slices
     no longer change: the generators of that parity, the surviving tower
@@ -561,6 +493,28 @@ def lift_involution(model: ModelComplex) -> UMap:
     return iota
 
 
+def _root_model(root) -> tuple[UComplex, UMap]:
+    """A root's model complex with its lifted involution, shifted by -2."""
+    model = model_complex(root)
+    return _shifted(model.cx, lift_involution(model), -2)
+
+
+def _shifted(cx: UComplex, iota: UMap, s) -> tuple[UComplex, UMap]:
+    out = shift_complex(cx, s)
+    return out, UMap(out, out, iota.degree, iota.rows)
+
+
+def _combined(parts) -> tuple[UComplex, UMap]:
+    """A mirror's complex, the dual of its child's, or a sum's, the tensor."""
+    if len(parts) == 2:
+        (a, iota_a), (b, iota_b) = parts
+        cx = tensor_complex(a, b)
+        return _shifted(cx, tensor_map(iota_a, iota_b, cx, cx), 2)
+    cx, iota = parts[0]
+    out = dual_complex(cx)
+    return out, dual_map(iota, out, out)
+
+
 # ---------------------------------------------------------------------------
 # the branched construction
 
@@ -578,18 +532,6 @@ def involutive_cone(cx: UComplex, iota: UMap):
     if not q.is_chain_map():
         raise ConsistencyError("cone marker Q is not a chain map")
     return cone, q
-
-
-@dataclass(frozen=True)
-class BranchedModule:
-    """Homology of the branched cone with its two distinguished corrections.
-
-    upper - 1 and lower are the tops of the two infinite towers; the Q-action
-    sends the deep part of the lower tower onto the deep part of the other."""
-
-    upper: Fraction
-    lower: Fraction
-    module: GradedUModule
 
 
 def branched_invariants(cx: UComplex, iota: UMap) -> BranchedModule:

@@ -1,5 +1,7 @@
 """The connected homology of a symmetric graded root, with no search, a
-knot's two modules read off its root, and the dual that mirrors one.
+knot's two modules read off its root, and the dual that mirrors one.  The
+two module types, `GradedUModule` and the `BranchedModule` that adds the
+two corrections, live here; `complexes` computes the same types on chains.
 
 `monotone_subroot` keeps only a distinguished set of leaves, found by walking
 the stem downward from the highest-weight invariant vertex and collecting
@@ -24,8 +26,36 @@ connected module.
 
 from __future__ import annotations
 
-from .complexes import BranchedModule, ConsistencyError, GradedUModule
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .plumbing import ConsistencyError
 from .roots import GradedRoot
+
+
+@dataclass(frozen=True)
+class GradedUModule:
+    """Isomorphism type of a graded F_2[U]-module of finite rank.
+
+    towers: top gradings of the free summands, descending.
+    torsion: (top grading, U-length) pairs for the F_2[U]/U^n summands.
+    """
+
+    towers: tuple[Fraction, ...]
+    torsion: tuple[tuple[Fraction, int], ...]
+    deep: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+@dataclass(frozen=True)
+class BranchedModule:
+    """Homology of the branched cone with its two distinguished corrections.
+
+    upper - 1 and lower are the tops of the two infinite towers; the Q-action
+    sends the deep part of the lower tower onto the deep part of the other."""
+
+    upper: Fraction
+    lower: Fraction
+    module: GradedUModule
 
 
 def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:

@@ -7,7 +7,8 @@ star-shaped negative-definite plumbing together with the right spin
 characteristic vector and a recipe for the covering involution.  A knot has
 its invariants read off the graded root, a mirror (or a mirrored
 presentation) takes the dual of its knot's package, and connected sums
-tensor the chain data of their roots' models, so the full input language is
+tensor the chain data of their roots' models (`complexes`, imported only
+when a sum or `verify` needs it), so the full input language is
 
     torus(p,q) | pretzel(a1,...,ak) | montesinos(e; a1/b1, ...)
                | mirror(S) | sum(S, S, ...)
@@ -21,30 +22,9 @@ from functools import cached_property, reduce
 from math import floor, gcd, prod
 import re
 
-from .complexes import (
-    BranchedModule,
-    ConsistencyError,
-    GradedUModule,
-    UComplex,
-    UMap,
-    branched_invariants,
-    connected_homology_brute,
-    delta_invariant,
-    dual_complex,
-    dual_map,
-    lift_involution,
-    model_complex,
-    shift_complex,
-    tensor_complex,
-    tensor_map,
-)
-from .connected import _dual, _root_branched, _subroot_homology, monotone_subroot, omega
-from .plumbing import (
-    PlumbingTree,
-    determinant_magnitude,
-    spin_char,
-    star,
-)
+from .connected import BranchedModule, GradedUModule, _dual, _root_branched, _subroot_homology
+from .connected import monotone_subroot, omega
+from .plumbing import ConsistencyError, PlumbingTree, determinant_magnitude, spin_char, star
 from .roots import GradedRoot, build_root
 
 
@@ -481,28 +461,32 @@ class _Eval:
         return br
 
     @cached_property
-    def small(self) -> tuple[UComplex, UMap]:
+    def small(self) -> tuple:
+        from . import complexes
         if self.root is None:
-            return _combined([c.small for c in self.children])
+            return complexes._combined([c.small for c in self.children])
         sub = monotone_subroot(self.root)
-        return self.full if sub is self.root else _root_model(sub)
+        return self.full if sub is self.root else complexes._root_model(sub)
 
     @cached_property
-    def full(self) -> tuple[UComplex, UMap]:
+    def full(self) -> tuple:
+        from . import complexes
         if self.root is None:
-            return _combined([c.full for c in self.children])
-        return _root_model(self.root)
+            return complexes._combined([c.full for c in self.children])
+        return complexes._root_model(self.root)
 
     @cached_property
     def search(self) -> GradedUModule:
-        return connected_homology_brute(*self.small, self.rank_bound)
+        from . import complexes
+        return complexes.connected_homology_brute(*self.small, self.rank_bound)
 
     @cached_property
     def cone(self) -> BranchedModule:
+        from . import complexes
         cx, iota = self.full
-        if (delta := delta_invariant(cx)) != self.delta:
+        if (delta := complexes.delta_invariant(cx)) != self.delta:
             raise ConsistencyError(f"delta of the full complex {delta} differs from {self.delta}")
-        return branched_invariants(cx, iota)
+        return complexes.branched_invariants(cx, iota)
 
     def verify(self) -> None:
         """Raise unless both modules equal the chain reference on this node,
@@ -510,31 +494,6 @@ class _Eval:
         pairs = (("connected", self.connected, self.search), ("branched", self.branched, self.cone))
         if differ := [name for name, value, reference in pairs if value != reference]:
             raise ConsistencyError(f"the default and chain paths disagree on {', '.join(differ)}")
-
-
-def _shifted(cx: UComplex, iota: UMap, s) -> tuple[UComplex, UMap]:
-    out = shift_complex(cx, s)
-    return out, UMap(out, out, iota.degree, iota.rows)
-
-
-def _tensored(a: tuple[UComplex, UMap], b: tuple[UComplex, UMap]) -> tuple[UComplex, UMap]:
-    cx = tensor_complex(a[0], b[0])
-    return _shifted(cx, tensor_map(a[1], b[1], cx, cx), 2)
-
-
-def _combined(parts) -> tuple[UComplex, UMap]:
-    """A mirror's complex, the dual of its child's, or a sum's, the tensor."""
-    if len(parts) == 2:
-        return _tensored(*parts)
-    cx, iota = parts[0]
-    out = dual_complex(cx)
-    return out, dual_map(iota, out, out)
-
-
-def _root_model(root: GradedRoot) -> tuple[UComplex, UMap]:
-    """A root's model complex with its lifted involution, shifted by -2."""
-    model = model_complex(root)
-    return _shifted(model.cx, lift_involution(model), -2)
 
 
 def _mirrored(ev: _Eval) -> _Eval:

@@ -8,6 +8,9 @@ All the downstream lattice machinery lives in the quadratic function
 
 for a characteristic vector k, which takes integer values exactly because k is
 characteristic (k(v) == Q(v,v) mod 2 for every vertex).
+
+The lowest layer also holds what the layers above share: `ConsistencyError`
+and `_F2Space`, the F_2 echelon of the Wu class here and of `complexes`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complexes import ConsistencyError, _F2Space
+
+class ConsistencyError(RuntimeError):
+    """A computed result failed one of the pipeline's own cross-checks: a
+    fault in the package or the truncation, not in its input."""
 
 
 class DefinitenessError(ValueError):
@@ -198,6 +204,63 @@ def k_square(tree: PlumbingTree, k: tuple[int, ...]) -> Fraction:
     """k^2 = k^T Q^{-1} k = -k.X / det, four times the minimum of 2 chi_k
     over real vectors l."""
     return Fraction(-tree._solve(k)[2], tree._elimination[2][0])
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _F2Space:
+    """Row space over F_2 with combination tracking (echelon insertion)."""
+
+    def __init__(self, pivots=()):
+        self.pivots = dict(pivots)  # leading bit -> (vector, combination tag)
+
+    def reduce(self, v, tag=0):
+        """Reduce v by every pivot whose bit it has, highest first.  The
+        residual has no pivot bit, so it and the tag are F_2-linear in v."""
+        residual = 0
+        while v:
+            p = v.bit_length() - 1
+            hit = self.pivots.get(p)
+            if hit is None:
+                residual |= 1 << p
+                v ^= 1 << p
+            else:
+                v ^= hit[0]
+                tag ^= hit[1]
+        return residual, tag
+
+    def add(self, v, tag=0):
+        """Insert; returns (independent?, residual tag).  Only the leading
+        bit needs clearing, so this stops at the first one that is new."""
+        while v:
+            p = v.bit_length() - 1
+            hit = self.pivots.get(p)
+            if hit is None:
+                self.pivots[p] = (v, tag)
+                return True, tag
+            v ^= hit[0]
+            tag ^= hit[1]
+        return False, tag
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def reduced(self) -> tuple[int, ...]:
+        """The reduced echelon basis, which depends on the row space alone."""
+        rows = {}
+        for p in sorted(self.pivots):
+            v = self.pivots[p][0]
+            for q in _bits(v ^ (1 << p)):
+                if q in rows:
+                    v ^= rows[q]
+            rows[p] = v
+        return tuple(rows.values())
 
 
 def wu_class(tree: PlumbingTree) -> tuple[int, ...]:

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .complexes import ConsistencyError
 from .plumbing import (
+    ConsistencyError,
     PlumbingTree,
     check_negative_definite,
     coordinate_range,

@@ -386,7 +386,7 @@ def _counted(monkeypatch, module, name):
 
 def test_independence_builds_each_root_once_and_no_cone(monkeypatch):
     built = _counted(monkeypatch, knots, "build_root")
-    branched = _counted(monkeypatch, knots, "branched_invariants")
+    branched = _counted(monkeypatch, complexes, "branched_invariants")
     cones = _counted(monkeypatch, complexes, "involutive_cone")
     out = io.StringIO()
     cli.cmd_independence(GENERATORS, cli.RunConfig(), out=out)
@@ -411,7 +411,7 @@ def test_independence_verify_checks_every_cone_from_the_same_roots(monkeypatch):
 
 def test_independence_lifts_only_the_small_models(monkeypatch):
     # delta is read off each knot's root; the lift is for the small model
-    lifts = _counted(monkeypatch, knots, "lift_involution")
+    lifts = _counted(monkeypatch, complexes, "lift_involution")
     out = io.StringIO()
     cli.cmd_independence(GENERATORS, cli.RunConfig(), out=out)
     assert len(lifts) == 3
@@ -423,7 +423,7 @@ def test_independence_verify_builds_each_model_once(monkeypatch):
     # complex and the pairs' tensors share the root's one model
     plain = io.StringIO()
     cli.cmd_independence(GENERATORS, cli.RunConfig(), out=plain)
-    models = _counted(monkeypatch, knots, "model_complex")
+    models = _counted(monkeypatch, complexes, "model_complex")
     checked = io.StringIO()
     cli.cmd_independence(GENERATORS, cli.RunConfig(verify=True), out=checked)
     assert len(models) == 6

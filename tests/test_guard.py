@@ -10,8 +10,13 @@ fails on any `assert` statement or raised AssertionError, which `python -O`
 would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
 more if it imports a process pool, hashing or temporary files, which no
-command needs.  Output depends only on the arguments and stdin, so a check
-fails if any module reads `os.environ` or `os.getenv`, and `root` with the
+command needs.  The F_2[U] chain layer, `complexes`, is the largest module
+and only sums and `--verify` run it, so a check fails if starting the
+command line, a knot's or a mirror's `invariants` or a `root` loads it, and
+another if a public name stops resolving through the package's lazy
+`__getattr__` or `ConsistencyError` splits into two classes.  Output
+depends only on the arguments and stdin, so a check fails if any module
+reads `os.environ` or `os.getenv`, and `root` with the
 retired BRANCHFLOER_CACHE_DIR set writes nothing there.  The package runs
 in one process, so a check fails if any module imports `concurrent.futures`,
 `multiprocessing` or `threading` (ROADMAP item 15: measure before adding
@@ -36,6 +41,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import branchfloer
 
@@ -207,6 +214,50 @@ def test_cli_start_up_imports_no_pool_or_cache_modules():
     assert proc.stdout.strip() == "[]"
 
 
+CHAIN_LAYER_RUNS = [
+    ["invariants", "torus(3,7)"],
+    ["invariants", "mirror(torus(2,5))"],
+    ["root", "pretzel(7,-3,5)", "--dot"],
+    ["invariants", "sum(torus(2,3),torus(2,5))"],
+]
+
+
+def test_cli_loads_the_chain_layer_only_for_a_sum():
+    # a knot's and a mirror's invariants and every root are read off the
+    # graded root, so only sums and --verify compile `complexes`, the largest
+    # module, which costs every other command its compile time; -S as above
+    probe = (
+        f"import contextlib, io, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import branchfloer.cli as cli; seen = ['branchfloer.complexes' in sys.modules]\n"
+        f"for argv in {CHAIN_LAYER_RUNS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        seen.append((cli.main(argv), 'branchfloer.complexes' in sys.modules))\n"
+        "print(seen)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, (0, False), (0, False), (0, False), (0, True)]"
+
+
+def test_every_public_name_resolves_and_the_errors_stay_one_class():
+    from branchfloer import complexes, connected, plumbing
+
+    star_imported = {}
+    exec("from branchfloer import *", star_imported)
+    for name in branchfloer.__all__:
+        assert star_imported[name] is getattr(branchfloer, name), name
+    for name in ("no_such_name", "tensor_complex"):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(branchfloer, name)
+    # every `except` clause and the exit-code mapping catch one class
+    assert branchfloer.ConsistencyError is plumbing.ConsistencyError is complexes.ConsistencyError
+    assert branchfloer.GradedUModule is connected.GradedUModule is complexes.GradedUModule
+    assert connected.BranchedModule is complexes.BranchedModule
+    assert branchfloer.UComplex is complexes.UComplex
+
+
 def test_package_reads_no_environment_variable():
     found = []
     for path in sorted(SRC.glob("*.py")):
@@ -246,12 +297,14 @@ def test_root_ignores_the_retired_cache_directory(tmp_path):
 
 
 def test_benchmark_tracer_finds_every_traced_name():
-    from branchfloer import cli, knots, plumbing  # cli loads every module the tracer wraps
+    # the tracer wraps only loaded modules, and cli loads `complexes` only for
+    # a sum, so it is imported here for its readers of ATTRS
+    from branchfloer import cli, complexes, knots, plumbing
 
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    original = plumbing.pd_vector
+    original, tensor = plumbing.pd_vector, complexes.tensor_complex
     t = tracer.Tracer()
     t.install()
     try:
@@ -263,11 +316,13 @@ def test_benchmark_tracer_finds_every_traced_name():
         knots.invariants(knots.parse_spec("sum(torus(2,3),torus(2,5))"))
     finally:
         t.uninstall()
-    assert plumbing.pd_vector is original
+    assert plumbing.pd_vector is original and complexes.tensor_complex is tensor
     tasks = [s.get("task") for s in t.spans if s["name"] == "cli._omega_of"]
     assert tasks == ["sum(torus(2,3),torus(2,5))"]
     built = [s for s in t.spans if s["name"].startswith("roots.build_root")]
     assert len(built) == 4 and all(s["vertices"] > 0 for s in built)
+    tensors = [s for s in t.spans if s["name"] == "complexes.tensor_complex"]
+    assert tensors and all(s["rank"] > 0 for s in tensors)
 
 
 def _readme_code() -> str:

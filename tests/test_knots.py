@@ -24,7 +24,7 @@ from branchfloer.complexes import (
     delta_invariant,
     homology,
 )
-from branchfloer.roots import InstabilityError
+from branchfloer.roots import InstabilityError, build_root
 from oracles import determinant
 from test_acceptance import CORPUS
 
@@ -386,6 +386,38 @@ def test_goeritz_oracle_rejects_links_and_odd_sizes():
             kn.goeritz_oracle(spec)
 
 
+def _lens_d(p, q, i):
+    """d(-L(p, q), i) for p > q > 0 and 0 <= i < p + q, by the recursion of
+    Ozsvath-Szabo, "Absolutely graded Floer homologies and intersection
+    forms for four-manifolds with boundary", Adv. Math. 173 (2003), Prop.
+    4.8: (pq - (2i + 1 - p - q)^2) / 4pq - d(-L(q, r), j), r and j the
+    reductions of p and i mod q, down to d(S^3) = 0."""
+    if p == 1:
+        return Fraction(0)
+    return Fraction(p * q - (2 * i + 1 - p - q) ** 2, 4 * p * q) - _lens_d(q, p % q, i % q)
+
+
+@pytest.mark.parametrize("p", range(3, 60, 2))
+def test_two_bridge_cover_d_is_the_lens_space_recursion(p):
+    # an anchor outside the package: the cover of montesinos(0;q/p) is
+    # bounded by the chain of weights -a_1, ..., -a_n, and p/q = [a_1, ...,
+    # a_n] is read off the chain; its root's d is d(-L(p, q)) at the spin
+    # label, 2i = q - 1 mod p.  d reads only the root's lowest level, so a
+    # low n_max builds it
+    for q in (q for q in range(2, p) if math.gcd(p, q) == 1):
+        pres = kn.presentation(kn.parse_spec(f"montesinos(0;{q}/{p})"))
+        tree = pres.tree
+        assert tree.edges == tuple((v, v + 1) for v in range(len(tree) - 1))
+        assert not pres.mirrored
+        chain = Fraction(-tree.weights[-1])
+        for w in reversed(tree.weights[:-1]):
+            chain = -w - 1 / chain
+        assert (chain.numerator, chain.denominator) == (p, q)
+        i = (q - 1) * pow(2, -1, p) % p
+        d = build_root(tree, pres.char, n_max=2, involution=pres.involution).d_invariant()
+        assert d == _lens_d(chain.numerator, chain.denominator, i), (p, q)
+
+
 # ---------------------------------------------------------------------------
 # grammar
 
@@ -604,8 +636,8 @@ def test_invariants_build_one_model_per_whole_root_knot(monkeypatch):
     # on the chain path, a knot whose monotone subroot keeps every leaf builds
     # its model and lifts its involution once: its small model is its full one
     built = []
-    model_complex = kn.model_complex
-    monkeypatch.setattr(kn, "model_complex", lambda root: built.append(root) or model_complex(root))
+    model_complex = cxm.model_complex
+    monkeypatch.setattr(cxm, "model_complex", lambda root: built.append(root) or model_complex(root))
     whole = 0
     for text in CORPUS + ["pretzel(3,-5,-7,9,11)"]:
         before = len(built)
@@ -623,15 +655,15 @@ def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):
         raise AssertionError("full complex touched before the connected search")
 
     built = []
-    tensor_complex = kn.tensor_complex
+    tensor_complex = cxm.tensor_complex
 
     def recorded(a, b):
         built.append(len(a) * len(b))
         return tensor_complex(a, b)
 
-    monkeypatch.setattr(kn, "branched_invariants", unreachable)
-    monkeypatch.setattr(kn, "delta_invariant", unreachable)
-    monkeypatch.setattr(kn, "tensor_complex", recorded)
+    monkeypatch.setattr(cxm, "branched_invariants", unreachable)
+    monkeypatch.setattr(cxm, "delta_invariant", unreachable)
+    monkeypatch.setattr(cxm, "tensor_complex", recorded)
     spec = kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9),pretzel(15,-7,13))")
     with pytest.raises(RankBoundExceeded, match="rank exceeds bound 16"):
         kn.invariants(spec)
@@ -730,8 +762,8 @@ def test_evaluation_delta_is_read_off_the_roots(spec):
 
 def test_a_mirror_runs_the_search_only_to_verify(monkeypatch):
     calls = []
-    brute = kn.connected_homology_brute
-    monkeypatch.setattr(kn, "connected_homology_brute", lambda *a: calls.append(a) or brute(*a))
+    brute = cxm.connected_homology_brute
+    monkeypatch.setattr(cxm, "connected_homology_brute", lambda *a: calls.append(a) or brute(*a))
     spec = kn.parse_spec("mirror(pretzel(11,-5,9))")
     plain = kn.invariants(spec)
     assert calls == []
@@ -841,11 +873,11 @@ def test_package_serialization_shape():
 
 # the chain path's functions, each patched in the module that looks it up
 CHAIN_PATH = [
-    (kn, "model_complex"),
-    (kn, "lift_involution"),
-    (kn, "branched_invariants"),
-    (kn, "delta_invariant"),
-    (kn, "connected_homology_brute"),
+    (cxm, "model_complex"),
+    (cxm, "lift_involution"),
+    (cxm, "branched_invariants"),
+    (cxm, "delta_invariant"),
+    (cxm, "connected_homology_brute"),
     (cxm, "homology"),
 ]
 
