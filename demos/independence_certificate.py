@@ -2,7 +2,9 @@
 
 The truncation order omega is additive-in-the-max under connected sums for
 this family, so three knots with pairwise distinct positive omega cannot
-satisfy any two-term relation.  The CLI does the same thing in one call:
+satisfy any two-term relation.  It then prints omega of the sum of all
+three (3, the largest) and of the third knot plus its mirror (0).  The CLI
+certifies in one call:
 
     branchfloer independence "pretzel(7,-3,5)" "pretzel(11,-5,9)" "pretzel(15,-7,13)"
 """
@@ -37,6 +39,11 @@ def main():
         print("certificate: the three knots span a rank-3 free subgroup")
     else:
         print("certificate: FAILED")
+
+    k1, k2, k3 = GENERATORS
+    print()
+    for text in (f"sum({k1},{k2},{k3})", f"sum({k3},mirror({k3}))"):
+        print(f"omega({text}) = {omega_of(text)}")
 
 
 if __name__ == "__main__":

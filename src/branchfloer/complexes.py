@@ -17,8 +17,10 @@ extra degree -1 marker Q.  Its homology carries exactly two towers and the
 Q-action on deep classes tells the upper tower apart from the lower one.
 
 This chain layer runs only for sums and `verify`: `knots._Eval` imports it
-when a node first needs a model (`_root_model`, `_combined`), a search or a
-cone.  Its results are the module types of `connected`.
+when a node first needs a model (`_root_model`, `_combined`,
+`reduced_model`), a search or a cone.  Its results are the module types of
+`connected`.  A sum's connected homology is the homology of its tensor
+reduced by `reduced_model`, one F_2 solve per deep boundary a round.
 
 A vector over a grading slice is a bitmask over generator ids: bit j is x_j
 at the U-power the slice forces (`_slice` gives the slice's mask).  In these
@@ -31,12 +33,13 @@ its downward sweep.  Every other chain-level job has one routine:
 `_F2Space` for every F_2 echelon and `_kernel_of` for the kernel of a
 linear system, `_columns` for the column of each unknown of X -> a X + X b
 in the system of `_chain_map_basis`, and `_walk` for the search over the
-chain maps that `local_equivalences` and `connected_homology_brute` both
-run: one Gray-code walk that xors one precomputed delta per candidate and
-reads the deep-kernel rank on the way.  The model complex of a graded root
-keeps one angle mask per vertex (`ModelComplex.path`), and the involution's
-lift reads each angle's image off two of them; its square is checked to be
-the identity exactly, with no homotopy to solve for (`lift_involution`).
+chain maps that `local_equivalences` and `connected_homology_brute` (the
+`verify` reference for sums) both run: one Gray-code walk that xors one
+precomputed delta per candidate and reads the deep-kernel rank on the way.
+The model complex of a graded root keeps one angle mask per vertex
+(`ModelComplex.path`), and the involution's lift reads each angle's image
+off two of them; its square is checked to be the identity exactly, with no
+homotopy to solve for (`lift_involution`).
 
 Gradings are `Fraction`s at the interface only.  A complex here is one spin
 structure's, so its gradings lie in one coset of Z; the public constructor
@@ -57,7 +60,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import NamedTuple
 
 from .connected import BranchedModule, GradedUModule
@@ -65,7 +69,7 @@ from .plumbing import ConsistencyError, _bits, _F2Space
 
 
 class RankBoundExceeded(RuntimeError):
-    """A brute-force search was asked to handle too large a complex."""
+    """A complex or a brute-force search space exceeds the rank bound."""
 
 
 @dataclass(frozen=True)
@@ -628,12 +632,12 @@ def _deep_blocks(src: UComplex, tgt: UComplex, ha: GradedUModule, hb: GradedUMod
 # brute-force enumeration of local equivalences (small ranks only)
 
 
-def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound):
+def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, most=None):
     """The unknowns of a degree-0 map src -> tgt, and an independent basis
     (bitmasks over them) of the chain maps that commute with the involutions
-    up to homotopy.  Raises RankBoundExceeded as `local_equivalences`: a
-    complex of rank above `rank_bound`, or a basis of more than `rank_bound`
-    + 8 maps, whose 2^dim combinations the walk would visit."""
+    up to homotopy.  Raises RankBoundExceeded on a complex of rank above
+    `rank_bound`, or a basis of more than `most` maps, whose 2^dim
+    combinations `_walk` would visit."""
     if len(src) > rank_bound or len(tgt) > rank_bound:
         raise RankBoundExceeded(f"complex rank exceeds bound {rank_bound}")
     fpos = _positions(src, tgt, Fraction(0))
@@ -658,10 +662,8 @@ def _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound):
         indep, _ = fspace.add(v & fmask)
         if indep:
             fbasis.append(v & fmask)
-    if len(fbasis) > rank_bound + 8:
-        raise RankBoundExceeded(
-            f"search space dimension {len(fbasis)} exceeds bound {rank_bound + 8}"
-        )
+    if most is not None and len(fbasis) > most:
+        raise RankBoundExceeded(f"search space dimension {len(fbasis)} exceeds bound {most}")
     return fpos, fbasis
 
 
@@ -751,8 +753,8 @@ def local_equivalences(
 
     Maps are returned up to equality (not up to homotopy), sorted.  Raises
     RankBoundExceeded when the complexes or the search space are too big
-    for `rank_bound` (see `_chain_map_basis`)."""
-    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound)
+    for `rank_bound` (see `_chain_map_basis`), the space at `rank_bound` + 8."""
+    fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, rank_bound + 8)
     ha = homology(src)
     hb = ha if tgt is src else homology(tgt)
     walked = _walk(src, tgt, fpos, fbasis, ha, hb, {})
@@ -797,7 +799,7 @@ def connected_homology_brute(cx: UComplex, iota: UMap, rank_bound: int = 8) -> G
     the current maximizers are kept.  Each maximizer's image is keyed by one
     `_image_part` per parity, memoized on that parity's rows, and a map is
     built and `image_homology` called once per distinct image."""
-    fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound)
+    fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, rank_bound + 8)
     ha = homology(cx)
     best_rank = -1
     best = []
@@ -824,3 +826,77 @@ def connected_homology_brute(cx: UComplex, iota: UMap, rank_bound: int = 8) -> G
     if len(set(modules.values())) != 1:
         raise ConsistencyError("maximal self equivalences disagree; no canonical image")
     return GradedUModule(*next(iter(modules.values())))
+
+
+# ---------------------------------------------------------------------------
+# connected homology by iterated reduction
+
+
+def reduced_model(cx: UComplex, iota: UMap, rank_bound: int = 16) -> tuple[UComplex, UMap]:
+    """A model locally equivalent to (cx, iota) whose homology is its
+    connected homology: while a self local equivalence f kills a nonzero
+    deep boundary (`_deep_killer`), the image of its Fitting projection
+    (`_fitting_image`), of lower rank.  Some f does exactly when some f has
+    ker f != 0, which holds a nonzero deep cycle, a boundary since f kills
+    no tower class.  So the last model's self local equivalences are all
+    injective, so isomorphisms.  Raises RankBoundExceeded on a cx of rank
+    above `rank_bound`."""
+    while (f := _deep_killer(cx, iota, rank_bound)) is not None:
+        cx, iota = _fitting_image(cx, iota, f)
+    return cx, iota
+
+
+def _deep_killer(cx, iota, rank_bound):
+    """Rows of a self local equivalence that kills a nonzero deep boundary
+    b, or None.  With one tower, f(b) = 0 and f's tag on the tower class
+    being 1 are linear in the basis of `_chain_map_basis`, so each b of one
+    deep slice, in Gray-code order, is one F_2 solve: one column per basis
+    map, its image of b with its tag bit above, solved for the tag bit."""
+    fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound)
+    h = homology(cx)
+    if len(h.towers) != 1:
+        raise ConsistencyError(f"expected a single tower, found {h.towers}")
+    (deep, rep), = [(d, vec) for d in h.deep.values() for _, vec in d.alive]
+    maps = [_map_rows(fb, fpos, len(cx)) for fb in fbasis]
+    echelon, top = _deep_echelon(deep), 1 << len(cx)
+    tagged = [echelon.reduce(_apply_vectors(rows, [rep])[0])[1] * top for rows in maps]
+    for d in h.deep.values():
+        bounds = [vec for _, (vec, _) in d.bound]
+        images, cols = [_apply_vectors(rows, bounds) for rows in maps], list(tagged)
+        for k in range(1, 1 << len(bounds)):
+            space = _F2Space()
+            for i, img in enumerate(images):
+                cols[i] ^= img[(k & -k).bit_length() - 1]
+                space.add(cols[i], 1 << i)
+            residual, combo = space.reduce(top)
+            if not residual:
+                return _map_rows(reduce(xor, (fbasis[i] for i in _bits(combo)), 0), fpos, len(cx))
+    return None
+
+
+def _fitting_image(cx, iota, f):
+    """(im e, e iota) for e the Fitting projection of the self-map with rows
+    f, onto im g along ker g for g = f^(2^k), 2^k > rank: a power of f, so
+    a chain map that commutes with iota up to homotopy.  The basis is each
+    g(x_j) new to the span of those above it, by descending level; a
+    vector's coordinates are its tag in one echelon of that basis, tagged
+    1 << i, and of ker g on the deep slice, tagged 0."""
+    n, (offset, levels) = len(cx), cx._grid
+    g = list(f)
+    for _ in range(n.bit_length()):
+        g = _apply_vectors(g, g)
+    space, basis = _F2Space(), []
+    for j in sorted(range(n), key=lambda j: -levels[j]):
+        if space.add(g[j], 1 << len(basis))[0]:
+            basis.append(j)
+    for v in _kernel_of(g, [1 << j for j in range(n)]):
+        space.add(v)
+    if space.rank != n or len(basis) == n:
+        raise ConsistencyError("Fitting decomposition failed to lower the rank")
+    diff, rows = ([space.reduce(v)[1] for v in _apply_vectors(m, [g[j] for j in basis])]
+                  for m in (cx.diff, iota.rows))
+    out = UComplex._on_grid(offset, [levels[j] for j in basis], diff)
+    iota_out = UMap(out, out, Fraction(0), tuple(rows))
+    if not iota_out.is_chain_map():
+        raise ConsistencyError("reduced involution failed to commute with d")
+    return out, iota_out

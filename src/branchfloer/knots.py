@@ -411,20 +411,22 @@ class _Eval:
     demand, once, by one rule per kind:
 
     - `connected`: a knot's is the homology of its monotone subroot, a
-      mirror's the dual of its child's, a sum's the `search`;
+      mirror's the dual of its child's, a sum's the homology of its `small`;
     - `branched`: a knot's is read off its root, a mirror's the dual of its
       child's (the corrections negated and swapped, the module shifted by
       -1), a sum's the `cone`;
-    - `small`, a locally equivalent model with its involution: a knot's is
+    - `model`, a locally equivalent model with its involution: a knot's is
       its monotone subroot's model (the `full` one when that subroot is the
       whole root), a mirror's the dual of its child's, a sum's the tensor of
-      its children's; `full`, the full complex, likewise from the root.
+      its children's `small`s; `small` is a sum's `model` reduced, refused
+      over `rank_bound`, a mirror's the dual of its child's and a knot's
+      its `model`; `full`, the full complex, likewise from the root.
 
     `connected` must have the one tower `delta` and `branched` must bracket
-    it.  The chain reference on a node is the `search` on its `small`, which
-    can exceed `rank_bound`, and the `cone` of its `full`, whose delta must
-    be the node's; `verify` checks both modules against it.  Computed values
-    stay on the node, so a sum node shares its children's."""
+    it.  The chain reference on a node is the `search` on its `model`, the
+    walk that `rank_bound` + 8 bounds, and the `cone` of its `full`, whose
+    delta must be the node's; `verify` checks both modules against it.
+    Computed values stay on the node, so a sum node shares its children's."""
 
     det: int
     sigma: int | None
@@ -440,7 +442,8 @@ class _Eval:
         elif len(self.children) == 1:
             conn = _dual(self.children[0].connected, 0)
         else:
-            conn = self.search
+            from . import complexes
+            conn = complexes.homology(self.small[0])
         if conn.towers != (self.delta,):
             raise ConsistencyError(f"connected module towers {conn.towers} "
                                    f"disagree with delta {self.delta}")
@@ -463,7 +466,18 @@ class _Eval:
     @cached_property
     def small(self) -> tuple:
         from . import complexes
-        if self.root is None:
+        if len(self.children) == 1:
+            return complexes._combined([self.children[0].small])
+        if self.children:
+            return complexes.reduced_model(*self.model, self.rank_bound)
+        return self.model
+
+    @cached_property
+    def model(self) -> tuple:
+        from . import complexes
+        if len(self.children) == 1:
+            return complexes._combined([self.children[0].model])
+        if self.children:
             return complexes._combined([c.small for c in self.children])
         sub = monotone_subroot(self.root)
         return self.full if sub is self.root else complexes._root_model(sub)
@@ -478,7 +492,7 @@ class _Eval:
     @cached_property
     def search(self) -> GradedUModule:
         from . import complexes
-        return complexes.connected_homology_brute(*self.small, self.rank_bound)
+        return complexes.connected_homology_brute(*self.model, self.rank_bound)
 
     @cached_property
     def cone(self) -> BranchedModule:
@@ -589,12 +603,12 @@ def invariants(
     the branched one.  A torus, pretzel or Montesinos spec reads both off
     its graded root, with no chain complex, and a mirror (or a presentation
     whose plumbing is the mirror's) takes the duals of its knot's.  A sum
-    searches small locally equivalent models, so its connected part stays
-    inside `rank_bound`, which bounds the search's complex rank, and its
-    dimension at `rank_bound` + 8; the search refuses before any full
-    complex is built.  With `verify` both modules must equal the chain
-    reference on the same node, the search on its small model and the cone
-    of its full complex.
+    reduces the tensor of its summands' small models, which `rank_bound`
+    bounds, and reads its connected part off the homology of what is left;
+    a tensor over the bound is refused before any full complex is built.
+    With `verify` both modules must equal the chain reference on the same
+    node, the walk on its unreduced model, whose dimension `rank_bound` + 8
+    bounds, and the cone of its full complex.
     """
     ev = _evaluate(spec, n_max, rank_bound)
     conn, br = ev.connected, ev.branched

@@ -462,9 +462,9 @@ def test_independence_checks_each_pair_tower_against_the_summed_delta():
     ],
 )
 def test_independence_dualizes_the_search_of_a_mirrored_sum(texts, entries, pair):
-    # a mirrored sum's connected module is the dual of its sum's search, as
-    # in `invariants`; --verify checks it against the search on the mirror's
-    # own small model
+    # a mirrored sum's connected module is the dual of its sum's, as in
+    # `invariants`; --verify checks it against the search on the mirror's
+    # own model, the dual of the sum's unreduced tensor
     for verify in (False, True):
         out = io.StringIO()
         cli.cmd_independence(texts, cli.RunConfig(verify=verify), out=out)

@@ -736,8 +736,9 @@ def test_invalid_entries_are_rejected_under_python_O():
 
 
 def _small_sum_model():
+    # the tensor of the summands' small models, before its reduction
     ev = kn._evaluate(kn.parse_spec("sum(pretzel(2,-3,-7),pretzel(2,-3,-9))"), None)
-    return ev.small
+    return ev.model
 
 
 def test_connected_search_computes_each_image_once(monkeypatch):
@@ -795,7 +796,7 @@ def test_connected_search_builds_one_map_per_image(monkeypatch):
 # the Gray-code walk against one candidate map at a time
 
 # the generator and benchmark sums, with the number of self local
-# equivalences of each one's small model
+# equivalences of each one's unreduced tensor model
 SUM_SPECS = [
     ("sum(pretzel(2,-3,-7),pretzel(2,-3,-9))", 4096),
     ("sum(pretzel(7,-3,5),mirror(pretzel(2,-3,-7)))", 4096),
@@ -855,14 +856,77 @@ def test_walk_matches_one_map_at_a_time(a, b):
         if len(ref_positions(src, tgt, 0)) <= 12:
             _check_walk(src, iota_src, tgt, iota_tgt)
     assert cxm.connected_homology_brute(*a) == ref_connected_homology(*a)
+    for model in (a, b):
+        assert cxm.homology(cxm.reduced_model(*model)[0]) == cxm.connected_homology_brute(*model)
 
 
 @pytest.mark.parametrize("text, count", SUM_SPECS)
 def test_walk_on_the_small_models_of_sums(text, count):
     ev = kn._evaluate(kn.parse_spec(text), None)
-    cx, iota = ev.small
+    cx, iota = ev.model
     assert _check_walk(cx, iota, cx, iota, 16) == count
     assert cxm.connected_homology_brute(cx, iota, 16) == ref_connected_homology(cx, iota, 16)
+
+
+REDUCTION_KNOTS = [
+    "pretzel(2,-3,-7)",
+    "pretzel(2,-3,-9)",
+    "pretzel(2,-3,-11)",
+    "torus(3,7)",
+    "torus(2,5)",
+    "pretzel(7,-3,5)",
+    "pretzel(11,-5,9)",
+    "montesinos(-2;2/1,3/2,7/6)",
+]
+
+
+def test_reduction_matches_the_walk_on_pairwise_sums():
+    # all 136 sums of two of these knots and their mirrors, a knot with
+    # itself included: the homology of the reduced tensor is the walk's
+    # connected homology of the unreduced one, and the reduced tensor is
+    # minimal, one generator per tower and two per torsion summand, with
+    # no self local equivalence that has a deep kernel left to find
+    evals = [
+        kn._evaluate(kn.parse_spec(t), None)
+        for knot in REDUCTION_KNOTS
+        for t in (knot, f"mirror({knot})")
+    ]
+    pairs = [(a, b) for i, a in enumerate(evals) for b in evals[i:]]
+    assert len(pairs) == 136
+    for a, b in pairs:
+        ev = kn._summed(a, b)
+        cx, iota = ev.small
+        h = cxm.homology(cx)
+        assert h == ev.connected == cxm.connected_homology_brute(*ev.model, 16)
+        assert len(cx) == 1 + 2 * len(h.torsion)
+        fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 16)
+        assert {kr for _, kr in cxm._walk(cx, cx, fpos, fbasis, h, h, h.deep)} == {0}
+
+
+def test_each_round_of_the_reduction_lowers_the_rank(monkeypatch):
+    rounds = []
+    fitting = cxm._fitting_image
+
+    def recorded(cx, iota, f):
+        out = fitting(cx, iota, f)
+        rounds.append((len(cx), len(out[0])))
+        return out
+
+    monkeypatch.setattr(cxm, "_fitting_image", recorded)
+    cx, iota = _small_sum_model()
+    small, small_iota = cxm.reduced_model(cx, iota)
+    assert rounds and rounds[0][0] == len(cx) == 9 and rounds[-1][1] == len(small) == 5
+    assert all(before > after for before, after in rounds)
+    assert all(a[1] == b[0] for a, b in zip(rounds, rounds[1:]))
+    # the same input gives the same model
+    again = cxm.reduced_model(cx, iota)
+    assert (again[0].diff, again[0].gradings, again[1].rows) == (small.diff, small.gradings, small_iota.rows)
+
+
+def test_the_reduction_refuses_a_complex_with_two_towers():
+    two = cxm.UComplex((Fraction(0), Fraction(0)), (0, 0))
+    with pytest.raises(cxm.ConsistencyError, match="single tower"):
+        cxm.reduced_model(two, cxm.identity_map(two))
 
 
 def test_searches_of_dimension_zero_and_one():

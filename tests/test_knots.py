@@ -24,6 +24,7 @@ from branchfloer.complexes import (
     delta_invariant,
     homology,
 )
+from branchfloer.connected import omega
 from branchfloer.roots import InstabilityError, build_root
 from oracles import determinant
 from test_acceptance import CORPUS
@@ -418,6 +419,50 @@ def test_two_bridge_cover_d_is_the_lens_space_recursion(p):
         assert d == _lens_d(chain.numerator, chain.denominator, i), (p, q)
 
 
+def _two_bridge_signature(p, q):
+    """sigma of the two-bridge knot b(p, q), p odd: Murasugi's formula, sum
+    over 0 < i < p of (-1)^floor(iq/p) for q odd ("On the signature of
+    links", Topology 9 (1970)), applied to the odd representative of q mod
+    p, q or q - p.  In its sign convention b(3, 1) has sigma = +2."""
+    odd = q if q % 2 else q - p
+    return sum(1 - 2 * (i * odd // p % 2) for i in range(1, p))
+
+
+@pytest.mark.parametrize("p", range(3, 60, 2))
+def test_two_bridge_cover_d_is_minus_a_quarter_of_the_signature(p):
+    # an anchor outside the package: for an alternating knot K, d(Sigma(K))
+    # = -sigma(K)/4 at the spin structure (Manolescu-Owens, "A concordance
+    # invariant from the Floer homology of double branched covers", IMRN
+    # 2007: delta = 2d = -sigma/2 for alternating K); montesinos(0;q/p) is
+    # b(p, q)
+    assert _two_bridge_signature(3, 1) == 2
+    for q in (q for q in range(2, p) if math.gcd(p, q) == 1):
+        pres = kn.presentation(kn.parse_spec(f"montesinos(0;{q}/{p})"))
+        d = build_root(pres.tree, pres.char, n_max=2, involution=pres.involution).d_invariant()
+        assert d == Fraction(-_two_bridge_signature(p, q), 4), (p, q)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 13: mirror(montesinos(0;q/p)) prints delta, delta_upper "
+    "and delta_lower 4 above montesinos(0;(p-q)/p), the same knot",
+)
+def test_a_two_bridge_mirror_prints_its_direct_spelling():
+    # d(-Y) = -d(Y) at cover level, and -Sigma(b(p, q)) = Sigma(b(p, p - q)),
+    # so the two spellings of one knot must print one package
+    differ = []
+    for p in range(3, 60, 2):
+        for q in (q for q in range(2, p - 1) if math.gcd(p, q) == 1):
+            mirrored, direct = (
+                {k: v for k, v in kn.invariants(kn.parse_spec(t)).to_jsonable().items() if k != "spec"}
+                for t in (f"mirror(montesinos(0;{q}/{p}))", f"montesinos(0;{p - q}/{p})")
+            )
+            if mirrored != direct:
+                differ.append((p, q))
+    assert differ == []
+
+
 # ---------------------------------------------------------------------------
 # grammar
 
@@ -647,10 +692,14 @@ def test_invariants_build_one_model_per_whole_root_knot(monkeypatch):
     assert (len(built), whole) == (23, 11)  # 17 small models and 6 full ones
 
 
+K1, K2, K3 = "pretzel(7,-3,5)", "pretzel(11,-5,9)", "pretzel(15,-7,13)"
+
+
 def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):
-    # the small tensor of three rank-3 models has rank 27 > 16: the search
-    # must refuse it before any work on the full tensor (rank 4123) or its
-    # cone, and before the full tensor is even built
+    # each sum reduces its tensor before the next one: 3 x 3 -> 5, 5 x 3 ->
+    # 7, and the last tensor, 7 x 3 = 21 > 16, must be refused before any
+    # work on the full tensor or its cone, and before the full tensor is
+    # even built
     def unreachable(*args, **kwargs):
         raise AssertionError("full complex touched before the connected search")
 
@@ -664,10 +713,28 @@ def test_sum_over_the_rank_bound_fails_before_the_full_complex(monkeypatch):
     monkeypatch.setattr(cxm, "branched_invariants", unreachable)
     monkeypatch.setattr(cxm, "delta_invariant", unreachable)
     monkeypatch.setattr(cxm, "tensor_complex", recorded)
-    spec = kn.parse_spec("sum(pretzel(7,-3,5),pretzel(11,-5,9),pretzel(15,-7,13))")
+    spec = kn.parse_spec(f"sum({K1},{K2},{K3},{K1})")
     with pytest.raises(RankBoundExceeded, match="rank exceeds bound 16"):
         kn.invariants(spec)
-    assert built and max(built) <= 27
+    assert built == [9, 15, 21]
+
+
+def test_the_three_generator_sum_reads_omega_3():
+    # 3 x 3 reduces to 5 and 5 x 3 = 15 to 7: a tower and three torsion
+    # summands, one per generator
+    ev = kn._evaluate(kn.parse_spec(f"sum({K1},{K2},{K3})"), None)
+    assert [len(ev.children[0].small[0]), len(ev.model[0]), len(ev.small[0])] == [5, 15, 7]
+    package = kn.invariants(kn.parse_spec(f"sum({K1},{K2},{K3})"))
+    assert sorted(length for _, length in package.connected.torsion) == [1, 2, 3]
+    assert package.omega == 3
+
+
+def test_a_knot_plus_its_mirror_reduces_to_one_generator():
+    ev = kn._evaluate(kn.parse_spec(f"sum({K3},mirror({K3}))"), None)
+    assert len(ev.model[0]) == 9
+    cx, _ = ev.small
+    assert len(cx) == 1 and cx.diff == (0,)
+    assert (ev.connected.towers, ev.connected.torsion, omega(ev.connected)) == ((ev.delta,), (), 0)
 
 
 @pytest.mark.parametrize(
@@ -821,8 +888,8 @@ def mirrored_specs(draw):
 def test_a_mirror_is_the_dual_of_its_knots_package(spec, n_max):
     # a mirror's modules are the duals of its child's, and a knot's are read
     # off its root; on every node of the tree they must equal the chain
-    # reference on that same node, the search on its own small model and the
-    # cone of its own full complex
+    # reference on that same node, the search on its own model (a sum's
+    # unreduced tensor) and the cone of its own full complex
     try:
         package = kn.invariants(spec, n_max=n_max)
         ev = kn._evaluate(spec, n_max)
@@ -832,7 +899,7 @@ def test_a_mirror_is_the_dual_of_its_knots_package(spec, n_max):
     nodes = [ev]
     for node in nodes:
         nodes += node.children
-        assert node.connected == connected_homology_brute(*node.small, 16)
+        assert node.connected == connected_homology_brute(*node.model, 16)
         assert node.branched == branched_invariants(*node.full)
 
 
@@ -920,6 +987,19 @@ def test_verify_catches_a_read_off_that_disagrees(monkeypatch, capsys):
         kn.invariants(spec, verify=True)
     assert cli.main(["invariants", "pretzel(7,-3,5)", "--verify"]) == 1
     assert "disagree on branched" in capsys.readouterr().err
+
+
+def test_verify_catches_a_reduction_that_disagrees(monkeypatch, capsys):
+    # a reduction that keeps the whole tensor leaves its torsion in the
+    # connected module; the walk on the tensor, `--verify`'s reference, has
+    # none
+    monkeypatch.setattr(cxm, "reduced_model", lambda cx, iota, rank_bound: (cx, iota))
+    text = "sum(pretzel(7,-3,5),mirror(pretzel(2,-3,-7)))"
+    assert kn.invariants(kn.parse_spec(text)).omega > 0  # unchecked without verify
+    with pytest.raises(ConsistencyError, match="disagree on connected$"):
+        kn.invariants(kn.parse_spec(text), verify=True)
+    assert cli.main(["invariants", text, "--verify"]) == 1
+    assert "disagree on connected" in capsys.readouterr().err
 
 
 FROZEN = json.loads((Path(__file__).parent / "invariants_frozen.json").read_text())
