@@ -156,8 +156,8 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
 
 def _checked_omega(ev, config: RunConfig) -> int:
     """omega of an evaluation's connected module, a knot's read off and a
-    sum's searched; `--verify` first checks both modules against the chain
-    reference on the same node, as `invariants --verify` does."""
+    sum's from its reduced tensor; `--verify` first checks both modules
+    against the node's chain reference, as `invariants --verify` does."""
     if config.verify:
         ev.verify()
     return omega(ev.connected)
@@ -214,7 +214,7 @@ def cmd_independence(texts: list[str], config: RunConfig, out=None) -> None:
 # flags only some subcommands read: name -> add_argument keywords
 _FLAGS = {
     "--rank-bound": dict(
-        type=int, help="rank cap for the brute-force equivalence search"
+        type=int, help="cap on each tensor's rank before its reduction; N + 8 caps --verify's walk"
     ),
     "--workers": dict(type=int, help="ignored; independence runs in one process"),
 }

@@ -35,7 +35,7 @@ linear system, `_columns` for the column of each unknown of X -> a X + X b
 in the system of `_chain_map_basis`, and `_walk` for the search over the
 chain maps that `local_equivalences` and `connected_homology_brute` (the
 `verify` reference for sums) both run: one Gray-code walk that xors one
-precomputed delta per candidate and reads the deep-kernel rank on the way.
+precomputed delta per candidate and yields the rows of each equivalence.
 The model complex of a graded root keeps one angle mask per vertex
 (`ModelComplex.path`), and the involution's lift reads each angle's image
 off two of them; its square is checked to be the identity exactly, with no
@@ -673,72 +673,54 @@ def _unpack(packed, n, width):
     return tuple([packed >> (t * width) & field for t in range(n)])
 
 
-def _walk(src, tgt, fpos, fbasis, ha, hb, deep):
-    """Every nonzero combination of `fbasis` that is a local equivalence,
-    as (packed rows, deep kernel rank): its rows, `len(tgt)` bits each and
-    row 0 lowest (`_unpack` reads them), and the rank of its kernel on the
-    slices of `deep` (a `homology(src).deep`, or {} for none).
+def _nullity(vectors) -> int:
+    """The dimension of the relations among `vectors`, a list."""
+    space = _F2Space()
+    for v in vectors:
+        space.add(v)
+    return len(vectors) - space.rank
 
-    Everything read off a candidate is F_2-linear in it: its rows, the rows
-    of the generators of each parity of `deep` (its deep slice map), and the
+
+def _walk(src, tgt, fpos, fbasis, ha, hb):
+    """Every nonzero combination of `fbasis` that is a local equivalence,
+    as its packed rows: `len(tgt)` bits each, row 0 lowest (`_unpack` reads
+    them).
+
+    Everything read off a candidate is F_2-linear in it: its rows and the
     (residual, tag) of each tower representative's image reduced by its
     block's echelon.  So each basis map gets one packed delta of all of
-    them, and the combinations are walked in Gray-code order: step k flips
-    the basis map numbered `(k & -k).bit_length() - 1`, one xor into the
-    running state.  A combination is an equivalence when every residual is
-    0 and each block's tags have full rank.  The ranks are the only
-    nonlinear step: each field after the rows (a block's tags, then a
-    parity's deep rows) is read off the state with a precomputed shift and
-    mask, and has one memo of its kernel dimension keyed by its value, which
-    must be 0 for tags and is summed for deep rows."""
+    them, one field of `len(tgt)` bits each: the residuals lowest, then the
+    rows, then the tags of each block.  The combinations are walked in
+    Gray-code order: step k flips the basis map numbered
+    `(k & -k).bit_length() - 1`, one xor into the running state.  A
+    combination is an equivalence when every residual is 0 and each block's
+    tags have full rank."""
     blocks = _deep_blocks(src, tgt, ha, hb)
     if blocks is None:
         return
-    width = len(tgt)
-    field = (1 << width) - 1
-    # the packed state, `width` bits per field: the residuals (lowest), then
-    # the rows, the tags of each block and the rows of each deep parity's
-    # generators again
-    n_res = sum(len(reps) for _, reps, _ in blocks)
-    deep_parts = [list(_bits(d.mask)) for d in deep.values()]
-    fields, at = [], n_res + len(src)
-    for t, n in enumerate([len(reps) for _, reps, _ in blocks] + [len(g) for g in deep_parts]):
-        fields.append((at * width, (1 << n * width) - 1, n, {}, t < len(blocks)))
-        at += n
+    width, n_res = len(tgt), sum(n for _, _, n in blocks)
     deltas = []
     for fb in fbasis:
         rows = _map_rows(fb, fpos, len(src))
         residuals, tags = [], []
         for space, reps, _ in blocks:
-            for img in _apply_vectors(rows, reps):
-                residual, tag = space.reduce(img)
+            for residual, tag in map(space.reduce, _apply_vectors(rows, reps)):
                 residuals.append(residual)
                 tags.append(tag)
-        delta = 0
-        for v in reversed(residuals + rows + tags + [rows[j] for g in deep_parts for j in g]):
-            delta = delta << width | v
-        deltas.append(delta)
-    checked = (1 << n_res * width) - 1
-    rows_at, rows_mask = n_res * width, (1 << len(src) * width) - 1
+        deltas.append(reduce(lambda acc, v: acc << width | v, reversed(residuals + rows + tags), 0))
+    checked, rows_mask = (1 << n_res * width) - 1, (1 << len(src) * width) - 1
     state = 0
     for k in range(1, 1 << len(deltas)):
         state ^= deltas[(k & -k).bit_length() - 1]
         if state & checked:
             continue
-        rank = 0
-        for shift, mask, n, memo, is_tag in fields:
-            v = state >> shift & mask
-            got = memo.get(v)
-            if got is None:
-                space = _F2Space()
-                for t in range(n):
-                    space.add(v >> t * width & field)
-                got = memo[v] = n - space.rank
-            if got and is_tag:
+        at = n_res + len(src)
+        for _, _, n in blocks:
+            if _nullity(_unpack(state >> at * width, n, width)):
                 break
-            rank += got
+            at += n
         else:
-            yield state >> rows_at & rows_mask, rank
+            yield state >> n_res * width & rows_mask
 
 
 def local_equivalences(
@@ -757,8 +739,8 @@ def local_equivalences(
     fpos, fbasis = _chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound, rank_bound + 8)
     ha = homology(src)
     hb = ha if tgt is src else homology(tgt)
-    walked = _walk(src, tgt, fpos, fbasis, ha, hb, {})
-    found = sorted(_unpack(packed, len(src), len(tgt)) for packed, _ in walked)
+    walked = _walk(src, tgt, fpos, fbasis, ha, hb)
+    found = sorted(_unpack(packed, len(src), len(tgt)) for packed in walked)
     return [UMap(src, tgt, Fraction(0), rows) for rows in found]
 
 
@@ -790,36 +772,35 @@ def _image_part(rows, events) -> tuple:
     return tuple(part)
 
 
+def _deep_kernel_rank(rows, deep) -> int:
+    """The kernel dimension of a map with these rows on the deep slices of
+    its source, whose `homology(...).deep` is `deep`: per parity, its
+    generators less the rank of their images."""
+    return sum(_nullity([rows[j] for j in _bits(d.mask)]) for d in deep.values())
+
+
 def connected_homology_brute(cx: UComplex, iota: UMap, rank_bound: int = 8) -> GradedUModule:
     """Connected homology via exhaustive search: the image homology of a
     self local equivalence whose deep kernel is as large as possible.
 
     All maximizers must agree on the answer; if they do not, the search is
-    reported as inconclusive.  The walk's candidates stay packed, and only
-    the current maximizers are kept.  Each maximizer's image is keyed by one
-    `_image_part` per parity, memoized on that parity's rows, and a map is
-    built and `image_homology` called once per distinct image."""
+    reported as inconclusive.  The walk yields every self local equivalence,
+    whose deep kernel rank is read off its rows (`_deep_kernel_rank`); each
+    maximizer's image is keyed by its `_image_part` per parity, and
+    `image_homology` runs once per distinct image."""
     fpos, fbasis = _chain_map_basis(cx, iota, cx, iota, rank_bound, rank_bound + 8)
     ha = homology(cx)
-    best_rank = -1
-    best = []
-    for packed, kr in _walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
-        if kr > best_rank:
-            best_rank, best = kr, [packed]
-        elif kr == best_rank:
-            best.append(packed)
-    parities = [(list(_bits(mask)), events, {}) for _, mask, events in cx._sweep]
-    modules = {}
-    for packed in best:
+    best_rank, best = -1, []
+    for packed in _walk(cx, cx, fpos, fbasis, ha, ha):
         rows = _unpack(packed, len(cx), len(cx))
-        key = []
-        for gens, events, memo in parities:
-            own = tuple(map(rows.__getitem__, gens))
-            part = memo.get(own)
-            if part is None:
-                part = memo[own] = _image_part(rows, events)
-            key.append(part)
-        key = tuple(key)
+        kr = _deep_kernel_rank(rows, ha.deep)
+        if kr > best_rank:
+            best_rank, best = kr, [rows]
+        elif kr == best_rank:
+            best.append(rows)
+    modules = {}
+    for rows in best:
+        key = tuple(_image_part(rows, events) for _, _, events in cx._sweep)
         if key not in modules:
             m = image_homology(UMap(cx, cx, Fraction(0), rows))
             modules[key] = (m.towers, m.torsion)

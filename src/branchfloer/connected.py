@@ -9,8 +9,9 @@ swapped leaf pairs of strictly increasing weight; one bottom-up pass gives
 every vertex its leaf count and its best swapped leaf, which is all the walk
 reads.  Its homology is the connected homology of the whole root (the image
 of a maximal self local equivalence, after Hendricks-Hom-Lidman), so a knot
-needs no enumeration of self-equivalences.  Sums still enumerate, but on the
-small models of monotone subroots.
+needs no enumeration of self-equivalences.  Nor does a sum: its connected
+module is the homology of its tensor reduced by `complexes.reduced_model`,
+and only `--verify` enumerates, as the reference.
 
 A root's homology H(R) is the F[U]-module with one generator per vertex at
 its weight and U sending a vertex to its successor, a forest module that the

@@ -121,8 +121,9 @@ def goeritz_oracle(spec: "KnotSpec") -> tuple[int, int]:
     sequence, zeros skipped.  The signature needs a correction term counting
     crossings whose smoothing disagrees with the coloring.  With all strands
     odd no correction is needed; with exactly one even strand the odd strands
-    contribute theirs.  Supports 3 to 5 strands; the spec is checked, so
-    its strands are nonzero and at most one is even.
+    contribute theirs, and on 4 strands the even strand, with its sign, too.
+    Supports 3 to 5 strands; the spec is checked, so its strands are nonzero
+    and at most one is even.
     """
     strands = spec.params
     k = len(strands)
@@ -137,7 +138,7 @@ def goeritz_oracle(spec: "KnotSpec") -> tuple[int, int]:
     negative = sum(a != b for a, b in zip(signs, signs[1:]))
     sig = (k - 1) - 2 * negative
     odd = [a for a in strands if a % 2]
-    mu = sum(odd) if len(odd) < k else 0
+    mu = (sum(strands) if k == 4 else sum(odd)) if len(odd) < k else 0
     return abs(minors[-1]), sig - mu
 
 
@@ -504,7 +505,9 @@ class _Eval:
 
     def verify(self) -> None:
         """Raise unless both modules equal the chain reference on this node,
-        the search first, so a sum over its bound builds no full complex."""
+        the search first, so a sum over its bound builds no full complex.  A
+        sum's `branched` is its `cone`, so for a sum only the connected
+        module has a second path."""
         pairs = (("connected", self.connected, self.search), ("branched", self.branched, self.cone))
         if differ := [name for name, value, reference in pairs if value != reference]:
             raise ConsistencyError(f"the default and chain paths disagree on {', '.join(differ)}")

@@ -829,17 +829,19 @@ def test_reduce_is_linear_and_leaves_no_pivot_bit(rows, v, w):
 
 
 def _check_walk(src, iota_src, tgt, iota_tgt, rank_bound=8):
-    """The maps the walk accepts, and the deep kernel ranks it reports on
-    src's deep slices, against the references; returns the maps' count."""
+    """The maps the walk accepts, and the deep kernel ranks the package
+    reads off their rows on src's deep slices, against the references;
+    returns the maps' count."""
     fpos, fbasis = cxm._chain_map_basis(src, iota_src, tgt, iota_tgt, rank_bound)
     ha = cxm.homology(src)
     walked = sorted(
-        (cxm._unpack(packed, len(src), len(tgt)), kr)
-        for packed, kr in cxm._walk(src, tgt, fpos, fbasis, ha, cxm.homology(tgt), ha.deep)
+        cxm._unpack(packed, len(src), len(tgt))
+        for packed in cxm._walk(src, tgt, fpos, fbasis, ha, cxm.homology(tgt))
     )
     expected = ref_local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound)
-    assert [rows for rows, _ in walked] == [f.rows for f in expected]
-    assert [kr for _, kr in walked] == [deep_kernel_rank(f, ha) for f in expected]
+    assert walked == [f.rows for f in expected]
+    ranks = [cxm._deep_kernel_rank(rows, ha.deep) for rows in walked]
+    assert ranks == [deep_kernel_rank(f, ha) for f in expected]
     found = cxm.local_equivalences(src, iota_src, tgt, iota_tgt, rank_bound)
     assert [f.rows for f in found] == [f.rows for f in expected]
     return len(found)
@@ -900,7 +902,11 @@ def test_reduction_matches_the_walk_on_pairwise_sums():
         assert h == ev.connected == cxm.connected_homology_brute(*ev.model, 16)
         assert len(cx) == 1 + 2 * len(h.torsion)
         fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 16)
-        assert {kr for _, kr in cxm._walk(cx, cx, fpos, fbasis, h, h, h.deep)} == {0}
+        walked = [
+            cxm.UMap(cx, cx, Fraction(0), cxm._unpack(packed, len(cx), len(cx)))
+            for packed in cxm._walk(cx, cx, fpos, fbasis, h, h)
+        ]
+        assert {deep_kernel_rank(f, h) for f in walked} == {0}
 
 
 def test_each_round_of_the_reduction_lowers_the_rank(monkeypatch):
@@ -1012,7 +1018,7 @@ def test_homology_matches_the_slice_by_slice_reference(a, b, shift):
     iota = cxm.UMap(cx, cx, Fraction(0), a[1].rows)
     fpos, fbasis = cxm._chain_map_basis(cx, iota, cx, iota, 8)
     ha = cxm.homology(cx)
-    for packed, _ in cxm._walk(cx, cx, fpos, fbasis, ha, ha, ha.deep):
+    for packed in cxm._walk(cx, cx, fpos, fbasis, ha, ha):
         f = cxm.UMap(cx, cx, Fraction(0), cxm._unpack(packed, len(cx), len(cx)))
         _same_homology(cxm.image_homology(f), ref_homology(cx, ref_image(f)))
 

@@ -327,7 +327,10 @@ def test_goeritz_signature_matches_eigenvalues(strands):
         with pytest.raises(kn.KnotSpecError):
             kn.KnotSpec.pretzel(*strands)
         return
-    mu = sum(a for a in strands if a % 2) if any(a % 2 == 0 for a in strands) else 0
+    # the correction: the odd strands where one strand is even, and on 4
+    # strands the even strand too
+    odd = sum(a for a in strands if a % 2)
+    mu = (sum(strands) if len(strands) == 4 else odd) if any(a % 2 == 0 for a in strands) else 0
     assert kn.goeritz_oracle(kn.KnotSpec.pretzel(*strands)) == (det, sig - mu)
 
 
@@ -349,13 +352,6 @@ def _congruence_breaks(even_residue):
     return checked, broken
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 11: goeritz_oracle's correction term is wrong on "
-    "4-strand pretzels whose even strand is 2 (mod 4); "
-    "pretzel(2,3,5,7) prints det 247 and sigma -12",
-)
 def test_four_strand_pretzel_sigma_meets_the_det_congruence():
     checked, broken = _congruence_breaks(2)
     assert checked == 8192
@@ -364,6 +360,64 @@ def test_four_strand_pretzel_sigma_meets_the_det_congruence():
 
 def test_four_strand_pretzel_sigma_meets_the_det_congruence_with_even_strand_0_mod_4():
     assert _congruence_breaks(0) == (8192, [])
+
+
+def _eight_mu_bar(pres):
+    """8 times the Neumann-Siebenmann invariant of the cover, from the
+    plumbing alone: sign Q - w^T Q w with w the Wu class, sign Q = -n on a
+    negative definite form; negated for a mirrored presentation."""
+    tree = pres.tree
+    w = pl.wu_class(tree)
+    wqw = sum(x * weight for x, weight in zip(w, tree.weights)) + 2 * sum(
+        w[i] * w[j] for i, j in tree.edges
+    )
+    return (len(tree) + wqw) * (1 if pres.mirrored else -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.integers(-25, 25).filter(lambda a: a != 0), min_size=3, max_size=5
+    ).filter(lambda s: sum(a % 2 == 0 for a in s) <= 1)
+)
+def test_pretzel_sigma_is_eight_mu_bar(strands):
+    # an anchor from the cover's plumbing, not the diagram; a pretzel knot
+    # has at most one even strand, and on 4 strands exactly one
+    try:
+        spec = kn.KnotSpec.pretzel(*strands)
+    except kn.KnotSpecError:
+        reject()  # a link
+    assert kn.goeritz_oracle(spec)[1] == _eight_mu_bar(kn.presentation(spec))
+
+
+@pytest.mark.parametrize("k, top", [(3, 9), (4, 9), (5, 7)])
+def test_alternating_pretzel_sigma_is_minus_four_d(k, top):
+    # d(Sigma(K)) = -sigma(K)/4 for alternating K (Manolescu-Owens, as in
+    # the two-bridge test below): every pretzel whose strands have one sign,
+    # 1..top, up to order, with one even strand on 4 strands (0 or 2 mod 4)
+    # and at most one on 3 and 5; d of the mirror's cover where the
+    # presentation is mirrored
+    checked = 0
+    for strands in itertools.combinations_with_replacement(range(1, top + 1), k):
+        evens = sum(a % 2 == 0 for a in strands)
+        if evens > 1 or (k == 4 and evens == 0):
+            continue
+        for sign in (1, -1):
+            try:
+                spec = kn.KnotSpec.pretzel(*(sign * a for a in strands))
+            except kn.KnotSpecError:
+                continue  # a link
+            pres = kn.presentation(spec)
+            d = build_root(pres.tree, pres.char, n_max=2, involution=pres.involution).d_invariant()
+            sigma = kn.goeritz_oracle(spec)[1]
+            assert sigma == -4 * (-d if pres.mirrored else d) == _eight_mu_bar(pres), spec
+            checked += 1
+    assert checked == {3: 190, 4: 280, 5: 322}[k]
+    if k == 4:
+        # an even strand = 0 (mod 4) keeps the congruence, so only the value
+        # shows the correction
+        assert kn.invariants(kn.parse_spec("pretzel(1,1,1,4)")).sigma == -4
+        assert kn.invariants(kn.parse_spec("mirror(pretzel(1,1,1,4))")).sigma == 4
 
 
 def test_goeritz_signature_is_exact_on_ill_conditioned_forms():
@@ -825,6 +879,28 @@ def test_evaluation_delta_is_read_off_the_roots(spec):
     if spec.kind != "sum":
         assert ev.connected == homology(ev.small[0])
         assert ev.connected == connected_homology_brute(*ev.small, 16)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["pretzel(2,-3,-7)", "mirror(pretzel(2,-3,-7))", "sum(pretzel(7,-3,5),mirror(pretzel(2,-3,-7)))"],
+)
+def test_invariants_checks_each_node_tower_against_its_delta(monkeypatch, text):
+    # a node's delta is set where it is built; its connected tower comes
+    # from its own shift literals (-2 for a knot, the dual for a mirror, +2
+    # for a sum), so a tampered delta on the top node, a knot, a mirror or a
+    # sum, must fail the tower check and not be carried into the output
+    top, evaluate = kn.parse_spec(text), kn._evaluate
+
+    def tampered(spec, *args):
+        ev = evaluate(spec, *args)
+        return replace(ev, delta=ev.delta + 2) if spec == top else ev
+
+    assert kn.invariants(top).delta == evaluate(top, None).delta
+    monkeypatch.setattr(kn, "_evaluate", tampered)
+    for verify in (False, True):
+        with pytest.raises(ConsistencyError, match="disagree with delta"):
+            kn.invariants(top, verify=verify)
 
 
 def test_a_mirror_runs_the_search_only_to_verify(monkeypatch):
