@@ -13,7 +13,8 @@ tree's shape:
 * a box engine (`build_root_box`), for any tree: eliminate the tree from the
   leaves inward to write 2 chi_k as a sum of positive squares, list each
   finite sublevel set exactly by a short-vector (Fincke-Pohst) walk, and
-  union-find the sublevel graphs level by level (`_Sweep`);
+  union-find the sublevel graphs level by level (`_Sweep`), mapping each
+  component's least point by the reflection as the component is named;
 * a star engine (`build_root_star`), for star-shaped trees: minimize chi in
   closed form, from each leg's continued fraction and twist (`_leg_seifert`),
   on each slice of the central coordinate's range that the same elimination
@@ -23,8 +24,9 @@ tree's shape:
   intervals of the central profile, so the root is its merge tree, read off
   in one pass (`_merge_tree`).
 
-Both compute the chi-preserving lattice reflection l -> -l - Q^{-1}k when
-Q^{-1}k is integral, and the root carries it or the identity, as selected.
+Both take the chi-preserving lattice reflection l -> -l - Q^{-1}k when
+Q^{-1}k is integral and raise ConsistencyError where it does not map the
+root onto itself; the root carries it or the identity, as selected.
 """
 
 from __future__ import annotations
@@ -339,12 +341,13 @@ def _sublevel_set(elim, cap):
 
 
 class _Sweep:
-    """Per-level union-find over a finite sublevel set S_cap.
+    """Level-by-level union-find over a finite sublevel set S_cap.
 
     Points are placed in order of chi, each joined to its placed lattice
-    neighbours at its own level.  Links are never compressed and keep the
-    level at which they were made, so the component of any point at any
-    swept level stays readable after the sweep.
+    neighbours at its own level.  Once a level's components are named,
+    `point_map`, if given, sends each one's least point (`reps`) to a
+    lattice point, and image[c] is the component at that level holding it,
+    or None where no point of S_level does.
 
     A point is coded as one integer in a mixed radix, first coordinate most
     significant, so integer order is tuple order.  Each coordinate's digit
@@ -352,19 +355,23 @@ class _Sweep:
     code is the point's plus or minus one stride, and never another point's.
     """
 
-    def __init__(self, chi_of, cap):
+    def __init__(self, chi_of, cap, point_map=None):
         pts = sorted(chi_of, key=chi_of.get)
-        self.chi = [chi_of[p] for p in pts]
+        chi = [chi_of[p] for p in pts]
         cols = list(zip(*pts))
-        self._low = [min(xs) - 1 for xs in cols]
-        self._radix = [max(xs) - lo + 2 for xs, lo in zip(cols, self._low)]
-        self._strides = strides = [math.prod(self._radix[v + 1:]) for v in range(len(self._radix))]
-        self._base = sum(map(operator.mul, self._low, strides))
-        codes = [sum(map(operator.mul, p, strides)) - self._base for p in pts]  # `_code`, unchecked
+        low = [min(xs) - 1 for xs in cols]
+        radix = [max(xs) - lo + 2 for xs, lo in zip(cols, low)]
+        strides = [math.prod(radix[v + 1:]) for v in range(len(radix))]
+        base = sum(map(operator.mul, low, strides))
+        codes = [sum(map(operator.mul, p, strides)) - base for p in pts]  # `code`, unchecked
+
+        def code(point):  # the point's code, or None outside the padded box
+            if all(0 <= x - lo < r for x, lo, r in zip(point, low, radix)):
+                return sum(map(operator.mul, point, strides)) - base
+
         steps = [d * s for s in strides for d in (-1, 1)]  # to each lattice neighbour
-        self.index = index = {c: i for i, c in enumerate(codes)}
+        index = {c: i for i, c in enumerate(codes)}
         self.link = link = list(range(len(pts)))
-        self.joined = [None] * len(pts)
         size = [1] * len(pts)
         least = list(codes)  # code of the least point under each root
         heads: set[int] = set()  # union-find roots of the placed points
@@ -373,25 +380,23 @@ class _Sweep:
         self.level_comps = []
         self.parent_of = {}
         self.reps = {}
-        self._comp: dict[int, dict[int, int]] = {}
+        self.image = {}
         prev: dict[int, int] = {}
         fresh = 0
-        for lev in range(self.chi[0], cap + 1):
-            while fresh < len(pts) and self.chi[fresh] == lev:
+        for lev in range(chi[0], cap + 1):
+            while fresh < len(pts) and chi[fresh] == lev:
                 heads.add(fresh)
                 c, a = codes[fresh], fresh  # a: the root of this point's component
                 for step in steps:
                     b = index.get(c + step)
                     if b is None or b > fresh:
                         continue  # not placed yet; it joins this point itself
-                    while link[b] != b:  # every link so far is live at this level
-                        b = link[b]
+                    b = self._find(b)
                     if a == b:
                         continue
                     if size[a] > size[b]:
                         a, b = b, a
                     link[a] = b
-                    self.joined[a] = lev
                     size[b] += size[a]
                     least[b] = min(least[a], least[b])
                     heads.discard(a)
@@ -400,45 +405,18 @@ class _Sweep:
             here = {r: next(counter) for r in sorted(heads)}
             for r, cid in here.items():
                 self.reps[cid] = pts[index[least[r]]]
+                if point_map is not None:
+                    i = index.get(code(point_map(self.reps[cid])))
+                    self.image[cid] = None if i is None or i >= fresh else here[self._find(i)]
             self.level_comps.append((lev, list(here.values())))
             for r, cid in prev.items():
-                self.parent_of[cid] = here[self._find(r, lev)]
-            self._comp[lev] = here
+                self.parent_of[cid] = here[self._find(r)]
             prev = here
 
-    def _code(self, point):
-        """The point's code, or None outside the padded box."""
-        if not all(0 <= x - lo < r for x, lo, r in zip(point, self._low, self._radix)):
-            return None
-        return sum(map(operator.mul, point, self._strides)) - self._base
-
-    def _find(self, i, level):
-        while self.link[i] != i and self.joined[i] <= level:
+    def _find(self, i):
+        while self.link[i] != i:
             i = self.link[i]
         return i
-
-    def component_at(self, point, level):
-        """Component id of a lattice point at a level, or None."""
-        i = self.index.get(self._code(point))
-        if i is None or self.chi[i] > level:
-            return None
-        return self._comp[level][self._find(i, level)]
-
-
-def _perm_from_map(reps, levels, comp_index, bp, point_map):
-    """Vertex permutation induced by a chi-preserving lattice map, read off
-    one point `reps[v]` of each vertex's component, or None."""
-    perm = []
-    for rep, level in zip(reps, levels):
-        try:
-            image = point_map(rep)
-        except ValueError:
-            return None
-        cid = bp.component_at(image, level)
-        if cid is None or cid not in comp_index:
-            return None
-        perm.append(comp_index[cid])
-    return tuple(perm)
 
 
 def _connectivity_level(level_comps):
@@ -465,10 +443,14 @@ def build_root_box(
     cap = n_min + 8, n_min + 28, ... until the top `_MARGIN + 4` levels of the
     sweep are connected; the root stops `_MARGIN` above the first level from
     which the sublevel sets stay connected.  Cutting the probe's sweep there
-    is exact, since a sweep's levels up to n depend only on S_n.
+    is exact, since a sweep's levels up to n depend only on S_n.  When
+    Q^{-1}k is integral, the root's reflection is read off the images the
+    sweep finds for `plumbing.reflect`.
     """
     k = _checked_char(tree, k)
     elim = _eliminate(tree, k)
+    integral = all(x.denominator == 1 for x in pd_vector(tree, k))  # as in `build_root_star`
+    point_map = (lambda p: reflect(tree, k, p)) if integral else None
     if n_max is None:
         *_, scale, offset = elim
         n_min = -(-offset // (2 * scale))  # 2 chi >= offset / scale
@@ -476,7 +458,7 @@ def build_root_box(
             n_min += 1
         cap = n_min + 8
         while True:
-            sweep = _Sweep(_sublevel_set(elim, cap), cap)
+            sweep = _Sweep(_sublevel_set(elim, cap), cap, point_map)
             stop = _connectivity_level(sweep.level_comps)
             if stop is not None and cap - stop >= _MARGIN + 4:
                 break
@@ -486,7 +468,7 @@ def build_root_box(
         points = _sublevel_set(elim, n_max)
         if not points:
             raise InstabilityError("stop level lies below the minimum of chi")
-        sweep = _Sweep(points, n_max)
+        sweep = _Sweep(points, n_max, point_map)
         stop = n_max
     # each level's components in the order of their least points
     level_comps = [(n, sorted(c, key=sweep.reps.get)) for n, c in sweep.level_comps if n <= stop]
@@ -499,8 +481,11 @@ def build_root_box(
         succ=tuple(comp_index.get(sweep.parent_of.get(c)) for c in order),
         stable=len(level_comps[-1][1]) == 1,
     )
-    reps, levels = [sweep.reps[c] for c in order], fields["levels"]
-    refl = _perm_from_map(reps, levels, comp_index, sweep, lambda p: reflect(tree, k, p))
+    refl = None
+    if integral:
+        refl = tuple(comp_index.get(sweep.image[c]) for c in order)
+        if None in refl:
+            raise ConsistencyError("lattice reflection does not map the root onto itself")
     return _finished(fields, "box", refl, involution)
 
 

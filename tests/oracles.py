@@ -30,16 +30,17 @@ the pipeline produces by a different route, or builds a reference object.
 * `is_local_equivalence`, `induces_localized_iso`: the defining test of a
   local equivalence, for certifying an explicit map.
 * `self_local_equivalences`: `local_equivalences` of a complex to itself.
-* `deep_iso`, `deep_kernel_rank`, `ref_local_equivalences`, `image_key`,
+* `deep_iso`, `deep_kernel_ranks`, `ref_local_equivalences`, `image_key`,
   `ref_connected_homology`: the connected search one candidate map at a
   time (rows rebuilt, a `UMap` built and its deep slices reduced for each
   of the 2^dim combinations, in binary order), the reference for the
-  package's Gray-code walk.  `deep_kernel_rank` places every entry by its
-  explicit exponent at a grading below all generators, and
-  `ref_connected_homology` reads the package's list of self local
-  equivalences, ranks each map's deep kernel with it and keys each
-  maximizer's image by `image_key`, one echelon per generator grading of
-  the whole map, where the package keys one parity at a time.
+  package's Gray-code walk.  `deep_kernel_ranks` places every entry by its
+  explicit exponent at a grading below all generators, once for all the
+  maps of one source and target, and `ref_connected_homology` reads the
+  package's list of self local equivalences, ranks each map's deep kernel
+  with it and keys each maximizer's image by `image_key`, one echelon per
+  generator grading of the whole map, where the package keys one parity at
+  a time.
 * `ref_lift_rows`: the rows of `lift_involution`, each angle's image found
   by walking the root: from each partner leaf down to the vertex where their
   paths join, collecting the angles between each branch vertex's child on
@@ -384,20 +385,37 @@ def is_local_equivalence(f: UMap, iota_src: UMap, iota_tgt: UMap) -> bool:
     return induces_localized_iso(f)
 
 
-def deep_kernel_rank(f: UMap, ha: GradedUModule) -> int:
-    """Dimension of the kernel of a map on the slices of f.src below all of
-    its generators, at each parity of `ha` (a `homology(f.src)`), with every
-    entry placed by its explicit exponent."""
-    total = 0
-    low = min(f.src.gradings)
+def deep_kernel_ranks(maps: list[UMap], ha: GradedUModule) -> list[int]:
+    """Dimension of the kernel of each map on the slices of its source below
+    all of its generators, at each parity of `ha` (the `homology` of that
+    source), with every entry placed by its explicit exponent.  The maps
+    share one source, target and degree, so each slice's bases and the place
+    of every entry are built once, and each map's rows are applied through
+    them."""
+    if not maps:
+        return []
+    src, tgt, degree = maps[0].src, maps[0].tgt, maps[0].degree
+    assert all(f.src is src and f.tgt is tgt and f.degree == degree for f in maps)
+    low = min(src.gradings)
+    slices = []  # per parity: (j, {i: the bit of entry (i, j)}) per source basis pair
     for par in ha.deep:
         g = par + 2 * ((low - par) // 2) - 2
-        space = _F2Space()
-        vecs = ref_slice_vectors(f, g)
-        for v in vecs:
-            space.add(v)
-        total += len(vecs) - space.rank
-    return total
+        index = {pair: t for t, pair in enumerate(ref_slice_basis(tgt, g + degree))}
+        places = []
+        for j, a in ref_slice_basis(src, g):
+            exps = ((i, exp_of(src.gradings[j], h, degree)) for i, h in enumerate(tgt.gradings))
+            places.append((j, {i: 1 << index[(i, a + e)] for i, e in exps if e is not None}))
+        slices.append(places)
+    ranks = []
+    for f in maps:
+        total = 0
+        for places in slices:
+            space = _F2Space()
+            for j, place in places:
+                space.add(sum(place[i] for i in _bits(f.rows[j])))
+            total += len(places) - space.rank
+        ranks.append(total)
+    return ranks
 
 
 def self_local_equivalences(cx, iota, rank_bound=8) -> list[UMap]:
@@ -443,7 +461,7 @@ def ref_connected_homology(cx, iota, rank_bound=8) -> GradedUModule:
     image among the maximizers, which must all agree."""
     ha = homology(cx)
     cands = self_local_equivalences(cx, iota, rank_bound)
-    ranks = [deep_kernel_rank(f, ha) for f in cands]
+    ranks = deep_kernel_ranks(cands, ha)
     top = max(ranks, default=-1)
     best = [f for f, kr in zip(cands, ranks) if kr == top]
     modules = {}
@@ -962,15 +980,20 @@ def least_minimizer(tree, k, center, legs):
 def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
     """`roots.build_root_star` with components read off the box engine's
     union-find `roots._Sweep` over the 1-tuples (i,) with m(i) <= cap, and
-    the reflection found one representative at a time by
-    `roots._perm_from_map`: the reference for the package's merge tree of
-    the central profile.  Slices, profile and stop rule are the package's;
+    the reflection read off the images the same sweep finds for the map
+    (i,) -> (rho - i,): the reference for the package's merge tree of the
+    central profile.  Slices, profile and stop rule are the package's;
     each component's representative is the least minimizer of chi on its
     slice of least (m(i), i), built leg by leg (`roots._leg_minimizer`), and
     each level's components are sorted by their representatives."""
     k = rt._checked_char(tree, k)
     center, legs = rt._star_decompose(tree)
     minimizer = least_minimizer(tree, k, center, legs)
+    pd = pd_vector(tree, k)
+    point_map = None
+    if all(x.denominator == 1 for x in pd):
+        rho = -int(pd[center])
+        point_map = lambda p: (rho - p[0],)
 
     def profile(cap):
         slices = coordinate_ranges(tree, k, cap)[center]
@@ -983,7 +1006,7 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
             cap = math.ceil(k_square(tree, k) / 8) + span  # chi >= k^2 / 8
             m = profile(cap)
             if m:
-                sweep = rt._Sweep(m, cap)
+                sweep = rt._Sweep(m, cap, point_map)
                 conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
                 stop = conn + rt._MARGIN
                 if stop <= cap:
@@ -994,7 +1017,7 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
         m = profile(stop)
         if not m:
             raise rt.InstabilityError("stop level lies below the minimum of chi")
-        sweep = rt._Sweep(m, stop)
+        sweep = rt._Sweep(m, stop, point_map)
 
     # a new component's least slice is its leftmost, a merged one's its
     # children's least
@@ -1014,13 +1037,10 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
         succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
         stable=len(level_comps[-1][1]) == 1,
     )
-    refl, pd = None, pd_vector(tree, k)
-    if all(x.denominator == 1 for x in pd):
-        rho = -int(pd[center])
-        refl = rt._perm_from_map(
-            [reps[c] for c in order], fields["levels"], index, sweep, lambda p: (rho - p[center],)
-        )
-        if refl is None:
+    refl = None
+    if point_map:
+        refl = tuple(index.get(sweep.image[c]) for c in order)
+        if None in refl:
             raise ConsistencyError("lattice reflection does not preserve the central profile")
     return rt._finished(fields, "star", refl, involution)
 

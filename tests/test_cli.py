@@ -106,6 +106,36 @@ def test_invariants_rank_bound_failure_is_reported():
     assert "bound" in proc.stderr
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16: a sum builds its full tensor with no bound, and this "
+    "one exits 1 with a bare MemoryError under the cap",
+)
+def test_invariants_of_a_large_sum_answer_or_name_the_full_tensor_rank():
+    # the summands' root models have ranks 287 and 391 at --n-max 1, so the
+    # full tensor has rank 112217; the command must answer, or fail with an
+    # error that names that rank, within 60 s and 1 GiB of address space
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    spec = "sum(pretzel(27,-13,25),pretzel(31,-15,29))"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "branchfloer", "invariants", spec, "--n-max", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap,
+        )
+    except subprocess.TimeoutExpired:
+        proc = None
+    assert proc is not None, "no answer within 60 s"
+    assert proc.returncode == 0 or (proc.returncode == 1 and "112217" in proc.stderr), proc.stderr
+
+
 def test_root_accepts_plumbing_json_and_renders_dot():
     proc = run_cli("root", GAMMA7_JSON, "--dot")
     assert proc.returncode == 0

@@ -496,6 +496,43 @@ def test_two_bridge_cover_d_is_minus_a_quarter_of_the_signature(p):
         assert d == Fraction(-_two_bridge_signature(p, q), 4), (p, q)
 
 
+@st.composite
+def two_bridge_fractions(draw):
+    """(p, q): p odd in 3..199, q in 2..p - 1 coprime to p."""
+    p = draw(st.integers(1, 99)) * 2 + 1
+    q = draw(st.integers(2, p - 1).filter(lambda q: math.gcd(p, q) == 1))
+    return p, q
+
+
+def _two_bridge_cover(p, q):
+    """The cover's chain for montesinos(0;q/p), its p/q read off the chain,
+    and the d of its root at n_max=2."""
+    pres = kn.presentation(kn.parse_spec(f"montesinos(0;{q}/{p})"))
+    chain = Fraction(-pres.tree.weights[-1])
+    for w in reversed(pres.tree.weights[:-1]):
+        chain = -w - 1 / chain
+    root = build_root(pres.tree, pres.char, n_max=2, involution=pres.involution)
+    return chain, root.d_invariant()
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_bridge_fractions())
+def test_two_bridge_family_d_is_the_lens_space_recursion(pq):
+    # the lens-space anchor above, over the whole family p < 200
+    p, q = pq
+    chain, d = _two_bridge_cover(p, q)
+    assert (chain.numerator, chain.denominator) == (p, q)
+    assert d == _lens_d(p, q, (q - 1) * pow(2, -1, p) % p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_bridge_fractions())
+def test_two_bridge_family_d_is_minus_a_quarter_of_the_signature(pq):
+    # the Manolescu-Owens anchor above, over the whole family p < 200
+    p, q = pq
+    assert _two_bridge_cover(p, q)[1] == Fraction(-_two_bridge_signature(p, q), 4)
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

@@ -161,15 +161,20 @@ def test_invariants_eliminate_each_tree_once_per_vector(monkeypatch):
 
 def test_box_root_eliminates_once_for_every_reflection(monkeypatch):
     whole, per_k = _elimination_passes(monkeypatch)
-    reflections = []
-    reflect = rt.reflect
+    reflections, sweeps = [], []
+    reflect, sweep = rt.reflect, rt._Sweep
     monkeypatch.setattr(rt, "reflect", lambda *a: reflections.append(a) or reflect(*a))
+    monkeypatch.setattr(rt, "_Sweep", lambda *a: sweeps.append(sweep(*a)) or sweeps[-1])
     bush = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
     out = io.StringIO()
     cli.cmd_root(bush, cli.RunConfig(), out)
     root = json.loads(out.getvalue())
     assert root["engine"] == "box"
-    assert len(reflections) == len(root["vertices"]) > 1
+    # one reflection per component of each swept level: the probe sweeps
+    # the bush's levels 0..8, one component each, and the root keeps 0..2
+    swept = sum(len(comps) for s in sweeps for _, comps in s.level_comps)
+    assert len(reflections) == swept == 9
+    assert len(root["vertices"]) == 3
     assert len(whole) == 1
     assert _once_each(whole, per_k) and len(per_k) <= 2
 

@@ -401,7 +401,7 @@ def test_merge_tree_matches_the_union_find_star_root(data):
 @pytest.mark.parametrize("n_max", [None, 1, 3])
 def test_star_roots_build_without_the_box_sweep(monkeypatch, n_max):
     # the merge tree of the central profile needs no union-find and no
-    # lattice map per representative; the roots agree with the sweep's
+    # lattice map per component; the roots agree with the sweep's
     def refused(*args):
         raise AssertionError("the star engine called into the box engine's sweep")
 
@@ -411,7 +411,6 @@ def test_star_roots_build_without_the_box_sweep(monkeypatch, n_max):
         args = (pres.tree, pres.char, n_max, pres.involution)
         inputs.append((args, _star_fields(ref_star_root, *args)))
     monkeypatch.setattr(rt, "_Sweep", refused)
-    monkeypatch.setattr(rt, "_perm_from_map", refused)
     for args, expected in inputs:
         assert _star_fields(rt.build_root, *args) == expected
 
@@ -662,13 +661,31 @@ def test_json_round_trip():
 
 def test_sweep_keeps_apart_points_whose_unpadded_codes_are_adjacent():
     # unpadded, (0, 2) and (1, 0) would be coded 2 and 3, one apart
-    sweep = rt._Sweep({(0, 2): 0, (1, 0): 0}, 0)
+    points = {(0, 2): 0, (1, 0): 0}
+    swap = {(0, 2): (1, 0), (1, 0): (0, 2)}
+    sweep = rt._Sweep(points, 0, swap.get)
     assert sweep.level_comps == [(0, [0, 1])]
     assert sorted(sweep.reps.values()) == [(0, 2), (1, 0)]
-    assert sweep.component_at((0, 2), 0) != sweep.component_at((1, 0), 0)
-    for outside in [(2, 0), (-1, 2), (0, 3), (0, -1), (5, 5)]:
-        assert sweep.component_at(outside, 0) is None
-    assert sweep.component_at((0, 1), 0) is None  # in the box, not in the set
+    assert sweep.image == {0: 1, 1: 0}  # each point's image is the other component
+    assert rt._Sweep(points, 0, lambda p: p).image == {0: 0, 1: 1}
+    # outside the padded box, then in the box but not in the set
+    for outside in [(2, 0), (-1, 2), (0, 3), (0, -1), (5, 5), (0, 1)]:
+        assert rt._Sweep(points, 0, lambda p: outside).image == {0: None, 1: None}
+
+
+@pytest.mark.parametrize("involution", ["auto", "reflection"])
+def test_box_root_refuses_a_reflection_that_leaves_the_root(monkeypatch, capsys, involution):
+    # Q^{-1}k is integral on the bush, so the reflection must map each
+    # component onto one at its level; a map that sends every point out of
+    # the sublevel set is an internal fault (exit 1), not a missing reflection
+    bush = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
+    tree, _, _ = cli._tree_from_doc(json.loads(bush))
+    monkeypatch.setattr(rt, "reflect", lambda tree, k, p: tuple(x + 1000 for x in p))
+    with pytest.raises(ConsistencyError, match="lattice reflection"):
+        rt.build_root_box(tree, involution=involution)
+    doc = bush[:-1] + f', "involution": "{involution}"}}'
+    assert cli.main(["root", doc]) == 1
+    assert "lattice reflection does not map the root onto itself" in capsys.readouterr().err
 
 
 def test_dot_output_is_deterministic():
