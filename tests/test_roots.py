@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -792,3 +793,32 @@ def test_box_engine_probe_stays_within_budget():
     tree = pl.star(-1, [[-3], [-4, -5], [-3, -2]])
     b = rt.build_root_box(tree)
     assert rt.build_root_star(tree).is_isomorphic(b)
+
+
+BUSH = pl.PlumbingTree((-3, -2, -2, -3, -2, -2), ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
+FROZEN_ROOTS = json.loads((Path(__file__).parent / "roots_frozen.json").read_text())
+
+
+def frozen_root_json(label):
+    """`to_json()` of the root a `roots_frozen.json` label names: "root S"
+    the adaptive root of spec S's presentation (`build_root`), "root S
+    n_max=N" the root at that cap, and "box S" `build_root_box` on S's
+    presentation, or on the bush or Gamma_7 for "box bush" and "box gamma7"."""
+    kind, text = label.split(" ", 1)
+    text, _, n_max = text.partition(" n_max=")
+    if text in ("bush", "gamma7"):
+        tree, k, involution = (BUSH if text == "bush" else GAMMA7), None, "auto"
+    else:
+        pres = kn.presentation(kn.parse_spec(text))
+        tree, k, involution = pres.tree, pres.char, pres.involution
+    build = rt.build_root if kind == "root" else rt.build_root_box
+    return build(tree, k, n_max=int(n_max) if n_max else None, involution=involution).to_json()
+
+
+@pytest.mark.parametrize("label", list(FROZEN_ROOTS))
+def test_roots_are_byte_identical_to_the_frozen_ones(label):
+    # vertex order, successors and involution of both engines' roots: the
+    # 17 `knots` benchmark inputs, a generator past its adaptive stop (44
+    # vertices, 16 leaves), and box roots of two non-star trees and of four
+    # presentations, three of them with a swap
+    assert frozen_root_json(label) == FROZEN_ROOTS[label]
