@@ -133,8 +133,13 @@ def cmd_root(source: str, config: RunConfig, out=None) -> None:
         tree, char, involution = pres.tree, pres.char, pres.involution
     root = roots.build_root(tree, char, involution=involution, n_max=config.n_max)
     root.require_stable()
-    if config.verify and root.engine == "star":
-        alt = roots.build_root_box(tree, char, involution=involution, n_max=config.n_max)
+    if config.verify and root.engine != "star":
+        print("note: --verify checked nothing: only a star has a second engine", file=sys.stderr)
+    elif config.verify:
+        try:
+            alt = roots.build_root_box(tree, char, involution=involution, n_max=config.n_max)
+        except roots.MemoryGuardError as err:
+            raise roots.MemoryGuardError(f"--verify's box build failed: {err}") from err
         if not root.is_isomorphic(alt):
             raise plumbing.ConsistencyError("engine cross-check failed: star and box roots differ")
     if config.fmt == "dot":

@@ -13,8 +13,8 @@ tree's shape:
 * a box engine (`build_root_box`), for any tree: eliminate the tree from the
   leaves inward to write 2 chi_k as a sum of positive squares, list each
   finite sublevel set exactly by a short-vector (Fincke-Pohst) walk, and
-  union-find the sublevel graphs level by level (`_Sweep`), mapping each
-  component's least point by the reflection as the component is named;
+  union-find the sublevel graphs level by level (`_Sweep`), naming each
+  level's components left to right by their least lattice points;
 * a star engine (`build_root_star`), for star-shaped trees: minimize chi in
   closed form, from each leg's continued fraction and twist (`_leg_seifert`),
   on each slice of the central coordinate's range that the same elimination
@@ -22,11 +22,13 @@ tree's shape:
   its first 2 alpha_1 slices only and has a constant second difference in
   steps of alpha_1 after them (`_leg_shares`).  Components are the maximal
   intervals of the central profile, so the root is its merge tree, read off
-  in one pass (`_merge_tree`).
+  in one pass and left to right by slice (`_merge_tree`).
 
-Both take the chi-preserving lattice reflection l -> -l - Q^{-1}k when
-Q^{-1}k is integral and raise ConsistencyError where it does not map the
-root onto itself; the root carries it or the identity, as selected.
+Both engines give their merge tree in one format, with each component's
+image under the chi-preserving lattice reflection l -> -l - Q^{-1}k, and one
+assembler builds the root from it (`_assembled`): it takes the reflection
+when Q^{-1}k is integral, raises ConsistencyError where the reflection does
+not map the root onto itself, and gives the root it or the identity.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ class GradedRoot:
     stores the offset once.  succ[v] is the vertex one level down the tree,
     None at top-level components.  involution is the selected
     level-preserving involution.  Each level's vertices are ordered left to
-    right: by the least lattice point of their component in the box engine,
-    by slice in the star engine.
+    right, as both engines' merge trees name them: by the least lattice point
+    of their component in the box engine, by slice in the star engine.
     """
 
     levels: tuple[int, ...]
@@ -267,19 +269,33 @@ def _checked_char(tree, k):
     return k
 
 
-def _finished(fields, engine, reflection, select):
-    """The root of assembled `fields` with the involution `select` names,
-    validated once: "reflection" is the lattice reflection (None where it is
-    undefined), "trivial" the identity, and "auto" the reflection when it is
-    defined, else the identity."""
-    named = {"reflection": reflection, "trivial": tuple(range(len(fields["levels"])))}
+def _assembled(levels, tree, k, reflected, engine, select):
+    """The root of a merge tree as both engines give it: (n, [record, ...])
+    for each level n, components left to right, each record ending in
+    (image, up), the positions of the component the lattice reflection maps
+    it onto (None if none) and of the one holding it one level up.
+    `select` names the involution: "reflection", defined when `reflected`
+    (Q^{-1}k integral) and then required to map the root onto itself,
+    "trivial" the identity, or "auto" the reflection where defined."""
+    at = list(itertools.accumulate((len(comps) for _, comps in levels), initial=0))
+    vertices = [(x, n, c) for x, (n, comps) in enumerate(levels) for c in comps]
+    if reflected and any(c[-2] is None for _, _, c in vertices):
+        raise ConsistencyError("lattice reflection does not map the root onto itself")
     if select == "auto":
-        select = "trivial" if reflection is None else "reflection"
-    if select not in named:
+        select = "reflection" if reflected else "trivial"
+    if select not in ("reflection", "trivial"):
         raise ValueError(f"unknown involution {select!r}")
-    if named[select] is None:
+    if select == "reflection" and not reflected:
         raise ValueError("no lattice reflection attached to this root")
-    return GradedRoot(**fields, involution=named[select], engine=engine)
+    j = range(len(vertices)) if select == "trivial" else (at[x] + c[-2] for x, _, c in vertices)
+    return GradedRoot(
+        levels=tuple(n for _, n, _ in vertices),
+        offset=(k_square(tree, k) + len(tree)) / 4,
+        succ=tuple(at[x + 1] + c[-1] if x + 1 < len(levels) else None for x, _, c in vertices),
+        involution=tuple(j),
+        stable=len(levels[-1][1]) == 1,
+        engine=engine,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +360,11 @@ class _Sweep:
     """Level-by-level union-find over a finite sublevel set S_cap.
 
     Points are placed in order of chi, each joined to its placed lattice
-    neighbours at its own level.  Once a level's components are named,
-    `point_map`, if given, sends each one's least point (`reps`) to a
-    lattice point, and image[c] is the component at that level holding it,
-    or None where no point of S_level does.
+    neighbours at its own level.  `levels` is the merge tree in the format
+    `_assembled` reads: each level's components left to right by least
+    point, as [least point, image, up], where `image` is the position at
+    that level of the component holding point_map(least point), None where
+    no point of S_level does or there is no `point_map`.
 
     A point is coded as one integer in a mixed radix, first coordinate most
     significant, so integer order is tuple order.  Each coordinate's digit
@@ -376,12 +393,8 @@ class _Sweep:
         least = list(codes)  # code of the least point under each root
         heads: set[int] = set()  # union-find roots of the placed points
 
-        counter = itertools.count()
-        self.level_comps = []
-        self.parent_of = {}
-        self.reps = {}
-        self.image = {}
-        prev: dict[int, int] = {}
+        self.levels = []
+        prev: list[int] = []  # the last level's roots, left to right
         fresh = 0
         for lev in range(chi[0], cap + 1):
             while fresh < len(pts) and chi[fresh] == lev:
@@ -402,30 +415,22 @@ class _Sweep:
                     heads.discard(a)
                     a = b
                 fresh += 1
-            here = {r: next(counter) for r in sorted(heads)}
-            for r, cid in here.items():
-                self.reps[cid] = pts[index[least[r]]]
-                if point_map is not None:
-                    i = index.get(code(point_map(self.reps[cid])))
-                    self.image[cid] = None if i is None or i >= fresh else here[self._find(i)]
-            self.level_comps.append((lev, list(here.values())))
-            for r, cid in prev.items():
-                self.parent_of[cid] = here[self._find(r)]
+            here = sorted(heads, key=least.__getitem__)
+            at = {r: p for p, r in enumerate(here)}
+            for r, below in zip(prev, self.levels[-1][1] if self.levels else ()):
+                below[2] = at[self._find(r)]
+            comps = []
+            for r in here:
+                rep = pts[index[least[r]]]
+                i = None if point_map is None else index.get(code(point_map(rep)))
+                comps.append([rep, None if i is None or i >= fresh else at[self._find(i)], None])
+            self.levels.append((lev, comps))
             prev = here
 
     def _find(self, i):
         while self.link[i] != i:
             i = self.link[i]
         return i
-
-
-def _connectivity_level(level_comps):
-    counts = {n: len(comps) for n, comps in level_comps}
-    top = max(counts)
-    return next(
-        (n for n in sorted(counts) if all(counts[x] == 1 for x in range(n, top + 1))),
-        None,
-    )
 
 
 def build_root_box(
@@ -459,8 +464,10 @@ def build_root_box(
         cap = n_min + 8
         while True:
             sweep = _Sweep(_sublevel_set(elim, cap), cap, point_map)
-            stop = _connectivity_level(sweep.level_comps)
-            if stop is not None and cap - stop >= _MARGIN + 4:
+            # the first level from which the swept levels stay connected
+            split = [n for n, comps in sweep.levels if len(comps) > 1]
+            stop = split[-1] + 1 if split else sweep.levels[0][0]
+            if cap - stop >= _MARGIN + 4:
                 break
             cap += 20
         stop += _MARGIN
@@ -470,23 +477,8 @@ def build_root_box(
             raise InstabilityError("stop level lies below the minimum of chi")
         sweep = _Sweep(points, n_max, point_map)
         stop = n_max
-    # each level's components in the order of their least points
-    level_comps = [(n, sorted(c, key=sweep.reps.get)) for n, c in sweep.level_comps if n <= stop]
-    order = [c for _, comps in level_comps for c in comps]
-    comp_index = {c: i for i, c in enumerate(order)}
-    fields = dict(
-        levels=tuple(n for n, comps in level_comps for _ in comps),
-        offset=(k_square(tree, k) + len(tree)) / 4,
-        # a top component's parent, if the sweep has one, lies above `stop`
-        succ=tuple(comp_index.get(sweep.parent_of.get(c)) for c in order),
-        stable=len(level_comps[-1][1]) == 1,
-    )
-    refl = None
-    if integral:
-        refl = tuple(comp_index.get(sweep.image[c]) for c in order)
-        if None in refl:
-            raise ConsistencyError("lattice reflection does not map the root onto itself")
-    return _finished(fields, "box", refl, involution)
+    levels = sweep.levels[: stop - sweep.levels[0][0] + 1]
+    return _assembled(levels, tree, k, integral, "box", involution)
 
 
 # ---------------------------------------------------------------------------
@@ -594,27 +586,29 @@ def _central_profile(tree, k, center, legs, slices):
     return [t // 2 for t in twice]
 
 
-def _merge_tree(m, lo, top):
-    """The merge tree of the profile m(lo), m(lo + 1), ... up to level `top`:
-    for each level n from min m, the maximal intervals [a, b] of
-    {i : m(i) <= n} left to right, as [a, b, up] with `up` the position one
-    level up of the interval holding [a, b] (None at `top`).  A profile
-    symmetric under i -> 6 - i, connected at level 1 and split again at
-    level 2:
+def _merge_tree(m, lo, top, rho=None):
+    """The merge tree of the profile m(lo), m(lo + 1), ... up to level `top`,
+    in the format `_assembled` reads: for each level n from min m, the
+    maximal intervals [a, b] of {i : m(i) <= n} left to right, as
+    [a, b, image, up] with `image` the position of [rho - b, rho - a] at
+    level n (None where that is not an interval, or rho is None) and `up`
+    the position one level up of the interval holding [a, b] (None at
+    `top`).  A profile symmetric under i -> 6 - i, connected at level 1 and
+    split again at level 2:
 
-    >>> for n, intervals in _merge_tree([2, 4, 1, 0, 1, 4, 2], 0, 4):
+    >>> for n, intervals in _merge_tree([2, 4, 1, 0, 1, 4, 2], 0, 4, 6):
     ...     print(n, intervals)
-    0 [[3, 3, 0]]
-    1 [[2, 4, 1]]
-    2 [[0, 0, 0], [2, 4, 1], [6, 6, 2]]
-    3 [[0, 0, 0], [2, 4, 0], [6, 6, 0]]
-    4 [[0, 6, None]]
+    0 [[3, 3, 0, 0]]
+    1 [[2, 4, 0, 1]]
+    2 [[0, 0, 2, 0], [2, 4, 1, 1], [6, 6, 0, 2]]
+    3 [[0, 0, 2, 0], [2, 4, 1, 0], [6, 6, 0, 0]]
+    4 [[0, 6, 0, None]]
     """
     # Slices enter in order of m(i), each joining the intervals beside it.
-    # Slice lo + p is p here; an interval's start keeps its end, its end its start.
+    # Slice lo + p is p here, its mirror r - p; a start keeps its end, an end its start.
     order = sorted(range(len(m)), key=m.__getitem__)
     ends, starts = {}, {}
-    levels, fresh = [], 0
+    levels, fresh, r = [], 0, None if rho is None else rho - 2 * lo
     for n in range(min(m, default=top + 1), top + 1):
         while fresh < len(order) and m[order[fresh]] == n:
             p = order[fresh]  # joins the intervals ending at p - 1 and starting at p + 1
@@ -623,8 +617,13 @@ def _merge_tree(m, lo, top):
             fresh += 1
         here = sorted(ends)
         for below in levels[-1][1] if levels else ():
-            below[2] = bisect_right(here, below[0] - lo) - 1  # the last start at or before it
-        levels.append((n, [[a + lo, ends[a] + lo, None] for a in here]))
+            below[3] = bisect_right(here, below[0] - lo) - 1  # the last start at or before it
+        comps = []
+        for a in here:
+            b = ends[a]
+            mirrored = r is not None and ends.get(r - b) == r - a
+            comps.append([a + lo, b + lo, bisect_right(here, r - b) - 1 if mirrored else None, None])
+        levels.append((n, comps))
     return levels
 
 
@@ -643,17 +642,20 @@ def build_root_star(
     centre's range on S_cap (`coordinate_range`), with m exact on every slice
     (`_leg_seifert`).  An explicit n_max is that cap.  Adaptive caps are
     ceil(min chi) + 8, + 16, + 32, ... until the first connected level plus
-    `_MARGIN`, where the root stops, fits under one.
+    `_MARGIN`, where the root stops, fits under one.  The reflection, where
+    Q^{-1}k is integral, maps slice i to rho - i, rho = -(Q^{-1}k)_centre.
     """
     k = _checked_char(tree, k)
     center, legs = _star_decompose(tree)
+    pd = pd_vector(tree, k)
+    integral = all(x.denominator == 1 for x in pd)
     ksq, span = k_square(tree, k), 8
     while True:
         # adaptive caps start above ceil(min chi), and min chi >= k^2 / 8
         cap = math.ceil(ksq / 8) + span if n_max is None else n_max
         slices = coordinate_range(tree, k, cap, center)
         m = _central_profile(tree, k, center, legs, slices)
-        levels = _merge_tree(m, slices.start, cap)
+        levels = _merge_tree(m, slices.start, cap, -int(pd[center]) if integral else None)
         # an adaptive root stops at its first connected level plus `_MARGIN`
         stop = next((n for n, c in levels if len(c) == 1), cap) + _MARGIN if n_max is None else cap
         if levels and stop <= cap:
@@ -661,25 +663,7 @@ def build_root_star(
         if n_max is not None:
             raise InstabilityError("stop level lies below the minimum of chi")
         span *= 2
-    levels = levels[: stop - levels[0][0] + 1]
-
-    at = list(itertools.accumulate((len(comps) for _, comps in levels), initial=0))
-    vertices = [(x, n, c) for x, (n, comps) in enumerate(levels) for c in comps]
-    fields = dict(
-        levels=tuple(n for _, n, _ in vertices),
-        offset=(ksq + len(tree)) / 4,
-        succ=tuple(at[x + 1] + c[2] if x + 1 < len(levels) else None for x, _, c in vertices),
-        stable=len(levels[-1][1]) == 1,
-    )
-    # i -> rho - i maps each level's intervals onto themselves in reverse order
-    refl, pd = None, pd_vector(tree, k)
-    if all(x.denominator == 1 for x in pd):
-        rho = -int(pd[center])
-        for _, comps in levels:
-            if [[rho - b, rho - a] for a, b, _ in reversed(comps)] != [c[:2] for c in comps]:
-                raise ConsistencyError("lattice reflection does not preserve the central profile")
-        refl = tuple(at[x] + at[x + 1] - 1 - v for v, (x, _, _) in enumerate(vertices))
-    return _finished(fields, "star", refl, involution)
+    return _assembled(levels[: stop - levels[0][0] + 1], tree, k, integral, "star", involution)
 
 
 def _is_star(tree: PlumbingTree) -> bool:

@@ -77,9 +77,11 @@ the pipeline produces by a different route, or builds a reference object.
 * `least_minimizer`: a star slice's least minimizer of chi, assembled from
   each leg's closed form, which the star engine sums but does not build.
 * `ref_star_root`: the star engine reading components off the box engine's
-  union-find sweep over 1-tuples and mapping each representative through
-  the reflection: the reference for the package's merge tree of the central
-  profile, whose reflection reverses each level's intervals.
+  union-find sweep over 1-tuples (`roots._Sweep.levels`) and mapping each
+  representative through the reflection, with its own ordering and
+  assembly: the reference for the package's merge tree of the central
+  profile, whose reflection reverses each level's intervals, and for the
+  assembly both engines share.
 * `ref_isomorphisms`, `ref_is_isomorphic`: the weight-preserving
   isomorphisms of two stem-trimmed graded roots that commute with the
   involutions, by backtracking over children of equal shape and dropping a
@@ -985,7 +987,8 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
     central profile.  Slices, profile and stop rule are the package's;
     each component's representative is the least minimizer of chi on its
     slice of least (m(i), i), built leg by leg (`roots._leg_minimizer`), and
-    each level's components are sorted by their representatives."""
+    each level's components are sorted by their representatives.  The root
+    is assembled here, not by `roots._assembled`."""
     k = rt._checked_char(tree, k)
     center, legs = rt._star_decompose(tree)
     minimizer = least_minimizer(tree, k, center, legs)
@@ -1007,7 +1010,7 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
             m = profile(cap)
             if m:
                 sweep = rt._Sweep(m, cap, point_map)
-                conn = next((n for n, comps in sweep.level_comps if len(comps) == 1), cap)
+                conn = next((n for n, comps in sweep.levels if len(comps) == 1), cap)
                 stop = conn + rt._MARGIN
                 if stop <= cap:
                     break
@@ -1020,29 +1023,41 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
         sweep = rt._Sweep(m, stop, point_map)
 
     # a new component's least slice is its leftmost, a merged one's its
-    # children's least
+    # children's least; a component is (level, its position in the sweep)
     least = {}
-    for n, comps in sweep.level_comps:
-        for c in comps:
-            least.setdefault(c, (n, sweep.reps[c]))
-            if (up := sweep.parent_of.get(c)) is not None:
-                least[up] = min(least.get(up, least[c]), least[c])
-    reps = {c: minimizer(i) for c, (_, (i,)) in least.items()}
-    level_comps = [(n, sorted(comps, key=reps.get)) for n, comps in sweep.level_comps if n <= stop]
-    order = [c for _, comps in level_comps for c in comps]
-    index = {c: i for i, c in enumerate(order)}
-    fields = dict(
-        levels=tuple(n for n, comps in level_comps for _ in comps),
-        offset=(k_square(tree, k) + len(tree)) / 4,
-        succ=tuple(index.get(sweep.parent_of.get(c)) for c in order),
-        stable=len(level_comps[-1][1]) == 1,
-    )
-    refl = None
+    for n, comps in sweep.levels:
+        for p, (point, _, up) in enumerate(comps):
+            least.setdefault((n, p), (n, point))
+            if up is not None:
+                least[n + 1, up] = min(least.get((n + 1, up), least[n, p]), least[n, p])
+    kept = [(n, comps) for n, comps in sweep.levels if n <= stop]
+    order = [
+        (n, p)
+        for n, comps in kept
+        for p in sorted(range(len(comps)), key=lambda p: minimizer(*least[n, p][1]))
+    ]
+    index = {v: i for i, v in enumerate(order)}
+    record = {(n, p): c for n, comps in kept for p, c in enumerate(comps)}
+    named = {"trivial": tuple(range(len(order)))}
     if point_map:
-        refl = tuple(index.get(sweep.image[c]) for c in order)
+        refl = tuple(index.get((n, record[n, p][1])) for n, p in order)
         if None in refl:
-            raise ConsistencyError("lattice reflection does not preserve the central profile")
-    return rt._finished(fields, "star", refl, involution)
+            raise ConsistencyError("lattice reflection does not map the root onto itself")
+        named["reflection"] = refl
+    if involution == "auto":
+        involution = "reflection" if point_map else "trivial"
+    if involution not in ("reflection", "trivial"):
+        raise ValueError(f"unknown involution {involution!r}")
+    if involution not in named:
+        raise ValueError("no lattice reflection attached to this root")
+    return GradedRoot(
+        levels=tuple(n for n, _ in order),
+        offset=(k_square(tree, k) + len(tree)) / 4,
+        succ=tuple(index.get((n + 1, record[n, p][2])) for n, p in order),
+        involution=named[involution],
+        stable=len(kept[-1][1]) == 1,
+        engine="star",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,29 @@ def test_root_verify_reports_an_engine_disagreement(monkeypatch, capsys):
     assert "engine cross-check failed" in capsys.readouterr().err
 
 
+def test_root_verify_names_the_box_build_that_ran_out_of_points(monkeypatch, capsys):
+    # the star root needs no point budget; only --verify's box build does
+    monkeypatch.setattr(roots, "_POINT_BUDGET", 10)
+    assert cli.main(["root", "pretzel(2,-3,-7)"]) == 0
+    capsys.readouterr()
+    with pytest.raises(roots.MemoryGuardError, match="^--verify's box build failed: "):
+        cli.cmd_root("pretzel(2,-3,-7)", cli.RunConfig(verify=True), out=io.StringIO())
+    assert cli.main(["root", "pretzel(2,-3,-7)", "--verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --verify's box build failed: ") and "exceeds 10 points" in err
+
+
+def test_root_verify_says_it_checked_nothing_on_a_non_star_tree(capsys):
+    bush = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
+    assert cli.main(["root", bush]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["root", bush, "--verify"]) == 0
+    verified = capsys.readouterr()
+    assert verified.out == plain.out and plain.err == ""
+    assert verified.err.startswith("note: --verify checked nothing")
+    assert verified.err.count("\n") == 1
+
+
 def test_internal_consistency_failure_exits_1(monkeypatch, capsys):
     # torus(7,13)'s root stops with three top components; one that claims to
     # be stable anyway gives a model complex with several towers: a fault of

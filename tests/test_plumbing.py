@@ -172,7 +172,7 @@ def test_box_root_eliminates_once_for_every_reflection(monkeypatch):
     assert root["engine"] == "box"
     # one reflection per component of each swept level: the probe sweeps
     # the bush's levels 0..8, one component each, and the root keeps 0..2
-    swept = sum(len(comps) for s in sweeps for _, comps in s.level_comps)
+    swept = sum(len(comps) for s in sweeps for _, comps in s.levels)
     assert len(reflections) == swept == 9
     assert len(root["vertices"]) == 3
     assert len(whole) == 1

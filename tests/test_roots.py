@@ -29,6 +29,7 @@ from test_acceptance import CORPUS
 
 GAMMA7 = pl.star(-1, [[-2], [-3], [-7]])
 E8 = pl.star(-2, [[-2, -2, -2, -2], [-2, -2], [-2]])
+BUSH = pl.PlumbingTree((-3, -2, -2, -3, -2, -2), ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
 
 
 def test_gamma7_star_root_shape():
@@ -664,29 +665,61 @@ def test_sweep_keeps_apart_points_whose_unpadded_codes_are_adjacent():
     # unpadded, (0, 2) and (1, 0) would be coded 2 and 3, one apart
     points = {(0, 2): 0, (1, 0): 0}
     swap = {(0, 2): (1, 0), (1, 0): (0, 2)}
-    sweep = rt._Sweep(points, 0, swap.get)
-    assert sweep.level_comps == [(0, [0, 1])]
-    assert sorted(sweep.reps.values()) == [(0, 2), (1, 0)]
-    assert sweep.image == {0: 1, 1: 0}  # each point's image is the other component
-    assert rt._Sweep(points, 0, lambda p: p).image == {0: 0, 1: 1}
+
+    def images(point_map):
+        (n, comps), = rt._Sweep(points, 0, point_map).levels
+        return [image for _, image, _ in comps]
+
+    (n, comps), = rt._Sweep(points, 0, swap.get).levels
+    assert n == 0 and len(comps) == 2  # two components, left to right
+    assert [least for least, _, _ in comps] == [(0, 2), (1, 0)]
+    assert images(swap.get) == [1, 0]  # each point's image is the other component
+    assert images(lambda p: p) == [0, 1]
     # outside the padded box, then in the box but not in the set
     for outside in [(2, 0), (-1, 2), (0, 3), (0, -1), (5, 5), (0, 1)]:
-        assert rt._Sweep(points, 0, lambda p: outside).image == {0: None, 1: None}
+        assert images(lambda p: outside) == [None, None]
+
+
+def test_box_root_orders_each_level_by_least_lattice_point():
+    # three leaves whose least points, in tuple order, put the one the
+    # reflection fixes in the middle; ordered by union-find root instead,
+    # the fixed leaf comes first
+    tree = pl.PlumbingTree((-5, -1, -3, -2, -3, -1), ((0, 1), (1, 2), (0, 3), (1, 4), (0, 5)))
+    r = rt.build_root_box(tree)
+    assert r.levels == (0, 0, 0, 1, 2, 3)
+    assert r.involution == (2, 1, 0, 3, 4, 5)
 
 
 @pytest.mark.parametrize("involution", ["auto", "reflection"])
-def test_box_root_refuses_a_reflection_that_leaves_the_root(monkeypatch, capsys, involution):
-    # Q^{-1}k is integral on the bush, so the reflection must map each
-    # component onto one at its level; a map that sends every point out of
-    # the sublevel set is an internal fault (exit 1), not a missing reflection
-    bush = '{"weights":[-3,-2,-2,-3,-2,-2],"edges":[[0,1],[1,2],[1,3],[3,4],[3,5]]}'
-    tree, _, _ = cli._tree_from_doc(json.loads(bush))
-    monkeypatch.setattr(rt, "reflect", lambda tree, k, p: tuple(x + 1000 for x in p))
-    with pytest.raises(ConsistencyError, match="lattice reflection"):
-        rt.build_root_box(tree, involution=involution)
-    doc = bush[:-1] + f', "involution": "{involution}"}}'
-    assert cli.main(["root", doc]) == 1
-    assert "lattice reflection does not map the root onto itself" in capsys.readouterr().err
+@pytest.mark.parametrize("source", ["bush", "pretzel(2,-3,-7)"], ids=["box", "star"])
+def test_roots_refuse_a_reflection_that_leaves_the_root(monkeypatch, capsys, source, involution):
+    # Q^{-1}k is integral on both, so the reflection must map each component
+    # onto one at its level, and a reflection that does not is an internal
+    # fault (exit 1), not a missing reflection.  The box engine's (the bush)
+    # sends every point out of the sublevel set; the star engine's moves
+    # rho by 1, so no interval's mirror image is an interval
+    message = "lattice reflection does not map the root onto itself"
+    if source == "bush":
+        tree, k, build = BUSH, None, rt.build_root_box
+        monkeypatch.setattr(rt, "reflect", lambda tree, k, p: tuple(x + 1000 for x in p))
+    else:
+        pres = kn.presentation(kn.parse_spec(source))
+        tree, k, build = pres.tree, pres.char, rt.build_root_star
+        center, _ = rt._star_decompose(tree)
+        pd_vector = rt.pd_vector
+        moved = lambda tree, k: [x - (v == center) for v, x in enumerate(pd_vector(tree, k))]
+        monkeypatch.setattr(rt, "pd_vector", moved)
+        assert cli.main(["root", source]) == 1  # the spec's own selection, "auto"
+        assert message in capsys.readouterr().err
+    with pytest.raises(ConsistencyError, match=f"^{message}$"):
+        build(tree, k, involution=involution)
+    # the same tree as plumbing JSON, which selects the involution
+    doc = {"weights": list(tree.weights), "edges": [list(e) for e in tree.edges]}
+    doc["involution"] = involution
+    if k is not None:
+        doc["char"] = list(k)
+    assert cli.main(["root", json.dumps(doc)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_dot_output_is_deterministic():
@@ -795,7 +828,6 @@ def test_box_engine_probe_stays_within_budget():
     assert rt.build_root_star(tree).is_isomorphic(b)
 
 
-BUSH = pl.PlumbingTree((-3, -2, -2, -3, -2, -2), ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5)))
 FROZEN_ROOTS = json.loads((Path(__file__).parent / "roots_frozen.json").read_text())
 
 
