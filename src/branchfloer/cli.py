@@ -24,27 +24,26 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import knots, plumbing, roots
 from .connected import omega
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(plumbing._Record):
     """Settings of one run; a subcommand without a flag keeps its default."""
 
-    n_max: int | None = None
-    rank_bound: int = 16
-    fmt: str = "json"
-    verify: bool = False
+    _fields = ("n_max", "rank_bound", "fmt", "verify")
 
-    def __post_init__(self):
-        if self.rank_bound <= 0:
+    def __init__(
+        self, n_max: int | None = None, rank_bound: int = 16, fmt: str = "json",
+        verify: bool = False,
+    ):
+        if rank_bound <= 0:
             raise ValueError("rank bound must be positive")
-        if self.fmt not in ("json", "text", "dot"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
+        if fmt not in ("json", "text", "dot"):
+            raise ValueError(f"unknown output format {fmt!r}")
+        vars(self).update(n_max=n_max, rank_bound=rank_bound, fmt=fmt, verify=verify)
 
 
 def _frac(x: Fraction) -> str:
@@ -269,12 +268,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if hasattr(args, "workers"):
         print("warning: --workers is ignored; independence runs in one process", file=sys.stderr)
+    flags = {"rank_bound": args.rank_bound} if hasattr(args, "rank_bound") else {}
     try:
         config = RunConfig(
             n_max=args.n_max,
-            rank_bound=getattr(args, "rank_bound", RunConfig.rank_bound),
             fmt="dot" if getattr(args, "dot", False) else args.format,
             verify=args.verify,
+            **flags,
         )
         if args.command == "invariants":
             cmd_invariants(args.spec, config)

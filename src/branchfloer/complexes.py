@@ -58,29 +58,31 @@ gradings.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from operator import xor
 from typing import NamedTuple
 
 from .connected import BranchedModule, GradedUModule
-from .plumbing import ConsistencyError, _bits, _F2Space
+from .plumbing import ConsistencyError, _bits, _F2Space, _Record
 
 
 class RankBoundExceeded(RuntimeError):
     """A complex or a brute-force search space exceeds the rank bound."""
 
 
-@dataclass(frozen=True)
-class UComplex:
+class UComplex(_Record):
     """Finitely generated free complex over F_2[U]; diff has degree -1.
 
     diff[j] is the bitmask of generators hit by generator j, each with the
-    grading-forced power of U."""
+    grading-forced power of U.  Both constructors, this one and `_on_grid`,
+    run the checks of `__post_init__`."""
 
-    gradings: tuple[Fraction, ...]
-    diff: tuple[int, ...]
+    _fields = ("gradings", "diff")
+
+    def __init__(self, gradings: tuple[Fraction, ...], diff: tuple[int, ...]):
+        vars(self).update(gradings=gradings, diff=diff)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.diff) != len(self.gradings):
@@ -208,19 +210,16 @@ def tensor_complex(a: UComplex, b: UComplex) -> UComplex:
     return UComplex._on_grid(oa + ob, levels, rows)
 
 
-@dataclass(frozen=True)
-class UMap:
+class UMap(_Record):
     """Homogeneous F_2[U]-linear map; rows[j] lists targets of generator j."""
 
-    src: UComplex
-    tgt: UComplex
-    degree: Fraction
-    rows: tuple[int, ...]
+    _fields = ("src", "tgt", "degree", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != len(self.src):
+    def __init__(self, src: UComplex, tgt: UComplex, degree: Fraction, rows: tuple[int, ...]):
+        vars(self).update(src=src, tgt=tgt, degree=degree, rows=rows)
+        if len(rows) != len(src):
             raise ConsistencyError("map rows and source generators differ in number")
-        bad = _invalid_entry(self.rows, _allowed(self.src, self.tgt, self.degree))
+        bad = _invalid_entry(rows, _allowed(src, tgt, degree))
         if bad:
             raise ConsistencyError(f"map entry {bad} has no valid U-power")
 

@@ -27,36 +27,43 @@ connected module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .plumbing import ConsistencyError
+from .plumbing import ConsistencyError, _Record
 from .roots import GradedRoot
 
 
-@dataclass(frozen=True)
-class GradedUModule:
+class GradedUModule(_Record):
     """Isomorphism type of a graded F_2[U]-module of finite rank.
 
     towers: top gradings of the free summands, descending.
     torsion: (top grading, U-length) pairs for the F_2[U]/U^n summands.
+    deep: what `complexes.homology` keeps for the layers above it, a new
+    dict by default; it is not part of the value, so `==`, `hash` and
+    `repr` leave it out.
     """
 
-    towers: tuple[Fraction, ...]
-    torsion: tuple[tuple[Fraction, int], ...]
-    deep: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("towers", "torsion")
+
+    def __init__(
+        self,
+        towers: tuple[Fraction, ...],
+        torsion: tuple[tuple[Fraction, int], ...],
+        deep: dict | None = None,
+    ):
+        vars(self).update(towers=towers, torsion=torsion, deep={} if deep is None else deep)
 
 
-@dataclass(frozen=True)
-class BranchedModule:
+class BranchedModule(_Record):
     """Homology of the branched cone with its two distinguished corrections.
 
     upper - 1 and lower are the tops of the two infinite towers; the Q-action
     sends the deep part of the lower tower onto the deep part of the other."""
 
-    upper: Fraction
-    lower: Fraction
-    module: GradedUModule
+    _fields = ("upper", "lower", "module")
+
+    def __init__(self, upper: Fraction, lower: Fraction, module: GradedUModule):
+        vars(self).update(upper=upper, lower=lower, module=module)
 
 
 def monotone_leaves(root: GradedRoot) -> tuple[int, ...]:

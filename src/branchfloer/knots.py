@@ -16,7 +16,6 @@ when a sum or `verify` needs it), so the full input language is
 parsed by `parse_spec` and evaluated by `invariants`.
 """
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import floor, gcd, prod
@@ -24,7 +23,8 @@ import re
 
 from .connected import BranchedModule, GradedUModule, _dual, _root_branched, _subroot_homology
 from .connected import monotone_subroot, omega
-from .plumbing import ConsistencyError, PlumbingTree, determinant_magnitude, spin_char, star
+from .plumbing import ConsistencyError, PlumbingTree, _Record, determinant_magnitude
+from .plumbing import spin_char, star
 from .roots import GradedRoot, build_root
 
 
@@ -54,8 +54,7 @@ def negative_continued_fraction(p: int, q: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """A negative-definite plumbing presenting a branched double cover.
 
     `involution` names how the covering involution acts on the graded root:
@@ -65,10 +64,10 @@ class Presentation:
     whatever they compute.
     """
 
-    tree: PlumbingTree
-    char: tuple[int, ...]
-    involution: str
-    mirrored: bool
+    _fields = ("tree", "char", "involution", "mirrored")
+
+    def __init__(self, tree: PlumbingTree, char: tuple[int, ...], involution: str, mirrored: bool):
+        vars(self).update(tree=tree, char=char, involution=involution, mirrored=mirrored)
 
 
 def _seifert_det(e: int, fractions) -> int:
@@ -146,8 +145,7 @@ def goeritz_oracle(spec: "KnotSpec") -> tuple[int, int]:
 # the knot description language
 
 
-@dataclass(frozen=True)
-class KnotSpec:
+class KnotSpec(_Record):
     """A parsed knot description: a constructor with parameters, or a
     mirror/sum node over child specs.
 
@@ -155,11 +153,10 @@ class KnotSpec:
     builder (`seifert_plumbing` of `seifert_invariants`) can trust its
     parameters."""
 
-    kind: str
-    params: tuple = ()
-    children: tuple["KnotSpec", ...] = ()
+    _fields = ("kind", "params", "children")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: tuple = (), children: tuple["KnotSpec", ...] = ()):
+        vars(self).update(kind=kind, params=params, children=children)
         if self.kind in ("mirror", "sum") and self.params:
             raise KnotSpecError(f"{self.kind} takes child specs, not parameters, got {self.params}")
         if self.kind in ("torus", "pretzel", "montesinos") and self.children:
@@ -191,11 +188,13 @@ class KnotSpec:
                 raise KnotSpecError(f"montesinos fractions must be Fractions, got {fractions}")
             if 0 in fractions:
                 raise KnotSpecError("zero montesinos fraction")
-            if any(abs(f.numerator) < 2 for f in fractions):
-                raise KnotSpecError(
-                    "montesinos fraction with |numerator| < 2 is a trivial fiber; "
-                    "fold it into the integer coefficient"
-                )
+            for f in fractions:
+                if abs(f.numerator) < 2:
+                    raise KnotSpecError(
+                        f"montesinos fraction {f.numerator}/{f.denominator} in lowest terms "
+                        "has |numerator| < 2: a trivial fiber; "
+                        "fold it into the integer coefficient"
+                    )
             self._require_odd_det()
         elif self.kind == "mirror":
             if len(self.children) != 1:
@@ -397,15 +396,16 @@ def presentation(spec: KnotSpec) -> Presentation:
     if spec.kind not in ("torus", "pretzel", "montesinos"):
         raise KnotSpecError(f"{spec.kind} specs do not have a plumbing presentation")
     pres = seifert_plumbing(*spec.seifert_invariants())
-    return replace(pres, involution="trivial") if spec.kind == "torus" else pres
+    if spec.kind == "torus":
+        return Presentation(pres.tree, pres.char, "trivial", pres.mirrored)
+    return pres
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-@dataclass
-class _Eval:
+class _Eval(_Record):
     """One node of a spec's evaluation tree: a knot over its stable `root`, a
     mirror over its one child or a sum over its two.  `det`, `sigma` and
     `delta` are set where the node is built; the rest is computed on
@@ -429,12 +429,20 @@ class _Eval:
     delta must be the node's; `verify` checks both modules against it.
     Computed values stay on the node, so a sum node shares its children's."""
 
-    det: int
-    sigma: int | None
-    delta: Fraction
-    rank_bound: int
-    root: GradedRoot | None = None
-    children: tuple["_Eval", ...] = ()
+    _fields = ("det", "sigma", "delta", "rank_bound", "root", "children")
+
+    def __init__(
+        self,
+        det: int,
+        sigma: int | None,
+        delta: Fraction,
+        rank_bound: int,
+        root: GradedRoot | None = None,
+        children: tuple["_Eval", ...] = (),
+    ):
+        vars(self).update(
+            det=det, sigma=sigma, delta=delta, rank_bound=rank_bound, root=root, children=children
+        )
 
     @cached_property
     def connected(self) -> GradedUModule:
@@ -542,18 +550,28 @@ def _evaluate(spec: KnotSpec, n_max, rank_bound: int = 16) -> _Eval:
     return _mirrored(ev) if pres.mirrored else ev
 
 
-@dataclass(frozen=True)
-class InvariantPackage:
+class InvariantPackage(_Record):
     """Everything the pipeline knows about one knot."""
 
-    spec: KnotSpec
-    delta: Fraction
-    delta_upper: Fraction
-    delta_lower: Fraction
-    branched: GradedUModule
-    connected: GradedUModule
-    det: int
-    sigma: int | None
+    _fields = (
+        "spec", "delta", "delta_upper", "delta_lower", "branched", "connected", "det", "sigma"
+    )
+
+    def __init__(
+        self,
+        spec: KnotSpec,
+        delta: Fraction,
+        delta_upper: Fraction,
+        delta_lower: Fraction,
+        branched: GradedUModule,
+        connected: GradedUModule,
+        det: int,
+        sigma: int | None,
+    ):
+        vars(self).update(
+            spec=spec, delta=delta, delta_upper=delta_upper, delta_lower=delta_lower,
+            branched=branched, connected=connected, det=det, sigma=sigma,
+        )
 
     @property
     def reduced_connected(self) -> GradedUModule:

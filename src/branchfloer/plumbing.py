@@ -9,15 +9,15 @@ All the downstream lattice machinery lives in the quadratic function
 for a characteristic vector k, which takes integer values exactly because k is
 characteristic (k(v) == Q(v,v) mod 2 for every vertex).
 
-The lowest layer also holds what the layers above share: `ConsistencyError`
-and `_F2Space`, the F_2 echelon of the Wu class here and of `complexes`.
+The lowest layer also holds what the layers above share: `ConsistencyError`,
+`_F2Space`, the F_2 echelon of the Wu class here and of `complexes`, and
+`_Record`, the base of every record class in the package.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -31,28 +31,59 @@ class DefinitenessError(ValueError):
     """Raised when an operation needs a negative-definite tree and got none."""
 
 
-@dataclass(frozen=True)
-class PlumbingTree:
-    """Weighted tree on vertices 0..n-1."""
+class _Record:
+    """Base of the package's records: `==`, `hash` and `repr` over the fields
+    `_fields` names, in order, and no assignment once built.  Each record's
+    own constructor writes its fields into its `__dict__`, where
+    `cached_property` keeps what it computes.  A plain class, because
+    `dataclasses` costs every command its import (inspect, ast, dis,
+    tokenize) and the generation of its methods."""
 
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        n = len(self.weights)
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PlumbingTree(_Record):
+    """Weighted tree on vertices 0..n-1: `weights`, a tuple of ints, and
+    `edges`, a tuple of vertex pairs, each stored in increasing order."""
+
+    _fields = ("weights", "edges")
+
+    def __init__(self, weights: tuple[int, ...], edges: tuple[tuple[int, int], ...]):
+        n = len(weights)
         if n == 0:
             raise ValueError("the tree has no vertices")
-        object.__setattr__(
-            self, "edges", tuple(tuple(sorted(e)) for e in self.edges)
-        )
+        edges = tuple(tuple(sorted(e)) for e in edges)
+        vars(self).update(weights=weights, edges=edges)
         seen = set()
-        for a, b in self.edges:
+        for a, b in edges:
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad edge ({a}, {b})")
             if (a, b) in seen:
                 raise ValueError(f"duplicate edge ({a}, {b})")
             seen.add((a, b))
-        if len(self.edges) != n - 1:
+        if len(edges) != n - 1:
             raise ValueError("not a tree: wrong edge count")
         if len(self._breadth_first[0]) != n:
             raise ValueError("edges contain a cycle")

@@ -38,13 +38,13 @@ import json
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .plumbing import (
     ConsistencyError,
     PlumbingTree,
+    _Record,
     check_negative_definite,
     coordinate_range,
     is_characteristic,
@@ -72,8 +72,7 @@ _MARGIN = 2
 _POINT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True)
-class GradedRoot:
+class GradedRoot(_Record):
     """Finite part of a graded root, levels n_min..n_max.
 
     Vertex v has weight offset - 2 * levels[v] (`weights`), so the root
@@ -84,14 +83,21 @@ class GradedRoot:
     of their component in the box engine, by slice in the star engine.
     """
 
-    levels: tuple[int, ...]
-    offset: Fraction
-    succ: tuple[int | None, ...]
-    involution: tuple[int, ...]
-    stable: bool
-    engine: str = "?"
+    _fields = ("levels", "offset", "succ", "involution", "stable", "engine")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        levels: tuple[int, ...],
+        offset: Fraction,
+        succ: tuple[int | None, ...],
+        involution: tuple[int, ...],
+        stable: bool,
+        engine: str = "?",
+    ):
+        vars(self).update(
+            levels=levels, offset=offset, succ=succ, involution=involution, stable=stable,
+            engine=engine,
+        )
         n = len(self.levels)
 
         def check(ok, prop):

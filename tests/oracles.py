@@ -104,7 +104,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from branchfloer import roots as rt
@@ -155,7 +155,7 @@ def map_sum(f: UMap, g: UMap) -> UMap:
     their rows xored."""
     if not (f.src is g.src and f.tgt is g.tgt) or f.degree != g.degree:
         raise ValueError("sum of maps between different complexes or degrees")
-    return replace(f, rows=tuple(a ^ b for a, b in zip(f.rows, g.rows)))
+    return UMap(f.src, f.tgt, f.degree, tuple(a ^ b for a, b in zip(f.rows, g.rows)))
 
 
 def nullhomotopy(f: UMap) -> UMap | None:
@@ -822,7 +822,11 @@ def symmetric_reduction(root: GradedRoot) -> ReductionReport:
         if not moved:
             trivial = tuple(range(len(current)))
             assert all(j[v] == v for v in range(len(current)))
-            return ReductionReport(replace(current, involution=trivial), deletions, False)
+            reduced = GradedRoot(
+                current.levels, current.offset, current.succ, trivial, current.stable,
+                current.engine,
+            )
+            return ReductionReport(reduced, deletions, False)
         a = min(moved)
         nxt = _delete_pair(current, (a, j[a]))
         if nxt is None:

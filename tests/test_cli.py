@@ -2,7 +2,6 @@ import io
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -352,9 +351,12 @@ def test_internal_consistency_failure_exits_1(monkeypatch, capsys):
     # be stable anyway gives a model complex with several towers: a fault of
     # the package, not of the input
     build = knots.build_root
-    monkeypatch.setattr(
-        knots, "build_root", lambda *a, **kw: replace(build(*a, **kw), stable=True)
-    )
+
+    def stable_anyway(*args, **kwargs):
+        r = build(*args, **kwargs)
+        return roots.GradedRoot(r.levels, r.offset, r.succ, r.involution, True, r.engine)
+
+    monkeypatch.setattr(knots, "build_root", stable_anyway)
     assert cli.main(["invariants", "torus(7,13)"]) == 1
     assert "expected a single tower" in capsys.readouterr().err
 
@@ -504,7 +506,8 @@ def test_independence_checks_each_pair_tower_against_the_summed_delta():
     a, b = (knots._evaluate(knots.parse_spec(t), None) for t in GENERATORS[:2])
     assert cli._omega_of(("pair", a, b, config)) == 2
     with pytest.raises(ConsistencyError, match="disagree with delta"):
-        cli._omega_of(("pair", a, replace(b, delta=b.delta + 2), config))
+        tampered = knots._Eval(b.det, b.sigma, b.delta + 2, b.rank_bound, b.root, b.children)
+        cli._omega_of(("pair", a, tampered, config))
 
 
 @pytest.mark.parametrize(

@@ -10,11 +10,14 @@ fails on any `assert` statement or raised AssertionError, which `python -O`
 would strip or misfile.  The package has no runtime dependencies, so
 another check fails if starting the command line imports numpy, and one
 more if it imports a process pool, hashing or temporary files, which no
-command needs.  The F_2[U] chain layer, `complexes`, is the largest module
+command needs, or `dataclasses` or `inspect`, which cost every command
+milliseconds to import (the package's records are plain classes, ROADMAP
+item 18).  The F_2[U] chain layer, `complexes`, is the largest module
 and only sums and `--verify` run it, so a check fails if starting the
-command line, a knot's or a mirror's `invariants` or a `root` loads it, and
-another if a public name stops resolving through the package's lazy
-`__getattr__` or `ConsistencyError` splits into two classes.  Output
+command line, a knot's or a mirror's `invariants` or a `root` loads it, or
+if any of those commands, a sum's `invariants` or an `independence` loads
+`dataclasses`, and another if a public name stops resolving through the
+package's lazy `__getattr__` or `ConsistencyError` splits into two classes.  Output
 depends only on the arguments and stdin, so a check fails if any module
 reads `os.environ` or `os.getenv`, and `root` with the
 retired BRANCHFLOER_CACHE_DIR set writes nothing there.  The package runs
@@ -201,11 +204,13 @@ def test_cli_start_up_imports_no_numpy():
 def test_cli_start_up_imports_no_pool_or_cache_modules():
     # the package imports no pool module itself (test_package_runs_in_one_process),
     # nor does any standard module it loads at start-up, and no command needs
-    # hashlib or tempfile, which cost milliseconds to import.
+    # hashlib or tempfile, which cost milliseconds to import, nor dataclasses,
+    # which imports inspect, ast, dis and tokenize and generates methods.
     # -S: no site hooks of the environment load these modules first
+    modules = ("concurrent.futures", "hashlib", "tempfile", "dataclasses", "inspect")
     probe = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import branchfloer.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'hashlib', 'tempfile') if m in sys.modules))"
+        f"print(sorted(m for m in {modules!r} if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
@@ -219,26 +224,33 @@ CHAIN_LAYER_RUNS = [
     ["invariants", "mirror(torus(2,5))"],
     ["root", "pretzel(7,-3,5)", "--dot"],
     ["invariants", "sum(torus(2,3),torus(2,5))"],
+    ["independence", "pretzel(7,-3,5)", "pretzel(11,-5,9)"],
 ]
 
 
 def test_cli_loads_the_chain_layer_only_for_a_sum():
     # a knot's and a mirror's invariants and every root are read off the
     # graded root, so only sums and --verify compile `complexes`, the largest
-    # module, which costs every other command its compile time; -S as above
+    # module, which costs every other command its compile time; and no
+    # command, the chain layer's included, loads `dataclasses`; -S as above
     probe = (
         f"import contextlib, io, sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
-        "import branchfloer.cli as cli; seen = ['branchfloer.complexes' in sys.modules]\n"
+        "import branchfloer.cli as cli\n"
+        "def loaded(): return ['branchfloer.complexes' in sys.modules, 'dataclasses' in sys.modules]\n"
+        "seen = [loaded()]\n"
         f"for argv in {CHAIN_LAYER_RUNS!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        seen.append((cli.main(argv), 'branchfloer.complexes' in sys.modules))\n"
+        "        seen.append([cli.main(argv), *loaded()])\n"
         "print(seen)"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[False, (0, False), (0, False), (0, False), (0, True)]"
+    assert proc.stdout.strip() == (
+        "[[False, False], [0, False, False], [0, False, False], [0, False, False], "
+        "[0, True, False], [0, True, False]]"
+    )
 
 
 def test_every_public_name_resolves_and_the_errors_stay_one_class():

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,12 +243,18 @@ T25 = kn.KnotSpec.torus(2, 5)
         (lambda: kn.KnotSpec("pretzel", (3, -5, 7), (T25,)), "pretzel takes parameters"),
         (lambda: kn.KnotSpec("mirror", (7,), (T25,)), "mirror takes child specs, not parameters"),
         (lambda: kn.KnotSpec("sum", (1,), (T25, kn.KnotSpec.torus(2, 3))), "sum takes child"),
+        (
+            lambda: kn.KnotSpec.montesinos(0, [(2, 4), (3, 5), (5, 7)]),
+            r"^montesinos fraction 1/2 in lowest terms has \|numerator\| < 2",
+        ),
     ],
 )
 def test_a_malformed_direct_spec_raises_a_spec_error(make, message):
     # not a ValueError from unpacking, an AttributeError from a float's
     # numerator, a text child that fails only when the spec is printed, or
-    # children or parameters that the node ignores and str(spec) drops
+    # children or parameters that the node ignores and str(spec) drops; a
+    # fraction refused for its numerator is named as reduced, since the
+    # written 2/4 has numerator 2
     with pytest.raises(kn.KnotSpecError, match=message):
         make()
 
@@ -931,7 +936,9 @@ def test_invariants_checks_each_node_tower_against_its_delta(monkeypatch, text):
 
     def tampered(spec, *args):
         ev = evaluate(spec, *args)
-        return replace(ev, delta=ev.delta + 2) if spec == top else ev
+        if spec != top:
+            return ev
+        return kn._Eval(ev.det, ev.sigma, ev.delta + 2, ev.rank_bound, ev.root, ev.children)
 
     assert kn.invariants(top).delta == evaluate(top, None).delta
     monkeypatch.setattr(kn, "_evaluate", tampered)
@@ -1091,7 +1098,7 @@ def test_verify_catches_a_read_off_that_disagrees(monkeypatch, capsys):
     def one_more_summand(root):
         br = read_off(root)
         module = GradedUModule(br.module.towers, br.module.torsion + ((br.upper, 1),))
-        return replace(br, module=module)
+        return kn.BranchedModule(br.upper, br.lower, module)
 
     monkeypatch.setattr(kn, "_root_branched", one_more_summand)
     spec = kn.parse_spec("pretzel(7,-3,5)")

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import io
 import json
 import math
@@ -15,6 +15,7 @@ from branchfloer import cli
 from branchfloer import knots as kn
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
+from branchfloer.connected import GradedUModule
 from oracles import (
     coordinate_ranges,
     determinant,
@@ -47,7 +48,8 @@ def test_tree_validation():
     with pytest.raises(ValueError):
         pl.PlumbingTree((-2, -2, -2), ((0, 1), (1, 2), (0, 2)))
     # a tree is its weights and edges: no symmetry can be declared on it
-    assert [f.name for f in dataclasses.fields(pl.PlumbingTree)] == ["weights", "edges"]
+    assert list(inspect.signature(pl.PlumbingTree).parameters) == ["weights", "edges"]
+    assert pl.PlumbingTree._fields == ("weights", "edges")
     with pytest.raises(TypeError):
         pl.PlumbingTree((-2, -2), ((0, 1),), automorphism=(1, 0))
     with pytest.raises(TypeError):
@@ -121,6 +123,34 @@ def test_kept_elimination_is_private_to_each_answer():
     assert tree == fresh() and hash(tree) == hash(fresh())
     assert repr(tree) == repr(fresh())
     assert _lattice_answers(pickle.loads(pickle.dumps(tree)), k) == expected
+
+
+def test_records_are_values_of_their_fields_and_refuse_assignment():
+    # the package's record classes share plumbing._Record: ==, hash and repr
+    # over the fields, in order, no assignment, and pickling
+    tree = pl.star(-2, [[-3], [-5]])
+    assert repr(tree) == "PlumbingTree(weights=(-2, -3, -5), edges=((0, 1), (0, 2)))"
+    assert tree == pl.PlumbingTree(weights=(-2, -3, -5), edges=((1, 0), (0, 2)))
+    assert hash(tree) == hash(((-2, -3, -5), ((0, 1), (0, 2))))
+    assert tree != (tree.weights, tree.edges)
+    with pytest.raises(AttributeError, match="cannot assign to field 'weights'"):
+        tree.weights = (-1,)
+    with pytest.raises(AttributeError, match="cannot delete field 'edges'"):
+        del tree.edges
+    assert pl.determinant_magnitude(tree) == 22  # a cached_property fills in
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    # a module's deep part is not part of its value, and each gets its own
+    kept, plain = GradedUModule((Fraction(-2),), (), {0: 1}), GradedUModule((Fraction(-2),), ())
+    assert kept == plain and hash(kept) == hash(plain)
+    assert repr(kept) == "GradedUModule(towers=(Fraction(-2, 1),), torsion=())"
+    assert plain.deep == {} and plain.deep is not GradedUModule((), ()).deep
+    config = cli.RunConfig(rank_bound=4)
+    assert config == cli.RunConfig(None, 4, "json", False) != cli.RunConfig()
+    assert pickle.loads(pickle.dumps(config)) == config
+    with pytest.raises(AttributeError):
+        config.verify = True
+    with pytest.raises(ValueError, match="rank bound must be positive"):
+        cli.RunConfig(rank_bound=0)
 
 
 def _elimination_passes(monkeypatch):
@@ -384,6 +414,7 @@ _UNDER_O = """
 from branchfloer import ConsistencyError
 from branchfloer import plumbing as pl
 from branchfloer import roots as rt
+from branchfloer.connected import GradedUModule
 
 tree = pl.star(-1, [[-2], [-3], [-7]])
 try:
