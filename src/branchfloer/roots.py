@@ -28,7 +28,10 @@ Both engines give their merge tree in one format, with each component's
 image under the chi-preserving lattice reflection l -> -l - Q^{-1}k, and one
 assembler builds the root from it (`_assembled`): it takes the reflection
 when Q^{-1}k is integral, raises ConsistencyError where the reflection does
-not map the root onto itself, and gives the root it or the identity.
+not map the root onto itself, and gives the root it or the identity.  So on
+a star both engines build the same root vertex for vertex, up to where
+their stop rules end its top stem (`_trimmed`), and `root --verify` checks
+that field for field.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class InstabilityError(RuntimeError):
 
 
 class MemoryGuardError(RuntimeError):
-    """The box engine would exceed its point budget."""
+    """A root engine would exceed its budget (`_POINT_BUDGET`)."""
 
 
 # Adaptive roots stop this many levels above a connected level: for the box
@@ -68,7 +71,8 @@ class MemoryGuardError(RuntimeError):
 # for the star engine the first connected level.
 _MARGIN = 2
 
-# Most lattice points the box engine holds in one sublevel set.
+# Most lattice points the box engine holds in one sublevel set, and most
+# levels the star engine's cap lies above ceil(k^2 / 8), the bound on min chi.
 _POINT_BUDGET = 1_000_000
 
 
@@ -178,43 +182,6 @@ class GradedRoot(_Record):
     def vertices_at(self, n: int) -> list[int]:
         return [v for v in range(len(self)) if self.levels[v] == n]
 
-    # -- isomorphism ------------------------------------------------------
-
-    def _key(self, interned: dict) -> tuple:
-        """Canonical key of the root with the unbranched tail of its stem
-        trimmed, up to weight-preserving isomorphism commuting with the
-        involutions.  In one pass over the vertices in increasing level, a
-        vertex's shape key is (weight, sorted child keys), and an invariant
-        vertex's key is (weight, sorted keys of its invariant children,
-        sorted shape keys of one child from each swapped pair).  Keys are
-        interned in `interned`, which the roots compared share, so a
-        subtree's key is one integer."""
-        j, weights = self.involution, self.weights
-        shape: list = [None] * len(self)
-        fixed: list = [None] * len(self)
-
-        def split(kids):
-            return (
-                tuple(sorted(fixed[c] for c in kids if j[c] == c)),
-                tuple(sorted(shape[c] for c in kids if j[c] > c)),
-            )
-
-        for v in sorted(range(len(self)), key=self.levels.__getitem__):
-            kids = self.children(v)
-            key = (weights[v], tuple(sorted(shape[c] for c in kids)))
-            shape[v] = interned.setdefault(key, len(interned))
-            if j[v] == v:
-                fixed[v] = interned.setdefault((weights[v], *split(kids)), len(interned))
-        bottoms = [v for v in range(len(self)) if self.succ[v] is None]
-        while len(bottoms) == 1 and len(self.children(bottoms[0])) == 1:
-            bottoms = list(self.children(bottoms[0]))
-        return split(bottoms)
-
-    def is_isomorphic(self, other: "GradedRoot") -> bool:
-        """Isomorphic as graded roots with involution."""
-        interned: dict = {}
-        return self._key(interned) == other._key(interned)
-
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> str:
@@ -302,6 +269,19 @@ def _assembled(levels, tree, k, reflected, engine, select):
         stable=len(levels[-1][1]) == 1,
         engine=engine,
     )
+
+
+def _trimmed(root):
+    """(levels, offset, succ, involution) of an assembled root up to its
+    first branching vertex below the top stem, where two engines' roots of
+    one tree must agree, as their stop rules may end that stem at different
+    levels: the vertices at or below level L + 1, L the highest level of two
+    or more (the bottom one alone for a chain), which `_assembled` numbers
+    first, with the top one's successor dropped."""
+    levels = root.levels
+    split = [n for n, up in zip(levels, levels[1:]) if n == up]
+    kept = bisect_right(levels, split[-1] + 1 if split else levels[0])
+    return levels[:kept], root.offset, root.succ[: kept - 1] + (None,), root.involution[:kept]
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +627,24 @@ def build_root_star(
     {i : m(i) <= n}: the root is the merge tree of m (`_merge_tree`) on the
     centre's range on S_cap (`coordinate_range`), with m exact on every slice
     (`_leg_seifert`).  An explicit n_max is that cap.  Adaptive caps are
-    ceil(min chi) + 8, + 16, + 32, ... until the first connected level plus
-    `_MARGIN`, where the root stops, fits under one.  The reflection, where
-    Q^{-1}k is integral, maps slice i to rho - i, rho = -(Q^{-1}k)_centre.
+    ceil(k^2 / 8) + 8, + 16, + 32, ... until the first connected level plus
+    `_MARGIN`, where the root stops, fits under one.  A cap more than
+    `_POINT_BUDGET` levels above ceil(k^2 / 8) raises MemoryGuardError before
+    its profile is built.  The reflection, where Q^{-1}k is integral, maps
+    slice i to rho - i, rho = -(Q^{-1}k)_centre.
     """
     k = _checked_char(tree, k)
     center, legs = _star_decompose(tree)
     pd = pd_vector(tree, k)
     integral = all(x.denominator == 1 for x in pd)
-    ksq, span = k_square(tree, k), 8
+    low, span = math.ceil(k_square(tree, k) / 8), 8  # min chi >= k^2 / 8
     while True:
-        # adaptive caps start above ceil(min chi), and min chi >= k^2 / 8
-        cap = math.ceil(ksq / 8) + span if n_max is None else n_max
+        cap = low + span if n_max is None else n_max
+        if cap - low > _POINT_BUDGET:
+            raise MemoryGuardError(
+                f"level cap {cap} lies more than {_POINT_BUDGET} levels above {low}, "
+                "the bound on min chi"
+            )
         slices = coordinate_range(tree, k, cap, center)
         m = _central_profile(tree, k, center, legs, slices)
         levels = _merge_tree(m, slices.start, cap, -int(pd[center]) if integral else None)

@@ -82,11 +82,6 @@ the pipeline produces by a different route, or builds a reference object.
   assembly: the reference for the package's merge tree of the central
   profile, whose reflection reverses each level's intervals, and for the
   assembly both engines share.
-* `ref_isomorphisms`, `ref_is_isomorphic`: the weight-preserving
-  isomorphisms of two stem-trimmed graded roots that commute with the
-  involutions, by backtracking over children of equal shape and dropping a
-  partial map as soon as it breaks the involutions, and the test that one
-  exists: the reference for the package's canonical key of a root.
 * `linear_chain`: a linear plumbing, as a fixture.
 * `intersection_form`: the dense intersection form of a tree, the reference
   for the package's form read off the weights and edges.
@@ -95,9 +90,9 @@ the pipeline produces by a different route, or builds a reference object.
   tests compare the dense algebra below and the box engine's integer form
   against.
 * `determinant`, `leading_minors`, `is_negative_definite`, `solve_exact`,
-  `invert_exact`, `solve_mod2`: dense exact matrix algebra (Bareiss minors,
-  Gauss-Jordan over the rationals and over F_2) on plain lists of lists, the
-  reference for the package's leaves-inward elimination of a plumbing tree.
+  `solve_mod2`: dense exact matrix algebra (Bareiss minors, Gauss-Jordan
+  over the rationals and over F_2) on plain lists of lists, the reference
+  for the package's leaves-inward elimination of a plumbing tree.
 """
 
 from __future__ import annotations
@@ -1065,81 +1060,6 @@ def ref_star_root(tree, k=None, *, n_max=None, involution="auto") -> GradedRoot:
 
 
 # ---------------------------------------------------------------------------
-# graded root isomorphism by backtracking
-
-
-def _trimmed(root) -> set[int]:
-    """Vertex set with the unbranched tail of the stem removed."""
-    keep = set(range(len(root)))
-    bottoms = [v for v in range(len(root)) if root.succ[v] is None]
-    while len(bottoms) == 1 and len(root.children(bottoms[0])) == 1:
-        keep.remove(bottoms[0])
-        bottoms = list(root.children(bottoms[0]))
-    return keep
-
-
-def _shape_key(root, v, keep) -> tuple:
-    w = root.weights[v]
-    childkeys = tuple(sorted(_shape_key(root, c, keep) for c in root.children(v) if c in keep))
-    return ((w.numerator, w.denominator), childkeys)
-
-
-def ref_isomorphisms(a, b):
-    """Yield the weight-preserving isomorphisms (dicts a -> b) of the two
-    stem-trimmed roots that carry a's involution to b's, matching children
-    of equal shape key in every order.
-
-    A partial map is dropped as soon as it sends some x to y and j(x) to
-    anything but j(y).  Children are matched in order of shape key, then of
-    the smaller id in their orbit, so the two halves of a swapped pair of
-    siblings are placed one after the other and a pair that b does not swap
-    is refused at once."""
-    sa, sb = _trimmed(a), _trimmed(b)
-    ja, jb = a.involution, b.involution
-    roots_a = sorted(v for v in sa if a.succ[v] not in sa)
-    roots_b = sorted(v for v in sb if b.succ[v] not in sb)
-
-    def match(va, vb, acc):
-        if a.weights[va] != b.weights[vb]:
-            return
-        acc = {**acc, va: vb}
-        if ja[va] in acc and acc[ja[va]] != jb[vb]:
-            return
-        ca = [c for c in a.children(va) if c in sa]
-        cb = [c for c in b.children(vb) if c in sb]
-        yield from match_sets(ca, cb, acc)
-
-    def match_sets(ca, cb, acc):
-        if len(ca) != len(cb):
-            return
-        keys_a = {c: _shape_key(a, c, sa) for c in ca}
-        keys_b = {c: _shape_key(b, c, sb) for c in cb}
-        if sorted(keys_a.values()) != sorted(keys_b.values()):
-            return
-        ca = sorted(ca, key=lambda c: (keys_a[c], min(c, ja[c]), c))
-
-        def assign(i, used, acc):
-            if i == len(ca):
-                yield acc
-                return
-            c = ca[i]
-            for c2 in cb:
-                if c2 in used or keys_b[c2] != keys_a[c]:
-                    continue
-                for grown in match(c, c2, acc):
-                    yield from assign(i + 1, used | {c2}, grown)
-
-        yield from assign(0, frozenset(), acc)
-
-    yield from match_sets(roots_a, roots_b, {})
-
-
-def ref_is_isomorphic(a, b) -> bool:
-    """Whether some isomorphism of `ref_isomorphisms` exists."""
-    return next(ref_isomorphisms(a, b), None) is not None
-
-
-# ---------------------------------------------------------------------------
 # plumbing fixtures and the elimination as a completed square
 
 
@@ -1258,13 +1178,6 @@ def solve_exact(m: list[list[int]], rhs: list) -> list[Fraction]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [a[i][n] for i in range(n)]
-
-
-def invert_exact(m: list[list[int]]) -> list[list[Fraction]]:
-    """Exact inverse of an integer matrix (columns solved one at a time)."""
-    n = len(m)
-    cols = [solve_exact(m, [1 if i == j else 0 for i in range(n)]) for j in range(n)]
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
 def solve_mod2(m: list[list[int]], rhs: list[int]) -> list[int] | None:

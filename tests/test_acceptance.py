@@ -201,7 +201,7 @@ def test_criterion_6_property_suite(packages, mirror_packages, leaf_roots):
             continue
         a = rt.build_root_star(pres.tree, pres.char, involution=pres.involution)
         b = rt.build_root_box(pres.tree, pres.char, involution=pres.involution)
-        assert a.is_isomorphic(b), text
+        assert rt._trimmed(a) == rt._trimmed(b), text
 
     # brute-force reduction agrees with the monotone subroot on small roots
     for text, (_, root) in leaf_roots.items():

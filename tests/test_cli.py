@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from branchfloer import ConsistencyError, cli, complexes, knots, roots
+from test_roots import _relabelled
 
 GAMMA7_JSON = '{"weights": [-1, -2, -3, -7], "edges": [[0,1],[0,2],[0,3]]}'
 
@@ -323,8 +324,44 @@ def test_root_verify_reports_an_engine_disagreement(monkeypatch, capsys):
     assert "engine cross-check failed" in capsys.readouterr().err
 
 
+# a star centred at vertex 2 whose two stems differ: the star engine stops
+# at level 1, the box engine at 3
+SIX_STAR_JSON = '{"weights":[-6,-2,-1,-3,-7,-4],"edges":[[2,4],[4,5],[0,2],[1,2],[1,3]]}'
+
+
+def test_root_verify_passes_on_a_star_centred_off_vertex_0(capsys):
+    tree, k, _ = cli._tree_from_doc(json.loads(SIX_STAR_JSON))
+    assert (roots.build_root_star(tree, k).n_max, roots.build_root_box(tree, k).n_max) == (1, 3)
+    assert cli.main(["root", SIX_STAR_JSON, "--verify"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("renumbered", [False, True])
+def test_root_verify_refuses_a_box_root_equal_only_up_to_renumbering(
+    monkeypatch, capsys, renumbered
+):
+    # Level 0 of pretzel(7,-3,5)'s root is a swapped pair around a fixed
+    # vertex, 2 <-> 4 and 3.  A box root with 2 and 3 renumbered is
+    # isomorphic to the star's, but not the same root vertex for vertex.
+    # The box engine runs out of points on this tree, so the star root
+    # stands in for its build.
+    star = roots.build_root_star
+
+    def box(*args, **kwargs):
+        root = star(*args, **kwargs)
+        assert root.levels[2:5] == (0, 0, 0) and root.involution[2:5] == (4, 3, 2)
+        label = [0, 1, 3, 2, *range(4, len(root))] if renumbered else range(len(root))
+        return _relabelled(root, label)
+
+    monkeypatch.setattr(roots, "build_root_box", box)
+    assert cli.main(["root", "pretzel(7,-3,5)", "--verify"]) == renumbered
+    differ = "error: engine cross-check failed: star and box roots differ\n"
+    assert capsys.readouterr().err == (differ if renumbered else "")
+
+
 def test_root_verify_names_the_box_build_that_ran_out_of_points(monkeypatch, capsys):
-    # the star root needs no point budget; only --verify's box build does
+    # the star root's first cap, 8 levels above ceil(k^2 / 8), fits a budget
+    # of 10; only --verify's box build runs out of points
     monkeypatch.setattr(roots, "_POINT_BUDGET", 10)
     assert cli.main(["root", "pretzel(2,-3,-7)"]) == 0
     capsys.readouterr()

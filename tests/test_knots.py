@@ -538,6 +538,82 @@ def test_two_bridge_family_d_is_minus_a_quarter_of_the_signature(pq):
     assert _two_bridge_cover(p, q)[1] == Fraction(-_two_bridge_signature(p, q), 4)
 
 
+def _brieskorn_casson(p, q, r):
+    """lambda(Sigma(p, q, r)) = sigma(M)/8, M the Milnor fibre of x^p + y^q +
+    z^r (Fintushel-Stern, "Instanton homology of Seifert fibred homology
+    three spheres", Proc. London Math. Soc. 61 (1990); cited from memory),
+    with sigma(M) = N+ - N- by Brieskorn's count (1966; cited from memory):
+    N+ counts the triples 0 < i < p, 0 < j < q, 0 < k < r for which i/p +
+    j/q + k/r mod 2 lies in (0, 1), N- those for which it lies in (1, 2)."""
+    n, sigma = p * q * r, 0
+    for i, j, k in itertools.product(range(1, p), range(1, q), range(1, r)):
+        t = (i * q * r + j * p * r + k * p * q) % (2 * n)
+        sigma += (0 < t < n) - (n < t)
+    return Fraction(sigma, 8)
+
+
+def _root_casson(root):
+    """lambda = -rank HF_red - d/2 of an integer homology sphere whose
+    HF_red lies in odd degrees, as a negative-definite plumbing's does
+    (Ozsvath-Szabo, "Absolutely graded Floer homologies...", 2003, where
+    lambda(Sigma(2, 3, 5)) = -1; cited from memory): on a complete root,
+    rank HF_red is the
+    sum over its levels of one less than the number of vertices."""
+    extra = sum(len(root.vertices_at(n)) - 1 for n in set(root.levels))
+    return -extra - root.d_invariant() / 2
+
+
+# Knots covered by a Brieskorn sphere: torus(p,q), p < q <= 15 odd and
+# coprime, by Sigma(2, p, q), and every 3-strand pretzel with |det| = 1 and
+# strands of 2..15 in absolute value, by Sigma(|a|, |b|, |c|); half of
+# these pretzel presentations are mirrored
+BRIESKORN_COVERS = [
+    (f"torus({p},{q})", (2, p, q))
+    for p in range(3, 16, 2)
+    for q in range(p + 2, 16, 2)
+    if math.gcd(p, q) == 1
+] + [
+    (f"pretzel({a},{b},{c})", (abs(a), abs(b), abs(c)))
+    for a, b, c in itertools.combinations_with_replacement(
+        [x for x in range(-15, 16) if abs(x) > 1], 3
+    )
+    if abs(a * b + b * c + c * a) == 1
+]
+
+
+def test_brieskorn_covers_have_the_milnor_fibre_casson_invariant():
+    # an anchor outside the package that reads every level of the root, not
+    # just its lowest: at n_max=200, far above every split of these roots
+    assert len(BRIESKORN_COVERS) == 39
+    assert _brieskorn_casson(2, 3, 5) == -1
+    differ = []
+    for text, pqr in BRIESKORN_COVERS:
+        pres = kn.presentation(kn.parse_spec(text))
+        root = build_root(pres.tree, pres.char, n_max=200, involution=pres.involution)
+        if _root_casson(root) != _brieskorn_casson(*pqr):
+            differ.append(text)
+    assert differ == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: the star engine's adaptive stop truncates two "
+    "generator roots, which read lambda -14 and -30 against -20 and -56",
+)
+def test_generator_roots_have_the_milnor_fibre_casson_invariant_at_the_adaptive_stop():
+    read = {}
+    for text, pqr in [
+        ("pretzel(7,-3,5)", (7, 3, 5)),
+        ("pretzel(11,-5,9)", (11, 5, 9)),
+        ("pretzel(15,-7,13)", (15, 7, 13)),
+    ]:
+        pres = kn.presentation(kn.parse_spec(text))
+        root = build_root(pres.tree, pres.char, involution=pres.involution)
+        read[text] = (_root_casson(root), _brieskorn_casson(*pqr))
+    assert all(ours == want for ours, want in read.values()), read
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

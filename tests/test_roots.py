@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 from fractions import Fraction
@@ -16,13 +15,11 @@ from branchfloer import roots as rt
 from branchfloer.complexes import ConsistencyError
 from oracles import (
     coordinate_ranges,
-    eliminate,
     intersection_form,
     is_negative_definite,
     linear_chain,
     least_minimizer,
     ref_central_profile,
-    ref_is_isomorphic,
     ref_star_root,
 )
 from test_acceptance import CORPUS
@@ -52,7 +49,7 @@ def test_gamma7_star_root_shape():
 def test_gamma7_box_equals_star():
     a = rt.build_root_star(GAMMA7)
     b = rt.build_root_box(GAMMA7)
-    assert a.is_isomorphic(b)
+    assert rt._trimmed(a) == rt._trimmed(b)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +64,7 @@ def test_box_equals_star_past_six_vertices(tree):
     assert len(tree) > 6
     a = rt.build_root_star(tree)
     b = rt.build_root_box(tree)
-    assert a.is_isomorphic(b)
+    assert rt._trimmed(a) == rt._trimmed(b)
 
 
 def test_gamma_family_two_swapped_leaves():
@@ -107,7 +104,7 @@ def test_two_legged_star_single_components():
     for n in range(r.n_min, r.n_max + 1):
         assert len(r.vertices_at(n)) == 1
     assert r.involution == tuple(range(len(r)))
-    assert r.is_isomorphic(rt.build_root_box(tree))
+    assert rt._trimmed(r) == rt._trimmed(rt.build_root_box(tree))
 
 
 def test_explicit_stop_level_flags_instability():
@@ -295,6 +292,15 @@ def star_legs(draw):
     return draw(st.integers(-3, -1)), legs
 
 
+def _relabelled_tree(tree, label):
+    """The tree with vertex v renamed label[v]."""
+    n = len(tree)
+    return pl.PlumbingTree(
+        tuple(tree.weights[label.index(v)] for v in range(n)),
+        tuple((label[a], label[b]) for a, b in tree.edges),
+    )
+
+
 @st.composite
 def twisted_stars(draw):
     """Definite stars of `star_legs`, the centre relabelled, k twisted, and
@@ -302,12 +308,7 @@ def twisted_stars(draw):
     centre, legs = draw(star_legs())
     tree = pl.star(centre, legs)
     assume(is_negative_definite(intersection_form(tree)))
-    n = len(tree)
-    label = draw(st.permutations(range(n)))
-    tree = pl.PlumbingTree(
-        tuple(tree.weights[label.index(v)] for v in range(n)),
-        tuple((label[a], label[b]) for a, b in tree.edges),
-    )
+    tree = _relabelled_tree(tree, draw(st.permutations(range(len(tree)))))
     k = tuple(w + 2 * draw(st.integers(-3, 3)) for w in tree.weights)
     # an explicit stop from 3 below the bound ceil(k^2 / 8) on min chi to 8 above
     low = math.ceil(pl.k_square(tree, k) / 8)
@@ -374,10 +375,7 @@ def stars_with_symmetries(draw):
         twist = [twist[min(v, swap[v])] for v in range(n)]
     k = None if draw(st.booleans()) else tuple(w + 2 * t for w, t in zip(tree.weights, twist))
     label = draw(st.permutations(range(n)))
-    tree = pl.PlumbingTree(
-        tuple(tree.weights[label.index(v)] for v in range(n)),
-        tuple((label[a], label[b]) for a, b in tree.edges),
-    )
+    tree = _relabelled_tree(tree, label)
     k = None if k is None else tuple(k[label.index(v)] for v in range(n))
     # an explicit stop from just below the minimum of chi to 12 levels above it
     low = math.ceil(pl.k_square(tree, k or pl.spin_char(tree)) / 8)
@@ -472,60 +470,14 @@ def test_representative_independence():
     k2 = tuple(int(x) for x in np.array(k1) + 2 * q @ np.array([1, 0, 0, 0]))
     r1 = rt.build_root_star(GAMMA7, k1)
     r2 = rt.build_root_star(GAMMA7, k2)
-    assert r1.is_isomorphic(r2)
+    assert r1.levels != r2.levels
+    assert (r1.weights, r1.succ, r1.involution) == (r2.weights, r2.succ, r2.involution)
     assert r1.d_invariant() == r2.d_invariant()
 
 
-def test_isomorphism_is_discriminating():
-    r7 = rt.build_root_star(GAMMA7)
-    r8 = rt.build_root_star(E8)
-    assert not r7.is_isomorphic(r8)
-    r9 = rt.build_root_star(pl.star(-1, [[-2], [-3], [-9]]))
-    assert not r7.is_isomorphic(r9)  # same shape, different weights
-
-
+# the H-shaped tree, the smallest kind that is not a star
 H_EDGES = ((0, 1), (1, 2), (1, 3), (3, 4), (3, 5))
 INVOLUTIONS = ("auto", "reflection", "trivial")
-
-
-@st.composite
-def root_inputs(draw):
-    """A tree, k, stop level and the engines that build its root: a star of
-    `stars_with_symmetries`, which the box engine builds too when it has at
-    most 5 vertices and an explicit stop, or, for the box engine only, an
-    H-shaped tree, the smallest kind that is not a star, with sides equal
-    under the swap of its two nodes in half the draws, stopped up to 4
-    levels above the bound on the minimum of chi that its elimination
-    gives."""
-    if draw(st.booleans()):
-        tree, k, n_max, _ = draw(stars_with_symmetries())
-        star, box = rt.build_root_star, rt.build_root_box
-        return tree, k, n_max, [star, box] if len(tree) <= 5 and n_max is not None else [star]
-    a, c = (draw(st.integers(-5, -2)) for _ in "ac")
-    b = draw(st.integers(-3, -2))
-    if draw(st.booleans()):
-        weights = (a, b, c, b, a, c)
-    else:
-        weights = (a, b, c, *(draw(st.integers(-4, -2)) for _ in "def"))
-    tree = pl.PlumbingTree(weights, H_EDGES)
-    assume(is_negative_definite(intersection_form(tree)))
-    *_, const = eliminate(tree, pl.spin_char(tree))
-    return tree, None, -(-const // 2) + draw(st.integers(0, 4)), [rt.build_root_box]
-
-
-@st.composite
-def built_roots(draw, inputs):
-    """The root of `inputs` by one of its engines under one drawn involution,
-    the automatic one when the root has no such involution."""
-    tree, k, n_max, engines = inputs
-    build = draw(st.sampled_from(engines))
-    for which in (draw(st.sampled_from(INVOLUTIONS)), "auto"):
-        try:
-            return build(tree, k, n_max=n_max, involution=which)
-        except rt.InstabilityError:
-            reject()
-        except ValueError:
-            continue
 
 
 def _relabelled(root, label):
@@ -575,58 +527,6 @@ def symmetric_roots(draw):
     grow(0, None, 3)
     root = rt.GradedRoot(tuple(levels), Fraction(1, 4), tuple(succ), tuple(inv), True)
     return _relabelled(root, draw(st.permutations(range(len(root)))))
-
-
-@st.composite
-def root_pairs(draw):
-    """Two roots of one tree in half the draws (either engine, any
-    involution: isomorphic, or alike but for the involution), of two trees
-    in the other half (mostly not isomorphic); in a fifth of all draws a
-    `symmetric_roots` root instead, with itself relabelled or under the
-    identity."""
-    if draw(st.integers(0, 4)) == 0:
-        a = draw(symmetric_roots())
-        if draw(st.booleans()):
-            return a, _relabelled(a, draw(st.permutations(range(len(a)))))
-        return a, rt.GradedRoot(a.levels, a.offset, a.succ, tuple(range(len(a))), True)
-    first = draw(root_inputs())
-    second = first if draw(st.booleans()) else draw(root_inputs())
-    return draw(built_roots(first)), draw(built_roots(second))
-
-
-@settings(max_examples=150, deadline=None)
-@given(root_pairs())
-def test_isomorphism_key_matches_the_backtracking_matcher(pair):
-    a, b = pair
-    want = ref_is_isomorphic(a, b)
-    assert a.is_isomorphic(b) == want
-    assert b.is_isomorphic(a) == want
-
-
-def _fan(involution):
-    """Equal leaves, one per entry of `involution`, over a single vertex."""
-    k = len(involution)
-    return rt.GradedRoot(
-        levels=(0,) * k + (1, 2),
-        offset=Fraction(0),
-        succ=(k,) * k + (k + 1, None),
-        involution=tuple(involution) + (k, k + 1),
-        stable=True,
-    )
-
-
-def test_both_matchers_refuse_a_fan_whose_swaps_differ():
-    # twelve equal leaves have 12! weight isomorphisms; the oracle must drop
-    # each partial map that breaks the involutions, not list them all.  Leaf
-    # i is swapped with i + 6, so a swapped pair's halves are not neighbours
-    swapped = _fan([(i + 6) % 12 for i in range(12)])
-    fixed = _fan(range(12))
-    fewer = _fan([(i + 5) % 10 for i in range(10)] + [10, 11])  # five pairs
-    for a, b in itertools.permutations((swapped, fixed, fewer), 2):
-        assert not a.is_isomorphic(b)
-        assert not ref_is_isomorphic(a, b)
-    for a in (swapped, fixed, fewer):
-        assert a.is_isomorphic(a) and ref_is_isomorphic(a, a)
 
 
 def test_involution_selection():
@@ -737,6 +637,29 @@ def test_memory_guard(monkeypatch):
         rt.build_root_box(E8)
 
 
+def test_star_engine_refuses_a_cap_beyond_its_budget(monkeypatch, capsys):
+    # a cap more than _POINT_BUDGET levels above ceil(k^2 / 8), the bound on
+    # min chi, is refused before any profile is built, whether it is given
+    # (--n-max) or reached by the adaptive doubling, whose first cap is 8
+    # levels up
+    pres = kn.presentation(kn.parse_spec("torus(2,3)"))
+    low = math.ceil(pl.k_square(pres.tree, pres.char) / 8)
+    assert rt.build_root_star(pres.tree, pres.char, n_max=low + 4).stable
+
+    def refused(*args):
+        raise AssertionError("a profile was built past the budget")
+
+    monkeypatch.setattr(rt, "_POINT_BUDGET", 4)
+    monkeypatch.setattr(rt, "_central_profile", refused)
+    message = f"level cap {low + 5} lies more than 4 levels above {low}"
+    with pytest.raises(rt.MemoryGuardError, match=f"^{message}"):
+        rt.build_root_star(pres.tree, pres.char, n_max=low + 5)
+    with pytest.raises(rt.MemoryGuardError, match=f"level cap {low + 8} "):
+        rt.build_root_star(pres.tree, pres.char)
+    assert cli.main(["invariants", "torus(2,3)", "--n-max", str(low + 5)]) == 1
+    assert capsys.readouterr().err == f"error: {message}, the bound on min chi\n"
+
+
 def test_dispatch_prefers_star():
     assert rt.build_root(GAMMA7).engine == "star"
     # a tree that branches twice cannot use the star engine
@@ -749,7 +672,8 @@ def test_dispatch_prefers_star():
 
 @st.composite
 def small_star_trees(draw):
-    """Negative-definite stars with up to three legs of up to two vertices."""
+    """Negative-definite stars with up to three legs of up to two vertices,
+    relabelled, so that the centre is not always vertex 0."""
     center = draw(st.integers(min_value=-4, max_value=-1))
     legs = []
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
@@ -759,7 +683,7 @@ def small_star_trees(draw):
         )
     tree = pl.star(center, legs)
     assume(is_negative_definite(intersection_form(tree)))
-    return tree
+    return _relabelled_tree(tree, draw(st.permutations(range(len(tree)))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -778,7 +702,7 @@ def test_engines_agree_on_random_stars(tree):
         except rt.MemoryGuardError:
             reject()
         a = rt.build_root_star(tree, n_max=b.n_max)
-    assert a.is_isomorphic(b)
+    assert rt._trimmed(a) == rt._trimmed(b)
     assert a.d_invariant() == b.d_invariant()
 
 
@@ -793,7 +717,7 @@ def test_star_engine_stop_level_reaches_a_late_split():
     # has 7 leaves.
     tree = pl.star(-1, [[-5], [-5, -2], [-2, -4]])
     b = rt.build_root_box(tree)
-    assert rt.build_root_star(tree).is_isomorphic(b)
+    assert rt._trimmed(rt.build_root_star(tree)) == rt._trimmed(b)
     doc = {"weights": list(tree.weights), "edges": [list(e) for e in tree.edges]}
     assert cli.main(["root", json.dumps(doc), "--verify"]) == 0
 
@@ -812,7 +736,7 @@ def test_generator_roots_reach_their_last_split():
         pres = kn.presentation(kn.parse_spec(text))
         adaptive = rt.build_root_star(pres.tree, pres.char, involution=pres.involution)
         full = rt.build_root_star(pres.tree, pres.char, involution=pres.involution, n_max=3)
-        assert adaptive.is_isomorphic(full), text
+        assert rt._trimmed(adaptive) == rt._trimmed(full), text
 
 
 @pytest.mark.xfail(
@@ -825,7 +749,7 @@ def test_box_engine_probe_stays_within_budget():
     # are not yet connected; the second, at n_min+28, exceeds the budget.
     tree = pl.star(-1, [[-3], [-4, -5], [-3, -2]])
     b = rt.build_root_box(tree)
-    assert rt.build_root_star(tree).is_isomorphic(b)
+    assert rt._trimmed(rt.build_root_star(tree)) == rt._trimmed(b)
 
 
 FROZEN_ROOTS = json.loads((Path(__file__).parent / "roots_frozen.json").read_text())
